@@ -17,12 +17,10 @@ from .errors import (ArityError, ConfigError, DenominatorError, DimError,
                      DomainError, DuplicateEntryError, NumericalError,
                      ParseError, SpecteigError)
 from .pam import (Given, PamConfig, PamResult, PamState, Uniform,
-                  block_update, h_alpha_multilinear, kl_exponent, pam_solve,
-                  write_history_csv)
-from .tensor_core import (BOperator, DenseB, HDiagonal, ShiftedTensor,
-                          SymTensor, ZIdentity, axpy, b_apply_full,
-                          b_apply_gradient, diagonal_tensor, frobenius_inner,
-                          identity_tensor, load_tensor)
+                  block_update, kl_exponent, pam_solve, write_history_csv)
+from .tensor_core import (MAX_DENSE_ENTRIES, BOperator, DenseB, HDiagonal,
+                          SymTensor, ZIdentity, axpy, diagonal_tensor,
+                          frobenius_inner, identity_tensor, load_tensor)
 from .trust_region import (BoundaryConfig, BoundaryResult, TaylorPoly,
                            check_second_order, homogenize, lagrangian_grad,
                            load_poly, poly_to_dict, random_cubic,

@@ -476,7 +476,7 @@ def _battery(seed: int, data_dir: str | None):
                   + ", ".join(f"{p.lambda_:.4f}" for p in report.pairs))
         if bad:
             detail += f"; off-cluster values {[f'{v:.4f}' for v in bad]}"
-    except (SpecteigError, AssertionError, OSError) as exc:
+    except (SpecteigError, OSError) as exc:
         ok = False
         detail = f"{type(exc).__name__}: {exc}"
     yield "dinkelbach-monotone", ok, detail

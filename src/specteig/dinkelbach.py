@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArityError, ConfigError, DenominatorError, DimError
+from .errors import (ArityError, ConfigError, DenominatorError, DimError,
+                     NumericalError)
 from .pam import Given, PamConfig, Uniform, pam_solve
 from .tensor_core import BOperator, SymTensor, axpy
 
@@ -28,7 +29,7 @@ __all__ = [
     "write_trace_csv",
 ]
 
-#: Trace slack for the runtime monotonicity checks.
+#: Trace slack for the monotonicity checks on the returned trace.
 MONOTONE_SLACK = 1e-9
 
 #: Sphere samples used to vet denominator positivity at construction.
@@ -154,7 +155,8 @@ def dinkelbach_solve(problem: FractionalProblem,
     value strictly below the previous iteration's (beyond slack) proves the
     previous subproblem stopped short of its minimum, so the run likewise
     stops with converged=False before recording the offending row. Both
-    guards keep the recorded trace monotone by construction. outer_iters
+    guards keep the recorded trace monotone by construction; a returned
+    trace that is not monotone anyway raises NumericalError. outer_iters
     counts the iterations that moved theta, i.e. one less than the number of
     parametric subproblems solved, with a floor of 1.
     """
@@ -208,13 +210,14 @@ def dinkelbach_solve(problem: FractionalProblem,
     thetas = [t for _, t, _ in trace]
     fs = [f for _, _, f in trace]
     for i in range(len(trace) - 1):
-        assert thetas[i + 1] <= thetas[i] + MONOTONE_SLACK, \
-            f"theta increased at iteration {i + 2}"
-        assert fs[i] <= fs[i + 1] + MONOTONE_SLACK, \
-            f"parametric value decreased at iteration {i + 2}"
-    for f in fs:
-        assert f <= config.tol + MONOTONE_SLACK, \
-            "parametric value exceeded the stopping tolerance from above"
+        if thetas[i + 1] > thetas[i] + MONOTONE_SLACK:
+            raise NumericalError(f"theta increased at iteration {i + 2}")
+        if fs[i] > fs[i + 1] + MONOTONE_SLACK:
+            raise NumericalError(f"parametric value decreased at iteration "
+                                 f"{i + 2}")
+    if any(f > config.tol + MONOTONE_SLACK for f in fs):
+        raise NumericalError("parametric value exceeded the stopping "
+                             "tolerance from above")
     return DinkelbachResult(theta=theta, x=x,
                             outer_iters=max(1, len(trace) - 1),
                             trace=tuple(trace), converged=converged,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dinkelbach import (DinkelbachConfig, FractionalProblem,
                          dinkelbach_solve)
-from .errors import ConfigError, DenominatorError
+from .errors import ConfigError, DenominatorError, NumericalError
 from .tensor_core import BOperator, DenseB, HDiagonal, SymTensor, ZIdentity
 
 logger = logging.getLogger(__name__)
@@ -163,7 +163,7 @@ def _run_trial(problem: GeneralizedEigenProblem, frac: FractionalProblem,
     t0 = time.perf_counter()
     try:
         res = dinkelbach_solve(frac, cfg)
-    except DenominatorError:
+    except (DenominatorError, NumericalError):
         return _Trial(lambda_=np.nan, x=np.zeros(problem.a.dim),
                       residual=np.inf, accepted=False, inner_iters=0,
                       outer_iters=0, cpu_s=time.perf_counter() - t0)
@@ -191,11 +191,12 @@ def solve_multistart(problem: GeneralizedEigenProblem, trials: int,
 
     Trial t uses seed base_seed XOR t, so any jobs count reproduces the same
     report. A trial is accepted when the loop converged and its eigenpair
-    residual is within config.tol. Accepted eigenvalues closer than
-    cluster_tol chain into one cluster, represented by the member with the
-    smallest residual, its eigenvector sign-fixed to a positive leading
-    component. A max problem negates the numerator internally and reports
-    the ratio of the original operators.
+    residual is within config.tol; a trial whose solve raises
+    DenominatorError or NumericalError counts as rejected. Accepted
+    eigenvalues closer than cluster_tol chain into one cluster, represented
+    by the member with the smallest residual, its eigenvector sign-fixed to
+    a positive leading component. A max problem negates the numerator
+    internally and reports the ratio of the original operators.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")

@@ -1,8 +1,9 @@
 """Proximal alternating minimization (PAM) over products of spheres.
 
-Minimizes a multilinear surrogate h(x_1, ..., x_d) = <A, x_1 o ... o x_d>
-- alpha * P(x_1, ..., x_d) by cyclic closed-form block updates with proximal
-damping, where P is the symmetric polarization of |x|^d: the average over
+Minimizes the multilinear surrogate h(x_1, ..., x_d) = <H, x_1 o ... o x_d>
+of the single symmetric tensor H = A - alpha * E by cyclic closed-form block
+updates with proximal damping. E is the identity tensor of order d, whose
+multilinear form P is the symmetric polarization of |x|^d: the average over
 all perfect pairings of the blocks of the product of paired inner products.
 On the diagonal x_1 = ... = x_d the surrogate reduces to the homogeneous
 objective <A, x^d> - alpha |x|^d. With alpha at least the Frobenius norm of
@@ -22,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ArityError, ConfigError, DomainError, NumericalError
-from .tensor_core import _double_factorial, _pair_matchings
+from .tensor_core import SymTensor, ZIdentity, axpy
 
 logger = logging.getLogger(__name__)
 
@@ -116,84 +117,20 @@ class PamResult:
     history: tuple[tuple[int, float, float, float], ...]
 
 
-def pair_product(blocks: Sequence[np.ndarray]) -> float:
-    """Symmetric polarization of |x|^d at the blocks.
-
-    Averages, over every perfect pairing of the block slots, the product of
-    the paired inner products. On the diagonal (all blocks equal to w) this
-    is exactly |w|^d, and the average couples every pair of slots, so block
-    sweeps cannot drift apart pairwise without paying in the objective.
-    """
-    d = len(blocks)
-    if d % 2 != 0:
-        raise ArityError(f"pairing needs an even block count, got {d}")
-    b = np.stack([np.asarray(v, dtype=float) for v in blocks])
-    gram = b @ b.T
-    total = 0.0
-    for match in _pair_matchings(d):
-        prod = 1.0
-        for i, j in match:
-            prod *= gram[i, j]
-        total += prod
-    return float(total / _double_factorial(d - 1))
-
-
-def pair_partial(blocks: Sequence[np.ndarray], slot: int) -> np.ndarray:
-    """Gradient of :func:`pair_product` with respect to the block at slot.
-
-    The entry of blocks at slot is ignored (the form is linear in it).
-    """
-    d = len(blocks)
-    if d % 2 != 0:
-        raise ArityError(f"pairing needs an even block count, got {d}")
-    b = np.stack([np.asarray(v, dtype=float) for v in blocks])
-    gram = b @ b.T
-    out = np.zeros(b.shape[1])
-    for match in _pair_matchings(d):
-        prod = 1.0
-        partner = -1
-        for i, j in match:
-            if i == slot:
-                partner = j
-            elif j == slot:
-                partner = i
-            else:
-                prod *= gram[i, j]
-        out += prod * b[partner]
-    out /= _double_factorial(d - 1)
-    return out
-
-
-def h_alpha_multilinear(a_theta, alpha: float,
-                        blocks: Sequence[np.ndarray]) -> float:
-    """Multilinear surrogate value at the given blocks; even d required."""
-    if len(blocks) % 2 != 0:
-        raise ArityError(f"surrogate needs an even block count, "
-                         f"got {len(blocks)}")
-    return a_theta.multilinear_apply(blocks) - alpha * pair_product(blocks)
-
-
-def homogeneous_value(a_theta, alpha: float, w: np.ndarray) -> float:
-    """Surrogate value with every block equal to w."""
-    nsq = float(np.dot(w, w))
-    return a_theta.apply_full(w) - alpha * nsq ** (a_theta.order // 2)
-
-
-def block_update(a_theta, alpha: float, blocks: Sequence[np.ndarray],
+def block_update(surrogate: SymTensor, blocks: Sequence[np.ndarray],
                  slot: int, gamma: float, radius: float,
                  prev: np.ndarray) -> np.ndarray:
     """Exact minimizer of one proximal block subproblem on its sphere.
 
-    The restriction of the surrogate to one block is linear with coefficient
-    c, so the subproblem minimizes <c, x> + (gamma/2) |x - prev|^2 over the
-    radius sphere, attained at a scaled multiple of c - gamma * prev. A
-    degenerate direction (norm below 1e-14) keeps the previous block; an
-    objective tie picks the candidate better aligned with prev.
+    The restriction of the surrogate's multilinear form to one block is
+    linear with coefficient c, so the subproblem minimizes
+    <c, x> + (gamma/2) |x - prev|^2 over the radius sphere, attained at a
+    scaled multiple of c - gamma * prev. A degenerate direction (norm below
+    1e-14) keeps the previous block; an objective tie picks the candidate
+    better aligned with prev.
     """
     others = [blocks[i] for i in range(len(blocks)) if i != slot]
-    c = a_theta.multilinear_partial(others, slot)
-    if alpha != 0.0:
-        c = c - alpha * pair_partial(blocks, slot)
+    c = surrogate.multilinear_partial(others, slot)
     w = c - gamma * prev
     nw = float(np.linalg.norm(w))
     if nw < DEGENERATE_TOL:
@@ -239,14 +176,17 @@ def _init_blocks(config: PamConfig, dim: int, d: int,
     return blocks
 
 
-def pam_solve(a_theta, config: PamConfig,
+def pam_solve(a_theta: SymTensor, config: PamConfig,
               rng: np.random.Generator | None = None) -> PamResult:
     """Run cyclic PAM sweeps until the best-block value stalls.
 
-    a_theta must expose order, dim, apply_full, multilinear_apply and
-    multilinear_partial. Stops when the homogeneous value of the best block
-    changes by less than config.eps between sweeps, or after max_iter
-    sweeps. When rng is given it overrides config.seed for random inits.
+    Forms the surrogate tensor a_theta - alpha * E once; the sweeps, the
+    block values and the KKT residual all contract it. The block count must
+    be even, since E needs even order. Stops when the homogeneous value of
+    the best block changes by less than config.eps between sweeps, or after
+    max_iter sweeps. When rng is given it overrides config.seed for random
+    inits. Sweeps whose best block value exceeds the multilinear value by
+    more than DIAGONAL_GAP_SLACK are counted and reported in one warning.
     """
     d = len(config.gammas)
     if a_theta.order != d:
@@ -260,34 +200,35 @@ def pam_solve(a_theta, config: PamConfig,
         logger.warning("alpha=%.6g is below the operator Frobenius norm "
                        "%.6g; surrogate concavity is not guaranteed",
                        alpha, fro)
+    surrogate = axpy(a_theta, ZIdentity(d, dim), alpha)
     radii = tuple(config.radii) if config.radii is not None else (1.0,) * d
     if rng is None:
         rng = np.random.default_rng(config.seed)
     blocks = _init_blocks(config, dim, d, radii, rng)
-    block_vals = [homogeneous_value(a_theta, alpha, b) for b in blocks]
+    block_vals = [surrogate.apply_full(b) for b in blocks]
     j0 = int(np.argmin(block_vals))
     state = PamState(blocks=blocks, k=0, v=blocks[j0].copy(),
                      value=block_vals[j0], history=[])
     converged = False
-    h_t = math.nan
+    gap_sweeps = 0
+    max_gap = 0.0
     for k in range(1, config.max_iter + 1):
         prev = [b.copy() for b in state.blocks]
         for j in range(d):
-            state.blocks[j] = block_update(a_theta, alpha, state.blocks, j,
+            state.blocks[j] = block_update(surrogate, state.blocks, j,
                                            config.gammas[j], radii[j],
                                            state.blocks[j])
-        h_t = h_alpha_multilinear(a_theta, alpha, state.blocks)
+        h_t = surrogate.multilinear_apply(state.blocks)
         if not math.isfinite(h_t):
             raise NumericalError(f"non-finite surrogate value at sweep {k}")
         step = math.sqrt(sum(float(np.dot(b - p, b - p))
                              for b, p in zip(state.blocks, prev)))
-        block_vals = [homogeneous_value(a_theta, alpha, b)
-                      for b in state.blocks]
+        block_vals = [surrogate.apply_full(b) for b in state.blocks]
         j_best = int(np.argmin(block_vals))
         h_v = block_vals[j_best]
         if h_v > h_t + DIAGONAL_GAP_SLACK:
-            logger.warning("best block value %.9g exceeds multilinear value "
-                           "%.9g at sweep %d", h_v, h_t, k)
+            gap_sweeps += 1
+            max_gap = max(max_gap, h_v - h_t)
         state.history.append((k, h_t, h_v, step))
         state.k = k
         stalled = abs(h_v - state.value) < config.eps
@@ -296,29 +237,29 @@ def pam_solve(a_theta, config: PamConfig,
         if stalled:
             converged = True
             break
-    kkt = _kkt_residual(a_theta, alpha, state.blocks, h_t)
+    if gap_sweeps:
+        logger.warning("best block value exceeded the multilinear value by "
+                       "more than %.0e in %d of %d sweeps (largest gap "
+                       "%.3g)", DIAGONAL_GAP_SLACK, gap_sweeps, state.k,
+                       max_gap)
+    kkt = _kkt_residual(surrogate, state.blocks, h_t)
     return PamResult(v=state.v, value=state.value,
                      blocks=tuple(b.copy() for b in state.blocks),
                      iterations=state.k, converged=converged,
                      kkt_residual=kkt, history=tuple(state.history))
 
 
-def _kkt_residual(a_theta, alpha: float, blocks: Sequence[np.ndarray],
+def _kkt_residual(surrogate: SymTensor, blocks: Sequence[np.ndarray],
                   h_t: float) -> float:
     """Norm of the stacked first-order residuals c_j - h * x_j.
 
     At a stationary point every block multiplier equals the surrogate value,
     so the residual vanishes exactly there.
     """
-    if not math.isfinite(h_t):
-        h_t = h_alpha_multilinear(a_theta, alpha, blocks)
     total = 0.0
     for j in range(len(blocks)):
         others = [blocks[i] for i in range(len(blocks)) if i != j]
-        c = a_theta.multilinear_partial(others, j)
-        if alpha != 0.0:
-            c = c - alpha * pair_partial(blocks, j)
-        r = c - h_t * blocks[j]
+        r = surrogate.multilinear_partial(others, j) - h_t * blocks[j]
         total += float(np.dot(r, r))
     return math.sqrt(total)
 
@@ -346,5 +287,6 @@ def kl_exponent(d: int, n: int) -> tuple[float, float]:
     if d < 2 or n < 2:
         raise DomainError(f"need d >= 2 and n >= 2, got d={d}, n={n}")
     tau = 1.0 / (d * (3 * d - 3) ** (d * n - 1))
-    assert tau < 0.5
+    if not tau < 0.5:
+        raise DomainError(f"exponent {tau} is not below 1/2 at d={d}, n={n}")
     return tau, tau / (1.0 - 2.0 * tau)

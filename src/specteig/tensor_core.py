@@ -1,11 +1,19 @@
-"""Symmetric tensors stored by canonical index classes, and the operator
-algebra built on them.
+"""Symmetric tensors stored as dense arrays, and the operator algebra built
+on them.
 
 A symmetric tensor of order m on R^n is determined by its entries on
-nondecreasing index tuples. Construction expands every canonical class into
-its distinct permutations once, into cached coordinate arrays, so that the
-multilinear and homogeneous forms are vectorized gather-product-reduce
-operations. The full dense array is never materialized.
+nondecreasing index tuples (canonical classes). Construction copies every
+canonical entry to all of its permutations in a dense n**m array, and every
+contraction that leaves slots free (multilinear forms, their partials, the
+slot-gradient) runs through one kernel on that array: repeated matrix-vector
+products over the trailing axis. The canonical classes and their
+permutation counts are kept beside the array only for the homogeneous form
+and the Frobenius norm, which cost C(n+m-1, m) terms that way instead of
+n**m.
+
+Dense storage bounds the size: a shape with more than
+:data:`MAX_DENSE_ENTRIES` entries raises :class:`ConfigError` before
+anything is allocated.
 
 Indices are 1-based in files and public entry points, 0-based internally.
 All objects here are immutable after construction.
@@ -15,13 +23,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     ArityError,
+    ConfigError,
     DimError,
     DuplicateEntryError,
     NumericalError,
@@ -29,26 +38,36 @@ from .errors import (
 )
 
 __all__ = [
+    "MAX_DENSE_ENTRIES",
     "SymTensor",
     "BOperator",
     "DenseB",
     "ZIdentity",
     "HDiagonal",
-    "ShiftedTensor",
     "axpy",
-    "from_entries",
-    "apply_full",
-    "apply_gradient",
-    "multilinear_apply",
-    "multilinear_partial",
-    "frobenius_norm",
     "frobenius_inner",
-    "b_apply_full",
-    "b_apply_gradient",
     "identity_tensor",
     "diagonal_tensor",
     "load_tensor",
 ]
+
+#: Largest n**m a tensor or operator may have: 2**24 float64 entries are
+#: 128 MiB of dense storage.
+MAX_DENSE_ENTRIES = 2 ** 24
+
+#: Entries expanded per vectorized step when building the dense array.
+_EXPAND_CHUNK = 2 ** 16
+
+
+def _check_shape(order: int, dim: int) -> None:
+    if order < 1:
+        raise ArityError(f"order must be >= 1, got {order}")
+    if dim < 1:
+        raise DimError(f"dim must be >= 1, got {dim}")
+    if dim ** order > MAX_DENSE_ENTRIES:
+        raise ConfigError(f"order {order} on R^{dim} has {dim}**{order} "
+                          f"entries, above the dense limit "
+                          f"{MAX_DENSE_ENTRIES}")
 
 
 def _check_vector(x: np.ndarray, dim: int) -> np.ndarray:
@@ -58,11 +77,61 @@ def _check_vector(x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
-class SymTensor:
-    """Order-m symmetric tensor on R^n with canonical-class storage."""
+def _contract(dense: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract the trailing len(blocks) slots of a dense symmetric array,
+    the last block on the last slot; returns the flattened remainder."""
+    out = dense.reshape(-1)
+    for b in reversed(blocks):
+        out = out.reshape(-1, b.shape[0]) @ b
+    return out if blocks else out.copy()
 
-    __slots__ = ("order", "dim", "_canon", "_canon_idx", "_canon_val",
-                 "_canon_mult", "_perm_idx", "_perm_val", "_fro")
+
+def _multiplicities(classes: np.ndarray) -> np.ndarray:
+    """Number of distinct permutations of each sorted index row."""
+    run = np.ones(classes.shape[0])
+    repeats = np.ones(classes.shape[0])
+    for j in range(1, classes.shape[1]):
+        run = np.where(classes[:, j] == classes[:, j - 1], run + 1.0, 1.0)
+        repeats *= run
+    return math.factorial(classes.shape[1]) / repeats
+
+
+@lru_cache(maxsize=None)
+def _all_classes(order: int, dim: int) -> np.ndarray:
+    """Every nondecreasing index row of the shape, in lexicographic order."""
+    rows = np.array(list(combinations_with_replacement(range(dim), order)),
+                    dtype=np.intp).reshape(-1, order)
+    rows.flags.writeable = False
+    return rows
+
+
+def _expand(order: int, dim: int, classes: np.ndarray,
+            values: np.ndarray) -> np.ndarray:
+    """Dense array holding each class value at every permutation of its
+    index row: each entry reads the value at its sorted index."""
+    shape = (dim,) * order
+    out = np.zeros(shape)
+    if classes.shape[0] == 0:
+        return out
+    keys = np.ravel_multi_index(tuple(classes.T), shape)
+    order_keys = np.argsort(keys)
+    keys, values = keys[order_keys], values[order_keys]
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _EXPAND_CHUNK):
+        pos = np.arange(start, min(start + _EXPAND_CHUNK, flat.size))
+        rows = np.sort(np.stack(np.unravel_index(pos, shape)), axis=0)
+        sorted_pos = np.ravel_multi_index(tuple(rows), shape)
+        k = np.minimum(np.searchsorted(keys, sorted_pos), keys.size - 1)
+        flat[pos] = np.where(keys[k] == sorted_pos, values[k], 0.0)
+    return out
+
+
+class SymTensor:
+    """Order-m symmetric tensor on R^n: a dense array plus its canonical
+    classes."""
+
+    __slots__ = ("order", "dim", "dense", "_canon_idx", "_canon_val",
+                 "_canon_weight", "_fro")
 
     def __init__(self, order: int, dim: int,
                  canonical: Mapping[tuple[int, ...], float]):
@@ -71,12 +140,7 @@ class SymTensor:
         Most callers should use :meth:`from_entries` (1-based indices) or
         :func:`load_tensor` instead.
         """
-        if order < 1:
-            raise ArityError(f"order must be >= 1, got {order}")
-        if dim < 1:
-            raise DimError(f"dim must be >= 1, got {dim}")
-        self.order = int(order)
-        self.dim = int(dim)
+        _check_shape(order, dim)
         canon: dict[tuple[int, ...], float] = {}
         for idx, val in canonical.items():
             idx = tuple(int(i) for i in idx)
@@ -92,8 +156,10 @@ class SymTensor:
             if not math.isfinite(val):
                 raise NumericalError(f"non-finite entry at index {idx}")
             canon[idx] = val
-        self._canon = canon
-        self._build_cache()
+        keys = sorted(canon)
+        classes = np.array(keys, dtype=np.intp).reshape(-1, order)
+        values = np.array([canon[k] for k in keys], dtype=float)
+        self._set(_expand(order, dim, classes, values), classes)
 
     @classmethod
     def from_entries(cls, order: int, dim: int,
@@ -122,39 +188,31 @@ class SymTensor:
             canon[key] = float(val)
         return cls(order, dim, canon)
 
-    def _build_cache(self) -> None:
-        m, n = self.order, self.dim
-        classes = sorted(self._canon)
-        c_idx = np.zeros((len(classes), m), dtype=np.intp)
-        c_val = np.zeros(len(classes))
-        c_mult = np.zeros(len(classes))
-        p_rows: list[tuple[int, ...]] = []
-        p_vals: list[float] = []
-        fact_m = math.factorial(m)
-        for r, idx in enumerate(classes):
-            val = self._canon[idx]
-            c_idx[r] = idx
-            c_val[r] = val
-            counts = [idx.count(i) for i in set(idx)]
-            c_mult[r] = fact_m // math.prod(math.factorial(k) for k in counts)
-            for p in sorted(set(permutations(idx))):
-                p_rows.append(p)
-                p_vals.append(val)
-        self._canon_idx = c_idx
-        self._canon_val = c_val
-        self._canon_mult = c_mult
-        if p_rows:
-            self._perm_idx = np.array(p_rows, dtype=np.intp)
-            self._perm_val = np.array(p_vals)
-        else:
-            self._perm_idx = np.zeros((0, m), dtype=np.intp)
-            self._perm_val = np.zeros(0)
-        self._fro = float(np.sqrt(np.sum(c_mult * c_val ** 2)))
+    @classmethod
+    def _from_dense(cls, dense: np.ndarray) -> "SymTensor":
+        """Wrap a symmetric dense array; its nonzero classes become the
+        canonical entries."""
+        classes = _all_classes(dense.ndim, dense.shape[0])
+        self = cls.__new__(cls)
+        self._set(dense, classes[dense[tuple(classes.T)] != 0.0])
+        return self
+
+    def _set(self, dense: np.ndarray, classes: np.ndarray) -> None:
+        dense.flags.writeable = False
+        self.order = dense.ndim
+        self.dim = dense.shape[0]
+        self.dense = dense
+        self._canon_idx = classes
+        self._canon_val = dense[tuple(classes.T)]
+        self._canon_weight = _multiplicities(classes) * self._canon_val
+        self._fro = float(np.sqrt(np.dot(self._canon_weight,
+                                         self._canon_val)))
 
     @property
     def canonical(self) -> Mapping[tuple[int, ...], float]:
-        """Read-only view of the 0-based canonical entry map."""
-        return dict(self._canon)
+        """The 0-based canonical entry map (a fresh dict)."""
+        return {tuple(idx): val for idx, val in
+                zip(self._canon_idx.tolist(), self._canon_val.tolist())}
 
     def entry(self, *indices: int) -> float:
         """Entry at a 1-based index tuple (0.0 if the class is absent)."""
@@ -163,36 +221,27 @@ class SymTensor:
                 f"expected {self.order} indices, got {len(indices)}")
         if any(i < 1 or i > self.dim for i in indices):
             raise IndexError(f"index {indices} out of range 1..{self.dim}")
-        key = tuple(sorted(i - 1 for i in indices))
-        return self._canon.get(key, 0.0)
+        return float(self.dense[tuple(i - 1 for i in indices)])
 
     def apply_full(self, x: np.ndarray) -> float:
         """Homogeneous form: the tensor contracted with x on every slot."""
         x = _check_vector(x, self.dim)
-        if self._canon_idx.shape[0] == 0:
-            return 0.0
-        terms = self._canon_val * self._canon_mult
-        return float(np.dot(terms, np.prod(x[self._canon_idx], axis=1)))
+        return float(np.dot(self._canon_weight,
+                            np.prod(x[self._canon_idx], axis=1)))
 
     def apply_gradient(self, x: np.ndarray) -> np.ndarray:
         """Contraction on all slots but one; (1/m) of the gradient of
         :meth:`apply_full`."""
         x = _check_vector(x, self.dim)
-        w = self._perm_val.copy()
-        for j in range(1, self.order):
-            w *= x[self._perm_idx[:, j]]
-        return np.bincount(self._perm_idx[:, 0], weights=w, minlength=self.dim)
+        return _contract(self.dense, [x] * (self.order - 1))
 
     def multilinear_apply(self, blocks: Sequence[np.ndarray]) -> float:
         """Multilinear form with one vector per slot."""
         if len(blocks) != self.order:
             raise ArityError(
                 f"expected {self.order} blocks, got {len(blocks)}")
-        w = self._perm_val.copy()
-        for j, b in enumerate(blocks):
-            b = _check_vector(b, self.dim)
-            w *= b[self._perm_idx[:, j]]
-        return float(w.sum())
+        blocks = [_check_vector(b, self.dim) for b in blocks]
+        return float(_contract(self.dense, blocks)[0])
 
     def multilinear_partial(self, blocks: Sequence[np.ndarray],
                             free_slot: int) -> np.ndarray:
@@ -207,11 +256,8 @@ class SymTensor:
         if not 0 <= free_slot < self.order:
             raise IndexError(f"free_slot {free_slot} out of range "
                              f"0..{self.order - 1}")
-        w = self._perm_val.copy()
-        for j, b in enumerate(blocks):
-            b = _check_vector(b, self.dim)
-            w *= b[self._perm_idx[:, j + 1]]
-        return np.bincount(self._perm_idx[:, 0], weights=w, minlength=self.dim)
+        blocks = [_check_vector(b, self.dim) for b in blocks]
+        return _contract(self.dense, blocks)
 
     def frobenius_norm(self) -> float:
         """Frobenius norm over all entries, multiplicities included."""
@@ -219,12 +265,11 @@ class SymTensor:
 
     def scaled(self, factor: float) -> "SymTensor":
         """New tensor with every entry multiplied by ``factor``."""
-        return SymTensor(self.order, self.dim,
-                         {k: factor * v for k, v in self._canon.items()})
+        return SymTensor._from_dense(factor * self.dense)
 
     def __repr__(self) -> str:
         return (f"SymTensor(order={self.order}, dim={self.dim}, "
-                f"nnz={len(self._canon)})")
+                f"nnz={self._canon_val.size})")
 
 
 def frobenius_inner(a: SymTensor, b: SymTensor) -> float:
@@ -232,17 +277,7 @@ def frobenius_inner(a: SymTensor, b: SymTensor) -> float:
     if a.order != b.order or a.dim != b.dim:
         raise DimError(f"shape mismatch: ({a.order},{a.dim}) vs "
                        f"({b.order},{b.dim})")
-    small, large = (a, b) if len(a._canon) <= len(b._canon) else (b, a)
-    total = 0.0
-    fact_m = math.factorial(a.order)
-    for idx, val in small._canon.items():
-        other = large._canon.get(idx)
-        if other is None:
-            continue
-        counts = [idx.count(i) for i in set(idx)]
-        mult = fact_m // math.prod(math.factorial(k) for k in counts)
-        total += mult * val * other
-    return total
+    return float(np.vdot(a.dense, b.dense))
 
 
 def _double_factorial(k: int) -> int:
@@ -256,10 +291,13 @@ def identity_tensor(order: int, dim: int) -> SymTensor:
 
     The canonical entry at a class where every index appears an even number
     of times k_i is prod_i (k_i - 1)!! / (order - 1)!!; all other entries
-    vanish. Even order required.
+    vanish. Its multilinear form is the symmetric polarization of |x|^order:
+    the average over all perfect pairings of the slots of the product of
+    paired inner products. Even order required.
     """
     if order % 2 != 0:
         raise ArityError(f"identity tensor needs even order, got {order}")
+    _check_shape(order, dim)
     denom = _double_factorial(order - 1)
     canon: dict[tuple[int, ...], float] = {}
     for comb in combinations_with_replacement(range(dim), order // 2):
@@ -279,18 +317,15 @@ def diagonal_tensor(order: int, dim: int) -> SymTensor:
 class BOperator:
     """Denominator-side operator: a structured symmetric form on R^n.
 
-    Subclasses provide the homogeneous form, its slot-gradient, structural
-    multilinear forms used by the block solver, and a symmetric tensor
-    realization used only for Frobenius quantities.
+    Subclasses provide the homogeneous form and its slot-gradient in closed
+    form, and the symmetric tensor realization that every multilinear
+    contraction uses.
     """
 
     variant = "abstract"
 
     def __init__(self, order: int, dim: int):
-        if order < 1:
-            raise ArityError(f"order must be >= 1, got {order}")
-        if dim < 1:
-            raise DimError(f"dim must be >= 1, got {dim}")
+        _check_shape(order, dim)
         self.order = int(order)
         self.dim = int(dim)
 
@@ -300,23 +335,8 @@ class BOperator:
     def apply_gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def multilinear_apply(self, blocks: Sequence[np.ndarray]) -> float:
-        raise NotImplementedError
-
-    def multilinear_partial(self, blocks: Sequence[np.ndarray],
-                            free_slot: int) -> np.ndarray:
-        raise NotImplementedError
-
     def to_symtensor(self) -> SymTensor:
         raise NotImplementedError
-
-    def frobenius_norm(self) -> float:
-        return self.to_symtensor().frobenius_norm()
-
-    def _check_blocks(self, blocks: Sequence[np.ndarray],
-                      expected: int) -> None:
-        if len(blocks) != expected:
-            raise ArityError(f"expected {expected} blocks, got {len(blocks)}")
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(order={self.order}, dim={self.dim})")
@@ -337,44 +357,13 @@ class DenseB(BOperator):
     def apply_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.tensor.apply_gradient(x)
 
-    def multilinear_apply(self, blocks: Sequence[np.ndarray]) -> float:
-        return self.tensor.multilinear_apply(blocks)
-
-    def multilinear_partial(self, blocks: Sequence[np.ndarray],
-                            free_slot: int) -> np.ndarray:
-        return self.tensor.multilinear_partial(blocks, free_slot)
-
     def to_symtensor(self) -> SymTensor:
         return self.tensor
 
 
-@lru_cache(maxsize=None)
-def _pair_matchings(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All perfect matchings of slots 0..order-1, each as a tuple of pairs."""
-
-    def rec(slots: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
-        if not slots:
-            return [()]
-        head, rest = slots[0], slots[1:]
-        out = []
-        for k, partner in enumerate(rest):
-            remainder = rest[:k] + rest[k + 1:]
-            for tail in rec(remainder):
-                out.append(((head, partner),) + tail)
-        return out
-
-    return tuple(rec(tuple(range(order))))
-
-
 class ZIdentity(BOperator):
     """Unit-sphere normalization: homogeneous form |x|^m, slot-gradient
-    |x|^(m-2) x.
-
-    The multilinear form is the symmetric polarization of |x|^m: the average
-    over all perfect pairings of the slots of the product of paired inner
-    products. It agrees entrywise with the dense tensor from to_symtensor()
-    but never materializes it.
-    """
+    |x|^(m-2) x; its tensor is :func:`identity_tensor`."""
 
     variant = "z-identity"
 
@@ -392,59 +381,14 @@ class ZIdentity(BOperator):
         nsq = float(np.dot(x, x))
         return nsq ** ((self.order - 2) // 2) * x if self.order > 2 else x.copy()
 
-    def multilinear_apply(self, blocks: Sequence[np.ndarray]) -> float:
-        self._check_blocks(blocks, self.order)
-        b = np.stack([np.asarray(v, dtype=float) for v in blocks])
-        gram = b @ b.T
-        total = 0.0
-        for match in _pair_matchings(self.order):
-            prod = 1.0
-            for i, j in match:
-                prod *= gram[i, j]
-            total += prod
-        return float(total / _double_factorial(self.order - 1))
-
-    def multilinear_partial(self, blocks: Sequence[np.ndarray],
-                            free_slot: int) -> np.ndarray:
-        self._check_blocks(blocks, self.order - 1)
-        if not 0 <= free_slot < self.order:
-            raise IndexError(f"free_slot {free_slot} out of range "
-                             f"0..{self.order - 1}")
-        others = [np.asarray(v, dtype=float) for v in blocks]
-        full: list[np.ndarray | None] = list(others)
-        full.insert(free_slot, None)
-        row = {}
-        for slot in range(self.order):
-            if slot != free_slot:
-                row[slot] = len(row)
-        b = np.stack(others)
-        gram = b @ b.T
-        out = np.zeros(self.dim)
-        for match in _pair_matchings(self.order):
-            prod = 1.0
-            partner = -1
-            for i, j in match:
-                if i == free_slot:
-                    partner = j
-                elif j == free_slot:
-                    partner = i
-                else:
-                    prod *= gram[row[i], row[j]]
-            out += prod * full[partner]
-        out /= _double_factorial(self.order - 1)
-        return out
-
     def to_symtensor(self) -> SymTensor:
         return identity_tensor(self.order, self.dim)
 
 
 class HDiagonal(BOperator):
     """Componentwise-power normalization: homogeneous form sum_i x_i^m,
-    slot-gradient with entries x_i^(m-1).
-
-    The structural multilinear form is sum_i of the product of the blocks'
-    i-th entries.
-    """
+    slot-gradient with entries x_i^(m-1); its tensor is
+    :func:`diagonal_tensor`."""
 
     variant = "h-diagonal"
 
@@ -456,127 +400,16 @@ class HDiagonal(BOperator):
         x = _check_vector(x, self.dim)
         return x ** (self.order - 1)
 
-    def multilinear_apply(self, blocks: Sequence[np.ndarray]) -> float:
-        self._check_blocks(blocks, self.order)
-        prod = np.ones(self.dim)
-        for b in blocks:
-            prod = prod * _check_vector(b, self.dim)
-        return float(prod.sum())
-
-    def multilinear_partial(self, blocks: Sequence[np.ndarray],
-                            free_slot: int) -> np.ndarray:
-        self._check_blocks(blocks, self.order - 1)
-        if not 0 <= free_slot < self.order:
-            raise IndexError(f"free_slot {free_slot} out of range "
-                             f"0..{self.order - 1}")
-        prod = np.ones(self.dim)
-        for b in blocks:
-            prod = prod * _check_vector(b, self.dim)
-        return prod
-
     def to_symtensor(self) -> SymTensor:
         return diagonal_tensor(self.order, self.dim)
 
 
-class ShiftedTensor:
-    """Lazy composite A - theta * B with B applied structurally.
-
-    Produced by :func:`axpy` when B is not dense. The Frobenius norm uses the
-    symmetric realization of B through three scalars precomputed here.
-    """
-
-    __slots__ = ("a", "b", "theta", "order", "dim", "_fro")
-
-    def __init__(self, a: SymTensor, b: BOperator, theta: float):
-        if a.order != b.order or a.dim != b.dim:
-            raise DimError(f"shape mismatch: ({a.order},{a.dim}) vs "
-                           f"({b.order},{b.dim})")
-        self.a = a
-        self.b = b
-        self.theta = float(theta)
-        self.order = a.order
-        self.dim = a.dim
-        b_sym = b.to_symtensor()
-        fa2 = a.frobenius_norm() ** 2
-        fab = frobenius_inner(a, b_sym)
-        fb2 = b_sym.frobenius_norm() ** 2
-        self._fro = math.sqrt(max(fa2 - 2.0 * self.theta * fab
-                                  + self.theta ** 2 * fb2, 0.0))
-
-    def apply_full(self, x: np.ndarray) -> float:
-        return self.a.apply_full(x) - self.theta * self.b.apply_full(x)
-
-    def apply_gradient(self, x: np.ndarray) -> np.ndarray:
-        return (self.a.apply_gradient(x)
-                - self.theta * self.b.apply_gradient(x))
-
-    def multilinear_apply(self, blocks: Sequence[np.ndarray]) -> float:
-        return (self.a.multilinear_apply(blocks)
-                - self.theta * self.b.multilinear_apply(blocks))
-
-    def multilinear_partial(self, blocks: Sequence[np.ndarray],
-                            free_slot: int) -> np.ndarray:
-        return (self.a.multilinear_partial(blocks, free_slot)
-                - self.theta * self.b.multilinear_partial(blocks, free_slot))
-
-    def frobenius_norm(self) -> float:
-        return self._fro
-
-    def __repr__(self) -> str:
-        return (f"ShiftedTensor(order={self.order}, dim={self.dim}, "
-                f"theta={self.theta!r}, b={self.b.variant})")
-
-
-def axpy(a: SymTensor, b: BOperator, theta: float) -> SymTensor | ShiftedTensor:
-    """Operator for A - theta * B.
-
-    Dense B merges into a plain SymTensor; structured variants return a lazy
-    composite that applies B through its structural multilinear forms.
-    """
+def axpy(a: SymTensor, b: BOperator, theta: float) -> SymTensor:
+    """The symmetric tensor A - theta * B, formed on the dense arrays."""
     if a.order != b.order or a.dim != b.dim:
         raise DimError(f"shape mismatch: ({a.order},{a.dim}) vs "
                        f"({b.order},{b.dim})")
-    if isinstance(b, DenseB):
-        merged = dict(a._canon)
-        for idx, val in b.tensor._canon.items():
-            merged[idx] = merged.get(idx, 0.0) - theta * val
-        return SymTensor(a.order, a.dim, merged)
-    return ShiftedTensor(a, b, theta)
-
-
-# Functional aliases matching the operation-level contract names.
-
-def from_entries(order: int, dim: int, entries) -> SymTensor:
-    return SymTensor.from_entries(order, dim, entries)
-
-
-def apply_full(a, x: np.ndarray) -> float:
-    return a.apply_full(x)
-
-
-def apply_gradient(a, x: np.ndarray) -> np.ndarray:
-    return a.apply_gradient(x)
-
-
-def multilinear_apply(a, blocks: Sequence[np.ndarray]) -> float:
-    return a.multilinear_apply(blocks)
-
-
-def multilinear_partial(a, blocks: Sequence[np.ndarray],
-                        free_slot: int) -> np.ndarray:
-    return a.multilinear_partial(blocks, free_slot)
-
-
-def frobenius_norm(a) -> float:
-    return a.frobenius_norm()
-
-
-def b_apply_full(b: BOperator, x: np.ndarray) -> float:
-    return b.apply_full(x)
-
-
-def b_apply_gradient(b: BOperator, x: np.ndarray) -> np.ndarray:
-    return b.apply_gradient(x)
+    return SymTensor._from_dense(a.dense - theta * b.to_symtensor().dense)
 
 
 def load_tensor(path) -> SymTensor:

@@ -31,11 +31,10 @@ import pytest
 
 from specteig import (BoundaryConfig, DinkelbachConfig, FractionalProblem,
                       Given, PamConfig, SymTensor, TaylorPoly, Uniform,
-                      ZIdentity, build_problem, check_second_order,
+                      ZIdentity, axpy, build_problem, check_second_order,
                       dinkelbach_solve, homogenize, kl_exponent, pam_solve,
                       random_cubic, solve_boundary, solve_multistart)
 from specteig.eigen import _occurrence_pct
-from specteig.pam import h_alpha_multilinear
 
 from conftest import random_symtensor, to_dense
 
@@ -231,7 +230,7 @@ class TestHomogeneousVersusMultilinear:
         for seed in (0, 1, 2):
             res = pam_solve(a, PamConfig(gammas=(1.0, 1.0), alpha=0.0,
                                          eps=1e-12, seed=seed))
-            best = min(best, h_alpha_multilinear(a, 0.0, list(res.blocks)))
+            best = min(best, a.multilinear_apply(list(res.blocks)))
         return best
 
     def test_c5_diagonal_pair_battery(self, criterion_log):
@@ -278,7 +277,7 @@ class TestPropertySuite:
                                max_iter=300, init=Given(tuple(start)))
             res = pam_solve(a, config)
             gbar = min(gammas)
-            h_prev = h_alpha_multilinear(a, alpha, start)
+            h_prev = axpy(a, ZIdentity(m, n), alpha).multilinear_apply(start)
             for _, h_t, _, step in res.history:
                 worst_descent = max(worst_descent,
                                     h_t + 0.5 * gbar * step ** 2 - h_prev)

@@ -5,11 +5,14 @@ once through a subprocess.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import specteig
 from specteig.cli import main
 
 MATRIX_TNS = "order 2\ndim 2\n1 1 1.0\n2 2 -2.0\n"
@@ -252,15 +255,25 @@ class TestVerifyCommand:
                      "--data", str(tmp_path / "absent")]) == 4
 
 
+def _module_env():
+    """Environment whose PYTHONPATH finds this package from any directory."""
+    src = str(Path(specteig.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
+
+
 class TestModuleEntry:
     def test_help_via_module(self):
         proc = subprocess.run([sys.executable, "-m", "specteig", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=_module_env())
         assert proc.returncode == 0
         assert "specteig" in proc.stdout
 
     def test_usage_error_via_module(self):
         proc = subprocess.run([sys.executable, "-m", "specteig"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=_module_env())
         assert proc.returncode == 1
         assert "usage" in proc.stderr

@@ -8,9 +8,10 @@ import json
 import numpy as np
 import pytest
 
+import specteig.eigen
 from specteig import (ConfigError, DenominatorError, DenseB, DinkelbachConfig,
-                      HDiagonal, PamConfig, SymTensor, Uniform, ZIdentity,
-                      build_problem, solve_multistart)
+                      HDiagonal, NumericalError, PamConfig, SymTensor, Uniform,
+                      ZIdentity, build_problem, solve_multistart)
 from specteig.eigen import (_occurrence_pct, format_table, rayleigh,
                             report_to_csv, report_to_json, residual)
 
@@ -116,6 +117,26 @@ class TestMultistartMatrix:
                                   config=small_config())
         assert sum(q.trials_hit for q in report.pairs) == report.accepted
         assert report.accepted <= report.trials
+
+    def test_numerical_error_is_a_rejected_trial(self, monkeypatch):
+        p = build_problem(A1, "Z")
+        clean = solve_multistart(p, trials=6, base_seed=9,
+                                 config=small_config())
+        assert clean.accepted == 6
+        solve = specteig.eigen.dinkelbach_solve
+
+        def failing_solve(frac, cfg):
+            if cfg.inner.seed == 9 ^ 2:
+                raise NumericalError("injected failure")
+            return solve(frac, cfg)
+
+        monkeypatch.setattr(specteig.eigen, "dinkelbach_solve",
+                            failing_solve)
+        report = solve_multistart(p, trials=6, base_seed=9,
+                                  config=small_config())
+        assert report.trials == 6
+        assert report.accepted == 5
+        assert sum(q.trials_hit for q in report.pairs) == 5
 
     def test_trials_validated(self):
         p = build_problem(A1, "Z")

@@ -12,11 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specteig import (ArityError, ConfigError, DomainError, Given, PamConfig,
-                      SymTensor, Uniform, identity_tensor, kl_exponent,
-                      pam_solve)
-from specteig.pam import (block_update, h_alpha_multilinear,
-                          homogeneous_value, pair_partial, pair_product,
-                          write_history_csv)
+                      SymTensor, Uniform, ZIdentity, axpy, identity_tensor,
+                      kl_exponent, pam_solve)
+from specteig.pam import DIAGONAL_GAP_SLACK, block_update, write_history_csv
 
 from conftest import dense_multilinear, dense_partial, random_symtensor, to_dense
 
@@ -24,66 +22,80 @@ A1 = SymTensor.from_entries(2, 2, [((1, 1), 1.0), ((2, 2), -2.0)])
 SQRT5 = math.sqrt(5.0)
 
 
+def surrogate(a, alpha):
+    """The PAM surrogate tensor A - alpha * E."""
+    return axpy(a, ZIdentity(a.order, a.dim), alpha)
+
+
 class TestPairProduct:
+    """The shift's pairing product is the identity tensor's multilinear
+    form."""
+
     def test_two_blocks_is_inner_product(self):
         x = np.array([1.0, 2.0, -1.0])
         y = np.array([0.5, -1.0, 3.0])
-        assert pair_product([x, y]) == pytest.approx(float(np.dot(x, y)),
-                                                     rel=1e-14)
+        assert identity_tensor(2, 3).multilinear_apply([x, y]) == \
+            pytest.approx(float(np.dot(x, y)), rel=1e-14)
 
     @pytest.mark.parametrize("d,n", [(4, 2), (4, 3), (6, 2)])
     def test_matches_dense_identity_form(self, d, n):
-        arr = to_dense(identity_tensor(d, n))
+        e = identity_tensor(d, n)
+        arr = to_dense(e)
         rng = np.random.default_rng(d * 100 + n)
         for _ in range(5):
             blocks = [rng.standard_normal(n) for _ in range(d)]
-            assert pair_product(blocks) == pytest.approx(
+            assert e.multilinear_apply(blocks) == pytest.approx(
                 dense_multilinear(arr, blocks), rel=1e-10, abs=1e-12)
 
     def test_diagonal_is_norm_power(self):
         w = np.array([0.6, -0.8, 1.0])
         for d in (2, 4, 6):
-            assert pair_product([w] * d) == pytest.approx(
-                float(np.dot(w, w)) ** (d // 2), rel=1e-12)
+            assert identity_tensor(d, 3).multilinear_apply([w] * d) == \
+                pytest.approx(float(np.dot(w, w)) ** (d // 2), rel=1e-12)
 
     def test_odd_count_rejected(self):
-        x = np.ones(2)
         with pytest.raises(ArityError):
-            pair_product([x, x, x])
+            identity_tensor(3, 2)
+        cubic = SymTensor.from_entries(3, 2, [((1, 1, 2), 1.0)])
         with pytest.raises(ArityError):
-            pair_partial([x, x, x], 0)
+            pam_solve(cubic, PamConfig(gammas=(1.0,) * 3, alpha=1.0))
 
 
 class TestPairPartial:
     def test_two_blocks(self):
+        e = identity_tensor(2, 2)
         x = np.array([1.0, 2.0])
         y = np.array([-3.0, 0.5])
-        assert np.allclose(pair_partial([x, y], 0), y, rtol=1e-14)
-        assert np.allclose(pair_partial([x, y], 1), x, rtol=1e-14)
+        assert np.allclose(e.multilinear_partial([y], 0), y, rtol=1e-14)
+        assert np.allclose(e.multilinear_partial([x], 1), x, rtol=1e-14)
 
     def test_dot_recovers_value(self):
+        e = identity_tensor(4, 3)
+        arr = to_dense(e)
         rng = np.random.default_rng(7)
         blocks = [rng.standard_normal(3) for _ in range(4)]
         for slot in range(4):
-            g = pair_partial(blocks, slot)
+            g = e.multilinear_partial(blocks[:slot] + blocks[slot + 1:], slot)
             assert float(np.dot(g, blocks[slot])) == pytest.approx(
-                pair_product(blocks), rel=1e-12)
+                dense_multilinear(arr, blocks), rel=1e-12)
 
     def test_matches_dense_identity_partial(self):
-        arr = to_dense(identity_tensor(4, 3))
+        e = identity_tensor(4, 3)
+        arr = to_dense(e)
         rng = np.random.default_rng(9)
         blocks = [rng.standard_normal(3) for _ in range(4)]
         expect = dense_partial(arr, blocks[1:])
-        assert np.allclose(pair_partial(blocks, 0), expect, rtol=1e-10)
+        assert np.allclose(e.multilinear_partial(blocks[1:], 0), expect,
+                           rtol=1e-10)
 
 
 class TestSurrogateValues:
     def test_matrix_example(self):
         e2 = np.array([0.0, 1.0])
-        val = h_alpha_multilinear(A1, SQRT5, [e2, e2])
-        assert val == pytest.approx(-2.0 - SQRT5, rel=1e-14)
-        assert homogeneous_value(A1, SQRT5, e2) == pytest.approx(
+        h = surrogate(A1, SQRT5)
+        assert h.multilinear_apply([e2, e2]) == pytest.approx(
             -2.0 - SQRT5, rel=1e-14)
+        assert h.apply_full(e2) == pytest.approx(-2.0 - SQRT5, rel=1e-14)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -92,37 +104,39 @@ class TestSurrogateValues:
         a = random_symtensor(4, 3, rng)
         w = rng.standard_normal(3)
         alpha = a.frobenius_norm()
-        assert h_alpha_multilinear(a, alpha, [w] * 4) == pytest.approx(
-            homogeneous_value(a, alpha, w), rel=1e-10, abs=1e-12)
+        expect = a.apply_full(w) - alpha * float(np.dot(w, w)) ** 2
+        h = surrogate(a, alpha)
+        assert h.multilinear_apply([w] * 4) == pytest.approx(
+            expect, rel=1e-10, abs=1e-12)
+        assert h.apply_full(w) == pytest.approx(expect, rel=1e-10,
+                                                abs=1e-12)
 
 
 class TestBlockUpdate:
     @staticmethod
-    def _prox_obj(a, alpha, blocks, slot, gamma, prev, x):
+    def _prox_obj(h, blocks, slot, gamma, prev, x):
         trial = list(blocks)
         trial[slot] = x
-        return (h_alpha_multilinear(a, alpha, trial)
+        return (h.multilinear_apply(trial)
                 + 0.5 * gamma * float(np.dot(x - prev, x - prev)))
 
     def test_beats_fine_circle_grid(self):
         rng = np.random.default_rng(31)
         a = random_symtensor(4, 2, rng)
-        alpha = a.frobenius_norm()
+        h = surrogate(a, a.frobenius_norm())
         blocks = [rng.standard_normal(2) for _ in range(4)]
         blocks = [b / np.linalg.norm(b) for b in blocks]
         gamma = 1.0
         for slot in range(4):
             prev = blocks[slot].copy()
-            out = block_update(a, alpha, blocks, slot, gamma, 1.0, prev)
+            out = block_update(h, blocks, slot, gamma, 1.0, prev)
             assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-12)
             angles = np.linspace(0.0, 2.0 * math.pi, 400001)
-            obj_out = self._prox_obj(a, alpha, blocks, slot, gamma, prev,
-                                     out)
+            obj_out = self._prox_obj(h, blocks, slot, gamma, prev, out)
             # the subproblem restricted to this block is linear plus the
             # proximal quadratic, so evaluate the grid through the same form
             others = [blocks[i] for i in range(4) if i != slot]
-            c = (a.multilinear_partial(others, slot)
-                 - alpha * pair_partial(blocks, slot))
+            c = dense_partial(np.moveaxis(to_dense(h), slot, 0), others)
             grid = np.stack([np.cos(angles), np.sin(angles)], axis=1)
             vals = grid @ c + 0.5 * gamma * ((grid - prev) ** 2).sum(axis=1)
             const = obj_out - (float(np.dot(c, out))
@@ -135,7 +149,7 @@ class TestBlockUpdate:
         prev = np.array([1.0, 0.0])
         y = np.array([1.0, 0.0])
         # c = A1 y = gamma * prev exactly, so the direction vanishes
-        out = block_update(A1, 0.0, [prev, y], 0, 1.0, 1.0, prev)
+        out = block_update(A1, [prev, y], 0, 1.0, 1.0, prev)
         assert np.array_equal(out, prev)
         assert out is not prev
 
@@ -144,19 +158,19 @@ class TestBlockUpdate:
         y = np.array([1.0 + 2e-14, 0.0])
         # direction norm 2e-14 with radius 0.1 puts the two candidate
         # objectives within the degeneracy tolerance of each other
-        out = block_update(A1, 0.0, [prev, y], 0, 1.0, 0.1, prev)
+        out = block_update(A1, [prev, y], 0, 1.0, 0.1, prev)
         assert np.allclose(out, [0.1, 0.0])
 
     def test_moves_downhill(self):
         rng = np.random.default_rng(41)
         a = random_symtensor(4, 3, rng)
-        alpha = a.frobenius_norm()
+        h = surrogate(a, a.frobenius_norm())
         blocks = [rng.standard_normal(3) for _ in range(4)]
         blocks = [b / np.linalg.norm(b) for b in blocks]
         prev = blocks[2].copy()
-        before = self._prox_obj(a, alpha, blocks, 2, 2.0, prev, prev)
-        out = block_update(a, alpha, blocks, 2, 2.0, 1.0, prev)
-        after = self._prox_obj(a, alpha, blocks, 2, 2.0, prev, out)
+        before = self._prox_obj(h, blocks, 2, 2.0, prev, prev)
+        out = block_update(h, blocks, 2, 2.0, 1.0, prev)
+        after = self._prox_obj(h, blocks, 2, 2.0, prev, out)
         assert after <= before + 1e-12
 
 
@@ -187,8 +201,24 @@ class TestPamSolve:
         a2 = SymTensor.from_entries(2, 2, [((1, 1), 2.0), ((2, 2), 4.0)])
         config = PamConfig(gammas=(1.0, 1.0), alpha=0.0, eps=1e-10, seed=3)
         res = pam_solve(a2, config)
-        assert h_alpha_multilinear(a2, 0.0, list(res.blocks)) == \
+        assert a2.multilinear_apply(list(res.blocks)) == \
             pytest.approx(-4.0, abs=1e-6)
+
+    def test_diagonal_gap_warns_once_per_solve(self, caplog):
+        # split blocks keep every block value above the multilinear value
+        a2 = SymTensor.from_entries(2, 2, [((1, 1), 2.0), ((2, 2), 4.0)])
+        config = PamConfig(gammas=(1.0, 1.0), alpha=0.0, eps=1e-10, seed=3)
+        with caplog.at_level(logging.WARNING, logger="specteig.pam"):
+            res = pam_solve(a2, config)
+        gaps = [h_v - h_t for _, h_t, h_v, _ in res.history
+                if h_v > h_t + DIAGONAL_GAP_SLACK]
+        assert len(gaps) >= 2
+        records = [r for r in caplog.records
+                   if "exceeded the multilinear value" in r.getMessage()]
+        assert len(records) == 1
+        message = records[0].getMessage()
+        assert f"in {len(gaps)} of {res.iterations} sweeps" in message
+        assert f"largest gap {max(gaps):.3g}" in message
 
     def test_surrogate_monotone(self):
         rng = np.random.default_rng(55)

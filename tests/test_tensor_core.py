@@ -1,18 +1,19 @@
 """Contraction kernels checked against dense einsum-style oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specteig import (ArityError, DenseB, DimError, DuplicateEntryError,
-                      HDiagonal, SymTensor, ZIdentity, axpy, b_apply_full,
-                      b_apply_gradient, diagonal_tensor, frobenius_inner,
-                      identity_tensor, load_tensor)
+from specteig import (ArityError, ConfigError, DenseB, DimError,
+                      DuplicateEntryError, HDiagonal, SymTensor, ZIdentity,
+                      axpy, diagonal_tensor, frobenius_inner, identity_tensor,
+                      load_tensor)
 from specteig.errors import ParseError
-from specteig.tensor_core import _double_factorial, _pair_matchings
+from specteig.tensor_core import _double_factorial
 
 from conftest import (dense_multilinear, dense_partial, fd_gradient,
                       random_symtensor, to_dense)
@@ -189,16 +190,25 @@ class TestZIdentity:
 
     @pytest.mark.parametrize("m,n", [(2, 2), (4, 3), (6, 2)])
     def test_multilinear_matches_dense_identity(self, m, n):
+        # the operator's closed forms and its tensor's contractions agree
+        # with the dense oracle of the identity tensor
         e = ZIdentity(m, n)
-        arr = to_dense(identity_tensor(m, n))
+        t = e.to_symtensor()
+        arr = to_dense(t)
         rng = np.random.default_rng(17)
         for _ in range(5):
             blocks = [rng.standard_normal(n) for _ in range(m)]
-            assert e.multilinear_apply(blocks) == pytest.approx(
+            assert t.multilinear_apply(blocks) == pytest.approx(
                 dense_multilinear(arr, blocks), rel=1e-10, abs=1e-12)
-            assert np.allclose(e.multilinear_partial(blocks[1:], 0),
+            assert np.allclose(t.multilinear_partial(blocks[1:], 0),
                                dense_partial(arr, blocks[1:]), rtol=1e-9,
                                atol=1e-12)
+            x = blocks[0]
+            assert e.apply_full(x) == pytest.approx(
+                dense_multilinear(arr, [x] * m), rel=1e-10)
+            assert np.allclose(e.apply_gradient(x),
+                               dense_partial(arr, [x] * (m - 1)),
+                               rtol=1e-10)
 
     def test_dense_form_norm_formula(self):
         for n in (2, 3, 4):
@@ -219,20 +229,25 @@ class TestHDiagonal:
                                                 rel=1e-14)
 
     def test_multilinear_matches_dense_diagonal(self):
-        h = HDiagonal(4, 3)
-        arr = to_dense(diagonal_tensor(4, 3))
+        t = HDiagonal(4, 3).to_symtensor()
+        arr = to_dense(t)
         rng = np.random.default_rng(23)
         blocks = [rng.standard_normal(3) for _ in range(4)]
-        assert h.multilinear_apply(blocks) == pytest.approx(
+        assert t.multilinear_apply(blocks) == pytest.approx(
             dense_multilinear(arr, blocks), rel=1e-12)
-        assert np.allclose(h.multilinear_partial(blocks[:3], 3),
+        assert t.multilinear_apply(blocks) == pytest.approx(
+            float(np.prod(blocks, axis=0).sum()), rel=1e-12)
+        assert np.allclose(t.multilinear_partial(blocks[:3], 3),
                            dense_partial(arr, blocks[:3]), rtol=1e-12)
 
-    def test_helper_wrappers(self):
+    def test_closed_forms_match_diagonal_tensor(self):
         h = HDiagonal(2, 2)
+        t = diagonal_tensor(2, 2)
         x = np.array([2.0, -1.0])
-        assert b_apply_full(h, x) == pytest.approx(5.0)
-        assert np.allclose(b_apply_gradient(h, x), x)
+        assert h.apply_full(x) == pytest.approx(5.0)
+        assert t.apply_full(x) == pytest.approx(5.0)
+        assert np.allclose(h.apply_gradient(x), x)
+        assert np.allclose(t.apply_gradient(x), x)
 
 
 class TestAxpy:
@@ -243,24 +258,33 @@ class TestAxpy:
         theta = 0.7
         shifted = axpy(a, b, theta)
         assert isinstance(shifted, SymTensor)
+        assert np.allclose(to_dense(shifted),
+                           to_dense(a) - theta * to_dense(b), rtol=1e-14,
+                           atol=1e-15)
         x = rng.standard_normal(3)
         assert shifted.apply_full(x) == pytest.approx(
             a.apply_full(x) - theta * b.apply_full(x), rel=1e-12)
 
     @pytest.mark.parametrize("op_cls", [ZIdentity, HDiagonal])
-    def test_structural_shift_applies_lazily(self, op_cls):
+    def test_structural_shift_matches_dense(self, op_cls):
         rng = np.random.default_rng(13)
         a = random_symtensor(4, 3, rng)
         b = op_cls(4, 3)
         theta = -0.4
         shifted = axpy(a, b, theta)
+        assert isinstance(shifted, SymTensor)
         x = rng.standard_normal(3)
         assert shifted.apply_full(x) == pytest.approx(
             a.apply_full(x) - theta * b.apply_full(x), rel=1e-12)
+        assert np.allclose(shifted.apply_gradient(x),
+                           a.apply_gradient(x) - theta * b.apply_gradient(x),
+                           rtol=1e-10)
+        arr = to_dense(a) - theta * to_dense(b)
         blocks = [rng.standard_normal(3) for _ in range(4)]
         assert shifted.multilinear_apply(blocks) == pytest.approx(
-            a.multilinear_apply(blocks) - theta * b.multilinear_apply(blocks),
-            rel=1e-10, abs=1e-12)
+            dense_multilinear(arr, blocks), rel=1e-10, abs=1e-12)
+        assert np.allclose(shifted.multilinear_partial(blocks[1:], 0),
+                           dense_partial(arr, blocks[1:]), rtol=1e-10)
 
     @pytest.mark.parametrize("op_cls", [ZIdentity, HDiagonal])
     def test_shift_frobenius_matches_dense(self, op_cls):
@@ -280,14 +304,80 @@ class TestAxpy:
             0.0, abs=1e-14)
 
 
+def _pairings(slots):
+    """All perfect pairings of the given slots, by brute force."""
+    if not slots:
+        return [()]
+    head, rest = slots[0], slots[1:]
+    return [((head, partner),) + tail
+            for k, partner in enumerate(rest)
+            for tail in _pairings(rest[:k] + rest[k + 1:])]
+
+
 class TestPairMatchings:
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_counts(self, d):
-        ms = _pair_matchings(d)
-        assert len(ms) == _double_factorial(d - 1)
-        for match in ms:
-            seen = sorted(i for pair in match for i in pair)
-            assert seen == list(range(d))
+        # the identity tensor's multilinear form is the average over all
+        # perfect pairings of the slots of the paired inner products
+        pairings = _pairings(tuple(range(d)))
+        assert len(pairings) == _double_factorial(d - 1)
+        for pairing in pairings:
+            assert sorted(i for pair in pairing for i in pair) == \
+                list(range(d))
+        e = identity_tensor(d, 3)
+        rng = np.random.default_rng(d)
+        blocks = [rng.standard_normal(3) for _ in range(d)]
+        gram = np.array([[float(np.dot(u, v)) for v in blocks]
+                         for u in blocks])
+        average = sum(math.prod(gram[i, j] for i, j in pairing)
+                      for pairing in pairings) / len(pairings)
+        assert e.multilinear_apply(blocks) == pytest.approx(
+            average, rel=1e-10, abs=1e-12)
+        # with e_k on slots 2k and 2k+1 exactly one pairing is nonzero
+        eye = np.eye(d // 2)
+        assert identity_tensor(d, d // 2).multilinear_apply(
+            [eye[k // 2] for k in range(d)]) == pytest.approx(
+                1.0 / len(pairings), rel=1e-14)
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 10 ** 6))
+    def test_every_free_slot_matches_dense(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        a = random_symtensor(m, n, rng)
+        arr = to_dense(a)
+        blocks = [rng.standard_normal(n) for _ in range(m)]
+        assert a.multilinear_apply(blocks) == pytest.approx(
+            dense_multilinear(arr, blocks), rel=1e-10, abs=1e-12)
+        for slot in range(m):
+            others = blocks[:slot] + blocks[slot + 1:]
+            # the oracle contracts every slot but this one, in slot order
+            expect = dense_partial(np.moveaxis(arr, slot, 0), others)
+            assert np.allclose(a.multilinear_partial(others, slot), expect,
+                               rtol=1e-10, atol=1e-12)
+        x = blocks[0]
+        assert np.allclose(a.apply_gradient(x),
+                           dense_partial(arr, [x] * (m - 1)), rtol=1e-10,
+                           atol=1e-12)
+
+
+class TestSizeLimit:
+    def test_oversized_shape_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError):
+                SymTensor.from_entries(8, 64, [((1,) * 8, 1.0)])
+            with pytest.raises(ConfigError):
+                identity_tensor(8, 64)
+            with pytest.raises(ConfigError):
+                ZIdentity(8, 64)
+            with pytest.raises(ConfigError):
+                HDiagonal(25, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestLoadTensor:

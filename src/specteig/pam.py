@@ -1,17 +1,22 @@
 """Proximal alternating minimization (PAM) over products of spheres.
 
 Minimizes the multilinear surrogate h(x_1, ..., x_d) = <H, x_1 o ... o x_d>
-of the single symmetric tensor H = A - alpha * E by cyclic closed-form block
-updates with proximal damping. E is the identity tensor of order d, whose
-multilinear form P is the symmetric polarization of |x|^d: the average over
-all perfect pairings of the blocks of the product of paired inner products.
-On the diagonal x_1 = ... = x_d the surrogate reduces to the homogeneous
-objective <A, x^d> - alpha |x|^d. On the unit sphere its Hessian is at most
+of the single symmetric tensor H = A - alpha * E, E the identity tensor of
+order d, by cyclic closed-form block updates with proximal damping. On the
+diagonal x_1 = ... = x_d the surrogate reduces to the homogeneous objective
+<A, x^d> - alpha |x|^d. On the unit sphere its Hessian is at most
 d((d - 1)|A|_F - alpha) I, so with alpha at least (d - 1) times the
 Frobenius norm of A that homogeneous objective is concave, every block
 update lands on the sphere boundary, and the best block's value bounds the
 multilinear optimum from above. The default shift, the Frobenius norm
 itself, does not guarantee concavity.
+
+The blocks live in one (d, n) array. A sweep builds the suffix contractions
+S_k = S_{k+1} x_k (S_d = H) with the blocks not yet updated once and shares
+them across its slots, as fast CP-ALS does: slot j's partial is S_{j+1}
+contracted with the updated x_{j-1}, ..., x_0, d(d+1)/2 - 1 matrix-vector
+products per sweep. The last slot's partial dotted with its block is the
+multilinear value, and one gather evaluates every block's homogeneous value.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -89,17 +94,6 @@ class PamConfig:
                 raise ConfigError(f"radii must be positive, got {self.radii}")
 
 
-@dataclass
-class PamState:
-    """Mutable loop state: current blocks, sweep count, incumbent block."""
-
-    blocks: list[np.ndarray]
-    k: int
-    v: np.ndarray
-    value: float
-    history: list[tuple[int, float, float, float]]
-
-
 @dataclass(frozen=True)
 class PamResult:
     """Outcome of a PAM run.
@@ -119,44 +113,58 @@ class PamResult:
     history: tuple[tuple[int, float, float, float], ...]
 
 
+def _prox_step(c: np.ndarray, gamma: float, radius: float,
+               prev: np.ndarray) -> np.ndarray:
+    """The step of :func:`block_update` from the slot's partial c."""
+    w = c - gamma * prev
+    nw = math.sqrt(float(np.dot(w, w)))
+    if nw < DEGENERATE_TOL:
+        logger.debug("degenerate direction, keeping block")
+        return prev.copy()
+    u = radius / nw * w
+    # the candidates -u and u differ in objective by 2 * radius * |w|
+    if 2.0 * radius * nw < DEGENERATE_TOL and float(np.dot(u, prev)) > 0.0:
+        return u
+    return -u
+
+
 def block_update(surrogate: SymTensor, blocks: Sequence[np.ndarray],
                  slot: int, gamma: float, radius: float,
                  prev: np.ndarray) -> np.ndarray:
     """Exact minimizer of one proximal block subproblem on its sphere.
 
-    The restriction of the surrogate's multilinear form to one block is
-    linear with coefficient c, so the subproblem minimizes
-    <c, x> + (gamma/2) |x - prev|^2 over the radius sphere, attained at a
-    scaled multiple of c - gamma * prev. A degenerate direction (norm below
-    1e-14) keeps the previous block; an objective tie picks the candidate
-    better aligned with prev.
+    With c the surrogate's partial at the slot, <c, x> + (gamma/2)|x - prev|^2
+    equals <w, x> plus a constant on the radius sphere, w = c - gamma * prev,
+    so it is minimized at -radius * w / |w|. A degenerate w (norm below
+    1e-14) keeps prev; an objective tie picks the candidate nearer prev.
     """
     others = [blocks[i] for i in range(len(blocks)) if i != slot]
-    c = surrogate.multilinear_partial(others, slot)
-    w = c - gamma * prev
-    nw = float(np.linalg.norm(w))
-    if nw < DEGENERATE_TOL:
-        logger.debug("degenerate direction at slot %d, keeping block", slot)
-        return prev.copy()
-    u = radius / nw * w
-    lo, hi = -u, u
-    obj_lo = float(np.dot(c, lo)) + 0.5 * gamma * float(
-        np.dot(lo - prev, lo - prev))
-    obj_hi = float(np.dot(c, hi)) + 0.5 * gamma * float(
-        np.dot(hi - prev, hi - prev))
-    if abs(obj_lo - obj_hi) < DEGENERATE_TOL:
-        return lo if float(np.dot(lo, prev)) >= float(np.dot(hi, prev)) else hi
-    return lo if obj_lo < obj_hi else hi
+    return _prox_step(surrogate.multilinear_partial(others, slot), gamma,
+                      radius, prev)
+
+
+def _partials(dense: np.ndarray, blocks: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield each slot's partial in turn (module docstring); blocks before
+    slot j are read when slot j is reached, so a sweep may update them."""
+    d, n = blocks.shape
+    suffix = [dense.reshape(-1)]
+    for k in range(d - 1, 0, -1):
+        suffix.append(suffix[-1].reshape(-1, n) @ blocks[k])
+    for j in range(d):
+        c = suffix[d - 1 - j]
+        for i in range(j - 1, -1, -1):
+            c = c.reshape(-1, n) @ blocks[i]
+        yield c
 
 
 def _init_blocks(config: PamConfig, dim: int, d: int,
                  radii: Sequence[float],
-                 rng: np.random.Generator) -> list[np.ndarray]:
+                 rng: np.random.Generator) -> np.ndarray:
+    blocks = np.empty((d, dim))
     if isinstance(config.init, Given):
         given = config.init.blocks
         if len(given) != d:
             raise ConfigError(f"init has {len(given)} blocks, expected {d}")
-        blocks = []
         for j, b in enumerate(given):
             b = np.asarray(b, dtype=float)
             if b.shape != (dim,):
@@ -165,16 +173,15 @@ def _init_blocks(config: PamConfig, dim: int, d: int,
             nb = float(np.linalg.norm(b))
             if nb < DEGENERATE_TOL:
                 raise ConfigError(f"init block {j} is numerically zero")
-            blocks.append(radii[j] / nb * b)
+            blocks[j] = radii[j] / nb * b
         return blocks
-    blocks = []
     for j in range(d):
         while True:
             b = rng.uniform(config.init.lo, config.init.hi, size=dim)
             nb = float(np.linalg.norm(b))
             if nb >= DEGENERATE_TOL:
                 break
-        blocks.append(radii[j] / nb * b)
+        blocks[j] = radii[j] / nb * b
     return blocks
 
 
@@ -184,20 +191,21 @@ def pam_solve(a_theta: SymTensor, config: PamConfig,
 
     Forms the surrogate tensor a_theta - alpha * E once; the sweeps, the
     block values and the KKT residual all contract it. The block count must
-    be even, since E needs even order. Stops when the homogeneous value of
-    the best block changes by less than config.eps between sweeps, or after
-    max_iter sweeps. When rng is given it overrides config.seed for random
-    inits. Sweeps whose best block value exceeds the multilinear value by
-    more than DIAGONAL_GAP_SLACK are counted and reported in one warning.
+    be even, since E needs even order. Each sweep shares suffix contractions
+    across its slots, takes h_t from the last slot's partial and every block
+    value from one gather. Stops when the homogeneous value of the best
+    block changes by less than config.eps between sweeps, or after max_iter
+    sweeps. When rng is given it overrides config.seed for random inits.
+    Sweeps whose best block value exceeds the multilinear value by more
+    than DIAGONAL_GAP_SLACK are counted and reported in one warning.
     """
     d = len(config.gammas)
     if a_theta.order != d:
         raise ArityError(f"operator order {a_theta.order} does not match "
                          f"block count {d}")
     dim = a_theta.dim
-    alpha = config.alpha if config.alpha is not None \
-        else a_theta.frobenius_norm()
     fro = a_theta.frobenius_norm()
+    alpha = config.alpha if config.alpha is not None else fro
     if alpha < fro - 1e-12:
         logger.warning("alpha=%.6g is below the operator Frobenius norm "
                        "%.6g, the default shift; concavity is guaranteed "
@@ -208,61 +216,45 @@ def pam_solve(a_theta: SymTensor, config: PamConfig,
     if rng is None:
         rng = np.random.default_rng(config.seed)
     blocks = _init_blocks(config, dim, d, radii, rng)
-    block_vals = [surrogate.apply_full(b) for b in blocks]
-    j0 = int(np.argmin(block_vals))
-    state = PamState(blocks=blocks, k=0, v=blocks[j0].copy(),
-                     value=block_vals[j0], history=[])
-    converged = False
+    value = float(np.min(surrogate.apply_full_many(blocks)))
+    history: list[tuple[int, float, float, float]] = []
     gap_sweeps = 0
     max_gap = 0.0
     for k in range(1, config.max_iter + 1):
-        prev = [b.copy() for b in state.blocks]
-        for j in range(d):
-            state.blocks[j] = block_update(surrogate, state.blocks, j,
-                                           config.gammas[j], radii[j],
-                                           state.blocks[j])
-        h_t = surrogate.multilinear_apply(state.blocks)
+        prev = blocks.copy()
+        for j, c in enumerate(_partials(surrogate.dense, blocks)):
+            blocks[j] = _prox_step(c, config.gammas[j], radii[j], blocks[j])
+        h_t = float(np.dot(c, blocks[-1]))
         if not math.isfinite(h_t):
             raise NumericalError(f"non-finite surrogate value at sweep {k}")
-        step = math.sqrt(sum(float(np.dot(b - p, b - p))
-                             for b, p in zip(state.blocks, prev)))
-        block_vals = [surrogate.apply_full(b) for b in state.blocks]
+        step = float(np.linalg.norm(blocks - prev))
+        block_vals = surrogate.apply_full_many(blocks)
         j_best = int(np.argmin(block_vals))
-        h_v = block_vals[j_best]
+        h_v = float(block_vals[j_best])
         if h_v > h_t + DIAGONAL_GAP_SLACK:
             gap_sweeps += 1
             max_gap = max(max_gap, h_v - h_t)
-        state.history.append((k, h_t, h_v, step))
-        state.k = k
-        stalled = abs(h_v - state.value) < config.eps
-        state.v = state.blocks[j_best].copy()
-        state.value = h_v
-        if stalled:
-            converged = True
+        history.append((k, h_t, h_v, step))
+        converged = abs(h_v - value) < config.eps
+        v, value = blocks[j_best].copy(), h_v
+        if converged:
             break
     if gap_sweeps:
         logger.warning("best block value exceeded the multilinear value by "
                        "more than %.0e in %d of %d sweeps (largest gap "
-                       "%.3g)", DIAGONAL_GAP_SLACK, gap_sweeps, state.k,
-                       max_gap)
-    kkt = _kkt_residual(surrogate, state.blocks, h_t)
-    return PamResult(v=state.v, value=state.value,
-                     blocks=tuple(b.copy() for b in state.blocks),
-                     iterations=state.k, converged=converged,
-                     kkt_residual=kkt, history=tuple(state.history))
+                       "%.3g)", DIAGONAL_GAP_SLACK, gap_sweeps, k, max_gap)
+    return PamResult(v=v, value=value, blocks=tuple(blocks), iterations=k,
+                     converged=converged, history=tuple(history),
+                     kkt_residual=_kkt_residual(surrogate.dense, blocks, h_t))
 
 
-def _kkt_residual(surrogate: SymTensor, blocks: Sequence[np.ndarray],
+def _kkt_residual(dense: np.ndarray, blocks: np.ndarray,
                   h_t: float) -> float:
-    """Norm of the stacked first-order residuals c_j - h * x_j.
-
-    At a stationary point every block multiplier equals the surrogate value,
-    so the residual vanishes exactly there.
-    """
+    """Norm of the stacked first-order residuals c_j - h * x_j, which vanish
+    exactly at a stationary point (every block multiplier equals h)."""
     total = 0.0
-    for j in range(len(blocks)):
-        others = [blocks[i] for i in range(len(blocks)) if i != j]
-        r = surrogate.multilinear_partial(others, j) - h_t * blocks[j]
+    for c, x in zip(_partials(dense, blocks), blocks):
+        r = c - h_t * x
         total += float(np.dot(r, r))
     return math.sqrt(total)
 

@@ -229,6 +229,14 @@ class SymTensor:
         return float(np.dot(self._canon_weight,
                             np.prod(x[self._canon_idx], axis=1)))
 
+    def apply_full_many(self, xs: np.ndarray) -> np.ndarray:
+        """Homogeneous form at every row of an (N, n) array, in one gather."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise DimError(f"expected an (N, {self.dim}) array, got shape "
+                           f"{xs.shape}")
+        return np.prod(xs[:, self._canon_idx], axis=2) @ self._canon_weight
+
     def apply_gradient(self, x: np.ndarray) -> np.ndarray:
         """Contraction on all slots but one; (1/m) of the gradient of
         :meth:`apply_full`."""

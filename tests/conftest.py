@@ -8,13 +8,16 @@ an independent einsum-style route.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from importlib import resources
 from scipy.optimize import minimize
 
-from specteig import SymTensor, load_tensor
+from specteig import (PamConfig, PamResult, SymTensor, ZIdentity, axpy,
+                      load_tensor)
+from specteig.pam import DEGENERATE_TOL, _init_blocks
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -64,6 +67,74 @@ def dense_partial(arr: np.ndarray, blocks) -> np.ndarray:
         out = np.tensordot(out, np.asarray(b, dtype=float),
                            axes=([out.ndim - 1], [0]))
     return np.asarray(out, dtype=float)
+
+
+def reference_block_update(surrogate, blocks, slot, gamma, radius, prev):
+    """Proximal block step by comparing the objective at both sphere
+    candidates +-radius * w / |w|, w = c - gamma * prev, with the partial c
+    from the kernel's free-slot contraction."""
+    others = [blocks[i] for i in range(len(blocks)) if i != slot]
+    c = surrogate.multilinear_partial(others, slot)
+    w = c - gamma * prev
+    nw = float(np.linalg.norm(w))
+    if nw < DEGENERATE_TOL:
+        return prev.copy()
+    u = radius / nw * w
+    lo, hi = -u, u
+    obj_lo = float(np.dot(c, lo)) + 0.5 * gamma * float(
+        np.dot(lo - prev, lo - prev))
+    obj_hi = float(np.dot(c, hi)) + 0.5 * gamma * float(
+        np.dot(hi - prev, hi - prev))
+    if abs(obj_lo - obj_hi) < DEGENERATE_TOL:
+        return lo if float(np.dot(lo, prev)) >= float(np.dot(hi, prev)) else hi
+    return lo if obj_lo < obj_hi else hi
+
+
+def reference_pam_solve(a_theta, config: PamConfig, rng=None) -> PamResult:
+    """PAM by the plain loop: one block update per slot, each with its own
+    full partial, the multilinear value from the kernel, and one
+    homogeneous-form call per block value. Same stopping rule as
+    `pam_solve`, without its warnings."""
+    d = len(config.gammas)
+    alpha = config.alpha if config.alpha is not None \
+        else a_theta.frobenius_norm()
+    surrogate = axpy(a_theta, ZIdentity(d, a_theta.dim), alpha)
+    radii = tuple(config.radii) if config.radii is not None else (1.0,) * d
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    blocks = [b.copy() for b in
+              _init_blocks(config, a_theta.dim, d, radii, rng)]
+    block_vals = [surrogate.apply_full(b) for b in blocks]
+    j0 = int(np.argmin(block_vals))
+    v, value = blocks[j0].copy(), block_vals[j0]
+    history = []
+    converged = False
+    for k in range(1, config.max_iter + 1):
+        prev = [b.copy() for b in blocks]
+        for j in range(d):
+            blocks[j] = reference_block_update(surrogate, blocks, j,
+                                               config.gammas[j], radii[j],
+                                               blocks[j])
+        h_t = surrogate.multilinear_apply(blocks)
+        step = math.sqrt(sum(float(np.dot(b - p, b - p))
+                             for b, p in zip(blocks, prev)))
+        block_vals = [surrogate.apply_full(b) for b in blocks]
+        j_best = int(np.argmin(block_vals))
+        h_v = block_vals[j_best]
+        history.append((k, h_t, h_v, step))
+        stalled = abs(h_v - value) < config.eps
+        v, value = blocks[j_best].copy(), h_v
+        if stalled:
+            converged = True
+            break
+    total = 0.0
+    for j in range(d):
+        others = [blocks[i] for i in range(d) if i != j]
+        r = surrogate.multilinear_partial(others, j) - h_t * blocks[j]
+        total += float(np.dot(r, r))
+    return PamResult(v=v, value=value, blocks=tuple(blocks), iterations=k,
+                     converged=converged, kkt_residual=math.sqrt(total),
+                     history=tuple(history))
 
 
 def _outer_powers(x: np.ndarray, k: int) -> np.ndarray:

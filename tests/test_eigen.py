@@ -4,6 +4,7 @@ Matrix instances give exact spectral oracles for the multistart pipeline.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,6 +144,29 @@ class TestMultistartMatrix:
         with pytest.raises(ConfigError):
             solve_multistart(p, trials=0, base_seed=1,
                              config=small_config())
+
+
+class TestTiming:
+    def test_cpu_fields_read_process_time(self, monkeypatch):
+        ticks = {"wall": 0.0, "cpu": 0.0}
+
+        def wall():
+            ticks["wall"] += 100.0
+            return ticks["wall"]
+
+        def cpu():
+            ticks["cpu"] += 1.0
+            return ticks["cpu"]
+
+        monkeypatch.setattr(specteig.eigen, "time",
+                            SimpleNamespace(perf_counter=wall,
+                                            process_time=cpu))
+        p = build_problem(A1, "Z")
+        report = solve_multistart(p, trials=4, base_seed=5,
+                                  config=small_config())
+        assert report.total_cpu_s == 4.0
+        assert all(q.mean_cpu_s == 1.0 for q in report.pairs)
+        assert "total_cpu_s=4.000" in format_table(report)
 
 
 class TestDeterminism:

@@ -16,7 +16,8 @@ from specteig import (ArityError, ConfigError, DomainError, Given, PamConfig,
                       kl_exponent, pam_solve)
 from specteig.pam import DIAGONAL_GAP_SLACK, block_update, write_history_csv
 
-from conftest import dense_multilinear, dense_partial, random_symtensor, to_dense
+from conftest import (dense_multilinear, dense_partial, random_symtensor,
+                      reference_pam_solve, to_dense)
 
 A1 = SymTensor.from_entries(2, 2, [((1, 1), 1.0), ((2, 2), -2.0)])
 SQRT5 = math.sqrt(5.0)
@@ -260,6 +261,40 @@ class TestPamSolve:
             pam_solve(A1, PamConfig(gammas=(1.0, 1.0), seed=1))
         assert not [r for r in caplog.records
                     if "Frobenius" in r.message]
+
+
+class TestSweepEquivalence:
+    """pam_solve's shared-suffix sweep against the plain loop kept in
+    conftest, one full partial per block update."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_matches_reference_loop(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        a = random_symtensor(m, n, rng)
+        fro = a.frobenius_norm()
+        for k, alpha in enumerate((None, 0.0, 0.5 * fro, 3.0 * fro)):
+            gammas = tuple(float(g) for g in rng.choice([0.0, 1.0, 3.0], m))
+            config = PamConfig(gammas=gammas, alpha=alpha, eps=1e-8,
+                               max_iter=300, seed=10 * m + n + k)
+            got = pam_solve(a, config)
+            want = reference_pam_solve(a, config)
+            assert len(got.blocks) == len(want.blocks) == m
+            for b_got, b_want in zip(got.blocks, want.blocks):
+                assert np.array_equal(b_got, b_want)
+            assert np.array_equal(got.v, want.v)
+            assert (got.iterations, got.converged) == \
+                (want.iterations, want.converged)
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+            assert len(got.history) == len(want.history)
+            for row_got, row_want in zip(got.history, want.history):
+                assert row_got[0] == row_want[0]
+                assert row_got[1:] == pytest.approx(row_want[1:], rel=1e-12)
+            # the residual cancels terms of size |h_t| per block, so its
+            # rounding is relative to that size, not to the residual
+            h_t = want.history[-1][1]
+            scale = max(want.kkt_residual, abs(h_t) * math.sqrt(m))
+            assert abs(got.kkt_residual - want.kkt_residual) <= 1e-12 * scale
 
 
 class TestConfigValidation:

@@ -80,6 +80,33 @@ class TestApplyFull:
             dense_multilinear(arr, [x] * a.order), rel=1e-10, abs=1e-12)
 
 
+class TestApplyFullMany:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_rows_match_apply_full(self, m):
+        rng = np.random.default_rng(500 + m)
+        for n in (1, 2, 3, 4):
+            a = random_symtensor(m, n, rng)
+            xs = rng.standard_normal((7, n))
+            got = a.apply_full_many(xs)
+            assert got.shape == (7,)
+            for x, value in zip(xs, got):
+                # |A x^m| <= |A|_F |x|^m bounds every term's rounding
+                scale = a.frobenius_norm() * float(np.linalg.norm(x)) ** m
+                assert value == pytest.approx(a.apply_full(x), rel=1e-12,
+                                              abs=1e-12 * scale)
+
+    def test_zero_tensor_and_no_rows(self):
+        zero = SymTensor(4, 3, {})
+        assert np.array_equal(zero.apply_full_many(np.ones((2, 3))),
+                              np.zeros(2))
+        assert A1.apply_full_many(np.empty((0, 2))).shape == (0,)
+
+    def test_wrong_width_rejected(self):
+        for bad in (np.ones((3, 3)), np.ones(2), np.ones((1, 2, 2))):
+            with pytest.raises(DimError):
+                A1.apply_full_many(bad)
+
+
 class TestApplyGradient:
     def test_pinned_eigenpair_residual(self, example2):
         # four-decimal rounding of the tabulated vector caps the accuracy

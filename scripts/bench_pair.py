@@ -4,10 +4,11 @@ Paired benchmark runs of a base commit against the working tree.
 
 Extracts the base commit (default HEAD) with `git archive` into a temporary
 directory and runs the repository's benchmark, `perfbench/run.py`, in both
-checkouts: for every workload, --pairs pairs of untraced runs of
-BENCHMARK.json's run length, alternating which side goes first, then one
-traced run per side. Both sides must carry byte-identical `perfbench/`
-files, so the two are measured with the same benchmark code.
+checkouts: for every workload in BENCHMARK.json, ten pairs of untraced
+runs of BENCHMARK.json's run length at seed 2026, alternating which side
+goes first, then one traced run per side. Both sides must carry
+byte-identical `perfbench/` files, so the two are measured with the same
+benchmark code.
 
 Writes one JSON document (--out) with, per workload and end-to-end metric,
 each side's runs, median and quartiles, the pairs the change won, and a
@@ -25,8 +26,7 @@ the bound while not every change run beats every base run. Otherwise
 Usage, from the repository root:
 
   python3 scripts/bench_pair.py --out BENCH.json
-  python3 scripts/bench_pair.py --workloads eigen-h6 --pairs 10 --seed 2026 \\
-      --out BENCH.json
+  python3 scripts/bench_pair.py --base HEAD~1 --out BENCH.json
 """
 
 import argparse
@@ -43,6 +43,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = "perfbench/run.py"
+PAIRS = 10
+SEED = 2026
 
 
 def _git(*args: str) -> str:
@@ -54,7 +56,11 @@ def _extract(rev: str, target: Path) -> None:
     data = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                           check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-        tar.extractall(target, filter="data")
+        # the extraction filter exists from Python 3.12 and in backports
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(target, filter="data")
+        else:
+            tar.extractall(target)
 
 
 def _same_bench(a: Path, b: Path) -> bool:
@@ -66,12 +72,11 @@ def _same_bench(a: Path, b: Path) -> bool:
         (a / f).read_bytes() == (b / f).read_bytes() for f in files_a)
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float,
-         trace: int) -> dict:
+def _run(root: Path, workload: str, seconds: float, trace: int) -> dict:
     """One benchmark process; its JSON line plus the fingerprint lines."""
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, BENCH, "--workload", workload, "--seed", str(seed),
+        [sys.executable, BENCH, "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.rstrip("\n").split("\n")
@@ -126,23 +131,16 @@ def _verdict(base: list, change: list, better: str, bound: float) -> dict:
 
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     ap.add_argument("--base", default="HEAD",
                     help="git revision to compare against (default HEAD)")
-    ap.add_argument("--workloads", nargs="+", choices=names, default=names)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
     seconds = spec["run_seconds"]
     doc = {"base": _git("rev-parse", args.base),
            "change": f"working tree on {_git('rev-parse', 'HEAD')}",
            "dirty_files": _git("status", "--porcelain").splitlines(),
-           "settings": {"seed": args.seed, "seconds": seconds,
-                        "pairs": args.pairs,
+           "settings": {"seed": SEED, "seconds": seconds, "pairs": PAIRS,
                         "order": "base first in even pairs, change first "
                                  "in odd pairs"},
            "workloads": {}}
@@ -153,18 +151,18 @@ def main(argv=None) -> int:
             sys.exit("bench_pair: perfbench/ differs between the base and "
                      "the working tree; the sides would not be comparable")
         sides = {"base": base_root, "change": ROOT}
-        for name in args.workloads:
+        for name in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("base", "change") if i % 2 == 0 \
                     else ("change", "base")
                 for side in order:
-                    res = _run(sides[side], name, args.seed, seconds, 0)
+                    res = _run(sides[side], name, seconds, 0)
                     runs[side].append(res)
                     print(f"{name} pair {i} {side}: solves_per_s "
                           f"{res['metrics']['solves_per_s']:.4g}, "
                           f"correct {res['correct']}", flush=True)
-            traced = {side: _run(sides[side], name, args.seed, seconds, 1)
+            traced = {side: _run(sides[side], name, seconds, 1)
                       for side in ("base", "change")}
             metrics = {}
             for m in spec["end_to_end"]:

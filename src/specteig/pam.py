@@ -11,11 +11,9 @@ update lands on the sphere boundary, and the best block's value bounds the
 multilinear optimum from above. The default shift, the Frobenius norm
 itself, does not guarantee concavity.
 
-The blocks live in one (d, n) array. A sweep builds the suffix contractions
-S_k = S_{k+1} x_k (S_d = H) with the blocks not yet updated once and shares
-them across its slots, as fast CP-ALS does: slot j's partial is S_{j+1}
-contracted with the updated x_{j-1}, ..., x_0, d(d+1)/2 - 1 matrix-vector
-products per sweep. The last slot's partial dotted with its block is the
+The blocks live in one (d, n) array. A sweep takes every slot's partial
+from SymTensor.sweep_partials, which shares the suffix contractions across
+slots as fast CP-ALS does; the last partial dotted with its block is the
 multilinear value, and one gather evaluates every block's homogeneous value.
 """
 
@@ -25,7 +23,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -143,20 +141,6 @@ def block_update(surrogate: SymTensor, blocks: Sequence[np.ndarray],
                       radius, prev)
 
 
-def _partials(dense: np.ndarray, blocks: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield each slot's partial in turn (module docstring); blocks before
-    slot j are read when slot j is reached, so a sweep may update them."""
-    d, n = blocks.shape
-    suffix = [dense.reshape(-1)]
-    for k in range(d - 1, 0, -1):
-        suffix.append(suffix[-1].reshape(-1, n) @ blocks[k])
-    for j in range(d):
-        c = suffix[d - 1 - j]
-        for i in range(j - 1, -1, -1):
-            c = c.reshape(-1, n) @ blocks[i]
-        yield c
-
-
 def _init_blocks(config: PamConfig, dim: int, d: int,
                  radii: Sequence[float],
                  rng: np.random.Generator) -> np.ndarray:
@@ -189,15 +173,14 @@ def pam_solve(a_theta: SymTensor, config: PamConfig,
               rng: np.random.Generator | None = None) -> PamResult:
     """Run cyclic PAM sweeps until the best-block value stalls.
 
-    Forms the surrogate tensor a_theta - alpha * E once; the sweeps, the
-    block values and the KKT residual all contract it. The block count must
-    be even, since E needs even order. Each sweep shares suffix contractions
-    across its slots, takes h_t from the last slot's partial and every block
-    value from one gather. Stops when the homogeneous value of the best
-    block changes by less than config.eps between sweeps, or after max_iter
-    sweeps. When rng is given it overrides config.seed for random inits.
-    Sweeps whose best block value exceeds the multilinear value by more
-    than DIAGONAL_GAP_SLACK are counted and reported in one warning.
+    Forms the surrogate tensor a_theta - alpha * E once; the block count
+    must be even, since E needs even order. Each sweep shares suffix
+    contractions across its slots, takes h_t from the last slot's partial
+    and every block value from one gather. Stops when the best block's
+    homogeneous value changes by less than config.eps between sweeps, or
+    after max_iter sweeps. rng, when given, overrides config.seed for
+    random inits. Sweeps whose best block value exceeds the multilinear
+    value by more than DIAGONAL_GAP_SLACK are counted in one warning.
     """
     d = len(config.gammas)
     if a_theta.order != d:
@@ -222,7 +205,7 @@ def pam_solve(a_theta: SymTensor, config: PamConfig,
     max_gap = 0.0
     for k in range(1, config.max_iter + 1):
         prev = blocks.copy()
-        for j, c in enumerate(_partials(surrogate.dense, blocks)):
+        for j, c in enumerate(surrogate.sweep_partials(blocks)):
             blocks[j] = _prox_step(c, config.gammas[j], radii[j], blocks[j])
         h_t = float(np.dot(c, blocks[-1]))
         if not math.isfinite(h_t):
@@ -245,16 +228,17 @@ def pam_solve(a_theta: SymTensor, config: PamConfig,
                        "%.3g)", DIAGONAL_GAP_SLACK, gap_sweeps, k, max_gap)
     return PamResult(v=v, value=value, blocks=tuple(blocks), iterations=k,
                      converged=converged, history=tuple(history),
-                     kkt_residual=_kkt_residual(surrogate.dense, blocks, h_t))
+                     kkt_residual=_kkt_residual(surrogate, blocks, h_t))
 
 
-def _kkt_residual(dense: np.ndarray, blocks: np.ndarray,
+def _kkt_residual(surrogate: SymTensor, blocks: np.ndarray,
                   h_t: float) -> float:
     """Norm of the stacked first-order residuals c_j - h * x_j, which vanish
     exactly at a stationary point (every block multiplier equals h)."""
     total = 0.0
-    for c, x in zip(_partials(dense, blocks), blocks):
-        r = c - h_t * x
+    for j in range(len(blocks)):
+        others = [blocks[i] for i in range(len(blocks)) if i != j]
+        r = surrogate.multilinear_partial(others, j) - h_t * blocks[j]
         total += float(np.dot(r, r))
     return math.sqrt(total)
 

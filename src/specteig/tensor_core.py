@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def _contract(dense: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
     out = dense.reshape(-1)
     for b in reversed(blocks):
         out = out.reshape(-1, b.shape[0]) @ b
-    return out if blocks else out.copy()
+    return out if len(blocks) else out.copy()
 
 
 def _multiplicities(classes: np.ndarray) -> np.ndarray:
@@ -266,6 +266,22 @@ class SymTensor:
                              f"0..{self.order - 1}")
         blocks = [_check_vector(b, self.dim) for b in blocks]
         return _contract(self.dense, blocks)
+
+    def sweep_partials(self, blocks: np.ndarray) -> Iterator[np.ndarray]:
+        """Each slot's :meth:`multilinear_partial` with the other rows of an
+        (order, dim) array, in slot order. The suffixes
+        _contract(dense, blocks[j+1:]) are built once, on the call, and
+        shared; slot j contracts its suffix with rows j-1, ..., 0 when it
+        is reached, so a caller may update each row once its partial is
+        out. d(d+1)/2 - 1 matrix-vector products for d slots."""
+        if blocks.shape != (self.order, self.dim):
+            raise DimError(f"expected a ({self.order}, {self.dim}) array, "
+                           f"got shape {blocks.shape}")
+        d, n = blocks.shape
+        suffix = [self.dense.reshape(-1)]
+        for k in range(d - 1, 0, -1):
+            suffix.append(suffix[-1].reshape(-1, n) @ blocks[k])
+        return (_contract(suffix[d - 1 - j], blocks[:j]) for j in range(d))
 
     def frobenius_norm(self) -> float:
         """Frobenius norm over all entries, multiplicities included."""

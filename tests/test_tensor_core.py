@@ -107,6 +107,36 @@ class TestApplyFullMany:
                 A1.apply_full_many(bad)
 
 
+class TestSweepPartials:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_multilinear_partial_with_updates(self, m):
+        # a sweep overwrites each row once its partial is out; every
+        # partial must equal multilinear_partial on the rows as they are
+        # then, bit for bit, since both run the same contraction order
+        rng = np.random.default_rng(600 + m)
+        for n in (1, 2, 3, 4):
+            a = random_symtensor(m, n, rng)
+            blocks = rng.standard_normal((m, n))
+            got = []
+            for j, c in enumerate(a.sweep_partials(blocks)):
+                got.append(c.copy())
+                others = [blocks[i] for i in range(m) if i != j]
+                assert np.array_equal(c, a.multilinear_partial(others, j))
+                blocks[j] = rng.standard_normal(n)
+            assert len(got) == m
+
+    def test_partials_do_not_alias_the_tensor(self):
+        a = SymTensor.from_entries(1, 3, [((2,), 5.0)])
+        (c,) = a.sweep_partials(np.ones((1, 3)))
+        c[:] = 0.0
+        assert a.entry(2) == 5.0
+
+    def test_wrong_shape_rejected(self):
+        for bad in (np.ones((3, 2)), np.ones((2, 3)), np.ones((1, 2))):
+            with pytest.raises(DimError):
+                A1.sweep_partials(bad)
+
+
 class TestApplyGradient:
     def test_pinned_eigenpair_residual(self, example2):
         # four-decimal rounding of the tabulated vector caps the accuracy

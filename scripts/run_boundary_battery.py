@@ -3,13 +3,17 @@
 Boundary-step battery on random cubic models.
 
 Part 1 solves the sphere-boundary subproblem for seeded cubic Taylor
-models across a range of dimensions and records the full certificate for
-each instance: multiplier, objective value, Lagrangian gradient norm, the
-smallest eigenvalue of the projected second-order matrix, and iteration
-counts.
+models across a range of dimensions, plus n = 15 and n = 30 for the first
+seed, and records the full certificate for each instance: multiplier,
+objective value, Lagrangian gradient norm, the smallest eigenvalue of the
+projected second-order matrix, and iteration counts.
 
 Part 2 sweeps the radius on one larger instance and records how the
-multiplier and the boundary minimum move as the ball grows.
+multiplier and the boundary minimum move as the ball grows, with the same
+certificate for every radius.
+
+An instance counts as good in the summary lines only when it converged and
+its projected second-order matrix is positive definite.
 
 Produces (under --outdir, default results/):
   boundary_battery.csv   one row per (seed, n) instance
@@ -28,38 +32,45 @@ from specteig import (BoundaryConfig, check_second_order, random_cubic,
 
 BATTERY_SCALES = (80.0, 80.0, 80.0)
 SWEEP_SCALES = (200.0, 8.0, 2.0)
+#: Larger dimensions solved for the first battery seed only.
+LARGE_DIMS = (15, 30)
+
+
+def _certified(row) -> bool:
+    return bool(row["converged"] and row["proj_PD"])
 
 
 def run_battery(seeds, dims, delta, outpath: Path):
     rows = []
-    for seed in seeds:
-        for n in dims:
-            poly = random_cubic(n, seed, BATTERY_SCALES)
-            t0 = time.perf_counter()
-            res = solve_boundary(poly, delta, BoundaryConfig())
-            wall = time.perf_counter() - t0
-            min_eig, proj_pd = check_second_order(poly, res.s, res.lambda_)
-            rows.append({
-                "seed": seed, "n": n, "converged": int(res.converged),
-                "lambda": f"{res.lambda_:.10g}",
-                "value": f"{res.value:.10g}",
-                "grad_norm": f"{res.grad_lagrangian_norm:.3e}",
-                "proj_min_eig": f"{min_eig:.6g}",
-                "proj_PD": int(proj_pd),
-                "inner_iters": res.inner_iters,
-                "outer_iters": res.outer_iters,
-                "time_s": f"{wall:.3f}",
-            })
-            flag = "ok" if res.converged and proj_pd else "CHECK"
-            print(f"seed={seed} n={n:2d} lambda={res.lambda_:12.4f} "
-                  f"value={res.value:14.4f} grad={res.grad_lagrangian_norm:.2e} "
-                  f"[{flag}]")
+    instances = ([(seed, n) for seed in seeds for n in dims]
+                 + [(seeds[0], n) for n in LARGE_DIMS])
+    for seed, n in instances:
+        poly = random_cubic(n, seed, BATTERY_SCALES)
+        t0 = time.perf_counter()
+        res = solve_boundary(poly, delta, BoundaryConfig())
+        wall = time.perf_counter() - t0
+        min_eig, proj_pd = check_second_order(poly, res.s, res.lambda_)
+        rows.append({
+            "seed": seed, "n": n, "converged": int(res.converged),
+            "lambda": f"{res.lambda_:.10g}",
+            "value": f"{res.value:.10g}",
+            "grad_norm": f"{res.grad_lagrangian_norm:.3e}",
+            "proj_min_eig": f"{min_eig:.6g}",
+            "proj_PD": int(proj_pd),
+            "inner_iters": res.inner_iters,
+            "outer_iters": res.outer_iters,
+            "time_s": f"{wall:.3f}",
+        })
+        flag = "ok" if _certified(rows[-1]) else "CHECK"
+        print(f"seed={seed} n={n:2d} lambda={res.lambda_:12.4f} "
+              f"value={res.value:14.4f} grad={res.grad_lagrangian_norm:.2e} "
+              f"[{flag}]")
     with open(outpath, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    bad = sum(1 for r in rows if not r["converged"])
-    print(f"battery: {len(rows) - bad}/{len(rows)} converged "
+    good = sum(_certified(r) for r in rows)
+    print(f"battery: {good}/{len(rows)} converged and certified "
           f"-> {outpath}")
 
 
@@ -68,23 +79,28 @@ def run_sweep(n, seed, deltas, outpath: Path):
     rows = []
     for delta in deltas:
         res = solve_boundary(poly, float(delta), BoundaryConfig())
+        min_eig, proj_pd = check_second_order(poly, res.s, res.lambda_)
         rows.append({
             "delta": delta,
             "lambda": f"{res.lambda_:.10g}",
             "value": f"{res.value:.10g}",
             "grad_norm": f"{res.grad_lagrangian_norm:.3e}",
             "converged": int(res.converged),
+            "proj_min_eig": f"{min_eig:.6g}",
+            "proj_PD": int(proj_pd),
         })
+        flag = "ok" if _certified(rows[-1]) else "CHECK"
         print(f"delta={delta:4.1f} lambda={res.lambda_:12.4f} "
-              f"value={res.value:14.4f}")
+              f"value={res.value:14.4f} [{flag}]")
     with open(outpath, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     lams = np.array([float(r["lambda"]) for r in rows])
     trend = "nonincreasing" if np.all(np.diff(lams) <= 1e-9) else "MIXED"
-    print(f"sweep: multiplier {lams[0]:.1f} -> {lams[-1]:.1f} ({trend}) "
-          f"-> {outpath}")
+    good = sum(_certified(r) for r in rows)
+    print(f"sweep: {good}/{len(rows)} converged and certified, multiplier "
+          f"{lams[0]:.1f} -> {lams[-1]:.1f} ({trend}) -> {outpath}")
 
 
 def main() -> int:

@@ -197,6 +197,17 @@ class SymTensor:
         self._set(dense, classes[dense[tuple(classes.T)] != 0.0])
         return self
 
+    @classmethod
+    def _from_classes(cls, order: int, dim: int, classes: np.ndarray,
+                      values: np.ndarray) -> "SymTensor":
+        """Build from distinct sorted index rows, in lexicographic order,
+        and their finite values, skipping the per-entry checks of
+        :meth:`__init__`."""
+        _check_shape(order, dim)
+        self = cls.__new__(cls)
+        self._set(_expand(order, dim, classes, values), classes)
+        return self
+
     def _set(self, dense: np.ndarray, classes: np.ndarray) -> None:
         dense.flags.writeable = False
         self.order = dense.ndim

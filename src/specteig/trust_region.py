@@ -3,11 +3,13 @@
 A degree-p Taylor polynomial on R^n is lifted to a symmetric order-p tensor
 on R^(n+1) by weighting each coefficient with the inverse multinomial count
 of its index class, so that contracting the tensor with (1, s) on every slot
-reproduces the polynomial exactly. Minimizing the polynomial on the sphere
-of radius Delta then becomes a homogeneous problem solved by PAM block
-sweeps whose updates are projected back onto the slice with unit leading
-coordinate, and a multiplier estimated from the boundary stationarity
-condition certifies the step.
+reproduces the polynomial exactly. The model is evaluated only through
+this lift, built once per model on first use: its value, gradient and
+Hessian at s are the lift contracted with (1, s) on p, p - 1 and p - 2
+slots. Minimizing the polynomial on the sphere of radius Delta becomes a
+homogeneous problem solved by PAM block sweeps whose updates are projected
+back onto the slice with unit leading coordinate, and a multiplier
+estimated from the boundary stationarity condition certifies the step.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.linalg import null_space
 
 from .errors import (ConfigError, DimError, DomainError, NumericalError,
                      ParseError)
-from .tensor_core import SymTensor
+from .tensor_core import SymTensor, _contract
 
 logger = logging.getLogger(__name__)
 
@@ -45,9 +47,10 @@ _DEGENERATE_TOL = 1e-14
 
 
 class TaylorPoly:
-    """Polynomial sum over alpha of f_alpha * s^alpha, total degree <= p."""
+    """Polynomial sum over alpha of f_alpha * s^alpha, total degree <= p,
+    evaluated through its lift :attr:`lifted`, built on first use."""
 
-    __slots__ = ("n", "p", "_coeffs", "_expo", "_coef")
+    __slots__ = ("n", "p", "_coeffs", "_expo", "_coef", "_lifted")
 
     def __init__(self, n: int, p: int,
                  coeffs: Mapping[tuple[int, ...], float]):
@@ -72,12 +75,10 @@ class TaylorPoly:
                 clean[alpha] = clean.get(alpha, 0.0) + val
         self._coeffs = clean
         items = sorted(clean.items())
-        if items:
-            self._expo = np.array([a for a, _ in items], dtype=np.intp)
-            self._coef = np.array([v for _, v in items])
-        else:
-            self._expo = np.zeros((0, n), dtype=np.intp)
-            self._coef = np.zeros(0)
+        self._expo = np.array([a for a, _ in items],
+                              dtype=np.intp).reshape(-1, n)
+        self._coef = np.array([v for _, v in items], dtype=float)
+        self._lifted: SymTensor | None = None
 
     @classmethod
     def from_cubic(cls, f0: float, g: np.ndarray, h: np.ndarray,
@@ -132,15 +133,22 @@ class TaylorPoly:
     def coeffs(self) -> Mapping[tuple[int, ...], float]:
         return dict(self._coeffs)
 
-    def evaluate(self, s: np.ndarray) -> float:
+    @property
+    def lifted(self) -> SymTensor:
+        """The symmetric tensor of :func:`homogenize`, built on first use."""
+        if self._lifted is None:
+            self._lifted = homogenize(self)
+        return self._lifted
+
+    def _lift_point(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         if s.shape != (self.n,):
             raise DimError(f"expected a vector of length {self.n}, got "
                            f"shape {s.shape}")
-        if self._coef.size == 0:
-            return 0.0
-        return float(np.dot(self._coef,
-                            np.prod(s[None, :] ** self._expo, axis=1)))
+        return np.concatenate(([1.0], s))
+
+    def evaluate(self, s: np.ndarray) -> float:
+        return self.lifted.apply_full(self._lift_point(s))
 
     def evaluate_many(self, mat: np.ndarray) -> np.ndarray:
         """Evaluate at every row of an (N, n) array."""
@@ -148,52 +156,20 @@ class TaylorPoly:
         if mat.ndim != 2 or mat.shape[1] != self.n:
             raise DimError(f"expected an (N, {self.n}) array, got shape "
                            f"{mat.shape}")
-        if self._coef.size == 0:
-            return np.zeros(mat.shape[0])
-        powers = mat[:, None, :] ** self._expo[None, :, :]
-        return powers.prod(axis=2) @ self._coef
+        return self.lifted.apply_full_many(
+            np.hstack((np.ones((mat.shape[0], 1)), mat)))
 
     def gradient(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.n,):
-            raise DimError(f"expected a vector of length {self.n}, got "
-                           f"shape {s.shape}")
-        grad = np.zeros(self.n)
-        for i in range(self.n):
-            rows = self._expo[:, i] > 0
-            if not rows.any():
-                continue
-            expo = self._expo[rows].copy()
-            coef = self._coef[rows] * expo[:, i]
-            expo[:, i] -= 1
-            grad[i] = float(np.dot(coef,
-                                   np.prod(s[None, :] ** expo, axis=1)))
-        return grad
+        y = self._lift_point(s)
+        return self.p * _contract(self.lifted.dense, [y] * (self.p - 1))[1:]
 
     def hessian(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.n,):
-            raise DimError(f"expected a vector of length {self.n}, got "
-                           f"shape {s.shape}")
-        hess = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            for j in range(i, self.n):
-                expo = self._expo.copy()
-                coef = self._coef.copy()
-                for axis in (i, j):
-                    rows = expo[:, axis] > 0
-                    expo = expo[rows]
-                    coef = coef[rows] * expo[:, axis]
-                    expo[:, axis] = expo[:, axis] - 1
-                    if coef.size == 0:
-                        break
-                if coef.size == 0:
-                    continue
-                val = float(np.dot(coef,
-                                   np.prod(s[None, :] ** expo, axis=1)))
-                hess[i, j] = val
-                hess[j, i] = val
-        return hess
+        y = self._lift_point(s)
+        if self.p == 1:
+            return np.zeros((self.n, self.n))
+        flat = _contract(self.lifted.dense, [y] * (self.p - 2))
+        return (self.p * (self.p - 1)
+                * flat.reshape(self.n + 1, self.n + 1)[1:, 1:])
 
     def __repr__(self) -> str:
         return (f"TaylorPoly(n={self.n}, p={self.p}, "
@@ -206,19 +182,21 @@ def homogenize(poly: TaylorPoly) -> SymTensor:
 
     Each coefficient is divided by the multinomial count of its lifted
     index class, with index 1 (file convention) reserved for the
-    homogenizing coordinate.
+    homogenizing coordinate. :attr:`TaylorPoly.lifted` keeps the result.
     """
-    p = poly.p
-    fact_p = math.factorial(p)
-    canon: dict[tuple[int, ...], float] = {}
-    for alpha, coeff in poly.coeffs.items():
-        k = p - sum(alpha)
-        idx = (0,) * k + tuple(i + 1 for i, a in enumerate(alpha)
-                               for _ in range(a))
-        weight = (math.factorial(k)
-                  * math.prod(math.factorial(a) for a in alpha)) / fact_p
-        canon[idx] = coeff * weight
-    return SymTensor(p, poly.n + 1, canon)
+    p, n = poly.p, poly.n
+    # Weights divide exact integers: int64 holds 18! and float64 represents
+    # it exactly; larger factorials stay Python ints.
+    fact = np.array([math.factorial(k) for k in range(p + 1)],
+                    dtype=np.int64 if p <= 18 else object)
+    counts = np.hstack((p - poly._expo.sum(axis=1, keepdims=True),
+                        poly._expo))
+    weight = (fact[counts].prod(axis=1) / fact[p]).astype(float)
+    classes = np.repeat(np.tile(np.arange(n + 1), counts.shape[0]),
+                        counts.ravel()).reshape(-1, p)
+    rank = np.lexsort(classes.T[::-1])
+    return SymTensor._from_classes(p, n + 1, classes[rank],
+                                   (poly._coef * weight)[rank])
 
 
 @dataclass(frozen=True)
@@ -373,11 +351,11 @@ def solve_boundary(poly: TaylorPoly, delta: float,
                    config: BoundaryConfig | None = None) -> BoundaryResult:
     """Minimize the model on the sphere of radius delta.
 
-    Lifts the polynomial once, then alternates PAM sweep rounds with
-    multiplier updates until the boundary stationarity residual
-    |grad + lambda s| falls below config.tol. The sweeps minimize the model
-    itself; the multiplier only enters the stopping test, so the outer
-    value history is nonincreasing.
+    Alternates PAM sweep rounds on poly.lifted, shared by every solve on
+    the model, with multiplier updates until the boundary stationarity
+    residual |grad + lambda s| falls below config.tol. The sweeps minimize
+    the model itself; the multiplier only enters the stopping test, so the
+    outer value history is nonincreasing.
     """
     if config is None:
         config = BoundaryConfig()
@@ -390,7 +368,7 @@ def solve_boundary(poly: TaylorPoly, delta: float,
             raise ConfigError(f"s0 has shape {s.shape}, expected ({n},)")
     else:
         s = np.zeros(n)
-    tensor = homogenize(poly)
+    tensor = poly.lifted
     d = poly.p
     lam = 0.0
     history: list[float] = []
@@ -404,8 +382,9 @@ def solve_boundary(poly: TaylorPoly, delta: float,
             1.0, delta)
 
     while outer < config.max_outer:
+        # grad is the model gradient at s, kept from the last lambda update
         if outer > 0 and on_boundary(s) and float(np.linalg.norm(
-                lagrangian_grad(poly, s, lam))) < config.tol:
+                grad + lam * s)) < config.tol:
             converged = True
             break
         # Each round restarts the sweeps from identical replicated blocks,
@@ -428,10 +407,10 @@ def solve_boundary(poly: TaylorPoly, delta: float,
                            outer, history[-1], new_val)
             break
         s = s_new
-        lam = (config.lambda_update_sign
-               * float(np.dot(s, poly.gradient(s))) / delta ** 2)
+        grad = poly.gradient(s)
+        lam = config.lambda_update_sign * float(np.dot(s, grad)) / delta ** 2
         history.append(new_val)
-    gl_norm = float(np.linalg.norm(lagrangian_grad(poly, s, lam)))
+    gl_norm = float(np.linalg.norm(grad + lam * s))
     if not converged and on_boundary(s) and gl_norm < config.tol:
         converged = True
     if not converged:
@@ -460,10 +439,11 @@ def check_second_order(poly: TaylorPoly, s: np.ndarray,
     if n == 1:
         return math.inf, True
     mat = poly.hessian(s) + lam * np.eye(n)
-    full = np.linalg.eigvalsh(mat)
-    logger.info("unprojected Lagrangian Hessian has %d negative "
-                "eigenvalues (smallest %.6g)",
-                int((full < -1e-10).sum()), float(full[0]))
+    if logger.isEnabledFor(logging.INFO):
+        full = np.linalg.eigvalsh(mat)
+        logger.info("unprojected Lagrangian Hessian has %d negative "
+                    "eigenvalues (smallest %.6g)",
+                    int((full < -1e-10).sum()), float(full[0]))
     basis = null_space(s.reshape(1, n))
     proj = basis.T @ mat @ basis
     w = np.linalg.eigvalsh(proj)

@@ -15,8 +15,8 @@ import pytest
 from importlib import resources
 from scipy.optimize import minimize
 
-from specteig import (PamConfig, PamResult, SymTensor, ZIdentity, axpy,
-                      load_tensor)
+from specteig import (PamConfig, PamResult, SymTensor, TaylorPoly, ZIdentity,
+                      axpy, load_tensor)
 from specteig.pam import DEGENERATE_TOL, _init_blocks
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -135,6 +135,72 @@ def reference_pam_solve(a_theta, config: PamConfig, rng=None) -> PamResult:
     return PamResult(v=v, value=value, blocks=tuple(blocks), iterations=k,
                      converged=converged, kkt_residual=math.sqrt(total),
                      history=tuple(history))
+
+
+def _exponent_arrays(poly: TaylorPoly) -> tuple[np.ndarray, np.ndarray]:
+    items = sorted(poly.coeffs.items())
+    expo = np.array([a for a, _ in items], dtype=np.intp).reshape(-1, poly.n)
+    return expo, np.array([v for _, v in items], dtype=float)
+
+
+def reference_evaluate(poly: TaylorPoly, s: np.ndarray) -> float:
+    """The model at s by its exponent rows: sum of f_alpha prod s^alpha."""
+    expo, coef = _exponent_arrays(poly)
+    if coef.size == 0:
+        return 0.0
+    return float(np.dot(coef, np.prod(s[None, :] ** expo, axis=1)))
+
+
+def reference_gradient(poly: TaylorPoly, s: np.ndarray) -> np.ndarray:
+    """The model's gradient by differentiating each exponent row."""
+    expo_all, coef_all = _exponent_arrays(poly)
+    grad = np.zeros(poly.n)
+    for i in range(poly.n):
+        rows = expo_all[:, i] > 0
+        if not rows.any():
+            continue
+        expo = expo_all[rows].copy()
+        coef = coef_all[rows] * expo[:, i]
+        expo[:, i] -= 1
+        grad[i] = float(np.dot(coef, np.prod(s[None, :] ** expo, axis=1)))
+    return grad
+
+
+def reference_hessian(poly: TaylorPoly, s: np.ndarray) -> np.ndarray:
+    """The model's Hessian by differentiating each exponent row twice."""
+    expo_all, coef_all = _exponent_arrays(poly)
+    hess = np.zeros((poly.n, poly.n))
+    for i in range(poly.n):
+        for j in range(i, poly.n):
+            expo, coef = expo_all.copy(), coef_all.copy()
+            for axis in (i, j):
+                rows = expo[:, axis] > 0
+                expo = expo[rows]
+                coef = coef[rows] * expo[:, axis]
+                expo[:, axis] = expo[:, axis] - 1
+            if coef.size == 0:
+                continue
+            val = float(np.dot(coef, np.prod(s[None, :] ** expo, axis=1)))
+            hess[i, j] = val
+            hess[j, i] = val
+    return hess
+
+
+def reference_homogenize(poly: TaylorPoly) -> SymTensor:
+    """The lift built entry by entry: each coefficient times its exact
+    integer factorial product over p!, at its lifted index class, through
+    the validating `SymTensor` constructor."""
+    p = poly.p
+    fact_p = math.factorial(p)
+    canon: dict[tuple[int, ...], float] = {}
+    for alpha, coeff in poly.coeffs.items():
+        k = p - sum(alpha)
+        idx = (0,) * k + tuple(i + 1 for i, a in enumerate(alpha)
+                               for _ in range(a))
+        weight = (math.factorial(k)
+                  * math.prod(math.factorial(a) for a in alpha)) / fact_p
+        canon[idx] = coeff * weight
+    return SymTensor(p, poly.n + 1, canon)
 
 
 def _outer_powers(x: np.ndarray, k: int) -> np.ndarray:

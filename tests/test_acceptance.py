@@ -432,7 +432,9 @@ class TestPropertySuite:
             for _ in range(3):
                 s = rng.standard_normal(n)
                 lhs = tensor.apply_full(np.concatenate(([1.0], s)))
-                rhs = poly.evaluate(s)
+                # evaluate() contracts the lift itself; sum the coefficients
+                rhs = sum(c * np.prod(s ** np.array(alpha))
+                          for alpha, c in poly.coeffs.items())
                 worst_lift = max(worst_lift,
                                  abs(lhs - rhs) / max(1.0, abs(rhs)))
         clause(checks, worst_lift <= 1e-10,

@@ -5,11 +5,14 @@ multiplier and the step exactly; cubic instances are checked against dense
 sampling and second-order certificates.
 """
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specteig import (BoundaryConfig, ConfigError, DimError, DomainError,
                       TaylorPoly, check_second_order, homogenize,
@@ -17,7 +20,8 @@ from specteig import (BoundaryConfig, ConfigError, DimError, DomainError,
                       solve_boundary)
 from specteig.errors import ParseError
 
-from conftest import fd_gradient
+from conftest import (fd_gradient, reference_evaluate, reference_gradient,
+                      reference_hessian, reference_homogenize)
 
 
 def cubic_blocks(n, seed):
@@ -121,8 +125,96 @@ class TestHomogenize:
         for _ in range(10):
             s = rng.standard_normal(4)
             lifted = np.concatenate(([1.0], s))
+            # evaluate() contracts the lift itself, so compare with the
+            # coefficient sum
+            expect = sum(c * np.prod(s ** np.array(alpha))
+                         for alpha, c in p.coeffs.items())
             assert t.apply_full(lifted) == pytest.approx(
-                p.evaluate(s), rel=1e-10, abs=1e-12)
+                expect, rel=1e-10, abs=1e-12)
+
+
+def _model(p, n, density, at_zero, seed):
+    """Seeded degree-p model keeping each exponent of degree <= p with
+    probability `density` (0 gives the empty model), and a point s that is
+    zero when `at_zero`."""
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for k in range(p + 1):
+        for combo in itertools.combinations_with_replacement(range(n), k):
+            if rng.uniform() < density:
+                alpha = [0] * n
+                for j in combo:
+                    alpha[j] += 1
+                coeffs[tuple(alpha)] = float(rng.uniform(-1.0, 1.0))
+    s = np.zeros(n) if at_zero else rng.uniform(-2.0, 2.0, n)
+    return TaylorPoly(n, p, coeffs), s
+
+
+MODELS = st.tuples(st.integers(1, 5), st.integers(1, 6),
+                   st.sampled_from([0.0, 0.3, 1.0]), st.booleans(),
+                   st.integers(0, 10 ** 6))
+
+
+class TestLiftedEvaluation:
+    """The model is evaluated through its lift; the exponent loops and the
+    entry-by-entry lift in conftest are the references."""
+
+    @staticmethod
+    def _same_lift(poly):
+        got, ref = poly.lifted, reference_homogenize(poly)
+        assert (got.order, got.dim) == (ref.order, ref.dim)
+        assert got.dense.tobytes() == ref.dense.tobytes()
+        assert list(got.canonical.items()) == list(ref.canonical.items())
+
+    @given(MODELS)
+    @settings(max_examples=60, deadline=None)
+    def test_lift_is_bit_identical(self, case):
+        poly, _ = _model(*case)
+        self._same_lift(poly)
+        assert poly.lifted is poly.lifted
+
+    def test_lift_is_bit_identical_beyond_int64_factorials(self):
+        # 21! overflows int64, so the weights need exact integers
+        poly = TaylorPoly(1, 21, {(k,): 1.0 + k for k in range(22)})
+        self._same_lift(poly)
+
+    @given(MODELS)
+    @settings(max_examples=60, deadline=None)
+    def test_value_gradient_hessian_match_loops(self, case):
+        poly, s = _model(*case)
+        # the same sums with |coefficients| at |s| bound the rounding
+        mag = TaylorPoly(poly.n, poly.p,
+                         {a: abs(c) for a, c in poly.coeffs.items()})
+        tol = 1e-12
+        assert abs(poly.evaluate(s) - reference_evaluate(poly, s)) <= (
+            tol * reference_evaluate(mag, abs(s)))
+        rows = np.stack([s, -s, np.ones(poly.n)])
+        expect = [reference_evaluate(poly, r) for r in rows]
+        bound = [reference_evaluate(mag, abs(r)) for r in rows]
+        assert np.all(np.abs(poly.evaluate_many(rows) - expect)
+                      <= tol * np.array(bound))
+        assert np.all(np.abs(poly.gradient(s) - reference_gradient(poly, s))
+                      <= tol * reference_gradient(mag, abs(s)))
+        hess = poly.hessian(s)
+        assert np.all(np.abs(hess - reference_hessian(poly, s))
+                      <= tol * reference_hessian(mag, abs(s)))
+        if poly.p == 1:
+            assert not hess.any()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_degree_one_hessian_is_zero(self, n):
+        poly = TaylorPoly(n, 1, {(0,) * n: 2.0, (1,) + (0,) * (n - 1): -3.0})
+        assert poly.hessian(np.full(n, 0.7)).tobytes() == np.zeros(
+            (n, n)).tobytes()
+        assert poly.gradient(np.zeros(n))[0] == -3.0
+
+    def test_wrong_length_point_raises(self):
+        poly = random_cubic(3, 5)
+        for method in (poly.evaluate, poly.gradient, poly.hessian):
+            with pytest.raises(DimError):
+                method(np.zeros(4))
+        with pytest.raises(DimError):
+            poly.evaluate_many(np.zeros((2, 4)))
 
 
 class TestLagrangianGrad:

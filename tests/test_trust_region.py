@@ -216,6 +216,12 @@ class TestLiftedEvaluation:
         with pytest.raises(DimError):
             poly.evaluate_many(np.zeros((2, 4)))
 
+    def test_oversized_lift_raises_config_error(self):
+        # 257**3 entries exceed MAX_DENSE_ENTRIES; raised before allocating
+        poly = TaylorPoly(256, 3, {(1,) + (0,) * 255: 1.0})
+        with pytest.raises(ConfigError):
+            poly.evaluate(np.zeros(256))
+
 
 class TestLagrangianGrad:
     def test_matches_parts(self):

@@ -99,8 +99,11 @@ class TestTaylorPoly:
             TaylorPoly(2, 2, {(2, 1): 1.0})
         with pytest.raises(DomainError):
             TaylorPoly(2, 2, {(1, 0): math.nan})
+        for method in ("evaluate", "gradient", "hessian"):
+            with pytest.raises(DimError):
+                getattr(TaylorPoly(2, 2, {}), method)(np.zeros(3))
         with pytest.raises(DimError):
-            TaylorPoly(2, 2, {}).evaluate(np.zeros(3))
+            TaylorPoly(2, 2, {}).evaluate_many(np.zeros((2, 3)))
 
 
 class TestHomogenize:
@@ -167,7 +170,7 @@ class TestLiftedEvaluation:
         assert list(got.canonical.items()) == list(ref.canonical.items())
 
     @given(MODELS)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_lift_is_bit_identical(self, case):
         poly, _ = _model(*case)
         self._same_lift(poly)
@@ -179,7 +182,7 @@ class TestLiftedEvaluation:
         self._same_lift(poly)
 
     @given(MODELS)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_value_gradient_hessian_match_loops(self, case):
         poly, s = _model(*case)
         # the same sums with |coefficients| at |s| bound the rounding
@@ -195,11 +198,8 @@ class TestLiftedEvaluation:
                       <= tol * np.array(bound))
         assert np.all(np.abs(poly.gradient(s) - reference_gradient(poly, s))
                       <= tol * reference_gradient(mag, abs(s)))
-        hess = poly.hessian(s)
-        assert np.all(np.abs(hess - reference_hessian(poly, s))
+        assert np.all(np.abs(poly.hessian(s) - reference_hessian(poly, s))
                       <= tol * reference_hessian(mag, abs(s)))
-        if poly.p == 1:
-            assert not hess.any()
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_degree_one_hessian_is_zero(self, n):
@@ -207,14 +207,6 @@ class TestLiftedEvaluation:
         assert poly.hessian(np.full(n, 0.7)).tobytes() == np.zeros(
             (n, n)).tobytes()
         assert poly.gradient(np.zeros(n))[0] == -3.0
-
-    def test_wrong_length_point_raises(self):
-        poly = random_cubic(3, 5)
-        for method in (poly.evaluate, poly.gradient, poly.hessian):
-            with pytest.raises(DimError):
-                method(np.zeros(4))
-        with pytest.raises(DimError):
-            poly.evaluate_many(np.zeros((2, 4)))
 
     def test_oversized_lift_raises_config_error(self):
         # 257**3 entries exceed MAX_DENSE_ENTRIES; raised before allocating

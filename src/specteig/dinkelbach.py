@@ -6,18 +6,26 @@ parametric difference f - theta * g with the PAM block solver and updating
 theta to the ratio at the new iterate. The parametric optimal value F(theta)
 is nondecreasing and nonpositive along the run while theta is nonincreasing,
 and the loop stops when |F(theta)| falls below tolerance.
+
+The loop is written once, as the generator :func:`dinkelbach_steps`, which
+hands each PAM subproblem to a lockstep pool and waits for its result. A
+multistart run puts the loops of all its trials in one pool;
+:func:`dinkelbach_solve` runs one loop in a pool of its own. The
+subproblem warnings of a solve are logged once, with their counts.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from typing import Generator
 
 import numpy as np
 
 from .errors import (ArityError, ConfigError, DenominatorError, DimError,
                      NumericalError)
-from .pam import Given, PamConfig, Uniform, pam_solve
+from .pam import (Given, PamConfig, PamRequest, PamResult, Uniform,
+                  run_alone)
 from .tensor_core import BOperator, SymTensor, axpy
 
 __all__ = [
@@ -25,6 +33,7 @@ __all__ = [
     "DinkelbachConfig",
     "DinkelbachResult",
     "f_theta",
+    "dinkelbach_steps",
     "dinkelbach_solve",
     "write_trace_csv",
 ]
@@ -141,9 +150,11 @@ def _initial_point(problem: FractionalProblem, config: DinkelbachConfig,
     return x0 / nx
 
 
-def dinkelbach_solve(problem: FractionalProblem,
-                     config: DinkelbachConfig) -> DinkelbachResult:
-    """Run the parametric loop until |F(theta)| < tol or k_max is reached.
+def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig
+                     ) -> Generator[PamRequest, PamResult, DinkelbachResult]:
+    """The parametric loop as a program for :func:`run_lockstep`: yields
+    each PAM subproblem as a PamRequest, is sent its PamResult, and returns
+    the DinkelbachResult once |F(theta)| < tol or k_max is reached.
 
     The trial's initial point seeds both theta and the first PAM run
     (replicated across blocks); later runs warm-start from the previous
@@ -179,14 +190,15 @@ def dinkelbach_solve(problem: FractionalProblem,
     converged = False
     for k in range(1, config.k_max + 1):
         a_theta = axpy(a, b, theta)
-        res = pam_solve(a_theta, replace(config.inner, init=init), rng=rng)
+        res = yield PamRequest(a_theta, replace(config.inner, init=init),
+                               rng)
         inner_total += res.iterations
         solves += 1
         v = res.v / float(np.linalg.norm(res.v))
         big_f = f_theta(problem, theta, v)
         if big_f >= config.tol:
-            res2 = pam_solve(a_theta,
-                             replace(config.inner, init=fresh_init), rng=rng)
+            res2 = yield PamRequest(
+                a_theta, replace(config.inner, init=fresh_init), rng)
             inner_total += res2.iterations
             solves += 1
             v2 = res2.v / float(np.linalg.norm(res2.v))
@@ -222,6 +234,14 @@ def dinkelbach_solve(problem: FractionalProblem,
                             outer_iters=max(1, len(trace) - 1),
                             trace=tuple(trace), converged=converged,
                             inner_iters=inner_total, n_solves=solves)
+
+
+def dinkelbach_solve(problem: FractionalProblem,
+                     config: DinkelbachConfig) -> DinkelbachResult:
+    """Run the parametric loop of :func:`dinkelbach_steps` from one start,
+    in a lockstep pool of its own, and log its subproblems' warnings once.
+    """
+    return run_alone(dinkelbach_steps(problem, config))
 
 
 def write_trace_csv(trace, path) -> None:

@@ -5,6 +5,13 @@ kinds distinguished by the denominator operator: unit-sphere normalization,
 componentwise powers, or a dense positive form. The extremal eigenvalue is
 the extremum of the ratio A x^m / B x^m on the sphere, found here by running
 the fractional loop from many random starts and clustering the outcomes.
+
+The trials of a multistart run (of each process, with jobs > 1) run side by
+side in one lockstep pool: every tick sweeps the current PAM subproblem of
+every live trial in stacked array calls, and a trial whose subproblem
+stops takes its next fractional step at once. Trials therefore have no CPU
+time of their own. The pool's process CPU time is measured and apportioned
+to its trials in proportion to the sweeps their subproblems took.
 """
 
 from __future__ import annotations
@@ -14,12 +21,14 @@ import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Generator
 
 import numpy as np
 
 from .dinkelbach import (DinkelbachConfig, FractionalProblem,
-                         dinkelbach_solve)
+                         dinkelbach_steps)
 from .errors import ConfigError, DenominatorError, NumericalError
+from .pam import PamStats, run_lockstep
 from .tensor_core import BOperator, DenseB, HDiagonal, SymTensor, ZIdentity
 
 logger = logging.getLogger(__name__)
@@ -122,7 +131,11 @@ def residual(problem: GeneralizedEigenProblem, lam: float,
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Clustered eigenpair with occurrence and effort (CPU seconds) stats."""
+    """Clustered eigenpair with occurrence and effort stats.
+
+    mean_cpu_s is the mean over the cluster's trials of each trial's share
+    of its pool's process CPU seconds, apportioned by sweeps.
+    """
 
     lambda_: float
     x: np.ndarray
@@ -136,7 +149,11 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class MultiStartReport:
-    """Clustered multistart outcome; pairs are sorted by eigenvalue."""
+    """Clustered multistart outcome; pairs are sorted by eigenvalue.
+
+    total_cpu_s is the process CPU time of the pools that ran the trials,
+    summed over processes.
+    """
 
     pairs: tuple[EigenPair, ...]
     trials: int
@@ -157,23 +174,42 @@ class _Trial:
     cpu_s: float
 
 
-def _run_trial(problem: GeneralizedEigenProblem, frac: FractionalProblem,
-               config: DinkelbachConfig, seed: int) -> _Trial:
+def _trial(problem: GeneralizedEigenProblem, frac: FractionalProblem,
+           config: DinkelbachConfig, seed: int) -> Generator:
+    """One trial as a lockstep-pool program: its fractional solve and the
+    eigenpair it lands on (rejected when the solve raised DenominatorError
+    or NumericalError), with its CPU share still 0."""
     cfg = replace(config, inner=replace(config.inner, seed=seed))
-    t0 = time.process_time()
     try:
-        res = dinkelbach_solve(frac, cfg)
+        res = yield from dinkelbach_steps(frac, cfg)
     except (DenominatorError, NumericalError):
         return _Trial(lambda_=np.nan, x=np.zeros(problem.a.dim),
                       residual=np.inf, accepted=False, inner_iters=0,
-                      outer_iters=0, cpu_s=time.process_time() - t0)
-    cpu = time.process_time() - t0
+                      outer_iters=0, cpu_s=0.0)
     lam = rayleigh(problem, res.x)
     resid = residual(problem, lam, res.x)
     accepted = bool(res.converged and resid <= config.tol)
     return _Trial(lambda_=lam, x=res.x, residual=resid, accepted=accepted,
                   inner_iters=res.inner_iters, outer_iters=res.outer_iters,
-                  cpu_s=cpu)
+                  cpu_s=0.0)
+
+
+def _run_chunk(problem: GeneralizedEigenProblem, frac: FractionalProblem,
+               config: DinkelbachConfig,
+               seeds: list[int]) -> tuple[list[_Trial], float, PamStats]:
+    """Run the trials of some seeds in one lockstep pool. Returns them, the
+    pool's CPU time, which each trial shares in proportion to the sweeps
+    its subproblems took, and the pool's warning aggregates."""
+    stats = PamStats()
+    t0 = time.process_time()
+    outcomes, sweeps = run_lockstep(
+        [_trial(problem, frac, config, s) for s in seeds], stats)
+    cpu = time.process_time() - t0
+    total = sum(sweeps)
+    trials = [replace(t, cpu_s=cpu * swept / total if total
+                      else cpu / len(seeds))
+              for t, swept in zip(outcomes, sweeps)]
+    return trials, cpu, stats
 
 
 def _canonical_sign(x: np.ndarray) -> np.ndarray:
@@ -196,7 +232,10 @@ def solve_multistart(problem: GeneralizedEigenProblem, trials: int,
     eigenvalues closer than cluster_tol chain into one cluster, represented
     by the member with the smallest residual, its eigenvector sign-fixed to
     a positive leading component. A max problem negates the numerator
-    internally and reports the ratio of the original operators.
+    internally and reports the ratio of the original operators. The trials
+    run in one lockstep pool per process (jobs > 1 splits them into jobs
+    contiguous parts), and the pool warnings of the whole run are logged
+    once.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -204,14 +243,20 @@ def solve_multistart(problem: GeneralizedEigenProblem, trials: int,
         else problem.a.scaled(-1.0)
     frac = FractionalProblem(a_eff, problem.b)
     seeds = [base_seed ^ t for t in range(trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(
-                _run_trial, [problem] * trials, [frac] * trials,
-                [config] * trials, seeds,
-                chunksize=max(1, trials // (4 * jobs))))
+    parts = min(jobs, trials)
+    chunks = [seeds[i * trials // parts:(i + 1) * trials // parts]
+              for i in range(parts)]
+    if parts > 1:
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            runs = list(pool.map(_run_chunk, [problem] * parts,
+                                 [frac] * parts, [config] * parts, chunks))
     else:
-        outcomes = [_run_trial(problem, frac, config, s) for s in seeds]
+        runs = [_run_chunk(problem, frac, config, c) for c in chunks]
+    outcomes = [t for chunk, _, _ in runs for t in chunk]
+    stats = PamStats()
+    for _, _, part in runs:
+        stats.merge(part)
+    stats.log()
     accepted = [t for t in outcomes if t.accepted]
     n_rejected = trials - len(accepted)
     if n_rejected:
@@ -239,7 +284,7 @@ def solve_multistart(problem: GeneralizedEigenProblem, trials: int,
             mean_outer_iters=float(outer.mean()),
             mean_cpu_s=float(cpu.mean()),
         ))
-    total_cpu = float(sum(t.cpu_s for t in outcomes))
+    total_cpu = float(sum(cpu for _, cpu, _ in runs))
     return MultiStartReport(pairs=tuple(pairs), trials=trials,
                             seed=base_seed, cluster_tol=cluster_tol,
                             accepted=len(accepted), total_cpu_s=total_cpu)
@@ -251,9 +296,12 @@ def _occurrence_pct(hits: int, accepted: int) -> float:
 
 
 def format_table(report: MultiStartReport) -> str:
-    """Aligned text table, one row per clustered eigenpair."""
+    """Aligned text table, one row per clustered eigenpair. The cpu
+    share column is the mean pool CPU seconds apportioned to the cluster's
+    trials by sweeps."""
     header = (f"{'occ(%)':>7} | {'lambda':>10} | {'x':^34} | "
-              f"{'inner its':>16} | {'outer its':>12} | {'cpu(s)':>8}")
+              f"{'inner its':>16} | {'outer its':>12} | "
+              f"{'cpu share(s)':>12}")
     lines = [header, "-" * len(header)]
     for p in report.pairs:
         occ = _occurrence_pct(p.trials_hit, report.accepted)
@@ -261,7 +309,7 @@ def format_table(report: MultiStartReport) -> str:
         inner = f"{p.mean_inner_iters:.2f} +- {p.std_inner_iters:.2f}"
         outer = f"{p.mean_outer_iters:.2f}"
         lines.append(f"{occ:7.2f} | {p.lambda_:10.4f} | ({xs:<30}) | "
-                     f"{inner:>16} | {outer:>12} | {p.mean_cpu_s:8.4f}")
+                     f"{inner:>16} | {outer:>12} | {p.mean_cpu_s:12.4f}")
     lines.append(f"# trials={report.trials} accepted={report.accepted} "
                  f"seed={report.seed} cluster_tol={report.cluster_tol:g} "
                  f"total_cpu_s={report.total_cpu_s:.3f}")

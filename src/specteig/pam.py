@@ -11,10 +11,19 @@ update lands on the sphere boundary, and the best block's value bounds the
 multilinear optimum from above. The default shift, the Frobenius norm
 itself, does not guarantee concavity.
 
-The blocks live in one (d, n) array. A sweep takes every slot's partial
-from SymTensor.sweep_partials, which shares the suffix contractions across
-slots as fast CP-ALS does; the last partial dotted with its block is the
-multilinear value, and one gather evaluates every block's homogeneous value.
+Every subproblem runs in a lockstep pool (:func:`run_lockstep`): the
+single one of :func:`pam_solve`, those of one fractional solve, or those of
+all trials of a multistart run. The pool keeps the blocks of its T seated
+subproblems in one (T, d, n) array and their surrogates as the rows of one
+(T, n**d) stack. One tick runs one sweep of each: every slot's partials
+come from stacked contractions that share the suffix contractions across
+slots as fast CP-ALS does, every row's step from one batched closed form,
+the multilinear value from the last partial dotted with its block, and
+every block's homogeneous value from one gather. Each row rounds exactly
+as it would in a pool of one, so no result depends on what else is seated.
+A subproblem that stops hands its result to the program that asked for it
+(a generator yielding :class:`PamRequest`), whose next request takes the
+slot at once. Warnings are aggregated per run and logged once.
 """
 
 from __future__ import annotations
@@ -22,13 +31,16 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Generator, Sequence, Union
 
 import numpy as np
 
-from .errors import ArityError, ConfigError, DomainError, NumericalError
-from .tensor_core import SymTensor, ZIdentity, axpy
+from .errors import (ArityError, ConfigError, DimError, DomainError,
+                     NumericalError)
+from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, ZIdentity,
+                          _SweepPlan, axpy)
 
 logger = logging.getLogger(__name__)
 
@@ -111,19 +123,114 @@ class PamResult:
     history: tuple[tuple[int, float, float, float], ...]
 
 
-def _prox_step(c: np.ndarray, gamma: float, radius: float,
-               prev: np.ndarray) -> np.ndarray:
-    """The step of :func:`block_update` from the slot's partial c."""
-    w = c - gamma * prev
-    nw = math.sqrt(float(np.dot(w, w)))
-    if nw < DEGENERATE_TOL:
-        logger.debug("degenerate direction, keeping block")
-        return prev.copy()
-    u = radius / nw * w
-    # the candidates -u and u differ in objective by 2 * radius * |w|
-    if 2.0 * radius * nw < DEGENERATE_TOL and float(np.dot(u, prev)) > 0.0:
-        return u
-    return -u
+@dataclass(frozen=True)
+class PamRequest:
+    """One PAM subproblem: minimize the surrogate of a_theta under config.
+
+    rng draws random inits; None means a generator seeded with
+    config.seed.
+    """
+
+    a_theta: SymTensor
+    config: PamConfig
+    rng: np.random.Generator | None = None
+
+
+@dataclass
+class PamStats:
+    """What the warnings of one or more pool runs report, logged once.
+
+    low_alpha counts the subproblems whose shift is below their operator's
+    Frobenius norm, low_alpha_worst holds (alpha, norm, d) of the one with
+    the largest norm. gap_sweeps counts the sweeps whose best block value
+    exceeded the multilinear value by more than DIAGONAL_GAP_SLACK, in
+    gap_subproblems finished subproblems, max_gap the largest excess.
+    """
+
+    subproblems: int = 0
+    sweeps: int = 0
+    low_alpha: int = 0
+    low_alpha_worst: tuple[float, float, int] = (0.0, 0.0, 0)
+    gap_subproblems: int = 0
+    gap_sweeps: int = 0
+    max_gap: float = 0.0
+
+    def merge(self, other: "PamStats") -> None:
+        self.subproblems += other.subproblems
+        self.sweeps += other.sweeps
+        self.low_alpha += other.low_alpha
+        if other.low_alpha_worst[1] > self.low_alpha_worst[1]:
+            self.low_alpha_worst = other.low_alpha_worst
+        self.gap_subproblems += other.gap_subproblems
+        self.gap_sweeps += other.gap_sweeps
+        self.max_gap = max(self.max_gap, other.max_gap)
+
+    def log(self) -> None:
+        """One WARNING per kind of event seen, with its count."""
+        if self.low_alpha:
+            alpha, fro, d = self.low_alpha_worst
+            logger.warning("alpha is below the operator Frobenius norm, the "
+                           "default shift, in %d of %d subproblems (worst: "
+                           "alpha=%.6g against norm %.6g); concavity is "
+                           "guaranteed from (d - 1) times that norm, %.6g",
+                           self.low_alpha, self.subproblems, alpha, fro,
+                           (d - 1) * fro)
+        if self.gap_sweeps:
+            logger.warning("best block value exceeded the multilinear value "
+                           "by more than %.0e in %d of %d sweeps, in %d of "
+                           "%d subproblems (largest gap %.3g)",
+                           DIAGONAL_GAP_SLACK, self.gap_sweeps, self.sweeps,
+                           self.gap_subproblems, self.subproblems,
+                           self.max_gap)
+
+
+class _ProxStep:
+    """The step of :func:`block_update` for t rows at once, with its
+    buffers.
+
+    Row i minimizes <c[i], x> + (gamma_i/2)|x - prev[i]|^2 on the sphere of
+    radius r_i: with w = c[i] - gamma_i * prev[i] that is -r_i * w / |w|.
+    """
+
+    __slots__ = ("w", "w_rows", "w_cols", "nw2", "nw2_col", "scale")
+
+    def __init__(self, t: int, n: int):
+        self.w = np.empty((t, n))
+        # a (1, n) @ (n, 1) product per row sums |w|^2 as np.dot does
+        self.w_rows, self.w_cols = self.w[:, None, :], self.w[:, :, None]
+        self.nw2 = np.empty((t, 1, 1))
+        self.nw2_col = self.nw2.reshape(t, 1)
+        self.scale = np.empty((t, 1))
+
+    def __call__(self, c: np.ndarray, damped: np.ndarray,
+                 neg_radii: np.ndarray, out: np.ndarray,
+                 nw: np.ndarray) -> None:
+        """Write -r_i * w / |w| into out and |w| into nw, given the rows
+        gamma_i * prev[i] in damped; neg_radii (the -r_i) and nw are (t, 1)
+        columns."""
+        w = self.w
+        np.subtract(c, damped, out=w)
+        np.matmul(self.w_rows, self.w_cols, out=self.nw2)
+        np.sqrt(self.nw2_col, out=nw)
+        np.divide(neg_radii, nw, out=self.scale)
+        np.multiply(self.scale, w, out=out)
+
+    @staticmethod
+    def fix(neg_radii: np.ndarray, prev: np.ndarray, out: np.ndarray,
+            nw: np.ndarray) -> None:
+        """The rules for the rows the formula does not decide: a degenerate
+        w (norm below DEGENERATE_TOL) keeps prev, and when the candidates
+        +-r_i * w / |w| differ in objective (by 2 r_i |w|) by less than
+        DEGENERATE_TOL, the one nearer prev wins."""
+        nw = nw[:, 0]
+        degenerate = nw < DEGENERATE_TOL
+        tie = 2.0 * -neg_radii[:, 0] * nw < DEGENERATE_TOL
+        if degenerate.any() or tie.any():
+            u = -out
+            aligned = (u[:, None, :] @ prev[:, :, None]).reshape(-1) > 0.0
+            keep_u = tie & ~degenerate & aligned
+            out[keep_u] = u[keep_u]
+            out[degenerate] = prev[degenerate]
 
 
 def block_update(surrogate: SymTensor, blocks: Sequence[np.ndarray],
@@ -137,8 +244,14 @@ def block_update(surrogate: SymTensor, blocks: Sequence[np.ndarray],
     1e-14) keeps prev; an objective tie picks the candidate nearer prev.
     """
     others = [blocks[i] for i in range(len(blocks)) if i != slot]
-    return _prox_step(surrogate.multilinear_partial(others, slot), gamma,
-                      radius, prev)
+    c = surrogate.multilinear_partial(others, slot)[None]
+    prev = np.asarray(prev, dtype=float)[None]
+    neg_radius = np.array([[-float(radius)]])
+    out, nw = np.empty_like(c), np.empty((1, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _ProxStep(*c.shape)(c, float(gamma) * prev, neg_radius, out, nw)
+    _ProxStep.fix(neg_radius, prev, out, nw)
+    return out[0]
 
 
 def _init_blocks(config: PamConfig, dim: int, d: int,
@@ -169,6 +282,316 @@ def _init_blocks(config: PamConfig, dim: int, d: int,
     return blocks
 
 
+class _Member:
+    """A seated subproblem: its surrogate tensor, stopping rule and the
+    per-sweep record that becomes its PamResult."""
+
+    __slots__ = ("program", "surrogate", "shared", "eps", "max_iter",
+                 "value", "history", "gap_sweeps", "max_gap")
+
+    def __init__(self, program: int, surrogate: SymTensor, shared: bool,
+                 config: PamConfig, value: float):
+        self.program = program
+        self.surrogate = surrogate
+        self.shared = shared
+        self.eps = config.eps
+        self.max_iter = config.max_iter
+        self.value = value
+        self.history: list[tuple[int, float, float, float]] = []
+        self.gap_sweeps = 0
+        self.max_gap = 0.0
+
+
+class _Frame:
+    """Buffers and views for the ticks of a pool with t seated
+    subproblems; rebuilt when t changes."""
+
+    def __init__(self, pool: "_Pool", t: int):
+        d, n = pool.blocks.shape[1:]
+        self.t = t
+        self.blocks, self.prev = pool.blocks[:t], pool.prev[:t]
+        self.plan = _SweepPlan(pool.stack[:t], self.blocks)
+        self.prox = _ProxStep(t, n)
+        self.nw = np.empty((t, d))
+        # gamma_j times the previous blocks, for every slot at once
+        self.gammas3 = pool.gammas[:t, :, None]
+        self.damped = np.empty((t, d, n))
+        self.slots = [(self.damped[:, j], pool.neg_radii[:t, j, None],
+                       self.prev[:, j], self.blocks[:, j],
+                       self.nw[:, j, None]) for j in range(d)]
+        # rows h_t, h_v and step norm of the last tick
+        self.rec = np.empty((3, t))
+        self.ht3, self.hv = self.rec[0].reshape(t, 1, 1), self.rec[1]
+        self.step, self.step3 = self.rec[2], self.rec[2].reshape(t, 1, 1)
+        self.c_last_rows = self.plan.partial_buffer(d - 1)[:, None, :]
+        self.b_last_cols = self.blocks[:, d - 1, :, None]
+        self.diff = np.empty((t, d * n))
+        self.diff3 = self.diff.reshape(t, d, n)
+        self.diff_rows, self.diff_cols = self.diff[:, None, :], \
+            self.diff[:, :, None]
+        self.blocks_flat = self.blocks.reshape(t, d * n)
+        self.vals = np.empty((t, d))
+        self.vals3 = self.vals.reshape(t, d, 1)
+        self.gathered = np.empty((t,) + pool.gather_idx.shape)
+        self.prods = np.empty((t,) + pool.gather_idx.shape[1:])
+        self.prods_by_block = self.prods.transpose(0, 2, 1)
+        self.weights3 = pool.weights[:t, :, None]
+
+
+class _Pool:
+    """State of one :func:`run_lockstep` call.
+
+    Seated subproblems occupy slots 0..T-1 of the pool arrays: stack row t
+    is the flattened surrogate of slot t, blocks[t] its (d, n) blocks, and
+    gammas, neg_radii (the negated sphere radii) and weights (the
+    canonical weights of surrogates that share the pool's index classes)
+    are per-slot rows too.
+    """
+
+    def __init__(self, programs: Sequence[Generator], stats: PamStats):
+        self.programs = list(programs)
+        self.outcomes: list = [None] * len(self.programs)
+        self.sweeps = [0] * len(self.programs)
+        self.stats = stats
+        self.queue = deque(range(len(self.programs)))
+        self.members: list[_Member | None] = []
+        self.capacity = 0
+        self.frame: _Frame | None = None
+        self.min_radius = math.inf
+
+    def run(self) -> tuple[list, list[int]]:
+        while self.queue and (not self.capacity
+                              or len(self.members) < self.capacity):
+            self._advance(len(self.members), self.queue.popleft(), None,
+                          None)
+        while self.members:
+            self._tick()
+        return self.outcomes, self.sweeps
+
+    def _advance(self, slot: int, p: int, result: PamResult | None,
+                 error: Exception | None) -> bool:
+        """Send program p its result (or throw it the error) and seat the
+        request it yields next in slot; False when the program returned."""
+        gen = self.programs[p]
+        while True:
+            try:
+                request = gen.send(result) if error is None \
+                    else gen.throw(error)
+            except StopIteration as stop:
+                self.outcomes[p] = stop.value
+                return False
+            try:
+                self._seat(slot, p, request)
+                return True
+            except (ArityError, ConfigError, DimError) as exc:
+                result, error = None, exc
+
+    def _seat(self, slot: int, p: int, request: PamRequest) -> None:
+        a_theta, config = request.a_theta, request.config
+        d = len(config.gammas)
+        if a_theta.order != d:
+            raise ArityError(f"operator order {a_theta.order} does not "
+                             f"match block count {d}")
+        dim = a_theta.dim
+        if self.capacity and (d, dim) != self.blocks.shape[1:]:
+            raise DimError(f"a pool of order-{self.blocks.shape[1]} "
+                           f"operators on R^{self.blocks.shape[2]} cannot "
+                           f"seat order {d} on R^{dim}")
+        fro = a_theta.frobenius_norm()
+        alpha = config.alpha if config.alpha is not None else fro
+        surrogate = axpy(a_theta, ZIdentity(d, dim), alpha)
+        radii = tuple(config.radii) if config.radii is not None \
+            else (1.0,) * d
+        rng = request.rng if request.rng is not None \
+            else np.random.default_rng(config.seed)
+        blocks = _init_blocks(config, dim, d, radii, rng)
+        value = float(np.min(surrogate.apply_full_many(blocks)))
+        if not self.capacity:
+            self._allocate(d, dim, surrogate._canon_idx)
+        classes = surrogate._canon_idx
+        shared = classes.shape == self.classes.shape \
+            and np.array_equal(classes, self.classes)
+        self.stack[slot] = surrogate.dense.reshape(-1)
+        self.blocks[slot] = blocks
+        self.gammas[slot] = config.gammas
+        self.neg_radii[slot] = radii
+        np.negative(self.neg_radii[slot], out=self.neg_radii[slot])
+        self.min_radius = min(self.min_radius, min(radii))
+        if shared:
+            self.weights[slot] = surrogate._canon_weight
+        member = _Member(p, surrogate, shared, config, value)
+        if slot == len(self.members):
+            self.members.append(member)
+        else:
+            self.members[slot] = member
+        stats = self.stats
+        stats.subproblems += 1
+        if alpha < fro - 1e-12:
+            stats.low_alpha += 1
+            if fro > stats.low_alpha_worst[1]:
+                stats.low_alpha_worst = (alpha, fro, d)
+
+    def _allocate(self, d: int, dim: int, classes: np.ndarray) -> None:
+        size = dim ** d
+        cap = min(len(self.programs), max(1, MAX_DENSE_ENTRIES // size))
+        self.capacity = cap
+        self.stack = np.empty((cap, size))
+        self.blocks = np.empty((cap, d, dim))
+        self.prev = np.empty((cap, d, dim))
+        self.gammas = np.empty((cap, d))
+        self.neg_radii = np.empty((cap, d))
+        self.classes = classes
+        self.weights = np.empty((cap, classes.shape[0]))
+        # entry (i, k, j) picks component classes[k, i] of block j: the
+        # product over i runs over a leading axis, in the order np.prod
+        # takes along the last one, and leaves each slot's (classes, d)
+        # products in the column-major layout SymTensor.apply_full_many
+        # hands to its matrix-vector product
+        self.gather_idx = (classes.T[:, :, None]
+                           + np.arange(d)[None, None, :] * dim)
+
+    def _tick(self) -> None:
+        """One sweep of every seated subproblem, then pam_solve's
+        bookkeeping per subproblem; finished ones hand their result to
+        their program, whose next request takes the slot."""
+        members = self.members
+        t = len(members)
+        f = self.frame
+        if f is None or f.t != t:
+            f = self.frame = _Frame(self, t)
+        np.copyto(f.prev, f.blocks)
+        np.multiply(f.gammas3, f.prev, out=f.damped)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._sweep(f, exact=False)
+            # rows the formula may not decide: redo the sweep by the rules
+            guard = 2.0 * DEGENERATE_TOL * max(1.0, 0.5 / self.min_radius)
+            if np.fmin.reduce(f.nw, axis=None) < guard:
+                np.copyto(f.blocks, f.prev)
+                self._sweep(f, exact=True)
+        np.matmul(f.c_last_rows, f.b_last_cols, out=f.ht3)
+        np.subtract(f.blocks, f.prev, out=f.diff3)
+        np.matmul(f.diff_rows, f.diff_cols, out=f.step3)
+        np.sqrt(f.step, out=f.step)
+        vals = self._block_values(f)
+        np.minimum.reduce(vals, axis=1, out=f.hv)
+        self.stats.sweeps += t
+        done = []
+        for slot, (m, ht, hv, step) in enumerate(zip(members,
+                                                     *f.rec.tolist())):
+            self.sweeps[m.program] += 1
+            k = len(m.history) + 1
+            if not math.isfinite(ht):
+                done.append((slot, False, NumericalError(
+                    f"non-finite surrogate value at sweep {k}")))
+                continue
+            if hv > ht + DIAGONAL_GAP_SLACK:
+                m.gap_sweeps += 1
+                m.max_gap = max(m.max_gap, hv - ht)
+            m.history.append((k, ht, hv, step))
+            converged = abs(hv - m.value) < m.eps
+            m.value = hv
+            if converged or k == m.max_iter:
+                done.append((slot, converged, None))
+        for slot, converged, error in done:
+            m = members[slot]
+            result = None if error else self._result(slot, vals[slot],
+                                                     converged)
+            members[slot] = None
+            self._advance(slot, m.program, result, error)
+        if done:
+            self._refill()
+
+    @staticmethod
+    def _sweep(f: _Frame, exact: bool) -> None:
+        for j, (damped, neg_radii, prev, out, nw) in enumerate(f.slots):
+            f.prox(f.plan.partial(j), damped, neg_radii, out, nw)
+            if exact:
+                f.prox.fix(neg_radii, prev, out, nw)
+
+    def _block_values(self, f: _Frame) -> np.ndarray:
+        """(t, d) homogeneous surrogate values of every block, from one
+        gather over the pool's index classes when every seated surrogate
+        shares them."""
+        if all(m.shared for m in self.members):
+            f.blocks_flat.take(self.gather_idx, axis=1, out=f.gathered,
+                               mode="clip")
+            np.multiply.reduce(f.gathered, axis=1, out=f.prods)
+            np.matmul(f.prods_by_block, f.weights3, out=f.vals3)
+        else:
+            for i, m in enumerate(self.members):
+                f.vals[i] = m.surrogate.apply_full_many(f.blocks[i])
+        return f.vals
+
+    def _result(self, slot: int, vals: np.ndarray,
+                converged: bool) -> PamResult:
+        m = self.members[slot]
+        blocks = self.blocks[slot].copy()
+        if m.gap_sweeps:
+            self.stats.gap_subproblems += 1
+            self.stats.gap_sweeps += m.gap_sweeps
+            self.stats.max_gap = max(self.stats.max_gap, m.max_gap)
+        h_t = m.history[-1][1]
+        return PamResult(v=blocks[int(np.argmin(vals))].copy(),
+                         value=m.value, blocks=tuple(blocks),
+                         iterations=len(m.history), converged=converged,
+                         history=tuple(m.history),
+                         kkt_residual=_kkt_residual(m.surrogate, blocks,
+                                                    h_t))
+
+    def _refill(self) -> None:
+        """Seat waiting programs in the free slots, then move the last
+        seated subproblems down so the seated slots stay 0..T-1."""
+        members = self.members
+        for slot in range(len(members)):
+            while members[slot] is None and self.queue:
+                self._advance(slot, self.queue.popleft(), None, None)
+        live = [i for i, m in enumerate(members) if m is not None]
+        for new, old in enumerate(live):
+            if new != old:
+                for arr in (self.stack, self.blocks, self.gammas,
+                            self.neg_radii, self.weights):
+                    arr[new] = arr[old]
+                members[new] = members[old]
+        del members[len(live):]
+
+
+def run_lockstep(programs: Sequence[Generator],
+                 stats: PamStats) -> tuple[list, list[int]]:
+    """Run programs that need PAM subproblems through one lockstep pool.
+
+    A program is a generator that yields a PamRequest for every subproblem
+    it needs and is sent the PamResult back. A subproblem that fails (a
+    non-finite surrogate value raises NumericalError; a request that does
+    not fit raises ArityError, ConfigError or DimError) throws its error
+    into the program instead. Every subproblem runs pam_solve's loop, and
+    each tick of the pool runs one sweep of every seated subproblem in
+    stacked array calls whose rows round exactly as one subproblem's
+    calls would, so a result does not depend on what else is seated. When
+    a subproblem stops, its program advances at once and its next request
+    takes the slot; programs beyond the pool's size, MAX_DENSE_ENTRIES //
+    n**d subproblems, wait for a free slot. Returns each program's return
+    value and the sweeps its subproblems took, in program order, and adds
+    the warning aggregates to stats. An error a program does not catch
+    propagates.
+    """
+    return _Pool(programs, stats).run()
+
+
+def run_alone(program: Generator):
+    """Run one program through a one-member pool, log its warnings once
+    and return what it returns."""
+    stats = PamStats()
+    try:
+        (outcome,), _ = run_lockstep([program], stats)
+    finally:
+        stats.log()
+    return outcome
+
+
+def _await(request: PamRequest) -> Generator:
+    return (yield request)
+
+
 def pam_solve(a_theta: SymTensor, config: PamConfig,
               rng: np.random.Generator | None = None) -> PamResult:
     """Run cyclic PAM sweeps until the best-block value stalls.
@@ -179,56 +602,12 @@ def pam_solve(a_theta: SymTensor, config: PamConfig,
     and every block value from one gather. Stops when the best block's
     homogeneous value changes by less than config.eps between sweeps, or
     after max_iter sweeps. rng, when given, overrides config.seed for
-    random inits. Sweeps whose best block value exceeds the multilinear
-    value by more than DIAGONAL_GAP_SLACK are counted in one warning.
+    random inits. A shift below the Frobenius norm, and sweeps whose best
+    block value exceeds the multilinear value by more than
+    DIAGONAL_GAP_SLACK, are each reported in one warning. This is a
+    one-member run of :func:`run_lockstep`.
     """
-    d = len(config.gammas)
-    if a_theta.order != d:
-        raise ArityError(f"operator order {a_theta.order} does not match "
-                         f"block count {d}")
-    dim = a_theta.dim
-    fro = a_theta.frobenius_norm()
-    alpha = config.alpha if config.alpha is not None else fro
-    if alpha < fro - 1e-12:
-        logger.warning("alpha=%.6g is below the operator Frobenius norm "
-                       "%.6g, the default shift; concavity is guaranteed "
-                       "from (d - 1) times that norm, %.6g",
-                       alpha, fro, (d - 1) * fro)
-    surrogate = axpy(a_theta, ZIdentity(d, dim), alpha)
-    radii = tuple(config.radii) if config.radii is not None else (1.0,) * d
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    blocks = _init_blocks(config, dim, d, radii, rng)
-    value = float(np.min(surrogate.apply_full_many(blocks)))
-    history: list[tuple[int, float, float, float]] = []
-    gap_sweeps = 0
-    max_gap = 0.0
-    for k in range(1, config.max_iter + 1):
-        prev = blocks.copy()
-        for j, c in enumerate(surrogate.sweep_partials(blocks)):
-            blocks[j] = _prox_step(c, config.gammas[j], radii[j], blocks[j])
-        h_t = float(np.dot(c, blocks[-1]))
-        if not math.isfinite(h_t):
-            raise NumericalError(f"non-finite surrogate value at sweep {k}")
-        step = float(np.linalg.norm(blocks - prev))
-        block_vals = surrogate.apply_full_many(blocks)
-        j_best = int(np.argmin(block_vals))
-        h_v = float(block_vals[j_best])
-        if h_v > h_t + DIAGONAL_GAP_SLACK:
-            gap_sweeps += 1
-            max_gap = max(max_gap, h_v - h_t)
-        history.append((k, h_t, h_v, step))
-        converged = abs(h_v - value) < config.eps
-        v, value = blocks[j_best].copy(), h_v
-        if converged:
-            break
-    if gap_sweeps:
-        logger.warning("best block value exceeded the multilinear value by "
-                       "more than %.0e in %d of %d sweeps (largest gap "
-                       "%.3g)", DIAGONAL_GAP_SLACK, gap_sweeps, k, max_gap)
-    return PamResult(v=v, value=value, blocks=tuple(blocks), iterations=k,
-                     converged=converged, history=tuple(history),
-                     kkt_residual=_kkt_residual(surrogate, blocks, h_t))
+    return run_alone(_await(PamRequest(a_theta, config, rng)))
 
 
 def _kkt_residual(surrogate: SymTensor, blocks: np.ndarray,

@@ -6,10 +6,12 @@ nondecreasing index tuples (canonical classes). Construction copies every
 canonical entry to all of its permutations in a dense n**m array, and every
 contraction that leaves slots free (multilinear forms, their partials, the
 slot-gradient) runs through one kernel on that array: repeated matrix-vector
-products over the trailing axis. The canonical classes and their
-permutation counts are kept beside the array only for the homogeneous form
-and the Frobenius norm, which cost C(n+m-1, m) terms that way instead of
-n**m.
+products over the trailing axis. The sweeps of the PAM pool run the same
+products stacked over a (T, n**m) array of such tensors, in the same order
+for every row, so a row rounds exactly as the kernel does on its own
+tensor. The canonical classes and their permutation counts are kept beside
+the array only for the homogeneous form and the Frobenius norm, which cost
+C(n+m-1, m) terms that way instead of n**m.
 
 Dense storage bounds the size: a shape with more than
 :data:`MAX_DENSE_ENTRIES` entries raises :class:`ConfigError` before
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -84,6 +86,66 @@ def _contract(dense: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
     for b in reversed(blocks):
         out = out.reshape(-1, b.shape[0]) @ b
     return out if len(blocks) else out.copy()
+
+
+class _SweepPlan:
+    """The contractions of one sweep over a stack of tensors, with their
+    buffers allocated once.
+
+    stack is (T, n**d), row t the flattened dense array of an order-d
+    symmetric tensor, and blocks is (T, d, n); both are kept as views, so
+    a plan serves every sweep over the same arrays. :meth:`partial` (j)
+    returns the (T, n) array whose row t contracts tensor t with
+    blocks[t, i] on every slot i != j. Each row takes the matrix-vector
+    products of :func:`_contract` in its order, so it equals
+    ``_contract(stack[t], [blocks[t, i] for i != j])`` bit for bit. A sweep
+    asks for slots 0, ..., d - 1 in order: slot 0 builds the suffixes over
+    slots d-1, ..., 1 from the blocks as they are then, and slot j
+    contracts its suffix with slots j-1, ..., 0 when it is reached, so the
+    caller may overwrite blocks[:, j] once its partial is out. That is
+    d(d+1)/2 - 1 stacked products for d slots.
+    """
+
+    __slots__ = ("_steps", "_partials", "_order_one")
+
+    def __init__(self, stack: np.ndarray, blocks: np.ndarray):
+        t, d, n = blocks.shape
+        if stack.shape != (t, n ** d):
+            raise DimError(f"expected a ({t}, {n ** d}) stack for blocks "
+                           f"of shape {blocks.shape}, got {stack.shape}")
+        cols = [blocks[:, k, :, None] for k in range(d)]
+
+        def chain(src, slots):
+            steps = []
+            for k in slots:
+                out = np.empty((t, src.shape[1] // n))
+                steps.append((src.reshape(t, -1, n), cols[k],
+                              out.reshape(t, -1, 1)))
+                src = out
+            return steps, src
+
+        suffix_steps, partial0 = chain(stack, range(d - 1, 0, -1))
+        suffix = [stack] + [out.reshape(t, -1) for *_, out in suffix_steps]
+        self._steps = [suffix_steps]
+        self._partials = [partial0 if d > 1 else np.empty((t, n))]
+        # at order 1 the partial is the tensor itself, copied out
+        self._order_one = stack if d == 1 else None
+        for j in range(1, d):
+            steps, out = chain(suffix[d - 1 - j], range(j - 1, -1, -1))
+            self._steps.append(steps)
+            self._partials.append(out)
+
+    def partial(self, j: int) -> np.ndarray:
+        """Slot j's partials, in a buffer the next sweep overwrites."""
+        for src, col, dst in self._steps[j]:
+            np.matmul(src, col, out=dst)
+        if self._order_one is not None:
+            np.copyto(self._partials[0], self._order_one)
+        return self._partials[j]
+
+    def partial_buffer(self, j: int) -> np.ndarray:
+        """The buffer :meth:`partial` (j) fills, without filling it."""
+        return self._partials[j]
 
 
 def _multiplicities(classes: np.ndarray) -> np.ndarray:
@@ -277,22 +339,6 @@ class SymTensor:
                              f"0..{self.order - 1}")
         blocks = [_check_vector(b, self.dim) for b in blocks]
         return _contract(self.dense, blocks)
-
-    def sweep_partials(self, blocks: np.ndarray) -> Iterator[np.ndarray]:
-        """Each slot's :meth:`multilinear_partial` with the other rows of an
-        (order, dim) array, in slot order. The suffixes
-        _contract(dense, blocks[j+1:]) are built once, on the call, and
-        shared; slot j contracts its suffix with rows j-1, ..., 0 when it
-        is reached, so a caller may update each row once its partial is
-        out. d(d+1)/2 - 1 matrix-vector products for d slots."""
-        if blocks.shape != (self.order, self.dim):
-            raise DimError(f"expected a ({self.order}, {self.dim}) array, "
-                           f"got shape {blocks.shape}")
-        d, n = blocks.shape
-        suffix = [self.dense.reshape(-1)]
-        for k in range(d - 1, 0, -1):
-            suffix.append(suffix[-1].reshape(-1, n) @ blocks[k])
-        return (_contract(suffix[d - 1 - j], blocks[:j]) for j in range(d))
 
     def frobenius_norm(self) -> float:
         """Frobenius norm over all entries, multiplicities included."""

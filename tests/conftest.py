@@ -15,8 +15,12 @@ import pytest
 from importlib import resources
 from scipy.optimize import minimize
 
-from specteig import (PamConfig, PamResult, SymTensor, TaylorPoly, ZIdentity,
-                      axpy, load_tensor)
+from dataclasses import replace
+
+from specteig import (DenominatorError, DinkelbachResult, Given, NumericalError,
+                      PamConfig, PamResult, SymTensor, TaylorPoly, Uniform,
+                      ZIdentity, axpy, f_theta, load_tensor)
+from specteig.dinkelbach import MONOTONE_SLACK, _initial_point
 from specteig.pam import DEGENERATE_TOL, _init_blocks
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -135,6 +139,70 @@ def reference_pam_solve(a_theta, config: PamConfig, rng=None) -> PamResult:
     return PamResult(v=v, value=value, blocks=tuple(blocks), iterations=k,
                      converged=converged, kkt_residual=math.sqrt(total),
                      history=tuple(history))
+
+
+def reference_dinkelbach_solve(problem, config) -> DinkelbachResult:
+    """The parametric loop run one subproblem after another, each by
+    `reference_pam_solve`, with the same retry, monotone guard and trace
+    checks as `dinkelbach_solve`."""
+    a, b = problem.numerator, problem.denominator
+    d = problem.degree
+    rng = np.random.default_rng(config.inner.seed)
+    x0 = _initial_point(problem, config, rng)
+    g0 = b.apply_full(x0)
+    if g0 <= 0:
+        raise DenominatorError(f"denominator is {g0:.6g} at the initial "
+                               f"point")
+    theta = a.apply_full(x0) / g0
+    fresh_init = config.inner.init if isinstance(config.inner.init, Uniform) \
+        else Uniform()
+    init = Given(tuple(x0.copy() for _ in range(d)))
+    trace = []
+    x = x0
+    inner_total = 0
+    solves = 0
+    converged = False
+    for k in range(1, config.k_max + 1):
+        a_theta = axpy(a, b, theta)
+        res = reference_pam_solve(a_theta, replace(config.inner, init=init),
+                                  rng=rng)
+        inner_total += res.iterations
+        solves += 1
+        v = res.v / float(np.linalg.norm(res.v))
+        big_f = f_theta(problem, theta, v)
+        if big_f >= config.tol:
+            res2 = reference_pam_solve(
+                a_theta, replace(config.inner, init=fresh_init), rng=rng)
+            inner_total += res2.iterations
+            solves += 1
+            v2 = res2.v / float(np.linalg.norm(res2.v))
+            big_f2 = f_theta(problem, theta, v2)
+            if big_f2 < big_f:
+                v, big_f = v2, big_f2
+            if big_f >= config.tol:
+                break
+        if trace and big_f < trace[-1][2] - MONOTONE_SLACK:
+            break
+        trace.append((k, theta, big_f))
+        x = v
+        if abs(big_f) < config.tol:
+            converged = True
+            break
+        g = b.apply_full(v)
+        if g <= 0:
+            raise DenominatorError(f"denominator is {g:.6g} at iterate {k}")
+        theta = a.apply_full(v) / g
+        init = Given(tuple(v.copy() for _ in range(d)))
+    for (_, t0, f0), (_, t1, f1) in zip(trace, trace[1:]):
+        if t1 > t0 + MONOTONE_SLACK or f0 > f1 + MONOTONE_SLACK:
+            raise NumericalError("trace is not monotone")
+    if any(f > config.tol + MONOTONE_SLACK for _, _, f in trace):
+        raise NumericalError("parametric value exceeded the stopping "
+                             "tolerance from above")
+    return DinkelbachResult(theta=theta, x=x,
+                            outer_iters=max(1, len(trace) - 1),
+                            trace=tuple(trace), converged=converged,
+                            inner_iters=inner_total, n_solves=solves)
 
 
 def _exponent_arrays(poly: TaylorPoly) -> tuple[np.ndarray, np.ndarray]:

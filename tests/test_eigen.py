@@ -4,17 +4,29 @@ Matrix instances give exact spectral oracles for the multistart pipeline.
 """
 
 import json
+import logging
+from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specteig.eigen
+import specteig.pam
 from specteig import (ConfigError, DenominatorError, DenseB, DinkelbachConfig,
-                      HDiagonal, NumericalError, PamConfig, SymTensor, Uniform,
-                      ZIdentity, build_problem, solve_multistart)
+                      FractionalProblem, HDiagonal, NumericalError, PamConfig,
+                      SpecteigError, SymTensor, Uniform, ZIdentity, axpy,
+                      build_problem, dinkelbach_solve, identity_tensor,
+                      solve_multistart)
+from specteig.dinkelbach import dinkelbach_steps
+from specteig.pam import PamStats, run_lockstep
 from specteig.eigen import (_occurrence_pct, format_table, rayleigh,
                             report_to_csv, report_to_json, residual)
+
+from conftest import random_symtensor, reference_dinkelbach_solve
 
 
 def matrix_tensor(diag):
@@ -120,24 +132,45 @@ class TestMultistartMatrix:
         assert report.accepted <= report.trials
 
     def test_numerical_error_is_a_rejected_trial(self, monkeypatch):
+        # the failure is injected inside the pool: trial 2's first blocks
+        # carry a NaN, so its first sweep yields a non-finite surrogate
+        # value while the other trials share the pool's stacked calls
+        chunks = []
+        run_chunk = specteig.eigen._run_chunk
+
+        def recording_run_chunk(*args):
+            out = run_chunk(*args)
+            chunks.append(out[0])
+            return out
+
+        monkeypatch.setattr(specteig.eigen, "_run_chunk", recording_run_chunk)
         p = build_problem(A1, "Z")
         clean = solve_multistart(p, trials=6, base_seed=9,
                                  config=small_config())
         assert clean.accepted == 6
-        solve = specteig.eigen.dinkelbach_solve
+        init_blocks = specteig.pam._init_blocks
 
-        def failing_solve(frac, cfg):
-            if cfg.inner.seed == 9 ^ 2:
-                raise NumericalError("injected failure")
-            return solve(frac, cfg)
+        def poisoned_init(config, dim, d, radii, rng):
+            blocks = init_blocks(config, dim, d, radii, rng)
+            if config.seed == 9 ^ 2:
+                blocks[0, 0] = np.nan
+            return blocks
 
-        monkeypatch.setattr(specteig.eigen, "dinkelbach_solve",
-                            failing_solve)
+        monkeypatch.setattr(specteig.pam, "_init_blocks", poisoned_init)
         report = solve_multistart(p, trials=6, base_seed=9,
                                   config=small_config())
         assert report.trials == 6
         assert report.accepted == 5
         assert sum(q.trials_hit for q in report.pairs) == 5
+        (clean_trials,), (hit_trials,) = chunks[:1], chunks[1:]
+        assert not hit_trials[2].accepted
+        assert hit_trials[2].inner_iters == 0
+        for t in (0, 1, 3, 4, 5):
+            a, b = clean_trials[t], hit_trials[t]
+            assert (a.lambda_, a.residual, a.accepted, a.inner_iters,
+                    a.outer_iters) == (b.lambda_, b.residual, b.accepted,
+                                       b.inner_iters, b.outer_iters)
+            assert np.array_equal(a.x, b.x)
 
     def test_trials_validated(self):
         p = build_problem(A1, "Z")
@@ -164,9 +197,15 @@ class TestTiming:
         p = build_problem(A1, "Z")
         report = solve_multistart(p, trials=4, base_seed=5,
                                   config=small_config())
-        assert report.total_cpu_s == 4.0
-        assert all(q.mean_cpu_s == 1.0 for q in report.pairs)
-        assert "total_cpu_s=4.000" in format_table(report)
+        # one pool: its process_time elapsed is the last reading less the
+        # first, which read 1.0
+        assert ticks["cpu"] >= 2.0
+        assert report.total_cpu_s == ticks["cpu"] - 1.0
+        assert report.accepted == 4
+        shares = sum(q.mean_cpu_s * q.trials_hit for q in report.pairs)
+        assert shares == pytest.approx(report.total_cpu_s, rel=1e-12)
+        assert f"total_cpu_s={report.total_cpu_s:.3f}" in \
+            format_table(report)
 
 
 class TestDeterminism:
@@ -186,6 +225,105 @@ class TestDeterminism:
         parallel = solve_multistart(p, trials=8, base_seed=33,
                                     config=small_config(), jobs=2)
         assert report_to_json(serial) == report_to_json(parallel)
+
+
+def _caught(program):
+    """A pool program that returns the error its solve raises."""
+    try:
+        return (yield from program)
+    except SpecteigError as exc:
+        return exc
+
+
+def _random_problem(kind, m, n, rng):
+    a = random_symtensor(m, n, rng)
+    if kind != "D":
+        return build_problem(a, kind)
+    # |x|^m plus a perturbation of at most 0.1 on the unit sphere
+    r = random_symtensor(m, n, rng)
+    b = axpy(identity_tensor(m, n), DenseB(r), -0.1 / r.frobenius_norm())
+    return build_problem(a, kind, b=b)
+
+
+class TestLockstepEquivalence:
+    """Trials run side by side in one pool against the serial loop kept in
+    conftest, and reports across process counts and pool sizes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["Z", "H", "D"]),
+           m=st.sampled_from([2, 4, 6]), n=st.integers(1, 4),
+           trials=st.integers(1, 9),
+           shift=st.sampled_from([None, 0.5, 3.0]),
+           seed=st.integers(0, 2 ** 20))
+    def test_pool_matches_serial_loop(self, kind, m, n, trials, shift,
+                                      seed):
+        problem = _random_problem(kind, m, n, np.random.default_rng(seed))
+        alpha = None if shift is None \
+            else shift * problem.a.frobenius_norm()
+        inner = PamConfig(gammas=(1.0,) * m, alpha=alpha, eps=1e-6,
+                          max_iter=200, init=Uniform(-1.0, 1.0))
+        config = DinkelbachConfig(inner=inner, tol=1e-3, k_max=20)
+        frac = FractionalProblem(problem.a, problem.b)
+        configs = [replace(config, inner=replace(inner, seed=seed ^ t))
+                   for t in range(trials)]
+        outcomes, sweeps = run_lockstep(
+            [_caught(dinkelbach_steps(frac, c)) for c in configs],
+            PamStats())
+        for got, cfg, swept in zip(outcomes, configs, sweeps):
+            try:
+                want = reference_dinkelbach_solve(frac, cfg)
+            except SpecteigError as exc:
+                assert type(got) is type(exc)
+                continue
+            assert got.theta == want.theta
+            assert np.array_equal(got.x, want.x)
+            assert got.trace == want.trace
+            assert (got.inner_iters, got.outer_iters, got.n_solves,
+                    got.converged) == (want.inner_iters, want.outer_iters,
+                                       want.n_solves, want.converged)
+            assert swept == want.inner_iters
+        reports = [report_to_json(solve_multistart(problem, trials, seed,
+                                                   config, jobs=jobs))
+                   for jobs in (1, 2)]
+        # a pool of two slots: later trials wait for a free one
+        with mock.patch.object(specteig.pam, "MAX_DENSE_ENTRIES",
+                               2 * n ** m):
+            reports.append(report_to_json(
+                solve_multistart(problem, trials, seed, config)))
+        assert reports[0] == reports[1] == reports[2]
+
+
+class TestWarnings:
+    """Each pool warning is logged at most once per solve call."""
+
+    @staticmethod
+    def _study_5_2(example3):
+        inner = PamConfig(gammas=(3.0,) * 6, alpha=3.0, eps=1e-6,
+                          init=Uniform(0.0, 1.0))
+        return (build_problem(example3, "H"),
+                DinkelbachConfig(inner=inner, tol=1e-3))
+
+    @staticmethod
+    def _records(caplog, text):
+        return [r for r in caplog.records if text in r.getMessage()]
+
+    def test_one_shift_warning_per_multistart(self, example3, caplog):
+        problem, config = self._study_5_2(example3)
+        with caplog.at_level(logging.WARNING, logger="specteig.pam"):
+            solve_multistart(problem, 4, 1729, config)
+        (record,) = self._records(caplog, "Frobenius")
+        assert "subproblems" in record.getMessage()
+        assert len(self._records(caplog, "multilinear value")) <= 1
+
+    def test_one_shift_warning_per_fractional_solve(self, example3, caplog):
+        problem, config = self._study_5_2(example3)
+        frac = FractionalProblem(problem.a, problem.b)
+        with caplog.at_level(logging.WARNING, logger="specteig.pam"):
+            res = dinkelbach_solve(frac, config)
+        assert res.n_solves > 1
+        (record,) = self._records(caplog, "Frobenius")
+        assert f"of {res.n_solves} subproblems" in record.getMessage()
+        assert len(self._records(caplog, "multilinear value")) <= 1
 
 
 class TestBundledExample:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from specteig import (ArityError, ConfigError, DomainError, Given, PamConfig,
                       SymTensor, Uniform, ZIdentity, axpy, identity_tensor,
                       kl_exponent, pam_solve)
-from specteig.pam import DIAGONAL_GAP_SLACK, block_update, write_history_csv
+from specteig.pam import (DIAGONAL_GAP_SLACK, PamRequest, PamStats,
+                          block_update, run_lockstep, write_history_csv)
 
 from conftest import (dense_multilinear, dense_partial, random_symtensor,
                       reference_pam_solve, to_dense)
@@ -295,6 +296,66 @@ class TestSweepEquivalence:
             h_t = want.history[-1][1]
             scale = max(want.kkt_residual, abs(h_t) * math.sqrt(m))
             assert abs(got.kkt_residual - want.kkt_residual) <= 1e-12 * scale
+
+
+class TestPoolMembers:
+    """Subproblems that share a lockstep pool against the plain loop, one
+    at a time, where the pool must leave its shared fast paths."""
+
+    @staticmethod
+    def _run_together(requests):
+        def program(request):
+            return (yield request)
+
+        outcomes, sweeps = run_lockstep([program(r) for r in requests],
+                                        PamStats())
+        for got, swept, request in zip(outcomes, sweeps, requests):
+            # the plain loop's blocks bit for bit, and the whole result of
+            # the same subproblem in a pool of its own
+            plain = reference_pam_solve(request.a_theta, request.config)
+            alone = pam_solve(request.a_theta, request.config)
+            for b_got, b_plain, b_alone in zip(got.blocks, plain.blocks,
+                                               alone.blocks):
+                assert np.array_equal(b_got, b_plain)
+                assert np.array_equal(b_got, b_alone)
+            assert np.array_equal(got.v, plain.v)
+            assert (got.iterations, got.converged) == \
+                (plain.iterations, plain.converged)
+            assert (got.value, got.history, got.kkt_residual) == \
+                (alone.value, alone.history, alone.kkt_residual)
+            assert swept == got.iterations
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 2)])
+    def test_members_sharing_index_classes(self, m, n):
+        # one gather over the shared classes serves every member; it must
+        # round as each member's own gather does
+        rng = np.random.default_rng(70 + 10 * m + n)
+        a = random_symtensor(m, n, rng)
+        self._run_together([
+            PamRequest(a, PamConfig(gammas=(1.0,) * m, eps=1e-10, seed=seed,
+                                    max_iter=200))
+            for seed in range(5)])
+
+    def test_members_with_different_index_classes(self):
+        # A1 - alpha E has no off-diagonal class; a dense 2x2 form does, so
+        # the pool gathers block values member by member
+        dense = SymTensor.from_entries(2, 2, [((1, 1), 1.0), ((1, 2), 0.5),
+                                              ((2, 2), -2.0)])
+        self._run_together([
+            PamRequest(a, PamConfig(gammas=(1.0, 1.0), alpha=SQRT5, eps=1e-10,
+                                    seed=seed))
+            for seed, a in enumerate((A1, dense, A1, dense))])
+
+    def test_degenerate_direction_beside_a_regular_member(self):
+        # from (e1, e1) with alpha = 0 and gamma = 1 the partial of A1 equals
+        # gamma * prev, so that member's direction vanishes; the sweep is
+        # redone by the exact rules without disturbing the other member
+        e1 = np.array([1.0, 0.0])
+        self._run_together([
+            PamRequest(A1, PamConfig(gammas=(1.0, 1.0), alpha=0.0,
+                                     init=Given((e1, e1)))),
+            PamRequest(A1, PamConfig(gammas=(1.0, 1.0), alpha=0.0, eps=1e-10,
+                                     seed=4))])
 
 
 class TestConfigValidation:

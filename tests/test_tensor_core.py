@@ -13,7 +13,7 @@ from specteig import (ArityError, ConfigError, DenseB, DimError,
                       axpy, diagonal_tensor, frobenius_inner, identity_tensor,
                       load_tensor)
 from specteig.errors import ParseError
-from specteig.tensor_core import _double_factorial
+from specteig.tensor_core import _double_factorial, _SweepPlan
 
 from conftest import (dense_multilinear, dense_partial, fd_gradient,
                       random_symtensor, to_dense)
@@ -108,33 +108,46 @@ class TestApplyFullMany:
 
 
 class TestSweepPartials:
+    """The stacked sweep contractions of `_SweepPlan` against the serial
+    kernel, row by row."""
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_multilinear_partial_with_updates(self, m):
-        # a sweep overwrites each row once its partial is out; every
-        # partial must equal multilinear_partial on the rows as they are
-        # then, bit for bit, since both run the same contraction order
+        # a sweep overwrites each slot once its partial is out; every row
+        # of every partial must equal multilinear_partial of its own tensor
+        # on its rows as they are then, bit for bit, since both run the
+        # same contraction order
         rng = np.random.default_rng(600 + m)
         for n in (1, 2, 3, 4):
-            a = random_symtensor(m, n, rng)
-            blocks = rng.standard_normal((m, n))
-            got = []
-            for j, c in enumerate(a.sweep_partials(blocks)):
-                got.append(c.copy())
-                others = [blocks[i] for i in range(m) if i != j]
-                assert np.array_equal(c, a.multilinear_partial(others, j))
-                blocks[j] = rng.standard_normal(n)
-            assert len(got) == m
+            for t in (1, 3):
+                tensors = [random_symtensor(m, n, rng) for _ in range(t)]
+                stack = np.stack([a.dense.reshape(-1) for a in tensors])
+                blocks = rng.standard_normal((t, m, n))
+                plan = _SweepPlan(stack, blocks)
+                for sweep in range(2):
+                    for j in range(m):
+                        c = plan.partial(j)
+                        assert c.shape == (t, n)
+                        for row, a in enumerate(tensors):
+                            others = [blocks[row, i] for i in range(m)
+                                      if i != j]
+                            assert np.array_equal(
+                                c[row], a.multilinear_partial(others, j))
+                        blocks[:, j] = rng.standard_normal((t, n))
 
     def test_partials_do_not_alias_the_tensor(self):
         a = SymTensor.from_entries(1, 3, [((2,), 5.0)])
-        (c,) = a.sweep_partials(np.ones((1, 3)))
+        stack = a.dense.reshape(1, -1).copy()
+        c = _SweepPlan(stack, np.ones((1, 1, 3))).partial(0)
         c[:] = 0.0
-        assert a.entry(2) == 5.0
+        assert stack[0, 1] == 5.0
 
     def test_wrong_shape_rejected(self):
-        for bad in (np.ones((3, 2)), np.ones((2, 3)), np.ones((1, 2))):
+        stack = A1.dense.reshape(1, -1)
+        for bad in (np.ones((1, 3, 2)), np.ones((1, 2, 3)), np.ones((2, 2, 2)),
+                    np.ones((1, 1, 2))):
             with pytest.raises(DimError):
-                A1.sweep_partials(bad)
+                _SweepPlan(stack, bad)
 
 
 class TestApplyGradient:

@@ -29,7 +29,7 @@ from .errors import (ArityError, ConfigError, DenominatorError, DimError,
                      ParseError, SpecteigError)
 from .pam import PamConfig, Uniform, pam_solve
 from .tensor_core import SymTensor, load_tensor
-from .trust_region import (BoundaryConfig, check_second_order, homogenize,
+from .trust_region import (BoundaryConfig, TaylorPoly, check_second_order,
                            load_poly, random_cubic, solve_boundary)
 
 logger = logging.getLogger(__name__)
@@ -190,7 +190,7 @@ def _build_parser() -> _Parser:
     p_tr.add_argument("--format", choices=["table", "csv", "json"],
                       default="table")
     p_tr.add_argument("--history", metavar="PATH",
-                      help="write the per-sweep model value CSV")
+                      help="write the per-round model value CSV")
 
     p_ver = sub.add_parser("verify", help="run the self-check battery")
     p_ver.add_argument("--data", metavar="DIR", default=None,
@@ -384,7 +384,7 @@ def _cmd_trust_region(args) -> int:
     if args.history and last_result is not None:
         with open(args.history, "w", encoding="utf-8") as fh:
             fh.write("iter,value\n")
-            for i, v in enumerate(last_result.value_trace, start=1):
+            for i, v in enumerate(last_result.history, start=1):
                 fh.write(f"{i},{v:.17g}\n")
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
@@ -432,15 +432,19 @@ def _battery(seed: int, data_dir: str | None):
 
     worst = 0.0
     for i in range(10):
-        poly = random_cubic(2 + i % 4, seed + i, scales=(3.0, 3.0, 3.0))
-        tensor = homogenize(poly)
+        n = 2 + i % 4
+        blocks_rng = np.random.default_rng(seed + i)
+        f0 = 3.0 * float(blocks_rng.standard_normal())
+        g, h, t = (3.0 * blocks_rng.standard_normal((n,) * k)
+                   for k in (1, 2, 3))
+        tensor = TaylorPoly.from_cubic(f0, g, h, t).lifted
         for _ in range(5):
-            s = rng.standard_normal(poly.n)
-            lifted = np.concatenate(([1.0], s))
-            lhs = tensor.apply_full(lifted)
-            # evaluate() contracts the lift itself; sum the coefficients
-            rhs = sum(c * np.prod(s ** np.array(alpha))
-                      for alpha, c in poly.coeffs.items())
+            s = rng.standard_normal(n)
+            lhs = tensor.apply_full(np.concatenate(([1.0], s)))
+            # the lift holds the blocks' symmetric parts; the forms below
+            # see only those, so sum the drawn blocks themselves
+            rhs = (f0 + float(g @ s) + 0.5 * float(s @ h @ s)
+                   + float(np.einsum("ijk,i,j,k->", t, s, s, s)) / 6.0)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     ok = worst <= 1e-10
     yield "homogenization-identity", ok, f"max relative gap {worst:.3e}"

@@ -185,11 +185,13 @@ class PamStats:
 
 
 class _ProxStep:
-    """The step of :func:`block_update` for t rows at once, with its
-    buffers.
+    """The proximal block step for t rows at once, with its buffers.
 
     Row i minimizes <c[i], x> + (gamma_i/2)|x - prev[i]|^2 on the sphere of
-    radius r_i: with w = c[i] - gamma_i * prev[i] that is -r_i * w / |w|.
+    radius r_i, c[i] the surrogate's partial at the block's slot. On that
+    sphere the objective is <w, x> plus a constant, w = c[i] - gamma_i *
+    prev[i], so the minimizer is -r_i * w / |w|; :meth:`fix` applies the
+    rules for the rows where that formula does not decide.
     """
 
     __slots__ = ("w", "w_rows", "w_cols", "nw2", "nw2_col", "scale")
@@ -231,27 +233,6 @@ class _ProxStep:
             keep_u = tie & ~degenerate & aligned
             out[keep_u] = u[keep_u]
             out[degenerate] = prev[degenerate]
-
-
-def block_update(surrogate: SymTensor, blocks: Sequence[np.ndarray],
-                 slot: int, gamma: float, radius: float,
-                 prev: np.ndarray) -> np.ndarray:
-    """Exact minimizer of one proximal block subproblem on its sphere.
-
-    With c the surrogate's partial at the slot, <c, x> + (gamma/2)|x - prev|^2
-    equals <w, x> plus a constant on the radius sphere, w = c - gamma * prev,
-    so it is minimized at -radius * w / |w|. A degenerate w (norm below
-    1e-14) keeps prev; an objective tie picks the candidate nearer prev.
-    """
-    others = [blocks[i] for i in range(len(blocks)) if i != slot]
-    c = surrogate.multilinear_partial(others, slot)[None]
-    prev = np.asarray(prev, dtype=float)[None]
-    neg_radius = np.array([[-float(radius)]])
-    out, nw = np.empty_like(c), np.empty((1, 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _ProxStep(*c.shape)(c, float(gamma) * prev, neg_radius, out, nw)
-    _ProxStep.fix(neg_radius, prev, out, nw)
-    return out[0]
 
 
 def _init_blocks(config: PamConfig, dim: int, d: int,

@@ -1,15 +1,20 @@
 """Boundary trust-region steps for Taylor polynomial models.
 
-A degree-p Taylor polynomial on R^n is lifted to a symmetric order-p tensor
-on R^(n+1) by weighting each coefficient with the inverse multinomial count
-of its index class, so that contracting the tensor with (1, s) on every slot
-reproduces the polynomial exactly. The model is evaluated only through
-this lift, built once per model on first use: its value, gradient and
-Hessian at s are the lift contracted with (1, s) on p, p - 1 and p - 2
-slots. Minimizing the polynomial on the sphere of radius Delta becomes a
-homogeneous problem solved by PAM block sweeps whose updates are projected
-back onto the slice with unit leading coordinate, and a multiplier
-estimated from the boundary stationarity condition certifies the step.
+A degree-p Taylor polynomial on R^n is stored as its lift, a symmetric
+order-p tensor on R^(n+1) built at construction: each coefficient is
+weighted with the inverse multinomial count of its index class, so that
+contracting the tensor with (1, s) on every slot reproduces the polynomial
+exactly. The model's value, gradient and Hessian at s are the lift
+contracted with (1, s) on p, p - 1 and p - 2 slots. Minimizing the
+polynomial on the sphere of radius Delta becomes a homogeneous problem on
+the lifted blocks y = (1, s), solved by the PAM sweeps of the eigen
+solver: the partials come from :class:`~specteig.tensor_core._SweepPlan`
+and each step from :class:`~specteig.pam._ProxStep` applied to the tails,
+so every block keeps its unit leading coordinate and a tail on the
+Delta-sphere. The sweeps minimize the surrogate lift - alpha * S, where S
+has the form y_0 |y|^(p-1) (odd p) or |y|^p (even p), constant on that
+slice as the identity tensor is on the sphere. A multiplier estimated from
+the boundary stationarity condition certifies the step.
 """
 
 from __future__ import annotations
@@ -18,14 +23,17 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import lru_cache
+from typing import Mapping
 
 import numpy as np
 from scipy.linalg import null_space
 
 from .errors import (ConfigError, DimError, DomainError, NumericalError,
                      ParseError)
-from .tensor_core import SymTensor, _contract
+from .pam import _ProxStep
+from .tensor_core import (SymTensor, _check_shape, _contract, _SweepPlan,
+                          identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -33,7 +41,6 @@ __all__ = [
     "TaylorPoly",
     "BoundaryConfig",
     "BoundaryResult",
-    "homogenize",
     "solve_boundary",
     "lagrangian_grad",
     "check_second_order",
@@ -42,18 +49,34 @@ __all__ = [
     "poly_to_dict",
 ]
 
-#: Directions with tail norm below this keep their block.
-_DEGENERATE_TOL = 1e-14
+#: The axis permutations of an order-3 array.
+_PERMS3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+def _class_weights(p: int, counts: np.ndarray) -> np.ndarray:
+    """Inverse multinomial count prod_i k_i! / p! of each row of index
+    counts k, as floats."""
+    # Weights divide exact integers: int64 holds 18! and float64 represents
+    # it exactly; larger factorials stay Python ints.
+    fact = np.array([math.factorial(k) for k in range(p + 1)],
+                    dtype=np.int64 if p <= 18 else object)
+    return (fact[counts].prod(axis=1) / fact[p]).astype(float)
 
 
 class TaylorPoly:
     """Polynomial sum over alpha of f_alpha * s^alpha, total degree <= p,
-    evaluated through its lift :attr:`lifted`, built on first use."""
+    stored as its lift :attr:`lifted`.
 
-    __slots__ = ("n", "p", "_coeffs", "_expo", "_coef", "_lifted")
+    The lift holds each term at its lifted index class (index 0 is the
+    homogenizing coordinate) as the coefficient times the inverse
+    multinomial count of the class. A lift on more than MAX_DENSE_ENTRIES
+    entries raises ConfigError here, before it is allocated.
+    """
+
+    __slots__ = ("n", "p", "lifted")
 
     def __init__(self, n: int, p: int,
-                 coeffs: Mapping[tuple[int, ...], float]):
+                 terms: Mapping[tuple[int, ...], float]):
         if n < 1:
             raise DomainError(f"n must be >= 1, got {n}")
         if p < 1:
@@ -61,7 +84,7 @@ class TaylorPoly:
         self.n = int(n)
         self.p = int(p)
         clean: dict[tuple[int, ...], float] = {}
-        for alpha, val in coeffs.items():
+        for alpha, val in terms.items():
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != n:
                 raise DimError(f"exponent {alpha} has {len(alpha)} entries, "
@@ -73,12 +96,15 @@ class TaylorPoly:
                 raise DomainError(f"non-finite coefficient at {alpha}")
             if val != 0.0:
                 clean[alpha] = clean.get(alpha, 0.0) + val
-        self._coeffs = clean
         items = sorted(clean.items())
-        self._expo = np.array([a for a, _ in items],
-                              dtype=np.intp).reshape(-1, n)
-        self._coef = np.array([v for _, v in items], dtype=float)
-        self._lifted: SymTensor | None = None
+        expo = np.array([a for a, _ in items], dtype=np.intp).reshape(-1, n)
+        coef = np.array([v for _, v in items], dtype=float)
+        counts = np.hstack((p - expo.sum(axis=1, keepdims=True), expo))
+        classes = np.repeat(np.tile(np.arange(n + 1), counts.shape[0]),
+                            counts.ravel()).reshape(-1, p)
+        rank = np.lexsort(classes.T[::-1])
+        self.lifted = SymTensor._from_classes(
+            p, n + 1, classes[rank], (coef * _class_weights(p, counts))[rank])
 
     @classmethod
     def from_cubic(cls, f0: float, g: np.ndarray, h: np.ndarray,
@@ -86,59 +112,51 @@ class TaylorPoly:
         """Degree-3 model f0 + g.s + (1/2) s.H s + (1/6) T[s]^3.
 
         H and T are symmetrized internally, so only their symmetric parts
-        matter.
+        matter. The lift is assembled directly: f0, g/3, H/6 and T/6 in the
+        slots with three, two, one and no homogenizing index.
         """
         g = np.asarray(g, dtype=float)
+        if g.ndim != 1:
+            raise DimError(f"g must be a vector, got shape {g.shape}")
         n = g.shape[0]
+        if n < 1:
+            raise DomainError(f"n must be >= 1, got {n}")
         h = np.asarray(h, dtype=float)
         t = np.asarray(t, dtype=float)
         if h.shape != (n, n) or t.shape != (n, n, n):
             raise DimError(f"blocks must have shapes ({n},), ({n},{n}), "
                            f"({n},{n},{n})")
-        h = 0.5 * (h + h.T)
-        t = sum(np.transpose(t, perm) for perm in
-                ((0, 1, 2), (0, 2, 1), (1, 0, 2),
-                 (1, 2, 0), (2, 0, 1), (2, 1, 0))) / 6.0
-        coeffs: dict[tuple[int, ...], float] = {}
-
-        def bump(alpha: tuple[int, ...], val: float) -> None:
-            if val != 0.0:
-                coeffs[alpha] = coeffs.get(alpha, 0.0) + val
-
-        if f0 != 0.0:
-            bump((0,) * n, float(f0))
-        for i in range(n):
-            e_i = tuple(1 if k == i else 0 for k in range(n))
-            bump(e_i, float(g[i]))
-        for i in range(n):
-            for j in range(i, n):
-                alpha = tuple((2 if k == i else 0) if i == j
-                              else (1 if k in (i, j) else 0)
-                              for k in range(n))
-                val = 0.5 * h[i, i] if i == j else h[i, j]
-                bump(alpha, float(val))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    counts = [0] * n
-                    counts[i] += 1
-                    counts[j] += 1
-                    counts[k] += 1
-                    mult = math.factorial(3) // math.prod(
-                        math.factorial(c) for c in counts if c)
-                    bump(tuple(counts), mult * float(t[i, j, k]) / 6.0)
-        return cls(n, 3, coeffs)
+        _check_shape(3, n + 1)
+        dense = np.empty((n + 1,) * 3)
+        dense[0, 0, 0] = f0
+        dense[0, 0, 1:] = dense[0, 1:, 0] = dense[1:, 0, 0] = g / 3.0
+        dense[0, 1:, 1:] = dense[1:, 0, 1:] = dense[1:, 1:, 0] = \
+            0.5 * (h + h.T) / 6.0
+        t = sum(np.transpose(t, perm) for perm in _PERMS3) / 6.0
+        dense[1:, 1:, 1:] = t / 6.0
+        if not np.isfinite(dense).all():
+            raise DomainError("non-finite entry in the cubic blocks")
+        self = cls.__new__(cls)
+        self.n, self.p = n, 3
+        self.lifted = SymTensor._from_dense(dense)
+        return self
 
     @property
     def coeffs(self) -> Mapping[tuple[int, ...], float]:
-        return dict(self._coeffs)
-
-    @property
-    def lifted(self) -> SymTensor:
-        """The symmetric tensor of :func:`homogenize`, built on first use."""
-        if self._lifted is None:
-            self._lifted = homogenize(self)
-        return self._lifted
+        """The terms read back from the lift: each class value divided by
+        the weight it was stored with. For a model built from terms they
+        may differ from the input by 1 ulp on classes whose multinomial
+        count is 3 or 6. Dividing by the weight, rather than multiplying by
+        the class count, lets a model rebuilt from these terms read back
+        the same ones, so poly_to_dict and load_poly round-trip."""
+        lift = self.lifted
+        classes = lift._canon_idx
+        counts = np.zeros((classes.shape[0], self.n + 1), dtype=np.intp)
+        rows = np.arange(classes.shape[0])
+        for col in classes.T:
+            counts[rows, col] += 1
+        coef = lift._canon_val / _class_weights(self.p, counts)
+        return dict(zip(map(tuple, counts[:, 1:].tolist()), coef.tolist()))
 
     def _lift_point(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -173,30 +191,27 @@ class TaylorPoly:
 
     def __repr__(self) -> str:
         return (f"TaylorPoly(n={self.n}, p={self.p}, "
-                f"terms={len(self._coeffs)})")
+                f"terms={self.lifted._canon_val.size})")
 
 
-def homogenize(poly: TaylorPoly) -> SymTensor:
-    """Symmetric order-p tensor on R^(n+1) whose homogeneous form at
-    (1, s) equals the polynomial at s.
+@lru_cache(maxsize=None)
+def _shift_tensor(p: int, dim: int) -> SymTensor:
+    """Symmetric order-p tensor on R^dim with form y_0 |y|^(p-1) for odd p
+    and |y|^p for even p: on the slice y_0 = 1, |y_tail| = Delta its value
+    is the constant (1 + Delta^2)^((p - 1) / 2) or (1 + Delta^2)^(p / 2).
 
-    Each coefficient is divided by the multinomial count of its lifted
-    index class, with index 1 (file convention) reserved for the
-    homogenizing coordinate. :attr:`TaylorPoly.lifted` keeps the result.
+    For odd p it is the symmetrization of e_0 times the identity tensor of
+    order p - 1.
     """
-    p, n = poly.p, poly.n
-    # Weights divide exact integers: int64 holds 18! and float64 represents
-    # it exactly; larger factorials stay Python ints.
-    fact = np.array([math.factorial(k) for k in range(p + 1)],
-                    dtype=np.int64 if p <= 18 else object)
-    counts = np.hstack((p - poly._expo.sum(axis=1, keepdims=True),
-                        poly._expo))
-    weight = (fact[counts].prod(axis=1) / fact[p]).astype(float)
-    classes = np.repeat(np.tile(np.arange(n + 1), counts.shape[0]),
-                        counts.ravel()).reshape(-1, p)
-    rank = np.lexsort(classes.T[::-1])
-    return SymTensor._from_classes(p, n + 1, classes[rank],
-                                   (poly._coef * weight)[rank])
+    if p % 2 == 0:
+        return identity_tensor(p, dim)
+    rest = identity_tensor(p - 1, dim).dense if p > 1 else np.ones(())
+    dense = np.zeros((dim,) * p)
+    for k in range(p):
+        slot = [slice(None)] * p
+        slot[k] = 0
+        dense[tuple(slot)] += rest
+    return SymTensor._from_dense(dense / p)
 
 
 @dataclass(frozen=True)
@@ -240,8 +255,7 @@ class BoundaryResult:
 
     history holds the model value after each outer round and is
     nonincreasing by construction (a round that would raise it stops the
-    solve instead); value_trace holds the best-block model value after
-    every inner sweep.
+    solve instead).
     """
 
     s: np.ndarray
@@ -251,7 +265,6 @@ class BoundaryResult:
     inner_iters: int
     outer_iters: int
     history: tuple[float, ...]
-    value_trace: tuple[float, ...]
     converged: bool
 
 
@@ -261,86 +274,35 @@ def lagrangian_grad(poly: TaylorPoly, s: np.ndarray,
     return poly.gradient(s) + lam * np.asarray(s, dtype=float)
 
 
-def _alpha_partial(blocks: Sequence[np.ndarray], slot: int) -> np.ndarray:
-    """Partial of the consecutive-pair product of lifted blocks.
+def _boundary_sweeps(stack: np.ndarray, blocks: np.ndarray, delta: float,
+                     config: BoundaryConfig) -> int:
+    """Run PAM sweeps on the (1, p, n + 1) lifted blocks until the
+    surrogate value stalls; returns the sweep count.
 
-    With an odd block count the last block enters only through its leading
-    coordinate, so its own partial lives in that coordinate and drops out
-    after tail projection.
+    stack is the flattened surrogate as a (1, (n + 1)**p) row. Each step
+    moves only the tails, onto the delta-sphere, with the eigen solver's
+    tie and degeneracy rules; the surrogate value after a sweep is the last
+    partial dotted with the last block.
     """
-    d = len(blocks)
-    paired = d - (d % 2)
-    dim = blocks[0].shape[0]
-    if slot >= paired:
-        out = np.zeros(dim)
-        prod = 1.0
-        for q in range(0, paired, 2):
-            prod *= float(np.dot(blocks[q], blocks[q + 1]))
-        out[0] = prod
-        return out
-    out = blocks[slot ^ 1].copy()
-    for q in range(0, paired, 2):
-        if q == (slot & ~1):
-            continue
-        out *= float(np.dot(blocks[q], blocks[q + 1]))
-    if d % 2 == 1:
-        out *= blocks[d - 1][0]
-    return out
-
-
-def _alpha_product(blocks: Sequence[np.ndarray]) -> float:
-    """Consecutive-pair product of lifted blocks; with an odd block count
-    the last block contributes its leading coordinate."""
-    d = len(blocks)
-    paired = d - (d % 2)
-    prod = 1.0
-    for q in range(0, paired, 2):
-        prod *= float(np.dot(blocks[q], blocks[q + 1]))
-    if d % 2 == 1:
-        prod *= blocks[d - 1][0]
-    return prod
-
-
-def _boundary_sweeps(tensor: SymTensor, blocks: list[np.ndarray],
-                     delta: float, config: BoundaryConfig,
-                     trace: list[float]) -> int:
-    """Run PAM sweeps on the lifted blocks until the surrogate value
-    stalls; returns the sweep count."""
-    d = len(blocks)
-    h_prev = (tensor.multilinear_apply(blocks)
-              - config.alpha * _alpha_product(blocks))
+    p = blocks.shape[1]
+    plan = _SweepPlan(stack, blocks)
+    tails = blocks[:, :, 1:]
+    prox = _ProxStep(1, tails.shape[2])
+    prev, damped = np.empty_like(tails), np.empty_like(tails)
+    neg_radius, nw = np.array([[-float(delta)]]), np.empty((1, 1))
+    h_prev = float(_contract(stack[0], list(blocks[0]))[0])
     for k in range(1, config.inner_max_iter + 1):
-        for j in range(d):
-            others = [blocks[i] for i in range(d) if i != j]
-            c = tensor.multilinear_partial(others, j)
-            if config.alpha != 0.0:
-                c = c - config.alpha * _alpha_partial(blocks, j)
-            if not np.all(np.isfinite(c)):
+        np.copyto(prev, tails)
+        np.multiply(config.gamma, prev, out=damped)
+        for j in range(p):
+            c = plan.partial(j)
+            if not np.isfinite(c).all():
                 raise NumericalError("non-finite block direction in "
                                      "boundary sweep")
-            prev_tail = blocks[j][1:]
-            w_tail = c[1:] - config.gamma * prev_tail
-            nw = float(np.linalg.norm(w_tail))
-            if nw < _DEGENERATE_TOL:
-                logger.debug("degenerate tail at slot %d, keeping block", j)
-                continue
-            u = delta / nw * w_tail
-            c_tail = c[1:]
-            obj_lo = (float(np.dot(c_tail, -u))
-                      + 0.5 * config.gamma * float(np.dot(-u - prev_tail,
-                                                          -u - prev_tail)))
-            obj_hi = (float(np.dot(c_tail, u))
-                      + 0.5 * config.gamma * float(np.dot(u - prev_tail,
-                                                          u - prev_tail)))
-            if abs(obj_lo - obj_hi) < _DEGENERATE_TOL:
-                tail = -u if float(np.dot(-u, prev_tail)) >= float(
-                    np.dot(u, prev_tail)) else u
-            else:
-                tail = -u if obj_lo < obj_hi else u
-            blocks[j] = np.concatenate(([1.0], tail))
-        trace.append(min(tensor.apply_full(b) for b in blocks))
-        h = (tensor.multilinear_apply(blocks)
-             - config.alpha * _alpha_product(blocks))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                prox(c[:, 1:], damped[:, j], neg_radius, tails[:, j], nw)
+            prox.fix(neg_radius, prev[:, j], tails[:, j], nw)
+        h = float(np.dot(plan.partial_buffer(p - 1)[0], blocks[0, p - 1]))
         if abs(h - h_prev) < config.inner_eps:
             return k
         h_prev = h
@@ -351,28 +313,29 @@ def solve_boundary(poly: TaylorPoly, delta: float,
                    config: BoundaryConfig | None = None) -> BoundaryResult:
     """Minimize the model on the sphere of radius delta.
 
-    Alternates PAM sweep rounds on poly.lifted, shared by every solve on
-    the model, with multiplier updates until the boundary stationarity
-    residual |grad + lambda s| falls below config.tol. The sweeps minimize
-    the model itself; the multiplier only enters the stopping test, so the
-    outer value history is nonincreasing.
+    Alternates PAM sweep rounds on the surrogate poly.lifted - alpha * S,
+    formed once per call, with multiplier updates until the boundary
+    stationarity residual |grad + lambda s| falls below config.tol. S is
+    constant on the lifted slice, so the sweeps minimize the model itself;
+    the multiplier only enters the stopping test, so the outer value
+    history is nonincreasing.
     """
     if config is None:
         config = BoundaryConfig()
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
-    n = poly.n
+    n, p = poly.n, poly.p
     if config.s0 is not None:
         s = np.asarray(config.s0, dtype=float).copy()
         if s.shape != (n,):
             raise ConfigError(f"s0 has shape {s.shape}, expected ({n},)")
     else:
         s = np.zeros(n)
-    tensor = poly.lifted
-    d = poly.p
+    stack = (poly.lifted.dense - config.alpha
+             * _shift_tensor(p, n + 1).dense).reshape(1, -1)
+    blocks = np.empty((1, p, n + 1))
     lam = 0.0
     history: list[float] = []
-    trace: list[float] = []
     inner_total = 0
     outer = 0
     converged = False
@@ -390,12 +353,11 @@ def solve_boundary(poly: TaylorPoly, delta: float,
         # Each round restarts the sweeps from identical replicated blocks,
         # so a round that stalls with blocks on different critical points
         # gets pulled back together instead of stalling forever.
-        blocks = [np.concatenate(([1.0], s)) for _ in range(d)]
-        inner_total += _boundary_sweeps(tensor, blocks, delta, config, trace)
+        blocks[0] = np.concatenate(([1.0], s))
+        inner_total += _boundary_sweeps(stack, blocks, delta, config)
         outer += 1
-        vals = [tensor.apply_full(b) for b in blocks]
-        j = int(np.argmin(vals))
-        s_new = blocks[j][1:].copy()
+        j = int(np.argmin(poly.lifted.apply_full_many(blocks[0])))
+        s_new = blocks[0, j, 1:].copy()
         new_val = poly.evaluate(s_new)
         if history and new_val > history[-1] + 1e-9 * max(
                 1.0, abs(history[-1])):
@@ -419,8 +381,7 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     return BoundaryResult(s=s, lambda_=lam, value=poly.evaluate(s),
                           grad_lagrangian_norm=gl_norm,
                           inner_iters=inner_total, outer_iters=outer,
-                          history=tuple(history), value_trace=tuple(trace),
-                          converged=converged)
+                          history=tuple(history), converged=converged)
 
 
 def check_second_order(poly: TaylorPoly, s: np.ndarray,
@@ -464,9 +425,7 @@ def random_cubic(n: int, seed: int,
     h = rng.standard_normal((n, n))
     h = b * 0.5 * (h + h.T)
     t = rng.standard_normal((n, n, n))
-    t = c * sum(np.transpose(t, perm) for perm in
-                ((0, 1, 2), (0, 2, 1), (1, 0, 2),
-                 (1, 2, 0), (2, 0, 1), (2, 1, 0))) / 6.0
+    t = c * sum(np.transpose(t, perm) for perm in _PERMS3) / 6.0
     return TaylorPoly.from_cubic(0.0, g, h, t)
 
 

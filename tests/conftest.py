@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 from dataclasses import replace
 
 from specteig import (DenominatorError, DinkelbachResult, Given, NumericalError,
-                      PamConfig, PamResult, SymTensor, TaylorPoly, Uniform,
+                      PamConfig, PamResult, SymTensor, Uniform,
                       ZIdentity, axpy, f_theta, load_tensor)
 from specteig.dinkelbach import MONOTONE_SLACK, _initial_point
 from specteig.pam import DEGENERATE_TOL, _init_blocks
@@ -205,25 +205,27 @@ def reference_dinkelbach_solve(problem, config) -> DinkelbachResult:
                             inner_iters=inner_total, n_solves=solves)
 
 
-def _exponent_arrays(poly: TaylorPoly) -> tuple[np.ndarray, np.ndarray]:
-    items = sorted(poly.coeffs.items())
-    expo = np.array([a for a, _ in items], dtype=np.intp).reshape(-1, poly.n)
+def _exponent_arrays(terms, n: int) -> tuple[np.ndarray, np.ndarray]:
+    items = sorted(terms.items())
+    expo = np.array([a for a, _ in items], dtype=np.intp).reshape(-1, n)
     return expo, np.array([v for _, v in items], dtype=float)
 
 
-def reference_evaluate(poly: TaylorPoly, s: np.ndarray) -> float:
-    """The model at s by its exponent rows: sum of f_alpha prod s^alpha."""
-    expo, coef = _exponent_arrays(poly)
+def reference_evaluate(terms, s: np.ndarray) -> float:
+    """The model with the given {exponent: coefficient} terms at s, by its
+    exponent rows: sum of f_alpha prod s^alpha."""
+    expo, coef = _exponent_arrays(terms, s.shape[0])
     if coef.size == 0:
         return 0.0
     return float(np.dot(coef, np.prod(s[None, :] ** expo, axis=1)))
 
 
-def reference_gradient(poly: TaylorPoly, s: np.ndarray) -> np.ndarray:
+def reference_gradient(terms, s: np.ndarray) -> np.ndarray:
     """The model's gradient by differentiating each exponent row."""
-    expo_all, coef_all = _exponent_arrays(poly)
-    grad = np.zeros(poly.n)
-    for i in range(poly.n):
+    n = s.shape[0]
+    expo_all, coef_all = _exponent_arrays(terms, n)
+    grad = np.zeros(n)
+    for i in range(n):
         rows = expo_all[:, i] > 0
         if not rows.any():
             continue
@@ -234,12 +236,13 @@ def reference_gradient(poly: TaylorPoly, s: np.ndarray) -> np.ndarray:
     return grad
 
 
-def reference_hessian(poly: TaylorPoly, s: np.ndarray) -> np.ndarray:
+def reference_hessian(terms, s: np.ndarray) -> np.ndarray:
     """The model's Hessian by differentiating each exponent row twice."""
-    expo_all, coef_all = _exponent_arrays(poly)
-    hess = np.zeros((poly.n, poly.n))
-    for i in range(poly.n):
-        for j in range(i, poly.n):
+    n = s.shape[0]
+    expo_all, coef_all = _exponent_arrays(terms, n)
+    hess = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
             expo, coef = expo_all.copy(), coef_all.copy()
             for axis in (i, j):
                 rows = expo[:, axis] > 0
@@ -254,21 +257,20 @@ def reference_hessian(poly: TaylorPoly, s: np.ndarray) -> np.ndarray:
     return hess
 
 
-def reference_homogenize(poly: TaylorPoly) -> SymTensor:
-    """The lift built entry by entry: each coefficient times its exact
-    integer factorial product over p!, at its lifted index class, through
-    the validating `SymTensor` constructor."""
-    p = poly.p
+def reference_homogenize(terms, n: int, p: int) -> SymTensor:
+    """The lift of the degree-p terms on R^n built entry by entry: each
+    coefficient times its exact integer factorial product over p!, at its
+    lifted index class, through the validating `SymTensor` constructor."""
     fact_p = math.factorial(p)
     canon: dict[tuple[int, ...], float] = {}
-    for alpha, coeff in poly.coeffs.items():
+    for alpha, coeff in terms.items():
         k = p - sum(alpha)
         idx = (0,) * k + tuple(i + 1 for i, a in enumerate(alpha)
                                for _ in range(a))
         weight = (math.factorial(k)
                   * math.prod(math.factorial(a) for a in alpha)) / fact_p
         canon[idx] = coeff * weight
-    return SymTensor(p, poly.n + 1, canon)
+    return SymTensor(p, n + 1, canon)
 
 
 def _outer_powers(x: np.ndarray, k: int) -> np.ndarray:

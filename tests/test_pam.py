@@ -15,7 +15,7 @@ from specteig import (ArityError, ConfigError, DomainError, Given, PamConfig,
                       SymTensor, Uniform, ZIdentity, axpy, identity_tensor,
                       kl_exponent, pam_solve)
 from specteig.pam import (DIAGONAL_GAP_SLACK, PamRequest, PamStats,
-                          block_update, run_lockstep, write_history_csv)
+                          _ProxStep, run_lockstep, write_history_csv)
 
 from conftest import (dense_multilinear, dense_partial, random_symtensor,
                       reference_pam_solve, to_dense)
@@ -112,6 +112,20 @@ class TestSurrogateValues:
             expect, rel=1e-10, abs=1e-12)
         assert h.apply_full(w) == pytest.approx(expect, rel=1e-10,
                                                 abs=1e-12)
+
+
+def block_update(surrogate, blocks, slot, gamma, radius, prev):
+    """One proximal block step through a one-row `_ProxStep` and its
+    `fix`, with the partial from the kernel's free-slot contraction."""
+    others = [blocks[i] for i in range(len(blocks)) if i != slot]
+    c = surrogate.multilinear_partial(others, slot)[None]
+    prev = np.asarray(prev, dtype=float)[None]
+    neg_radius = np.array([[-float(radius)]])
+    out, nw = np.empty_like(c), np.empty((1, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _ProxStep(*c.shape)(c, gamma * prev, neg_radius, out, nw)
+    _ProxStep.fix(neg_radius, prev, out, nw)
+    return out[0]
 
 
 class TestBlockUpdate:

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specteig import (BoundaryConfig, ConfigError, DimError, DomainError,
-                      TaylorPoly, check_second_order, homogenize,
-                      lagrangian_grad, load_poly, poly_to_dict, random_cubic,
-                      solve_boundary)
-from specteig.errors import ParseError
+                      TaylorPoly, check_second_order, lagrangian_grad,
+                      load_poly, poly_to_dict, random_cubic, solve_boundary)
+from specteig.errors import NumericalError, ParseError
+from specteig.trust_region import _boundary_sweeps, _shift_tensor
 
 from conftest import (fd_gradient, reference_evaluate, reference_gradient,
                       reference_hessian, reference_homogenize)
@@ -88,6 +88,20 @@ class TestTaylorPoly:
         ps = TaylorPoly.from_cubic(0.0, g, h_sym, t)
         assert pa.coeffs == ps.coeffs
 
+    @pytest.mark.parametrize("block", ["f0", "g", "H", "T"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_from_cubic_rejects_non_finite_blocks(self, block, bad):
+        g, h, t = cubic_blocks(2, 3)
+        parts = {"f0": 0.5, "g": g, "H": h, "T": t}
+        if block == "f0":
+            parts[block] = bad
+        else:
+            parts[block] = parts[block].copy()
+            parts[block].flat[1] = bad
+        with pytest.raises(DomainError):
+            TaylorPoly.from_cubic(parts["f0"], parts["g"], parts["H"],
+                                  parts["T"])
+
     def test_validation(self):
         with pytest.raises(DomainError):
             TaylorPoly(0, 2, {})
@@ -106,34 +120,73 @@ class TestTaylorPoly:
             TaylorPoly(2, 2, {}).evaluate_many(np.zeros((2, 3)))
 
 
+def block_sum(f0, g, h, t, s):
+    """f0 + g.s + s.H s / 2 + T[s]^3 / 6 from the blocks themselves."""
+    return (f0 + float(g @ s) + 0.5 * float(s @ h @ s)
+            + float(np.einsum("ijk,i,j,k->", t, s, s, s)) / 6.0)
+
+
+def block_magnitude(f0, g, h, t, s):
+    """The same sum with every block and point entry made nonnegative,
+    which bounds the rounding of either side."""
+    return block_sum(abs(f0), abs(g), abs(h), abs(t), abs(s))
+
+
+def cubic_terms(f0, g, h, t):
+    """The {exponent: coefficient} terms of a cubic model, enumerated one
+    monomial at a time from the symmetric blocks."""
+    n = g.shape[0]
+    terms = {(0,) * n: f0}
+    for k, block in ((1, g), (2, h), (3, t)):
+        for idx in itertools.combinations_with_replacement(range(n), k):
+            alpha = tuple(idx.count(i) for i in range(n))
+            mult = math.factorial(k) // math.prod(
+                math.factorial(a) for a in alpha)
+            terms[alpha] = mult * float(block[idx]) / math.factorial(k)
+    return terms
+
+
 class TestHomogenize:
     def test_quadratic_entry(self):
         p = TaylorPoly(2, 2, {(2, 0): 1.0})
-        t = homogenize(p)
+        t = p.lifted
         assert (t.order, t.dim) == (2, 3)
         assert t.entry(2, 2) == pytest.approx(1.0)
 
     def test_linear_entry_in_cubic(self):
         p = TaylorPoly(2, 3, {(1, 0): 5.0})
-        t = homogenize(p)
+        t = p.lifted
         assert (t.order, t.dim) == (3, 3)
         # the class mixes two lifted coordinates and one variable slot, so
         # the stored entry carries a multinomial weight of one third
         assert t.entry(1, 1, 2) == pytest.approx(5.0 / 3.0)
 
     def test_lifted_form_reproduces_polynomial(self):
-        p = random_cubic(4, 31, scales=(1.0, 1.0, 1.0))
-        t = homogenize(p)
+        g, h, t = cubic_blocks(4, 31)
+        lift = TaylorPoly.from_cubic(0.7, g, h, t).lifted
         rng = np.random.default_rng(3)
         for _ in range(10):
             s = rng.standard_normal(4)
             lifted = np.concatenate(([1.0], s))
-            # evaluate() contracts the lift itself, so compare with the
-            # coefficient sum
-            expect = sum(c * np.prod(s ** np.array(alpha))
-                         for alpha, c in p.coeffs.items())
-            assert t.apply_full(lifted) == pytest.approx(
-                expect, rel=1e-10, abs=1e-12)
+            # the model stores only the lift, so compare with the blocks
+            assert lift.apply_full(lifted) == pytest.approx(
+                block_sum(0.7, g, h, t, s), rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("n,seed", [(1, 5), (3, 6), (6, 7)])
+    def test_from_cubic_lift_matches_blocks_and_terms(self, n, seed):
+        g, h, t = cubic_blocks(n, seed)
+        lift = TaylorPoly.from_cubic(-1.3, g, h, t).lifted
+        ulps = 8 * np.finfo(float).eps
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            s = 2.0 * rng.standard_normal(n)
+            got = lift.apply_full(np.concatenate(([1.0], s)))
+            assert abs(got - block_sum(-1.3, g, h, t, s)) <= (
+                ulps * block_magnitude(-1.3, g, h, t, s))
+        from_terms = TaylorPoly(n, 3, cubic_terms(-1.3, g, h, t)).lifted
+        scale = float(np.abs(from_terms.dense).max())
+        assert float(np.abs(lift.dense - from_terms.dense).max()) <= (
+            ulps * scale)
 
 
 def _model(p, n, density, at_zero, seed):
@@ -150,7 +203,7 @@ def _model(p, n, density, at_zero, seed):
                     alpha[j] += 1
                 coeffs[tuple(alpha)] = float(rng.uniform(-1.0, 1.0))
     s = np.zeros(n) if at_zero else rng.uniform(-2.0, 2.0, n)
-    return TaylorPoly(n, p, coeffs), s
+    return TaylorPoly(n, p, coeffs), coeffs, s
 
 
 MODELS = st.tuples(st.integers(1, 5), st.integers(1, 6),
@@ -160,11 +213,12 @@ MODELS = st.tuples(st.integers(1, 5), st.integers(1, 6),
 
 class TestLiftedEvaluation:
     """The model is evaluated through its lift; the exponent loops and the
-    entry-by-entry lift in conftest are the references."""
+    entry-by-entry lift in conftest, run on the input terms, are the
+    references."""
 
     @staticmethod
-    def _same_lift(poly):
-        got, ref = poly.lifted, reference_homogenize(poly)
+    def _same_lift(poly, terms):
+        got, ref = poly.lifted, reference_homogenize(terms, poly.n, poly.p)
         assert (got.order, got.dim) == (ref.order, ref.dim)
         assert got.dense.tobytes() == ref.dense.tobytes()
         assert list(got.canonical.items()) == list(ref.canonical.items())
@@ -172,33 +226,32 @@ class TestLiftedEvaluation:
     @given(MODELS)
     @settings(max_examples=100, deadline=None)
     def test_lift_is_bit_identical(self, case):
-        poly, _ = _model(*case)
-        self._same_lift(poly)
+        poly, terms, _ = _model(*case)
+        self._same_lift(poly, terms)
         assert poly.lifted is poly.lifted
 
     def test_lift_is_bit_identical_beyond_int64_factorials(self):
         # 21! overflows int64, so the weights need exact integers
-        poly = TaylorPoly(1, 21, {(k,): 1.0 + k for k in range(22)})
-        self._same_lift(poly)
+        terms = {(k,): 1.0 + k for k in range(22)}
+        self._same_lift(TaylorPoly(1, 21, terms), terms)
 
     @given(MODELS)
     @settings(max_examples=100, deadline=None)
     def test_value_gradient_hessian_match_loops(self, case):
-        poly, s = _model(*case)
+        poly, terms, s = _model(*case)
         # the same sums with |coefficients| at |s| bound the rounding
-        mag = TaylorPoly(poly.n, poly.p,
-                         {a: abs(c) for a, c in poly.coeffs.items()})
+        mag = {a: abs(c) for a, c in terms.items()}
         tol = 1e-12
-        assert abs(poly.evaluate(s) - reference_evaluate(poly, s)) <= (
+        assert abs(poly.evaluate(s) - reference_evaluate(terms, s)) <= (
             tol * reference_evaluate(mag, abs(s)))
         rows = np.stack([s, -s, np.ones(poly.n)])
-        expect = [reference_evaluate(poly, r) for r in rows]
+        expect = [reference_evaluate(terms, r) for r in rows]
         bound = [reference_evaluate(mag, abs(r)) for r in rows]
         assert np.all(np.abs(poly.evaluate_many(rows) - expect)
                       <= tol * np.array(bound))
-        assert np.all(np.abs(poly.gradient(s) - reference_gradient(poly, s))
+        assert np.all(np.abs(poly.gradient(s) - reference_gradient(terms, s))
                       <= tol * reference_gradient(mag, abs(s)))
-        assert np.all(np.abs(poly.hessian(s) - reference_hessian(poly, s))
+        assert np.all(np.abs(poly.hessian(s) - reference_hessian(terms, s))
                       <= tol * reference_hessian(mag, abs(s)))
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -209,10 +262,50 @@ class TestLiftedEvaluation:
         assert poly.gradient(np.zeros(n))[0] == -3.0
 
     def test_oversized_lift_raises_config_error(self):
-        # 257**3 entries exceed MAX_DENSE_ENTRIES; raised before allocating
-        poly = TaylorPoly(256, 3, {(1,) + (0,) * 255: 1.0})
+        # 257**3 entries exceed MAX_DENSE_ENTRIES; the lift is built at
+        # construction, which raises before allocating it
         with pytest.raises(ConfigError):
-            poly.evaluate(np.zeros(256))
+            TaylorPoly(256, 3, {(1,) + (0,) * 255: 1.0})
+
+
+class TestBoundaryEngine:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_shift_tensor_form(self, p):
+        dim = 4
+        shift = _shift_tensor(p, dim)
+        for perm in itertools.permutations(range(p)):
+            assert np.array_equal(shift.dense, np.transpose(shift.dense,
+                                                            perm))
+        rng = np.random.default_rng(p)
+        for _ in range(10):
+            y = rng.standard_normal(dim)
+            norm = float(np.linalg.norm(y))
+            want = y[0] * norm ** (p - 1) if p % 2 else norm ** p
+            assert shift.apply_full(y) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("p,n,delta", [(3, 4, 2.0), (4, 3, 0.5),
+                                           (1, 3, 1.5)])
+    def test_every_sweep_keeps_blocks_on_the_slice(self, p, n, delta):
+        poly, _, _ = _model(p, n, 1.0, False, 11)
+        stack = (poly.lifted.dense
+                 - _shift_tensor(p, n + 1).dense).reshape(1, -1)
+        blocks = np.empty((1, p, n + 1))
+        blocks[0] = np.concatenate(([1.0], np.full(n, 0.1)))
+        one_sweep = BoundaryConfig(inner_max_iter=1)
+        for _ in range(30):
+            assert _boundary_sweeps(stack, blocks, delta, one_sweep) == 1
+            assert np.all(blocks[0, :, 0] == 1.0)
+            assert np.all(np.abs(np.linalg.norm(blocks[0, :, 1:], axis=1)
+                                 - delta) <= 1e-12)
+
+    def test_non_finite_direction_raises(self):
+        # finite model, but its partial at |s| = 1e200 overflows
+        poly = TaylorPoly(2, 3, {(3, 0): 1e150, (0, 3): 1e150})
+        stack = poly.lifted.dense.reshape(1, -1)
+        blocks = np.empty((1, 3, 3))
+        blocks[0] = np.array([1.0, 1e200, 0.0])
+        with pytest.raises(NumericalError), np.errstate(over="ignore"):
+            _boundary_sweeps(stack, blocks, 1e200, BoundaryConfig())
 
 
 class TestLagrangianGrad:
@@ -374,6 +467,20 @@ class TestSerialization:
         expect = TaylorPoly.from_cubic(0.5, g, h, t)
         s = np.array([0.2, -0.7, 1.1])
         assert q.evaluate(s) == pytest.approx(expect.evaluate(s), rel=1e-12)
+
+    @pytest.mark.parametrize("block", ["f0", "g", "H", "T"])
+    def test_non_finite_dense_blocks_raise_parse_error(self, block):
+        g, h, t = cubic_blocks(2, 43)
+        doc = {"n": 2, "p": 3, "f0": 0.5, "g": g.tolist(), "H": h.tolist(),
+               "T": t.tolist()}
+        if block == "f0":
+            doc[block] = math.nan
+        else:
+            doc[block] = np.array(doc[block])
+            doc[block].flat[0] = math.inf
+            doc[block] = doc[block].tolist()
+        with pytest.raises(ParseError):
+            load_poly(doc)
 
     def test_parse_errors(self, tmp_path):
         with pytest.raises(ParseError):

@@ -130,10 +130,10 @@ def _build_parser() -> _Parser:
                            help="multistart extremal eigenpair solve")
     p_eig.add_argument("tensor", help="numerator tensor file")
     p_eig.add_argument("--kind", required=True,
-                       choices=["z", "h", "d", "b", "Z", "H", "D", "B"],
+                       choices=["z", "h", "d", "Z", "H", "D"],
                        help="eigenpair kind")
     p_eig.add_argument("--b", dest="b_path",
-                       help="denominator tensor file (kinds d and b)")
+                       help="denominator tensor file (kind d)")
     p_eig.add_argument("--extremum", choices=["min", "max"], default="min")
     p_eig.add_argument("--trials", type=int, default=100)
     p_eig.add_argument("--seed", type=int, default=None)
@@ -178,15 +178,13 @@ def _build_parser() -> _Parser:
                       help="random cubic block scales (default 80,80,80)")
     p_tr.add_argument("--delta", type=float, default=2.0)
     p_tr.add_argument("--delta-sweep", metavar="LO:HI:STEP",
-                      help="solve over a grid of radii instead of one")
+                      help="solve over a grid of radius values instead of "
+                           "one")
     p_tr.add_argument("--gamma", type=float, default=8.0)
     p_tr.add_argument("--alpha", type=float, default=1.0)
     p_tr.add_argument("--tol", type=float, default=1e-5)
     p_tr.add_argument("--max-outer", type=int, default=500)
     p_tr.add_argument("--inner-eps", type=float, default=1e-9)
-    p_tr.add_argument("--lambda-sign", type=float, choices=[-1.0, 1.0],
-                      default=-1.0,
-                      help="multiplier update sign convention (default -1)")
     p_tr.add_argument("--format", choices=["table", "csv", "json"],
                       default="table")
     p_tr.add_argument("--history", metavar="PATH",
@@ -354,8 +352,7 @@ def _cmd_trust_region(args) -> int:
         poly = load_poly(args.poly)
     config = BoundaryConfig(gamma=args.gamma, alpha=args.alpha,
                             tol=args.tol, max_outer=args.max_outer,
-                            inner_eps=args.inner_eps,
-                            lambda_update_sign=args.lambda_sign)
+                            inner_eps=args.inner_eps)
     deltas = _parse_sweep(args.delta_sweep) if args.delta_sweep \
         else [args.delta]
     rows = []

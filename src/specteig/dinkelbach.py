@@ -88,21 +88,21 @@ class FractionalProblem:
 
 @dataclass(frozen=True)
 class DinkelbachConfig:
-    """Outer-loop parameters; inner carries the PAM block-solver settings."""
+    """Outer-loop parameters; inner carries the PAM block-solver settings.
+
+    The run starts from inner.init: the first given block, or a uniform
+    draw from the run's generator.
+    """
 
     inner: PamConfig
     tol: float = 1e-3
     k_max: int = 50
-    x0: np.ndarray | None = None
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.k_max < 1:
             raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
-        if self.inner.radii is not None and any(
-                r != 1.0 for r in self.inner.radii):
-            raise ConfigError("fractional solve requires unit-sphere blocks")
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,13 @@ def f_theta(problem: FractionalProblem, theta: float,
 
 def _initial_point(problem: FractionalProblem, config: DinkelbachConfig,
                    rng: np.random.Generator) -> np.ndarray:
-    if config.x0 is not None:
-        x0 = np.asarray(config.x0, dtype=float)
+    init = config.inner.init
+    if isinstance(init, Given):
+        x0 = np.asarray(init.blocks[0], dtype=float)
         if x0.shape != (problem.dim,):
-            raise ConfigError(f"x0 has shape {x0.shape}, expected "
+            raise ConfigError(f"init block 0 has shape {x0.shape}, expected "
                               f"({problem.dim},)")
-    elif isinstance(config.inner.init, Given):
-        x0 = np.asarray(config.inner.init.blocks[0], dtype=float)
     else:
-        init = config.inner.init
         x0 = rng.uniform(init.lo, init.hi, size=problem.dim)
     nx = float(np.linalg.norm(x0))
     if nx == 0.0:

@@ -47,7 +47,7 @@ __all__ = [
     "report_to_csv",
 ]
 
-KINDS = ("Z", "H", "D", "B")
+KINDS = ("Z", "H", "D")
 EXTREMA = ("min", "max")
 
 #: Components smaller than this are skipped when fixing the sign of a
@@ -76,9 +76,8 @@ class GeneralizedEigenProblem:
             raise ConfigError(
                 f"operator shapes disagree: ({self.a.order},{self.a.dim}) "
                 f"vs ({self.b.order},{self.b.dim})")
-        if self.kind in ("D", "B") and not isinstance(self.b, DenseB):
-            raise ConfigError(f"kind {self.kind} requires a dense "
-                              f"denominator tensor")
+        if self.kind == "D" and not isinstance(self.b, DenseB):
+            raise ConfigError("kind D requires a dense denominator tensor")
 
 
 def build_problem(a: SymTensor, kind: str,
@@ -87,7 +86,7 @@ def build_problem(a: SymTensor, kind: str,
     """Assemble the eigenproblem for a kind tag (case-insensitive).
 
     Z uses the unit-sphere normalizer, H the componentwise-power normalizer;
-    D and B require an explicit dense denominator tensor.
+    D requires an explicit dense denominator tensor.
     """
     kind = str(kind).upper()
     extremum = str(extremum).lower()
@@ -103,7 +102,7 @@ def build_problem(a: SymTensor, kind: str,
         op = HDiagonal(a.order, a.dim)
     else:
         if b is None:
-            raise ConfigError(f"kind {kind} requires a denominator tensor")
+            raise ConfigError("kind D requires a denominator tensor")
         op = b if isinstance(b, DenseB) else DenseB(b)
     return GeneralizedEigenProblem(a=a, b=op, kind=kind, extremum=extremum)
 

@@ -17,13 +17,15 @@ all trials of a multistart run. The pool keeps the blocks of its T seated
 subproblems in one (T, d, n) array and their surrogates as the rows of one
 (T, n**d) stack. One tick runs one sweep of each: every slot's partials
 come from stacked contractions that share the suffix contractions across
-slots as fast CP-ALS does, every row's step from one batched closed form,
-the multilinear value from the last partial dotted with its block, and
-every block's homogeneous value from one gather. Each row rounds exactly
-as it would in a pool of one, so no result depends on what else is seated.
-A subproblem that stops hands its result to the program that asked for it
-(a generator yielding :class:`PamRequest`), whose next request takes the
-slot at once. Warnings are aggregated per run and logged once.
+slots as fast CP-ALS does, every row's step from one batched closed form
+(:class:`_ProxStep`, which the boundary solver of
+:mod:`specteig.trust_region` runs too), the multilinear value from the
+last partial dotted with its block, and every block's homogeneous value
+from one gather. Each row rounds exactly as it would in a pool of one, so
+no result depends on what else is seated. A subproblem that stops hands
+its result to the program that asked for it (a generator yielding
+:class:`PamRequest`), whose next request takes the slot at once. Warnings
+are aggregated per run and logged once.
 """
 
 from __future__ import annotations
@@ -75,14 +77,13 @@ class PamConfig:
 
     alpha=None means: use the Frobenius norm of the operator, recomputed at
     solve time. gammas has one proximal weight per block and fixes the block
-    count d. radii default to unit spheres.
+    count d. Every block lives on the unit sphere.
     """
 
     gammas: tuple[float, ...]
     alpha: float | None = None
     eps: float = 1e-6
     max_iter: int = 10000
-    radii: tuple[float, ...] | None = None
     seed: int = 0
     init: InitSpec = field(default_factory=Uniform)
 
@@ -97,11 +98,6 @@ class PamConfig:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.radii is not None:
-            if len(self.radii) != len(self.gammas):
-                raise ConfigError("radii and gammas must have equal length")
-            if any(r <= 0 for r in self.radii):
-                raise ConfigError(f"radii must be positive, got {self.radii}")
 
 
 @dataclass(frozen=True)
@@ -185,48 +181,50 @@ class PamStats:
 
 
 class _ProxStep:
-    """The proximal block step for t rows at once, with its buffers.
+    """The proximal block step for t rows at once on the sphere of one
+    radius r, with its buffers; the block step of both solvers.
 
-    Row i minimizes <c[i], x> + (gamma_i/2)|x - prev[i]|^2 on the sphere of
-    radius r_i, c[i] the surrogate's partial at the block's slot. On that
-    sphere the objective is <w, x> plus a constant, w = c[i] - gamma_i *
-    prev[i], so the minimizer is -r_i * w / |w|; :meth:`fix` applies the
-    rules for the rows where that formula does not decide.
+    Row i minimizes <c[i], x> + (gamma_i/2)|x - prev[i]|^2 on the sphere,
+    c[i] the surrogate's partial at the block's slot. On the sphere the
+    objective is <w, x> plus a constant, w = c[i] - gamma_i * prev[i], so
+    the minimizer is -r * w / |w|. Two rules decide the rows where that
+    formula does not: a degenerate w (norm below DEGENERATE_TOL) keeps
+    prev, and when the candidates +-r * w / |w| differ in objective (by
+    2 r |w|) by less than DEGENERATE_TOL, the one nearer prev wins. Both
+    apply only below guard = 2 DEGENERATE_TOL max(1, 0.5 / r), so a step
+    whose smallest |w| clears it (NaN rows aside) skips them.
     """
 
-    __slots__ = ("w", "w_rows", "w_cols", "nw2", "nw2_col", "scale")
+    __slots__ = ("w", "w_rows", "w_cols", "nw2", "nw2_col", "scale",
+                 "radius", "guard")
 
-    def __init__(self, t: int, n: int):
+    def __init__(self, t: int, n: int, radius: float):
         self.w = np.empty((t, n))
         # a (1, n) @ (n, 1) product per row sums |w|^2 as np.dot does
         self.w_rows, self.w_cols = self.w[:, None, :], self.w[:, :, None]
         self.nw2 = np.empty((t, 1, 1))
         self.nw2_col = self.nw2.reshape(t, 1)
         self.scale = np.empty((t, 1))
+        self.radius = float(radius)
+        self.guard = 2.0 * DEGENERATE_TOL * max(1.0, 0.5 / self.radius)
 
-    def __call__(self, c: np.ndarray, damped: np.ndarray,
-                 neg_radii: np.ndarray, out: np.ndarray,
-                 nw: np.ndarray) -> None:
-        """Write -r_i * w / |w| into out and |w| into nw, given the rows
-        gamma_i * prev[i] in damped; neg_radii (the -r_i) and nw are (t, 1)
-        columns."""
+    def __call__(self, c: np.ndarray, damped: np.ndarray, prev: np.ndarray,
+                 out: np.ndarray, nw: np.ndarray) -> None:
+        """Write every row's step into out and |w| into nw, given the
+        blocks before the step in prev and the rows gamma_i * prev[i] in
+        damped; nw is a (t, 1) column."""
         w = self.w
         np.subtract(c, damped, out=w)
         np.matmul(self.w_rows, self.w_cols, out=self.nw2)
         np.sqrt(self.nw2_col, out=nw)
-        np.divide(neg_radii, nw, out=self.scale)
+        np.divide(-self.radius, nw, out=self.scale)
         np.multiply(self.scale, w, out=out)
-
-    @staticmethod
-    def fix(neg_radii: np.ndarray, prev: np.ndarray, out: np.ndarray,
-            nw: np.ndarray) -> None:
-        """The rules for the rows the formula does not decide: a degenerate
-        w (norm below DEGENERATE_TOL) keeps prev, and when the candidates
-        +-r_i * w / |w| differ in objective (by 2 r_i |w|) by less than
-        DEGENERATE_TOL, the one nearer prev wins."""
+        # fmin skips NaN rows, so one cannot hide a tied row beside it
+        if not np.fmin.reduce(nw, axis=None) < self.guard:
+            return
         nw = nw[:, 0]
         degenerate = nw < DEGENERATE_TOL
-        tie = 2.0 * -neg_radii[:, 0] * nw < DEGENERATE_TOL
+        tie = 2.0 * self.radius * nw < DEGENERATE_TOL
         if degenerate.any() or tie.any():
             u = -out
             aligned = (u[:, None, :] @ prev[:, :, None]).reshape(-1) > 0.0
@@ -236,8 +234,9 @@ class _ProxStep:
 
 
 def _init_blocks(config: PamConfig, dim: int, d: int,
-                 radii: Sequence[float],
                  rng: np.random.Generator) -> np.ndarray:
+    """(d, dim) unit starting blocks: config.init's given vectors or
+    uniform draws, each scaled by 1.0 / |b| (b / |b| rounds differently)."""
     blocks = np.empty((d, dim))
     if isinstance(config.init, Given):
         given = config.init.blocks
@@ -251,7 +250,7 @@ def _init_blocks(config: PamConfig, dim: int, d: int,
             nb = float(np.linalg.norm(b))
             if nb < DEGENERATE_TOL:
                 raise ConfigError(f"init block {j} is numerically zero")
-            blocks[j] = radii[j] / nb * b
+            blocks[j] = 1.0 / nb * b
         return blocks
     for j in range(d):
         while True:
@@ -259,7 +258,7 @@ def _init_blocks(config: PamConfig, dim: int, d: int,
             nb = float(np.linalg.norm(b))
             if nb >= DEGENERATE_TOL:
                 break
-        blocks[j] = radii[j] / nb * b
+        blocks[j] = 1.0 / nb * b
     return blocks
 
 
@@ -292,13 +291,12 @@ class _Frame:
         self.t = t
         self.blocks, self.prev = pool.blocks[:t], pool.prev[:t]
         self.plan = _SweepPlan(pool.stack[:t], self.blocks)
-        self.prox = _ProxStep(t, n)
+        self.prox = _ProxStep(t, n, 1.0)
         self.nw = np.empty((t, d))
         # gamma_j times the previous blocks, for every slot at once
         self.gammas3 = pool.gammas[:t, :, None]
         self.damped = np.empty((t, d, n))
-        self.slots = [(self.damped[:, j], pool.neg_radii[:t, j, None],
-                       self.prev[:, j], self.blocks[:, j],
+        self.slots = [(self.damped[:, j], self.prev[:, j], self.blocks[:, j],
                        self.nw[:, j, None]) for j in range(d)]
         # rows h_t, h_v and step norm of the last tick
         self.rec = np.empty((3, t))
@@ -324,9 +322,8 @@ class _Pool:
 
     Seated subproblems occupy slots 0..T-1 of the pool arrays: stack row t
     is the flattened surrogate of slot t, blocks[t] its (d, n) blocks, and
-    gammas, neg_radii (the negated sphere radii) and weights (the
-    canonical weights of surrogates that share the pool's index classes)
-    are per-slot rows too.
+    gammas and weights (the canonical weights of surrogates that share the
+    pool's index classes) are per-slot rows too.
     """
 
     def __init__(self, programs: Sequence[Generator], stats: PamStats):
@@ -338,7 +335,6 @@ class _Pool:
         self.members: list[_Member | None] = []
         self.capacity = 0
         self.frame: _Frame | None = None
-        self.min_radius = math.inf
 
     def run(self) -> tuple[list, list[int]]:
         while self.queue and (not self.capacity
@@ -381,11 +377,9 @@ class _Pool:
         fro = a_theta.frobenius_norm()
         alpha = config.alpha if config.alpha is not None else fro
         surrogate = axpy(a_theta, ZIdentity(d, dim), alpha)
-        radii = tuple(config.radii) if config.radii is not None \
-            else (1.0,) * d
         rng = request.rng if request.rng is not None \
             else np.random.default_rng(config.seed)
-        blocks = _init_blocks(config, dim, d, radii, rng)
+        blocks = _init_blocks(config, dim, d, rng)
         value = float(np.min(surrogate.apply_full_many(blocks)))
         if not self.capacity:
             self._allocate(d, dim, surrogate._canon_idx)
@@ -395,9 +389,6 @@ class _Pool:
         self.stack[slot] = surrogate.dense.reshape(-1)
         self.blocks[slot] = blocks
         self.gammas[slot] = config.gammas
-        self.neg_radii[slot] = radii
-        np.negative(self.neg_radii[slot], out=self.neg_radii[slot])
-        self.min_radius = min(self.min_radius, min(radii))
         if shared:
             self.weights[slot] = surrogate._canon_weight
         member = _Member(p, surrogate, shared, config, value)
@@ -420,7 +411,6 @@ class _Pool:
         self.blocks = np.empty((cap, d, dim))
         self.prev = np.empty((cap, d, dim))
         self.gammas = np.empty((cap, d))
-        self.neg_radii = np.empty((cap, d))
         self.classes = classes
         self.weights = np.empty((cap, classes.shape[0]))
         # entry (i, k, j) picks component classes[k, i] of block j: the
@@ -443,12 +433,8 @@ class _Pool:
         np.copyto(f.prev, f.blocks)
         np.multiply(f.gammas3, f.prev, out=f.damped)
         with np.errstate(divide="ignore", invalid="ignore"):
-            self._sweep(f, exact=False)
-            # rows the formula may not decide: redo the sweep by the rules
-            guard = 2.0 * DEGENERATE_TOL * max(1.0, 0.5 / self.min_radius)
-            if np.fmin.reduce(f.nw, axis=None) < guard:
-                np.copyto(f.blocks, f.prev)
-                self._sweep(f, exact=True)
+            for j, (damped, prev, out, nw) in enumerate(f.slots):
+                f.prox(f.plan.partial(j), damped, prev, out, nw)
         np.matmul(f.c_last_rows, f.b_last_cols, out=f.ht3)
         np.subtract(f.blocks, f.prev, out=f.diff3)
         np.matmul(f.diff_rows, f.diff_cols, out=f.step3)
@@ -481,13 +467,6 @@ class _Pool:
             self._advance(slot, m.program, result, error)
         if done:
             self._refill()
-
-    @staticmethod
-    def _sweep(f: _Frame, exact: bool) -> None:
-        for j, (damped, neg_radii, prev, out, nw) in enumerate(f.slots):
-            f.prox(f.plan.partial(j), damped, neg_radii, out, nw)
-            if exact:
-                f.prox.fix(neg_radii, prev, out, nw)
 
     def _block_values(self, f: _Frame) -> np.ndarray:
         """(t, d) homogeneous surrogate values of every block, from one
@@ -530,7 +509,7 @@ class _Pool:
         for new, old in enumerate(live):
             if new != old:
                 for arr in (self.stack, self.blocks, self.gammas,
-                            self.neg_radii, self.weights):
+                            self.weights):
                     arr[new] = arr[old]
                 members[new] = members[old]
         del members[len(live):]

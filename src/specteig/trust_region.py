@@ -31,7 +31,7 @@ from scipy.linalg import null_space
 
 from .errors import (ConfigError, DimError, DomainError, NumericalError,
                      ParseError)
-from .pam import _ProxStep
+from .pam import DEGENERATE_TOL, _ProxStep
 from .tensor_core import (SymTensor, _check_shape, _contract, _SweepPlan,
                           identity_tensor)
 
@@ -218,9 +218,10 @@ def _shift_tensor(p: int, dim: int) -> SymTensor:
 class BoundaryConfig:
     """Parameters of the boundary solver.
 
-    lambda_update_sign selects the multiplier update
-    lambda = sign * (s . grad) / Delta^2; the default -1 matches the
-    stationarity condition grad + lambda s = 0 being driven to zero.
+    gamma is the proximal weight of every block step, alpha the weight of
+    the shift tensor S, tol the stationarity tolerance, inner_eps and
+    inner_max_iter stop each round of sweeps, and s0 (default the origin)
+    starts the first round.
     """
 
     gamma: float = 8.0
@@ -229,7 +230,6 @@ class BoundaryConfig:
     max_outer: int = 500
     inner_eps: float = 1e-9
     inner_max_iter: int = 10000
-    lambda_update_sign: float = -1.0
     s0: np.ndarray | None = None
 
     def __post_init__(self):
@@ -244,9 +244,6 @@ class BoundaryConfig:
                               f"got {self.inner_eps}")
         if self.max_outer < 1 or self.inner_max_iter < 1:
             raise ConfigError("iteration limits must be >= 1")
-        if self.lambda_update_sign not in (-1.0, 1.0):
-            raise ConfigError(f"lambda_update_sign must be -1 or +1, "
-                              f"got {self.lambda_update_sign}")
 
 
 @dataclass(frozen=True)
@@ -279,17 +276,18 @@ def _boundary_sweeps(stack: np.ndarray, blocks: np.ndarray, delta: float,
     """Run PAM sweeps on the (1, p, n + 1) lifted blocks until the
     surrogate value stalls; returns the sweep count.
 
-    stack is the flattened surrogate as a (1, (n + 1)**p) row. Each step
-    moves only the tails, onto the delta-sphere, with the eigen solver's
-    tie and degeneracy rules; the surrogate value after a sweep is the last
-    partial dotted with the last block.
+    stack is the flattened surrogate as a (1, (n + 1)**p) row. Each step is
+    the eigen solver's block step, :class:`~specteig.pam._ProxStep` on the
+    delta-sphere with its tie and degeneracy rules, applied to the tails
+    only; the surrogate value after a sweep is the last partial dotted with
+    the last block.
     """
     p = blocks.shape[1]
     plan = _SweepPlan(stack, blocks)
     tails = blocks[:, :, 1:]
-    prox = _ProxStep(1, tails.shape[2])
+    prox = _ProxStep(1, tails.shape[2], delta)
     prev, damped = np.empty_like(tails), np.empty_like(tails)
-    neg_radius, nw = np.array([[-float(delta)]]), np.empty((1, 1))
+    nw = np.empty((1, 1))
     h_prev = float(_contract(stack[0], list(blocks[0]))[0])
     for k in range(1, config.inner_max_iter + 1):
         np.copyto(prev, tails)
@@ -300,8 +298,7 @@ def _boundary_sweeps(stack: np.ndarray, blocks: np.ndarray, delta: float,
                 raise NumericalError("non-finite block direction in "
                                      "boundary sweep")
             with np.errstate(divide="ignore", invalid="ignore"):
-                prox(c[:, 1:], damped[:, j], neg_radius, tails[:, j], nw)
-            prox.fix(neg_radius, prev[:, j], tails[:, j], nw)
+                prox(c[:, 1:], damped[:, j], prev[:, j], tails[:, j], nw)
         h = float(np.dot(plan.partial_buffer(p - 1)[0], blocks[0, p - 1]))
         if abs(h - h_prev) < config.inner_eps:
             return k
@@ -314,11 +311,15 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     """Minimize the model on the sphere of radius delta.
 
     Alternates PAM sweep rounds on the surrogate poly.lifted - alpha * S,
-    formed once per call, with multiplier updates until the boundary
-    stationarity residual |grad + lambda s| falls below config.tol. S is
-    constant on the lifted slice, so the sweeps minimize the model itself;
-    the multiplier only enters the stopping test, so the outer value
-    history is nonincreasing.
+    formed once per call, with multiplier updates
+    lambda = -(s . grad) / delta^2 until the boundary stationarity residual
+    |grad + lambda s| falls below config.tol. S is constant on the lifted
+    slice, so the sweeps minimize the model itself; the multiplier only
+    enters the stopping test, so the outer value history is nonincreasing.
+    A start off the sphere whose first step direction is degenerate (the
+    origin of a model with zero gradient) would stay where it is, so the
+    first round starts instead from delta times the eigenvector of the
+    smallest eigenvalue of the model Hessian at the start.
     """
     if config is None:
         config = BoundaryConfig()
@@ -333,16 +334,22 @@ def solve_boundary(poly: TaylorPoly, delta: float,
         s = np.zeros(n)
     stack = (poly.lifted.dense - config.alpha
              * _shift_tensor(p, n + 1).dense).reshape(1, -1)
+
+    def on_boundary(vec: np.ndarray) -> bool:
+        return abs(float(np.linalg.norm(vec)) - delta) <= 1e-10 * max(
+            1.0, delta)
+
+    if not on_boundary(s):
+        y = np.concatenate(([1.0], s))
+        w = _contract(stack[0], [y] * (p - 1))[1:] - config.gamma * s
+        if float(np.linalg.norm(w)) < DEGENERATE_TOL:
+            s = delta * np.linalg.eigh(poly.hessian(s))[1][:, 0]
     blocks = np.empty((1, p, n + 1))
     lam = 0.0
     history: list[float] = []
     inner_total = 0
     outer = 0
     converged = False
-
-    def on_boundary(vec: np.ndarray) -> bool:
-        return abs(float(np.linalg.norm(vec)) - delta) <= 1e-10 * max(
-            1.0, delta)
 
     while outer < config.max_outer:
         # grad is the model gradient at s, kept from the last lambda update
@@ -370,7 +377,7 @@ def solve_boundary(poly: TaylorPoly, delta: float,
             break
         s = s_new
         grad = poly.gradient(s)
-        lam = config.lambda_update_sign * float(np.dot(s, grad)) / delta ** 2
+        lam = -float(np.dot(s, grad)) / delta ** 2
         history.append(new_val)
     gl_norm = float(np.linalg.norm(grad + lam * s))
     if not converged and on_boundary(s) and gl_norm < config.tol:

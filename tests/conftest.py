@@ -103,11 +103,9 @@ def reference_pam_solve(a_theta, config: PamConfig, rng=None) -> PamResult:
     alpha = config.alpha if config.alpha is not None \
         else a_theta.frobenius_norm()
     surrogate = axpy(a_theta, ZIdentity(d, a_theta.dim), alpha)
-    radii = tuple(config.radii) if config.radii is not None else (1.0,) * d
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    blocks = [b.copy() for b in
-              _init_blocks(config, a_theta.dim, d, radii, rng)]
+    blocks = [b.copy() for b in _init_blocks(config, a_theta.dim, d, rng)]
     block_vals = [surrogate.apply_full(b) for b in blocks]
     j0 = int(np.argmin(block_vals))
     v, value = blocks[j0].copy(), block_vals[j0]
@@ -117,7 +115,7 @@ def reference_pam_solve(a_theta, config: PamConfig, rng=None) -> PamResult:
         prev = [b.copy() for b in blocks]
         for j in range(d):
             blocks[j] = reference_block_update(surrogate, blocks, j,
-                                               config.gammas[j], radii[j],
+                                               config.gammas[j], 1.0,
                                                blocks[j])
         h_t = surrogate.multilinear_apply(blocks)
         step = math.sqrt(sum(float(np.dot(b - p, b - p))

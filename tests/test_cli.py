@@ -54,6 +54,18 @@ class TestParserErrors:
             main(["eigen", matrix_file, "--kind", "q"])
         assert exc.value.code == 1
 
+    def test_kind_b_rejected(self, matrix_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["eigen", matrix_file, "--kind", "b", "--b", matrix_file])
+        assert exc.value.code == 1
+
+    def test_lambda_sign_rejected(self):
+        # the multiplier update has one sign, the one whose stationarity
+        # residual vanishes at a KKT point
+        with pytest.raises(SystemExit) as exc:
+            main(["trust-region", "--random", "3", "--lambda-sign", "1"])
+        assert exc.value.code == 1
+
 
 class TestEigenCommand:
     def test_json_output(self, matrix_file, capsys):
@@ -224,14 +236,10 @@ class TestTrustRegionCommand:
         assert lines[0] == "iter,value"
         assert len(lines) >= 2
 
-    def test_unreachable_boundary_exit_code(self, tmp_path, capsys):
-        # no gradient: the sweeps never leave the origin
-        doc = {"n": 2, "p": 3, "g": [0.0, 0.0],
-               "H": [[2.0, 0.0], [0.0, 3.0]],
-               "T": [[[0.0] * 2] * 2] * 2}
-        path = tmp_path / "quad.json"
-        path.write_text(json.dumps(doc))
-        assert main(["trust-region", str(path), "--max-outer", "5"]) == 2
+    def test_unreachable_boundary_exit_code(self, capsys):
+        # no stationarity residual in floating point reaches 1e-300 here
+        assert main(["trust-region", "--random", "3", "--seed", "8",
+                     "--tol", "1e-300", "--max-outer", "5"]) == 2
 
 
 class TestVerifyCommand:

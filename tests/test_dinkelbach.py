@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from specteig import (ArityError, ConfigError, DenominatorError, DimError,
-                      DinkelbachConfig, FractionalProblem, PamConfig,
-                      SymTensor, Uniform, ZIdentity, dinkelbach_solve,
-                      identity_tensor)
+                      DinkelbachConfig, FractionalProblem, Given,
+                      PamConfig, SymTensor, Uniform, ZIdentity,
+                      dinkelbach_solve, identity_tensor)
 from specteig.dinkelbach import f_theta, write_trace_csv
 
 
@@ -66,14 +66,13 @@ class TestConfigValidation:
             DinkelbachConfig(inner=inner, tol=0.0)
         with pytest.raises(ConfigError):
             DinkelbachConfig(inner=inner, k_max=0)
-        with pytest.raises(ConfigError):
-            DinkelbachConfig(
-                inner=PamConfig(gammas=(1.0, 1.0), radii=(2.0, 2.0)))
 
     def test_x0_shape_checked(self):
+        # the initial point is the first given block
         p = FractionalProblem(matrix_tensor([3.0, 1.0]), ZIdentity(2, 2))
-        config = DinkelbachConfig(inner=PamConfig(gammas=(1.0, 1.0)),
-                                  x0=np.ones(3))
+        init = Given((np.ones(3), np.ones(3)))
+        config = DinkelbachConfig(inner=PamConfig(gammas=(1.0, 1.0),
+                                                  init=init))
         with pytest.raises(ConfigError):
             dinkelbach_solve(p, config)
 
@@ -130,10 +129,9 @@ class TestSolve:
     def test_x0_override_seeds_theta(self):
         diag = [3.0, 1.0]
         p = FractionalProblem(matrix_tensor(diag), ZIdentity(2, 2))
-        inner = PamConfig(gammas=(1.0, 1.0), eps=1e-9)
-        res = dinkelbach_solve(
-            p, DinkelbachConfig(inner=inner, tol=1e-6,
-                                x0=np.array([0.0, 1.0])))
+        x0 = np.array([0.0, 1.0])
+        inner = PamConfig(gammas=(1.0, 1.0), eps=1e-9, init=Given((x0, x0)))
+        res = dinkelbach_solve(p, DinkelbachConfig(inner=inner, tol=1e-6))
         # starting at the minimizer, theta starts (and stays) at 1
         assert res.converged
         assert res.theta == pytest.approx(1.0, abs=1e-6)

@@ -115,16 +115,15 @@ class TestSurrogateValues:
 
 
 def block_update(surrogate, blocks, slot, gamma, radius, prev):
-    """One proximal block step through a one-row `_ProxStep` and its
-    `fix`, with the partial from the kernel's free-slot contraction."""
+    """One proximal block step through a one-row `_ProxStep` on the sphere
+    of the given radius, with the partial from the kernel's free-slot
+    contraction."""
     others = [blocks[i] for i in range(len(blocks)) if i != slot]
     c = surrogate.multilinear_partial(others, slot)[None]
     prev = np.asarray(prev, dtype=float)[None]
-    neg_radius = np.array([[-float(radius)]])
     out, nw = np.empty_like(c), np.empty((1, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        _ProxStep(*c.shape)(c, gamma * prev, neg_radius, out, nw)
-    _ProxStep.fix(neg_radius, prev, out, nw)
+        _ProxStep(*c.shape, radius)(c, gamma * prev, prev, out, nw)
     return out[0]
 
 
@@ -384,10 +383,6 @@ class TestConfigValidation:
             PamConfig(gammas=(1.0,), eps=0.0)
         with pytest.raises(ConfigError):
             PamConfig(gammas=(1.0,), max_iter=0)
-        with pytest.raises(ConfigError):
-            PamConfig(gammas=(1.0, 1.0), radii=(1.0,))
-        with pytest.raises(ConfigError):
-            PamConfig(gammas=(1.0, 1.0), radii=(1.0, 0.0))
 
 
 class TestHistoryCsv:

@@ -343,14 +343,32 @@ class TestSolveBoundary:
         assert ok
         assert min_eig == pytest.approx(4.0, abs=1e-5)
 
-    def test_zero_init_quadratic_reports_failure(self):
-        # with no gradient the origin is a fixed point of the sweeps, so
-        # the solver cannot reach the boundary and must say so
+    def test_zero_gradient_quadratic_starts_on_sphere(self):
+        # with no gradient every step direction at the origin vanishes, so
+        # the solve starts from the Hessian's lowest eigenvector instead:
+        # the minimizer +-e_1 with multiplier -2
         h = np.diag([2.0, 3.0])
         p = TaylorPoly.from_cubic(0.0, np.zeros(2), h, np.zeros((2, 2, 2)))
         res = solve_boundary(p, 1.0, BoundaryConfig(max_outer=20))
-        assert not res.converged
-        assert np.linalg.norm(res.s) < 1e-12
+        assert res.converged
+        assert np.allclose(np.abs(res.s), [1.0, 0.0], atol=1e-12)
+        assert res.lambda_ == pytest.approx(-2.0, abs=1e-12)
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+        min_eig, ok = check_second_order(p, res.s, res.lambda_)
+        assert ok
+        assert min_eig == pytest.approx(1.0, abs=1e-10)
+
+    def test_zero_gradient_cubic_is_certified(self):
+        # a stationary point of a seeded cubic: the step must reach the
+        # sphere and pass both the first- and second-order checks
+        p = random_cubic(3, 0, (0.0, 80.0, 80.0))
+        assert not p.gradient(np.zeros(3)).any()
+        res = solve_boundary(p, 2.0)
+        assert res.converged
+        assert abs(np.linalg.norm(res.s) - 2.0) <= 1e-9
+        assert res.grad_lagrangian_norm <= 1e-5
+        _, ok = check_second_order(p, res.s, res.lambda_)
+        assert ok
 
     def test_delta_validated(self):
         p = random_cubic(3, 1)
@@ -369,15 +387,6 @@ class TestSolveBoundary:
             BoundaryConfig(gamma=-1.0)
         with pytest.raises(ConfigError):
             BoundaryConfig(tol=0.0)
-        with pytest.raises(ConfigError):
-            BoundaryConfig(lambda_update_sign=0.5)
-
-    def test_plus_sign_variant_runs(self):
-        p = random_cubic(3, 2)
-        config = BoundaryConfig(lambda_update_sign=1.0, max_outer=10)
-        res = solve_boundary(p, 2.0, config)
-        assert math.isfinite(res.lambda_)
-        assert math.isfinite(res.value)
 
     @pytest.mark.parametrize("seed,n", [(1000, 3), (1002, 5)])
     def test_cubic_battery_member(self, seed, n):

@@ -412,13 +412,13 @@ class _Pool:
         self.prev = np.empty((cap, d, dim))
         self.gammas = np.empty((cap, d))
         self.classes = classes
-        self.weights = np.empty((cap, classes.shape[0]))
-        # entry (i, k, j) picks component classes[k, i] of block j: the
-        # product over i runs over a leading axis, in the order np.prod
-        # takes along the last one, and leaves each slot's (classes, d)
-        # products in the column-major layout SymTensor.apply_full_many
-        # hands to its matrix-vector product
-        self.gather_idx = (classes.T[:, :, None]
+        self.weights = np.empty((cap, classes.shape[1]))
+        # entry (i, k, j) picks component classes[i, k] of block j: the
+        # product over i runs over a leading axis, slot 0 first, as in
+        # SymTensor.apply_full_many, and leaves each slot's (classes, d)
+        # products in the column-major layout apply_full_many hands to its
+        # matrix-vector product
+        self.gather_idx = (classes[:, :, None]
                            + np.arange(d)[None, None, :] * dim)
 
     def _tick(self) -> None:

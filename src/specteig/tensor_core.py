@@ -11,7 +11,9 @@ products stacked over a (T, n**m) array of such tensors, in the same order
 for every row, so a row rounds exactly as the kernel does on its own
 tensor. The canonical classes and their permutation counts are kept beside
 the array only for the homogeneous form and the Frobenius norm, which cost
-C(n+m-1, m) terms that way instead of n**m.
+C(n+m-1, m) terms that way instead of n**m. The classes are an (m, C)
+table, so the form's products run over a leading axis; wrapping a dense
+array reads them from one cached table per shape.
 
 Dense storage bounds the size: a shape with more than
 :data:`MAX_DENSE_ENTRIES` entries raises :class:`ConfigError` before
@@ -149,33 +151,38 @@ class _SweepPlan:
 
 
 def _multiplicities(classes: np.ndarray) -> np.ndarray:
-    """Number of distinct permutations of each sorted index row."""
-    run = np.ones(classes.shape[0])
-    repeats = np.ones(classes.shape[0])
-    for j in range(1, classes.shape[1]):
-        run = np.where(classes[:, j] == classes[:, j - 1], run + 1.0, 1.0)
+    """Permutation count of each sorted index column of an (m, C) table."""
+    run = np.ones(classes.shape[1])
+    repeats = np.ones(classes.shape[1])
+    for j in range(1, classes.shape[0]):
+        run = np.where(classes[j] == classes[j - 1], run + 1.0, 1.0)
         repeats *= run
-    return math.factorial(classes.shape[1]) / repeats
+    return math.factorial(classes.shape[0]) / repeats
 
 
 @lru_cache(maxsize=None)
-def _all_classes(order: int, dim: int) -> np.ndarray:
-    """Every nondecreasing index row of the shape, in lexicographic order."""
-    rows = np.array(list(combinations_with_replacement(range(dim), order)),
-                    dtype=np.intp).reshape(-1, order)
-    rows.flags.writeable = False
-    return rows
+def _class_table(order: int, dim: int) -> tuple[np.ndarray, ...]:
+    """The shape's nondecreasing index tuples, in lexicographic order, as
+    the columns of an (order, C) table; their flat positions; their
+    permutation counts."""
+    classes = np.array(list(combinations_with_replacement(range(dim), order)),
+                       dtype=np.intp).reshape(-1, order).T.copy()
+    table = (classes, np.ravel_multi_index(tuple(classes), (dim,) * order),
+             _multiplicities(classes))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def _expand(order: int, dim: int, classes: np.ndarray,
             values: np.ndarray) -> np.ndarray:
     """Dense array holding each class value at every permutation of its
-    index row: each entry reads the value at its sorted index."""
+    index column: each entry reads the value at its sorted index."""
     shape = (dim,) * order
     out = np.zeros(shape)
-    if classes.shape[0] == 0:
+    if classes.shape[1] == 0:
         return out
-    keys = np.ravel_multi_index(tuple(classes.T), shape)
+    keys = np.ravel_multi_index(tuple(classes), shape)
     order_keys = np.argsort(keys)
     keys, values = keys[order_keys], values[order_keys]
     flat = out.reshape(-1)
@@ -219,9 +226,9 @@ class SymTensor:
                 raise NumericalError(f"non-finite entry at index {idx}")
             canon[idx] = val
         keys = sorted(canon)
-        classes = np.array(keys, dtype=np.intp).reshape(-1, order)
+        classes = np.array(keys, dtype=np.intp).reshape(-1, order).T
         values = np.array([canon[k] for k in keys], dtype=float)
-        self._set(_expand(order, dim, classes, values), classes)
+        self._set(_expand(order, dim, classes, values), classes, values)
 
     @classmethod
     def from_entries(cls, order: int, dim: int,
@@ -254,30 +261,34 @@ class SymTensor:
     def _from_dense(cls, dense: np.ndarray) -> "SymTensor":
         """Wrap a symmetric dense array; its nonzero classes become the
         canonical entries."""
-        classes = _all_classes(dense.ndim, dense.shape[0])
+        classes, flat, counts = _class_table(dense.ndim, dense.shape[0])
+        values = dense.take(flat)
+        nonzero = values != 0.0
         self = cls.__new__(cls)
-        self._set(dense, classes[dense[tuple(classes.T)] != 0.0])
+        self._set(dense, classes[:, nonzero], values[nonzero], counts[nonzero])
         return self
 
     @classmethod
     def _from_classes(cls, order: int, dim: int, classes: np.ndarray,
                       values: np.ndarray) -> "SymTensor":
-        """Build from distinct sorted index rows, in lexicographic order,
-        and their finite values, skipping the per-entry checks of
-        :meth:`__init__`."""
+        """Build from the distinct sorted index columns of an (order, C)
+        table, in lexicographic order, and their finite values, skipping
+        the per-entry checks of :meth:`__init__`."""
         _check_shape(order, dim)
         self = cls.__new__(cls)
-        self._set(_expand(order, dim, classes, values), classes)
+        self._set(_expand(order, dim, classes, values), classes, values)
         return self
 
-    def _set(self, dense: np.ndarray, classes: np.ndarray) -> None:
+    def _set(self, dense: np.ndarray, classes: np.ndarray,
+             values: np.ndarray, counts: np.ndarray | None = None) -> None:
         dense.flags.writeable = False
         self.order = dense.ndim
         self.dim = dense.shape[0]
         self.dense = dense
-        self._canon_idx = classes
-        self._canon_val = dense[tuple(classes.T)]
-        self._canon_weight = _multiplicities(classes) * self._canon_val
+        self._canon_idx = np.ascontiguousarray(classes)
+        self._canon_val = values
+        self._canon_weight = (_multiplicities(classes) if counts is None
+                              else counts) * values
         self._fro = float(np.sqrt(np.dot(self._canon_weight,
                                          self._canon_val)))
 
@@ -285,7 +296,7 @@ class SymTensor:
     def canonical(self) -> Mapping[tuple[int, ...], float]:
         """The 0-based canonical entry map (a fresh dict)."""
         return {tuple(idx): val for idx, val in
-                zip(self._canon_idx.tolist(), self._canon_val.tolist())}
+                zip(self._canon_idx.T.tolist(), self._canon_val.tolist())}
 
     def entry(self, *indices: int) -> float:
         """Entry at a 1-based index tuple (0.0 if the class is absent)."""
@@ -297,18 +308,22 @@ class SymTensor:
         return float(self.dense[tuple(i - 1 for i in indices)])
 
     def apply_full(self, x: np.ndarray) -> float:
-        """Homogeneous form: the tensor contracted with x on every slot."""
+        """Homogeneous form: the tensor contracted with x on every slot,
+        each class's product taken over the leading axis of the gather."""
         x = _check_vector(x, self.dim)
         return float(np.dot(self._canon_weight,
-                            np.prod(x[self._canon_idx], axis=1)))
+                            np.multiply.reduce(x[self._canon_idx], axis=0)))
 
     def apply_full_many(self, xs: np.ndarray) -> np.ndarray:
-        """Homogeneous form at every row of an (N, n) array, in one gather."""
+        """Homogeneous form at every row of an (N, n) array, in one gather.
+        Its (N, C) products are column-major, as the pool's block values
+        have them: a C-ordered array takes another BLAS kernel."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise DimError(f"expected an (N, {self.dim}) array, got shape "
                            f"{xs.shape}")
-        return np.prod(xs[:, self._canon_idx], axis=2) @ self._canon_weight
+        return np.multiply.reduce(xs[:, self._canon_idx],
+                                  axis=1) @ self._canon_weight
 
     def apply_gradient(self, x: np.ndarray) -> np.ndarray:
         """Contraction on all slots but one; (1/m) of the gradient of

@@ -24,7 +24,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy.linalg import null_space
@@ -104,7 +104,8 @@ class TaylorPoly:
                             counts.ravel()).reshape(-1, p)
         rank = np.lexsort(classes.T[::-1])
         self.lifted = SymTensor._from_classes(
-            p, n + 1, classes[rank], (coef * _class_weights(p, counts))[rank])
+            p, n + 1, classes[rank].T,
+            (coef * _class_weights(p, counts))[rank])
 
     @classmethod
     def from_cubic(cls, f0: float, g: np.ndarray, h: np.ndarray,
@@ -151,10 +152,10 @@ class TaylorPoly:
         the same ones, so poly_to_dict and load_poly round-trip."""
         lift = self.lifted
         classes = lift._canon_idx
-        counts = np.zeros((classes.shape[0], self.n + 1), dtype=np.intp)
-        rows = np.arange(classes.shape[0])
-        for col in classes.T:
-            counts[rows, col] += 1
+        counts = np.zeros((classes.shape[1], self.n + 1), dtype=np.intp)
+        rows = np.arange(classes.shape[1])
+        for slot in classes:
+            counts[rows, slot] += 1
         coef = lift._canon_val / _class_weights(self.p, counts)
         return dict(zip(map(tuple, counts[:, 1:].tolist()), coef.tolist()))
 
@@ -272,15 +273,18 @@ def lagrangian_grad(poly: TaylorPoly, s: np.ndarray,
 
 
 def _boundary_sweeps(stack: np.ndarray, blocks: np.ndarray, delta: float,
-                     config: BoundaryConfig) -> int:
-    """Run PAM sweeps on the (1, p, n + 1) lifted blocks until the
-    surrogate value stalls; returns the sweep count.
+                     config: BoundaryConfig) -> Callable[[], int]:
+    """Set up PAM sweeps on the (1, p, n + 1) lifted blocks once; the
+    function returned runs them from the blocks as they are until the
+    surrogate value stalls and returns the sweep count.
 
-    stack is the flattened surrogate as a (1, (n + 1)**p) row. Each step is
-    the eigen solver's block step, :class:`~specteig.pam._ProxStep` on the
-    delta-sphere with its tie and degeneracy rules, applied to the tails
-    only; the surrogate value after a sweep is the last partial dotted with
-    the last block.
+    stack is the flattened surrogate as a (1, (n + 1)**p) row, kept with
+    blocks as views. Each step is the eigen solver's block step,
+    :class:`~specteig.pam._ProxStep` on the delta-sphere with its tie and
+    degeneracy rules, applied to the tails only; the surrogate value h
+    after a sweep is the last partial dotted with the last block. A
+    non-finite partial tail makes its block and h non-finite, which
+    raises NumericalError.
     """
     p = blocks.shape[1]
     plan = _SweepPlan(stack, blocks)
@@ -288,32 +292,38 @@ def _boundary_sweeps(stack: np.ndarray, blocks: np.ndarray, delta: float,
     prox = _ProxStep(1, tails.shape[2], delta)
     prev, damped = np.empty_like(tails), np.empty_like(tails)
     nw = np.empty((1, 1))
-    h_prev = float(_contract(stack[0], list(blocks[0]))[0])
-    for k in range(1, config.inner_max_iter + 1):
-        np.copyto(prev, tails)
-        np.multiply(config.gamma, prev, out=damped)
-        for j in range(p):
-            c = plan.partial(j)
-            if not np.isfinite(c).all():
-                raise NumericalError("non-finite block direction in "
-                                     "boundary sweep")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                prox(c[:, 1:], damped[:, j], prev[:, j], tails[:, j], nw)
-        h = float(np.dot(plan.partial_buffer(p - 1)[0], blocks[0, p - 1]))
-        if abs(h - h_prev) < config.inner_eps:
-            return k
-        h_prev = h
-    return config.inner_max_iter
+    slots = [(damped[:, j], prev[:, j], tails[:, j]) for j in range(p)]
+    c_last, b_last = plan.partial_buffer(p - 1)[0], blocks[0, p - 1]
+
+    def sweeps() -> int:
+        h_prev = float(_contract(stack[0], list(blocks[0]))[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(1, config.inner_max_iter + 1):
+                np.copyto(prev, tails)
+                np.multiply(config.gamma, prev, out=damped)
+                for j, slot in enumerate(slots):
+                    prox(plan.partial(j)[:, 1:], *slot, nw)
+                h = float(np.dot(c_last, b_last))
+                if not math.isfinite(h):
+                    raise NumericalError("non-finite surrogate value in "
+                                         "boundary sweep")
+                if abs(h - h_prev) < config.inner_eps:
+                    return k
+                h_prev = h
+        return config.inner_max_iter
+
+    return sweeps
 
 
 def solve_boundary(poly: TaylorPoly, delta: float,
                    config: BoundaryConfig | None = None) -> BoundaryResult:
     """Minimize the model on the sphere of radius delta.
 
-    Alternates PAM sweep rounds on the surrogate poly.lifted - alpha * S,
-    formed once per call, with multiplier updates
-    lambda = -(s . grad) / delta^2 until the boundary stationarity residual
-    |grad + lambda s| falls below config.tol. S is constant on the lifted
+    Alternates PAM sweep rounds on the surrogate poly.lifted - alpha * S
+    with multiplier updates lambda = -(s . grad) / delta^2 until the
+    boundary stationarity residual |grad + lambda s| falls below
+    config.tol. The surrogate, the sweeps' plan and their buffers are set
+    up once per call and serve every round. S is constant on the lifted
     slice, so the sweeps minimize the model itself; the multiplier only
     enters the stopping test, so the outer value history is nonincreasing.
     A start off the sphere whose first step direction is degenerate (the
@@ -345,6 +355,7 @@ def solve_boundary(poly: TaylorPoly, delta: float,
         if float(np.linalg.norm(w)) < DEGENERATE_TOL:
             s = delta * np.linalg.eigh(poly.hessian(s))[1][:, 0]
     blocks = np.empty((1, p, n + 1))
+    sweeps = _boundary_sweeps(stack, blocks, delta, config)
     lam = 0.0
     history: list[float] = []
     inner_total = 0
@@ -361,7 +372,7 @@ def solve_boundary(poly: TaylorPoly, delta: float,
         # so a round that stalls with blocks on different critical points
         # gets pulled back together instead of stalling forever.
         blocks[0] = np.concatenate(([1.0], s))
-        inner_total += _boundary_sweeps(stack, blocks, delta, config)
+        inner_total += sweeps()
         outer += 1
         j = int(np.argmin(poly.lifted.apply_full_many(blocks[0])))
         s_new = blocks[0, j, 1:].copy()

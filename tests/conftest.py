@@ -57,6 +57,22 @@ def to_dense(t) -> np.ndarray:
     return arr
 
 
+def reference_apply_full_many(t: SymTensor, xs) -> np.ndarray:
+    """The homogeneous form at every row by the last-axis gather: an
+    (N, C, m) array of class components, multiplied along its last axis,
+    then the matrix-vector product with the class weights."""
+    rows = np.ascontiguousarray(t._canon_idx.T)
+    xs = np.asarray(xs, dtype=float)
+    return np.prod(xs[:, rows], axis=2) @ t._canon_weight
+
+
+def reference_apply_full(t: SymTensor, x) -> float:
+    """The homogeneous form at one point by the last-axis gather."""
+    rows = np.ascontiguousarray(t._canon_idx.T)
+    x = np.asarray(x, dtype=float)
+    return float(np.dot(t._canon_weight, np.prod(x[rows], axis=1)))
+
+
 def dense_multilinear(arr: np.ndarray, blocks) -> float:
     out = arr
     for b in blocks:

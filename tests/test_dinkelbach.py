@@ -7,9 +7,9 @@ import csv
 import numpy as np
 import pytest
 
-from specteig import (ArityError, ConfigError, DenominatorError, DimError,
-                      DinkelbachConfig, FractionalProblem, Given,
-                      PamConfig, SymTensor, Uniform, ZIdentity,
+from specteig import (ArityError, ConfigError, DenominatorError, DenseB,
+                      DimError, DinkelbachConfig, FractionalProblem, Given,
+                      HDiagonal, PamConfig, SymTensor, Uniform, ZIdentity,
                       dinkelbach_solve, identity_tensor)
 from specteig.dinkelbach import f_theta, write_trace_csv
 
@@ -39,6 +39,36 @@ class TestProblemValidation:
         with pytest.raises(DenominatorError):
             FractionalProblem(identity_tensor(2, 2),
                               DenseB(matrix_tensor([1.0, -2.0])))
+
+
+class TestDenominatorVetting:
+    @pytest.mark.parametrize("op_cls", [ZIdentity, HDiagonal])
+    def test_structured_denominators_are_not_sampled(self, op_cls,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("structured denominator was evaluated")
+
+        for name in ("apply_full", "apply_gradient", "to_symtensor"):
+            monkeypatch.setattr(op_cls, name, refuse)
+        for order, dim in ((2, 3), (4, 3), (6, 4)):
+            FractionalProblem(identity_tensor(order, dim),
+                              op_cls(order, dim))
+
+    def test_indefinite_dense_names_first_bad_sample(self):
+        b = matrix_tensor([1.0, 1.0, -0.3])
+        rng = np.random.default_rng(12345)
+        values = []
+        for _ in range(100):
+            u = rng.standard_normal(3)
+            u /= np.linalg.norm(u)
+            values.append(b.apply_full(u))
+        bad = [v for v in values if v <= 0]
+        # the first draw is positive and the bad ones differ, so the
+        # message pins which one came first
+        assert values[0] > 0 and len({f"{v:.6g}" for v in bad}) > 1
+        with pytest.raises(DenominatorError) as info:
+            FractionalProblem(identity_tensor(2, 3), DenseB(b))
+        assert f"(sampled value {bad[0]:.6g})" in str(info.value)
 
 
 class TestFTheta:

@@ -1,5 +1,6 @@
 """Contraction kernels checked against dense einsum-style oracles."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 from specteig import (ArityError, ConfigError, DenseB, DimError,
                       DuplicateEntryError, HDiagonal, SymTensor, ZIdentity,
                       axpy, diagonal_tensor, frobenius_inner, identity_tensor,
-                      load_tensor)
+                      load_tensor, random_cubic)
 from specteig.errors import ParseError
 from specteig.tensor_core import _double_factorial, _SweepPlan
 
 from conftest import (dense_multilinear, dense_partial, fd_gradient,
-                      random_symtensor, to_dense)
+                      random_symtensor, reference_apply_full,
+                      reference_apply_full_many, to_dense)
 
 A1 = SymTensor.from_entries(2, 2, [((1, 1), 1.0), ((2, 2), -2.0)])
 A2 = SymTensor.from_entries(2, 2, [((1, 1), 2.0), ((2, 2), 4.0)])
@@ -105,6 +107,88 @@ class TestApplyFullMany:
         for bad in (np.ones((3, 3)), np.ones(2), np.ones((1, 2, 2))):
             with pytest.raises(DimError):
                 A1.apply_full_many(bad)
+
+
+class TestGatherExactness:
+    """apply_full and apply_full_many reduce their gathers over a leading
+    slot axis; each must equal the last-axis gather of the reference bit
+    for bit, matrix-vector product included."""
+
+    @staticmethod
+    def _check(a, xs):
+        got = a.apply_full_many(xs)
+        assert got.shape == (xs.shape[0],)
+        assert np.array_equal(got, reference_apply_full_many(a, xs))
+        for x in xs:
+            assert a.apply_full(x) == reference_apply_full(a, x)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_random_tensors(self, m):
+        rng = np.random.default_rng(700 + m)
+        for n in range(1, 6):
+            a = random_symtensor(m, n, rng)
+            for rows in range(8):
+                self._check(a, rng.standard_normal((rows, n)))
+
+    def test_zero_tensor(self):
+        rng = np.random.default_rng(7)
+        for m in (1, 4):
+            zero = SymTensor(m, 3, {})
+            for rows in (0, 1, 5):
+                xs = rng.standard_normal((rows, 3))
+                self._check(zero, xs)
+                assert np.array_equal(zero.apply_full_many(xs),
+                                      np.zeros(rows))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
+    def test_cubic_lifts(self, n):
+        lift = random_cubic(n, 40 + n).lifted
+        rng = np.random.default_rng(n)
+        for rows in (0, 1, 3, 7):
+            xs = rng.standard_normal((rows, n + 1))
+            xs[:, 0] = 1.0
+            self._check(lift, xs)
+
+
+class TestFromDense:
+    """Wrapping a symmetric array reads its classes from the shape's class
+    table; every field must equal the map-built tensor's bit for bit."""
+
+    @staticmethod
+    def _check(dense):
+        m, n = dense.ndim, dense.shape[0]
+        canon = {idx: float(dense[idx]) for idx in
+                 itertools.combinations_with_replacement(range(n), m)
+                 if dense[idx] != 0.0}
+        got = SymTensor._from_dense(dense.copy())
+        want = SymTensor(m, n, canon)
+        for name in ("_canon_idx", "_canon_val", "_canon_weight"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        assert got.frobenius_norm() == want.frobenius_norm()
+        assert np.array_equal(got.dense, dense)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_random_arrays(self, m):
+        rng = np.random.default_rng(800 + m)
+        for n in (1, 2, 3, 4):
+            dense = random_symtensor(m, n, rng, 10.0).dense.copy()
+            self._check(dense)
+            # zero a few classes, at every permutation
+            for idx in itertools.combinations_with_replacement(range(n), m):
+                if rng.uniform() < 0.3:
+                    for perm in itertools.permutations(idx):
+                        dense[perm] = 0.0
+            self._check(dense)
+
+    def test_zero_and_order_one(self):
+        for shape in ((3, 3, 3), (4,), (1, 1)):
+            self._check(np.zeros(shape))
+        self._check(np.array([0.5, 0.0, -2.0]))
+
+    def test_cubic_lift(self):
+        self._check(random_cubic(6, 3).lifted.dense)
 
 
 class TestSweepPartials:

@@ -291,9 +291,10 @@ class TestBoundaryEngine:
                  - _shift_tensor(p, n + 1).dense).reshape(1, -1)
         blocks = np.empty((1, p, n + 1))
         blocks[0] = np.concatenate(([1.0], np.full(n, 0.1)))
-        one_sweep = BoundaryConfig(inner_max_iter=1)
+        sweep = _boundary_sweeps(stack, blocks, delta,
+                                 BoundaryConfig(inner_max_iter=1))
         for _ in range(30):
-            assert _boundary_sweeps(stack, blocks, delta, one_sweep) == 1
+            assert sweep() == 1
             assert np.all(blocks[0, :, 0] == 1.0)
             assert np.all(np.abs(np.linalg.norm(blocks[0, :, 1:], axis=1)
                                  - delta) <= 1e-12)
@@ -305,7 +306,7 @@ class TestBoundaryEngine:
         blocks = np.empty((1, 3, 3))
         blocks[0] = np.array([1.0, 1e200, 0.0])
         with pytest.raises(NumericalError), np.errstate(over="ignore"):
-            _boundary_sweeps(stack, blocks, 1e200, BoundaryConfig())
+            _boundary_sweeps(stack, blocks, 1e200, BoundaryConfig())()
 
 
 class TestLagrangianGrad:

@@ -17,6 +17,7 @@ subproblem warnings of a solve are logged once, with their counts.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Generator
 
@@ -26,7 +27,8 @@ from .errors import (ArityError, ConfigError, DenominatorError, DimError,
                      NumericalError)
 from .pam import (Given, PamConfig, PamRequest, PamResult, Uniform,
                   run_alone)
-from .tensor_core import BOperator, HDiagonal, SymTensor, ZIdentity, axpy
+from .tensor_core import (BOperator, HDiagonal, SymTensor, ZIdentity,
+                          _check_vector, axpy)
 
 __all__ = [
     "FractionalProblem",
@@ -126,9 +128,9 @@ class DinkelbachResult:
 def f_theta(problem: FractionalProblem, theta: float,
             x: np.ndarray) -> float:
     """Parametric objective f(x) - theta * g(x) at x normalized to the
-    sphere."""
-    x = np.asarray(x, dtype=float)
-    nx = float(np.linalg.norm(x))
+    sphere, |x| from a C-ordered x.dot(x) as np.linalg.norm computes it."""
+    x = _check_vector(np.asarray(x, order="C"), problem.dim)
+    nx = math.sqrt(float(x.dot(x)))
     if nx == 0.0:
         raise DenominatorError("cannot normalize the zero vector")
     x = x / nx
@@ -184,7 +186,9 @@ def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig
     theta = a.apply_full(x0) / g0
     fresh_init = config.inner.init if isinstance(config.inner.init, Uniform) \
         else Uniform()
-    init: Given | Uniform = Given(tuple(x0.copy() for _ in range(d)))
+    # the retry's config, built at the first retry (most solves have none)
+    retry: PamConfig | None = None
+    init = Given(tuple(x0.copy() for _ in range(d)))
     trace: list[tuple[int, float, float]] = []
     x = x0
     inner_total = 0
@@ -196,14 +200,14 @@ def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig
                                rng)
         inner_total += res.iterations
         solves += 1
-        v = res.v / float(np.linalg.norm(res.v))
+        v = res.v / math.sqrt(float(res.v.dot(res.v)))
         big_f = f_theta(problem, theta, v)
         if big_f >= config.tol:
-            res2 = yield PamRequest(
-                a_theta, replace(config.inner, init=fresh_init), rng)
+            retry = retry or replace(config.inner, init=fresh_init)
+            res2 = yield PamRequest(a_theta, retry, rng)
             inner_total += res2.iterations
             solves += 1
-            v2 = res2.v / float(np.linalg.norm(res2.v))
+            v2 = res2.v / math.sqrt(float(res2.v.dot(res2.v)))
             big_f2 = f_theta(problem, theta, v2)
             if big_f2 < big_f:
                 v, big_f = v2, big_f2

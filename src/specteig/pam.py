@@ -24,8 +24,9 @@ last partial dotted with its block, and every block's homogeneous value
 from one gather. Each row rounds exactly as it would in a pool of one, so
 no result depends on what else is seated. A subproblem that stops hands
 its result to the program that asked for it (a generator yielding
-:class:`PamRequest`), whose next request takes the slot at once. Warnings
-are aggregated per run and logged once.
+:class:`PamRequest`), whose next request takes the slot at once. The
+result keeps its surrogate and computes its stationarity residual only
+when that is first read. Warnings are aggregated per run and logged once.
 """
 
 from __future__ import annotations
@@ -35,14 +36,15 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Generator, Sequence, Union
 
 import numpy as np
 
 from .errors import (ArityError, ConfigError, DimError, DomainError,
                      NumericalError)
-from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, ZIdentity,
-                          _SweepPlan, axpy)
+from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, _SweepPlan,
+                          identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -105,9 +107,10 @@ class PamResult:
     """Outcome of a PAM run.
 
     v is the best block by homogeneous value, value its homogeneous
-    objective, kkt_residual the norm of the stacked stationarity residuals
-    at the final blocks, and history the per-sweep rows
-    (iter, h_t, h_v, step_norm).
+    objective, and history the per-sweep rows (iter, h_t, h_v, step_norm).
+    The result keeps the surrogate it minimized (left out of repr and
+    equality); kkt_residual, the norm of the stacked stationarity
+    residuals at the final blocks, is computed from it on first read.
     """
 
     v: np.ndarray
@@ -115,8 +118,12 @@ class PamResult:
     blocks: tuple[np.ndarray, ...]
     iterations: int
     converged: bool
-    kkt_residual: float
     history: tuple[tuple[int, float, float, float], ...]
+    surrogate: SymTensor = field(repr=False, compare=False)
+
+    @cached_property
+    def kkt_residual(self) -> float:
+        return _kkt_residual(self.surrogate, self.blocks, self.history[-1][1])
 
 
 @dataclass(frozen=True)
@@ -236,18 +243,19 @@ class _ProxStep:
 def _init_blocks(config: PamConfig, dim: int, d: int,
                  rng: np.random.Generator) -> np.ndarray:
     """(d, dim) unit starting blocks: config.init's given vectors or
-    uniform draws, each scaled by 1.0 / |b| (b / |b| rounds differently)."""
+    uniform draws, each scaled by 1.0 / |b| (b / |b| rounds differently),
+    |b| from a C-ordered b.dot(b) as np.linalg.norm computes it."""
     blocks = np.empty((d, dim))
     if isinstance(config.init, Given):
         given = config.init.blocks
         if len(given) != d:
             raise ConfigError(f"init has {len(given)} blocks, expected {d}")
         for j, b in enumerate(given):
-            b = np.asarray(b, dtype=float)
+            b = np.asarray(b, dtype=float, order="C")
             if b.shape != (dim,):
                 raise ConfigError(f"init block {j} has shape {b.shape}, "
                                   f"expected ({dim},)")
-            nb = float(np.linalg.norm(b))
+            nb = math.sqrt(float(b.dot(b)))
             if nb < DEGENERATE_TOL:
                 raise ConfigError(f"init block {j} is numerically zero")
             blocks[j] = 1.0 / nb * b
@@ -255,7 +263,7 @@ def _init_blocks(config: PamConfig, dim: int, d: int,
     for j in range(d):
         while True:
             b = rng.uniform(config.init.lo, config.init.hi, size=dim)
-            nb = float(np.linalg.norm(b))
+            nb = math.sqrt(float(b.dot(b)))
             if nb >= DEGENERATE_TOL:
                 break
         blocks[j] = 1.0 / nb * b
@@ -376,7 +384,8 @@ class _Pool:
                            f"seat order {d} on R^{dim}")
         fro = a_theta.frobenius_norm()
         alpha = config.alpha if config.alpha is not None else fro
-        surrogate = axpy(a_theta, ZIdentity(d, dim), alpha)
+        surrogate = SymTensor._from_dense(
+            a_theta.dense - alpha * identity_tensor(d, dim).dense)
         rng = request.rng if request.rng is not None \
             else np.random.default_rng(config.seed)
         blocks = _init_blocks(config, dim, d, rng)
@@ -490,13 +499,10 @@ class _Pool:
             self.stats.gap_subproblems += 1
             self.stats.gap_sweeps += m.gap_sweeps
             self.stats.max_gap = max(self.stats.max_gap, m.max_gap)
-        h_t = m.history[-1][1]
         return PamResult(v=blocks[int(np.argmin(vals))].copy(),
                          value=m.value, blocks=tuple(blocks),
                          iterations=len(m.history), converged=converged,
-                         history=tuple(m.history),
-                         kkt_residual=_kkt_residual(m.surrogate, blocks,
-                                                    h_t))
+                         history=tuple(m.history), surrogate=m.surrogate)
 
     def _refill(self) -> None:
         """Seat waiting programs in the free slots, then move the last

@@ -15,10 +15,10 @@ import pytest
 from importlib import resources
 from scipy.optimize import minimize
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from specteig import (DenominatorError, DinkelbachResult, Given, NumericalError,
-                      PamConfig, PamResult, SymTensor, Uniform,
+                      PamConfig, SymTensor, Uniform,
                       ZIdentity, axpy, f_theta, load_tensor)
 from specteig.dinkelbach import MONOTONE_SLACK, _initial_point
 from specteig.pam import DEGENERATE_TOL, _init_blocks
@@ -110,11 +110,26 @@ def reference_block_update(surrogate, blocks, slot, gamma, radius, prev):
     return lo if obj_lo < obj_hi else hi
 
 
-def reference_pam_solve(a_theta, config: PamConfig, rng=None) -> PamResult:
+@dataclass(frozen=True)
+class ReferencePamResult:
+    """The fields of a PamResult, with the residual computed up front."""
+
+    v: np.ndarray
+    value: float
+    blocks: tuple[np.ndarray, ...]
+    iterations: int
+    converged: bool
+    kkt_residual: float
+    history: tuple[tuple[int, float, float, float], ...]
+
+
+def reference_pam_solve(a_theta, config: PamConfig,
+                        rng=None) -> ReferencePamResult:
     """PAM by the plain loop: one block update per slot, each with its own
     full partial, the multilinear value from the kernel, and one
     homogeneous-form call per block value. Same stopping rule as
-    `pam_solve`, without its warnings."""
+    `pam_solve`, without its warnings; the residual comes from its own
+    loop, not from the package's."""
     d = len(config.gammas)
     alpha = config.alpha if config.alpha is not None \
         else a_theta.frobenius_norm()
@@ -150,9 +165,10 @@ def reference_pam_solve(a_theta, config: PamConfig, rng=None) -> PamResult:
         others = [blocks[i] for i in range(d) if i != j]
         r = surrogate.multilinear_partial(others, j) - h_t * blocks[j]
         total += float(np.dot(r, r))
-    return PamResult(v=v, value=value, blocks=tuple(blocks), iterations=k,
-                     converged=converged, kkt_residual=math.sqrt(total),
-                     history=tuple(history))
+    return ReferencePamResult(v=v, value=value, blocks=tuple(blocks),
+                              iterations=k, converged=converged,
+                              kkt_residual=math.sqrt(total),
+                              history=tuple(history))
 
 
 def reference_dinkelbach_solve(problem, config) -> DinkelbachResult:

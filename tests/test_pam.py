@@ -11,11 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specteig import (ArityError, ConfigError, DomainError, Given, PamConfig,
-                      SymTensor, Uniform, ZIdentity, axpy, identity_tensor,
-                      kl_exponent, pam_solve)
-from specteig.pam import (DIAGONAL_GAP_SLACK, PamRequest, PamStats,
-                          _ProxStep, run_lockstep, write_history_csv)
+from specteig import (ArityError, ConfigError, DinkelbachConfig, DomainError,
+                      FractionalProblem, Given, PamConfig, SymTensor, Uniform,
+                      ZIdentity, axpy, build_problem, dinkelbach_solve,
+                      identity_tensor, kl_exponent, pam_solve,
+                      solve_multistart)
+from specteig import pam
+from specteig.pam import (DEGENERATE_TOL, DIAGONAL_GAP_SLACK, PamRequest,
+                          PamStats, _init_blocks, _ProxStep, run_lockstep,
+                          write_history_csv)
 
 from conftest import (dense_multilinear, dense_partial, random_symtensor,
                       reference_pam_solve, to_dense)
@@ -369,6 +373,111 @@ class TestPoolMembers:
                                      init=Given((e1, e1)))),
             PamRequest(A1, PamConfig(gammas=(1.0, 1.0), alpha=0.0, eps=1e-10,
                                      seed=4))])
+
+
+class TestResidualOnDemand:
+    """A PamResult keeps its surrogate and computes kkt_residual from it on
+    first read: the same float the pool used to compute for every
+    result."""
+
+    @staticmethod
+    def _check(res, a_theta, alpha):
+        # the kept surrogate is A - alpha E as axpy forms it, bit for bit
+        assert np.array_equal(res.surrogate.dense,
+                              surrogate(a_theta, alpha).dense)
+        want = pam._kkt_residual(res.surrogate, res.blocks,
+                                 res.history[-1][1])
+        assert res.kkt_residual == want
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 2)])
+    def test_pam_solve(self, m, n):
+        a = random_symtensor(m, n, np.random.default_rng(m + n))
+        for alpha in (None, 0.0, 2.0 * a.frobenius_norm()):
+            res = pam_solve(a, PamConfig(gammas=(1.0,) * m, alpha=alpha,
+                                         eps=1e-10, seed=3))
+            self._check(res, a, a.frobenius_norm() if alpha is None
+                        else alpha)
+
+    def test_pool_members_shared_and_not(self):
+        # the random tensors share their index classes; A1 and the dense
+        # 2x2 form do not, so the pool gathers those member by member
+        def program(request):
+            return (yield request)
+
+        rng = np.random.default_rng(11)
+        dense = SymTensor.from_entries(2, 2, [((1, 1), 1.0), ((1, 2), 0.5),
+                                              ((2, 2), -2.0)])
+        groups = [[random_symtensor(4, 3, rng) for _ in range(3)],
+                  [A1, dense, A1]]
+        for tensors in groups:
+            requests = [PamRequest(a, PamConfig(gammas=(1.0,) * a.order,
+                                                eps=1e-10, seed=seed))
+                        for seed, a in enumerate(tensors)]
+            outcomes, _ = run_lockstep(
+                [program(r) for r in requests], PamStats())
+            for res, request in zip(outcomes, requests):
+                self._check(res, request.a_theta,
+                            request.a_theta.frobenius_norm())
+
+    def test_second_read_is_cached(self, monkeypatch):
+        res = pam_solve(A1, PamConfig(gammas=(1.0, 1.0), seed=2))
+        calls = []
+        residual = pam._kkt_residual
+
+        def counted(*args):
+            calls.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(pam, "_kkt_residual", counted)
+        first = res.kkt_residual
+        assert res.kkt_residual == first
+        assert len(calls) == 1
+
+    def test_solves_never_read_it(self, monkeypatch, example2):
+        def unread(*args):
+            raise AssertionError("kkt_residual was computed")
+
+        monkeypatch.setattr(pam, "_kkt_residual", unread)
+        inner = PamConfig(gammas=(1.0,) * 4, eps=1e-6, init=Uniform())
+        config = DinkelbachConfig(inner=inner, tol=1e-3)
+        problem = build_problem(example2, "Z")
+        report = solve_multistart(problem, 8, 1729, config)
+        assert report.accepted >= 1
+        res = dinkelbach_solve(FractionalProblem(example2, ZIdentity(4, 3)),
+                               config)
+        assert res.n_solves >= 1
+
+    def test_repr_leaves_out_the_surrogate(self):
+        res = pam_solve(A1, PamConfig(gammas=(1.0, 1.0), seed=2))
+        text = repr(res)
+        assert "surrogate" not in text and "SymTensor" not in text
+
+
+class TestInitNorm:
+    """Given blocks are scaled by 1.0 / |b| with |b| as np.linalg.norm
+    computes it, bit for bit, strided or not; blocks with |b| below
+    DEGENERATE_TOL by that norm are rejected."""
+
+    def test_given_blocks_match_linalg_norm(self):
+        rng = np.random.default_rng(2024)
+        scaled = rejected = 0
+        for n in range(1, 9):
+            for _ in range(300):
+                scale = 10.0 ** rng.uniform(-150.0, 150.0)
+                rows = rng.standard_normal((n, 2)) * scale
+                # the first block is a strided column view
+                given = (rows[:, 0], np.ascontiguousarray(rows[:, 1]))
+                config = PamConfig(gammas=(1.0, 1.0), init=Given(given))
+                if min(np.linalg.norm(b) for b in given) < DEGENERATE_TOL:
+                    with pytest.raises(ConfigError, match="numerically zero"):
+                        _init_blocks(config, n, 2, rng)
+                    rejected += 1
+                    continue
+                got = _init_blocks(config, n, 2, rng)
+                for b, row in zip(given, got):
+                    assert np.array_equal(row, 1.0 / np.linalg.norm(b) * b)
+                scaled += 1
+        assert scaled > 1000 and rejected > 100
 
 
 class TestConfigValidation:

@@ -17,7 +17,6 @@ subproblem warnings of a solve are logged once, with their counts.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 from typing import Generator
 
@@ -27,8 +26,7 @@ from .errors import (ArityError, ConfigError, DenominatorError, DimError,
                      NumericalError)
 from .pam import (Given, PamConfig, PamRequest, PamResult, Uniform,
                   run_alone)
-from .tensor_core import (BOperator, HDiagonal, SymTensor, ZIdentity,
-                          _check_vector, axpy)
+from .tensor_core import BOperator, HDiagonal, SymTensor, ZIdentity, axpy
 
 __all__ = [
     "FractionalProblem",
@@ -128,9 +126,9 @@ class DinkelbachResult:
 def f_theta(problem: FractionalProblem, theta: float,
             x: np.ndarray) -> float:
     """Parametric objective f(x) - theta * g(x) at x normalized to the
-    sphere, |x| from a C-ordered x.dot(x) as np.linalg.norm computes it."""
-    x = _check_vector(np.asarray(x, order="C"), problem.dim)
-    nx = math.sqrt(float(x.dot(x)))
+    sphere."""
+    x = np.asarray(x, dtype=float)
+    nx = float(np.linalg.norm(x))
     if nx == 0.0:
         raise DenominatorError("cannot normalize the zero vector")
     x = x / nx
@@ -186,9 +184,7 @@ def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig
     theta = a.apply_full(x0) / g0
     fresh_init = config.inner.init if isinstance(config.inner.init, Uniform) \
         else Uniform()
-    # the retry's config, built at the first retry (most solves have none)
-    retry: PamConfig | None = None
-    init = Given(tuple(x0.copy() for _ in range(d)))
+    init: Given | Uniform = Given(tuple(x0.copy() for _ in range(d)))
     trace: list[tuple[int, float, float]] = []
     x = x0
     inner_total = 0
@@ -200,14 +196,16 @@ def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig
                                rng)
         inner_total += res.iterations
         solves += 1
-        v = res.v / math.sqrt(float(res.v.dot(res.v)))
+        v = res.v / float(np.linalg.norm(res.v))
+        del res  # frees its surrogate before the next subproblem sweeps
         big_f = f_theta(problem, theta, v)
         if big_f >= config.tol:
-            retry = retry or replace(config.inner, init=fresh_init)
-            res2 = yield PamRequest(a_theta, retry, rng)
+            res2 = yield PamRequest(
+                a_theta, replace(config.inner, init=fresh_init), rng)
             inner_total += res2.iterations
             solves += 1
-            v2 = res2.v / math.sqrt(float(res2.v.dot(res2.v)))
+            v2 = res2.v / float(np.linalg.norm(res2.v))
+            del res2
             big_f2 = f_theta(problem, theta, v2)
             if big_f2 < big_f:
                 v, big_f = v2, big_f2

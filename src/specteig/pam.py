@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import (ArityError, ConfigError, DimError, DomainError,
                      NumericalError)
-from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, _SweepPlan,
-                          identity_tensor)
+from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, ZIdentity,
+                          _SweepPlan, axpy)
 
 logger = logging.getLogger(__name__)
 
@@ -109,8 +109,9 @@ class PamResult:
     v is the best block by homogeneous value, value its homogeneous
     objective, and history the per-sweep rows (iter, h_t, h_v, step_norm).
     The result keeps the surrogate it minimized (left out of repr and
-    equality); kkt_residual, the norm of the stacked stationarity
-    residuals at the final blocks, is computed from it on first read.
+    equality) and its blocks read-only; kkt_residual, the norm of the
+    stacked stationarity residuals at the final blocks, is computed from
+    them on first read and then kept.
     """
 
     v: np.ndarray
@@ -243,19 +244,18 @@ class _ProxStep:
 def _init_blocks(config: PamConfig, dim: int, d: int,
                  rng: np.random.Generator) -> np.ndarray:
     """(d, dim) unit starting blocks: config.init's given vectors or
-    uniform draws, each scaled by 1.0 / |b| (b / |b| rounds differently),
-    |b| from a C-ordered b.dot(b) as np.linalg.norm computes it."""
+    uniform draws, each scaled by 1.0 / |b| (b / |b| rounds differently)."""
     blocks = np.empty((d, dim))
     if isinstance(config.init, Given):
         given = config.init.blocks
         if len(given) != d:
             raise ConfigError(f"init has {len(given)} blocks, expected {d}")
         for j, b in enumerate(given):
-            b = np.asarray(b, dtype=float, order="C")
+            b = np.asarray(b, dtype=float)
             if b.shape != (dim,):
                 raise ConfigError(f"init block {j} has shape {b.shape}, "
                                   f"expected ({dim},)")
-            nb = math.sqrt(float(b.dot(b)))
+            nb = float(np.linalg.norm(b))
             if nb < DEGENERATE_TOL:
                 raise ConfigError(f"init block {j} is numerically zero")
             blocks[j] = 1.0 / nb * b
@@ -263,7 +263,7 @@ def _init_blocks(config: PamConfig, dim: int, d: int,
     for j in range(d):
         while True:
             b = rng.uniform(config.init.lo, config.init.hi, size=dim)
-            nb = math.sqrt(float(b.dot(b)))
+            nb = float(np.linalg.norm(b))
             if nb >= DEGENERATE_TOL:
                 break
         blocks[j] = 1.0 / nb * b
@@ -384,8 +384,7 @@ class _Pool:
                            f"seat order {d} on R^{dim}")
         fro = a_theta.frobenius_norm()
         alpha = config.alpha if config.alpha is not None else fro
-        surrogate = SymTensor._from_dense(
-            a_theta.dense - alpha * identity_tensor(d, dim).dense)
+        surrogate = axpy(a_theta, ZIdentity(d, dim), alpha)
         rng = request.rng if request.rng is not None \
             else np.random.default_rng(config.seed)
         blocks = _init_blocks(config, dim, d, rng)
@@ -495,6 +494,7 @@ class _Pool:
                 converged: bool) -> PamResult:
         m = self.members[slot]
         blocks = self.blocks[slot].copy()
+        blocks.flags.writeable = False  # kkt_residual reads them later
         if m.gap_sweeps:
             self.stats.gap_subproblems += 1
             self.stats.gap_sweeps += m.gap_sweeps

@@ -5,6 +5,7 @@ with known closed-form optima.
 import csv
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from specteig import (ArityError, ConfigError, DinkelbachConfig, DomainError,
                       identity_tensor, kl_exponent, pam_solve,
                       solve_multistart)
 from specteig import pam
-from specteig.pam import (DEGENERATE_TOL, DIAGONAL_GAP_SLACK, PamRequest,
-                          PamStats, _init_blocks, _ProxStep, run_lockstep,
+from specteig.dinkelbach import dinkelbach_steps
+from specteig.pam import (DIAGONAL_GAP_SLACK, PamRequest, PamResult,
+                          PamStats, _ProxStep, run_lockstep,
                           write_history_csv)
 
 from conftest import (dense_multilinear, dense_partial, random_symtensor,
@@ -388,6 +390,8 @@ class TestResidualOnDemand:
         want = pam._kkt_residual(res.surrogate, res.blocks,
                                  res.history[-1][1])
         assert res.kkt_residual == want
+        # the residual is read from blocks no caller can change first
+        assert not any(b.flags.writeable for b in res.blocks)
 
     @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 2)])
     def test_pam_solve(self, m, n):
@@ -447,37 +451,57 @@ class TestResidualOnDemand:
                                config)
         assert res.n_solves >= 1
 
+    def test_finished_surrogates_are_not_kept(self, monkeypatch, example2):
+        # at every sweep only the seated subproblems' surrogates are alive:
+        # a finished one's goes with its slot, although its result kept it
+        alive = []
+        seat, tick = pam._Pool._seat, pam._Pool._tick
+
+        def seat_and_track(pool, slot, p, request):
+            seat(pool, slot, p, request)
+            alive.append(weakref.ref(pool.members[slot].surrogate.dense))
+
+        def count_and_tick(pool):
+            assert sum(r() is not None for r in alive) == len(pool.members)
+            tick(pool)
+
+        monkeypatch.setattr(pam._Pool, "_seat", seat_and_track)
+        monkeypatch.setattr(pam._Pool, "_tick", count_and_tick)
+        inner = PamConfig(gammas=(1.0,) * 4, eps=1e-6, init=Uniform())
+        config = DinkelbachConfig(inner=inner, tol=1e-3)
+        solve_multistart(build_problem(example2, "Z"), 8, 1729, config)
+        res = dinkelbach_solve(FractionalProblem(example2, ZIdentity(4, 3)),
+                               config)
+        assert res.n_solves >= 2 and len(alive) > res.n_solves
+
+    def test_steps_drop_results_before_the_next_request(self, example2):
+        # a subproblem and its retry: neither result, nor so its surrogate,
+        # outlives its use in the fractional loop
+        problem = FractionalProblem(example2, ZIdentity(4, 3))
+        xs = sorted((x / np.linalg.norm(x) for x in
+                     np.random.default_rng(5).standard_normal((200, 3))),
+                    key=example2.apply_full)
+        low, mid, high = xs[0], xs[100], xs[-1]
+        inner = PamConfig(gammas=(1.0,) * 4, init=Given((mid,) * 4))
+        steps = dinkelbach_steps(problem,
+                                 DinkelbachConfig(inner=inner, tol=1e-6))
+        next(steps)
+        refs, inits = [], []
+        for v in (high, low):
+            res = PamResult(v=v, value=0.0, blocks=(v,) * 4, iterations=1,
+                            converged=True, history=((1, 0.0, 0.0, 0.0),),
+                            surrogate=None)
+            refs.append(weakref.ref(res))
+            inits.append(type(steps.send(res).config.init))
+            del res
+        assert inits == [Uniform, Given]
+        assert [r() for r in refs] == [None, None]
+        steps.close()
+
     def test_repr_leaves_out_the_surrogate(self):
         res = pam_solve(A1, PamConfig(gammas=(1.0, 1.0), seed=2))
         text = repr(res)
         assert "surrogate" not in text and "SymTensor" not in text
-
-
-class TestInitNorm:
-    """Given blocks are scaled by 1.0 / |b| with |b| as np.linalg.norm
-    computes it, bit for bit, strided or not; blocks with |b| below
-    DEGENERATE_TOL by that norm are rejected."""
-
-    def test_given_blocks_match_linalg_norm(self):
-        rng = np.random.default_rng(2024)
-        scaled = rejected = 0
-        for n in range(1, 9):
-            for _ in range(300):
-                scale = 10.0 ** rng.uniform(-150.0, 150.0)
-                rows = rng.standard_normal((n, 2)) * scale
-                # the first block is a strided column view
-                given = (rows[:, 0], np.ascontiguousarray(rows[:, 1]))
-                config = PamConfig(gammas=(1.0, 1.0), init=Given(given))
-                if min(np.linalg.norm(b) for b in given) < DEGENERATE_TOL:
-                    with pytest.raises(ConfigError, match="numerically zero"):
-                        _init_blocks(config, n, 2, rng)
-                    rejected += 1
-                    continue
-                got = _init_blocks(config, n, 2, rng)
-                for b, row in zip(given, got):
-                    assert np.array_equal(row, 1.0 / np.linalg.norm(b) * b)
-                scaled += 1
-        assert scaled > 1000 and rejected > 100
 
 
 class TestConfigValidation:

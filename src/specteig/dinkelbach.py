@@ -17,7 +17,7 @@ subproblem warnings of a solve are logged once, with their counts.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Generator
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import (ArityError, ConfigError, DenominatorError, DimError,
                      NumericalError)
 from .pam import (Given, PamConfig, PamRequest, PamResult, Uniform,
                   run_alone)
-from .tensor_core import BOperator, HDiagonal, SymTensor, ZIdentity, axpy
+from .tensor_core import BOperator, HDiagonal, SymTensor, ZIdentity
 
 __all__ = [
     "FractionalProblem",
@@ -152,19 +152,22 @@ def _initial_point(problem: FractionalProblem, config: DinkelbachConfig,
     return x0 / nx
 
 
-def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig
+def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig,
+                     seed: int | None = None
                      ) -> Generator[PamRequest, PamResult, DinkelbachResult]:
     """The parametric loop as a program for :func:`run_lockstep`: yields
-    each PAM subproblem as a PamRequest, is sent its PamResult, and returns
-    the DinkelbachResult once |F(theta)| < tol or k_max is reached.
+    each PAM subproblem as a PamRequest of (A, B, theta) and its start, is
+    sent its PamResult, and returns the DinkelbachResult once
+    |F(theta)| < tol or k_max is reached.
 
-    The trial's initial point seeds both theta and the first PAM run
-    (replicated across blocks); later runs warm-start from the previous
-    minimizer. Two certification checks guard the loop. First, a PAM result
-    that fails to certify descent (parametric value at or above tol)
-    triggers one retry from a fresh random init, keeping the better
-    candidate; if the retry cannot certify either, the run stops with
-    converged=False rather than moving theta upward. Second, a parametric
+    Random draws come from a generator seeded with seed (default
+    config.inner.seed). The trial's initial point seeds both theta and the
+    first PAM run (the start of every block); later runs warm-start from
+    the previous minimizer. Two certification checks guard the loop. First,
+    a PAM result that fails to certify descent (parametric value at or
+    above tol) triggers one retry from a fresh random init, keeping the
+    better candidate; if the retry cannot certify either, the run stops
+    with converged=False rather than moving theta upward. Second, a parametric
     value strictly below the previous iteration's (beyond slack) proves the
     previous subproblem stopped short of its minimum, so the run likewise
     stops with converged=False before recording the offending row. Both
@@ -174,8 +177,7 @@ def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig
     parametric subproblems solved, with a floor of 1.
     """
     a, b = problem.numerator, problem.denominator
-    d = problem.degree
-    rng = np.random.default_rng(config.inner.seed)
+    rng = np.random.default_rng(config.inner.seed if seed is None else seed)
     x0 = _initial_point(problem, config, rng)
     g0 = b.apply_full(x0)
     if g0 <= 0:
@@ -184,33 +186,27 @@ def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig
     theta = a.apply_full(x0) / g0
     fresh_init = config.inner.init if isinstance(config.inner.init, Uniform) \
         else Uniform()
-    init: Given | Uniform = Given(tuple(x0.copy() for _ in range(d)))
     trace: list[tuple[int, float, float]] = []
     x = x0
     inner_total = 0
     solves = 0
     converged = False
     for k in range(1, config.k_max + 1):
-        a_theta = axpy(a, b, theta)
-        res = yield PamRequest(a_theta, replace(config.inner, init=init),
-                               rng)
-        inner_total += res.iterations
-        solves += 1
-        v = res.v / float(np.linalg.norm(res.v))
-        del res  # frees its surrogate before the next subproblem sweeps
-        big_f = f_theta(problem, theta, v)
-        if big_f >= config.tol:
-            res2 = yield PamRequest(
-                a_theta, replace(config.inner, init=fresh_init), rng)
-            inner_total += res2.iterations
+        # the warm start, then the retry; the loop ends when neither
+        # certifies descent
+        for start in (x, fresh_init):
+            res = yield PamRequest(a, config.inner, rng, b, theta, start)
+            inner_total += res.iterations
             solves += 1
-            v2 = res2.v / float(np.linalg.norm(res2.v))
-            del res2
-            big_f2 = f_theta(problem, theta, v2)
-            if big_f2 < big_f:
-                v, big_f = v2, big_f2
-            if big_f >= config.tol:
+            u = res.v / float(np.linalg.norm(res.v))
+            del res  # frees its surrogate before the next subproblem sweeps
+            f_u = f_theta(problem, theta, u)
+            if start is x or f_u < big_f:
+                v, big_f = u, f_u
+            if big_f < config.tol:
                 break
+        else:
+            break
         if trace and big_f < trace[-1][2] - MONOTONE_SLACK:
             break
         trace.append((k, theta, big_f))
@@ -222,7 +218,6 @@ def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig
         if g <= 0:
             raise DenominatorError(f"denominator is {g:.6g} at iterate {k}")
         theta = a.apply_full(v) / g
-        init = Given(tuple(v.copy() for _ in range(d)))
     thetas = [t for _, t, _ in trace]
     fs = [f for _, _, f in trace]
     for i in range(len(trace) - 1):

@@ -178,9 +178,8 @@ def _trial(problem: GeneralizedEigenProblem, frac: FractionalProblem,
     """One trial as a lockstep-pool program: its fractional solve and the
     eigenpair it lands on (rejected when the solve raised DenominatorError
     or NumericalError), with its CPU share still 0."""
-    cfg = replace(config, inner=replace(config.inner, seed=seed))
     try:
-        res = yield from dinkelbach_steps(frac, cfg)
+        res = yield from dinkelbach_steps(frac, config, seed)
     except (DenominatorError, NumericalError):
         return _Trial(lambda_=np.nan, x=np.zeros(problem.a.dim),
                       residual=np.inf, accepted=False, inner_iters=0,

@@ -22,11 +22,20 @@ slots as fast CP-ALS does, every row's step from one batched closed form
 :mod:`specteig.trust_region` runs too), the multilinear value from the
 last partial dotted with its block, and every block's homogeneous value
 from one gather. Each row rounds exactly as it would in a pool of one, so
-no result depends on what else is seated. A subproblem that stops hands
-its result to the program that asked for it (a generator yielding
-:class:`PamRequest`), whose next request takes the slot at once. The
-result keeps its surrogate and computes its stationarity residual only
-when that is first read. Warnings are aggregated per run and logged once.
+no result depends on what else is seated. The buffers are allocated once
+per pool, for its capacity, and the ticks of t seated subproblems run on
+views of their first t rows.
+
+A program (a generator) asks for each subproblem with a
+:class:`PamRequest`: the operators A and B, the parameter theta and a
+start vector (or an init spec) beside its unchanged config. The pool
+writes the surrogate A - theta B - alpha E into the subproblem's stack row
+with the operations of two :func:`~specteig.tensor_core.axpy` calls and
+builds no tensor for it. A subproblem that stops hands its
+:class:`PamResult` to its program, whose next request takes the slot at
+once. The result keeps the surrogate as a dense array and builds its
+tensor and stationarity residual only when they are first read. Warnings
+are aggregated per run and logged once.
 """
 
 from __future__ import annotations
@@ -43,8 +52,8 @@ import numpy as np
 
 from .errors import (ArityError, ConfigError, DimError, DomainError,
                      NumericalError)
-from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, ZIdentity,
-                          _SweepPlan, axpy)
+from .tensor_core import (MAX_DENSE_ENTRIES, BOperator, SymTensor,
+                          ZIdentity, _class_table, _SweepPlan)
 
 logger = logging.getLogger(__name__)
 
@@ -108,10 +117,10 @@ class PamResult:
 
     v is the best block by homogeneous value, value its homogeneous
     objective, and history the per-sweep rows (iter, h_t, h_v, step_norm).
-    The result keeps the surrogate it minimized (left out of repr and
-    equality) and its blocks read-only; kkt_residual, the norm of the
-    stacked stationarity residuals at the final blocks, is computed from
-    them on first read and then kept.
+    The result keeps the dense array of the surrogate it minimized (left
+    out of repr and equality) and its blocks, both read-only. The surrogate
+    tensor and kkt_residual, the norm of the stacked stationarity residuals
+    at the final blocks, are built from them on first read and then kept.
     """
 
     v: np.ndarray
@@ -120,7 +129,11 @@ class PamResult:
     iterations: int
     converged: bool
     history: tuple[tuple[int, float, float, float], ...]
-    surrogate: SymTensor = field(repr=False, compare=False)
+    dense: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def surrogate(self) -> SymTensor:
+        return SymTensor._from_dense(self.dense)
 
     @cached_property
     def kkt_residual(self) -> float:
@@ -129,15 +142,20 @@ class PamResult:
 
 @dataclass(frozen=True)
 class PamRequest:
-    """One PAM subproblem: minimize the surrogate of a_theta under config.
+    """One PAM subproblem: minimize the surrogate of a - theta * b (of a
+    alone when b is None) under config.
 
-    rng draws random inits; None means a generator seeded with
-    config.seed.
+    start starts every block: a vector, normalized once and copied into
+    each block, an InitSpec, or None for config.init. rng draws random
+    inits; None means a generator seeded with config.seed.
     """
 
-    a_theta: SymTensor
+    a: SymTensor
     config: PamConfig
     rng: np.random.Generator | None = None
+    b: BOperator | None = None
+    theta: float = 0.0
+    start: np.ndarray | InitSpec | None = None
 
 
 @dataclass
@@ -203,9 +221,6 @@ class _ProxStep:
     whose smallest |w| clears it (NaN rows aside) skips them.
     """
 
-    __slots__ = ("w", "w_rows", "w_cols", "nw2", "nw2_col", "scale",
-                 "radius", "guard")
-
     def __init__(self, t: int, n: int, radius: float):
         self.w = np.empty((t, n))
         # a (1, n) @ (n, 1) product per row sums |w|^2 as np.dot does
@@ -241,88 +256,112 @@ class _ProxStep:
             out[degenerate] = prev[degenerate]
 
 
-def _init_blocks(config: PamConfig, dim: int, d: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """(d, dim) unit starting blocks: config.init's given vectors or
-    uniform draws, each scaled by 1.0 / |b| (b / |b| rounds differently)."""
-    blocks = np.empty((d, dim))
-    if isinstance(config.init, Given):
-        given = config.init.blocks
-        if len(given) != d:
-            raise ConfigError(f"init has {len(given)} blocks, expected {d}")
-        for j, b in enumerate(given):
-            b = np.asarray(b, dtype=float)
-            if b.shape != (dim,):
-                raise ConfigError(f"init block {j} has shape {b.shape}, "
-                                  f"expected ({dim},)")
-            nb = float(np.linalg.norm(b))
-            if nb < DEGENERATE_TOL:
-                raise ConfigError(f"init block {j} is numerically zero")
+def _init_blocks(init: np.ndarray | InitSpec, dim: int, d: int,
+                 rng: np.random.Generator | None) -> np.ndarray:
+    """Unit starting blocks, each vector b scaled by 1.0 / |b| (b / |b|
+    rounds differently): a start vector as one (1, dim) row that every
+    block copies, or the (d, dim) given vectors or uniform draws (from rng)
+    of an InitSpec."""
+    if isinstance(init, Uniform):
+        blocks = np.empty((d, dim))
+        for j in range(d):
+            while True:
+                b = rng.uniform(init.lo, init.hi, size=dim)
+                nb = float(np.linalg.norm(b))
+                if nb >= DEGENERATE_TOL:
+                    break
             blocks[j] = 1.0 / nb * b
         return blocks
-    for j in range(d):
-        while True:
-            b = rng.uniform(config.init.lo, config.init.hi, size=dim)
-            nb = float(np.linalg.norm(b))
-            if nb >= DEGENERATE_TOL:
-                break
+    given = init.blocks if isinstance(init, Given) else (init,)
+    if isinstance(init, Given) and len(given) != d:
+        raise ConfigError(f"init has {len(given)} blocks, expected {d}")
+    blocks = np.empty((len(given), dim))
+    for j, b in enumerate(given):
+        b = np.asarray(b, dtype=float)
+        if b.shape != (dim,):
+            raise ConfigError(f"init block {j} has shape {b.shape}, "
+                              f"expected ({dim},)")
+        nb = float(np.linalg.norm(b))
+        if nb < DEGENERATE_TOL:
+            raise ConfigError(f"init block {j} is numerically zero")
         blocks[j] = 1.0 / nb * b
     return blocks
 
 
 class _Member:
-    """A seated subproblem: its surrogate tensor, stopping rule and the
-    per-sweep record that becomes its PamResult."""
+    """A seated subproblem: its stopping rule, the per-sweep record that
+    becomes its PamResult, and its surrogate's nonzero index classes with
+    their canonical weights."""
 
-    __slots__ = ("program", "surrogate", "shared", "eps", "max_iter",
+    __slots__ = ("program", "classes", "weights", "eps", "max_iter",
                  "value", "history", "gap_sweeps", "max_gap")
 
-    def __init__(self, program: int, surrogate: SymTensor, shared: bool,
-                 config: PamConfig, value: float):
+    def __init__(self, program: int, config: PamConfig, classes: np.ndarray,
+                 weights: np.ndarray):
         self.program = program
-        self.surrogate = surrogate
-        self.shared = shared
+        self.classes, self.weights = classes, weights
         self.eps = config.eps
         self.max_iter = config.max_iter
-        self.value = value
+        self.value = 0.0
         self.history: list[tuple[int, float, float, float]] = []
         self.gap_sweeps = 0
         self.max_gap = 0.0
 
+    def values(self, blocks: np.ndarray) -> np.ndarray:
+        """The surrogate's homogeneous value at each row of blocks, as
+        SymTensor.apply_full_many computes it."""
+        return np.multiply.reduce(blocks[:, self.classes],
+                                  axis=1) @ self.weights
+
+
+def _rows(obj, t: int):
+    """A copy of obj whose array attributes are views of their first t
+    rows."""
+    head = object.__new__(type(obj))
+    head.__dict__ = {k: v[:t] if type(v) is np.ndarray else v
+                     for k, v in vars(obj).items()}
+    return head
+
 
 class _Frame:
-    """Buffers and views for the ticks of a pool with t seated
-    subproblems; rebuilt when t changes."""
+    """Buffers and views for the ticks of a pool, allocated once for its
+    capacity; :meth:`head` serves its first t slots."""
 
-    def __init__(self, pool: "_Pool", t: int):
-        d, n = pool.blocks.shape[1:]
-        self.t = t
-        self.blocks, self.prev = pool.blocks[:t], pool.prev[:t]
-        self.plan = _SweepPlan(pool.stack[:t], self.blocks)
+    def __init__(self, pool: "_Pool"):
+        t, d, n = pool.blocks.shape
+        self.blocks, self.prev = pool.blocks, np.empty((t, d, n))
+        self.plan = _SweepPlan(pool.stack, self.blocks)
         self.prox = _ProxStep(t, n, 1.0)
-        self.nw = np.empty((t, d))
+        nw = np.empty((t, d))
         # gamma_j times the previous blocks, for every slot at once
-        self.gammas3 = pool.gammas[:t, :, None]
+        self.gammas3 = pool.gammas[:, :, None]
         self.damped = np.empty((t, d, n))
         self.slots = [(self.damped[:, j], self.prev[:, j], self.blocks[:, j],
-                       self.nw[:, j, None]) for j in range(d)]
-        # rows h_t, h_v and step norm of the last tick
-        self.rec = np.empty((3, t))
-        self.ht3, self.hv = self.rec[0].reshape(t, 1, 1), self.rec[1]
-        self.step, self.step3 = self.rec[2], self.rec[2].reshape(t, 1, 1)
+                       nw[:, j, None]) for j in range(d)]
+        # h_t, h_v and step norm of the last tick
+        self.ht, self.hv, self.step = np.empty((3, t))
+        self.ht3 = self.ht[:, None, None]
+        self.step3 = self.step[:, None, None]
         self.c_last_rows = self.plan.partial_buffer(d - 1)[:, None, :]
         self.b_last_cols = self.blocks[:, d - 1, :, None]
-        self.diff = np.empty((t, d * n))
-        self.diff3 = self.diff.reshape(t, d, n)
-        self.diff_rows, self.diff_cols = self.diff[:, None, :], \
-            self.diff[:, :, None]
+        diff = np.empty((t, d * n))
+        self.diff3 = diff.reshape(t, d, n)
+        self.diff_rows, self.diff_cols = diff[:, None, :], diff[:, :, None]
         self.blocks_flat = self.blocks.reshape(t, d * n)
         self.vals = np.empty((t, d))
-        self.vals3 = self.vals.reshape(t, d, 1)
+        self.vals3 = self.vals[:, :, None]
         self.gathered = np.empty((t,) + pool.gather_idx.shape)
         self.prods = np.empty((t,) + pool.gather_idx.shape[1:])
         self.prods_by_block = self.prods.transpose(0, 2, 1)
-        self.weights3 = pool.weights[:t, :, None]
+        self.weights3 = pool.weights[:, :, None]
+
+    def head(self, t: int) -> "_Frame":
+        """The frame of the first t slots, on views of these buffers."""
+        head = _rows(self, t)
+        head.slots = [(damped[:t], prev[:t], out[:t], nw[:t])
+                      for damped, prev, out, nw in self.slots]
+        head.plan, head.prox = self.plan.head(t), _rows(self.prox, t)
+        return head
 
 
 class _Pool:
@@ -330,8 +369,9 @@ class _Pool:
 
     Seated subproblems occupy slots 0..T-1 of the pool arrays: stack row t
     is the flattened surrogate of slot t, blocks[t] its (d, n) blocks, and
-    gammas and weights (the canonical weights of surrogates that share the
-    pool's index classes) are per-slot rows too.
+    gammas and weights (the canonical weights of surrogates with no zero
+    index class) are per-slot rows too. Every buffer is allocated once, for
+    the pool's capacity, by the first request seated.
     """
 
     def __init__(self, programs: Sequence[Generator], stats: PamStats):
@@ -372,38 +412,59 @@ class _Pool:
                 result, error = None, exc
 
     def _seat(self, slot: int, p: int, request: PamRequest) -> None:
-        a_theta, config = request.a_theta, request.config
+        """Write the request's surrogate A - theta B - alpha E into stack
+        row slot with the operations of two axpy calls, in their order, and
+        its start into blocks[slot]."""
+        a, b, config = request.a, request.b, request.config
         d = len(config.gammas)
-        if a_theta.order != d:
-            raise ArityError(f"operator order {a_theta.order} does not "
+        if a.order != d:
+            raise ArityError(f"operator order {a.order} does not "
                              f"match block count {d}")
-        dim = a_theta.dim
-        if self.capacity and (d, dim) != self.blocks.shape[1:]:
+        dim = a.dim
+        if b is not None and (b.order, b.dim) != (d, dim):
+            raise DimError(f"shape mismatch: ({d},{dim}) vs "
+                           f"({b.order},{b.dim})")
+        if not self.capacity:
+            self._allocate(d, dim)
+        elif (d, dim) != self.blocks.shape[1:]:
             raise DimError(f"a pool of order-{self.blocks.shape[1]} "
                            f"operators on R^{self.blocks.shape[2]} cannot "
                            f"seat order {d} on R^{dim}")
-        fro = a_theta.frobenius_norm()
-        alpha = config.alpha if config.alpha is not None else fro
-        surrogate = axpy(a_theta, ZIdentity(d, dim), alpha)
+        init = config.init if request.start is None else request.start
         rng = request.rng if request.rng is not None \
             else np.random.default_rng(config.seed)
-        blocks = _init_blocks(config, dim, d, rng)
-        value = float(np.min(surrogate.apply_full_many(blocks)))
-        if not self.capacity:
-            self._allocate(d, dim, surrogate._canon_idx)
-        classes = surrogate._canon_idx
-        shared = classes.shape == self.classes.shape \
-            and np.array_equal(classes, self.classes)
-        self.stack[slot] = surrogate.dense.reshape(-1)
-        self.blocks[slot] = blocks
+        start = _init_blocks(init, dim, d, rng)
+        row = self.stack[slot]
+        if b is None:
+            a_theta, fro = a.dense.reshape(-1), a.frobenius_norm()
+        else:
+            # the norm over the nonzero classes, as SymTensor computes it
+            a_theta = np.subtract(a.dense.reshape(-1), request.theta
+                                  * b.to_symtensor().dense.reshape(-1),
+                                  out=row)
+            values = a_theta.take(self.flat)
+            nonzero = values != 0.0
+            values = values[nonzero]
+            fro = float(np.sqrt(np.dot(self.counts[nonzero] * values,
+                                       values)))
+        alpha = config.alpha if config.alpha is not None else fro
+        np.subtract(a_theta, alpha * self.identity, out=row)
+        values = row.take(self.flat)
+        nonzero = values != 0.0
+        if nonzero.all():
+            classes = self.classes
+            weights = self.weights[slot] = self.counts * values
+        else:
+            classes = self.classes[:, nonzero]
+            weights = self.counts[nonzero] * values[nonzero]
+        member = _Member(p, config, classes, weights)
+        self.blocks[slot] = start
         self.gammas[slot] = config.gammas
-        if shared:
-            self.weights[slot] = surrogate._canon_weight
-        member = _Member(p, surrogate, shared, config, value)
         if slot == len(self.members):
             self.members.append(member)
         else:
             self.members[slot] = member
+        member.value = float(member.values(self.blocks[slot]).min())
         stats = self.stats
         stats.subproblems += 1
         if alpha < fro - 1e-12:
@@ -411,23 +472,26 @@ class _Pool:
             if fro > stats.low_alpha_worst[1]:
                 stats.low_alpha_worst = (alpha, fro, d)
 
-    def _allocate(self, d: int, dim: int, classes: np.ndarray) -> None:
+    def _allocate(self, d: int, dim: int) -> None:
+        identity = ZIdentity(d, dim).to_symtensor().dense
+        self.shape = identity.shape
+        self.identity = identity.reshape(-1)
+        self.classes, self.flat, self.counts = _class_table(d, dim)
         size = dim ** d
         cap = min(len(self.programs), max(1, MAX_DENSE_ENTRIES // size))
         self.capacity = cap
         self.stack = np.empty((cap, size))
         self.blocks = np.empty((cap, d, dim))
-        self.prev = np.empty((cap, d, dim))
         self.gammas = np.empty((cap, d))
-        self.classes = classes
-        self.weights = np.empty((cap, classes.shape[1]))
+        self.weights = np.empty((cap, self.classes.shape[1]))
         # entry (i, k, j) picks component classes[i, k] of block j: the
         # product over i runs over a leading axis, slot 0 first, as in
         # SymTensor.apply_full_many, and leaves each slot's (classes, d)
         # products in the column-major layout apply_full_many hands to its
         # matrix-vector product
-        self.gather_idx = (classes[:, :, None]
+        self.gather_idx = (self.classes[:, :, None]
                            + np.arange(d)[None, None, :] * dim)
+        self.whole = _Frame(self)
 
     def _tick(self) -> None:
         """One sweep of every seated subproblem, then pam_solve's
@@ -436,8 +500,9 @@ class _Pool:
         members = self.members
         t = len(members)
         f = self.frame
-        if f is None or f.t != t:
-            f = self.frame = _Frame(self, t)
+        if f is None or len(f.blocks) != t:
+            f = self.frame = self.whole.head(t) if t < self.capacity \
+                else self.whole
         np.copyto(f.prev, f.blocks)
         np.multiply(f.gammas3, f.prev, out=f.damped)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -451,8 +516,8 @@ class _Pool:
         np.minimum.reduce(vals, axis=1, out=f.hv)
         self.stats.sweeps += t
         done = []
-        for slot, (m, ht, hv, step) in enumerate(zip(members,
-                                                     *f.rec.tolist())):
+        for slot, (m, ht, hv, step) in enumerate(zip(
+                members, f.ht.tolist(), f.hv.tolist(), f.step.tolist())):
             self.sweeps[m.program] += 1
             k = len(m.history) + 1
             if not math.isfinite(ht):
@@ -478,31 +543,34 @@ class _Pool:
 
     def _block_values(self, f: _Frame) -> np.ndarray:
         """(t, d) homogeneous surrogate values of every block, from one
-        gather over the pool's index classes when every seated surrogate
-        shares them."""
-        if all(m.shared for m in self.members):
+        gather over the shape's index classes when no seated surrogate has
+        a zero class."""
+        if all(m.classes is self.classes for m in self.members):
             f.blocks_flat.take(self.gather_idx, axis=1, out=f.gathered,
                                mode="clip")
             np.multiply.reduce(f.gathered, axis=1, out=f.prods)
             np.matmul(f.prods_by_block, f.weights3, out=f.vals3)
         else:
             for i, m in enumerate(self.members):
-                f.vals[i] = m.surrogate.apply_full_many(f.blocks[i])
+                f.vals[i] = m.values(f.blocks[i])
         return f.vals
 
     def _result(self, slot: int, vals: np.ndarray,
                 converged: bool) -> PamResult:
         m = self.members[slot]
+        # kkt_residual reads both later
         blocks = self.blocks[slot].copy()
-        blocks.flags.writeable = False  # kkt_residual reads them later
+        blocks.flags.writeable = False
+        dense = self.stack[slot].reshape(self.shape).copy()
+        dense.flags.writeable = False
         if m.gap_sweeps:
             self.stats.gap_subproblems += 1
             self.stats.gap_sweeps += m.gap_sweeps
             self.stats.max_gap = max(self.stats.max_gap, m.max_gap)
-        return PamResult(v=blocks[int(np.argmin(vals))].copy(),
+        return PamResult(v=blocks[int(vals.argmin())].copy(),
                          value=m.value, blocks=tuple(blocks),
                          iterations=len(m.history), converged=converged,
-                         history=tuple(m.history), surrogate=m.surrogate)
+                         history=tuple(m.history), dense=dense)
 
     def _refill(self) -> None:
         """Seat waiting programs in the free slots, then move the last
@@ -562,7 +630,7 @@ def pam_solve(a_theta: SymTensor, config: PamConfig,
               rng: np.random.Generator | None = None) -> PamResult:
     """Run cyclic PAM sweeps until the best-block value stalls.
 
-    Forms the surrogate tensor a_theta - alpha * E once; the block count
+    Forms the dense surrogate a_theta - alpha * E once; the block count
     must be even, since E needs even order. Each sweep shares suffix
     contractions across its slots, takes h_t from the last slot's partial
     and every block value from one gather. Stops when the best block's

@@ -149,6 +149,17 @@ class _SweepPlan:
         """The buffer :meth:`partial` (j) fills, without filling it."""
         return self._partials[j]
 
+    def head(self, t: int) -> "_SweepPlan":
+        """The plan of the first t tensors, on views of this plan's
+        buffers; each row rounds as it does here."""
+        plan = object.__new__(_SweepPlan)
+        plan._steps = [[(src[:t], col[:t], dst[:t]) for src, col, dst in s]
+                       for s in self._steps]
+        plan._partials = [p[:t] for p in self._partials]
+        plan._order_one = None if self._order_one is None \
+            else self._order_one[:t]
+        return plan
+
 
 def _multiplicities(classes: np.ndarray) -> np.ndarray:
     """Permutation count of each sorted index column of an (m, C) table."""

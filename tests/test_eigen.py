@@ -21,6 +21,7 @@ from specteig import (ConfigError, DenominatorError, DenseB, DinkelbachConfig,
                       SpecteigError, SymTensor, Uniform, ZIdentity, axpy,
                       build_problem, dinkelbach_solve, identity_tensor,
                       solve_multistart)
+from specteig.cli import EXAMPLE_SPECS, _run_example
 from specteig.dinkelbach import dinkelbach_steps
 from specteig.pam import PamStats, run_lockstep
 from specteig.eigen import (_occurrence_pct, format_table, rayleigh,
@@ -150,15 +151,16 @@ class TestMultistartMatrix:
         clean = solve_multistart(p, trials=6, base_seed=9,
                                  config=small_config())
         assert clean.accepted == 6
-        init_blocks = specteig.pam._init_blocks
+        # the pool writes each subproblem's start into its block rows;
+        # program 2 of the one chunk is trial 2
+        seat = specteig.pam._Pool._seat
 
-        def poisoned_init(config, dim, d, rng):
-            blocks = init_blocks(config, dim, d, rng)
-            if config.seed == 9 ^ 2:
-                blocks[0, 0] = np.nan
-            return blocks
+        def poisoned_seat(pool, slot, p, request):
+            seat(pool, slot, p, request)
+            if p == 2:
+                pool.blocks[slot, 0, 0] = np.nan
 
-        monkeypatch.setattr(specteig.pam, "_init_blocks", poisoned_init)
+        monkeypatch.setattr(specteig.pam._Pool, "_seat", poisoned_seat)
         report = solve_multistart(p, trials=6, base_seed=9,
                                   config=small_config())
         assert report.trials == 6
@@ -245,6 +247,38 @@ def _random_problem(kind, m, n, rng):
     r = random_symtensor(m, n, rng)
     b = axpy(identity_tensor(m, n), DenseB(r), -0.1 / r.frobenius_norm())
     return build_problem(a, kind, b=b)
+
+
+class TestBundledStudies:
+    """The bundled studies as `specteig examples` runs them, at seed 1729
+    with their shipped trial counts. A change that keeps every answer
+    keeps these numbers exactly."""
+
+    #: accepted trials, then per cluster: lambda, trials hit, and the inner
+    #: and outer iterations summed over the cluster's trials
+    PINS = {
+        "5.1": (100, [(-1.0953516978435447, 43, 481, 43),
+                      (-0.5629171291384194, 25, 323, 25),
+                      (-0.04509210814528164, 32, 576, 32)]),
+        "5.2": (93, [(-10.744030528640888, 39, 5267, 144),
+                     (-3.717942855312997, 54, 4759, 192)]),
+        "5.3": (80, [(-0.3312821487628093, 33, 1437, 76),
+                     (-0.12419410802730908, 20, 820, 45),
+                     (-0.007410956427438616, 27, 911, 72)]),
+    }
+
+    @pytest.mark.parametrize("tag", sorted(PINS))
+    def test_pinned(self, tag):
+        _, _, report = _run_example(tag, None, 1729, 1)
+        accepted, clusters = self.PINS[tag]
+        assert report.trials == EXAMPLE_SPECS[tag]["trials"]
+        assert report.accepted == accepted
+        assert len(report.pairs) == len(clusters)
+        for p, (lam, hits, inner, outer) in zip(report.pairs, clusters):
+            assert p.trials_hit == hits
+            assert p.mean_inner_iters == inner / hits
+            assert p.mean_outer_iters == outer / hits
+            assert p.lambda_ == pytest.approx(lam, abs=1e-9)
 
 
 class TestLockstepEquivalence:

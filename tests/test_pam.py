@@ -3,21 +3,25 @@ with known closed-form optima.
 """
 
 import csv
+import dataclasses
 import logging
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specteig import (ArityError, ConfigError, DinkelbachConfig, DomainError,
-                      FractionalProblem, Given, PamConfig, SymTensor, Uniform,
-                      ZIdentity, axpy, build_problem, dinkelbach_solve,
-                      identity_tensor, kl_exponent, pam_solve,
-                      solve_multistart)
-from specteig import pam
+from specteig import (ArityError, ConfigError, DenseB, DinkelbachConfig,
+                      DomainError, FractionalProblem, Given, HDiagonal,
+                      PamConfig, SymTensor, Uniform, ZIdentity, axpy,
+                      build_problem, dinkelbach_solve, identity_tensor,
+                      kl_exponent, pam_solve, solve_multistart)
+import specteig.dinkelbach
+import specteig.eigen
+from specteig import pam, tensor_core
 from specteig.dinkelbach import dinkelbach_steps
 from specteig.pam import (DIAGONAL_GAP_SLACK, PamRequest, PamResult,
                           PamStats, _ProxStep, run_lockstep,
@@ -331,8 +335,8 @@ class TestPoolMembers:
         for got, swept, request in zip(outcomes, sweeps, requests):
             # the plain loop's blocks bit for bit, and the whole result of
             # the same subproblem in a pool of its own
-            plain = reference_pam_solve(request.a_theta, request.config)
-            alone = pam_solve(request.a_theta, request.config)
+            plain = reference_pam_solve(request.a, request.config)
+            alone = pam_solve(request.a, request.config)
             for b_got, b_plain, b_alone in zip(got.blocks, plain.blocks,
                                                alone.blocks):
                 assert np.array_equal(b_got, b_plain)
@@ -377,16 +381,136 @@ class TestPoolMembers:
                                      seed=4))])
 
 
+class TestSeatedFromParameters:
+    """A request seated from (A, B, theta) and a start vector against the
+    path through tensors and configs: pam_solve of axpy(A, B, theta) from d
+    given copies of the start. A sparse A and a full one share each pool;
+    the sparse one's surrogate often has zero index classes, and then the
+    pool gathers block values member by member."""
+
+    @staticmethod
+    def _denominator(kind, m, n, rng):
+        if kind == "Z":
+            return ZIdentity(m, n)
+        if kind == "H":
+            return HDiagonal(m, n)
+        # |x|^m plus a perturbation of at most 0.1 on the unit sphere
+        r = random_symtensor(m, n, rng)
+        return DenseB(axpy(identity_tensor(m, n), DenseB(r),
+                           -0.1 / r.frobenius_norm()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["Z", "H", "D"]),
+           m=st.sampled_from([2, 4, 6]), n=st.integers(1, 4),
+           shift=st.sampled_from([None, 0.0, 0.5, 3.0]),
+           seed=st.integers(0, 2 ** 20))
+    def test_matches_axpy_and_given_blocks(self, kind, m, n, shift, seed):
+        rng = np.random.default_rng(seed)
+        full = random_symtensor(m, n, rng)
+        # the diagonal and about half of the other classes
+        sparse = SymTensor(m, n, {
+            idx: v for idx, v in full.canonical.items()
+            if len(set(idx)) == 1 or rng.random() < 0.5})
+        b = self._denominator(kind, m, n, rng)
+        thetas = rng.uniform(-2.0, 2.0, size=2)
+        starts = rng.standard_normal((2, n))
+        requests = []
+        for a, theta, x in zip((sparse, full), thetas, starts):
+            alpha = None if shift is None \
+                else shift * axpy(a, b, theta).frobenius_norm()
+            config = PamConfig(gammas=tuple(rng.choice([0.0, 1.0, 3.0], m)),
+                               alpha=alpha, eps=1e-8, max_iter=200)
+            requests.append(PamRequest(a, config, None, b, theta, x))
+
+        def program(request):
+            return (yield request)
+
+        outcomes, sweeps = run_lockstep([program(r) for r in requests],
+                                        PamStats())
+        for got, swept, r in zip(outcomes, sweeps, requests):
+            a_theta = axpy(r.a, r.b, r.theta)
+            want = pam_solve(a_theta, dataclasses.replace(
+                r.config, init=Given(tuple(r.start.copy()
+                                           for _ in range(m)))))
+            assert np.array_equal(got.v, want.v)
+            assert got.value == want.value
+            assert len(got.blocks) == len(want.blocks) == m
+            for b_got, b_want in zip(got.blocks, want.blocks):
+                assert np.array_equal(b_got, b_want)
+            assert (got.iterations, got.converged, got.history) == \
+                (want.iterations, want.converged, want.history)
+            assert swept == got.iterations
+            alpha = r.config.alpha if r.config.alpha is not None \
+                else a_theta.frobenius_norm()
+            surrogate = axpy(a_theta, ZIdentity(m, n), alpha)
+            assert got.dense.tobytes() == want.dense.tobytes() \
+                == surrogate.dense.tobytes()
+            assert got.kkt_residual == want.kkt_residual
+
+
+class TestSubproblemCosts:
+    """A subproblem of a multistart run costs its sweeps: its program
+    hands the pool (A, B, theta) and a start vector, and the pool seats it
+    in buffers allocated once, without building a tensor, a config or
+    Given blocks for it."""
+
+    def test_study_51_builds_nothing_per_subproblem(self, monkeypatch,
+                                                     example2):
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        replace = dataclasses.replace
+
+        def counted_replace(obj, **changes):
+            if isinstance(obj, (PamConfig, DinkelbachConfig)):
+                counts["config replace"] += 1
+            return replace(obj, **changes)
+
+        for module in (dataclasses, pam, specteig.dinkelbach, specteig.eigen):
+            if hasattr(module, "replace"):
+                monkeypatch.setattr(module, "replace", counted_replace)
+        monkeypatch.setattr(SymTensor, "_from_dense", classmethod(
+            counted("SymTensor._from_dense", SymTensor._from_dense.__func__)))
+        monkeypatch.setattr(PamConfig, "__post_init__", counted(
+            "PamConfig built", PamConfig.__post_init__))
+        monkeypatch.setattr(Given, "__init__", counted(
+            "Given built", Given.__init__))
+        monkeypatch.setattr(tensor_core._SweepPlan, "__init__", counted(
+            "_SweepPlan built", tensor_core._SweepPlan.__init__))
+        monkeypatch.setattr(pam._Pool, "_seat", counted(
+            "subproblems", pam._Pool._seat))
+        # study 5.1's settings, built before counting starts
+        config = DinkelbachConfig(inner=PamConfig(
+            gammas=(1.0,) * 4, eps=1e-6, init=Uniform(-1.0, 1.0)), tol=1e-3)
+        problem = build_problem(example2, "Z")
+        counts.clear()
+        report = solve_multistart(problem, 20, 1729, config)
+        assert report.accepted == 20
+        assert counts["subproblems"] >= 40
+        # one pool, so one set of sweep buffers
+        assert counts["_SweepPlan built"] == 1
+        for name in ("SymTensor._from_dense", "config replace",
+                     "PamConfig built", "Given built"):
+            assert counts[name] == 0, name
+
+
 class TestResidualOnDemand:
-    """A PamResult keeps its surrogate and computes kkt_residual from it on
-    first read: the same float the pool used to compute for every
-    result."""
+    """A PamResult keeps its dense surrogate, and builds the surrogate
+    tensor and computes kkt_residual from it on first read: the same float
+    the pool used to compute for every result."""
 
     @staticmethod
     def _check(res, a_theta, alpha):
         # the kept surrogate is A - alpha E as axpy forms it, bit for bit
-        assert np.array_equal(res.surrogate.dense,
-                              surrogate(a_theta, alpha).dense)
+        want = surrogate(a_theta, alpha)
+        assert np.array_equal(res.dense, want.dense)
+        assert np.array_equal(res.surrogate.dense, want.dense)
+        assert res.surrogate.canonical == want.canonical
         want = pam._kkt_residual(res.surrogate, res.blocks,
                                  res.history[-1][1])
         assert res.kkt_residual == want
@@ -420,8 +544,7 @@ class TestResidualOnDemand:
             outcomes, _ = run_lockstep(
                 [program(r) for r in requests], PamStats())
             for res, request in zip(outcomes, requests):
-                self._check(res, request.a_theta,
-                            request.a_theta.frobenius_norm())
+                self._check(res, request.a, request.a.frobenius_norm())
 
     def test_second_read_is_cached(self, monkeypatch):
         res = pam_solve(A1, PamConfig(gammas=(1.0, 1.0), seed=2))
@@ -452,20 +575,22 @@ class TestResidualOnDemand:
         assert res.n_solves >= 1
 
     def test_finished_surrogates_are_not_kept(self, monkeypatch, example2):
-        # at every sweep only the seated subproblems' surrogates are alive:
-        # a finished one's goes with its slot, although its result kept it
+        # at every sweep only the seated subproblems' surrogates are alive,
+        # as rows of the pool's stack: a finished one's dense copy goes with
+        # its result, which the loop drops before the next sweep
         alive = []
-        seat, tick = pam._Pool._seat, pam._Pool._tick
+        result, tick = pam._Pool._result, pam._Pool._tick
 
-        def seat_and_track(pool, slot, p, request):
-            seat(pool, slot, p, request)
-            alive.append(weakref.ref(pool.members[slot].surrogate.dense))
+        def result_and_track(pool, *args):
+            res = result(pool, *args)
+            alive.append(weakref.ref(res.dense))
+            return res
 
         def count_and_tick(pool):
-            assert sum(r() is not None for r in alive) == len(pool.members)
+            assert sum(r() is not None for r in alive) == 0
             tick(pool)
 
-        monkeypatch.setattr(pam._Pool, "_seat", seat_and_track)
+        monkeypatch.setattr(pam._Pool, "_result", result_and_track)
         monkeypatch.setattr(pam._Pool, "_tick", count_and_tick)
         inner = PamConfig(gammas=(1.0,) * 4, eps=1e-6, init=Uniform())
         config = DinkelbachConfig(inner=inner, tol=1e-3)
@@ -490,11 +615,11 @@ class TestResidualOnDemand:
         for v in (high, low):
             res = PamResult(v=v, value=0.0, blocks=(v,) * 4, iterations=1,
                             converged=True, history=((1, 0.0, 0.0, 0.0),),
-                            surrogate=None)
+                            dense=None)
             refs.append(weakref.ref(res))
-            inits.append(type(steps.send(res).config.init))
+            inits.append(type(steps.send(res).start))
             del res
-        assert inits == [Uniform, Given]
+        assert inits == [Uniform, np.ndarray]
         assert [r() for r in refs] == [None, None]
         steps.close()
 

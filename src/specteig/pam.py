@@ -53,7 +53,7 @@ import numpy as np
 from .errors import (ArityError, ConfigError, DimError, DomainError,
                      NumericalError)
 from .tensor_core import (MAX_DENSE_ENTRIES, BOperator, SymTensor,
-                          ZIdentity, _class_table, _SweepPlan)
+                          ZIdentity, _class_table, _form_values, _SweepPlan)
 
 logger = logging.getLogger(__name__)
 
@@ -218,15 +218,14 @@ class _ProxStep:
     prev, and when the candidates +-r * w / |w| differ in objective (by
     2 r |w|) by less than DEGENERATE_TOL, the one nearer prev wins. Both
     apply only below guard = 2 DEGENERATE_TOL max(1, 0.5 / r), so a step
-    whose smallest |w| clears it (NaN rows aside) skips them.
+    in which no |w| is below it (a NaN |w| is not) skips them.
     """
 
     def __init__(self, t: int, n: int, radius: float):
         self.w = np.empty((t, n))
-        # a (1, n) @ (n, 1) product per row sums |w|^2 as np.dot does
-        self.w_rows, self.w_cols = self.w[:, None, :], self.w[:, :, None]
-        self.nw2 = np.empty((t, 1, 1))
-        self.nw2_col = self.nw2.reshape(t, 1)
+        # np.vecdot sums each row's |w|^2 with np.dot's BLAS ddot
+        self.nw2 = np.empty(t)
+        self.nw2_col = self.nw2[:, None]
         self.scale = np.empty((t, 1))
         self.radius = float(radius)
         self.guard = 2.0 * DEGENERATE_TOL * max(1.0, 0.5 / self.radius)
@@ -237,23 +236,25 @@ class _ProxStep:
         blocks before the step in prev and the rows gamma_i * prev[i] in
         damped; nw is a (t, 1) column."""
         w = self.w
-        np.subtract(c, damped, out=w)
-        np.matmul(self.w_rows, self.w_cols, out=self.nw2)
-        np.sqrt(self.nw2_col, out=nw)
-        np.divide(-self.radius, nw, out=self.scale)
-        np.multiply(self.scale, w, out=out)
-        # fmin skips NaN rows, so one cannot hide a tied row beside it
-        if not np.fmin.reduce(nw, axis=None) < self.guard:
+        np.subtract(c, damped, w)
+        np.vecdot(w, w, self.nw2)
+        np.sqrt(self.nw2_col, nw)
+        np.divide(-self.radius, nw, self.scale)
+        np.multiply(self.scale, w, out)
+        # a NaN row compares False, so it cannot hide a tied row beside it
+        for (v,) in nw.tolist():
+            if v < self.guard:
+                break
+        else:
             return
         nw = nw[:, 0]
         degenerate = nw < DEGENERATE_TOL
         tie = 2.0 * self.radius * nw < DEGENERATE_TOL
-        if degenerate.any() or tie.any():
-            u = -out
-            aligned = (u[:, None, :] @ prev[:, :, None]).reshape(-1) > 0.0
-            keep_u = tie & ~degenerate & aligned
-            out[keep_u] = u[keep_u]
-            out[degenerate] = prev[degenerate]
+        u = -out
+        aligned = (u[:, None, :] @ prev[:, :, None]).reshape(-1) > 0.0
+        keep_u = tie & ~degenerate & aligned
+        out[keep_u] = u[keep_u]
+        out[degenerate] = prev[degenerate]
 
 
 def _init_blocks(init: np.ndarray | InitSpec, dim: int, d: int,
@@ -308,10 +309,8 @@ class _Member:
         self.max_gap = 0.0
 
     def values(self, blocks: np.ndarray) -> np.ndarray:
-        """The surrogate's homogeneous value at each row of blocks, as
-        SymTensor.apply_full_many computes it."""
-        return np.multiply.reduce(blocks[:, self.classes],
-                                  axis=1) @ self.weights
+        """The surrogate's homogeneous value at each row of blocks."""
+        return _form_values(blocks, self.classes, self.weights)
 
 
 def _rows(obj, t: int):
@@ -340,13 +339,8 @@ class _Frame:
                        nw[:, j, None]) for j in range(d)]
         # h_t, h_v and step norm of the last tick
         self.ht, self.hv, self.step = np.empty((3, t))
-        self.ht3 = self.ht[:, None, None]
-        self.step3 = self.step[:, None, None]
-        self.c_last_rows = self.plan.partial_buffer(d - 1)[:, None, :]
-        self.b_last_cols = self.blocks[:, d - 1, :, None]
-        diff = np.empty((t, d * n))
-        self.diff3 = diff.reshape(t, d, n)
-        self.diff_rows, self.diff_cols = diff[:, None, :], diff[:, :, None]
+        self.diff = np.empty((t, d * n))
+        self.diff3 = self.diff.reshape(t, d, n)
         self.blocks_flat = self.blocks.reshape(t, d * n)
         self.vals = np.empty((t, d))
         self.vals3 = self.vals[:, :, None]
@@ -504,14 +498,14 @@ class _Pool:
             f = self.frame = self.whole.head(t) if t < self.capacity \
                 else self.whole
         np.copyto(f.prev, f.blocks)
-        np.multiply(f.gammas3, f.prev, out=f.damped)
+        np.multiply(f.gammas3, f.prev, f.damped)
         with np.errstate(divide="ignore", invalid="ignore"):
             for j, (damped, prev, out, nw) in enumerate(f.slots):
                 f.prox(f.plan.partial(j), damped, prev, out, nw)
-        np.matmul(f.c_last_rows, f.b_last_cols, out=f.ht3)
-        np.subtract(f.blocks, f.prev, out=f.diff3)
-        np.matmul(f.diff_rows, f.diff_cols, out=f.step3)
-        np.sqrt(f.step, out=f.step)
+        np.vecdot(f.plan.partial_buffer(-1), f.blocks[:, -1], f.ht)
+        np.subtract(f.blocks, f.prev, f.diff3)
+        np.vecdot(f.diff, f.diff, f.step)
+        np.sqrt(f.step, f.step)
         vals = self._block_values(f)
         np.minimum.reduce(vals, axis=1, out=f.hv)
         self.stats.sweeps += t

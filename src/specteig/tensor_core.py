@@ -108,7 +108,7 @@ class _SweepPlan:
     d(d+1)/2 - 1 stacked products for d slots.
     """
 
-    __slots__ = ("_steps", "_partials", "_order_one")
+    __slots__ = ("_steps", "_mul", "_partials", "_order_one")
 
     def __init__(self, stack: np.ndarray, blocks: np.ndarray):
         t, d, n = blocks.shape
@@ -128,21 +128,30 @@ class _SweepPlan:
 
         suffix_steps, partial0 = chain(stack, range(d - 1, 0, -1))
         suffix = [stack] + [out.reshape(t, -1) for *_, out in suffix_steps]
-        self._steps = [suffix_steps]
+        steps = [suffix_steps]
         self._partials = [partial0 if d > 1 else np.empty((t, n))]
         # at order 1 the partial is the tensor itself, copied out
-        self._order_one = stack if d == 1 else None
+        self._order_one = [stack] if d == 1 else []
         for j in range(1, d):
-            steps, out = chain(suffix[d - 1 - j], range(j - 1, -1, -1))
-            self._steps.append(steps)
+            slot_steps, out = chain(suffix[d - 1 - j], range(j - 1, -1, -1))
+            steps.append(slot_steps)
             self._partials.append(out)
+        self._bind(steps, t)
+
+    def _bind(self, steps: list, t: int) -> None:
+        """Run the first t rows of the stacked steps; one row runs them as
+        np.dot on 2-D views, the same gemv as matmul but cheaper to call."""
+        self._mul = np.dot if t == 1 else np.matmul
+        self._steps = [[(src[0], col[0, :, 0], dst[0, :, 0]) if t == 1
+                        else (src[:t], col[:t], dst[:t])
+                        for src, col, dst in s] for s in steps]
 
     def partial(self, j: int) -> np.ndarray:
         """Slot j's partials, in a buffer the next sweep overwrites."""
         for src, col, dst in self._steps[j]:
-            np.matmul(src, col, out=dst)
-        if self._order_one is not None:
-            np.copyto(self._partials[0], self._order_one)
+            self._mul(src, col, dst)
+        for src in self._order_one:
+            np.copyto(self._partials[0], src)
         return self._partials[j]
 
     def partial_buffer(self, j: int) -> np.ndarray:
@@ -150,14 +159,12 @@ class _SweepPlan:
         return self._partials[j]
 
     def head(self, t: int) -> "_SweepPlan":
-        """The plan of the first t tensors, on views of this plan's
-        buffers; each row rounds as it does here."""
+        """The plan of the first t of this plan's T > 1 tensors, on views
+        of its buffers; each row rounds as it does here."""
         plan = object.__new__(_SweepPlan)
-        plan._steps = [[(src[:t], col[:t], dst[:t]) for src, col, dst in s]
-                       for s in self._steps]
+        plan._bind(self._steps, t)
         plan._partials = [p[:t] for p in self._partials]
-        plan._order_one = None if self._order_one is None \
-            else self._order_one[:t]
+        plan._order_one = [src[:t] for src in self._order_one]
         return plan
 
 
@@ -183,6 +190,16 @@ def _class_table(order: int, dim: int) -> tuple[np.ndarray, ...]:
     for arr in table:
         arr.flags.writeable = False
     return table
+
+
+def _form_values(xs: np.ndarray, classes: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """The form of (m, C) index classes with weights at each row of xs: the
+    slot products of one take, slot 0 first, into a column-major (N, C)
+    buffer like the pool's (C order would take another gemv kernel)."""
+    prods = np.empty((classes.shape[1], xs.shape[0])).T
+    np.multiply.reduce(xs.take(classes, axis=1), axis=1, out=prods)
+    return prods @ weights
 
 
 def _expand(order: int, dim: int, classes: np.ndarray,
@@ -326,15 +343,12 @@ class SymTensor:
                             np.multiply.reduce(x[self._canon_idx], axis=0)))
 
     def apply_full_many(self, xs: np.ndarray) -> np.ndarray:
-        """Homogeneous form at every row of an (N, n) array, in one gather.
-        Its (N, C) products are column-major, as the pool's block values
-        have them: a C-ordered array takes another BLAS kernel."""
+        """Homogeneous form at every row of an (N, n) array."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise DimError(f"expected an (N, {self.dim}) array, got shape "
                            f"{xs.shape}")
-        return np.multiply.reduce(xs[:, self._canon_idx],
-                                  axis=1) @ self._canon_weight
+        return _form_values(xs, self._canon_idx, self._canon_weight)
 
     def apply_gradient(self, x: np.ndarray) -> np.ndarray:
         """Contraction on all slots but one; (1/m) of the gradient of

@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import (ConfigError, DimError, DomainError, NumericalError,
                      ParseError)
@@ -300,7 +299,7 @@ def _boundary_sweeps(stack: np.ndarray, blocks: np.ndarray, delta: float,
         with np.errstate(divide="ignore", invalid="ignore"):
             for k in range(1, config.inner_max_iter + 1):
                 np.copyto(prev, tails)
-                np.multiply(config.gamma, prev, out=damped)
+                np.multiply(config.gamma, prev, damped)
                 for j, slot in enumerate(slots):
                     prox(plan.partial(j)[:, 1:], *slot, nw)
                 h = float(np.dot(c_last, b_last))
@@ -407,14 +406,16 @@ def check_second_order(poly: TaylorPoly, s: np.ndarray,
     """Smallest eigenvalue of the Lagrangian Hessian projected onto the
     tangent space of s, and whether it clears 1e-10.
 
-    For n = 1 the tangent space is trivial and the check passes vacuously.
-    The inertia of the unprojected Hessian is logged for diagnosis only.
+    It passes vacuously for n = 1 and raises DomainError on a non-finite s
+    or lam. The inertia of the unprojected Hessian is logged for diagnosis.
     """
     s = np.asarray(s, dtype=float)
     n = poly.n
     if s.shape != (n,):
         raise DimError(f"expected a vector of length {n}, got shape "
                        f"{s.shape}")
+    if not (np.isfinite(s).all() and math.isfinite(lam)):
+        raise DomainError("second-order check needs a finite s and lam")
     if n == 1:
         return math.inf, True
     mat = poly.hessian(s) + lam * np.eye(n)
@@ -423,11 +424,17 @@ def check_second_order(poly: TaylorPoly, s: np.ndarray,
         logger.info("unprojected Lagrangian Hessian has %d negative "
                     "eigenvalues (smallest %.6g)",
                     int((full < -1e-10).sum()), float(full[0]))
-    basis = null_space(s.reshape(1, n))
-    proj = basis.T @ mat @ basis
-    w = np.linalg.eigvalsh(proj)
-    min_eig = float(w[0])
+    basis = _tangent_basis(s)
+    min_eig = float(np.linalg.eigvalsh(basis.T @ mat @ basis)[0])
     return min_eig, min_eig > 1e-10
+
+
+def _tangent_basis(s: np.ndarray) -> np.ndarray:
+    """scipy.linalg.null_space(s.reshape(1, n)) by NumPy alone, with its
+    values and memory layout, which picks the projection's BLAS kernel."""
+    _, sv, vh = np.linalg.svd(s.reshape(1, -1))
+    rank = (sv > sv.max() * (np.finfo(float).eps * s.size)).sum()
+    return np.ascontiguousarray(vh.T)[:, rank:]
 
 
 def random_cubic(n: int, seed: int,

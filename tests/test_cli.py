@@ -275,6 +275,16 @@ def _module_env():
 
 
 class TestModuleEntry:
+    def test_import_loads_no_scipy(self):
+        # the package runs on NumPy alone; only the tests need SciPy
+        code = ("import sys, specteig, specteig.cli; "
+                "print('scipy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env=_module_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_help_via_module(self):
         proc = subprocess.run([sys.executable, "-m", "specteig", "--help"],
                               capture_output=True, text=True,

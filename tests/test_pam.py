@@ -4,6 +4,7 @@ with known closed-form optima.
 
 import csv
 import dataclasses
+import itertools
 import logging
 import math
 import weakref
@@ -28,6 +29,7 @@ from specteig.pam import (DIAGONAL_GAP_SLACK, PamRequest, PamResult,
                           write_history_csv)
 
 from conftest import (dense_multilinear, dense_partial, random_symtensor,
+                      reference_apply_full_many,
                       reference_pam_solve, to_dense)
 
 A1 = SymTensor.from_entries(2, 2, [((1, 1), 1.0), ((2, 2), -2.0)])
@@ -124,6 +126,33 @@ class TestSurrogateValues:
                                                 abs=1e-12)
 
 
+class TestMemberValues:
+    """A seated member's block values come from the gather that
+    SymTensor.apply_full_many runs; it must equal the last-axis gather of
+    the reference bit for bit, on a whole class table and on the nonzero
+    classes of a sparse surrogate."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_reference_gather(self, m):
+        rng = np.random.default_rng(900 + m)
+        config = PamConfig(gammas=(1.0,) * m)
+        for n in range(1, 5):
+            full = random_symtensor(m, n, rng)
+            sparse = SymTensor(m, n, {k: v for k, v in full.canonical.items()
+                                      if rng.uniform() < 0.5})
+            for a in (full, sparse):
+                member = pam._Member(0, config, a._canon_idx,
+                                     a._canon_weight)
+                pool_blocks = rng.standard_normal((3, m, n))
+                cases = [rng.standard_normal((rows, n)) for rows in range(8)]
+                # the pool passes one slot's (d, n) blocks, and strided rows
+                cases += [pool_blocks[1], pool_blocks[:, 0]]
+                for xs in cases:
+                    want = reference_apply_full_many(a, xs)
+                    assert np.array_equal(member.values(xs), want)
+                    assert np.array_equal(a.apply_full_many(xs), want)
+
+
 def block_update(surrogate, blocks, slot, gamma, radius, prev):
     """One proximal block step through a one-row `_ProxStep` on the sphere
     of the given radius, with the partial from the kernel's free-slot
@@ -197,6 +226,62 @@ class TestBlockUpdate:
         out = block_update(h, blocks, 2, 2.0, 1.0, prev)
         after = self._prox_obj(h, blocks, 2, 2.0, prev, out)
         assert after <= before + 1e-12
+
+
+class TestProxStepRows:
+    """`_ProxStep` takes every row's |w| from np.vecdot and tests its tie
+    and degeneracy guard row by row in Python."""
+
+    @pytest.mark.parametrize("t", [1, 3, 8])
+    def test_norms_and_steps_match_per_row_dot(self, t):
+        # lengths 32 and up reach the SIMD path of OpenBLAS's ddot
+        rng = np.random.default_rng(50 + t)
+        for n in range(1, 65):
+            scale = 10.0 ** rng.integers(-6, 7)
+            c = scale * rng.standard_normal((t, n))
+            prev = rng.standard_normal((t, n))
+            damped = 2.0 * prev
+            out, nw = np.empty((t, n)), np.empty((t, 1))
+            _ProxStep(t, n, 0.5)(c, damped, prev, out, nw)
+            for i in range(t):
+                w = c[i] - damped[i]
+                norm = math.sqrt(float(np.dot(w, w)))
+                assert nw[i, 0] == norm
+                assert np.array_equal(out[i], (-0.5 / norm) * w)
+            # the pool's h_t and step norm: rows of a (t, d, n) block array
+            # and of a (t, d * n) one
+            blocks = rng.standard_normal((t, 3, n))
+            for x, y in ((c, blocks[:, 2]), (blocks.reshape(t, -1),) * 2):
+                got = np.vecdot(x, y)
+                assert all(got[i] == np.dot(x[i], y[i]) for i in range(t))
+
+    def test_rules_change_exactly_the_tied_and_degenerate_rows(self):
+        # at radius 0.1 a row ties below |w| = DEGENERATE_TOL / (2 r) =
+        # 5e-14 and is degenerate below 1e-14; the guard is 1e-13. One call
+        # in every row order: a NaN row must not hide the others, and the
+        # rules must leave the ordinary and NaN rows as the formula has them
+        r = 0.1
+        u = np.array([0.6, 0.0, -0.8])
+        rows = {
+            "nan": (np.array([math.nan, 1.0, 0.0]), r * u),
+            "tied": (4.9e-14 * u, r * u),
+            "tied, formula nearer": (4.9e-14 * u, -r * u),
+            "degenerate": (5e-15 * u, r * np.array([0.0, 1.0, 0.0])),
+            "ordinary": (np.array([0.3, -1.2, 0.5]), r * u),
+        }
+        formula = {k: (-r / math.sqrt(float(np.dot(w, w)))) * w
+                   for k, (w, _) in rows.items()}
+        want = dict(formula, tied=-formula["tied"],
+                    degenerate=rows["degenerate"][1])
+        for order in itertools.permutations(rows):
+            w = np.array([rows[k][0] for k in order])
+            prev = np.array([rows[k][1] for k in order])
+            out, nw = np.empty_like(w), np.empty((len(order), 1))
+            with np.errstate(invalid="ignore"):
+                _ProxStep(len(order), 3, r)(w, np.zeros_like(w), prev, out,
+                                            nw)
+            for i, k in enumerate(order):
+                assert np.array_equal(out[i], want[k], equal_nan=True), k
 
 
 class TestPamSolve:

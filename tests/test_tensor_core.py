@@ -195,29 +195,59 @@ class TestSweepPartials:
     """The stacked sweep contractions of `_SweepPlan` against the serial
     kernel, row by row."""
 
-    @pytest.mark.parametrize("m", range(1, 7))
-    def test_matches_multilinear_partial_with_updates(self, m):
+    @staticmethod
+    def _sweep(plan, tensors, blocks, rng):
         # a sweep overwrites each slot once its partial is out; every row
         # of every partial must equal multilinear_partial of its own tensor
         # on its rows as they are then, bit for bit, since both run the
         # same contraction order
+        t, m, n = len(tensors), blocks.shape[1], blocks.shape[2]
+        for sweep in range(2):
+            for j in range(m):
+                c = plan.partial(j)
+                assert c.shape == (t, n)
+                for row, a in enumerate(tensors):
+                    others = [blocks[row, i] for i in range(m) if i != j]
+                    assert np.array_equal(c[row],
+                                          a.multilinear_partial(others, j))
+                blocks[:t, j] = rng.standard_normal((t, n))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_multilinear_partial_with_updates(self, m):
         rng = np.random.default_rng(600 + m)
         for n in (1, 2, 3, 4):
             for t in (1, 3):
                 tensors = [random_symtensor(m, n, rng) for _ in range(t)]
                 stack = np.stack([a.dense.reshape(-1) for a in tensors])
                 blocks = rng.standard_normal((t, m, n))
-                plan = _SweepPlan(stack, blocks)
-                for sweep in range(2):
-                    for j in range(m):
-                        c = plan.partial(j)
-                        assert c.shape == (t, n)
-                        for row, a in enumerate(tensors):
-                            others = [blocks[row, i] for i in range(m)
-                                      if i != j]
-                            assert np.array_equal(
-                                c[row], a.multilinear_partial(others, j))
-                        blocks[:, j] = rng.standard_normal((t, n))
+                self._sweep(_SweepPlan(stack, blocks), tensors, blocks, rng)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 23, 31])
+    def test_one_row_plans_at_boundary_lift_sizes(self, n):
+        # one row runs its products as np.dot on 2-D views; the lifts of
+        # the boundary solver are order 3 on R^2 .. R^31
+        rng = np.random.default_rng(620 + n)
+        lift = random_cubic(n - 1, n).lifted
+        blocks = rng.standard_normal((1, 3, n))
+        plan = _SweepPlan(lift.dense.reshape(1, -1), blocks)
+        self._sweep(plan, [lift], blocks, rng)
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_head_views_of_a_three_row_plan(self, m):
+        # a head of one row switches to the 2-D products, a longer one
+        # keeps the stacked ones; both run on views of the whole plan
+        rng = np.random.default_rng(640 + m)
+        for n in (1, 3, 5):
+            tensors = [random_symtensor(m, n, rng) for _ in range(3)]
+            stack = np.stack([a.dense.reshape(-1) for a in tensors])
+            blocks = rng.standard_normal((3, m, n))
+            whole = _SweepPlan(stack, blocks)
+            for t in (1, 2, 3):
+                head = whole.head(t)
+                self._sweep(head, tensors[:t], blocks, rng)
+                for j in range(m):
+                    assert np.shares_memory(head.partial_buffer(j),
+                                            whole.partial_buffer(j))
 
     def test_partials_do_not_alias_the_tensor(self):
         a = SymTensor.from_entries(1, 3, [((2,), 5.0)])

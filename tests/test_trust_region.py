@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from specteig import (BoundaryConfig, ConfigError, DimError, DomainError,
                       TaylorPoly, check_second_order, lagrangian_grad,
                       load_poly, poly_to_dict, random_cubic, solve_boundary)
 from specteig.errors import NumericalError, ParseError
-from specteig.trust_region import _boundary_sweeps, _shift_tensor
+from specteig.trust_region import (_boundary_sweeps, _shift_tensor,
+                                   _tangent_basis)
 
 from conftest import (fd_gradient, reference_evaluate, reference_gradient,
                       reference_hessian, reference_homogenize)
@@ -436,6 +438,47 @@ class TestCheckSecondOrder:
         p = TaylorPoly(2, 2, {})
         with pytest.raises(DimError):
             check_second_order(p, np.zeros(3), 0.0)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_raises_domain_error(self, n, bad):
+        # a typed error, and still a ValueError for callers that catch one
+        p = random_cubic(n, 1)
+        s = np.ones(n)
+        s[-1] = bad
+        for args in ((s, 1.0), (np.ones(n), bad)):
+            with pytest.raises(DomainError):
+                check_second_order(p, *args)
+        assert issubclass(DomainError, ValueError)
+
+    def test_tangent_basis_is_scipys_null_space(self):
+        # values and memory layout alike: the layout picks the BLAS kernel
+        # of the projection, so either could change the certificate's bits
+        rng = np.random.default_rng(2184)
+        for n in range(2, 41):
+            eye = np.eye(n)
+            cases = [np.zeros(n), eye[0], eye[n - 1], -eye[n // 2],
+                     1e-300 * eye[1]]
+            cases += [scale * rng.standard_normal(n)
+                      for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300)]
+            for s in cases:
+                got, want = _tangent_basis(s), null_space(s.reshape(1, n))
+                assert got.shape == want.shape
+                assert got.strides == want.strides
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 15, 30])
+    def test_min_eig_matches_the_scipy_projection(self, n):
+        p = random_cubic(n, 60 + n)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            s = rng.standard_normal(n)
+            s *= 2.0 / np.linalg.norm(s)
+            lam = float(rng.uniform(-50.0, 50.0))
+            basis = null_space(s.reshape(1, n))
+            mat = p.hessian(s) + lam * np.eye(n)
+            want = float(np.linalg.eigvalsh(basis.T @ mat @ basis)[0])
+            assert check_second_order(p, s, lam) == (want, want > 1e-10)
 
 
 class TestRandomCubic:

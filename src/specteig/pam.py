@@ -53,7 +53,8 @@ import numpy as np
 from .errors import (ArityError, ConfigError, DimError, DomainError,
                      NumericalError)
 from .tensor_core import (MAX_DENSE_ENTRIES, BOperator, SymTensor,
-                          ZIdentity, _class_table, _form_values, _SweepPlan)
+                          ZIdentity, _class_table, _form_values,
+                          _nonzero_classes, _SweepPlan)
 
 logger = logging.getLogger(__name__)
 
@@ -290,27 +291,20 @@ def _init_blocks(init: np.ndarray | InitSpec, dim: int, d: int,
 
 
 class _Member:
-    """A seated subproblem: its stopping rule, the per-sweep record that
-    becomes its PamResult, and its surrogate's nonzero index classes with
-    their canonical weights."""
+    """A seated subproblem: its stopping rule and the per-sweep record that
+    becomes its PamResult."""
 
-    __slots__ = ("program", "classes", "weights", "eps", "max_iter",
-                 "value", "history", "gap_sweeps", "max_gap")
+    __slots__ = ("program", "eps", "max_iter", "value", "history",
+                 "gap_sweeps", "max_gap")
 
-    def __init__(self, program: int, config: PamConfig, classes: np.ndarray,
-                 weights: np.ndarray):
+    def __init__(self, program: int, config: PamConfig):
         self.program = program
-        self.classes, self.weights = classes, weights
         self.eps = config.eps
         self.max_iter = config.max_iter
         self.value = 0.0
         self.history: list[tuple[int, float, float, float]] = []
         self.gap_sweeps = 0
         self.max_gap = 0.0
-
-    def values(self, blocks: np.ndarray) -> np.ndarray:
-        """The surrogate's homogeneous value at each row of blocks."""
-        return _form_values(blocks, self.classes, self.weights)
 
 
 def _rows(obj, t: int):
@@ -363,9 +357,10 @@ class _Pool:
 
     Seated subproblems occupy slots 0..T-1 of the pool arrays: stack row t
     is the flattened surrogate of slot t, blocks[t] its (d, n) blocks, and
-    gammas and weights (the canonical weights of surrogates with no zero
-    index class) are per-slot rows too. Every buffer is allocated once, for
-    the pool's capacity, by the first request seated.
+    gammas and weights (the surrogate's canonical weights over the shape's
+    whole class table, zeros included) are per-slot rows too. Every buffer
+    is allocated once, for the pool's capacity, by the first request
+    seated.
     """
 
     def __init__(self, programs: Sequence[Generator], stats: PamStats):
@@ -432,33 +427,23 @@ class _Pool:
         if b is None:
             a_theta, fro = a.dense.reshape(-1), a.frobenius_norm()
         else:
-            # the norm over the nonzero classes, as SymTensor computes it
             a_theta = np.subtract(a.dense.reshape(-1), request.theta
                                   * b.to_symtensor().dense.reshape(-1),
                                   out=row)
-            values = a_theta.take(self.flat)
-            nonzero = values != 0.0
-            values = values[nonzero]
-            fro = float(np.sqrt(np.dot(self.counts[nonzero] * values,
-                                       values)))
+            fro = _nonzero_classes(a_theta.take(self.flat), self.counts)[2]
         alpha = config.alpha if config.alpha is not None else fro
         np.subtract(a_theta, alpha * self.identity, out=row)
-        values = row.take(self.flat)
-        nonzero = values != 0.0
-        if nonzero.all():
-            classes = self.classes
-            weights = self.weights[slot] = self.counts * values
-        else:
-            classes = self.classes[:, nonzero]
-            weights = self.counts[nonzero] * values[nonzero]
-        member = _Member(p, config, classes, weights)
+        weights = self.weights[slot]
+        np.multiply(self.counts, row.take(self.flat), out=weights)
+        member = _Member(p, config)
         self.blocks[slot] = start
         self.gammas[slot] = config.gammas
         if slot == len(self.members):
             self.members.append(member)
         else:
             self.members[slot] = member
-        member.value = float(member.values(self.blocks[slot]).min())
+        member.value = float(_form_values(self.blocks[slot], self.classes,
+                                          weights).min())
         stats = self.stats
         stats.subproblems += 1
         if alpha < fro - 1e-12:
@@ -470,7 +455,7 @@ class _Pool:
         identity = ZIdentity(d, dim).to_symtensor().dense
         self.shape = identity.shape
         self.identity = identity.reshape(-1)
-        self.classes, self.flat, self.counts = _class_table(d, dim)
+        self.classes, self.flat, self.counts, _ = _class_table(d, dim)
         size = dim ** d
         cap = min(len(self.programs), max(1, MAX_DENSE_ENTRIES // size))
         self.capacity = cap
@@ -537,16 +522,11 @@ class _Pool:
 
     def _block_values(self, f: _Frame) -> np.ndarray:
         """(t, d) homogeneous surrogate values of every block, from one
-        gather over the shape's index classes when no seated surrogate has
-        a zero class."""
-        if all(m.classes is self.classes for m in self.members):
-            f.blocks_flat.take(self.gather_idx, axis=1, out=f.gathered,
-                               mode="clip")
-            np.multiply.reduce(f.gathered, axis=1, out=f.prods)
-            np.matmul(f.prods_by_block, f.weights3, out=f.vals3)
-        else:
-            for i, m in enumerate(self.members):
-                f.vals[i] = m.values(f.blocks[i])
+        gather over the shape's index classes for all seated surrogates."""
+        f.blocks_flat.take(self.gather_idx, axis=1, out=f.gathered,
+                           mode="clip")
+        np.multiply.reduce(f.gathered, axis=1, out=f.prods)
+        np.matmul(f.prods_by_block, f.weights3, out=f.vals3)
         return f.vals
 
     def _result(self, slot: int, vals: np.ndarray,

@@ -1,19 +1,21 @@
 """Symmetric tensors stored as dense arrays, and the operator algebra built
 on them.
 
-A symmetric tensor of order m on R^n is determined by its entries on
-nondecreasing index tuples (canonical classes). Construction copies every
-canonical entry to all of its permutations in a dense n**m array, and every
-contraction that leaves slots free (multilinear forms, their partials, the
-slot-gradient) runs through one kernel on that array: repeated matrix-vector
-products over the trailing axis. The sweeps of the PAM pool run the same
-products stacked over a (T, n**m) array of such tensors, in the same order
-for every row, so a row rounds exactly as the kernel does on its own
-tensor. The canonical classes and their permutation counts are kept beside
-the array only for the homogeneous form and the Frobenius norm, which cost
-C(n+m-1, m) terms that way instead of n**m. The classes are an (m, C)
-table, so the form's products run over a leading axis; wrapping a dense
-array reads them from one cached table per shape.
+A symmetric tensor of order m on R^n is its dense n**m array. Its entries
+are determined by their values on nondecreasing index tuples (canonical
+classes), and one cached table per shape lists those classes as an (m, C)
+array, with their flat positions, their permutation counts, and the map
+from every flat position to its class. A map of class values becomes the
+dense array by one take through that map; everything else is read from the
+array. Every contraction that leaves slots free (multilinear forms, their
+partials, the slot-gradient) runs through one kernel on the array: repeated
+matrix-vector products over the trailing axis. The sweeps of the PAM pool
+run the same products stacked over a (T, n**m) array of such tensors, in
+the same order for every row, so a row rounds exactly as the kernel does on
+its own tensor. The homogeneous form and the Frobenius norm run over the
+nonzero classes, with their permutation counts as weights, which costs
+C(n+m-1, m) terms instead of n**m; the classes are an (m, C) table, so the
+form's products run over a leading axis.
 
 Dense storage bounds the size: a shape with more than
 :data:`MAX_DENSE_ENTRIES` entries raises :class:`ConfigError` before
@@ -58,9 +60,6 @@ __all__ = [
 #: Largest n**m a tensor or operator may have: 2**24 float64 entries are
 #: 128 MiB of dense storage.
 MAX_DENSE_ENTRIES = 2 ** 24
-
-#: Entries expanded per vectorized step when building the dense array.
-_EXPAND_CHUNK = 2 ** 16
 
 
 def _check_shape(order: int, dim: int) -> None:
@@ -182,14 +181,53 @@ def _multiplicities(classes: np.ndarray) -> np.ndarray:
 def _class_table(order: int, dim: int) -> tuple[np.ndarray, ...]:
     """The shape's nondecreasing index tuples, in lexicographic order, as
     the columns of an (order, C) table; their flat positions; their
-    permutation counts."""
-    classes = np.array(list(combinations_with_replacement(range(dim), order)),
-                       dtype=np.intp).reshape(-1, order).T.copy()
-    table = (classes, np.ravel_multi_index(tuple(classes), (dim,) * order),
-             _multiplicities(classes))
+    permutation counts; the class of every flat position, as int32.
+
+    One pass over the flat positions, 2**16 at a time: a multi-index
+    sorted is the first of its permutations in flat (lexicographic) order,
+    so each class is numbered where it first appears, before any position
+    that reads it. C <= MAX_DENSE_ENTRIES fits int32.
+    """
+    shape = (dim,) * order
+    inverse = np.empty(dim ** order, dtype=np.int32)
+    flat = []
+    count = 0
+    for start in range(0, inverse.size, 2 ** 16):
+        pos = np.arange(start, min(start + 2 ** 16, inverse.size))
+        rows = np.sort(np.unravel_index(pos, shape), axis=0)
+        first = np.ravel_multi_index(tuple(rows), shape)
+        new = pos[first == pos]
+        inverse[new] = np.arange(count, count + new.size)
+        count += new.size
+        flat.append(new)
+        inverse[pos] = inverse[first]
+    flat = np.concatenate(flat)
+    classes = np.array(np.unravel_index(flat, shape), dtype=np.intp)
+    table = (classes, flat, _multiplicities(classes), inverse)
     for arr in table:
         arr.flags.writeable = False
     return table
+
+
+def _dense_from_classes(order: int, dim: int, classes: np.ndarray,
+                        values: np.ndarray) -> np.ndarray:
+    """Dense array holding each value at every permutation of its distinct
+    sorted index column of an (order, k) table; zero elsewhere."""
+    _, flat, _, inverse = _class_table(order, dim)
+    by_class = np.zeros(flat.size)
+    by_class[inverse.take(np.ravel_multi_index(tuple(classes),
+                                               (dim,) * order))] = values
+    return by_class.take(inverse).reshape((dim,) * order)
+
+
+def _nonzero_classes(values: np.ndarray, counts: np.ndarray) -> tuple:
+    """The mask of the nonzero class values of a table, their weights
+    counts * values and the Frobenius norm sqrt(sum weights * values)
+    summed over them alone (a zero term would regroup the sum)."""
+    nonzero = values != 0.0
+    values = values[nonzero]
+    weights = counts[nonzero] * values
+    return nonzero, weights, float(np.sqrt(np.dot(weights, values)))
 
 
 def _form_values(xs: np.ndarray, classes: np.ndarray,
@@ -202,43 +240,24 @@ def _form_values(xs: np.ndarray, classes: np.ndarray,
     return prods @ weights
 
 
-def _expand(order: int, dim: int, classes: np.ndarray,
-            values: np.ndarray) -> np.ndarray:
-    """Dense array holding each class value at every permutation of its
-    index column: each entry reads the value at its sorted index."""
-    shape = (dim,) * order
-    out = np.zeros(shape)
-    if classes.shape[1] == 0:
-        return out
-    keys = np.ravel_multi_index(tuple(classes), shape)
-    order_keys = np.argsort(keys)
-    keys, values = keys[order_keys], values[order_keys]
-    flat = out.reshape(-1)
-    for start in range(0, flat.size, _EXPAND_CHUNK):
-        pos = np.arange(start, min(start + _EXPAND_CHUNK, flat.size))
-        rows = np.sort(np.stack(np.unravel_index(pos, shape)), axis=0)
-        sorted_pos = np.ravel_multi_index(tuple(rows), shape)
-        k = np.minimum(np.searchsorted(keys, sorted_pos), keys.size - 1)
-        flat[pos] = np.where(keys[k] == sorted_pos, values[k], 0.0)
-    return out
-
-
 class SymTensor:
-    """Order-m symmetric tensor on R^n: a dense array plus its canonical
-    classes."""
+    """Order-m symmetric tensor on R^n: a dense array, with its nonzero
+    canonical classes, their weights and its Frobenius norm read from it
+    through the shape's class table."""
 
-    __slots__ = ("order", "dim", "dense", "_canon_idx", "_canon_val",
-                 "_canon_weight", "_fro")
+    __slots__ = ("order", "dim", "dense", "_canon_idx", "_canon_weight",
+                 "_fro")
 
     def __init__(self, order: int, dim: int,
                  canonical: Mapping[tuple[int, ...], float]):
         """Build from a map of 0-based nondecreasing index tuples to values.
 
-        Most callers should use :meth:`from_entries` (1-based indices) or
+        A class mapped to 0.0 is not listed in :attr:`canonical`. Most
+        callers should use :meth:`from_entries` (1-based indices) or
         :func:`load_tensor` instead.
         """
         _check_shape(order, dim)
-        canon: dict[tuple[int, ...], float] = {}
+        keys, values = [], []
         for idx, val in canonical.items():
             idx = tuple(int(i) for i in idx)
             if len(idx) != order:
@@ -252,11 +271,10 @@ class SymTensor:
             val = float(val)
             if not math.isfinite(val):
                 raise NumericalError(f"non-finite entry at index {idx}")
-            canon[idx] = val
-        keys = sorted(canon)
+            keys.append(idx)
+            values.append(val)
         classes = np.array(keys, dtype=np.intp).reshape(-1, order).T
-        values = np.array([canon[k] for k in keys], dtype=float)
-        self._set(_expand(order, dim, classes, values), classes, values)
+        self._set(_dense_from_classes(order, dim, classes, np.array(values)))
 
     @classmethod
     def from_entries(cls, order: int, dim: int,
@@ -266,65 +284,43 @@ class SymTensor:
 
         Each index tuple is sorted to its canonical class. Two entries that
         land on the same class raise :class:`DuplicateEntryError`; indices
-        outside 1..dim raise :class:`IndexError`.
+        outside 1..dim raise :class:`IndexError`, and tuples of another
+        length than order :class:`ArityError`.
         """
         if isinstance(entries, Mapping):
             entries = entries.items()
         canon: dict[tuple[int, ...], float] = {}
         for idx, val in entries:
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != order:
-                raise ArityError(
-                    f"index {idx} has {len(idx)} entries, expected {order}")
-            if any(i < 1 or i > dim for i in idx):
-                raise IndexError(f"index {idx} out of range 1..{dim}")
-            key = tuple(sorted(i - 1 for i in idx))
+            key = tuple(sorted(int(i) - 1 for i in idx))
             if key in canon:
                 raise DuplicateEntryError(
                     f"duplicate entry for index class {tuple(i + 1 for i in key)}")
-            canon[key] = float(val)
+            canon[key] = val
         return cls(order, dim, canon)
 
     @classmethod
     def _from_dense(cls, dense: np.ndarray) -> "SymTensor":
-        """Wrap a symmetric dense array; its nonzero classes become the
-        canonical entries."""
-        classes, flat, counts = _class_table(dense.ndim, dense.shape[0])
-        values = dense.take(flat)
-        nonzero = values != 0.0
+        """Wrap a symmetric dense array."""
         self = cls.__new__(cls)
-        self._set(dense, classes[:, nonzero], values[nonzero], counts[nonzero])
+        self._set(dense)
         return self
 
-    @classmethod
-    def _from_classes(cls, order: int, dim: int, classes: np.ndarray,
-                      values: np.ndarray) -> "SymTensor":
-        """Build from the distinct sorted index columns of an (order, C)
-        table, in lexicographic order, and their finite values, skipping
-        the per-entry checks of :meth:`__init__`."""
-        _check_shape(order, dim)
-        self = cls.__new__(cls)
-        self._set(_expand(order, dim, classes, values), classes, values)
-        return self
-
-    def _set(self, dense: np.ndarray, classes: np.ndarray,
-             values: np.ndarray, counts: np.ndarray | None = None) -> None:
+    def _set(self, dense: np.ndarray) -> None:
+        classes, flat, counts, _ = _class_table(dense.ndim, dense.shape[0])
+        nonzero, self._canon_weight, self._fro = _nonzero_classes(
+            dense.take(flat), counts)
+        self._canon_idx = np.ascontiguousarray(classes[:, nonzero])
         dense.flags.writeable = False
         self.order = dense.ndim
         self.dim = dense.shape[0]
         self.dense = dense
-        self._canon_idx = np.ascontiguousarray(classes)
-        self._canon_val = values
-        self._canon_weight = (_multiplicities(classes) if counts is None
-                              else counts) * values
-        self._fro = float(np.sqrt(np.dot(self._canon_weight,
-                                         self._canon_val)))
 
     @property
     def canonical(self) -> Mapping[tuple[int, ...], float]:
-        """The 0-based canonical entry map (a fresh dict)."""
-        return {tuple(idx): val for idx, val in
-                zip(self._canon_idx.T.tolist(), self._canon_val.tolist())}
+        """The 0-based map of the nonzero canonical entries (a fresh
+        dict)."""
+        return dict(zip(map(tuple, self._canon_idx.T.tolist()),
+                        self.dense[tuple(self._canon_idx)].tolist()))
 
     def entry(self, *indices: int) -> float:
         """Entry at a 1-based index tuple (0.0 if the class is absent)."""
@@ -390,7 +386,7 @@ class SymTensor:
 
     def __repr__(self) -> str:
         return (f"SymTensor(order={self.order}, dim={self.dim}, "
-                f"nnz={self._canon_val.size})")
+                f"nnz={self._canon_weight.size})")
 
 
 def frobenius_inner(a: SymTensor, b: SymTensor) -> float:

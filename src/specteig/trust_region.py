@@ -31,8 +31,8 @@ import numpy as np
 from .errors import (ConfigError, DimError, DomainError, NumericalError,
                      ParseError)
 from .pam import DEGENERATE_TOL, _ProxStep
-from .tensor_core import (SymTensor, _check_shape, _contract, _SweepPlan,
-                          identity_tensor)
+from .tensor_core import (SymTensor, _check_shape, _contract,
+                          _dense_from_classes, _SweepPlan, identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -95,16 +95,14 @@ class TaylorPoly:
                 raise DomainError(f"non-finite coefficient at {alpha}")
             if val != 0.0:
                 clean[alpha] = clean.get(alpha, 0.0) + val
-        items = sorted(clean.items())
-        expo = np.array([a for a, _ in items], dtype=np.intp).reshape(-1, n)
-        coef = np.array([v for _, v in items], dtype=float)
+        _check_shape(p, n + 1)
+        expo = np.array(list(clean), dtype=np.intp).reshape(-1, n)
+        coef = np.array(list(clean.values()), dtype=float)
         counts = np.hstack((p - expo.sum(axis=1, keepdims=True), expo))
         classes = np.repeat(np.tile(np.arange(n + 1), counts.shape[0]),
                             counts.ravel()).reshape(-1, p)
-        rank = np.lexsort(classes.T[::-1])
-        self.lifted = SymTensor._from_classes(
-            p, n + 1, classes[rank].T,
-            (coef * _class_weights(p, counts))[rank])
+        self.lifted = SymTensor._from_dense(_dense_from_classes(
+            p, n + 1, classes.T, coef * _class_weights(p, counts)))
 
     @classmethod
     def from_cubic(cls, f0: float, g: np.ndarray, h: np.ndarray,
@@ -155,7 +153,7 @@ class TaylorPoly:
         rows = np.arange(classes.shape[1])
         for slot in classes:
             counts[rows, slot] += 1
-        coef = lift._canon_val / _class_weights(self.p, counts)
+        coef = lift.dense[tuple(classes)] / _class_weights(self.p, counts)
         return dict(zip(map(tuple, counts[:, 1:].tolist()), coef.tolist()))
 
     def _lift_point(self, s: np.ndarray) -> np.ndarray:
@@ -191,7 +189,7 @@ class TaylorPoly:
 
     def __repr__(self) -> str:
         return (f"TaylorPoly(n={self.n}, p={self.p}, "
-                f"terms={self.lifted._canon_val.size})")
+                f"terms={self.lifted._canon_weight.size})")
 
 
 @lru_cache(maxsize=None)

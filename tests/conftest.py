@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -57,20 +58,35 @@ def to_dense(t) -> np.ndarray:
     return arr
 
 
+def permutation_count(idx) -> float:
+    """The number of distinct orderings of an index tuple, as a float."""
+    return math.factorial(len(idx)) / math.prod(
+        math.factorial(k) for k in Counter(idx).values())
+
+
+def _class_rows(t: SymTensor) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of the public canonical map as (C, m) rows, and their
+    weights: each value times its class's permutation count."""
+    canon = t.canonical
+    rows = np.array(list(canon), dtype=np.intp).reshape(-1, t.order)
+    counts = [permutation_count(idx) for idx in canon]
+    return rows, np.array(counts) * np.array(list(canon.values()))
+
+
 def reference_apply_full_many(t: SymTensor, xs) -> np.ndarray:
     """The homogeneous form at every row by the last-axis gather: an
     (N, C, m) array of class components, multiplied along its last axis,
     then the matrix-vector product with the class weights."""
-    rows = np.ascontiguousarray(t._canon_idx.T)
+    rows, weights = _class_rows(t)
     xs = np.asarray(xs, dtype=float)
-    return np.prod(xs[:, rows], axis=2) @ t._canon_weight
+    return np.prod(xs[:, rows], axis=2) @ weights
 
 
 def reference_apply_full(t: SymTensor, x) -> float:
     """The homogeneous form at one point by the last-axis gather."""
-    rows = np.ascontiguousarray(t._canon_idx.T)
+    rows, weights = _class_rows(t)
     x = np.asarray(x, dtype=float)
-    return float(np.dot(t._canon_weight, np.prod(x[rows], axis=1)))
+    return float(np.dot(weights, np.prod(x[rows], axis=1)))
 
 
 def dense_multilinear(arr: np.ndarray, blocks) -> float:

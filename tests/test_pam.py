@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from specteig import (ArityError, ConfigError, DenseB, DinkelbachConfig,
                       DomainError, FractionalProblem, Given, HDiagonal,
                       PamConfig, SymTensor, Uniform, ZIdentity, axpy,
-                      build_problem, dinkelbach_solve, identity_tensor,
-                      kl_exponent, pam_solve, solve_multistart)
+                      build_problem, diagonal_tensor, dinkelbach_solve,
+                      identity_tensor, kl_exponent, pam_solve,
+                      solve_multistart)
 import specteig.dinkelbach
 import specteig.eigen
 from specteig import pam, tensor_core
@@ -28,9 +29,8 @@ from specteig.pam import (DIAGONAL_GAP_SLACK, PamRequest, PamResult,
                           PamStats, _ProxStep, run_lockstep,
                           write_history_csv)
 
-from conftest import (dense_multilinear, dense_partial, random_symtensor,
-                      reference_apply_full_many,
-                      reference_pam_solve, to_dense)
+from conftest import (dense_multilinear, dense_partial, permutation_count,
+                      random_symtensor, reference_pam_solve, to_dense)
 
 A1 = SymTensor.from_entries(2, 2, [((1, 1), 1.0), ((2, 2), -2.0)])
 SQRT5 = math.sqrt(5.0)
@@ -127,30 +127,67 @@ class TestSurrogateValues:
 
 
 class TestMemberValues:
-    """A seated member's block values come from the gather that
-    SymTensor.apply_full_many runs; it must equal the last-axis gather of
-    the reference bit for bit, on a whole class table and on the nonzero
-    classes of a sparse surrogate."""
+    """A seated member's block values come from the pool's one gather over
+    the shape's whole class table, with the weights row counts * values,
+    zeros included. The gather that gives its start value must equal the
+    last-axis gather over that table bit for bit, and so must the pool's
+    stacked gather of every block, on a full and on a sparse class set."""
+
+    @staticmethod
+    def _whole_table(a):
+        """Every class of the shape as (C, m) rows, and its count times
+        its value in a's canonical map (0.0 where a has none)."""
+        canon = a.canonical
+        rows = list(itertools.combinations_with_replacement(range(a.dim),
+                                                            a.order))
+        weights = [permutation_count(idx) * canon.get(idx, 0.0)
+                   for idx in rows]
+        return (np.array(rows, dtype=np.intp).reshape(-1, a.order),
+                np.array(weights))
+
+    @staticmethod
+    def _seated(tensors, m):
+        """A pool with a - E seated for every tensor a, unswept."""
+        def program(a, seed):
+            config = PamConfig(gammas=(1.0,) * m, alpha=1.0, seed=seed)
+            return (yield PamRequest(a, config))
+
+        pool = pam._Pool([program(a, seed) for seed, a in enumerate(tensors)],
+                         PamStats())
+        for slot in range(len(tensors)):
+            pool._advance(slot, slot, None, None)
+        return pool
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_reference_gather(self, m):
         rng = np.random.default_rng(900 + m)
-        config = PamConfig(gammas=(1.0,) * m)
         for n in range(1, 5):
             full = random_symtensor(m, n, rng)
             sparse = SymTensor(m, n, {k: v for k, v in full.canonical.items()
                                       if rng.uniform() < 0.5})
+            classes = tensor_core._class_table(m, n)[0]
             for a in (full, sparse):
-                member = pam._Member(0, config, a._canon_idx,
-                                     a._canon_weight)
+                rows, weights = self._whole_table(a)
                 pool_blocks = rng.standard_normal((3, m, n))
-                cases = [rng.standard_normal((rows, n)) for rows in range(8)]
+                cases = [rng.standard_normal((k, n)) for k in range(8)]
                 # the pool passes one slot's (d, n) blocks, and strided rows
                 cases += [pool_blocks[1], pool_blocks[:, 0]]
                 for xs in cases:
-                    want = reference_apply_full_many(a, xs)
-                    assert np.array_equal(member.values(xs), want)
-                    assert np.array_equal(a.apply_full_many(xs), want)
+                    want = np.prod(xs[:, rows], axis=2) @ weights
+                    assert np.array_equal(
+                        tensor_core._form_values(xs, classes, weights), want)
+            if m % 2:
+                continue
+            # the identity shift needs even order to be seated
+            pool = self._seated((full, sparse), m)
+            vals = pool._block_values(pool.whole)
+            for slot, a in enumerate((full, sparse)):
+                rows, weights = self._whole_table(surrogate(a, 1.0))
+                assert np.array_equal(pool.weights[slot], weights)
+                blocks = pool.blocks[slot]
+                assert np.array_equal(vals[slot],
+                                      np.prod(blocks[:, rows], axis=2)
+                                      @ weights)
 
 
 def block_update(surrogate, blocks, slot, gamma, radius, prev):
@@ -435,18 +472,33 @@ class TestPoolMembers:
 
     @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 2)])
     def test_members_sharing_index_classes(self, m, n):
-        # one gather over the shared classes serves every member; it must
-        # round as each member's own gather does
+        # one gather over the shape's classes serves every member, zero
+        # weights included, on a full class set and on a sparse one that
+        # keeps the diagonal and about half of the other classes
         rng = np.random.default_rng(70 + 10 * m + n)
-        a = random_symtensor(m, n, rng)
+        full = random_symtensor(m, n, rng)
+        sparse = SymTensor(m, n, {idx: v for idx, v in full.canonical.items()
+                                  if len(set(idx)) == 1 or rng.random() < 0.5})
+        for a in (full, sparse):
+            self._run_together([
+                PamRequest(a, PamConfig(gammas=(1.0,) * m, eps=1e-10,
+                                        seed=seed, max_iter=200))
+                for seed in range(5)])
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 2)])
+    def test_only_sparse_members_of_one_pattern(self, m, n):
+        # the diagonal tensor minus alpha E has a zero at every class with
+        # an index of odd count, in every member
+        a = diagonal_tensor(m, n)
+        assert (surrogate(a, 1.0).dense == 0.0).any()
         self._run_together([
-            PamRequest(a, PamConfig(gammas=(1.0,) * m, eps=1e-10, seed=seed,
-                                    max_iter=200))
-            for seed in range(5)])
+            PamRequest(a.scaled(scale), PamConfig(
+                gammas=(1.0,) * m, eps=1e-10, seed=seed, max_iter=200))
+            for seed, scale in enumerate((1.0, -2.0, 0.5, -1.0))])
 
     def test_members_with_different_index_classes(self):
         # A1 - alpha E has no off-diagonal class; a dense 2x2 form does, so
-        # the pool gathers block values member by member
+        # the shared gather meets a zero weight in some rows only
         dense = SymTensor.from_entries(2, 2, [((1, 1), 1.0), ((1, 2), 0.5),
                                               ((2, 2), -2.0)])
         self._run_together([
@@ -470,8 +522,8 @@ class TestSeatedFromParameters:
     """A request seated from (A, B, theta) and a start vector against the
     path through tensors and configs: pam_solve of axpy(A, B, theta) from d
     given copies of the start. A sparse A and a full one share each pool;
-    the sparse one's surrogate often has zero index classes, and then the
-    pool gathers block values member by member."""
+    the sparse one's surrogate often has zero index classes, which the
+    pool's one gather weights with zeros."""
 
     @staticmethod
     def _denominator(kind, m, n, rng):
@@ -613,7 +665,7 @@ class TestResidualOnDemand:
 
     def test_pool_members_shared_and_not(self):
         # the random tensors share their index classes; A1 and the dense
-        # 2x2 form do not, so the pool gathers those member by member
+        # 2x2 form do not
         def program(request):
             return (yield request)
 

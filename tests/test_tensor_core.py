@@ -10,15 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specteig import (ArityError, ConfigError, DenseB, DimError,
-                      DuplicateEntryError, HDiagonal, SymTensor, ZIdentity,
-                      axpy, diagonal_tensor, frobenius_inner, identity_tensor,
-                      load_tensor, random_cubic)
+                      DuplicateEntryError, HDiagonal, SymTensor, TaylorPoly,
+                      ZIdentity, axpy, diagonal_tensor, frobenius_inner,
+                      identity_tensor, load_tensor, random_cubic)
 from specteig.errors import ParseError
-from specteig.tensor_core import _double_factorial, _SweepPlan
+from specteig.tensor_core import _class_table, _double_factorial, _SweepPlan
 
 from conftest import (dense_multilinear, dense_partial, fd_gradient,
-                      random_symtensor, reference_apply_full,
-                      reference_apply_full_many, to_dense)
+                      permutation_count, random_symtensor,
+                      reference_apply_full, reference_apply_full_many,
+                      to_dense)
 
 A1 = SymTensor.from_entries(2, 2, [((1, 1), 1.0), ((2, 2), -2.0)])
 A2 = SymTensor.from_entries(2, 2, [((1, 1), 2.0), ((2, 2), 4.0)])
@@ -54,6 +55,9 @@ class TestFromEntries:
     def test_out_of_range_index(self):
         with pytest.raises(IndexError):
             SymTensor.from_entries(2, 2, [((1, 3), 1.0)])
+        # the range check of the map constructor reports 1-based indices
+        with pytest.raises(IndexError, match=r"\(0, 2\) out of range 1\.\.2"):
+            SymTensor.from_entries(2, 2, {(2, 0): 1.0})
 
     def test_wrong_arity(self):
         with pytest.raises(ArityError):
@@ -151,44 +155,126 @@ class TestGatherExactness:
 
 
 class TestFromDense:
-    """Wrapping a symmetric array reads its classes from the shape's class
-    table; every field must equal the map-built tensor's bit for bit."""
+    """A tensor built from a map, from TaylorPoly terms and from a dense
+    array: each is its dense array with everything else read from it
+    through the shape's class table, so all must agree bit for bit."""
 
     @staticmethod
-    def _check(dense):
+    def _check(want, *others):
+        rng = np.random.default_rng(want.order * 10 + want.dim)
+        xs = rng.standard_normal((5, want.dim))
+        for got in others:
+            assert got.dense.tobytes() == want.dense.tobytes()
+            assert list(got.canonical.items()) == \
+                list(want.canonical.items())
+            assert got.frobenius_norm() == want.frobenius_norm()
+            assert [got.apply_full(x) for x in xs] == \
+                [want.apply_full(x) for x in xs]
+            assert got.apply_full_many(xs).tobytes() == \
+                want.apply_full_many(xs).tobytes()
+
+    def _from_map_and_array(self, dense, *others):
         m, n = dense.ndim, dense.shape[0]
         canon = {idx: float(dense[idx]) for idx in
                  itertools.combinations_with_replacement(range(n), m)
                  if dense[idx] != 0.0}
-        got = SymTensor._from_dense(dense.copy())
         want = SymTensor(m, n, canon)
-        for name in ("_canon_idx", "_canon_val", "_canon_weight"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert g.shape == w.shape and g.dtype == w.dtype
-            assert g.tobytes() == w.tobytes()
-        assert got.frobenius_norm() == want.frobenius_norm()
-        assert np.array_equal(got.dense, dense)
+        self._check(want, SymTensor._from_dense(dense.copy()), *others)
+        assert want.canonical == canon
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_random_arrays(self, m):
         rng = np.random.default_rng(800 + m)
         for n in (1, 2, 3, 4):
             dense = random_symtensor(m, n, rng, 10.0).dense.copy()
-            self._check(dense)
+            self._from_map_and_array(dense)
             # zero a few classes, at every permutation
             for idx in itertools.combinations_with_replacement(range(n), m):
                 if rng.uniform() < 0.3:
                     for perm in itertools.permutations(idx):
                         dense[perm] = 0.0
-            self._check(dense)
+            self._from_map_and_array(dense)
+
+    @pytest.mark.parametrize("p", range(1, 5))
+    def test_taylor_terms(self, p):
+        # the lift of a model built from terms, read back as a map and as
+        # its dense array
+        rng = np.random.default_rng(820 + p)
+        for n in (1, 2, 3):
+            exponents = [a for a in itertools.product(range(p + 1), repeat=n)
+                         if sum(a) <= p]
+            for density in (0.0, 0.4, 1.0):
+                terms = {a: float(rng.uniform(-3.0, 3.0)) for a in exponents
+                         if rng.uniform() < density}
+                lift = TaylorPoly(n, p, terms).lifted
+                self._from_map_and_array(lift.dense, lift)
 
     def test_zero_and_order_one(self):
         for shape in ((3, 3, 3), (4,), (1, 1)):
-            self._check(np.zeros(shape))
-        self._check(np.array([0.5, 0.0, -2.0]))
+            self._from_map_and_array(np.zeros(shape))
+        self._from_map_and_array(np.array([0.5, 0.0, -2.0]))
 
     def test_cubic_lift(self):
-        self._check(random_cubic(6, 3).lifted.dense)
+        # from_cubic sums the six transposes of T in another order at each
+        # permutation of an index, so its array is symmetric only up to
+        # rounding; the terms read back from it give a symmetric lift
+        lift = TaylorPoly(6, 3, random_cubic(6, 3).coeffs).lifted
+        self._from_map_and_array(lift.dense, lift)
+
+
+class TestExplicitZeros:
+    """A class given the value 0.0 is not listed as a class."""
+
+    def test_map_entry(self):
+        t = SymTensor(2, 2, {(0, 0): 0.0, (0, 1): 1.0})
+        assert t.canonical == {(0, 1): 1.0}
+        assert repr(t) == "SymTensor(order=2, dim=2, nnz=1)"
+
+    def test_bundled_file_line(self, example4):
+        # example4_A.tns lists the class (2, 2, 2, 2) with value 0.0000
+        a = example4[0]
+        assert a.entry(2, 2, 2, 2) == 0.0
+        assert len(a.canonical) == 14
+        assert (1, 1, 1, 1) not in a.canonical
+        assert repr(a) == "SymTensor(order=4, dim=3, nnz=14)"
+
+
+class TestClassTable:
+    """The per-shape class table and its map from every flat position to
+    the class of its sorted multi-index."""
+
+    @staticmethod
+    def _check(m, n, rng):
+        classes, flat, counts, inverse = _class_table(m, n)
+        shape = (n,) * m
+        rank = {idx: k for k, idx in enumerate(
+            itertools.combinations_with_replacement(range(n), m))}
+        assert inverse.dtype == np.int32 and inverse.shape == (n ** m,)
+        assert [rank[tuple(c)] for c in classes.T.tolist()] == \
+            list(range(len(rank)))
+        for pos, idx in enumerate(itertools.product(range(n), repeat=m)):
+            assert inverse[pos] == rank[tuple(sorted(idx))]
+        assert np.array_equal(flat, np.ravel_multi_index(tuple(classes),
+                                                         shape))
+        assert np.array_equal(counts, [permutation_count(c)
+                                       for c in classes.T.tolist()])
+        # a symmetric array filled permutation by permutation
+        dense = np.empty(shape)
+        for idx in rank:
+            value = rng.standard_normal()
+            for perm in itertools.permutations(idx):
+                dense[perm] = value
+        assert np.array_equal(dense.take(flat).take(inverse),
+                              dense.reshape(-1))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_small_shapes(self, m):
+        rng = np.random.default_rng(860 + m)
+        for n in range(1, 6):
+            self._check(m, n, rng)
+
+    def test_order_three_lift_on_r31(self):
+        self._check(3, 31, np.random.default_rng(31))
 
 
 class TestSweepPartials:
@@ -581,6 +667,15 @@ class TestLoadTensor:
     def test_malformed_entry(self, tmp_path):
         path = tmp_path / "bad.tns"
         path.write_text("order 2\ndim 2\n1 1\n")
+        with pytest.raises(ParseError):
+            load_tensor(path)
+
+    @pytest.mark.parametrize("line", ["1 3 1.0", "0 1 1.0",
+                                      "1 2 1.0\n2 1 2.0"])
+    def test_bad_index_class(self, tmp_path, line):
+        # out of range, below 1, and one class twice
+        path = tmp_path / "bad.tns"
+        path.write_text(f"order 2\ndim 2\n{line}\n")
         with pytest.raises(ParseError):
             load_tensor(path)
 

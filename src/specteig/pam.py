@@ -455,7 +455,7 @@ class _Pool:
         identity = ZIdentity(d, dim).to_symtensor().dense
         self.shape = identity.shape
         self.identity = identity.reshape(-1)
-        self.classes, self.flat, self.counts, _ = _class_table(d, dim)
+        self.classes, self.flat, self.counts = _class_table(d, dim)
         size = dim ** d
         cap = min(len(self.programs), max(1, MAX_DENSE_ENTRIES // size))
         self.capacity = cap

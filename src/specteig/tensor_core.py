@@ -4,18 +4,18 @@ on them.
 A symmetric tensor of order m on R^n is its dense n**m array. Its entries
 are determined by their values on nondecreasing index tuples (canonical
 classes), and one cached table per shape lists those classes as an (m, C)
-array, with their flat positions, their permutation counts, and the map
-from every flat position to its class. A map of class values becomes the
-dense array by one take through that map; everything else is read from the
-array. Every contraction that leaves slots free (multilinear forms, their
-partials, the slot-gradient) runs through one kernel on the array: repeated
-matrix-vector products over the trailing axis. The sweeps of the PAM pool
-run the same products stacked over a (T, n**m) array of such tensors, in
-the same order for every row, so a row rounds exactly as the kernel does on
-its own tensor. The homogeneous form and the Frobenius norm run over the
-nonzero classes, with their permutation counts as weights, which costs
-C(n+m-1, m) terms instead of n**m; the classes are an (m, C) table, so the
-form's products run over a leading axis.
+array, with their flat positions and their permutation counts. A map of
+class values becomes the dense array by one pass over the flat positions,
+each copying the entry at its sorted multi-index; everything else is read
+from the array through the table. Every contraction that leaves slots free
+(multilinear forms, their partials, the slot-gradient) runs through one
+kernel on the array: repeated matrix-vector products over the trailing
+axis. The sweeps of the PAM pool run the same products stacked over a
+(T, n**m) array of such tensors, in the same order for every row, so a row
+rounds exactly as the kernel does on its own tensor. The homogeneous form
+and the Frobenius norm run over the nonzero classes, with their
+permutation counts as weights: C(n+m-1, m) terms instead of n**m, the
+form's products taken over the table's leading axis.
 
 Dense storage bounds the size: a shape with more than
 :data:`MAX_DENSE_ENTRIES` entries raises :class:`ConfigError` before
@@ -177,33 +177,33 @@ def _multiplicities(classes: np.ndarray) -> np.ndarray:
     return math.factorial(classes.shape[0]) / repeats
 
 
+def _sorted_positions(order: int, dim: int):
+    """Every flat position of the shape, 2**16 at a time, as (pos, rows,
+    first): rows is each multi-index sorted, as an (order, k) array, and
+    first its flat position. A sorted multi-index is the first of its
+    permutations in flat (lexicographic) order, so first <= pos."""
+    shape, size = (dim,) * order, dim ** order
+    for start in range(0, size, 2 ** 16):
+        pos = np.arange(start, min(start + 2 ** 16, size))
+        rows = np.sort(np.unravel_index(pos, shape), axis=0)
+        yield pos, rows, np.ravel_multi_index(tuple(rows), shape)
+
+
 @lru_cache(maxsize=None)
 def _class_table(order: int, dim: int) -> tuple[np.ndarray, ...]:
     """The shape's nondecreasing index tuples, in lexicographic order, as
     the columns of an (order, C) table; their flat positions; their
-    permutation counts; the class of every flat position, as int32.
-
-    One pass over the flat positions, 2**16 at a time: a multi-index
-    sorted is the first of its permutations in flat (lexicographic) order,
-    so each class is numbered where it first appears, before any position
-    that reads it. C <= MAX_DENSE_ENTRIES fits int32.
-    """
-    shape = (dim,) * order
-    inverse = np.empty(dim ** order, dtype=np.int32)
-    flat = []
+    permutation counts. A class is a position that is its own first."""
+    classes = np.empty((order, math.comb(dim + order - 1, order)),
+                       dtype=np.intp)
+    flat = np.empty(classes.shape[1], dtype=np.intp)
     count = 0
-    for start in range(0, inverse.size, 2 ** 16):
-        pos = np.arange(start, min(start + 2 ** 16, inverse.size))
-        rows = np.sort(np.unravel_index(pos, shape), axis=0)
-        first = np.ravel_multi_index(tuple(rows), shape)
-        new = pos[first == pos]
-        inverse[new] = np.arange(count, count + new.size)
-        count += new.size
-        flat.append(new)
-        inverse[pos] = inverse[first]
-    flat = np.concatenate(flat)
-    classes = np.array(np.unravel_index(flat, shape), dtype=np.intp)
-    table = (classes, flat, _multiplicities(classes), inverse)
+    for pos, rows, first in _sorted_positions(order, dim):
+        new = first == pos
+        end = count + np.count_nonzero(new)
+        flat[count:end], classes[:, count:end] = pos[new], rows[:, new]
+        count = end
+    table = (classes, flat, _multiplicities(classes))
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -212,12 +212,14 @@ def _class_table(order: int, dim: int) -> tuple[np.ndarray, ...]:
 def _dense_from_classes(order: int, dim: int, classes: np.ndarray,
                         values: np.ndarray) -> np.ndarray:
     """Dense array holding each value at every permutation of its distinct
-    sorted index column of an (order, k) table; zero elsewhere."""
-    _, flat, _, inverse = _class_table(order, dim)
-    by_class = np.zeros(flat.size)
-    by_class[inverse.take(np.ravel_multi_index(tuple(classes),
-                                               (dim,) * order))] = values
-    return by_class.take(inverse).reshape((dim,) * order)
+    sorted index column of an (order, k) table; zero elsewhere. The values
+    go to their sorted positions, and every position then copies the entry
+    at its first."""
+    out = np.zeros(dim ** order)
+    out[np.ravel_multi_index(tuple(classes), (dim,) * order)] = values
+    for pos, _, first in _sorted_positions(order, dim):
+        out[pos] = out[first]
+    return out.reshape((dim,) * order)
 
 
 def _nonzero_classes(values: np.ndarray, counts: np.ndarray) -> tuple:
@@ -306,7 +308,7 @@ class SymTensor:
         return self
 
     def _set(self, dense: np.ndarray) -> None:
-        classes, flat, counts, _ = _class_table(dense.ndim, dense.shape[0])
+        classes, flat, counts = _class_table(dense.ndim, dense.shape[0])
         nonzero, self._canon_weight, self._fro = _nonzero_classes(
             dense.take(flat), counts)
         self._canon_idx = np.ascontiguousarray(classes[:, nonzero])

@@ -30,7 +30,8 @@ from specteig.pam import (DIAGONAL_GAP_SLACK, PamRequest, PamResult,
                           write_history_csv)
 
 from conftest import (dense_multilinear, dense_partial, permutation_count,
-                      random_symtensor, reference_pam_solve, to_dense)
+                      random_symtensor, reference_apply_full_many,
+                      reference_pam_solve, to_dense)
 
 A1 = SymTensor.from_entries(2, 2, [((1, 1), 1.0), ((2, 2), -2.0)])
 SQRT5 = math.sqrt(5.0)
@@ -126,37 +127,23 @@ class TestSurrogateValues:
                                                 abs=1e-12)
 
 
+def whole_table(a):
+    """Every class of a's shape as (C, m) rows, and its count times its
+    value in a's canonical map (0.0 where a has none)."""
+    canon = a.canonical
+    rows = list(itertools.combinations_with_replacement(range(a.dim),
+                                                        a.order))
+    weights = [permutation_count(idx) * canon.get(idx, 0.0) for idx in rows]
+    return np.array(rows, dtype=np.intp).reshape(-1, a.order), \
+        np.array(weights)
+
+
 class TestMemberValues:
-    """A seated member's block values come from the pool's one gather over
-    the shape's whole class table, with the weights row counts * values,
-    zeros included. The gather that gives its start value must equal the
-    last-axis gather over that table bit for bit, and so must the pool's
-    stacked gather of every block, on a full and on a sparse class set."""
-
-    @staticmethod
-    def _whole_table(a):
-        """Every class of the shape as (C, m) rows, and its count times
-        its value in a's canonical map (0.0 where a has none)."""
-        canon = a.canonical
-        rows = list(itertools.combinations_with_replacement(range(a.dim),
-                                                            a.order))
-        weights = [permutation_count(idx) * canon.get(idx, 0.0)
-                   for idx in rows]
-        return (np.array(rows, dtype=np.intp).reshape(-1, a.order),
-                np.array(weights))
-
-    @staticmethod
-    def _seated(tensors, m):
-        """A pool with a - E seated for every tensor a, unswept."""
-        def program(a, seed):
-            config = PamConfig(gammas=(1.0,) * m, alpha=1.0, seed=seed)
-            return (yield PamRequest(a, config))
-
-        pool = pam._Pool([program(a, seed) for seed, a in enumerate(tensors)],
-                         PamStats())
-        for slot in range(len(tensors)):
-            pool._advance(slot, slot, None, None)
-        return pool
+    """A seated member's start value is the form over the shape's whole
+    class table, zero weights included, and apply_full_many runs the same
+    gather over a tensor's nonzero classes. Each must equal the last-axis
+    gather of its reference bit for bit, on a full and on a sparse class
+    set, and on the rows the pool passes."""
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_reference_gather(self, m):
@@ -167,27 +154,17 @@ class TestMemberValues:
                                       if rng.uniform() < 0.5})
             classes = tensor_core._class_table(m, n)[0]
             for a in (full, sparse):
-                rows, weights = self._whole_table(a)
+                rows, weights = whole_table(a)
                 pool_blocks = rng.standard_normal((3, m, n))
                 cases = [rng.standard_normal((k, n)) for k in range(8)]
                 # the pool passes one slot's (d, n) blocks, and strided rows
                 cases += [pool_blocks[1], pool_blocks[:, 0]]
                 for xs in cases:
-                    want = np.prod(xs[:, rows], axis=2) @ weights
+                    assert np.array_equal(a.apply_full_many(xs),
+                                          reference_apply_full_many(a, xs))
                     assert np.array_equal(
-                        tensor_core._form_values(xs, classes, weights), want)
-            if m % 2:
-                continue
-            # the identity shift needs even order to be seated
-            pool = self._seated((full, sparse), m)
-            vals = pool._block_values(pool.whole)
-            for slot, a in enumerate((full, sparse)):
-                rows, weights = self._whole_table(surrogate(a, 1.0))
-                assert np.array_equal(pool.weights[slot], weights)
-                blocks = pool.blocks[slot]
-                assert np.array_equal(vals[slot],
-                                      np.prod(blocks[:, rows], axis=2)
-                                      @ weights)
+                        tensor_core._form_values(xs, classes, weights),
+                        np.prod(xs[:, rows], axis=2) @ weights)
 
 
 def block_update(surrogate, blocks, slot, gamma, radius, prev):
@@ -469,6 +446,35 @@ class TestPoolMembers:
             assert (got.value, got.history, got.kkt_residual) == \
                 (alone.value, alone.history, alone.kkt_residual)
             assert swept == got.iterations
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_weights_rows_and_block_values(self, m):
+        # every seated surrogate writes its weights row over the shape's
+        # whole class table, zeros included, and one stacked gather gives
+        # the values of every block, on a full and on a sparse class set;
+        # the identity shift needs even order to be seated
+        def program(a, seed):
+            config = PamConfig(gammas=(1.0,) * m, alpha=1.0, seed=seed)
+            return (yield PamRequest(a, config))
+
+        rng = np.random.default_rng(900 + m)
+        for n in range(1, 5):
+            full = random_symtensor(m, n, rng)
+            sparse = SymTensor(m, n, {k: v for k, v in full.canonical.items()
+                                      if rng.uniform() < 0.5})
+            tensors = (full, sparse)
+            pool = pam._Pool([program(a, seed) for seed, a in
+                              enumerate(tensors)], PamStats())
+            for slot in range(len(tensors)):
+                pool._advance(slot, slot, None, None)
+            vals = pool._block_values(pool.whole)
+            for slot, a in enumerate(tensors):
+                rows, weights = whole_table(surrogate(a, 1.0))
+                assert np.array_equal(pool.weights[slot], weights)
+                blocks = pool.blocks[slot]
+                assert np.array_equal(vals[slot],
+                                      np.prod(blocks[:, rows], axis=2)
+                                      @ weights)
 
     @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 2)])
     def test_members_sharing_index_classes(self, m, n):

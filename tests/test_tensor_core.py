@@ -1,5 +1,6 @@
 """Contraction kernels checked against dense einsum-style oracles."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -14,7 +15,9 @@ from specteig import (ArityError, ConfigError, DenseB, DimError,
                       ZIdentity, axpy, diagonal_tensor, frobenius_inner,
                       identity_tensor, load_tensor, random_cubic)
 from specteig.errors import ParseError
-from specteig.tensor_core import _class_table, _double_factorial, _SweepPlan
+from specteig.tensor_core import (_class_table, _dense_from_classes,
+                                  _double_factorial, _sorted_positions,
+                                  _SweepPlan)
 
 from conftest import (dense_multilinear, dense_partial, fd_gradient,
                       permutation_count, random_symtensor,
@@ -160,11 +163,12 @@ class TestFromDense:
     through the shape's class table, so all must agree bit for bit."""
 
     @staticmethod
-    def _check(want, *others):
+    def _check(want, *others, same_dense=True):
         rng = np.random.default_rng(want.order * 10 + want.dim)
         xs = rng.standard_normal((5, want.dim))
         for got in others:
-            assert got.dense.tobytes() == want.dense.tobytes()
+            if same_dense:
+                assert got.dense.tobytes() == want.dense.tobytes()
             assert list(got.canonical.items()) == \
                 list(want.canonical.items())
             assert got.frobenius_norm() == want.frobenius_norm()
@@ -173,13 +177,15 @@ class TestFromDense:
             assert got.apply_full_many(xs).tobytes() == \
                 want.apply_full_many(xs).tobytes()
 
-    def _from_map_and_array(self, dense, *others):
+    def _from_map_and_array(self, dense, *others, symmetric=True):
         m, n = dense.ndim, dense.shape[0]
         canon = {idx: float(dense[idx]) for idx in
                  itertools.combinations_with_replacement(range(n), m)
                  if dense[idx] != 0.0}
         want = SymTensor(m, n, canon)
-        self._check(want, SymTensor._from_dense(dense.copy()), *others)
+        wrapped = SymTensor._from_dense(dense.copy())
+        assert np.array_equal(wrapped.dense, dense)
+        self._check(want, wrapped, *others, same_dense=symmetric)
         assert want.canonical == canon
 
     @pytest.mark.parametrize("m", range(1, 6))
@@ -217,8 +223,13 @@ class TestFromDense:
     def test_cubic_lift(self):
         # from_cubic sums the six transposes of T in another order at each
         # permutation of an index, so its array is symmetric only up to
-        # rounding; the terms read back from it give a symmetric lift
-        lift = TaylorPoly(6, 3, random_cubic(6, 3).coeffs).lifted
+        # rounding: the map of its classes builds another array, with the
+        # same classes, norm and forms
+        model = random_cubic(6, 3)
+        self._from_map_and_array(model.lifted.dense, model.lifted,
+                                 symmetric=False)
+        # the terms read back from it give a symmetric lift
+        lift = TaylorPoly(6, 3, model.coeffs).lifted
         self._from_map_and_array(lift.dense, lift)
 
 
@@ -240,32 +251,33 @@ class TestExplicitZeros:
 
 
 class TestClassTable:
-    """The per-shape class table and its map from every flat position to
-    the class of its sorted multi-index."""
+    """The per-shape class table, the sorted position of every flat
+    position, and the dense array built from class values through them."""
 
     @staticmethod
     def _check(m, n, rng):
-        classes, flat, counts, inverse = _class_table(m, n)
+        classes, flat, counts = _class_table(m, n)
         shape = (n,) * m
         rank = {idx: k for k, idx in enumerate(
             itertools.combinations_with_replacement(range(n), m))}
-        assert inverse.dtype == np.int32 and inverse.shape == (n ** m,)
         assert [rank[tuple(c)] for c in classes.T.tolist()] == \
             list(range(len(rank)))
-        for pos, idx in enumerate(itertools.product(range(n), repeat=m)):
-            assert inverse[pos] == rank[tuple(sorted(idx))]
         assert np.array_equal(flat, np.ravel_multi_index(tuple(classes),
                                                          shape))
         assert np.array_equal(counts, [permutation_count(c)
                                        for c in classes.T.tolist()])
+        first = np.concatenate([f for *_, f in _sorted_positions(m, n)])
+        want = [functools.reduce(lambda acc, i: acc * n + i, sorted(idx), 0)
+                for idx in itertools.product(range(n), repeat=m)]
+        assert first.tolist() == want
         # a symmetric array filled permutation by permutation
         dense = np.empty(shape)
         for idx in rank:
             value = rng.standard_normal()
             for perm in itertools.permutations(idx):
                 dense[perm] = value
-        assert np.array_equal(dense.take(flat).take(inverse),
-                              dense.reshape(-1))
+        assert np.array_equal(
+            _dense_from_classes(m, n, classes, dense.take(flat)), dense)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_small_shapes(self, m):
@@ -273,8 +285,10 @@ class TestClassTable:
         for n in range(1, 6):
             self._check(m, n, rng)
 
-    def test_order_three_lift_on_r31(self):
-        self._check(3, 31, np.random.default_rng(31))
+    @pytest.mark.parametrize("n", [31, 41])
+    def test_order_three(self, n):
+        # the largest boundary lift, and 41**3 positions in two chunks
+        self._check(3, n, np.random.default_rng(n))
 
 
 class TestSweepPartials:

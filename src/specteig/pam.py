@@ -11,20 +11,21 @@ update lands on the sphere boundary, and the best block's value bounds the
 multilinear optimum from above. The default shift, the Frobenius norm
 itself, does not guarantee concavity.
 
-Every subproblem runs in a lockstep pool (:func:`run_lockstep`): the
-single one of :func:`pam_solve`, those of one fractional solve, or those of
-all trials of a multistart run. The pool keeps the blocks of its T seated
+Every subproblem runs in a lockstep pool (:func:`run_lockstep`): the single
+one of :func:`pam_solve`, those of one fractional solve, or those of all
+trials of a multistart run. The pool keeps the blocks of its T seated
 subproblems in one (T, d, n) array and their surrogates as the rows of one
-(T, n**d) stack. One tick runs one sweep of each: every slot's partials
-come from stacked contractions that share the suffix contractions across
-slots as fast CP-ALS does, every row's step from one batched closed form
-(:class:`_ProxStep`, which the boundary solver of
-:mod:`specteig.trust_region` runs too), the multilinear value from the
-last partial dotted with its block, and every block's homogeneous value
-from one gather. Each row rounds exactly as it would in a pool of one, so
-no result depends on what else is seated. The buffers are allocated once
-per pool, for its capacity, and the ticks of t seated subproblems run on
-views of their first t rows.
+(T, n**d) stack. One tick runs one sweep of each (:class:`_BlockSweep`,
+whose loop the boundary solver of :mod:`specteig.trust_region` runs too):
+every slot's partials come from stacked contractions that share the suffix
+contractions across slots as fast CP-ALS does, every row's step from one
+batched closed form (:class:`_ProxStep`; a lone row takes its norm, guard
+and scale on Python floats and leaves the rules to the batched code), the
+multilinear value from the last partial dotted with its block, and every
+block's homogeneous value from one gather. Each row rounds exactly as it
+would in a pool of one, so no result depends on what else is seated. The
+buffers are allocated once per pool, for its capacity, and the ticks of t
+seated subproblems run on views of their first t rows.
 
 A program (a generator) asks for each subproblem with a
 :class:`PamRequest`: the operators A and B, the parameter theta and a
@@ -220,26 +221,37 @@ class _ProxStep:
     2 r |w|) by less than DEGENERATE_TOL, the one nearer prev wins. Both
     apply only below guard = 2 DEGENERATE_TOL max(1, 0.5 / r), so a step
     in which no |w| is below it (a NaN |w| is not) skips them.
+
+    A one-row step runs its norm |w|, the guard test and the scale
+    -r / |w| on Python floats, which round as the ufuncs do, and leaves a
+    row the guard stops, or a NaN |w|, to the batched code and its rules.
     """
 
     def __init__(self, t: int, n: int, radius: float):
         self.w = np.empty((t, n))
-        # np.vecdot sums each row's |w|^2 with np.dot's BLAS ddot
-        self.nw2 = np.empty(t)
-        self.nw2_col = self.nw2[:, None]
+        self.nw = np.empty((t, 1))
+        self.nw_rows = self.nw[:, 0]
         self.scale = np.empty((t, 1))
         self.radius = float(radius)
         self.guard = 2.0 * DEGENERATE_TOL * max(1.0, 0.5 / self.radius)
+        self.row = self.w[0] if t == 1 else None
 
     def __call__(self, c: np.ndarray, damped: np.ndarray, prev: np.ndarray,
-                 out: np.ndarray, nw: np.ndarray) -> None:
-        """Write every row's step into out and |w| into nw, given the
-        blocks before the step in prev and the rows gamma_i * prev[i] in
-        damped; nw is a (t, 1) column."""
+                 out: np.ndarray) -> None:
+        """Write every row's step into out, given the blocks before the
+        step in prev and the rows gamma_i * prev[i] in damped."""
         w = self.w
         np.subtract(c, damped, w)
-        np.vecdot(w, w, self.nw2)
-        np.sqrt(self.nw2_col, nw)
+        row = self.row
+        if row is not None:
+            v = math.sqrt(np.dot(row, row))
+            if v >= self.guard:
+                np.multiply(-self.radius / v, w, out)
+                return
+        nw = self.nw
+        # np.vecdot sums each row's |w|^2 with np.dot's BLAS ddot
+        np.vecdot(w, w, self.nw_rows)
+        np.sqrt(nw, nw)
         np.divide(-self.radius, nw, self.scale)
         np.multiply(self.scale, w, out)
         # a NaN row compares False, so it cannot hide a tied row beside it
@@ -248,7 +260,7 @@ class _ProxStep:
                 break
         else:
             return
-        nw = nw[:, 0]
+        nw = self.nw_rows
         degenerate = nw < DEGENERATE_TOL
         tie = 2.0 * self.radius * nw < DEGENERATE_TOL
         u = -out
@@ -307,30 +319,51 @@ class _Member:
         self.max_gap = 0.0
 
 
-def _rows(obj, t: int):
-    """A copy of obj whose array attributes are views of their first t
-    rows."""
-    head = object.__new__(type(obj))
-    head.__dict__ = {k: v[:t] if type(v) is np.ndarray else v
-                     for k, v in vars(obj).items()}
-    return head
+class _BlockSweep:
+    """The block steps of a PAM sweep over t rows, the slot loop of both
+    solvers, on views bound once: of whole blocks in the pool, and of the
+    tails of lifted blocks in the boundary solver, whose partials the
+    steps read from column lead on. gammas broadcasts against blocks, and
+    prev keeps the blocks from before the last sweep."""
+
+    def __init__(self, plan: _SweepPlan, prox: _ProxStep, blocks: np.ndarray,
+                 gammas, lead: int = 0):
+        self.plan, self.prox = plan, prox
+        self.blocks, self.gammas = blocks, gammas
+        self.prev, self.damped = np.empty((2,) + blocks.shape)
+        self.slots = [(plan.partial_buffer(j)[:, lead:], self.damped[:, j],
+                       self.prev[:, j], blocks[:, j])
+                      for j in range(blocks.shape[1])]
+
+    def sweep(self) -> None:
+        np.copyto(self.prev, self.blocks)
+        np.multiply(self.gammas, self.prev, self.damped)
+        partial, prox = self.plan.partial, self.prox
+        for j, slot in enumerate(self.slots):
+            partial(j)
+            prox(*slot)
+
+    def head(self, t: int):
+        """A copy whose arrays are views of their first t rows."""
+        head = object.__new__(type(self))
+        head.__dict__ = {k: v[:t] if type(v) is np.ndarray else v
+                         for k, v in vars(self).items()}
+        head.plan = self.plan.head(t)
+        # scratch buffers only; at t = 1 the step takes its one-row form
+        head.prox = _ProxStep(t, self.prox.w.shape[1], self.prox.radius)
+        head.slots = [tuple(v[:t] for v in slot) for slot in self.slots]
+        return head
 
 
-class _Frame:
-    """Buffers and views for the ticks of a pool, allocated once for its
-    capacity; :meth:`head` serves its first t slots."""
+class _Frame(_BlockSweep):
+    """The sweep of a pool with the buffers of its ticks, allocated once
+    for its capacity; :meth:`head` serves its first t slots."""
 
     def __init__(self, pool: "_Pool"):
         t, d, n = pool.blocks.shape
-        self.blocks, self.prev = pool.blocks, np.empty((t, d, n))
-        self.plan = _SweepPlan(pool.stack, self.blocks)
-        self.prox = _ProxStep(t, n, 1.0)
-        nw = np.empty((t, d))
-        # gamma_j times the previous blocks, for every slot at once
-        self.gammas3 = pool.gammas[:, :, None]
-        self.damped = np.empty((t, d, n))
-        self.slots = [(self.damped[:, j], self.prev[:, j], self.blocks[:, j],
-                       nw[:, j, None]) for j in range(d)]
+        super().__init__(_SweepPlan(pool.stack, pool.blocks),
+                         _ProxStep(t, n, 1.0), pool.blocks,
+                         pool.gammas[:, :, None])
         # h_t, h_v and step norm of the last tick
         self.ht, self.hv, self.step = np.empty((3, t))
         self.diff = np.empty((t, d * n))
@@ -342,14 +375,6 @@ class _Frame:
         self.prods = np.empty((t,) + pool.gather_idx.shape[1:])
         self.prods_by_block = self.prods.transpose(0, 2, 1)
         self.weights3 = pool.weights[:, :, None]
-
-    def head(self, t: int) -> "_Frame":
-        """The frame of the first t slots, on views of these buffers."""
-        head = _rows(self, t)
-        head.slots = [(damped[:t], prev[:t], out[:t], nw[:t])
-                      for damped, prev, out, nw in self.slots]
-        head.plan, head.prox = self.plan.head(t), _rows(self.prox, t)
-        return head
 
 
 class _Pool:
@@ -482,11 +507,8 @@ class _Pool:
         if f is None or len(f.blocks) != t:
             f = self.frame = self.whole.head(t) if t < self.capacity \
                 else self.whole
-        np.copyto(f.prev, f.blocks)
-        np.multiply(f.gammas3, f.prev, f.damped)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for j, (damped, prev, out, nw) in enumerate(f.slots):
-                f.prox(f.plan.partial(j), damped, prev, out, nw)
+            f.sweep()
         np.vecdot(f.plan.partial_buffer(-1), f.blocks[:, -1], f.ht)
         np.subtract(f.blocks, f.prev, f.diff3)
         np.vecdot(f.diff, f.diff, f.step)

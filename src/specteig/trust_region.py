@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (ConfigError, DimError, DomainError, NumericalError,
                      ParseError)
-from .pam import DEGENERATE_TOL, _ProxStep
+from .pam import DEGENERATE_TOL, _BlockSweep, _ProxStep
 from .tensor_core import (SymTensor, _check_shape, _contract,
                           _dense_from_classes, _SweepPlan, identity_tensor)
 
@@ -276,30 +276,22 @@ def _boundary_sweeps(stack: np.ndarray, blocks: np.ndarray, delta: float,
     surrogate value stalls and returns the sweep count.
 
     stack is the flattened surrogate as a (1, (n + 1)**p) row, kept with
-    blocks as views. Each step is the eigen solver's block step,
-    :class:`~specteig.pam._ProxStep` on the delta-sphere with its tie and
-    degeneracy rules, applied to the tails only; the surrogate value h
-    after a sweep is the last partial dotted with the last block. A
-    non-finite partial tail makes its block and h non-finite, which
-    raises NumericalError.
+    blocks as views. The sweeps are the eigen solver's
+    (:class:`~specteig.pam._BlockSweep`) on the tails, stepping onto the
+    delta-sphere; the surrogate value h after a sweep is the last partial
+    dotted with the last block. A non-finite partial tail makes its block
+    and h non-finite, which raises NumericalError.
     """
-    p = blocks.shape[1]
     plan = _SweepPlan(stack, blocks)
-    tails = blocks[:, :, 1:]
-    prox = _ProxStep(1, tails.shape[2], delta)
-    prev, damped = np.empty_like(tails), np.empty_like(tails)
-    nw = np.empty((1, 1))
-    slots = [(damped[:, j], prev[:, j], tails[:, j]) for j in range(p)]
-    c_last, b_last = plan.partial_buffer(p - 1)[0], blocks[0, p - 1]
+    steps = _BlockSweep(plan, _ProxStep(1, blocks.shape[2] - 1, delta),
+                        blocks[:, :, 1:], config.gamma, lead=1)
+    c_last, b_last = plan.partial_buffer(-1)[0], blocks[0, -1]
 
     def sweeps() -> int:
         h_prev = float(_contract(stack[0], list(blocks[0]))[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             for k in range(1, config.inner_max_iter + 1):
-                np.copyto(prev, tails)
-                np.multiply(config.gamma, prev, damped)
-                for j, slot in enumerate(slots):
-                    prox(plan.partial(j)[:, 1:], *slot, nw)
+                steps.sweep()
                 h = float(np.dot(c_last, b_last))
                 if not math.isfinite(h):
                     raise NumericalError("non-finite surrogate value in "
@@ -393,7 +385,8 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     if not converged:
         logger.warning("boundary solve stopped at %d rounds with "
                        "stationarity residual %.3g", outer, gl_norm)
-    return BoundaryResult(s=s, lambda_=lam, value=poly.evaluate(s),
+    # s is the point whose value was recorded last
+    return BoundaryResult(s=s, lambda_=lam, value=history[-1],
                           grad_lagrangian_norm=gl_norm,
                           inner_iters=inner_total, outer_iters=outer,
                           history=tuple(history), converged=converged)

@@ -174,9 +174,9 @@ def block_update(surrogate, blocks, slot, gamma, radius, prev):
     others = [blocks[i] for i in range(len(blocks)) if i != slot]
     c = surrogate.multilinear_partial(others, slot)[None]
     prev = np.asarray(prev, dtype=float)[None]
-    out, nw = np.empty_like(c), np.empty((1, 1))
+    out = np.empty_like(c)
     with np.errstate(divide="ignore", invalid="ignore"):
-        _ProxStep(*c.shape, radius)(c, gamma * prev, prev, out, nw)
+        _ProxStep(*c.shape, radius)(c, gamma * prev, prev, out)
     return out[0]
 
 
@@ -244,24 +244,42 @@ class TestBlockUpdate:
 
 class TestProxStepRows:
     """`_ProxStep` takes every row's |w| from np.vecdot and tests its tie
-    and degeneracy guard row by row in Python."""
+    and degeneracy guard row by row in Python; a one-row step takes |w|,
+    the guard and the scale on Python floats and must round the same."""
+
+    @staticmethod
+    def _alone_and_doubled(c, damped, prev, r):
+        """One row's step through a one-row `_ProxStep`, and row 0 of a
+        two-row one on the row duplicated."""
+        n = len(c)
+        alone, doubled = np.empty((1, n)), np.empty((2, n))
+        _ProxStep(1, n, r)(c[None], damped[None], prev[None], alone)
+        _ProxStep(2, n, r)(*(np.stack((x, x)) for x in (c, damped, prev)),
+                           doubled)
+        return alone[0], doubled[0]
 
     @pytest.mark.parametrize("t", [1, 3, 8])
     def test_norms_and_steps_match_per_row_dot(self, t):
         # lengths 32 and up reach the SIMD path of OpenBLAS's ddot
         rng = np.random.default_rng(50 + t)
         for n in range(1, 65):
-            scale = 10.0 ** rng.integers(-6, 7)
-            c = scale * rng.standard_normal((t, n))
-            prev = rng.standard_normal((t, n))
-            damped = 2.0 * prev
-            out, nw = np.empty((t, n)), np.empty((t, 1))
-            _ProxStep(t, n, 0.5)(c, damped, prev, out, nw)
-            for i in range(t):
-                w = c[i] - damped[i]
-                norm = math.sqrt(float(np.dot(w, w)))
-                assert nw[i, 0] == norm
-                assert np.array_equal(out[i], (-0.5 / norm) * w)
+            for scale in 10.0 ** np.arange(-6, 7):
+                c = scale * rng.standard_normal((t, n))
+                prev = rng.standard_normal((t, n))
+                damped = 2.0 * prev
+                out = np.empty((t, n))
+                prox = _ProxStep(t, n, 0.5)
+                prox(c, damped, prev, out)
+                for i in range(t):
+                    w = c[i] - damped[i]
+                    norm = math.sqrt(float(np.dot(w, w)))
+                    if t > 1:
+                        assert prox.nw[i, 0] == norm
+                    assert np.array_equal(out[i], (-0.5 / norm) * w)
+                    for r in (0.1, 1.0, 10.0):
+                        alone, doubled = self._alone_and_doubled(
+                            c[i], damped[i], prev[i], r)
+                        assert alone.tobytes() == doubled.tobytes()
             # the pool's h_t and step norm: rows of a (t, d, n) block array
             # and of a (t, d * n) one
             blocks = rng.standard_normal((t, 3, n))
@@ -269,33 +287,64 @@ class TestProxStepRows:
                 got = np.vecdot(x, y)
                 assert all(got[i] == np.dot(x[i], y[i]) for i in range(t))
 
+    def test_head_of_one_row_takes_the_one_row_form(self):
+        # a pool's one-row tail is the head of its whole sweep: row 0 must
+        # step as it does among four rows
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((4, 5 ** 3))
+        blocks = rng.standard_normal((4, 3, 5))
+        blocks /= np.linalg.norm(blocks, axis=2, keepdims=True)
+        start = blocks.copy()
+        whole = pam._BlockSweep(tensor_core._SweepPlan(stack, blocks),
+                                _ProxStep(4, 5, 1.0), blocks,
+                                rng.uniform(0.5, 2.0, (4, 3, 1)))
+        assert whole.prox.row is None and whole.head(2).prox.row is None
+        head = whole.head(1)
+        assert head.prox.row is not None
+        for _ in range(5):
+            whole.sweep()
+        want = blocks[0].copy()
+        blocks[:] = start
+        for _ in range(5):
+            head.sweep()
+        assert blocks[0].tobytes() == want.tobytes()
+
     def test_rules_change_exactly_the_tied_and_degenerate_rows(self):
         # at radius 0.1 a row ties below |w| = DEGENERATE_TOL / (2 r) =
         # 5e-14 and is degenerate below 1e-14; the guard is 1e-13. One call
         # in every row order: a NaN row must not hide the others, and the
-        # rules must leave the ordinary and NaN rows as the formula has them
+        # rules must leave the ordinary, NaN and inf rows as the formula
+        # has them. Every row alone takes the one-row form, which must
+        # give the same
         r = 0.1
         u = np.array([0.6, 0.0, -0.8])
         rows = {
             "nan": (np.array([math.nan, 1.0, 0.0]), r * u),
+            "inf": (np.array([math.inf, 1.0, 0.0]), r * u),
             "tied": (4.9e-14 * u, r * u),
             "tied, formula nearer": (4.9e-14 * u, -r * u),
             "degenerate": (5e-15 * u, r * np.array([0.0, 1.0, 0.0])),
+            "zero": (np.zeros(3), r * u),
             "ordinary": (np.array([0.3, -1.2, 0.5]), r * u),
         }
-        formula = {k: (-r / math.sqrt(float(np.dot(w, w)))) * w
-                   for k, (w, _) in rows.items()}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            formula = {k: (-r / np.sqrt(np.dot(w, w))) * w
+                       for k, (w, _) in rows.items()}
         want = dict(formula, tied=-formula["tied"],
-                    degenerate=rows["degenerate"][1])
-        for order in itertools.permutations(rows):
-            w = np.array([rows[k][0] for k in order])
-            prev = np.array([rows[k][1] for k in order])
-            out, nw = np.empty_like(w), np.empty((len(order), 1))
-            with np.errstate(invalid="ignore"):
-                _ProxStep(len(order), 3, r)(w, np.zeros_like(w), prev, out,
-                                            nw)
-            for i, k in enumerate(order):
-                assert np.array_equal(out[i], want[k], equal_nan=True), k
+                    degenerate=rows["degenerate"][1], zero=rows["zero"][1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for order in itertools.permutations(rows):
+                w = np.array([rows[k][0] for k in order])
+                prev = np.array([rows[k][1] for k in order])
+                out = np.empty_like(w)
+                _ProxStep(len(order), 3, r)(w, np.zeros_like(w), prev, out)
+                for i, k in enumerate(order):
+                    assert np.array_equal(out[i], want[k], equal_nan=True), k
+            for k, (w, prev) in rows.items():
+                alone, doubled = self._alone_and_doubled(
+                    w, np.zeros_like(w), prev, r)
+                assert np.array_equal(alone, want[k], equal_nan=True), k
+                assert alone.tobytes() == doubled.tobytes(), k
 
 
 class TestPamSolve:

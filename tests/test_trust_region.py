@@ -7,6 +7,7 @@ sampling and second-order certificates.
 
 import itertools
 import json
+import logging
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from specteig import (BoundaryConfig, ConfigError, DimError, DomainError,
                       TaylorPoly, check_second_order, lagrangian_grad,
                       load_poly, poly_to_dict, random_cubic, solve_boundary)
 from specteig.errors import NumericalError, ParseError
+from specteig.pam import _BlockSweep, _ProxStep
+from specteig.tensor_core import _contract, _SweepPlan
 from specteig.trust_region import (_boundary_sweeps, _shift_tensor,
                                    _tangent_basis)
 
@@ -301,6 +304,35 @@ class TestBoundaryEngine:
             assert np.all(np.abs(np.linalg.norm(blocks[0, :, 1:], axis=1)
                                  - delta) <= 1e-12)
 
+    @pytest.mark.parametrize("p", [1, 3, 4])
+    def test_one_row_sweeps_match_a_two_row_sweep(self, p):
+        # the one-row step of every boundary sweep against the batched step
+        # of a two-row sweep on the stack and blocks duplicated
+        n, delta = 4, 1.5
+        poly, _, _ = _model(p, n, 1.0, False, 7)
+        stack = (poly.lifted.dense
+                 - _shift_tensor(p, n + 1).dense).reshape(1, -1)
+        config = BoundaryConfig(inner_max_iter=1)
+        blocks = np.empty((1, p, n + 1))
+        blocks[0] = np.concatenate(([1.0], np.full(n, 0.3)))
+        sweep = _boundary_sweeps(stack, blocks, delta, config)
+        stack2, blocks2 = np.repeat(stack, 2, axis=0), np.repeat(blocks, 2,
+                                                                axis=0)
+        plan = _SweepPlan(stack2, blocks2)
+        sweep2 = _BlockSweep(plan, _ProxStep(2, n, delta), blocks2[:, :, 1:],
+                             config.gamma, lead=1)
+        for _ in range(30):
+            assert sweep() == 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sweep2.sweep()
+            assert blocks2[0].tobytes() == blocks[0].tobytes()
+            assert blocks2[1].tobytes() == blocks[0].tobytes()
+            # h as the boundary sweep takes it, from the last partial
+            h = float(np.dot(_contract(stack[0], list(blocks[0, :-1])),
+                             blocks[0, -1]))
+            h2 = np.vecdot(plan.partial_buffer(p - 1), blocks2[:, -1])
+            assert h2.tolist() == [h, h]
+
     def test_non_finite_direction_raises(self):
         # finite model, but its partial at |s| = 1e200 overflows
         poly = TaylorPoly(2, 3, {(3, 0): 1e150, (0, 3): 1e150})
@@ -320,6 +352,23 @@ class TestLagrangianGrad:
 
 
 class TestSolveBoundary:
+    def test_value_is_the_model_at_the_step(self, caplog):
+        # value is the last recorded round's, which is the model at s, on
+        # converged solves and on ones that a round raising the value
+        # stops, random_cubic(2, 0) at delta 2 among them
+        cases = [(n, seed, delta) for n in range(1, 7) for seed in range(5)
+                 for delta in (0.5, 2.0)]
+        stopped = 0
+        with caplog.at_level(logging.ERROR, logger="specteig"):
+            for n, seed, delta in cases + [(2, 0, 2.0)]:
+                poly = random_cubic(n, seed)
+                res = solve_boundary(poly, delta)
+                assert res.value == poly.evaluate(res.s), (n, seed, delta)
+                assert res.value == res.history[-1]
+                stopped += not res.converged
+        assert not res.converged
+        assert stopped > 1
+
     def test_linear_oracle(self):
         # minimizing s_1 over |s| = 2 lands at -2 e_1 with multiplier 1/2
         p = TaylorPoly.from_cubic(0.0, np.array([1.0, 0.0, 0.0]),

@@ -15,6 +15,10 @@ certificate for every radius.
 An instance counts as good in the summary lines only when it converged and
 its projected second-order matrix is positive definite.
 
+The CSVs write lambda, value, grad_norm and proj_min_eig as the shortest
+decimal that reads back to the same float, so two runs whose CSVs match
+in every column but time_s gave bit-identical answers.
+
 Produces (under --outdir, default results/):
   boundary_battery.csv   one row per (seed, n) instance
   boundary_sweep.csv     one row per radius
@@ -36,6 +40,11 @@ SWEEP_SCALES = (200.0, 8.0, 2.0)
 LARGE_DIMS = (15, 30)
 
 
+def _exact(x) -> str:
+    """The shortest decimal that reads back as the float x."""
+    return repr(float(x))
+
+
 def _certified(row) -> bool:
     return bool(row["converged"] and row["proj_PD"])
 
@@ -52,10 +61,10 @@ def run_battery(seeds, dims, delta, outpath: Path):
         min_eig, proj_pd = check_second_order(poly, res.s, res.lambda_)
         rows.append({
             "seed": seed, "n": n, "converged": int(res.converged),
-            "lambda": f"{res.lambda_:.10g}",
-            "value": f"{res.value:.10g}",
-            "grad_norm": f"{res.grad_lagrangian_norm:.3e}",
-            "proj_min_eig": f"{min_eig:.6g}",
+            "lambda": _exact(res.lambda_),
+            "value": _exact(res.value),
+            "grad_norm": _exact(res.grad_lagrangian_norm),
+            "proj_min_eig": _exact(min_eig),
             "proj_PD": int(proj_pd),
             "inner_iters": res.inner_iters,
             "outer_iters": res.outer_iters,
@@ -82,11 +91,11 @@ def run_sweep(n, seed, deltas, outpath: Path):
         min_eig, proj_pd = check_second_order(poly, res.s, res.lambda_)
         rows.append({
             "delta": delta,
-            "lambda": f"{res.lambda_:.10g}",
-            "value": f"{res.value:.10g}",
-            "grad_norm": f"{res.grad_lagrangian_norm:.3e}",
+            "lambda": _exact(res.lambda_),
+            "value": _exact(res.value),
+            "grad_norm": _exact(res.grad_lagrangian_norm),
             "converged": int(res.converged),
-            "proj_min_eig": f"{min_eig:.6g}",
+            "proj_min_eig": _exact(min_eig),
             "proj_PD": int(proj_pd),
         })
         flag = "ok" if _certified(rows[-1]) else "CHECK"

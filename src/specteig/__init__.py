@@ -18,9 +18,9 @@ from .errors import (ArityError, ConfigError, DenominatorError, DimError,
                      ParseError, SpecteigError)
 from .pam import (Given, PamConfig, PamResult, Uniform, kl_exponent,
                   pam_solve, write_history_csv)
-from .tensor_core import (MAX_DENSE_ENTRIES, BOperator, DenseB, HDiagonal,
-                          SymTensor, ZIdentity, axpy, diagonal_tensor,
-                          frobenius_inner, identity_tensor, load_tensor)
+from .tensor_core import (MAX_DENSE_ENTRIES, HDiagonal, SymTensor, ZIdentity,
+                          axpy, diagonal_tensor, frobenius_inner,
+                          identity_tensor, load_tensor)
 from .trust_region import (BoundaryConfig, BoundaryResult, TaylorPoly,
                            check_second_order, lagrangian_grad, load_poly,
                            poly_to_dict, random_cubic, solve_boundary)

@@ -1,10 +1,11 @@
 """Fractional programming loop for ratios of homogeneous sphere forms.
 
-Minimizes f(x)/g(x) over the unit sphere, with f given by a symmetric tensor
-and g by a positive denominator operator, by repeatedly minimizing the
-parametric difference f - theta * g with the PAM block solver and updating
-theta to the ratio at the new iterate. The parametric optimal value F(theta)
-is nondecreasing and nonpositive along the run while theta is nonincreasing,
+Minimizes f(x)/g(x) over the unit sphere, with f and g the homogeneous
+forms of two symmetric tensors A and B, g positive on the sphere, by
+repeatedly minimizing the parametric difference f - theta * g, the form of
+the one tensor A - theta * B, with the PAM block solver and updating theta
+to the ratio at the new iterate. The parametric optimal value F(theta) is
+nondecreasing and nonpositive along the run while theta is nonincreasing,
 and the loop stops when |F(theta)| falls below tolerance.
 
 The loop is written once, as the generator :func:`dinkelbach_steps`, which
@@ -26,7 +27,7 @@ from .errors import (ArityError, ConfigError, DenominatorError, DimError,
                      NumericalError)
 from .pam import (Given, PamConfig, PamRequest, PamResult, Uniform,
                   run_alone)
-from .tensor_core import BOperator, HDiagonal, SymTensor, ZIdentity
+from .tensor_core import HDiagonal, SymTensor, ZIdentity
 
 __all__ = [
     "FractionalProblem",
@@ -56,7 +57,7 @@ class FractionalProblem:
     """
 
     numerator: SymTensor
-    denominator: BOperator
+    denominator: SymTensor
 
     def __post_init__(self):
         a, b = self.numerator, self.denominator
@@ -74,7 +75,7 @@ class FractionalProblem:
             (_POSITIVITY_SAMPLES, a.dim))
         # a (1, n) @ (n, 1) product per row sums |u|^2 as np.linalg.norm does
         us /= np.sqrt(us[:, None, :] @ us[:, :, None])[:, 0]
-        vals = b.to_symtensor().apply_full_many(us)
+        vals = b.apply_full_many(us)
         bad = np.flatnonzero(vals <= 0)
         if bad.size:
             raise DenominatorError(

@@ -1,8 +1,9 @@
 """Extremal generalized tensor eigenpairs by multistart fractional solves.
 
 A pair (lambda, x) with A x^(m-1) = lambda * B x^(m-1) and |x| = 1 comes in
-kinds distinguished by the denominator operator: unit-sphere normalization,
-componentwise powers, or a dense positive form. The extremal eigenvalue is
+kinds distinguished by the denominator tensor B: the identity tensor
+(unit-sphere normalization), the diagonal tensor (componentwise powers), or
+any symmetric tensor positive on the sphere. The extremal eigenvalue is
 the extremum of the ratio A x^m / B x^m on the sphere, found here by running
 the fractional loop from many random starts and clustering the outcomes.
 
@@ -29,7 +30,7 @@ from .dinkelbach import (DinkelbachConfig, FractionalProblem,
                          dinkelbach_steps)
 from .errors import ConfigError, DenominatorError, NumericalError
 from .pam import PamStats, run_lockstep
-from .tensor_core import BOperator, DenseB, HDiagonal, SymTensor, ZIdentity
+from .tensor_core import HDiagonal, SymTensor, ZIdentity
 
 logger = logging.getLogger(__name__)
 
@@ -47,7 +48,9 @@ __all__ = [
     "report_to_csv",
 ]
 
-KINDS = ("Z", "H", "D")
+#: Each kind and the denominator class it requires.
+_KIND_DENOMINATOR = {"Z": ZIdentity, "H": HDiagonal, "D": SymTensor}
+KINDS = tuple(_KIND_DENOMINATOR)
 EXTREMA = ("min", "max")
 
 #: Components smaller than this are skipped when fixing the sign of a
@@ -61,7 +64,7 @@ class GeneralizedEigenProblem:
     extremum."""
 
     a: SymTensor
-    b: BOperator
+    b: SymTensor
     kind: str
     extremum: str = "min"
 
@@ -72,39 +75,37 @@ class GeneralizedEigenProblem:
         if self.extremum not in EXTREMA:
             raise ConfigError(f"extremum must be one of {EXTREMA}, "
                               f"got {self.extremum!r}")
+        required = _KIND_DENOMINATOR[self.kind]
+        if not isinstance(self.b, required):
+            raise ConfigError(f"kind {self.kind} requires a "
+                              f"{required.__name__} denominator, got "
+                              f"{type(self.b).__name__}")
         if self.a.order != self.b.order or self.a.dim != self.b.dim:
             raise ConfigError(
                 f"operator shapes disagree: ({self.a.order},{self.a.dim}) "
                 f"vs ({self.b.order},{self.b.dim})")
-        if self.kind == "D" and not isinstance(self.b, DenseB):
-            raise ConfigError("kind D requires a dense denominator tensor")
 
 
-def build_problem(a: SymTensor, kind: str,
-                  b: SymTensor | BOperator | None = None,
+def build_problem(a: SymTensor, kind: str, b: SymTensor | None = None,
                   extremum: str = "min") -> GeneralizedEigenProblem:
     """Assemble the eigenproblem for a kind tag (case-insensitive).
 
     Z uses the unit-sphere normalizer, H the componentwise-power normalizer;
-    D requires an explicit dense denominator tensor.
+    D requires an explicit denominator tensor, used as it is.
     """
     kind = str(kind).upper()
     extremum = str(extremum).lower()
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-    if kind == "Z":
-        if b is not None:
-            raise ConfigError("kind Z fixes its denominator; do not pass one")
-        op: BOperator = ZIdentity(a.order, a.dim)
-    elif kind == "H":
-        if b is not None:
-            raise ConfigError("kind H fixes its denominator; do not pass one")
-        op = HDiagonal(a.order, a.dim)
-    else:
+    if kind == "D":
         if b is None:
             raise ConfigError("kind D requires a denominator tensor")
-        op = b if isinstance(b, DenseB) else DenseB(b)
-    return GeneralizedEigenProblem(a=a, b=op, kind=kind, extremum=extremum)
+    elif b is not None:
+        raise ConfigError(f"kind {kind} fixes its denominator; do not pass "
+                          f"one")
+    else:
+        b = _KIND_DENOMINATOR[kind](a.order, a.dim)
+    return GeneralizedEigenProblem(a=a, b=b, kind=kind, extremum=extremum)
 
 
 def rayleigh(problem: GeneralizedEigenProblem, x: np.ndarray) -> float:

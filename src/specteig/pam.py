@@ -53,9 +53,9 @@ import numpy as np
 
 from .errors import (ArityError, ConfigError, DimError, DomainError,
                      NumericalError)
-from .tensor_core import (MAX_DENSE_ENTRIES, BOperator, SymTensor,
-                          ZIdentity, _class_table, _form_values,
-                          _nonzero_classes, _SweepPlan)
+from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, _class_table,
+                          _form_values, _nonzero_classes, _SweepPlan,
+                          identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -155,7 +155,7 @@ class PamRequest:
     a: SymTensor
     config: PamConfig
     rng: np.random.Generator | None = None
-    b: BOperator | None = None
+    b: SymTensor | None = None
     theta: float = 0.0
     start: np.ndarray | InitSpec | None = None
 
@@ -452,8 +452,8 @@ class _Pool:
         if b is None:
             a_theta, fro = a.dense.reshape(-1), a.frobenius_norm()
         else:
-            a_theta = np.subtract(a.dense.reshape(-1), request.theta
-                                  * b.to_symtensor().dense.reshape(-1),
+            a_theta = np.subtract(a.dense.reshape(-1),
+                                  request.theta * b.dense.reshape(-1),
                                   out=row)
             fro = _nonzero_classes(a_theta.take(self.flat), self.counts)[2]
         alpha = config.alpha if config.alpha is not None else fro
@@ -477,7 +477,7 @@ class _Pool:
                 stats.low_alpha_worst = (alpha, fro, d)
 
     def _allocate(self, d: int, dim: int) -> None:
-        identity = ZIdentity(d, dim).to_symtensor().dense
+        identity = identity_tensor(d, dim).dense
         self.shape = identity.shape
         self.identity = identity.reshape(-1)
         self.classes, self.flat, self.counts = _class_table(d, dim)

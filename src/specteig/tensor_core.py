@@ -1,5 +1,6 @@
-"""Symmetric tensors stored as dense arrays, and the operator algebra built
-on them.
+"""Symmetric tensors stored as dense arrays, the one representation of
+every operator: a numerator, a denominator and each shifted combination
+:func:`axpy` forms of them.
 
 A symmetric tensor of order m on R^n is its dense n**m array. Its entries
 are determined by their values on nondecreasing index tuples (canonical
@@ -16,6 +17,11 @@ rounds exactly as the kernel does on its own tensor. The homogeneous form
 and the Frobenius norm run over the nonzero classes, with their
 permutation counts as weights: C(n+m-1, m) terms instead of n**m, the
 form's products taken over the table's leading axis.
+
+The two structured denominators are tensors too: :class:`ZIdentity` and
+:class:`HDiagonal` hold the cached :func:`identity_tensor` and
+:func:`diagonal_tensor` arrays and override only their homogeneous form
+and slot-gradient, with closed forms.
 
 Dense storage bounds the size: a shape with more than
 :data:`MAX_DENSE_ENTRIES` entries raises :class:`ConfigError` before
@@ -46,8 +52,6 @@ from .errors import (
 __all__ = [
     "MAX_DENSE_ENTRIES",
     "SymTensor",
-    "BOperator",
-    "DenseB",
     "ZIdentity",
     "HDiagonal",
     "axpy",
@@ -57,7 +61,7 @@ __all__ = [
     "load_tensor",
 ]
 
-#: Largest n**m a tensor or operator may have: 2**24 float64 entries are
+#: Largest n**m a tensor may have: 2**24 float64 entries are
 #: 128 MiB of dense storage.
 MAX_DENSE_ENTRIES = 2 ** 24
 
@@ -386,8 +390,12 @@ class SymTensor:
         """New tensor with every entry multiplied by ``factor``."""
         return SymTensor._from_dense(factor * self.dense)
 
+    def to_symtensor(self) -> "SymTensor":
+        # the tensor itself, for its one caller: perfbench/workloads.py
+        return self
+
     def __repr__(self) -> str:
-        return (f"SymTensor(order={self.order}, dim={self.dim}, "
+        return (f"{type(self).__name__}(order={self.order}, dim={self.dim}, "
                 f"nnz={self._canon_weight.size})")
 
 
@@ -433,63 +441,15 @@ def diagonal_tensor(order: int, dim: int) -> SymTensor:
     return SymTensor(order, dim, {(i,) * order: 1.0 for i in range(dim)})
 
 
-class BOperator:
-    """Denominator-side operator: a structured symmetric form on R^n.
+class ZIdentity(SymTensor):
+    """Unit-sphere normalization: the cached :func:`identity_tensor`, with
+    its homogeneous form |x|^m and slot-gradient |x|^(m-2) x in closed
+    form."""
 
-    Subclasses provide the homogeneous form and its slot-gradient in closed
-    form, and the symmetric tensor realization that every multilinear
-    contraction uses.
-    """
-
-    variant = "abstract"
+    __slots__ = ()
 
     def __init__(self, order: int, dim: int):
-        _check_shape(order, dim)
-        self.order = int(order)
-        self.dim = int(dim)
-
-    def apply_full(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def apply_gradient(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def to_symtensor(self) -> SymTensor:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(order={self.order}, dim={self.dim})")
-
-
-class DenseB(BOperator):
-    """Denominator given by an explicit symmetric tensor."""
-
-    variant = "dense"
-
-    def __init__(self, tensor: SymTensor):
-        super().__init__(tensor.order, tensor.dim)
-        self.tensor = tensor
-
-    def apply_full(self, x: np.ndarray) -> float:
-        return self.tensor.apply_full(x)
-
-    def apply_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.tensor.apply_gradient(x)
-
-    def to_symtensor(self) -> SymTensor:
-        return self.tensor
-
-
-class ZIdentity(BOperator):
-    """Unit-sphere normalization: homogeneous form |x|^m, slot-gradient
-    |x|^(m-2) x; its tensor is :func:`identity_tensor`."""
-
-    variant = "z-identity"
-
-    def __init__(self, order: int, dim: int):
-        if order % 2 != 0:
-            raise ArityError(f"identity pairing needs even order, got {order}")
-        super().__init__(order, dim)
+        self._set(identity_tensor(order, dim).dense)
 
     def apply_full(self, x: np.ndarray) -> float:
         x = _check_vector(x, self.dim)
@@ -500,16 +460,16 @@ class ZIdentity(BOperator):
         nsq = float(np.dot(x, x))
         return nsq ** ((self.order - 2) // 2) * x if self.order > 2 else x.copy()
 
-    def to_symtensor(self) -> SymTensor:
-        return identity_tensor(self.order, self.dim)
 
+class HDiagonal(SymTensor):
+    """Componentwise-power normalization: the cached
+    :func:`diagonal_tensor`, with its homogeneous form sum_i x_i^m and
+    slot-gradient with entries x_i^(m-1) in closed form."""
 
-class HDiagonal(BOperator):
-    """Componentwise-power normalization: homogeneous form sum_i x_i^m,
-    slot-gradient with entries x_i^(m-1); its tensor is
-    :func:`diagonal_tensor`."""
+    __slots__ = ()
 
-    variant = "h-diagonal"
+    def __init__(self, order: int, dim: int):
+        self._set(diagonal_tensor(order, dim).dense)
 
     def apply_full(self, x: np.ndarray) -> float:
         x = _check_vector(x, self.dim)
@@ -519,16 +479,13 @@ class HDiagonal(BOperator):
         x = _check_vector(x, self.dim)
         return x ** (self.order - 1)
 
-    def to_symtensor(self) -> SymTensor:
-        return diagonal_tensor(self.order, self.dim)
 
-
-def axpy(a: SymTensor, b: BOperator, theta: float) -> SymTensor:
+def axpy(a: SymTensor, b: SymTensor, theta: float) -> SymTensor:
     """The symmetric tensor A - theta * B, formed on the dense arrays."""
     if a.order != b.order or a.dim != b.dim:
         raise DimError(f"shape mismatch: ({a.order},{a.dim}) vs "
                        f"({b.order},{b.dim})")
-    return SymTensor._from_dense(a.dense - theta * b.to_symtensor().dense)
+    return SymTensor._from_dense(a.dense - theta * b.dense)
 
 
 def load_tensor(path) -> SymTensor:

@@ -48,9 +48,8 @@ def criterion_log():
 
 
 def to_dense(t) -> np.ndarray:
-    """Full dense array of a symmetric tensor or structural operator."""
-    if not isinstance(t, SymTensor):
-        t = t.to_symtensor()
+    """Full dense array of a symmetric tensor, built from its canonical
+    map."""
     arr = np.zeros((t.dim,) * t.order)
     for idx, val in t.canonical.items():
         for perm in set(itertools.permutations(idx)):

@@ -7,9 +7,9 @@ import csv
 import numpy as np
 import pytest
 
-from specteig import (ArityError, ConfigError, DenominatorError, DenseB,
-                      DimError, DinkelbachConfig, FractionalProblem, Given,
-                      HDiagonal, PamConfig, SymTensor, Uniform, ZIdentity,
+from specteig import (ArityError, ConfigError, DenominatorError, DimError,
+                      DinkelbachConfig, FractionalProblem, Given, HDiagonal,
+                      PamConfig, SymTensor, Uniform, ZIdentity,
                       dinkelbach_solve, identity_tensor)
 from specteig.dinkelbach import f_theta, write_trace_csv
 
@@ -35,10 +35,9 @@ class TestProblemValidation:
             FractionalProblem(t, ZIdentity(2, 2))
 
     def test_indefinite_denominator_rejected(self):
-        from specteig import DenseB
         with pytest.raises(DenominatorError):
             FractionalProblem(identity_tensor(2, 2),
-                              DenseB(matrix_tensor([1.0, -2.0])))
+                              matrix_tensor([1.0, -2.0]))
 
 
 class TestDenominatorVetting:
@@ -48,7 +47,8 @@ class TestDenominatorVetting:
         def refuse(*args):
             raise AssertionError("structured denominator was evaluated")
 
-        for name in ("apply_full", "apply_gradient", "to_symtensor"):
+        for name in ("apply_full", "apply_full_many", "apply_gradient",
+                     "to_symtensor"):
             monkeypatch.setattr(op_cls, name, refuse)
         for order, dim in ((2, 3), (4, 3), (6, 4)):
             FractionalProblem(identity_tensor(order, dim),
@@ -67,7 +67,7 @@ class TestDenominatorVetting:
         # message pins which one came first
         assert values[0] > 0 and len({f"{v:.6g}" for v in bad}) > 1
         with pytest.raises(DenominatorError) as info:
-            FractionalProblem(identity_tensor(2, 3), DenseB(b))
+            FractionalProblem(identity_tensor(2, 3), b)
         assert f"(sampled value {bad[0]:.6g})" in str(info.value)
 
 

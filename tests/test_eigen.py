@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import specteig.eigen
 import specteig.pam
-from specteig import (ConfigError, DenominatorError, DenseB, DinkelbachConfig,
-                      FractionalProblem, HDiagonal, NumericalError, PamConfig,
+from specteig import (ConfigError, DenominatorError, DinkelbachConfig,
+                      FractionalProblem, GeneralizedEigenProblem, HDiagonal,
+                      NumericalError, PamConfig,
                       SpecteigError, SymTensor, Uniform, ZIdentity, axpy,
                       build_problem, dinkelbach_solve, identity_tensor,
                       solve_multistart)
@@ -51,6 +52,33 @@ def small_config(**kw):
     return DinkelbachConfig(inner=inner, tol=kw.pop("tol", 1e-6), **kw)
 
 
+class TestKindMatchesDenominator:
+    def test_z_requires_z_identity(self):
+        GeneralizedEigenProblem(A1, ZIdentity(2, 2), "Z")
+        for b in (HDiagonal(2, 2), identity_matrix_tensor(2)):
+            with pytest.raises(ConfigError, match="kind Z requires"):
+                GeneralizedEigenProblem(A1, b, "Z")
+
+    def test_h_requires_h_diagonal(self):
+        GeneralizedEigenProblem(A1, HDiagonal(2, 2), "H")
+        for b in (ZIdentity(2, 2), identity_matrix_tensor(2)):
+            with pytest.raises(ConfigError, match="kind H requires"):
+                GeneralizedEigenProblem(A1, b, "H")
+
+    def test_d_accepts_any_tensor(self):
+        for b in (identity_matrix_tensor(2), ZIdentity(2, 2),
+                  HDiagonal(2, 2)):
+            assert GeneralizedEigenProblem(A1, b, "D").b is b
+
+    @pytest.mark.parametrize("kind", ["Z", "H", "D"])
+    def test_non_tensor_rejected(self, kind):
+        for b in (None, np.eye(2), identity_matrix_tensor(2).dense):
+            with pytest.raises(ConfigError, match=f"kind {kind} requires"):
+                GeneralizedEigenProblem(A1, b, kind)
+        with pytest.raises(ConfigError):
+            build_problem(A1, kind, b=np.eye(2))
+
+
 class TestBuildProblem:
     def test_z_fixes_denominator(self):
         p = build_problem(A1, "Z")
@@ -69,7 +97,7 @@ class TestBuildProblem:
         with pytest.raises(ConfigError):
             build_problem(A1, kind)
         p = build_problem(A1, kind, b=identity_matrix_tensor(2))
-        assert isinstance(p.b, DenseB)
+        assert type(p.b) is SymTensor
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -245,7 +273,7 @@ def _random_problem(kind, m, n, rng):
         return build_problem(a, kind)
     # |x|^m plus a perturbation of at most 0.1 on the unit sphere
     r = random_symtensor(m, n, rng)
-    b = axpy(identity_tensor(m, n), DenseB(r), -0.1 / r.frobenius_norm())
+    b = axpy(identity_tensor(m, n), r, -0.1 / r.frobenius_norm())
     return build_problem(a, kind, b=b)
 
 

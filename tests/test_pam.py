@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specteig import (ArityError, ConfigError, DenseB, DinkelbachConfig,
+from specteig import (ArityError, ConfigError, DinkelbachConfig,
                       DomainError, FractionalProblem, Given, HDiagonal,
                       PamConfig, SymTensor, Uniform, ZIdentity, axpy,
                       build_problem, diagonal_tensor, dinkelbach_solve,
@@ -588,8 +588,7 @@ class TestSeatedFromParameters:
             return HDiagonal(m, n)
         # |x|^m plus a perturbation of at most 0.1 on the unit sphere
         r = random_symtensor(m, n, rng)
-        return DenseB(axpy(identity_tensor(m, n), DenseB(r),
-                           -0.1 / r.frobenius_norm()))
+        return axpy(identity_tensor(m, n), r, -0.1 / r.frobenius_norm())
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["Z", "H", "D"]),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specteig import (ArityError, ConfigError, DenseB, DimError,
+from specteig import (ArityError, ConfigError, DimError,
                       DuplicateEntryError, HDiagonal, SymTensor, TaylorPoly,
                       ZIdentity, axpy, diagonal_tensor, frobenius_inner,
                       identity_tensor, load_tensor, random_cubic)
@@ -462,8 +462,32 @@ class TestFrobenius:
 
 class TestZIdentity:
     def test_needs_even_order(self):
-        with pytest.raises(ArityError):
-            ZIdentity(3, 3)
+        for n in (1, 3, 5):
+            with pytest.raises(ArityError):
+                ZIdentity(3, n)
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 4)])
+    def test_wraps_the_cached_identity_array(self, m, n):
+        e = ZIdentity(m, n)
+        assert isinstance(e, SymTensor)
+        assert e.dense is identity_tensor(m, n).dense
+        assert e.canonical == identity_tensor(m, n).canonical
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 4)])
+    def test_closed_forms_bit_for_bit(self, m, n):
+        e = ZIdentity(m, n)
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            x = rng.standard_normal(n)
+            nsq = float(np.dot(x, x))
+            assert e.apply_full(x) == float(np.dot(x, x) ** (m // 2))
+            assert np.array_equal(e.apply_gradient(x),
+                                  nsq ** ((m - 2) // 2) * x if m > 2 else x)
+
+    def test_repr_names_the_subclass(self):
+        assert repr(ZIdentity(4, 3)).startswith("ZIdentity(order=4, dim=3,")
+        assert repr(axpy(identity_tensor(4, 3), ZIdentity(4, 3), 0.5)) \
+            .startswith("SymTensor(")
 
     def test_gradient_is_scaled_vector(self):
         e = ZIdentity(4, 3)
@@ -474,11 +498,10 @@ class TestZIdentity:
 
     @pytest.mark.parametrize("m,n", [(2, 2), (4, 3), (6, 2)])
     def test_multilinear_matches_dense_identity(self, m, n):
-        # the operator's closed forms and its tensor's contractions agree
-        # with the dense oracle of the identity tensor
-        e = ZIdentity(m, n)
-        t = e.to_symtensor()
-        arr = to_dense(t)
+        # the closed forms and the inherited contractions agree with the
+        # dense oracle of the identity tensor
+        e = t = ZIdentity(m, n)
+        arr = to_dense(identity_tensor(m, n))
         rng = np.random.default_rng(17)
         for _ in range(5):
             blocks = [rng.standard_normal(n) for _ in range(m)]
@@ -505,6 +528,25 @@ class TestZIdentity:
 
 
 class TestHDiagonal:
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 4)])
+    def test_wraps_the_cached_diagonal_array(self, m, n):
+        h = HDiagonal(m, n)
+        assert isinstance(h, SymTensor)
+        assert h.dense is diagonal_tensor(m, n).dense
+        assert h.canonical == diagonal_tensor(m, n).canonical
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 4)])
+    def test_closed_forms_bit_for_bit(self, m, n):
+        h = HDiagonal(m, n)
+        rng = np.random.default_rng(37)
+        for _ in range(5):
+            x = rng.standard_normal(n)
+            assert h.apply_full(x) == float(np.sum(x ** m))
+            assert np.array_equal(h.apply_gradient(x), x ** (m - 1))
+
+    def test_repr_names_the_subclass(self):
+        assert repr(HDiagonal(4, 3)).startswith("HDiagonal(order=4, dim=3,")
+
     def test_gradient_is_componentwise_power(self):
         h = HDiagonal(4, 3)
         x = np.array([0.5, -2.0, 3.0])
@@ -513,8 +555,8 @@ class TestHDiagonal:
                                                 rel=1e-14)
 
     def test_multilinear_matches_dense_diagonal(self):
-        t = HDiagonal(4, 3).to_symtensor()
-        arr = to_dense(t)
+        t = HDiagonal(4, 3)
+        arr = to_dense(diagonal_tensor(4, 3))
         rng = np.random.default_rng(23)
         blocks = [rng.standard_normal(3) for _ in range(4)]
         assert t.multilinear_apply(blocks) == pytest.approx(
@@ -538,7 +580,7 @@ class TestAxpy:
     def test_dense_shift_merges_entries(self):
         rng = np.random.default_rng(11)
         a = random_symtensor(4, 3, rng)
-        b = DenseB(random_symtensor(4, 3, rng))
+        b = random_symtensor(4, 3, rng)
         theta = 0.7
         shifted = axpy(a, b, theta)
         assert isinstance(shifted, SymTensor)

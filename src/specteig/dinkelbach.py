@@ -18,7 +18,9 @@ subproblem warnings of a solve are logged once, with their counts.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Generator
 
 import numpy as np
@@ -27,7 +29,7 @@ from .errors import (ArityError, ConfigError, DenominatorError, DimError,
                      NumericalError)
 from .pam import (Given, PamConfig, PamRequest, PamResult, Uniform,
                   run_alone)
-from .tensor_core import HDiagonal, SymTensor, ZIdentity
+from .tensor_core import HDiagonal, SymTensor, ZIdentity, _check_vector
 
 __all__ = [
     "FractionalProblem",
@@ -46,6 +48,18 @@ MONOTONE_SLACK = 1e-9
 _POSITIVITY_SAMPLES, _POSITIVITY_SEED = 100, 12345
 
 
+@lru_cache(maxsize=16)
+def _positivity_samples(dim: int) -> np.ndarray:
+    """The read-only (100, dim) unit vectors that vet a denominator on
+    R^dim."""
+    us = np.random.default_rng(_POSITIVITY_SEED).standard_normal(
+        (_POSITIVITY_SAMPLES, dim))
+    # a (1, n) @ (n, 1) product per row sums |u|^2 as np.linalg.norm does
+    us /= np.sqrt(us[:, None, :] @ us[:, :, None])[:, 0]
+    us.flags.writeable = False
+    return us
+
+
 @dataclass(frozen=True)
 class FractionalProblem:
     """Ratio of a symmetric numerator form to a positive denominator form.
@@ -61,6 +75,10 @@ class FractionalProblem:
 
     def __post_init__(self):
         a, b = self.numerator, self.denominator
+        for name, op in (("numerator", a), ("denominator", b)):
+            if not isinstance(op, SymTensor):
+                raise ConfigError(f"{name} must be a SymTensor, got "
+                                  f"{type(op).__name__}")
         if a.order != b.order:
             raise ArityError(f"numerator order {a.order} does not match "
                              f"denominator order {b.order}")
@@ -71,11 +89,7 @@ class FractionalProblem:
             raise ArityError(f"degree must be even, got {a.order}")
         if isinstance(b, (ZIdentity, HDiagonal)):
             return
-        us = np.random.default_rng(_POSITIVITY_SEED).standard_normal(
-            (_POSITIVITY_SAMPLES, a.dim))
-        # a (1, n) @ (n, 1) product per row sums |u|^2 as np.linalg.norm does
-        us /= np.sqrt(us[:, None, :] @ us[:, :, None])[:, 0]
-        vals = b.apply_full_many(us)
+        vals = b.apply_full_many(_positivity_samples(a.dim))
         bad = np.flatnonzero(vals <= 0)
         if bad.size:
             raise DenominatorError(
@@ -104,8 +118,9 @@ class DinkelbachConfig:
     k_max: int = 50
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be positive and finite, "
+                              f"got {self.tol}")
         if self.k_max < 1:
             raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
 
@@ -128,8 +143,8 @@ def f_theta(problem: FractionalProblem, theta: float,
             x: np.ndarray) -> float:
     """Parametric objective f(x) - theta * g(x) at x normalized to the
     sphere."""
-    x = np.asarray(x, dtype=float)
-    nx = float(np.linalg.norm(x))
+    x = _check_vector(x, problem.dim)
+    nx = math.sqrt(np.dot(x, x))
     if nx == 0.0:
         raise DenominatorError("cannot normalize the zero vector")
     x = x / nx
@@ -147,7 +162,7 @@ def _initial_point(problem: FractionalProblem, config: DinkelbachConfig,
                               f"({problem.dim},)")
     else:
         x0 = rng.uniform(init.lo, init.hi, size=problem.dim)
-    nx = float(np.linalg.norm(x0))
+    nx = math.sqrt(np.dot(x0, x0))
     if nx == 0.0:
         raise ConfigError("initial point is numerically zero")
     return x0 / nx
@@ -199,7 +214,7 @@ def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig,
             res = yield PamRequest(a, config.inner, rng, b, theta, start)
             inner_total += res.iterations
             solves += 1
-            u = res.v / float(np.linalg.norm(res.v))
+            u = res.v / math.sqrt(np.dot(res.v, res.v))
             del res  # frees its surrogate before the next subproblem sweeps
             f_u = f_theta(problem, theta, u)
             if start is x or f_u < big_f:

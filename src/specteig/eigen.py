@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Generator
 
 import numpy as np
@@ -30,7 +31,7 @@ from .dinkelbach import (DinkelbachConfig, FractionalProblem,
                          dinkelbach_steps)
 from .errors import ConfigError, DenominatorError, NumericalError
 from .pam import PamStats, run_lockstep
-from .tensor_core import HDiagonal, SymTensor, ZIdentity
+from .tensor_core import HDiagonal, SymTensor, ZIdentity, _check_vector
 
 logger = logging.getLogger(__name__)
 
@@ -110,8 +111,8 @@ def build_problem(a: SymTensor, kind: str, b: SymTensor | None = None,
 
 def rayleigh(problem: GeneralizedEigenProblem, x: np.ndarray) -> float:
     """Ratio A x^m / B x^m at x normalized to the unit sphere."""
-    x = np.asarray(x, dtype=float)
-    nx = float(np.linalg.norm(x))
+    x = _check_vector(x, problem.a.dim)
+    nx = math.sqrt(np.dot(x, x))
     if nx == 0.0:
         raise DenominatorError("cannot normalize the zero vector")
     x = x / nx
@@ -126,7 +127,7 @@ def residual(problem: GeneralizedEigenProblem, lam: float,
     """Euclidean norm of A x^(m-1) - lambda * B x^(m-1)."""
     x = np.asarray(x, dtype=float)
     r = problem.a.apply_gradient(x) - lam * problem.b.apply_gradient(x)
-    return float(np.linalg.norm(r))
+    return math.sqrt(np.dot(r, r))
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ class MultiStartReport:
     total_cpu_s: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Trial:
     lambda_: float
     x: np.ndarray
@@ -205,10 +206,9 @@ def _run_chunk(problem: GeneralizedEigenProblem, frac: FractionalProblem,
         [_trial(problem, frac, config, s) for s in seeds], stats)
     cpu = time.process_time() - t0
     total = sum(sweeps)
-    trials = [replace(t, cpu_s=cpu * swept / total if total
-                      else cpu / len(seeds))
-              for t, swept in zip(outcomes, sweeps)]
-    return trials, cpu, stats
+    for t, swept in zip(outcomes, sweeps):
+        t.cpu_s = cpu * swept / total if total else cpu / len(seeds)
+    return outcomes, cpu, stats
 
 
 def _canonical_sign(x: np.ndarray) -> np.ndarray:

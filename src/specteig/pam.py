@@ -24,8 +24,15 @@ and scale on Python floats and leaves the rules to the batched code), the
 multilinear value from the last partial dotted with its block, and every
 block's homogeneous value from one gather. Each row rounds exactly as it
 would in a pool of one, so no result depends on what else is seated. The
-buffers are allocated once per pool, for its capacity, and the ticks of t
-seated subproblems run on views of their first t rows.
+buffers make up the pool's frame, built for its capacity, and the ticks of
+t seated subproblems run on a head of views of their first t rows, built
+once per row count. A pool that returns leaves its frame idle, heads and
+all, for the next pool of the same order, dimension and capacity, which
+rewrites every row it seats: repeated calls of one shape (a benchmark, a
+study script, a loop over dinkelbach_solve) skip building it, and a
+one-shot call builds it as before. Only frames of at most 2 MiB are kept,
+one per shape and at most eight, so a large stack does not outlive its
+call.
 
 A program (a generator) asks for each subproblem with a
 :class:`PamRequest`: the operators A and B, the parameter theta and a
@@ -103,12 +110,16 @@ class PamConfig:
     def __post_init__(self):
         if len(self.gammas) < 1:
             raise ConfigError("gammas must name at least one block")
-        if any(g < 0 for g in self.gammas):
-            raise ConfigError(f"gammas must be nonnegative, got {self.gammas}")
-        if self.alpha is not None and self.alpha < 0:
-            raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
+        # written so that NaN fails each test
+        if not all(0 <= g < math.inf for g in self.gammas):
+            raise ConfigError(f"gammas must be nonnegative and finite, "
+                              f"got {self.gammas}")
+        if self.alpha is not None and not 0 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be nonnegative and finite, "
+                              f"got {self.alpha}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be positive and finite, "
+                              f"got {self.eps}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -236,6 +247,14 @@ class _ProxStep:
         self.guard = 2.0 * DEGENERATE_TOL * max(1.0, 0.5 / self.radius)
         self.row = self.w[0] if t == 1 else None
 
+    def head(self, t: int) -> "_ProxStep":
+        """The step of the first t rows, on views of these buffers."""
+        head = object.__new__(_ProxStep)
+        head.__dict__ = {k: v[:t] if type(v) is np.ndarray else v
+                         for k, v in vars(self).items()}
+        head.row = head.w[0] if t == 1 else None
+        return head
+
     def __call__(self, c: np.ndarray, damped: np.ndarray, prev: np.ndarray,
                  out: np.ndarray) -> None:
         """Write every row's step into out, given the blocks before the
@@ -270,36 +289,35 @@ class _ProxStep:
         out[degenerate] = prev[degenerate]
 
 
-def _init_blocks(init: np.ndarray | InitSpec, dim: int, d: int,
-                 rng: np.random.Generator | None) -> np.ndarray:
-    """Unit starting blocks, each vector b scaled by 1.0 / |b| (b / |b|
-    rounds differently): a start vector as one (1, dim) row that every
-    block copies, or the (d, dim) given vectors or uniform draws (from rng)
-    of an InitSpec."""
+def _init_blocks(init: np.ndarray | InitSpec,
+                 rng: np.random.Generator | None, out: np.ndarray) -> None:
+    """Write unit starting blocks into the (d, dim) array out, each vector
+    b scaled by 1.0 / |b| (b / |b| rounds differently), with |b| =
+    sqrt(b . b) as np.linalg.norm takes it: a start vector into every
+    block, or the d given vectors or uniform draws (from rng) of an
+    InitSpec."""
+    d, dim = out.shape
     if isinstance(init, Uniform):
-        blocks = np.empty((d, dim))
         for j in range(d):
             while True:
                 b = rng.uniform(init.lo, init.hi, size=dim)
-                nb = float(np.linalg.norm(b))
+                nb = math.sqrt(np.dot(b, b))
                 if nb >= DEGENERATE_TOL:
                     break
-            blocks[j] = 1.0 / nb * b
-        return blocks
+            np.multiply(1.0 / nb, b, out[j])
+        return
     given = init.blocks if isinstance(init, Given) else (init,)
     if isinstance(init, Given) and len(given) != d:
         raise ConfigError(f"init has {len(given)} blocks, expected {d}")
-    blocks = np.empty((len(given), dim))
     for j, b in enumerate(given):
         b = np.asarray(b, dtype=float)
         if b.shape != (dim,):
             raise ConfigError(f"init block {j} has shape {b.shape}, "
                               f"expected ({dim},)")
-        nb = float(np.linalg.norm(b))
+        nb = math.sqrt(np.dot(b, b))
         if nb < DEGENERATE_TOL:
             raise ConfigError(f"init block {j} is numerically zero")
-        blocks[j] = 1.0 / nb * b
-    return blocks
+        np.multiply(1.0 / nb, b, out if len(given) == 1 else out[j])
 
 
 class _Member:
@@ -349,32 +367,91 @@ class _BlockSweep:
         head.__dict__ = {k: v[:t] if type(v) is np.ndarray else v
                          for k, v in vars(self).items()}
         head.plan = self.plan.head(t)
-        # scratch buffers only; at t = 1 the step takes its one-row form
-        head.prox = _ProxStep(t, self.prox.w.shape[1], self.prox.radius)
+        head.prox = self.prox.head(t)
         head.slots = [tuple(v[:t] for v in slot) for slot in self.slots]
         return head
 
 
 class _Frame(_BlockSweep):
-    """The sweep of a pool with the buffers of its ticks, allocated once
-    for its capacity; :meth:`head` serves its first t slots."""
+    """The sweep of a pool of t slots for order-d operators on R^n, with
+    the stack, blocks, gammas and weights rows it is bound to, the buffers
+    of its ticks, and the heads that serve its first rows, each built once
+    and cached by row count. table holds the shape's identity, class
+    table and gather index. nbytes counts the arrays the frame allocated
+    and _HEAD_BYTES per block of each cached head.
+    """
 
-    def __init__(self, pool: "_Pool"):
-        t, d, n = pool.blocks.shape
-        super().__init__(_SweepPlan(pool.stack, pool.blocks),
-                         _ProxStep(t, n, 1.0), pool.blocks,
-                         pool.gammas[:, :, None])
+    def __init__(self, d: int, n: int, t: int):
+        identity = identity_tensor(d, n).dense
+        classes, flat, counts = _class_table(d, n)
+        # entry (i, k, j) picks component classes[i, k] of block j: the
+        # product over i runs over a leading axis, slot 0 first, as in
+        # SymTensor.apply_full_many, and leaves each slot's (classes, d)
+        # products in the column-major layout apply_full_many hands to its
+        # matrix-vector product
+        gather_idx = classes[:, :, None] + np.arange(d)[None, None, :] * n
+        self.table = (identity.reshape(-1), identity.shape, classes, flat,
+                      counts, gather_idx)
+        self.stack = np.empty((t, n ** d))
+        self.gamma_rows = np.empty((t, d))
+        self.weights = np.empty((t, classes.shape[1]))
+        blocks = np.empty((t, d, n))
+        super().__init__(_SweepPlan(self.stack, blocks), _ProxStep(t, n, 1.0),
+                         blocks, self.gamma_rows[:, :, None])
+        # the operands of h_t, the last partial dotted with its block
+        self.last_partial = self.plan.partial_buffer(d - 1)
+        self.last_blocks = blocks[:, -1]
         # h_t, h_v and step norm of the last tick
         self.ht, self.hv, self.step = np.empty((3, t))
         self.diff = np.empty((t, d * n))
         self.diff3 = self.diff.reshape(t, d, n)
-        self.blocks_flat = self.blocks.reshape(t, d * n)
+        self.blocks_flat = blocks.reshape(t, d * n)
         self.vals = np.empty((t, d))
         self.vals3 = self.vals[:, :, None]
-        self.gathered = np.empty((t,) + pool.gather_idx.shape)
-        self.prods = np.empty((t,) + pool.gather_idx.shape[1:])
+        self.gathered = np.empty((t,) + gather_idx.shape)
+        self.prods = np.empty((t,) + gather_idx.shape[1:])
         self.prods_by_block = self.prods.transpose(0, 2, 1)
-        self.weights3 = pool.weights[:, :, None]
+        self.weights3 = self.weights[:, :, None]
+        views = [v for obj in (self, self.prox) for v in vars(obj).values()
+                 if type(v) is np.ndarray] + self.plan.buffers + [gather_idx]
+        self.nbytes = sum({id(a): a.nbytes for a in (
+            v if v.base is None else v.base for v in views)}.values())
+        self.heads: dict[int, _Frame] = {}
+
+    def head_of(self, t: int) -> "_Frame":
+        """The frame's first t rows: itself at its capacity, else a head
+        built on first use and cached. The head drops the cache: holding
+        it would make a cycle that keeps a dropped frame's arrays alive
+        until the garbage collector runs."""
+        if t == len(self.blocks):
+            return self
+        head = self.heads.get(t)
+        if head is None:
+            head = self.heads[t] = self.head(t)
+            del head.heads
+            self.nbytes += _HEAD_BYTES * self.blocks.shape[1]
+        return head
+
+
+#: A cached head is views only, 11-12 KiB at four blocks and 17 KiB at six
+#: (tracemalloc); it counts as this many bytes per block.
+_HEAD_BYTES = 3 << 10
+
+#: Largest frame kept idle. Building a frame takes 40-130 us and a head
+#: 25-35 us, a visible share of a call of a few ms. This keeps the
+#: four-row frames of order 4 on R^3 (55 KiB with its heads) and order 6 on
+#: R^4 (0.4 MiB), and the 100-row frame of study 5.1 (1.6 MiB; 5 ms to
+#: build against a 30 ms call). It drops the 100-row frame of study 5.2
+#: (10 MiB; 9 ms against 0.4 s) and any 2**24-entry stack.
+_IDLE_BYTES = 2 << 20
+
+#: Most frames kept idle; a pool that finds this many clears them.
+_IDLE_FRAMES = 8
+
+#: The idle frame of each (d, n, capacity). A pool takes it with one
+#: atomic pop and stores its own when it returns, so pools that run at the
+#: same time, nested or in threads, never share one.
+_IDLE: dict[tuple[int, int, int], _Frame] = {}
 
 
 class _Pool:
@@ -383,9 +460,9 @@ class _Pool:
     Seated subproblems occupy slots 0..T-1 of the pool arrays: stack row t
     is the flattened surrogate of slot t, blocks[t] its (d, n) blocks, and
     gammas and weights (the surrogate's canonical weights over the shape's
-    whole class table, zeros included) are per-slot rows too. Every buffer
-    is allocated once, for the pool's capacity, by the first request
-    seated.
+    whole class table, zeros included) are per-slot rows too. The arrays
+    are those of the pool's frame, for its capacity, which the first
+    request seated takes: the idle one of its shape, or a new one.
     """
 
     def __init__(self, programs: Sequence[Generator], stats: PamStats):
@@ -396,7 +473,6 @@ class _Pool:
         self.queue = deque(range(len(self.programs)))
         self.members: list[_Member | None] = []
         self.capacity = 0
-        self.frame: _Frame | None = None
 
     def run(self) -> tuple[list, list[int]]:
         while self.queue and (not self.capacity
@@ -405,6 +481,10 @@ class _Pool:
                           None)
         while self.members:
             self._tick()
+        if self.capacity and self.whole.nbytes <= _IDLE_BYTES:
+            if len(_IDLE) >= _IDLE_FRAMES:
+                _IDLE.clear()
+            _IDLE[self.key] = self.whole
         return self.outcomes, self.sweeps
 
     def _advance(self, slot: int, p: int, result: PamResult | None,
@@ -439,7 +519,7 @@ class _Pool:
             raise DimError(f"shape mismatch: ({d},{dim}) vs "
                            f"({b.order},{b.dim})")
         if not self.capacity:
-            self._allocate(d, dim)
+            self._adopt(d, dim)
         elif (d, dim) != self.blocks.shape[1:]:
             raise DimError(f"a pool of order-{self.blocks.shape[1]} "
                            f"operators on R^{self.blocks.shape[2]} cannot "
@@ -447,7 +527,8 @@ class _Pool:
         init = config.init if request.start is None else request.start
         rng = request.rng if request.rng is not None \
             else np.random.default_rng(config.seed)
-        start = _init_blocks(init, dim, d, rng)
+        blocks = self.blocks[slot]
+        _init_blocks(init, rng, blocks)
         row = self.stack[slot]
         if b is None:
             a_theta, fro = a.dense.reshape(-1), a.frobenius_norm()
@@ -461,14 +542,13 @@ class _Pool:
         weights = self.weights[slot]
         np.multiply(self.counts, row.take(self.flat), out=weights)
         member = _Member(p, config)
-        self.blocks[slot] = start
         self.gammas[slot] = config.gammas
         if slot == len(self.members):
             self.members.append(member)
         else:
             self.members[slot] = member
-        member.value = float(_form_values(self.blocks[slot], self.classes,
-                                          weights).min())
+        member.value = float(np.minimum.reduce(
+            _form_values(blocks, self.classes, weights)))
         stats = self.stats
         stats.subproblems += 1
         if alpha < fro - 1e-12:
@@ -476,26 +556,20 @@ class _Pool:
             if fro > stats.low_alpha_worst[1]:
                 stats.low_alpha_worst = (alpha, fro, d)
 
-    def _allocate(self, d: int, dim: int) -> None:
-        identity = identity_tensor(d, dim).dense
-        self.shape = identity.shape
-        self.identity = identity.reshape(-1)
-        self.classes, self.flat, self.counts = _class_table(d, dim)
-        size = dim ** d
-        cap = min(len(self.programs), max(1, MAX_DENSE_ENTRIES // size))
+    def _adopt(self, d: int, dim: int) -> None:
+        """Take the idle frame of the pool's shape and capacity, or build
+        one, and bind its arrays."""
+        cap = min(len(self.programs), max(1, MAX_DENSE_ENTRIES // dim ** d))
+        self.key = (d, dim, cap)
+        f = _IDLE.pop(self.key, None)
+        if f is None:
+            f = _Frame(d, dim, cap)
         self.capacity = cap
-        self.stack = np.empty((cap, size))
-        self.blocks = np.empty((cap, d, dim))
-        self.gammas = np.empty((cap, d))
-        self.weights = np.empty((cap, self.classes.shape[1]))
-        # entry (i, k, j) picks component classes[i, k] of block j: the
-        # product over i runs over a leading axis, slot 0 first, as in
-        # SymTensor.apply_full_many, and leaves each slot's (classes, d)
-        # products in the column-major layout apply_full_many hands to its
-        # matrix-vector product
-        self.gather_idx = (self.classes[:, :, None]
-                           + np.arange(d)[None, None, :] * dim)
-        self.whole = _Frame(self)
+        self.whole = self.frame = f
+        self.stack, self.blocks, self.gammas, self.weights = \
+            f.stack, f.blocks, f.gamma_rows, f.weights
+        (self.identity, self.shape, self.classes, self.flat, self.counts,
+         self.gather_idx) = f.table
 
     def _tick(self) -> None:
         """One sweep of every seated subproblem, then pam_solve's
@@ -504,12 +578,11 @@ class _Pool:
         members = self.members
         t = len(members)
         f = self.frame
-        if f is None or len(f.blocks) != t:
-            f = self.frame = self.whole.head(t) if t < self.capacity \
-                else self.whole
+        if len(f.blocks) != t:
+            f = self.frame = self.whole.head_of(t)
         with np.errstate(divide="ignore", invalid="ignore"):
             f.sweep()
-        np.vecdot(f.plan.partial_buffer(-1), f.blocks[:, -1], f.ht)
+        np.vecdot(f.last_partial, f.last_blocks, f.ht)
         np.subtract(f.blocks, f.prev, f.diff3)
         np.vecdot(f.diff, f.diff, f.step)
         np.sqrt(f.step, f.step)

@@ -111,7 +111,7 @@ class _SweepPlan:
     d(d+1)/2 - 1 stacked products for d slots.
     """
 
-    __slots__ = ("_steps", "_mul", "_partials", "_order_one")
+    __slots__ = ("_steps", "_mul", "_partials", "_order_one", "buffers")
 
     def __init__(self, stack: np.ndarray, blocks: np.ndarray):
         t, d, n = blocks.shape
@@ -119,11 +119,13 @@ class _SweepPlan:
             raise DimError(f"expected a ({t}, {n ** d}) stack for blocks "
                            f"of shape {blocks.shape}, got {stack.shape}")
         cols = [blocks[:, k, :, None] for k in range(d)]
+        outs = []
 
         def chain(src, slots):
             steps = []
             for k in slots:
                 out = np.empty((t, src.shape[1] // n))
+                outs.append(out)
                 steps.append((src.reshape(t, -1, n), cols[k],
                               out.reshape(t, -1, 1)))
                 src = out
@@ -139,6 +141,8 @@ class _SweepPlan:
             slot_steps, out = chain(suffix[d - 1 - j], range(j - 1, -1, -1))
             steps.append(slot_steps)
             self._partials.append(out)
+        # the arrays the plan allocated; a head allocates none
+        self.buffers = outs + self._partials[:1] if d == 1 else outs
         self._bind(steps, t)
 
     def _bind(self, steps: list, t: int) -> None:
@@ -311,6 +315,11 @@ class SymTensor:
         self._set(dense)
         return self
 
+    def _share(self, other: "SymTensor") -> None:
+        """Take another tensor's array and every field read from it."""
+        for name in SymTensor.__slots__:
+            setattr(self, name, getattr(other, name))
+
     def _set(self, dense: np.ndarray) -> None:
         classes, flat, counts = _class_table(dense.ndim, dense.shape[0])
         nonzero, self._canon_weight, self._fro = _nonzero_classes(
@@ -449,7 +458,7 @@ class ZIdentity(SymTensor):
     __slots__ = ()
 
     def __init__(self, order: int, dim: int):
-        self._set(identity_tensor(order, dim).dense)
+        self._share(identity_tensor(order, dim))
 
     def apply_full(self, x: np.ndarray) -> float:
         x = _check_vector(x, self.dim)
@@ -469,7 +478,7 @@ class HDiagonal(SymTensor):
     __slots__ = ()
 
     def __init__(self, order: int, dim: int):
-        self._set(diagonal_tensor(order, dim).dense)
+        self._share(diagonal_tensor(order, dim))
 
     def apply_full(self, x: np.ndarray) -> float:
         x = _check_vector(x, self.dim)

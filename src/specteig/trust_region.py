@@ -231,15 +231,15 @@ class BoundaryConfig:
     s0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.inner_eps <= 0:
-            raise ConfigError(f"inner_eps must be positive, "
-                              f"got {self.inner_eps}")
+        # written so that NaN fails each test
+        for name in ("gamma", "alpha"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be nonnegative and finite, "
+                                  f"got {getattr(self, name)}")
+        for name in ("tol", "inner_eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
         if self.max_outer < 1 or self.inner_max_iter < 1:
             raise ConfigError("iteration limits must be >= 1")
 
@@ -322,8 +322,8 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     """
     if config is None:
         config = BoundaryConfig()
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise DomainError(f"delta must be positive and finite, got {delta}")
     n, p = poly.n, poly.p
     if config.s0 is not None:
         s = np.asarray(config.s0, dtype=float).copy()

@@ -151,8 +151,9 @@ def reference_pam_solve(a_theta, config: PamConfig,
     surrogate = axpy(a_theta, ZIdentity(d, a_theta.dim), alpha)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    blocks = [b.copy()
-              for b in _init_blocks(config.init, a_theta.dim, d, rng)]
+    start = np.empty((d, a_theta.dim))
+    _init_blocks(config.init, rng, start)
+    blocks = [b.copy() for b in start]
     block_vals = [surrogate.apply_full(b) for b in blocks]
     j0 = int(np.argmin(block_vals))
     v, value = blocks[j0].copy(), block_vals[j0]

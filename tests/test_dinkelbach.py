@@ -3,6 +3,7 @@ fourth-order example.
 """
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from specteig import (ArityError, ConfigError, DenominatorError, DimError,
                       DinkelbachConfig, FractionalProblem, Given, HDiagonal,
                       PamConfig, SymTensor, Uniform, ZIdentity,
                       dinkelbach_solve, identity_tensor)
+from specteig import dinkelbach
 from specteig.dinkelbach import f_theta, write_trace_csv
 
 
@@ -39,6 +41,13 @@ class TestProblemValidation:
             FractionalProblem(identity_tensor(2, 2),
                               matrix_tensor([1.0, -2.0]))
 
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_tensor_operand_rejected(self, position):
+        operands = [identity_tensor(2, 2), identity_tensor(2, 2)]
+        operands[position] = np.eye(2)
+        with pytest.raises(ConfigError, match="ndarray"):
+            FractionalProblem(*operands)
+
 
 class TestDenominatorVetting:
     @pytest.mark.parametrize("op_cls", [ZIdentity, HDiagonal])
@@ -53,6 +62,16 @@ class TestDenominatorVetting:
         for order, dim in ((2, 3), (4, 3), (6, 4)):
             FractionalProblem(identity_tensor(order, dim),
                               op_cls(order, dim))
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_samples_are_cached_read_only_unit_rows(self, n):
+        us = dinkelbach._positivity_samples(n)
+        assert us is dinkelbach._positivity_samples(n)
+        assert us.shape == (100, n) and not us.flags.writeable
+        # the draws and normalization each vetting made before the cache
+        want = np.random.default_rng(12345).standard_normal((100, n))
+        want /= np.sqrt(want[:, None, :] @ want[:, :, None])[:, 0]
+        assert us.tobytes() == want.tobytes()
 
     def test_indefinite_dense_names_first_bad_sample(self):
         b = matrix_tensor([1.0, 1.0, -0.3])
@@ -96,6 +115,11 @@ class TestConfigValidation:
             DinkelbachConfig(inner=inner, tol=0.0)
         with pytest.raises(ConfigError):
             DinkelbachConfig(inner=inner, k_max=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tol(self, value):
+        with pytest.raises(ConfigError):
+            DinkelbachConfig(inner=PamConfig(gammas=(1.0, 1.0)), tol=value)
 
     def test_x0_shape_checked(self):
         # the initial point is the first given block

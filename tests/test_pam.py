@@ -5,10 +5,16 @@ with known closed-form optima.
 import csv
 import dataclasses
 import itertools
+import json
 import logging
 import math
+import os
+import subprocess
+import sys
+import threading
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +25,8 @@ from specteig import (ArityError, ConfigError, DinkelbachConfig,
                       DomainError, FractionalProblem, Given, HDiagonal,
                       PamConfig, SymTensor, Uniform, ZIdentity, axpy,
                       build_problem, diagonal_tensor, dinkelbach_solve,
-                      identity_tensor, kl_exponent, pam_solve,
-                      solve_multistart)
+                      identity_tensor, kl_exponent, load_tensor, pam_solve,
+                      report_to_json, solve_multistart)
 import specteig.dinkelbach
 import specteig.eigen
 from specteig import pam, tensor_core
@@ -675,6 +681,10 @@ class TestSubproblemCosts:
             "_SweepPlan built", tensor_core._SweepPlan.__init__))
         monkeypatch.setattr(pam._Pool, "_seat", counted(
             "subproblems", pam._Pool._seat))
+        monkeypatch.setattr(pam._BlockSweep, "head", counted(
+            "heads built", pam._BlockSweep.head))
+        # no idle frame yet, as in a fresh process
+        monkeypatch.setattr(pam, "_IDLE", {})
         # study 5.1's settings, built before counting starts
         config = DinkelbachConfig(inner=PamConfig(
             gammas=(1.0,) * 4, eps=1e-6, init=Uniform(-1.0, 1.0)), tol=1e-3)
@@ -688,6 +698,189 @@ class TestSubproblemCosts:
         for name in ("SymTensor._from_dense", "config replace",
                      "PamConfig built", "Given built"):
             assert counts[name] == 0, name
+        # the next call of the shape takes that frame and its heads
+        heads = counts["heads built"]
+        assert heads >= 1
+        again = solve_multistart(problem, 20, 1729, config)
+        assert report_to_json(again) == report_to_json(report)
+        assert counts["_SweepPlan built"] == 1
+        assert counts["heads built"] == heads
+
+
+def _eigen_order4_reports(data_dir) -> list:
+    """float.hex of every report field of the 50 calls of the benchmark's
+    eigen-order4 fingerprint rounds: four trials of studies 5.1 and 5.3
+    per round, trials 1729 ^ t for t = 0..99."""
+    a, b = (load_tensor(Path(data_dir) / f"example4_{k}.tns")
+            for k in "AB")
+    studies = [(build_problem(load_tensor(Path(data_dir) / "example2.tns"),
+                              "Z"), None),
+               (build_problem(a, "D", b=b), 10.0)]
+    out = []
+    for r in range(25):
+        for problem, alpha in studies:
+            inner = PamConfig(gammas=(1.0,) * 4, alpha=alpha, eps=1e-6,
+                              init=Uniform(-1.0, 1.0))
+            report = solve_multistart(
+                problem, 4, 1729 ^ (4 * r),
+                DinkelbachConfig(inner=inner, tol=1e-3), cluster_tol=1e-4)
+            out.append([report.accepted] + [
+                [p.lambda_.hex(), [float(c).hex() for c in p.x],
+                 p.residual.hex(), p.trials_hit, p.mean_inner_iters.hex(),
+                 p.std_inner_iters.hex(), p.mean_outer_iters.hex()]
+                for p in report.pairs])
+    return out
+
+
+class TestIdleFrames:
+    """A pool that returns leaves its frame idle for the next pool of its
+    shape and capacity, which rewrites every row it seats: answers do not
+    depend on what ran before, and pools that run at once never share a
+    frame."""
+
+    @staticmethod
+    def _record_frames(monkeypatch) -> list:
+        frames = []
+        run = pam._Pool.run
+
+        def recording_run(pool):
+            out = run(pool)
+            frames.append(pool.whole)
+            return out
+
+        monkeypatch.setattr(pam._Pool, "run", recording_run)
+        return frames
+
+    def test_fingerprint_calls_match_a_fresh_process(self, data_dir,
+                                                     example2, example3):
+        tests = Path(__file__).resolve().parent
+        src = Path(pam.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys; sys.path.insert(0, sys.argv[1]); "
+             "import test_pam; print(json.dumps("
+             "test_pam._eigen_order4_reports(sys.argv[2])))",
+             str(tests), str(data_dir)],
+            env=env, capture_output=True, text=True, timeout=300,
+            check=True)
+        fresh = json.loads(proc.stdout)
+        # idle frames of other shapes
+        pam_solve(A1, PamConfig(gammas=(1.0, 1.0), seed=1))
+        inner6 = PamConfig(gammas=(3.0,) * 6, alpha=3.0, max_iter=20,
+                           init=Uniform(0.0, 1.0))
+        solve_multistart(build_problem(example3, "H"), 4, 5,
+                         DinkelbachConfig(inner=inner6, tol=1e-3))
+
+        # a pool of the calls' own shape with other gammas, shifts,
+        # surrogates and starts in every row, and one program that runs a
+        # pam_solve and a multistart call of that shape inside it
+        def program(seed):
+            config = PamConfig(gammas=(3.0, 0.5, 2.0, 0.0), alpha=0.3,
+                               seed=seed, max_iter=3 + 4 * seed)
+            res = yield PamRequest(example2.scaled(seed - 1.5), config)
+            if seed == 0:
+                pam_solve(example2, config)
+                solve_multistart(build_problem(example2, "Z"), 4, 9,
+                                 DinkelbachConfig(inner=config, tol=0.5))
+                res = yield PamRequest(example2, config)
+            return res
+
+        run_lockstep([program(s) for s in range(4)], PamStats())
+        idle = pam._IDLE[(4, 3, 4)]
+        assert set(idle.gamma_rows.ravel()) == {3.0, 0.5, 2.0, 0.0}
+        assert _eigen_order4_reports(data_dir) == fresh
+
+    def test_a_nested_pool_of_one_shape_gets_its_own_frame(self,
+                                                           monkeypatch):
+        frames = self._record_frames(monkeypatch)
+        config = PamConfig(gammas=(1.0, 1.0), eps=1e-10, seed=4)
+        alone = pam_solve(A1, config)
+        idle = frames[-1]
+        assert pam._IDLE[(2, 2, 1)] is idle
+
+        def program():
+            first = yield PamRequest(A1, config)
+            inner = pam_solve(A1, config)
+            second = yield PamRequest(A1, config)
+            return first, inner, second
+
+        (results,), _ = run_lockstep([program()], PamStats())
+        inner_frame, outer_frame = frames[-2:]
+        assert outer_frame is idle
+        assert inner_frame is not idle
+        assert not np.shares_memory(inner_frame.stack, idle.stack)
+        assert not np.shares_memory(inner_frame.blocks, idle.blocks)
+        for res in results:
+            assert (res.value, res.history) == (alone.value, alone.history)
+            assert np.array_equal(res.v, alone.v)
+        # the pool that returned last left its frame
+        assert pam._IDLE[(2, 2, 1)] is outer_frame
+
+    def test_threads_of_one_shape_keep_their_answers(self, example2):
+        # more threads than cores, switching often: a frame two pools
+        # shared would mix their rows
+        configs = [PamConfig(gammas=(1.0,) * 4, eps=1e-10, seed=s)
+                   for s in range(4)]
+        want = [pam_solve(example2, c) for c in configs]
+        got = [[None] * 10 for _ in configs]
+
+        def solve(i):
+            for k in range(10):
+                got[i][k] = pam_solve(example2, configs[i])
+
+        threads = [threading.Thread(target=solve, args=(i,))
+                   for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for w, runs in zip(want, got):
+            for res in runs:
+                assert (res.value, res.history) == (w.value, w.history)
+                assert np.array_equal(res.v, w.v)
+
+    def test_frames_above_the_bound_are_not_kept(self, monkeypatch):
+        frames = self._record_frames(monkeypatch)
+        a = random_symtensor(4, 20, np.random.default_rng(8))
+        pam_solve(a, PamConfig(gammas=(1.0,) * 4, max_iter=2))
+        assert frames[-1].nbytes > pam._IDLE_BYTES
+        assert (4, 20, 1) not in pam._IDLE
+        assert all(f is not frames[-1] for f in pam._IDLE.values())
+        pam_solve(A1, PamConfig(gammas=(1.0, 1.0), max_iter=2))
+        assert frames[-1].nbytes <= pam._IDLE_BYTES
+        assert pam._IDLE[(2, 2, 1)] is frames[-1]
+
+    def test_at_most_so_many_frames_stay_idle(self, monkeypatch):
+        monkeypatch.setattr(pam, "_IDLE", {})
+        for n in range(1, pam._IDLE_FRAMES + 3):
+            pam_solve(identity_tensor(2, n), PamConfig(gammas=(1.0, 1.0),
+                                                       max_iter=2))
+            assert (2, n, 1) in pam._IDLE
+            assert len(pam._IDLE) <= pam._IDLE_FRAMES
+
+    def test_nbytes_counts_the_arrays_and_the_heads(self):
+        frame = pam._Frame(4, 3, 4)
+        arrays = (frame.stack, frame.blocks, frame.gamma_rows, frame.weights,
+                  frame.table[-1], frame.ht, frame.diff, frame.vals,
+                  frame.gathered, frame.prods, frame.prox.w, frame.prox.nw,
+                  frame.prox.scale) + tuple(frame.plan.buffers)
+        # prev and damped, and ht, hv and step, share one array each
+        want = sum(a.nbytes for a in arrays) + 2 * frame.blocks.nbytes \
+            + 2 * frame.ht.nbytes
+        assert frame.nbytes == want
+        head = frame.head_of(2)
+        assert frame.head_of(2) is head and frame.head_of(4) is frame
+        assert frame.nbytes == want + 4 * pam._HEAD_BYTES
+        assert np.shares_memory(head.prox.w, frame.prox.w)
+        assert not hasattr(head, "heads")
 
 
 class TestResidualOnDemand:
@@ -832,6 +1025,17 @@ class TestConfigValidation:
             PamConfig(gammas=(1.0,), eps=0.0)
         with pytest.raises(ConfigError):
             PamConfig(gammas=(1.0,), max_iter=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["gammas", "alpha", "eps"])
+    def test_rejects_non_finite_fields(self, field, value):
+        kwargs = {"gammas": (1.0,) * 4}
+        kwargs[field] = (value,) * 4 if field == "gammas" else value
+        with pytest.raises(ConfigError):
+            PamConfig(**kwargs)
+        if field == "gammas":
+            with pytest.raises(ConfigError):
+                PamConfig(gammas=(1.0, value, 1.0, 1.0))
 
 
 class TestHistoryCsv:

@@ -474,6 +474,14 @@ class TestZIdentity:
         assert e.canonical == identity_tensor(m, n).canonical
 
     @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 4)])
+    def test_takes_the_cached_tensors_fields(self, m, n):
+        # copied, not derived again from the array
+        e, cached = ZIdentity(m, n), identity_tensor(m, n)
+        for name in ("dense", "_canon_idx", "_canon_weight", "_fro"):
+            assert getattr(e, name) is getattr(cached, name), name
+        assert (e.order, e.dim) == (m, n)
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 4)])
     def test_closed_forms_bit_for_bit(self, m, n):
         e = ZIdentity(m, n)
         rng = np.random.default_rng(31)
@@ -534,6 +542,13 @@ class TestHDiagonal:
         assert isinstance(h, SymTensor)
         assert h.dense is diagonal_tensor(m, n).dense
         assert h.canonical == diagonal_tensor(m, n).canonical
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 4)])
+    def test_takes_the_cached_tensors_fields(self, m, n):
+        h, cached = HDiagonal(m, n), diagonal_tensor(m, n)
+        for name in ("dense", "_canon_idx", "_canon_weight", "_fro"):
+            assert getattr(h, name) is getattr(cached, name), name
+        assert (h.order, h.dim) == (m, n)
 
     @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 4)])
     def test_closed_forms_bit_for_bit(self, m, n):

@@ -440,6 +440,17 @@ class TestSolveBoundary:
         with pytest.raises(ConfigError):
             BoundaryConfig(tol=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["gamma", "alpha", "tol", "inner_eps"])
+    def test_config_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ConfigError):
+            BoundaryConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_delta_must_be_finite(self, value):
+        with pytest.raises(DomainError):
+            solve_boundary(random_cubic(3, 1), value)
+
     @pytest.mark.parametrize("seed,n", [(1000, 3), (1002, 5)])
     def test_cubic_battery_member(self, seed, n):
         p = random_cubic(n, seed)

@@ -13,7 +13,8 @@ multiplier and the boundary minimum move as the ball grows, with the same
 certificate for every radius.
 
 An instance counts as good in the summary lines only when it converged and
-its projected second-order matrix is positive definite.
+its projected second-order matrix is positive definite. The script exits
+with status 1 unless every instance of both parts is good.
 
 The CSVs write lambda, value, grad_norm and proj_min_eig as the shortest
 decimal that reads back to the same float, so two runs whose CSVs match
@@ -49,7 +50,8 @@ def _certified(row) -> bool:
     return bool(row["converged"] and row["proj_PD"])
 
 
-def run_battery(seeds, dims, delta, outpath: Path):
+def run_battery(seeds, dims, delta, outpath: Path) -> bool:
+    """Solve and certify every instance; True when all are certified."""
     rows = []
     instances = ([(seed, n) for seed in seeds for n in dims]
                  + [(seeds[0], n) for n in LARGE_DIMS])
@@ -81,9 +83,11 @@ def run_battery(seeds, dims, delta, outpath: Path):
     good = sum(_certified(r) for r in rows)
     print(f"battery: {good}/{len(rows)} converged and certified "
           f"-> {outpath}")
+    return good == len(rows)
 
 
-def run_sweep(n, seed, deltas, outpath: Path):
+def run_sweep(n, seed, deltas, outpath: Path) -> bool:
+    """Solve and certify every radius; True when all are certified."""
     poly = random_cubic(n, seed, SWEEP_SCALES)
     rows = []
     for delta in deltas:
@@ -110,6 +114,7 @@ def run_sweep(n, seed, deltas, outpath: Path):
     good = sum(_certified(r) for r in rows)
     print(f"sweep: {good}/{len(rows)} converged and certified, multiplier "
           f"{lams[0]:.1f} -> {lams[-1]:.1f} ({trend}) -> {outpath}")
+    return good == len(rows)
 
 
 def main() -> int:
@@ -126,12 +131,12 @@ def main() -> int:
     args = ap.parse_args()
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    run_battery(args.seeds, args.dims, args.delta,
-                args.outdir / "boundary_battery.csv")
+    battery_ok = run_battery(args.seeds, args.dims, args.delta,
+                             args.outdir / "boundary_battery.csv")
     print()
-    run_sweep(args.sweep_n, args.sweep_seed, args.sweep_deltas,
-              args.outdir / "boundary_sweep.csv")
-    return 0
+    sweep_ok = run_sweep(args.sweep_n, args.sweep_seed, args.sweep_deltas,
+                         args.outdir / "boundary_sweep.csv")
+    return 0 if battery_ok and sweep_ok else 1
 
 
 if __name__ == "__main__":

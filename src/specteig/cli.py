@@ -20,8 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .dinkelbach import DinkelbachConfig, FractionalProblem, dinkelbach_solve, \
-    write_trace_csv
+from .dinkelbach import DinkelbachConfig, dinkelbach_solve, write_trace_csv
 from .eigen import (build_problem, format_table, report_to_csv,
                     report_to_json, residual, solve_multistart)
 from .errors import (ArityError, ConfigError, DenominatorError, DimError,
@@ -245,9 +244,7 @@ def _cmd_eigen(args) -> int:
     if args.history:
         # The sink receives the parametric trace of the trial seeded with
         # the base seed (trial 0).
-        a_eff = a if args.extremum == "min" else a.scaled(-1.0)
-        frac = FractionalProblem(a_eff, problem.b)
-        res = dinkelbach_solve(frac, replace(
+        res = dinkelbach_solve(problem.fractional, replace(
             config, inner=replace(config.inner, seed=seed)))
         write_trace_csv(res.trace, args.history)
     return _emit_eigen_report(problem, report, args.format, args.tol)

@@ -29,7 +29,7 @@ from .errors import (ArityError, ConfigError, DenominatorError, DimError,
                      NumericalError)
 from .pam import (Given, PamConfig, PamRequest, PamResult, Uniform,
                   run_alone)
-from .tensor_core import HDiagonal, SymTensor, ZIdentity, _check_vector
+from .tensor_core import HDiagonal, SymTensor, ZIdentity, _check_point
 
 __all__ = [
     "FractionalProblem",
@@ -142,8 +142,8 @@ class DinkelbachResult:
 def f_theta(problem: FractionalProblem, theta: float,
             x: np.ndarray) -> float:
     """Parametric objective f(x) - theta * g(x) at x normalized to the
-    sphere."""
-    x = _check_vector(x, problem.dim)
+    sphere. A non-finite x raises DomainError."""
+    x = _check_point(x, problem.dim)
     nx = math.sqrt(np.dot(x, x))
     if nx == 0.0:
         raise DenominatorError("cannot normalize the zero vector")

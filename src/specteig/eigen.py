@@ -23,6 +23,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Generator
 
 import numpy as np
@@ -31,7 +32,7 @@ from .dinkelbach import (DinkelbachConfig, FractionalProblem,
                          dinkelbach_steps)
 from .errors import ConfigError, DenominatorError, NumericalError
 from .pam import PamStats, run_lockstep
-from .tensor_core import HDiagonal, SymTensor, ZIdentity, _check_vector
+from .tensor_core import HDiagonal, SymTensor, ZIdentity, _check_point
 
 logger = logging.getLogger(__name__)
 
@@ -86,6 +87,14 @@ class GeneralizedEigenProblem:
                 f"operator shapes disagree: ({self.a.order},{self.a.dim}) "
                 f"vs ({self.b.order},{self.b.dim})")
 
+    @cached_property
+    def fractional(self) -> FractionalProblem:
+        """The ratio the trials minimize, built (and its denominator
+        vetted) on first use only: A over B, or -A over B for a max
+        problem."""
+        a = self.a if self.extremum == "min" else self.a.scaled(-1.0)
+        return FractionalProblem(a, self.b)
+
 
 def build_problem(a: SymTensor, kind: str, b: SymTensor | None = None,
                   extremum: str = "min") -> GeneralizedEigenProblem:
@@ -110,8 +119,9 @@ def build_problem(a: SymTensor, kind: str, b: SymTensor | None = None,
 
 
 def rayleigh(problem: GeneralizedEigenProblem, x: np.ndarray) -> float:
-    """Ratio A x^m / B x^m at x normalized to the unit sphere."""
-    x = _check_vector(x, problem.a.dim)
+    """Ratio A x^m / B x^m at x normalized to the unit sphere. A
+    non-finite x raises DomainError."""
+    x = _check_point(x, problem.a.dim)
     nx = math.sqrt(np.dot(x, x))
     if nx == 0.0:
         raise DenominatorError("cannot normalize the zero vector")
@@ -124,8 +134,9 @@ def rayleigh(problem: GeneralizedEigenProblem, x: np.ndarray) -> float:
 
 def residual(problem: GeneralizedEigenProblem, lam: float,
              x: np.ndarray) -> float:
-    """Euclidean norm of A x^(m-1) - lambda * B x^(m-1)."""
-    x = np.asarray(x, dtype=float)
+    """Euclidean norm of A x^(m-1) - lambda * B x^(m-1). A non-finite x
+    raises DomainError."""
+    x = _check_point(x, problem.a.dim)
     r = problem.a.apply_gradient(x) - lam * problem.b.apply_gradient(x)
     return math.sqrt(np.dot(r, r))
 
@@ -175,13 +186,13 @@ class _Trial:
     cpu_s: float
 
 
-def _trial(problem: GeneralizedEigenProblem, frac: FractionalProblem,
-           config: DinkelbachConfig, seed: int) -> Generator:
+def _trial(problem: GeneralizedEigenProblem, config: DinkelbachConfig,
+           seed: int) -> Generator:
     """One trial as a lockstep-pool program: its fractional solve and the
     eigenpair it lands on (rejected when the solve raised DenominatorError
     or NumericalError), with its CPU share still 0."""
     try:
-        res = yield from dinkelbach_steps(frac, config, seed)
+        res = yield from dinkelbach_steps(problem.fractional, config, seed)
     except (DenominatorError, NumericalError):
         return _Trial(lambda_=np.nan, x=np.zeros(problem.a.dim),
                       residual=np.inf, accepted=False, inner_iters=0,
@@ -194,8 +205,7 @@ def _trial(problem: GeneralizedEigenProblem, frac: FractionalProblem,
                   cpu_s=0.0)
 
 
-def _run_chunk(problem: GeneralizedEigenProblem, frac: FractionalProblem,
-               config: DinkelbachConfig,
+def _run_chunk(problem: GeneralizedEigenProblem, config: DinkelbachConfig,
                seeds: list[int]) -> tuple[list[_Trial], float, PamStats]:
     """Run the trials of some seeds in one lockstep pool. Returns them, the
     pool's CPU time, which each trial shares in proportion to the sweeps
@@ -203,7 +213,7 @@ def _run_chunk(problem: GeneralizedEigenProblem, frac: FractionalProblem,
     stats = PamStats()
     t0 = time.process_time()
     outcomes, sweeps = run_lockstep(
-        [_trial(problem, frac, config, s) for s in seeds], stats)
+        [_trial(problem, config, s) for s in seeds], stats)
     cpu = time.process_time() - t0
     total = sum(sweeps)
     for t, swept in zip(outcomes, sweeps):
@@ -238,9 +248,9 @@ def solve_multistart(problem: GeneralizedEigenProblem, trials: int,
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    a_eff = problem.a if problem.extremum == "min" \
-        else problem.a.scaled(-1.0)
-    frac = FractionalProblem(a_eff, problem.b)
+    # built here, so that a denominator that fails its vetting raises
+    # before any trial runs, and pickled with the problem for jobs > 1
+    problem.fractional
     seeds = [base_seed ^ t for t in range(trials)]
     parts = min(jobs, trials)
     chunks = [seeds[i * trials // parts:(i + 1) * trials // parts]
@@ -248,9 +258,9 @@ def solve_multistart(problem: GeneralizedEigenProblem, trials: int,
     if parts > 1:
         with ProcessPoolExecutor(max_workers=parts) as pool:
             runs = list(pool.map(_run_chunk, [problem] * parts,
-                                 [frac] * parts, [config] * parts, chunks))
+                                 [config] * parts, chunks))
     else:
-        runs = [_run_chunk(problem, frac, config, c) for c in chunks]
+        runs = [_run_chunk(problem, config, c) for c in chunks]
     outcomes = [t for chunk, _, _ in runs for t in chunk]
     stats = PamStats()
     for _, _, part in runs:

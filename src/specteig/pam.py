@@ -61,7 +61,7 @@ import numpy as np
 from .errors import (ArityError, ConfigError, DimError, DomainError,
                      NumericalError)
 from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, _class_table,
-                          _form_values, _nonzero_classes, _SweepPlan,
+                          _form_values, _frobenius, _SweepPlan,
                           identity_tensor)
 
 logger = logging.getLogger(__name__)
@@ -536,7 +536,7 @@ class _Pool:
             a_theta = np.subtract(a.dense.reshape(-1),
                                   request.theta * b.dense.reshape(-1),
                                   out=row)
-            fro = _nonzero_classes(a_theta.take(self.flat), self.counts)[2]
+            fro = _frobenius(a_theta.take(self.flat), self.counts)
         alpha = config.alpha if config.alpha is not None else fro
         np.subtract(a_theta, alpha * self.identity, out=row)
         weights = self.weights[slot]
@@ -710,6 +710,9 @@ def pam_solve(a_theta: SymTensor, config: PamConfig,
     DIAGONAL_GAP_SLACK, are each reported in one warning. This is a
     one-member run of :func:`run_lockstep`.
     """
+    if not isinstance(a_theta, SymTensor):
+        raise ConfigError(f"a_theta must be a SymTensor, got "
+                          f"{type(a_theta).__name__}")
     return run_alone(_await(PamRequest(a_theta, config, rng)))
 
 

@@ -14,9 +14,9 @@ kernel on the array: repeated matrix-vector products over the trailing
 axis. The sweeps of the PAM pool run the same products stacked over a
 (T, n**m) array of such tensors, in the same order for every row, so a row
 rounds exactly as the kernel does on its own tensor. The homogeneous form
-and the Frobenius norm run over the nonzero classes, with their
-permutation counts as weights: C(n+m-1, m) terms instead of n**m, the
-form's products taken over the table's leading axis.
+runs over the whole table, bound as it is by every tensor and the pool,
+with permutation counts as weights: C(n+m-1, m) terms, not n**m. Only the
+Frobenius norm and the canonical map skip classes whose value is zero.
 
 The two structured denominators are tensors too: :class:`ZIdentity` and
 :class:`HDiagonal` hold the cached :func:`identity_tensor` and
@@ -34,6 +34,7 @@ All objects here are immutable after construction.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
@@ -44,6 +45,7 @@ from .errors import (
     ArityError,
     ConfigError,
     DimError,
+    DomainError,
     DuplicateEntryError,
     NumericalError,
     ParseError,
@@ -67,10 +69,10 @@ MAX_DENSE_ENTRIES = 2 ** 24
 
 
 def _check_shape(order: int, dim: int) -> None:
-    if order < 1:
-        raise ArityError(f"order must be >= 1, got {order}")
-    if dim < 1:
-        raise DimError(f"dim must be >= 1, got {dim}")
+    if not isinstance(order, numbers.Integral) or order < 1:
+        raise ArityError(f"order must be an integer >= 1, got {order!r}")
+    if not isinstance(dim, numbers.Integral) or dim < 1:
+        raise DimError(f"dim must be an integer >= 1, got {dim!r}")
     if dim ** order > MAX_DENSE_ENTRIES:
         raise ConfigError(f"order {order} on R^{dim} has {dim}**{order} "
                           f"entries, above the dense limit "
@@ -81,6 +83,14 @@ def _check_vector(x: np.ndarray, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise DimError(f"expected a vector of length {dim}, got shape {x.shape}")
+    return x
+
+
+def _check_point(x: np.ndarray, dim: int) -> np.ndarray:
+    """_check_vector for a point that must also be finite."""
+    x = _check_vector(x, dim)
+    if not np.isfinite(x).all():
+        raise DomainError("expected a finite vector")
     return x
 
 
@@ -230,14 +240,12 @@ def _dense_from_classes(order: int, dim: int, classes: np.ndarray,
     return out.reshape((dim,) * order)
 
 
-def _nonzero_classes(values: np.ndarray, counts: np.ndarray) -> tuple:
-    """The mask of the nonzero class values of a table, their weights
-    counts * values and the Frobenius norm sqrt(sum weights * values)
-    summed over them alone (a zero term would regroup the sum)."""
+def _frobenius(values: np.ndarray, counts: np.ndarray) -> float:
+    """sqrt(sum counts * values**2) over the nonzero class values alone
+    (a zero term would regroup the sum): the Frobenius norm."""
     nonzero = values != 0.0
     values = values[nonzero]
-    weights = counts[nonzero] * values
-    return nonzero, weights, float(np.sqrt(np.dot(weights, values)))
+    return float(np.sqrt(np.dot(counts[nonzero] * values, values)))
 
 
 def _form_values(xs: np.ndarray, classes: np.ndarray,
@@ -251,12 +259,10 @@ def _form_values(xs: np.ndarray, classes: np.ndarray,
 
 
 class SymTensor:
-    """Order-m symmetric tensor on R^n: a dense array, with its nonzero
-    canonical classes, their weights and its Frobenius norm read from it
-    through the shape's class table."""
+    """Order-m symmetric tensor on R^n: a dense array, the shape's class
+    table, and each class's weight and the Frobenius norm read from it."""
 
-    __slots__ = ("order", "dim", "dense", "_canon_idx", "_canon_weight",
-                 "_fro")
+    __slots__ = ("order", "dim", "dense", "_classes", "_weights", "_fro")
 
     def __init__(self, order: int, dim: int,
                  canonical: Mapping[tuple[int, ...], float]):
@@ -321,10 +327,10 @@ class SymTensor:
             setattr(self, name, getattr(other, name))
 
     def _set(self, dense: np.ndarray) -> None:
-        classes, flat, counts = _class_table(dense.ndim, dense.shape[0])
-        nonzero, self._canon_weight, self._fro = _nonzero_classes(
-            dense.take(flat), counts)
-        self._canon_idx = np.ascontiguousarray(classes[:, nonzero])
+        self._classes, flat, counts = _class_table(dense.ndim, len(dense))
+        values = dense.take(flat)
+        self._weights = counts * values
+        self._fro = _frobenius(values, counts)
         dense.flags.writeable = False
         self.order = dense.ndim
         self.dim = dense.shape[0]
@@ -332,10 +338,10 @@ class SymTensor:
 
     @property
     def canonical(self) -> Mapping[tuple[int, ...], float]:
-        """The 0-based map of the nonzero canonical entries (a fresh
-        dict)."""
-        return dict(zip(map(tuple, self._canon_idx.T.tolist()),
-                        self.dense[tuple(self._canon_idx)].tolist()))
+        """The 0-based map of the nonzero canonical entries, a fresh dict."""
+        classes = self._classes[:, self._weights != 0.0]
+        return dict(zip(map(tuple, classes.T.tolist()),
+                        self.dense[tuple(classes)].tolist()))
 
     def entry(self, *indices: int) -> float:
         """Entry at a 1-based index tuple (0.0 if the class is absent)."""
@@ -350,8 +356,8 @@ class SymTensor:
         """Homogeneous form: the tensor contracted with x on every slot,
         each class's product taken over the leading axis of the gather."""
         x = _check_vector(x, self.dim)
-        return float(np.dot(self._canon_weight,
-                            np.multiply.reduce(x[self._canon_idx], axis=0)))
+        return float(np.dot(self._weights,
+                            np.multiply.reduce(x[self._classes], axis=0)))
 
     def apply_full_many(self, xs: np.ndarray) -> np.ndarray:
         """Homogeneous form at every row of an (N, n) array."""
@@ -359,7 +365,7 @@ class SymTensor:
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise DimError(f"expected an (N, {self.dim}) array, got shape "
                            f"{xs.shape}")
-        return _form_values(xs, self._canon_idx, self._canon_weight)
+        return _form_values(xs, self._classes, self._weights)
 
     def apply_gradient(self, x: np.ndarray) -> np.ndarray:
         """Contraction on all slots but one; (1/m) of the gradient of
@@ -405,7 +411,7 @@ class SymTensor:
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(order={self.order}, dim={self.dim}, "
-                f"nnz={self._canon_weight.size})")
+                f"nnz={np.count_nonzero(self._weights)})")
 
 
 def frobenius_inner(a: SymTensor, b: SymTensor) -> float:

@@ -19,6 +19,7 @@ the boundary stationarity condition certifies the step.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -31,8 +32,9 @@ import numpy as np
 from .errors import (ConfigError, DimError, DomainError, NumericalError,
                      ParseError)
 from .pam import DEGENERATE_TOL, _BlockSweep, _ProxStep
-from .tensor_core import (SymTensor, _check_shape, _contract,
-                          _dense_from_classes, _SweepPlan, identity_tensor)
+from .tensor_core import (SymTensor, _check_point, _check_shape,
+                          _check_vector, _contract, _dense_from_classes,
+                          _SweepPlan, identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -48,8 +50,15 @@ __all__ = [
     "poly_to_dict",
 ]
 
-#: The axis permutations of an order-3 array.
-_PERMS3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+@lru_cache(maxsize=16)
+def _sorted_cube(n: int) -> np.ndarray:
+    """Flat position of each (i, j, k)'s sorted index in (n, n, n)."""
+    i, j, k = np.ogrid[:n, :n, :n]
+    lo, hi = np.minimum(np.minimum(i, j), k), np.maximum(np.maximum(i, j), k)
+    out = (lo * (n - 1) + i + j + k - hi) * n + hi
+    out.flags.writeable = False
+    return out
 
 
 def _class_weights(p: int, counts: np.ndarray) -> np.ndarray:
@@ -109,9 +118,10 @@ class TaylorPoly:
                    t: np.ndarray) -> "TaylorPoly":
         """Degree-3 model f0 + g.s + (1/2) s.H s + (1/6) T[s]^3.
 
-        H and T are symmetrized internally, so only their symmetric parts
-        matter. The lift is assembled directly: f0, g/3, H/6 and T/6 in the
-        slots with three, two, one and no homogenizing index.
+        Only the symmetric parts of H and T matter. The lift is assembled
+        directly: f0, g/3, H/6 and T/6 in the slots with three, two, one and
+        no homogenizing index, T/6 read at sorted indices so that the lift
+        equals its transposes exactly.
         """
         g = np.asarray(g, dtype=float)
         if g.ndim != 1:
@@ -119,8 +129,7 @@ class TaylorPoly:
         n = g.shape[0]
         if n < 1:
             raise DomainError(f"n must be >= 1, got {n}")
-        h = np.asarray(h, dtype=float)
-        t = np.asarray(t, dtype=float)
+        h, t = np.asarray(h, dtype=float), np.asarray(t, dtype=float)
         if h.shape != (n, n) or t.shape != (n, n, n):
             raise DimError(f"blocks must have shapes ({n},), ({n},{n}), "
                            f"({n},{n},{n})")
@@ -130,8 +139,8 @@ class TaylorPoly:
         dense[0, 0, 1:] = dense[0, 1:, 0] = dense[1:, 0, 0] = g / 3.0
         dense[0, 1:, 1:] = dense[1:, 0, 1:] = dense[1:, 1:, 0] = \
             0.5 * (h + h.T) / 6.0
-        t = sum(np.transpose(t, perm) for perm in _PERMS3) / 6.0
-        dense[1:, 1:, 1:] = t / 6.0
+        t = sum(map(t.transpose, itertools.permutations(range(3)))) / 6.0
+        dense[1:, 1:, 1:] = t.take(_sorted_cube(n)) / 6.0
         if not np.isfinite(dense).all():
             raise DomainError("non-finite entry in the cubic blocks")
         self = cls.__new__(cls)
@@ -148,7 +157,7 @@ class TaylorPoly:
         the class count, lets a model rebuilt from these terms read back
         the same ones, so poly_to_dict and load_poly round-trip."""
         lift = self.lifted
-        classes = lift._canon_idx
+        classes = lift._classes[:, lift._weights != 0.0]
         counts = np.zeros((classes.shape[1], self.n + 1), dtype=np.intp)
         rows = np.arange(classes.shape[1])
         for slot in classes:
@@ -157,11 +166,7 @@ class TaylorPoly:
         return dict(zip(map(tuple, counts[:, 1:].tolist()), coef.tolist()))
 
     def _lift_point(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.n,):
-            raise DimError(f"expected a vector of length {self.n}, got "
-                           f"shape {s.shape}")
-        return np.concatenate(([1.0], s))
+        return np.concatenate(([1.0], _check_vector(s, self.n)))
 
     def evaluate(self, s: np.ndarray) -> float:
         return self.lifted.apply_full(self._lift_point(s))
@@ -189,7 +194,7 @@ class TaylorPoly:
 
     def __repr__(self) -> str:
         return (f"TaylorPoly(n={self.n}, p={self.p}, "
-                f"terms={self.lifted._canon_weight.size})")
+                f"terms={np.count_nonzero(self.lifted._weights)})")
 
 
 @lru_cache(maxsize=None)
@@ -397,19 +402,15 @@ def check_second_order(poly: TaylorPoly, s: np.ndarray,
     """Smallest eigenvalue of the Lagrangian Hessian projected onto the
     tangent space of s, and whether it clears 1e-10.
 
-    It passes vacuously for n = 1 and raises DomainError on a non-finite s
-    or lam. The inertia of the unprojected Hessian is logged for diagnosis.
+    It passes vacuously for n = 1, raises DomainError on a non-finite s or
+    lam and on s = 0 (no tangent space), and logs the Hessian's inertia.
     """
-    s = np.asarray(s, dtype=float)
-    n = poly.n
-    if s.shape != (n,):
-        raise DimError(f"expected a vector of length {n}, got shape "
-                       f"{s.shape}")
-    if not (np.isfinite(s).all() and math.isfinite(lam)):
-        raise DomainError("second-order check needs a finite s and lam")
-    if n == 1:
+    s = _check_point(s, poly.n)
+    if not math.isfinite(lam):
+        raise DomainError("second-order check needs a finite lam")
+    if s.size == 1:
         return math.inf, True
-    mat = poly.hessian(s) + lam * np.eye(n)
+    mat = poly.hessian(s) + lam * np.eye(s.size)
     if logger.isEnabledFor(logging.INFO):
         full = np.linalg.eigvalsh(mat)
         logger.info("unprojected Lagrangian Hessian has %d negative "
@@ -421,27 +422,30 @@ def check_second_order(poly: TaylorPoly, s: np.ndarray,
 
 
 def _tangent_basis(s: np.ndarray) -> np.ndarray:
-    """scipy.linalg.null_space(s.reshape(1, n)) by NumPy alone, with its
-    values and memory layout, which picks the projection's BLAS kernel."""
-    _, sv, vh = np.linalg.svd(s.reshape(1, -1))
-    rank = (sv > sv.max() * (np.finfo(float).eps * s.size)).sum()
-    return np.ascontiguousarray(vh.T)[:, rank:]
+    """Orthonormal basis of the complement of s != 0: the last n - 1
+    columns of the Householder reflector of u = s / |s| (Golub & Van Loan,
+    5.1), s scaled by its largest entry first so that no norm overflows."""
+    if not s.any():
+        raise DomainError("s = 0 has no tangent space")
+    u = s / np.abs(s).max()
+    u /= np.linalg.norm(u)
+    eye = np.eye(s.size)
+    v = u + math.copysign(1.0, u[0]) * eye[0]
+    return eye[:, 1:] - np.outer(v, u[1:] / (1.0 + abs(u[0])))
 
 
 def random_cubic(n: int, seed: int,
                  scales: tuple[float, float, float] = (80.0, 80.0, 80.0)
                  ) -> TaylorPoly:
-    """Seeded cubic model with standard normal blocks scaled by
-    (a, b, c): gradient a*g, Hessian b*sym(H), third term c*sym(T)."""
+    """Seeded cubic model with standard normal blocks g, H, T: gradient
+    a*g, Hessian b*sym(H), third term c*sym(T) for (a, b, c) = scales."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     a, b, c = scales
     rng = np.random.default_rng(seed)
     g = a * rng.standard_normal(n)
-    h = rng.standard_normal((n, n))
-    h = b * 0.5 * (h + h.T)
-    t = rng.standard_normal((n, n, n))
-    t = c * sum(np.transpose(t, perm) for perm in _PERMS3) / 6.0
+    h = b * rng.standard_normal((n, n))
+    t = c * rng.standard_normal((n, n, n))
     return TaylorPoly.from_cubic(0.0, g, h, t)
 
 

@@ -63,27 +63,31 @@ def permutation_count(idx) -> float:
         math.factorial(k) for k in Counter(idx).values())
 
 
-def _class_rows(t: SymTensor) -> tuple[np.ndarray, np.ndarray]:
-    """The classes of the public canonical map as (C, m) rows, and their
-    weights: each value times its class's permutation count."""
+def whole_table(t: SymTensor) -> tuple[np.ndarray, np.ndarray]:
+    """Every class of t's shape as (C, m) rows, and its count times its
+    value in t's canonical map (0.0 where t has none)."""
     canon = t.canonical
-    rows = np.array(list(canon), dtype=np.intp).reshape(-1, t.order)
-    counts = [permutation_count(idx) for idx in canon]
-    return rows, np.array(counts) * np.array(list(canon.values()))
+    rows = list(itertools.combinations_with_replacement(range(t.dim),
+                                                        t.order))
+    weights = [permutation_count(idx) * canon.get(idx, 0.0) for idx in rows]
+    return np.array(rows, dtype=np.intp).reshape(-1, t.order), \
+        np.array(weights)
 
 
 def reference_apply_full_many(t: SymTensor, xs) -> np.ndarray:
-    """The homogeneous form at every row by the last-axis gather: an
-    (N, C, m) array of class components, multiplied along its last axis,
-    then the matrix-vector product with the class weights."""
-    rows, weights = _class_rows(t)
+    """The homogeneous form at every row by the last-axis gather over the
+    shape's whole class table: an (N, C, m) array of class components,
+    multiplied along its last axis, then the matrix-vector product with
+    the class weights."""
+    rows, weights = whole_table(t)
     xs = np.asarray(xs, dtype=float)
     return np.prod(xs[:, rows], axis=2) @ weights
 
 
 def reference_apply_full(t: SymTensor, x) -> float:
-    """The homogeneous form at one point by the last-axis gather."""
-    rows, weights = _class_rows(t)
+    """The homogeneous form at one point by the last-axis gather over the
+    shape's whole class table."""
+    rows, weights = whole_table(t)
     x = np.asarray(x, dtype=float)
     return float(np.dot(weights, np.prod(x[rows], axis=1)))
 

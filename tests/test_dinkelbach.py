@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from specteig import (ArityError, ConfigError, DenominatorError, DimError,
-                      DinkelbachConfig, FractionalProblem, Given, HDiagonal,
-                      PamConfig, SymTensor, Uniform, ZIdentity,
+                      DinkelbachConfig, DomainError, FractionalProblem,
+                      Given, HDiagonal, PamConfig, SymTensor, Uniform,
+                      ZIdentity,
                       dinkelbach_solve, identity_tensor)
 from specteig import dinkelbach
 from specteig.dinkelbach import f_theta, write_trace_csv
@@ -106,6 +107,13 @@ class TestFTheta:
         p = FractionalProblem(matrix_tensor([3.0, 1.0]), ZIdentity(2, 2))
         with pytest.raises(DenominatorError):
             f_theta(p, 0.0, np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_raises_domain_error(self, bad):
+        p = FractionalProblem(matrix_tensor([3.0, 1.0, 2.0]),
+                              ZIdentity(2, 3))
+        with pytest.raises(DomainError):
+            f_theta(p, 0.5, [bad, 1.0, 0.0])
 
 
 class TestConfigValidation:

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 import specteig.eigen
 import specteig.pam
 from specteig import (ConfigError, DenominatorError, DinkelbachConfig,
-                      FractionalProblem, GeneralizedEigenProblem, HDiagonal,
-                      NumericalError, PamConfig,
+                      DomainError, FractionalProblem,
+                      GeneralizedEigenProblem, HDiagonal, NumericalError,
+                      PamConfig,
                       SpecteigError, SymTensor, Uniform, ZIdentity, axpy,
                       build_problem, dinkelbach_solve, identity_tensor,
                       solve_multistart)
-from specteig.cli import EXAMPLE_SPECS, _run_example
+from specteig.cli import EXAMPLE_SPECS, _make_dinkelbach_config, _run_example
 from specteig.dinkelbach import dinkelbach_steps
 from specteig.pam import PamStats, run_lockstep
 from specteig.eigen import (_occurrence_pct, format_table, rayleigh,
@@ -135,6 +136,14 @@ class TestRayleighResidual:
         with pytest.raises(DenominatorError):
             rayleigh(p, np.zeros(2))
 
+    @pytest.mark.parametrize("call", [
+        rayleigh, lambda p, x: residual(p, 1.5, x)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_raises_domain_error(self, call, bad):
+        p = build_problem(matrix_tensor([3.0, 1.0, 2.0]), "Z")
+        with pytest.raises(DomainError):
+            call(p, [bad, 1.0, 0.0])
+
 
 class TestMultistartMatrix:
     def test_finds_smallest_eigenvalue(self):
@@ -238,6 +247,42 @@ class TestTiming:
         assert shares == pytest.approx(report.total_cpu_s, rel=1e-12)
         assert f"total_cpu_s={report.total_cpu_s:.3f}" in \
             format_table(report)
+
+
+class TestFractionalBuiltOnce:
+    """A problem builds its fractional problem once: a second multistart
+    call neither vets the kind-D denominator again nor changes the
+    report. (TestDeterminism's jobs test pickles a problem that holds
+    it.)"""
+
+    def test_second_call_does_not_vet_again(self, example4, monkeypatch):
+        # study 5.3's pencil and config, at four trials
+        a, b = example4
+        spec = EXAMPLE_SPECS["5.3"]
+        config = _make_dinkelbach_config(4, 1e-3, 1e-6, spec["alpha"],
+                                         spec["gamma"], spec["init"],
+                                         10000, 50, 1729)
+        vetted = []
+        apply_full_many = SymTensor.apply_full_many
+
+        def recording(self, xs):
+            vetted.append(self)
+            return apply_full_many(self, xs)
+
+        monkeypatch.setattr(SymTensor, "apply_full_many", recording)
+        problem = build_problem(a, "D", b=b)
+        first = solve_multistart(problem, 4, 1729, config)
+        assert [t for t in vetted if t is b] == [b]
+        second = solve_multistart(problem, 4, 1729, config)
+        assert [t for t in vetted if t is b] == [b]
+        assert report_to_json(second) == report_to_json(first)
+        assert problem.fractional is problem.fractional
+
+    def test_max_problem_negates_the_numerator(self):
+        problem = build_problem(A1, "Z", extremum="max")
+        frac = problem.fractional
+        assert np.array_equal(frac.numerator.dense, -A1.dense)
+        assert frac.denominator is problem.b
 
 
 class TestDeterminism:

@@ -35,9 +35,9 @@ from specteig.pam import (DIAGONAL_GAP_SLACK, PamRequest, PamResult,
                           PamStats, _ProxStep, run_lockstep,
                           write_history_csv)
 
-from conftest import (dense_multilinear, dense_partial, permutation_count,
-                      random_symtensor, reference_apply_full_many,
-                      reference_pam_solve, to_dense)
+from conftest import (dense_multilinear, dense_partial, random_symtensor,
+                      reference_apply_full_many, reference_pam_solve,
+                      to_dense, whole_table)
 
 A1 = SymTensor.from_entries(2, 2, [((1, 1), 1.0), ((2, 2), -2.0)])
 SQRT5 = math.sqrt(5.0)
@@ -133,23 +133,11 @@ class TestSurrogateValues:
                                                 abs=1e-12)
 
 
-def whole_table(a):
-    """Every class of a's shape as (C, m) rows, and its count times its
-    value in a's canonical map (0.0 where a has none)."""
-    canon = a.canonical
-    rows = list(itertools.combinations_with_replacement(range(a.dim),
-                                                        a.order))
-    weights = [permutation_count(idx) * canon.get(idx, 0.0) for idx in rows]
-    return np.array(rows, dtype=np.intp).reshape(-1, a.order), \
-        np.array(weights)
-
-
 class TestMemberValues:
-    """A seated member's start value is the form over the shape's whole
-    class table, zero weights included, and apply_full_many runs the same
-    gather over a tensor's nonzero classes. Each must equal the last-axis
-    gather of its reference bit for bit, on a full and on a sparse class
-    set, and on the rows the pool passes."""
+    """A seated member's start value and apply_full_many are the form over
+    the shape's whole class table, zero weights included. Each must equal
+    the last-axis gather of its reference bit for bit, on a full and on a
+    sparse class set, and on the rows the pool passes."""
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_reference_gather(self, m):
@@ -428,6 +416,12 @@ class TestPamSolve:
     def test_order_mismatch(self):
         with pytest.raises(ArityError):
             pam_solve(A1, PamConfig(gammas=(1.0,) * 4))
+
+    @pytest.mark.parametrize("operand", [np.eye(2), None, [[1.0, 0.0]],
+                                         A1.dense])
+    def test_non_tensor_operand_raises_config_error(self, operand):
+        with pytest.raises(ConfigError):
+            pam_solve(operand, PamConfig(gammas=(1.0, 1.0)))
 
     def test_low_alpha_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="specteig.pam"):

@@ -66,6 +66,17 @@ class TestFromEntries:
         with pytest.raises(ArityError):
             SymTensor.from_entries(3, 2, [((1, 1), 1.0)])
 
+    @pytest.mark.parametrize("order,dim,error", [
+        ("a", 2, ArityError), (2.0, 2, ArityError), (None, 2, ArityError),
+        (0, 2, ArityError), (2, "b", DimError), (2, 1.5, DimError),
+        (2, 0, DimError)])
+    def test_shape_must_be_positive_integers(self, order, dim, error):
+        with pytest.raises(error):
+            SymTensor(order, dim, {})
+
+    def test_numpy_integer_shape(self):
+        assert SymTensor(np.int64(2), np.intp(3), {}).dense.shape == (3, 3)
+
 
 class TestApplyFull:
     def test_unit_sphere_example_value(self, example2):
@@ -163,12 +174,11 @@ class TestFromDense:
     through the shape's class table, so all must agree bit for bit."""
 
     @staticmethod
-    def _check(want, *others, same_dense=True):
+    def _check(want, *others):
         rng = np.random.default_rng(want.order * 10 + want.dim)
         xs = rng.standard_normal((5, want.dim))
         for got in others:
-            if same_dense:
-                assert got.dense.tobytes() == want.dense.tobytes()
+            assert got.dense.tobytes() == want.dense.tobytes()
             assert list(got.canonical.items()) == \
                 list(want.canonical.items())
             assert got.frobenius_norm() == want.frobenius_norm()
@@ -177,7 +187,7 @@ class TestFromDense:
             assert got.apply_full_many(xs).tobytes() == \
                 want.apply_full_many(xs).tobytes()
 
-    def _from_map_and_array(self, dense, *others, symmetric=True):
+    def _from_map_and_array(self, dense, *others):
         m, n = dense.ndim, dense.shape[0]
         canon = {idx: float(dense[idx]) for idx in
                  itertools.combinations_with_replacement(range(n), m)
@@ -185,7 +195,7 @@ class TestFromDense:
         want = SymTensor(m, n, canon)
         wrapped = SymTensor._from_dense(dense.copy())
         assert np.array_equal(wrapped.dense, dense)
-        self._check(want, wrapped, *others, same_dense=symmetric)
+        self._check(want, wrapped, *others)
         assert want.canonical == canon
 
     @pytest.mark.parametrize("m", range(1, 6))
@@ -221,13 +231,10 @@ class TestFromDense:
         self._from_map_and_array(np.array([0.5, 0.0, -2.0]))
 
     def test_cubic_lift(self):
-        # from_cubic sums the six transposes of T in another order at each
-        # permutation of an index, so its array is symmetric only up to
-        # rounding: the map of its classes builds another array, with the
-        # same classes, norm and forms
+        # from_cubic copies each entry of T from its sorted index, so the
+        # map of its classes builds the same array
         model = random_cubic(6, 3)
-        self._from_map_and_array(model.lifted.dense, model.lifted,
-                                 symmetric=False)
+        self._from_map_and_array(model.lifted.dense, model.lifted)
         # the terms read back from it give a symmetric lift
         lift = TaylorPoly(6, 3, model.coeffs).lifted
         self._from_map_and_array(lift.dense, lift)
@@ -289,6 +296,20 @@ class TestClassTable:
     def test_order_three(self, n):
         # the largest boundary lift, and 41**3 positions in two chunks
         self._check(3, n, np.random.default_rng(n))
+
+    @pytest.mark.parametrize("m,n", [(1, 4), (3, 5), (4, 3), (6, 2)])
+    def test_tensors_bind_the_table(self, m, n):
+        # no tensor keeps a class index of its own: each binds the shape's
+        # table and weights all of its classes, zero values included
+        classes, flat, counts = _class_table(m, n)
+        full = random_symtensor(m, n, np.random.default_rng(m + n))
+        sparse = SymTensor(m, n, dict(list(full.canonical.items())[::3]))
+        tensors = [full, sparse, SymTensor(m, n, {}), full.scaled(-2.0)]
+        if m % 2 == 0:
+            tensors += [ZIdentity(m, n), HDiagonal(m, n)]
+        for t in tensors:
+            assert t._classes is classes
+            assert np.array_equal(t._weights, counts * t.dense.take(flat))
 
 
 class TestSweepPartials:
@@ -477,7 +498,7 @@ class TestZIdentity:
     def test_takes_the_cached_tensors_fields(self, m, n):
         # copied, not derived again from the array
         e, cached = ZIdentity(m, n), identity_tensor(m, n)
-        for name in ("dense", "_canon_idx", "_canon_weight", "_fro"):
+        for name in ("dense", "_classes", "_weights", "_fro"):
             assert getattr(e, name) is getattr(cached, name), name
         assert (e.order, e.dim) == (m, n)
 
@@ -546,7 +567,7 @@ class TestHDiagonal:
     @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 4)])
     def test_takes_the_cached_tensors_fields(self, m, n):
         h, cached = HDiagonal(m, n), diagonal_tensor(m, n)
-        for name in ("dense", "_canon_idx", "_canon_weight", "_fro"):
+        for name in ("dense", "_classes", "_weights", "_fro"):
             assert getattr(h, name) is getattr(cached, name), name
         assert (h.order, h.dim) == (m, n)
 

@@ -93,6 +93,25 @@ class TestTaylorPoly:
         ps = TaylorPoly.from_cubic(0.0, g, h_sym, t)
         assert pa.coeffs == ps.coeffs
 
+    @staticmethod
+    def _equals_its_transposes(dense):
+        for perm in itertools.permutations(range(3)):
+            assert np.array_equal(np.transpose(dense, perm), dense), perm
+
+    def test_from_cubic_lift_is_exactly_symmetric(self):
+        # asymmetric blocks: every entry of the lift, the six sums of the
+        # T block included, equals the entry at each permutation bit for bit
+        rng = np.random.default_rng(4310)
+        for n in (1, 2, 5, 9, 17):
+            g, h = rng.standard_normal(n), rng.standard_normal((n, n))
+            t = 1e3 * rng.standard_normal((n, n, n))
+            self._equals_its_transposes(
+                TaylorPoly.from_cubic(0.25, g, h, t).lifted.dense)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_random_cubic_lift_is_exactly_symmetric(self, n):
+        self._equals_its_transposes(random_cubic(n, 70 + n).lifted.dense)
+
     @pytest.mark.parametrize("block", ["f0", "g", "H", "T"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_from_cubic_rejects_non_finite_blocks(self, block, bad):
@@ -511,24 +530,34 @@ class TestCheckSecondOrder:
                 check_second_order(p, *args)
         assert issubclass(DomainError, ValueError)
 
-    def test_tangent_basis_is_scipys_null_space(self):
-        # values and memory layout alike: the layout picks the BLAS kernel
-        # of the projection, so either could change the certificate's bits
+    def test_tangent_basis_is_orthonormal_and_tangent(self):
         rng = np.random.default_rng(2184)
         for n in range(2, 41):
             eye = np.eye(n)
-            cases = [np.zeros(n), eye[0], eye[n - 1], -eye[n // 2],
-                     1e-300 * eye[1]]
-            cases += [scale * rng.standard_normal(n)
-                      for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300)]
+            cases = [eye[0], -eye[0], eye[n - 1], -eye[n // 2],
+                     eye[0] - eye[1]]
+            cases += [scale * v
+                      for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300)
+                      for v in (rng.standard_normal(n), eye[1])]
             for s in cases:
-                got, want = _tangent_basis(s), null_space(s.reshape(1, n))
-                assert got.shape == want.shape
-                assert got.strides == want.strides
-                assert np.array_equal(got, want)
+                basis = _tangent_basis(s)
+                assert basis.shape == (n, n - 1)
+                assert np.abs(basis.T @ basis - np.eye(n - 1)).max() <= 1e-14
+                u = s / np.abs(s).max()
+                u /= np.linalg.norm(u)
+                assert np.abs(u @ basis).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_zero_step_has_no_tangent_space(self, n):
+        with pytest.raises(DomainError):
+            _tangent_basis(np.zeros(n))
+        with pytest.raises(DomainError):
+            check_second_order(random_cubic(n, 3), np.zeros(n), 1.0)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 15, 30])
     def test_min_eig_matches_the_scipy_projection(self, n):
+        # SciPy's null space is an independent basis of the same tangent
+        # space, so the projected spectra agree up to rounding
         p = random_cubic(n, 60 + n)
         rng = np.random.default_rng(n)
         for _ in range(5):
@@ -538,7 +567,9 @@ class TestCheckSecondOrder:
             basis = null_space(s.reshape(1, n))
             mat = p.hessian(s) + lam * np.eye(n)
             want = float(np.linalg.eigvalsh(basis.T @ mat @ basis)[0])
-            assert check_second_order(p, s, lam) == (want, want > 1e-10)
+            got, ok = check_second_order(p, s, lam)
+            assert abs(got - want) <= 1e-12 * np.linalg.norm(mat, 2)
+            assert ok == (got > 1e-10)
 
 
 class TestRandomCubic:

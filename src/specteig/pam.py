@@ -383,7 +383,7 @@ class _Frame(_BlockSweep):
 
     def __init__(self, d: int, n: int, t: int):
         identity = identity_tensor(d, n).dense
-        classes, flat, counts = _class_table(d, n)
+        classes, flat, counts, _ = _class_table(d, n)
         # entry (i, k, j) picks component classes[i, k] of block j: the
         # product over i runs over a leading axis, slot 0 first, as in
         # SymTensor.apply_full_many, and leaves each slot's (classes, d)

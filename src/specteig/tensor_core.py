@@ -5,18 +5,18 @@ every operator: a numerator, a denominator and each shifted combination
 A symmetric tensor of order m on R^n is its dense n**m array. Its entries
 are determined by their values on nondecreasing index tuples (canonical
 classes), and one cached table per shape lists those classes as an (m, C)
-array, with their flat positions and their permutation counts. A map of
-class values becomes the dense array by one pass over the flat positions,
-each copying the entry at its sorted multi-index; everything else is read
-from the array through the table. Every contraction that leaves slots free
-(multilinear forms, their partials, the slot-gradient) runs through one
-kernel on the array: repeated matrix-vector products over the trailing
-axis. The sweeps of the PAM pool run the same products stacked over a
-(T, n**m) array of such tensors, in the same order for every row, so a row
-rounds exactly as the kernel does on its own tensor. The homogeneous form
-runs over the whole table, bound as it is by every tensor and the pool,
-with permutation counts as weights: C(n+m-1, m) terms, not n**m. Only the
-Frobenius norm and the canonical map skip classes whose value is zero.
+array, with their flat positions, permutation counts and the class of each
+flat position (the position index). Every tensor built from class values is
+one length-C vector laid out by one take through that index; everything
+else is read from the array through the table. Every contraction that
+leaves slots free (multilinear forms, their partials, the slot-gradient)
+runs through one kernel on the array: repeated matrix-vector products over
+the trailing axis. The sweeps of the PAM pool run the same products stacked
+over a (T, n**m) array of such tensors, in the same order for every row, so
+a row rounds exactly as the kernel does on its own tensor. The homogeneous
+form runs over the whole table, bound as it is by every tensor and the
+pool, with permutation counts as weights: C(n+m-1, m) terms, not n**m. Only
+the Frobenius norm and the canonical map skip classes whose value is zero.
 
 The two structured denominators are tensors too: :class:`ZIdentity` and
 :class:`HDiagonal` hold the cached :func:`identity_tensor` and
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
@@ -195,49 +196,92 @@ def _multiplicities(classes: np.ndarray) -> np.ndarray:
     return math.factorial(classes.shape[0]) / repeats
 
 
-def _sorted_positions(order: int, dim: int):
-    """Every flat position of the shape, 2**16 at a time, as (pos, rows,
-    first): rows is each multi-index sorted, as an (order, k) array, and
-    first its flat position. A sorted multi-index is the first of its
-    permutations in flat (lexicographic) order, so first <= pos."""
-    shape, size = (dim,) * order, dim ** order
-    for start in range(0, size, 2 ** 16):
-        pos = np.arange(start, min(start + 2 ** 16, size))
-        rows = np.sort(np.unravel_index(pos, shape), axis=0)
-        yield pos, rows, np.ravel_multi_index(tuple(rows), shape)
-
-
 @lru_cache(maxsize=None)
 def _class_table(order: int, dim: int) -> tuple[np.ndarray, ...]:
     """The shape's nondecreasing index tuples, in lexicographic order, as
     the columns of an (order, C) table; their flat positions; their
-    permutation counts. A class is a position that is its own first."""
+    permutation counts; the position index, each flat position's column,
+    as int32. A sorted multi-index is the first of its permutations in flat
+    order: a class is a position that is its own first."""
+    shape, size = (dim,) * order, dim ** order
     classes = np.empty((order, math.comb(dim + order - 1, order)),
                        dtype=np.intp)
     flat = np.empty(classes.shape[1], dtype=np.intp)
+    index = np.empty(size, dtype=np.int32)
     count = 0
-    for pos, rows, first in _sorted_positions(order, dim):
+    for start in range(0, size, 2 ** 16):
+        pos = np.arange(start, min(start + 2 ** 16, size))
+        rows = np.sort(np.unravel_index(pos, shape), axis=0)
+        first = np.ravel_multi_index(tuple(rows), shape)
         new = first == pos
         end = count + np.count_nonzero(new)
         flat[count:end], classes[:, count:end] = pos[new], rows[:, new]
+        index[pos[new]] = np.arange(count, end)
+        index[pos] = index[first]
         count = end
-    table = (classes, flat, _multiplicities(classes))
+    table = (classes, flat, _multiplicities(classes), index)
     for arr in table:
         arr.flags.writeable = False
     return table
 
 
-def _dense_from_classes(order: int, dim: int, classes: np.ndarray,
-                        values: np.ndarray) -> np.ndarray:
-    """Dense array holding each value at every permutation of its distinct
-    sorted index column of an (order, k) table; zero elsewhere. The values
-    go to their sorted positions, and every position then copies the entry
-    at its first."""
-    out = np.zeros(dim ** order)
-    out[np.ravel_multi_index(tuple(classes), (dim,) * order)] = values
-    for pos, _, first in _sorted_positions(order, dim):
-        out[pos] = out[first]
-    return out.reshape((dim,) * order)
+def _dense_from_classes(order: int, dim: int, values: np.ndarray,
+                        columns: np.ndarray | None = None) -> np.ndarray:
+    """Dense array of class values: C in table order, or each at every
+    permutation of its (order, k) index column (distinct classes, zero
+    elsewhere), in one length-C vector laid out by one take."""
+    index = _class_table(order, dim)[3]
+    shape = (dim,) * order
+    if columns is not None:
+        full = np.zeros(math.comb(dim + order - 1, order))
+        full[index.take(np.ravel_multi_index(tuple(columns), shape))] = values
+        values = full
+    return values.take(index).reshape(shape)
+
+
+def _dense_from_entries(order: int, dim: int, indices: list, values: list,
+                        listed: bool) -> np.ndarray:
+    """Dense array of (index, value) entries, 1-based indices in any order
+    if listed, else 0-based sorted class keys, checked as arrays. If a check
+    fails, the entries are checked one by one, each index before its value,
+    and the first bad one raises."""
+    _check_shape(order, dim)
+    try:
+        rows = np.array(indices)
+        vals = np.fromiter(map(float, values), float, len(values))
+    except (TypeError, ValueError):  # ragged indices, values float() rejects
+        rows = np.empty(0)
+    if rows.dtype.kind == "i" and rows.shape == (len(indices), order):
+        rows = np.sort(rows - 1, axis=1) if listed else rows
+        if (((rows >= 0) & (rows < dim)).all() and np.isfinite(vals).all()
+                and (listed or (rows[:, 1:] >= rows[:, :-1]).all())):
+            flat = np.sort(np.ravel_multi_index(tuple(rows.T), (dim,) * order))
+            if (flat[1:] != flat[:-1]).all():  # no class twice
+                return _dense_from_classes(order, dim, vals, rows.T)
+    keys = {}
+    for idx, val in zip(indices, values):
+        try:
+            key = tuple(map(operator.index, idx))
+        except TypeError:
+            raise DomainError(f"index {idx!r} is not a tuple of integers")
+        key = tuple(sorted(i - 1 for i in key)) if listed else key
+        shown = tuple(i + 1 for i in key)
+        if key in keys:
+            raise DuplicateEntryError(
+                f"duplicate entry for index class {shown}")
+        if len(key) != order:
+            raise ArityError(
+                f"index {key} has {len(key)} entries, expected {order}")
+        if any(i < 0 or i >= dim for i in key):
+            raise IndexError(f"index {shown} out of range 1..{dim}")
+        if list(key) != sorted(key):
+            raise DomainError(f"canonical index {key} is not sorted")
+        keys[key] = float(val)
+        if not math.isfinite(keys[key]):
+            raise NumericalError(f"non-finite entry at index {shown}")
+    return _dense_from_classes(
+        order, dim, np.array(list(keys.values())),
+        np.array(list(keys), dtype=np.intp).reshape(-1, order).T)
 
 
 def _frobenius(values: np.ndarray, counts: np.ndarray) -> float:
@@ -272,25 +316,8 @@ class SymTensor:
         callers should use :meth:`from_entries` (1-based indices) or
         :func:`load_tensor` instead.
         """
-        _check_shape(order, dim)
-        keys, values = [], []
-        for idx, val in canonical.items():
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != order:
-                raise ArityError(
-                    f"index {idx} has {len(idx)} entries, expected {order}")
-            if any(i < 0 or i >= dim for i in idx):
-                raise IndexError(f"index {tuple(i + 1 for i in idx)} out of "
-                                 f"range 1..{dim}")
-            if tuple(sorted(idx)) != idx:
-                raise ValueError(f"canonical index {idx} is not sorted")
-            val = float(val)
-            if not math.isfinite(val):
-                raise NumericalError(f"non-finite entry at index {idx}")
-            keys.append(idx)
-            values.append(val)
-        classes = np.array(keys, dtype=np.intp).reshape(-1, order).T
-        self._set(_dense_from_classes(order, dim, classes, np.array(values)))
+        self._set(_dense_from_entries(order, dim, list(canonical),
+                                      list(canonical.values()), False))
 
     @classmethod
     def from_entries(cls, order: int, dim: int,
@@ -298,21 +325,17 @@ class SymTensor:
                      Mapping[Sequence[int], float]) -> "SymTensor":
         """Build from (index, value) pairs with 1-based, unordered indices.
 
-        Each index tuple is sorted to its canonical class. Two entries that
-        land on the same class raise :class:`DuplicateEntryError`; indices
-        outside 1..dim raise :class:`IndexError`, and tuples of another
-        length than order :class:`ArityError`.
+        Each index tuple is sorted to its canonical class. The first bad
+        entry raises: :class:`DuplicateEntryError` for a repeated class,
+        :class:`IndexError` outside 1..dim, :class:`ArityError` for another
+        length than order, :class:`DomainError` for a non-integer index.
         """
         if isinstance(entries, Mapping):
             entries = entries.items()
-        canon: dict[tuple[int, ...], float] = {}
-        for idx, val in entries:
-            key = tuple(sorted(int(i) - 1 for i in idx))
-            if key in canon:
-                raise DuplicateEntryError(
-                    f"duplicate entry for index class {tuple(i + 1 for i in key)}")
-            canon[key] = val
-        return cls(order, dim, canon)
+        pairs = [(idx, val) for idx, val in entries]
+        indices, values = zip(*pairs) if pairs else ((), ())
+        return cls._from_dense(_dense_from_entries(order, dim, indices,
+                                                   values, True))
 
     @classmethod
     def _from_dense(cls, dense: np.ndarray) -> "SymTensor":
@@ -327,7 +350,7 @@ class SymTensor:
             setattr(self, name, getattr(other, name))
 
     def _set(self, dense: np.ndarray) -> None:
-        self._classes, flat, counts = _class_table(dense.ndim, len(dense))
+        self._classes, flat, counts = _class_table(dense.ndim, len(dense))[:3]
         values = dense.take(flat)
         self._weights = counts * values
         self._fro = _frobenius(values, counts)
@@ -511,7 +534,7 @@ def load_tensor(path) -> SymTensor:
     """
     order: int | None = None
     dim: int | None = None
-    entries: list[tuple[tuple[int, ...], float]] = []
+    indices, values = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -538,14 +561,17 @@ def load_tensor(path) -> SymTensor:
                 raise ParseError(f"{path}:{lineno}: expected {order} indices "
                                  f"and a value, got {len(parts)} fields")
             try:
-                idx = tuple(int(p) for p in parts[:-1])
-                val = float(parts[-1])
+                indices.append(list(map(int, parts[:-1])))
+                values.append(float(parts[-1]))
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: malformed entry {line!r}")
-            entries.append((idx, val))
+            if not math.isfinite(values[-1]):
+                raise ParseError(f"{path}:{lineno}: non-finite value "
+                                 f"{parts[-1]!r}")
     if order is None or dim is None:
         raise ParseError(f"{path}: missing order/dim header")
     try:
-        return SymTensor.from_entries(order, dim, entries)
+        return SymTensor._from_dense(_dense_from_entries(order, dim, indices,
+                                                         values, True))
     except (ArityError, IndexError, DuplicateEntryError, DimError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -33,8 +33,8 @@ from .errors import (ConfigError, DimError, DomainError, NumericalError,
                      ParseError)
 from .pam import DEGENERATE_TOL, _BlockSweep, _ProxStep
 from .tensor_core import (SymTensor, _check_point, _check_shape,
-                          _check_vector, _contract, _dense_from_classes,
-                          _SweepPlan, identity_tensor)
+                          _check_vector, _class_table, _contract,
+                          _dense_from_classes, _SweepPlan, identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -49,16 +49,6 @@ __all__ = [
     "load_poly",
     "poly_to_dict",
 ]
-
-
-@lru_cache(maxsize=16)
-def _sorted_cube(n: int) -> np.ndarray:
-    """Flat position of each (i, j, k)'s sorted index in (n, n, n)."""
-    i, j, k = np.ogrid[:n, :n, :n]
-    lo, hi = np.minimum(np.minimum(i, j), k), np.maximum(np.maximum(i, j), k)
-    out = (lo * (n - 1) + i + j + k - hi) * n + hi
-    out.flags.writeable = False
-    return out
 
 
 def _class_weights(p: int, counts: np.ndarray) -> np.ndarray:
@@ -111,17 +101,17 @@ class TaylorPoly:
         classes = np.repeat(np.tile(np.arange(n + 1), counts.shape[0]),
                             counts.ravel()).reshape(-1, p)
         self.lifted = SymTensor._from_dense(_dense_from_classes(
-            p, n + 1, classes.T, coef * _class_weights(p, counts)))
+            p, n + 1, coef * _class_weights(p, counts), classes.T))
 
     @classmethod
     def from_cubic(cls, f0: float, g: np.ndarray, h: np.ndarray,
                    t: np.ndarray) -> "TaylorPoly":
         """Degree-3 model f0 + g.s + (1/2) s.H s + (1/6) T[s]^3.
 
-        Only the symmetric parts of H and T matter. The lift is assembled
-        directly: f0, g/3, H/6 and T/6 in the slots with three, two, one and
-        no homogenizing index, T/6 read at sorted indices so that the lift
-        equals its transposes exactly.
+        Only the symmetric parts of H and T matter. The lift's class values
+        f0, g/3, (H + H^T)/2 / 6 and T's six transposes summed / 6 / 6 are
+        laid out by the shape's position index, so the lift equals its
+        transposes exactly.
         """
         g = np.asarray(g, dtype=float)
         if g.ndim != 1:
@@ -134,18 +124,22 @@ class TaylorPoly:
             raise DimError(f"blocks must have shapes ({n},), ({n},{n}), "
                            f"({n},{n},{n})")
         _check_shape(3, n + 1)
-        dense = np.empty((n + 1,) * 3)
-        dense[0, 0, 0] = f0
-        dense[0, 0, 1:] = dense[0, 1:, 0] = dense[1:, 0, 0] = g / 3.0
-        dense[0, 1:, 1:] = dense[1:, 0, 1:] = dense[1:, 1:, 0] = \
-            0.5 * (h + h.T) / 6.0
-        t = sum(map(t.transpose, itertools.permutations(range(3)))) / 6.0
-        dense[1:, 1:, 1:] = t.take(_sorted_cube(n)) / 6.0
-        if not np.isfinite(dense).all():
+        # classes (0, 0, 0), (0, 0, k), (0, j, k), then the tail (i, j, k),
+        # 1 <= i <= j <= k; w[p] are the strides of transpose p of T, so row
+        # p of w @ tail is where it holds each; rows add from 0.0, as sum()
+        head = (n + 1) * (n + 2) // 2
+        classes = _class_table(3, n + 1)[0]
+        j, k = classes[1:, n + 1:head] - 1
+        w = np.array(list(itertools.permutations((n * n, n, 1))))
+        t = np.add.reduce(t.ravel().take(w @ (classes[:, head:] - 1)),
+                          axis=0, initial=0.0)
+        v = np.concatenate(([float(f0)], g / 3.0,
+                            (0.5 * (h + h.T) / 6.0)[j, k], t / 6.0 / 6.0))
+        if not np.isfinite(v).all():
             raise DomainError("non-finite entry in the cubic blocks")
         self = cls.__new__(cls)
         self.n, self.p = n, 3
-        self.lifted = SymTensor._from_dense(dense)
+        self.lifted = SymTensor._from_dense(_dense_from_classes(3, n + 1, v))
         return self
 
     @property

@@ -1,8 +1,8 @@
 """Contraction kernels checked against dense einsum-style oracles."""
 
-import functools
 import itertools
 import math
+import numbers
 import tracemalloc
 
 import numpy as np
@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specteig import (ArityError, ConfigError, DimError,
+from specteig import (ArityError, ConfigError, DimError, DomainError,
                       DuplicateEntryError, HDiagonal, SymTensor, TaylorPoly,
                       ZIdentity, axpy, diagonal_tensor, frobenius_inner,
                       identity_tensor, load_tensor, random_cubic)
-from specteig.errors import ParseError
+from specteig.errors import NumericalError, ParseError
 from specteig.tensor_core import (_class_table, _dense_from_classes,
-                                  _double_factorial, _sorted_positions,
-                                  _SweepPlan)
+                                  _double_factorial, _SweepPlan)
 
 from conftest import (dense_multilinear, dense_partial, fd_gradient,
                       permutation_count, random_symtensor,
@@ -66,6 +65,35 @@ class TestFromEntries:
         with pytest.raises(ArityError):
             SymTensor.from_entries(3, 2, [((1, 1), 1.0)])
 
+    @pytest.mark.parametrize("idx", [
+        (1.5, 2), (1.0, 2), ("1", 2), (np.float64(2.0), 1), ("x", 1),
+        (None, 1), 2, np.array([1.5, 2.0])])
+    def test_index_must_be_integers(self, idx):
+        # no component is truncated to an integer
+        with pytest.raises(DomainError, match="not a tuple of integers"):
+            SymTensor.from_entries(2, 2, [((1, 1), 1.0), (idx, 1.0)])
+        if isinstance(idx, tuple):
+            with pytest.raises(DomainError, match="not a tuple of integers"):
+                SymTensor(2, 2, {(0, 0): 1.0, idx: 1.0})
+
+    def test_numpy_integer_indices(self):
+        t = SymTensor.from_entries(2, 3, [((np.int64(1), np.int32(3)), 2.0),
+                                          (np.array([2, 2]), 1.0)])
+        assert t.canonical == {(0, 2): 2.0, (1, 1): 1.0}
+        assert SymTensor(2, 3, {(np.intp(0), np.uint8(2)): 2.0}) \
+            .canonical == {(0, 2): 2.0}
+
+    def test_map_key_errors(self):
+        with pytest.raises(DomainError, match=r"canonical index \(1, 0\) is "
+                                              r"not sorted"):
+            SymTensor(2, 2, {(1, 0): 1.0})
+        # reported 1-based, as the range check is
+        with pytest.raises(NumericalError, match=r"non-finite entry at index "
+                                                 r"\(1, 2\)$"):
+            SymTensor(2, 2, {(0, 1): float("nan")})
+        with pytest.raises(NumericalError, match=r"index \(1, 2\)$"):
+            SymTensor.from_entries(2, 2, [((2, 1), float("inf"))])
+
     @pytest.mark.parametrize("order,dim,error", [
         ("a", 2, ArityError), (2.0, 2, ArityError), (None, 2, ArityError),
         (0, 2, ArityError), (2, "b", DimError), (2, 1.5, DimError),
@@ -76,6 +104,102 @@ class TestFromEntries:
 
     def test_numpy_integer_shape(self):
         assert SymTensor(np.int64(2), np.intp(3), {}).dense.shape == (3, 3)
+
+
+def reference_entries(order, dim, entries, listed=True):
+    """The checks of from_entries (listed) and of the map constructor as
+    two loops: the first sorts each index to its class and finds a repeated
+    class, the second checks each class's length, range, order and value.
+    Beyond that, an index component must be an integer, and a non-finite
+    value is reported at its 1-based index."""
+    canon = {}
+    for idx, val in entries:
+        if not all(isinstance(i, numbers.Integral) for i in idx):
+            raise DomainError(f"index {idx!r} is not a tuple of integers")
+        key = tuple(sorted(int(i) - 1 for i in idx)) if listed else \
+            tuple(int(i) for i in idx)
+        if key in canon:
+            raise DuplicateEntryError(
+                f"duplicate entry for index class {tuple(i + 1 for i in key)}")
+        canon[key] = val
+    for idx, val in canon.items():
+        if len(idx) != order:
+            raise ArityError(
+                f"index {idx} has {len(idx)} entries, expected {order}")
+        if any(i < 0 or i >= dim for i in idx):
+            raise IndexError(f"index {tuple(i + 1 for i in idx)} out of "
+                             f"range 1..{dim}")
+        if tuple(sorted(idx)) != idx:
+            raise DomainError(f"canonical index {idx} is not sorted")
+        if not math.isfinite(float(val)):
+            raise NumericalError(f"non-finite entry at index "
+                                 f"{tuple(i + 1 for i in idx)}")
+
+
+class TestEntryErrors:
+    """With several bad entries in one list, the first in input order
+    raises, with the error the loops of reference_entries give it: the
+    first prefix of the list that fails there fails with that error."""
+
+    @staticmethod
+    def _entry(rng, order, dim, kind, earlier):
+        def pick(options):
+            return options[rng.integers(len(options))]
+
+        idx = [int(i) for i in rng.integers(1, dim + 1, order)]
+        val = float(rng.standard_normal())
+        if kind == "again" and earlier:
+            # an earlier index, permuted
+            idx = list(pick(earlier))
+            idx = [idx[i] for i in rng.permutation(len(idx))]
+        elif kind == "range":
+            idx[rng.integers(order)] = pick([0, dim + 1, -3])
+        elif kind == "arity":
+            idx = idx + [1] if rng.uniform() < 0.5 else idx[1:]
+        elif kind == "type":
+            idx[rng.integers(order)] = pick([1.5, "1", None, 2.0])
+        elif kind == "nonfinite":
+            val = pick([np.inf, -np.inf, np.nan])
+        elif kind == "value":
+            val = pick([None, "x", "inf", [1.0]])
+        return tuple(idx), val
+
+    @staticmethod
+    def _raised(build):
+        try:
+            build()
+        except (ValueError, TypeError, ArithmeticError, IndexError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize("listed", [True, False])
+    def test_first_bad_entry_wins(self, listed):
+        rng = np.random.default_rng(31 if listed else 32)
+        kinds = ["good"] * 6 + ["again", "range", "arity", "type",
+                                "nonfinite", "value"]
+        for case in range(400):
+            order, dim = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            entries = []
+            for _ in range(int(rng.integers(1, 9))):
+                entries.append(self._entry(
+                    rng, order, dim, rng.choice(kinds),
+                    [i for i, _ in entries]))
+            if not listed:
+                # map keys are 0-based and distinct, sorted or not
+                entries = list({tuple(i - 1 if isinstance(i, int) else i
+                                      for i in idx): val
+                                for idx, val in entries}.items())
+            want = next(filter(None, (
+                self._raised(lambda: reference_entries(
+                    order, dim, entries[:k], listed))
+                for k in range(1, len(entries) + 1))), None)
+            if listed:
+                got = self._raised(lambda: SymTensor.from_entries(
+                    order, dim, entries))
+            else:
+                got = self._raised(lambda: SymTensor(order, dim,
+                                                     dict(entries)))
+            assert got == want, (case, order, dim, entries)
 
 
 class TestApplyFull:
@@ -258,12 +382,12 @@ class TestExplicitZeros:
 
 
 class TestClassTable:
-    """The per-shape class table, the sorted position of every flat
-    position, and the dense array built from class values through them."""
+    """The per-shape class table, the class of every flat position, and
+    the dense array built from class values through them."""
 
     @staticmethod
     def _check(m, n, rng):
-        classes, flat, counts = _class_table(m, n)
+        classes, flat, counts, index = _class_table(m, n)
         shape = (n,) * m
         rank = {idx: k for k, idx in enumerate(
             itertools.combinations_with_replacement(range(n), m))}
@@ -273,10 +397,10 @@ class TestClassTable:
                                                          shape))
         assert np.array_equal(counts, [permutation_count(c)
                                        for c in classes.T.tolist()])
-        first = np.concatenate([f for *_, f in _sorted_positions(m, n)])
-        want = [functools.reduce(lambda acc, i: acc * n + i, sorted(idx), 0)
-                for idx in itertools.product(range(n), repeat=m)]
-        assert first.tolist() == want
+        # every flat position maps to the column of its sorted multi-index
+        assert index.dtype == np.int32 and not index.flags.writeable
+        assert index.tolist() == [rank[tuple(sorted(idx))] for idx in
+                                  itertools.product(range(n), repeat=m)]
         # a symmetric array filled permutation by permutation
         dense = np.empty(shape)
         for idx in rank:
@@ -284,7 +408,16 @@ class TestClassTable:
             for perm in itertools.permutations(idx):
                 dense[perm] = value
         assert np.array_equal(
-            _dense_from_classes(m, n, classes, dense.take(flat)), dense)
+            _dense_from_classes(m, n, dense.take(flat)), dense)
+        # the same values at a few of their classes, by any permutation
+        some = rng.permutation(len(rank))[:max(1, len(rank) // 3)]
+        cols = rng.permuted(classes[:, some], axis=0)
+        sparse = np.zeros(shape)
+        for idx in classes[:, some].T.tolist():
+            for perm in itertools.permutations(idx):
+                sparse[perm] = dense[perm]
+        assert np.array_equal(
+            _dense_from_classes(m, n, dense.take(flat[some]), cols), sparse)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_small_shapes(self, m):
@@ -301,7 +434,7 @@ class TestClassTable:
     def test_tensors_bind_the_table(self, m, n):
         # no tensor keeps a class index of its own: each binds the shape's
         # table and weights all of its classes, zero values included
-        classes, flat, counts = _class_table(m, n)
+        classes, flat, counts, _ = _class_table(m, n)
         full = random_symtensor(m, n, np.random.default_rng(m + n))
         sparse = SymTensor(m, n, dict(list(full.canonical.items())[::3]))
         tensors = [full, sparse, SymTensor(m, n, {}), full.scaled(-2.0)]
@@ -770,6 +903,39 @@ class TestLoadTensor:
         path.write_text(f"order 2\ndim 2\n{line}\n")
         with pytest.raises(ParseError):
             load_tensor(path)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_value(self, tmp_path, value):
+        path = tmp_path / "bad.tns"
+        path.write_text(f"order 2\ndim 2\n1 2 1.0\n\n1 1 {value}\n2 3 x\n")
+        with pytest.raises(ParseError, match=rf"bad.tns:5: non-finite value "
+                                             rf"'{value}'"):
+            load_tensor(path)
+
+    def test_bundled_files_match_permutation_fill(self, data_dir):
+        # each line's value at every permutation of its index, on a warm
+        # class table and on a cold one
+        def oracle(path):
+            lines = [ln.split("#")[0].split() for ln in
+                     path.read_text().splitlines()]
+            lines = [ln for ln in lines if ln]
+            order, dim = int(lines[0][1]), int(lines[1][1])
+            dense = np.zeros((dim,) * order)
+            for *idx, val in lines[2:]:
+                for perm in itertools.permutations(int(i) - 1 for i in idx):
+                    dense[perm] = float(val)
+            return dense
+
+        files = sorted(data_dir.glob("*.tns"))
+        assert len(files) == 4
+        for cold in (False, True):
+            if cold:
+                # tensors cached by shape bind the new tables too
+                for cache in (_class_table, identity_tensor, diagonal_tensor):
+                    cache.cache_clear()
+            for path in files:
+                assert load_tensor(path).dense.tobytes() == \
+                    oracle(path).tobytes()
 
     def test_bundled_dimensions(self, example2, example3, example4):
         assert (example2.order, example2.dim) == (4, 3)

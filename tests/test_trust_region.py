@@ -108,6 +108,29 @@ class TestTaylorPoly:
             self._equals_its_transposes(
                 TaylorPoly.from_cubic(0.25, g, h, t).lifted.dense)
 
+    @pytest.mark.parametrize("n", [*range(1, 11), 15, 30])
+    def test_from_cubic_lift_matches_full_cube_formula(self, n):
+        # the lift's class values against the lift assembled on the full
+        # cube: the six transposes of T summed in permutations order, each
+        # T entry then read at its sorted index
+        rng = np.random.default_rng(4320 + n)
+        f0, g = rng.standard_normal(), rng.standard_normal(n)
+        h, t = rng.standard_normal((n, n)), rng.standard_normal((n, n, n))
+        t[rng.uniform(size=t.shape) < 0.1] = -0.0
+        want = np.empty((n + 1,) * 3)
+        want[0, 0, 0] = f0
+        want[0, 0, 1:] = want[0, 1:, 0] = want[1:, 0, 0] = g / 3.0
+        want[0, 1:, 1:] = want[1:, 0, 1:] = want[1:, 1:, 0] = \
+            0.5 * (h + h.T) / 6.0
+        tsym = sum(map(t.transpose, itertools.permutations(range(3)))) / 6.0
+        i, j, k = np.ogrid[:n, :n, :n]
+        lo = np.minimum(np.minimum(i, j), k)
+        hi = np.maximum(np.maximum(i, j), k)
+        sorted_flat = (lo * (n - 1) + i + j + k - hi) * n + hi
+        want[1:, 1:, 1:] = tsym.take(sorted_flat) / 6.0
+        got = TaylorPoly.from_cubic(f0, g, h, t).lifted.dense
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", range(1, 31))
     def test_random_cubic_lift_is_exactly_symmetric(self, n):
         self._equals_its_transposes(random_cubic(n, 70 + n).lifted.dense)

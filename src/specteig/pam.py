@@ -30,9 +30,13 @@ once per row count. A pool that returns leaves its frame idle, heads and
 all, for the next pool of the same order, dimension and capacity, which
 rewrites every row it seats: repeated calls of one shape (a benchmark, a
 study script, a loop over dinkelbach_solve) skip building it, and a
-one-shot call builds it as before. Only frames of at most 2 MiB are kept,
-one per shape and at most eight, so a large stack does not outlive its
-call.
+one-shot call builds it as before. The boundary solver of
+:mod:`specteig.trust_region` keeps the one-row sweep of each lift shape in
+the same idle store. The store keeps one entry per key, each of at most
+2 MiB and 4 MiB in all, and drops the oldest entries first to make room,
+so a large stack does not outlive its call. A pool turns off NumPy's
+divide and invalid warnings once for its run, for the sweeps, and gives
+its programs back their caller's error state.
 
 A program (a generator) asks for each subproblem with a
 :class:`PamRequest`: the operators A and B, the parameter theta and a
@@ -51,6 +55,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -243,9 +248,13 @@ class _ProxStep:
         self.nw = np.empty((t, 1))
         self.nw_rows = self.nw[:, 0]
         self.scale = np.empty((t, 1))
+        self.set_radius(radius)
+        self.row = self.w[0] if t == 1 else None
+
+    def set_radius(self, radius: float) -> None:
+        """Step onto the sphere of this radius from now on."""
         self.radius = float(radius)
         self.guard = 2.0 * DEGENERATE_TOL * max(1.0, 0.5 / self.radius)
-        self.row = self.w[0] if t == 1 else None
 
     def head(self, t: int) -> "_ProxStep":
         """The step of the first t rows, on views of these buffers."""
@@ -342,7 +351,9 @@ class _BlockSweep:
     solvers, on views bound once: of whole blocks in the pool, and of the
     tails of lifted blocks in the boundary solver, whose partials the
     steps read from column lead on. gammas broadcasts against blocks, and
-    prev keeps the blocks from before the last sweep."""
+    prev keeps the blocks from before the last sweep. A sweep whose caller
+    has already asked the plan for slot 0's partial, from the blocks as
+    they are, passes ready and skips that contraction."""
 
     def __init__(self, plan: _SweepPlan, prox: _ProxStep, blocks: np.ndarray,
                  gammas, lead: int = 0):
@@ -353,12 +364,13 @@ class _BlockSweep:
                        self.prev[:, j], blocks[:, j])
                       for j in range(blocks.shape[1])]
 
-    def sweep(self) -> None:
+    def sweep(self, ready: bool = False) -> None:
         np.copyto(self.prev, self.blocks)
         np.multiply(self.gammas, self.prev, self.damped)
         partial, prox = self.plan.partial, self.prox
         for j, slot in enumerate(self.slots):
-            partial(j)
+            if j or not ready:
+                partial(j)
             prox(*slot)
 
     def head(self, t: int):
@@ -370,6 +382,15 @@ class _BlockSweep:
         head.prox = self.prox.head(t)
         head.slots = [tuple(v[:t] for v in slot) for slot in self.slots]
         return head
+
+
+def _nbytes(sweep: _BlockSweep, *extra: np.ndarray) -> int:
+    """Bytes of the arrays a sweep's own, its step's, its plan's and the
+    extra ones are or are views of, each counted once."""
+    views = [v for obj in (sweep, sweep.prox) for v in vars(obj).values()
+             if type(v) is np.ndarray] + sweep.plan.buffers + list(extra)
+    return sum({id(a): a.nbytes for a in (
+        v if v.base is None else v.base for v in views)}.values())
 
 
 class _Frame(_BlockSweep):
@@ -412,10 +433,7 @@ class _Frame(_BlockSweep):
         self.prods = np.empty((t,) + gather_idx.shape[1:])
         self.prods_by_block = self.prods.transpose(0, 2, 1)
         self.weights3 = self.weights[:, :, None]
-        views = [v for obj in (self, self.prox) for v in vars(obj).values()
-                 if type(v) is np.ndarray] + self.plan.buffers + [gather_idx]
-        self.nbytes = sum({id(a): a.nbytes for a in (
-            v if v.base is None else v.base for v in views)}.values())
+        self.nbytes = _nbytes(self, gather_idx)
         self.heads: dict[int, _Frame] = {}
 
     def head_of(self, t: int) -> "_Frame":
@@ -437,7 +455,7 @@ class _Frame(_BlockSweep):
 #: (tracemalloc); it counts as this many bytes per block.
 _HEAD_BYTES = 3 << 10
 
-#: Largest frame kept idle. Building a frame takes 40-130 us and a head
+#: Largest entry kept idle. Building a frame takes 40-130 us and a head
 #: 25-35 us, a visible share of a call of a few ms. This keeps the
 #: four-row frames of order 4 on R^3 (55 KiB with its heads) and order 6 on
 #: R^4 (0.4 MiB), and the 100-row frame of study 5.1 (1.6 MiB; 5 ms to
@@ -445,13 +463,41 @@ _HEAD_BYTES = 3 << 10
 #: (10 MiB; 9 ms against 0.4 s) and any 2**24-entry stack.
 _IDLE_BYTES = 2 << 20
 
-#: Most frames kept idle; a pool that finds this many clears them.
-_IDLE_FRAMES = 8
+#: Most bytes the idle entries hold together: storing one drops the oldest
+#: entries until it fits. Two of the largest entries fit, and so do the
+#: boundary sweeps of all 11 shapes of the default battery (0.34 MB).
+_IDLE_BUDGET = 4 << 20
 
-#: The idle frame of each (d, n, capacity). A pool takes it with one
-#: atomic pop and stores its own when it returns, so pools that run at the
-#: same time, nested or in threads, never share one.
-_IDLE: dict[tuple[int, int, int], _Frame] = {}
+#: The idle entries, oldest first, each with its nbytes: the frame of a
+#: pool of each (d, n, capacity), and the sweep of a boundary solve of each
+#: lift shape ("boundary", p, n + 1), whose keys never equal a frame's. A
+#: user takes its entry by pop and stores its own when it returns, both
+#: under _IDLE_LOCK, so pools and solves that run at the same time, nested
+#: or in threads, never share one.
+_IDLE: dict[tuple, object] = {}
+_IDLE_LOCK = threading.Lock()
+
+
+def _take_idle(key: tuple):
+    """The idle entry of key, taken out of the store, or None."""
+    with _IDLE_LOCK:
+        return _IDLE.pop(key, None)
+
+
+def _keep_idle(key: tuple, entry) -> None:
+    """Store entry as the newest idle entry of key, unless its nbytes is
+    above _IDLE_BYTES, and drop the oldest entries until the store holds at
+    most _IDLE_BUDGET bytes."""
+    if entry.nbytes > _IDLE_BYTES:
+        return
+    with _IDLE_LOCK:
+        _IDLE.pop(key, None)
+        total = entry.nbytes + sum(e.nbytes for e in _IDLE.values())
+        for old in list(_IDLE):
+            if total <= _IDLE_BUDGET:
+                break
+            total -= _IDLE.pop(old).nbytes
+        _IDLE[key] = entry
 
 
 class _Pool:
@@ -473,18 +519,20 @@ class _Pool:
         self.queue = deque(range(len(self.programs)))
         self.members: list[_Member | None] = []
         self.capacity = 0
+        self.caller_err = np.geterr()
 
     def run(self) -> tuple[list, list[int]]:
-        while self.queue and (not self.capacity
-                              or len(self.members) < self.capacity):
-            self._advance(len(self.members), self.queue.popleft(), None,
-                          None)
-        while self.members:
-            self._tick()
-        if self.capacity and self.whole.nbytes <= _IDLE_BYTES:
-            if len(_IDLE) >= _IDLE_FRAMES:
-                _IDLE.clear()
-            _IDLE[self.key] = self.whole
+        # the sweeps divide by |w| and may meet NaN; the programs and the
+        # seating run in the caller's error state (_advance)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while self.queue and (not self.capacity
+                                  or len(self.members) < self.capacity):
+                self._advance(len(self.members), self.queue.popleft(), None,
+                              None)
+            while self.members:
+                self._tick()
+        if self.capacity:
+            _keep_idle(self.key, self.whole)
         return self.outcomes, self.sweeps
 
     def _advance(self, slot: int, p: int, result: PamResult | None,
@@ -492,18 +540,19 @@ class _Pool:
         """Send program p its result (or throw it the error) and seat the
         request it yields next in slot; False when the program returned."""
         gen = self.programs[p]
-        while True:
-            try:
-                request = gen.send(result) if error is None \
-                    else gen.throw(error)
-            except StopIteration as stop:
-                self.outcomes[p] = stop.value
-                return False
-            try:
-                self._seat(slot, p, request)
-                return True
-            except (ArityError, ConfigError, DimError) as exc:
-                result, error = None, exc
+        with np.errstate(**self.caller_err):
+            while True:
+                try:
+                    request = gen.send(result) if error is None \
+                        else gen.throw(error)
+                except StopIteration as stop:
+                    self.outcomes[p] = stop.value
+                    return False
+                try:
+                    self._seat(slot, p, request)
+                    return True
+                except (ArityError, ConfigError, DimError) as exc:
+                    result, error = None, exc
 
     def _seat(self, slot: int, p: int, request: PamRequest) -> None:
         """Write the request's surrogate A - theta B - alpha E into stack
@@ -561,7 +610,7 @@ class _Pool:
         one, and bind its arrays."""
         cap = min(len(self.programs), max(1, MAX_DENSE_ENTRIES // dim ** d))
         self.key = (d, dim, cap)
-        f = _IDLE.pop(self.key, None)
+        f = _take_idle(self.key)
         if f is None:
             f = _Frame(d, dim, cap)
         self.capacity = cap
@@ -580,8 +629,7 @@ class _Pool:
         f = self.frame
         if len(f.blocks) != t:
             f = self.frame = self.whole.head_of(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f.sweep()
+        f.sweep()
         np.vecdot(f.last_partial, f.last_blocks, f.ht)
         np.subtract(f.blocks, f.prev, f.diff3)
         np.vecdot(f.diff, f.diff, f.step)

@@ -7,7 +7,7 @@ are determined by their values on nondecreasing index tuples (canonical
 classes), and one cached table per shape lists those classes as an (m, C)
 array, with their flat positions, permutation counts and the class of each
 flat position (the position index). Every tensor built from class values is
-one length-C vector laid out by one take through that index; everything
+one length-C vector laid out through that index by chunked takes; everything
 else is read from the array through the table. Every contraction that
 leaves slots free (multilinear forms, their partials, the slot-gradient)
 runs through one kernel on the array: repeated matrix-vector products over
@@ -225,18 +225,29 @@ def _class_table(order: int, dim: int) -> tuple[np.ndarray, ...]:
     return table
 
 
+#: Positions laid out per take by _dense_from_classes: a 512 KiB index copy.
+_LAYOUT_CHUNK = 2 ** 16
+
+
 def _dense_from_classes(order: int, dim: int, values: np.ndarray,
                         columns: np.ndarray | None = None) -> np.ndarray:
     """Dense array of class values: C in table order, or each at every
     permutation of its (order, k) index column (distinct classes, zero
-    elsewhere), in one length-C vector laid out by one take."""
+    elsewhere), in one length-C vector laid out through the position index,
+    one take per _LAYOUT_CHUNK positions."""
     index = _class_table(order, dim)[3]
     shape = (dim,) * order
     if columns is not None:
         full = np.zeros(math.comb(dim + order - 1, order))
         full[index.take(np.ravel_multi_index(tuple(columns), shape))] = values
         values = full
-    return values.take(index).reshape(shape)
+    # take copies an int32 index to intp first: chunks bound that copy, and
+    # the valid index needs no "raise" mode, which would buffer out too
+    dense = np.empty(index.size)
+    for start in range(0, index.size, _LAYOUT_CHUNK):
+        end = start + _LAYOUT_CHUNK
+        values.take(index[start:end], out=dense[start:end], mode="clip")
+    return dense.reshape(shape)
 
 
 def _dense_from_entries(order: int, dim: int, indices: list, values: list,
@@ -292,14 +303,20 @@ def _frobenius(values: np.ndarray, counts: np.ndarray) -> float:
     return float(np.sqrt(np.dot(counts[nonzero] * values, values)))
 
 
-def _form_values(xs: np.ndarray, classes: np.ndarray,
-                 weights: np.ndarray) -> np.ndarray:
-    """The form of (m, C) index classes with weights at each row of xs: the
-    slot products of one take, slot 0 first, into a column-major (N, C)
-    buffer like the pool's (C order would take another gemv kernel)."""
+def _form_products(xs: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The (N, C) slot products of (m, C) index classes at each row of xs,
+    slot 0 first, from one take, in a column-major buffer like the pool's
+    (C order would take another gemv kernel in _form_values). A row copied
+    contiguous holds the products apply_full forms at that point."""
     prods = np.empty((classes.shape[1], xs.shape[0])).T
     np.multiply.reduce(xs.take(classes, axis=1), axis=1, out=prods)
-    return prods @ weights
+    return prods
+
+
+def _form_values(xs: np.ndarray, classes: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """The form of (m, C) index classes with weights at each row of xs."""
+    return _form_products(xs, classes) @ weights
 
 
 class SymTensor:

@@ -14,7 +14,9 @@ so every block keeps its unit leading coordinate and a tail on the
 Delta-sphere. The sweeps minimize the surrogate lift - alpha * S, where S
 has the form y_0 |y|^(p-1) (odd p) or |y|^p (even p), constant on that
 slice as the identity tensor is on the sphere. A multiplier estimated from
-the boundary stationarity condition certifies the step.
+the boundary stationarity condition certifies the step. Each lift shape
+has one such sweep with its buffers, kept idle between solves in the store
+of :mod:`specteig.pam`.
 """
 
 from __future__ import annotations
@@ -25,16 +27,18 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import (ConfigError, DimError, DomainError, NumericalError,
                      ParseError)
-from .pam import DEGENERATE_TOL, _BlockSweep, _ProxStep
+from .pam import (DEGENERATE_TOL, _BlockSweep, _keep_idle, _nbytes,
+                  _ProxStep, _take_idle)
 from .tensor_core import (SymTensor, _check_point, _check_shape,
                           _check_vector, _class_table, _contract,
-                          _dense_from_classes, _SweepPlan, identity_tensor)
+                          _dense_from_classes, _form_products, _SweepPlan,
+                          identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -268,39 +272,58 @@ def lagrangian_grad(poly: TaylorPoly, s: np.ndarray,
     return poly.gradient(s) + lam * np.asarray(s, dtype=float)
 
 
-def _boundary_sweeps(stack: np.ndarray, blocks: np.ndarray, delta: float,
-                     config: BoundaryConfig) -> Callable[[], int]:
-    """Set up PAM sweeps on the (1, p, n + 1) lifted blocks once; the
-    function returned runs them from the blocks as they are until the
-    surrogate value stalls and returns the sweep count.
+class _BoundarySweep(_BlockSweep):
+    """The one-row PAM sweep of a lift of shape (p, dim), on the tails of
+    the lifted blocks (:class:`~specteig.pam._BlockSweep`, its partials
+    read from column 1 on), with the surrogate row stack and the (1, p,
+    dim) blocks it is bound to. A solve takes the idle one of its shape
+    from the store of :mod:`specteig.pam`, or builds one, rewrites the
+    stack, the lead column, gamma and the radius, and stores it back when
+    it returns. nbytes counts the arrays it allocated."""
 
-    stack is the flattened surrogate as a (1, (n + 1)**p) row, kept with
-    blocks as views. The sweeps are the eigen solver's
-    (:class:`~specteig.pam._BlockSweep`) on the tails, stepping onto the
-    delta-sphere; the surrogate value h after a sweep is the last partial
-    dotted with the last block. A non-finite partial tail makes its block
-    and h non-finite, which raises NumericalError.
+    def __init__(self, p: int, dim: int):
+        self.stack = np.empty((1, dim ** p))
+        self.lifted = np.empty((1, p, dim))
+        super().__init__(_SweepPlan(self.stack, self.lifted),
+                         _ProxStep(1, dim - 1, 1.0), self.lifted[:, :, 1:],
+                         0.0, lead=1)
+        # the operands of h: block 0 with slot 0's partial before a sweep,
+        # the last partial and block after one
+        self.first = self.lifted[0, 0]
+        self.c_last = self.plan.partial_buffer(-1)[0]
+        self.b_last = self.lifted[0, -1]
+        self.nbytes = _nbytes(self)
+
+
+def _boundary_sweeps(sweep: _BoundarySweep, config: BoundaryConfig) -> int:
+    """Run PAM sweeps from the lifted blocks as they are until the
+    surrogate value stalls; return the sweep count.
+
+    The value before the first sweep is slot 0's partial times block 0,
+    the matrix-vector products of _contract on every block; that partial
+    serves the first sweep, which skips its own. The value after a sweep
+    is the last partial dotted with the last block. A non-finite partial
+    tail makes its block and the value non-finite, which raises
+    NumericalError.
     """
-    plan = _SweepPlan(stack, blocks)
-    steps = _BlockSweep(plan, _ProxStep(1, blocks.shape[2] - 1, delta),
-                        blocks[:, :, 1:], config.gamma, lead=1)
-    c_last, b_last = plan.partial_buffer(-1)[0], blocks[0, -1]
+    h_prev = float((sweep.plan.partial(0) @ sweep.first)[0])
+    c_last, b_last = sweep.c_last, sweep.b_last
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, config.inner_max_iter + 1):
+            sweep.sweep(k == 1)
+            h = float(np.dot(c_last, b_last))
+            if not math.isfinite(h):
+                raise NumericalError("non-finite surrogate value in "
+                                     "boundary sweep")
+            if abs(h - h_prev) < config.inner_eps:
+                return k
+            h_prev = h
+    return config.inner_max_iter
 
-    def sweeps() -> int:
-        h_prev = float(_contract(stack[0], list(blocks[0]))[0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for k in range(1, config.inner_max_iter + 1):
-                steps.sweep()
-                h = float(np.dot(c_last, b_last))
-                if not math.isfinite(h):
-                    raise NumericalError("non-finite surrogate value in "
-                                         "boundary sweep")
-                if abs(h - h_prev) < config.inner_eps:
-                    return k
-                h_prev = h
-        return config.inner_max_iter
 
-    return sweeps
+def _norm(v: np.ndarray) -> float:
+    """|v| of a 1-D float vector, as np.linalg.norm takes it."""
+    return math.sqrt(np.dot(v, v))
 
 
 def solve_boundary(poly: TaylorPoly, delta: float,
@@ -310,14 +333,18 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     Alternates PAM sweep rounds on the surrogate poly.lifted - alpha * S
     with multiplier updates lambda = -(s . grad) / delta^2 until the
     boundary stationarity residual |grad + lambda s| falls below
-    config.tol. The surrogate, the sweeps' plan and their buffers are set
-    up once per call and serve every round. S is constant on the lifted
-    slice, so the sweeps minimize the model itself; the multiplier only
-    enters the stopping test, so the outer value history is nonincreasing.
-    A start off the sphere whose first step direction is degenerate (the
-    origin of a model with zero gradient) would stay where it is, so the
-    first round starts instead from delta times the eigenvector of the
-    smallest eigenvalue of the model Hessian at the start.
+    config.tol. The sweep of the lift's shape, with the surrogate, the
+    plan and their buffers, is taken idle or built once per call and
+    serves every round. A round gathers the class products of its blocks
+    once: the block of least model value is picked from them, and that
+    block's products give its value as apply_full does and its lifted row
+    gives the gradient. S is constant on the lifted slice, so the sweeps
+    minimize the model itself; the multiplier only enters the stopping
+    test, so the outer value history is nonincreasing. A start off the
+    sphere whose first step direction is degenerate (the origin of a
+    model with zero gradient) would stay where it is, so the first round
+    starts instead from delta times the eigenvector of the smallest
+    eigenvalue of the model Hessian at the start.
     """
     if config is None:
         config = BoundaryConfig()
@@ -330,20 +357,29 @@ def solve_boundary(poly: TaylorPoly, delta: float,
             raise ConfigError(f"s0 has shape {s.shape}, expected ({n},)")
     else:
         s = np.zeros(n)
-    stack = (poly.lifted.dense - config.alpha
-             * _shift_tensor(p, n + 1).dense).reshape(1, -1)
+    lift = poly.lifted
+    key = ("boundary", p, n + 1)
+    sweep = _take_idle(key)
+    if sweep is None:
+        sweep = _BoundarySweep(p, n + 1)
+    stack, blocks = sweep.stack, sweep.lifted
+    # lift - alpha * S, written in place
+    np.multiply(_shift_tensor(p, n + 1).dense.reshape(-1), config.alpha,
+                out=stack[0])
+    np.subtract(lift.dense.reshape(-1), stack[0], out=stack[0])
+    sweep.gammas = config.gamma
+    sweep.prox.set_radius(delta)
+    blocks[0, :, 0] = 1.0
 
     def on_boundary(vec: np.ndarray) -> bool:
-        return abs(float(np.linalg.norm(vec)) - delta) <= 1e-10 * max(
-            1.0, delta)
+        return abs(_norm(vec) - delta) <= 1e-10 * max(1.0, delta)
 
     if not on_boundary(s):
         y = np.concatenate(([1.0], s))
         w = _contract(stack[0], [y] * (p - 1))[1:] - config.gamma * s
-        if float(np.linalg.norm(w)) < DEGENERATE_TOL:
+        if _norm(w) < DEGENERATE_TOL:
             s = delta * np.linalg.eigh(poly.hessian(s))[1][:, 0]
-    blocks = np.empty((1, p, n + 1))
-    sweeps = _boundary_sweeps(stack, blocks, delta, config)
+    classes, weights = lift._classes, lift._weights
     lam = 0.0
     history: list[float] = []
     inner_total = 0
@@ -352,19 +388,19 @@ def solve_boundary(poly: TaylorPoly, delta: float,
 
     while outer < config.max_outer:
         # grad is the model gradient at s, kept from the last lambda update
-        if outer > 0 and on_boundary(s) and float(np.linalg.norm(
-                grad + lam * s)) < config.tol:
+        if outer > 0 and on_boundary(s) and _norm(
+                grad + lam * s) < config.tol:
             converged = True
             break
         # Each round restarts the sweeps from identical replicated blocks,
         # so a round that stalls with blocks on different critical points
         # gets pulled back together instead of stalling forever.
-        blocks[0] = np.concatenate(([1.0], s))
-        inner_total += sweeps()
+        blocks[0, :, 1:] = s
+        inner_total += _boundary_sweeps(sweep, config)
         outer += 1
-        j = int(np.argmin(poly.lifted.apply_full_many(blocks[0])))
-        s_new = blocks[0, j, 1:].copy()
-        new_val = poly.evaluate(s_new)
+        products = _form_products(blocks[0], classes)
+        j = int(np.argmin(products @ weights))
+        new_val = float(np.dot(weights, products[j].copy()))
         if history and new_val > history[-1] + 1e-9 * max(
                 1.0, abs(history[-1])):
             # A round that raises the model value means the sweeps are
@@ -374,11 +410,13 @@ def solve_boundary(poly: TaylorPoly, delta: float,
                            "%.6g; stopping without convergence",
                            outer, history[-1], new_val)
             break
-        s = s_new
-        grad = poly.gradient(s)
+        row = blocks[0, j]
+        s = row[1:].copy()
+        grad = p * _contract(lift.dense, [row] * (p - 1))[1:]
         lam = -float(np.dot(s, grad)) / delta ** 2
         history.append(new_val)
-    gl_norm = float(np.linalg.norm(grad + lam * s))
+    gl_norm = _norm(grad + lam * s)
+    _keep_idle(key, sweep)
     if not converged and on_boundary(s) and gl_norm < config.tol:
         converged = True
     if not converged:

@@ -18,11 +18,14 @@ from scipy.optimize import minimize
 
 from dataclasses import dataclass, replace
 
-from specteig import (DenominatorError, DinkelbachResult, Given, NumericalError,
+from specteig import (BoundaryConfig, BoundaryResult, DenominatorError,
+                      DinkelbachResult, Given, NumericalError,
                       PamConfig, SymTensor, Uniform,
                       ZIdentity, axpy, f_theta, load_tensor)
 from specteig.dinkelbach import MONOTONE_SLACK, _initial_point
-from specteig.pam import DEGENERATE_TOL, _init_blocks
+from specteig.pam import DEGENERATE_TOL, _BlockSweep, _init_blocks, _ProxStep
+from specteig.tensor_core import _contract, _SweepPlan
+from specteig.trust_region import _shift_tensor
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -306,6 +309,82 @@ def reference_hessian(terms, s: np.ndarray) -> np.ndarray:
             hess[i, j] = val
             hess[j, i] = val
     return hess
+
+
+def reference_solve_boundary(poly, delta: float,
+                             config: BoundaryConfig | None = None
+                             ) -> BoundaryResult:
+    """The boundary round loop written out without shared work: a new
+    sweep plan, block sweep and step per call, the surrogate value before
+    each round's sweeps from a full kernel contraction, the best block by
+    apply_full_many and its value by a second evaluate, the gradient by
+    poly.gradient and every norm by np.linalg.norm. The same stopping
+    rules as `solve_boundary`, without its warnings."""
+    config = config or BoundaryConfig()
+    n, p = poly.n, poly.p
+    s = np.zeros(n) if config.s0 is None \
+        else np.asarray(config.s0, dtype=float).copy()
+    stack = (poly.lifted.dense - config.alpha
+             * _shift_tensor(p, n + 1).dense).reshape(1, -1)
+
+    def on_boundary(vec):
+        return abs(float(np.linalg.norm(vec)) - delta) <= 1e-10 * max(
+            1.0, delta)
+
+    if not on_boundary(s):
+        y = np.concatenate(([1.0], s))
+        w = _contract(stack[0], [y] * (p - 1))[1:] - config.gamma * s
+        if float(np.linalg.norm(w)) < DEGENERATE_TOL:
+            s = delta * np.linalg.eigh(poly.hessian(s))[1][:, 0]
+    blocks = np.empty((1, p, n + 1))
+    plan = _SweepPlan(stack, blocks)
+    steps = _BlockSweep(plan, _ProxStep(1, n, delta), blocks[:, :, 1:],
+                        config.gamma, lead=1)
+    c_last, b_last = plan.partial_buffer(-1)[0], blocks[0, -1]
+    lam, history, inner, outer, converged = 0.0, [], 0, 0, False
+    while outer < config.max_outer:
+        if outer > 0 and on_boundary(s) and float(np.linalg.norm(
+                grad + lam * s)) < config.tol:
+            converged = True
+            break
+        blocks[0] = np.concatenate(([1.0], s))
+        h_prev = float(_contract(stack[0], list(blocks[0]))[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(1, config.inner_max_iter + 1):
+                steps.sweep()
+                h = float(np.dot(c_last, b_last))
+                if not math.isfinite(h):
+                    raise NumericalError("non-finite surrogate value")
+                if abs(h - h_prev) < config.inner_eps:
+                    break
+                h_prev = h
+        inner += k
+        outer += 1
+        j = int(np.argmin(poly.lifted.apply_full_many(blocks[0])))
+        s_new = blocks[0, j, 1:].copy()
+        new_val = poly.evaluate(s_new)
+        if history and new_val > history[-1] + 1e-9 * max(
+                1.0, abs(history[-1])):
+            break
+        s = s_new
+        grad = poly.gradient(s)
+        lam = -float(np.dot(s, grad)) / delta ** 2
+        history.append(new_val)
+    gl_norm = float(np.linalg.norm(grad + lam * s))
+    if not converged and on_boundary(s) and gl_norm < config.tol:
+        converged = True
+    return BoundaryResult(s=s, lambda_=lam, value=history[-1],
+                          grad_lagrangian_norm=gl_norm, inner_iters=inner,
+                          outer_iters=outer, history=tuple(history),
+                          converged=converged)
+
+
+def boundary_fields(res: BoundaryResult) -> tuple:
+    """Every field of a boundary result, floats as float.hex."""
+    return (tuple(float(x).hex() for x in res.s), float(res.lambda_).hex(),
+            float(res.value).hex(), float(res.grad_lagrangian_norm).hex(),
+            res.inner_iters, res.outer_iters,
+            tuple(float(v).hex() for v in res.history), res.converged)
 
 
 def reference_homogenize(terms, n: int, p: int) -> SymTensor:

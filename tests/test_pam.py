@@ -726,6 +726,56 @@ def _eigen_order4_reports(data_dir) -> list:
     return out
 
 
+class TestErrorState:
+    """A pool turns off NumPy's divide and invalid warnings once for its
+    run, for the sweeps; its programs run in their caller's error state."""
+
+    @staticmethod
+    def _program(states):
+        config = PamConfig(gammas=(1.0, 1.0), seed=1, max_iter=5)
+        states.append(np.geterr())
+        yield PamRequest(A1, config)
+        # the pool is between ticks: the first subproblem has stopped
+        states.append(np.geterr())
+        np.divide(1.0, np.zeros(1))
+        yield PamRequest(A1, config)
+        states.append(np.geterr())
+
+    def test_a_warning_raised_in_a_program_surfaces(self):
+        states = []
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            run_lockstep([self._program(states)], PamStats())
+        assert states == [np.geterr()] * 3
+
+    def test_programs_run_in_the_callers_state(self):
+        states = []
+        with np.errstate(divide="raise", over="ignore"):
+            want = np.geterr()
+            with pytest.raises(FloatingPointError):
+                run_lockstep([self._program(states)], PamStats())
+        assert states == [want] * 2
+
+    def test_one_errstate_per_run(self, monkeypatch):
+        # entered once for the run and once per subproblem handed on, not
+        # once per tick
+        entered = Counter()
+        errstate = np.errstate
+
+        def counted_errstate(**kwargs):
+            entered[tuple(sorted(kwargs))] += 1
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(pam.np, "errstate", counted_errstate)
+        (res,), sweeps = run_lockstep(
+            [pam._await(PamRequest(A1, PamConfig(gammas=(1.0, 1.0),
+                                                 eps=1e-12, seed=2)))],
+            PamStats())
+        assert sweeps[0] == res.iterations > 3
+        assert entered[("divide", "invalid")] == 1
+        # the first request, then the result handed back
+        assert sum(entered.values()) == 3
+
+
 class TestIdleFrames:
     """A pool that returns leaves its frame idle for the next pool of its
     shape and capacity, which rewrites every row it seats: answers do not
@@ -853,12 +903,20 @@ class TestIdleFrames:
         assert pam._IDLE[(2, 2, 1)] is frames[-1]
 
     def test_at_most_so_many_frames_stay_idle(self, monkeypatch):
+        # frames of 0.25 to 9 KiB against a 20 KiB budget: the oldest go
+        # first
         monkeypatch.setattr(pam, "_IDLE", {})
-        for n in range(1, pam._IDLE_FRAMES + 3):
+        monkeypatch.setattr(pam, "_IDLE_BUDGET", 20 << 10)
+        keys = []
+        for n in range(1, 13):
             pam_solve(identity_tensor(2, n), PamConfig(gammas=(1.0, 1.0),
                                                        max_iter=2))
-            assert (2, n, 1) in pam._IDLE
-            assert len(pam._IDLE) <= pam._IDLE_FRAMES
+            keys.append((2, n, 1))
+            kept = list(pam._IDLE)
+            assert kept == keys[len(keys) - len(kept):]
+            assert sum(f.nbytes for f in pam._IDLE.values()) \
+                <= pam._IDLE_BUDGET
+        assert 1 < len(pam._IDLE) < len(keys)
 
     def test_nbytes_counts_the_arrays_and_the_heads(self):
         frame = pam._Frame(4, 3, 4)

@@ -15,8 +15,9 @@ from specteig import (ArityError, ConfigError, DimError, DomainError,
                       ZIdentity, axpy, diagonal_tensor, frobenius_inner,
                       identity_tensor, load_tensor, random_cubic)
 from specteig.errors import NumericalError, ParseError
-from specteig.tensor_core import (_class_table, _dense_from_classes,
-                                  _double_factorial, _SweepPlan)
+from specteig.tensor_core import (_LAYOUT_CHUNK, _class_table,
+                                  _dense_from_classes, _double_factorial,
+                                  _SweepPlan)
 
 from conftest import (dense_multilinear, dense_partial, fd_gradient,
                       permutation_count, random_symtensor,
@@ -873,6 +874,51 @@ class TestSizeLimit:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+class TestLayout:
+    """Class values are laid out through the int32 position index in
+    chunks, so take's intp copy of the index is one chunk, not the whole
+    index; the array equals the one take of the whole index."""
+
+    @pytest.mark.parametrize("columns", [False, True])
+    def test_peak_is_the_array_and_one_chunk(self, columns):
+        order, dim = 3, 100  # 1e6 positions, 16 chunks
+        classes, _, _, index = _class_table(order, dim)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(classes.shape[1])
+        picked = None
+        if columns:  # every fifth class, by its index column
+            picked = classes[:, ::5]
+            full = np.zeros_like(values)
+            full[::5] = values[::5]
+            values, whole = values[::5], full
+        else:
+            whole = values
+        want = whole.take(index.astype(np.intp)).reshape((dim,) * order)
+        tracemalloc.start()
+        try:
+            dense = _dense_from_classes(order, dim, values, picked)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dense.tobytes() == want.tobytes()
+        # one take of the whole index would copy it to intp: 8 MB more;
+        # the column path adds its length-C vector of class values
+        extra = whole.nbytes if columns else 0
+        assert peak <= dense.nbytes + extra + 8 * _LAYOUT_CHUNK + (64 << 10)
+
+    def test_from_entries_matches_the_whole_take(self):
+        t = SymTensor.from_entries(3, 90, [((1, 2, 3), 1.5), ((90,) * 3, -2.0),
+                                           ((5, 5, 7), 0.25)])
+        index = _class_table(3, 90)[3]
+        classes = _class_table(3, 90)[0]
+        values = np.zeros(classes.shape[1])
+        for idx, val in (((0, 1, 2), 1.5), ((89,) * 3, -2.0),
+                         ((4, 4, 6), 0.25)):
+            values[index[np.ravel_multi_index(idx, (90,) * 3)]] = val
+        want = values.take(index.astype(np.intp)).reshape((90,) * 3)
+        assert t.dense.tobytes() == want.tobytes()
 
 
 class TestLoadTensor:

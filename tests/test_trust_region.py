@@ -9,6 +9,9 @@ import itertools
 import json
 import logging
 import math
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,14 +22,31 @@ from scipy.linalg import null_space
 from specteig import (BoundaryConfig, ConfigError, DimError, DomainError,
                       TaylorPoly, check_second_order, lagrangian_grad,
                       load_poly, poly_to_dict, random_cubic, solve_boundary)
+import specteig.pam as pam
+import specteig.trust_region as trust_region
 from specteig.errors import NumericalError, ParseError
 from specteig.pam import _BlockSweep, _ProxStep
-from specteig.tensor_core import _contract, _SweepPlan
-from specteig.trust_region import (_boundary_sweeps, _shift_tensor,
-                                   _tangent_basis)
+from specteig.tensor_core import SymTensor, _contract, _SweepPlan
+from specteig.trust_region import (_boundary_sweeps, _BoundarySweep,
+                                   _shift_tensor, _tangent_basis)
 
-from conftest import (fd_gradient, reference_evaluate, reference_gradient,
+from conftest import (boundary_fields, fd_gradient, reference_evaluate,
+                      reference_gradient, reference_solve_boundary,
                       reference_hessian, reference_homogenize)
+
+
+def seated_sweep(stack, start, p, delta, gamma=8.0):
+    """A new boundary sweep of the (1, (n + 1)**p) stack's lift shape,
+    seated as solve_boundary seats it: the stack, gamma, the radius, and
+    every lifted block (1, start)."""
+    n = len(start)
+    sweep = _BoundarySweep(p, n + 1)
+    sweep.stack[:] = stack
+    sweep.gammas = gamma
+    sweep.prox.set_radius(delta)
+    sweep.lifted[0, :, 0] = 1.0
+    sweep.lifted[0, :, 1:] = start
+    return sweep
 
 
 def cubic_blocks(n, seed):
@@ -336,12 +356,11 @@ class TestBoundaryEngine:
         poly, _, _ = _model(p, n, 1.0, False, 11)
         stack = (poly.lifted.dense
                  - _shift_tensor(p, n + 1).dense).reshape(1, -1)
-        blocks = np.empty((1, p, n + 1))
-        blocks[0] = np.concatenate(([1.0], np.full(n, 0.1)))
-        sweep = _boundary_sweeps(stack, blocks, delta,
-                                 BoundaryConfig(inner_max_iter=1))
+        sweep = seated_sweep(stack, np.full(n, 0.1), p, delta)
+        blocks = sweep.lifted
+        config = BoundaryConfig(inner_max_iter=1)
         for _ in range(30):
-            assert sweep() == 1
+            assert _boundary_sweeps(sweep, config) == 1
             assert np.all(blocks[0, :, 0] == 1.0)
             assert np.all(np.abs(np.linalg.norm(blocks[0, :, 1:], axis=1)
                                  - delta) <= 1e-12)
@@ -355,16 +374,15 @@ class TestBoundaryEngine:
         stack = (poly.lifted.dense
                  - _shift_tensor(p, n + 1).dense).reshape(1, -1)
         config = BoundaryConfig(inner_max_iter=1)
-        blocks = np.empty((1, p, n + 1))
-        blocks[0] = np.concatenate(([1.0], np.full(n, 0.3)))
-        sweep = _boundary_sweeps(stack, blocks, delta, config)
+        sweep = seated_sweep(stack, np.full(n, 0.3), p, delta, config.gamma)
+        blocks = sweep.lifted
         stack2, blocks2 = np.repeat(stack, 2, axis=0), np.repeat(blocks, 2,
                                                                 axis=0)
         plan = _SweepPlan(stack2, blocks2)
         sweep2 = _BlockSweep(plan, _ProxStep(2, n, delta), blocks2[:, :, 1:],
                              config.gamma, lead=1)
         for _ in range(30):
-            assert sweep() == 1
+            assert _boundary_sweeps(sweep, config) == 1
             with np.errstate(divide="ignore", invalid="ignore"):
                 sweep2.sweep()
             assert blocks2[0].tobytes() == blocks[0].tobytes()
@@ -379,10 +397,9 @@ class TestBoundaryEngine:
         # finite model, but its partial at |s| = 1e200 overflows
         poly = TaylorPoly(2, 3, {(3, 0): 1e150, (0, 3): 1e150})
         stack = poly.lifted.dense.reshape(1, -1)
-        blocks = np.empty((1, 3, 3))
-        blocks[0] = np.array([1.0, 1e200, 0.0])
+        sweep = seated_sweep(stack, np.array([1e200, 0.0]), 3, 1e200)
         with pytest.raises(NumericalError), np.errstate(over="ignore"):
-            _boundary_sweeps(stack, blocks, 1e200, BoundaryConfig())()
+            _boundary_sweeps(sweep, BoundaryConfig())
 
 
 class TestLagrangianGrad:
@@ -513,6 +530,200 @@ class TestSolveBoundary:
         dirs = rng.standard_normal((20000, 3))
         dirs *= 2.0 / np.linalg.norm(dirs, axis=1, keepdims=True)
         assert res.value <= float(p.evaluate_many(dirs).min()) + 1e-2
+
+
+def battery_cases(seeds=range(30)):
+    """(poly, delta) of the boundary battery's cubics at n = 2..10 for the
+    seeds, then of its n = 15 radius sweep, as
+    scripts/run_boundary_battery.py builds them."""
+    sweep = random_cubic(15, 42, (200.0, 8.0, 2.0))
+    return ([(random_cubic(n, seed), 2.0) for seed in seeds
+             for n in range(2, 11)]
+            + [(sweep, float(d)) for d in range(1, 11)])
+
+
+def order_cases():
+    """(poly, delta, config) for models of degree 1, 2 and 4, from the
+    origin and from a given start, and for cubics with zero gradient,
+    whose first round starts from a Hessian eigenvector."""
+    cases = []
+    for p, n in ((1, 1), (1, 4), (2, 2), (2, 5), (4, 2), (4, 4)):
+        for seed in range(3):
+            poly, _, s = _model(p, n, 1.0, False, seed)
+            cases.append((poly, 0.5 + seed, None))
+            cases.append((poly, 1.5, BoundaryConfig(s0=s, gamma=3.0)))
+    cases += [(random_cubic(n, seed, (0.0, 80.0, 80.0)), 2.0, None)
+              for n in (2, 5) for seed in range(3)]
+    return cases
+
+
+def counted_sweeps(monkeypatch) -> list:
+    """Record every boundary sweep built, in order."""
+    built = []
+    init = _BoundarySweep.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(_BoundarySweep, "__init__", recording_init)
+    return built
+
+
+class TestRoundsMatchTheReference:
+    """A round gathers its class products once, reuses slot 0's chain and
+    runs on the idle sweep of its shape; every field of every result
+    equals, by float.hex, the round loop written out without any of that
+    (conftest.reference_solve_boundary)."""
+
+    @pytest.fixture(autouse=True)
+    def quiet(self, caplog):
+        caplog.set_level(logging.ERROR, logger="specteig")
+
+    @staticmethod
+    def _solve_both(poly, delta, config=None):
+        return (boundary_fields(solve_boundary(poly, delta, config)),
+                boundary_fields(reference_solve_boundary(poly, delta,
+                                                         config)))
+
+    @pytest.mark.parametrize("seeds", [range(0, 15), range(15, 30)])
+    def test_battery_and_radius_sweep(self, seeds):
+        for poly, delta in battery_cases(seeds):
+            got, want = self._solve_both(poly, delta)
+            assert got == want, (poly, delta)
+
+    def test_degrees_one_two_and_four(self):
+        for poly, delta, config in order_cases():
+            got, want = self._solve_both(poly, delta, config)
+            assert got == want, (poly, delta, config)
+
+    def test_idle_sweeps_answer_as_new_ones(self, monkeypatch):
+        monkeypatch.setattr(pam, "_IDLE", {})
+        built = counted_sweeps(monkeypatch)
+        cases = [(poly, delta, None) for poly, delta in battery_cases(
+            range(3))] + order_cases()
+        want = [boundary_fields(reference_solve_boundary(*c)) for c in cases]
+        assert [boundary_fields(solve_boundary(*c)) for c in cases] == want
+        shapes = {(c[0].p, c[0].n) for c in cases}
+        assert sorted((b.lifted.shape[1], b.lifted.shape[2] - 1)
+                      for b in built) == sorted(shapes)
+        # the same shapes at other radii, gammas and alphas, and two more
+        # shapes, leave their sweeps idle with other contents
+        for poly, delta, _ in cases:
+            solve_boundary(poly, 0.5 * delta + 0.3,
+                           BoundaryConfig(gamma=3.0, alpha=0.25))
+        for n in (12, 20):
+            solve_boundary(random_cubic(n, 5), 1.0)
+        assert len(built) == len(shapes) + 2
+        assert [boundary_fields(solve_boundary(*c)) for c in cases] == want
+        assert len(built) == len(shapes) + 2
+
+    def test_a_nested_solve_takes_its_own_sweep(self, monkeypatch, caplog):
+        # random_cubic(2, 0) at delta 2 stops on a round that raises its
+        # value; the warning's handler runs a solve of the same shape while
+        # the outer solve holds its sweep
+        caplog.set_level(logging.WARNING, logger="specteig.trust_region")
+        poly, other = random_cubic(2, 0), random_cubic(2, 7)
+        inner_config = BoundaryConfig(gamma=3.0, alpha=0.5)
+        solve_boundary(other, 1.0)  # the shape's sweep is idle
+        used, nested = [], []
+        sweeps = trust_region._boundary_sweeps
+
+        def recording_sweeps(sweep, config):
+            used.append((bool(nested), sweep))
+            return sweeps(sweep, config)
+
+        monkeypatch.setattr(trust_region, "_boundary_sweeps",
+                            recording_sweeps)
+
+        class Nest(logging.Handler):
+            def emit(self, record):
+                if not nested and "raised" in record.getMessage():
+                    nested.append(None)
+                    nested[0] = solve_boundary(other, 1.5, inner_config)
+
+        handler = Nest(level=logging.WARNING)
+        log = logging.getLogger("specteig.trust_region")
+        log.addHandler(handler)
+        try:
+            res = solve_boundary(poly, 2.0)
+        finally:
+            log.removeHandler(handler)
+        assert nested and not res.converged
+        outer = {id(sw) for inside, sw in used if not inside}
+        inner = {sw for inside, sw in used if inside}
+        assert len(outer) == 1 and len(inner) == 1
+        assert outer.isdisjoint(map(id, inner))
+        outer_sweep = next(sw for inside, sw in used if not inside)
+        assert not np.shares_memory(outer_sweep.stack,
+                                    inner.pop().stack)
+        assert boundary_fields(res) == boundary_fields(
+            reference_solve_boundary(poly, 2.0))
+        assert boundary_fields(nested[0]) == boundary_fields(
+            reference_solve_boundary(other, 1.5, inner_config))
+
+    def test_threads_of_one_shape_keep_their_answers(self):
+        # more threads than cores, switching often: a sweep two solves
+        # shared would mix their rounds
+        cases = [(random_cubic(6, seed), delta, BoundaryConfig(gamma=gamma))
+                 for seed, delta, gamma in ((0, 2.0, 8.0), (1, 0.5, 3.0),
+                                            (2, 1.0, 8.0), (3, 3.0, 5.0))]
+        want = [boundary_fields(reference_solve_boundary(*c)) for c in cases]
+        got = [[None] * 10 for _ in cases]
+
+        def solve(i):
+            for k in range(10):
+                got[i][k] = boundary_fields(solve_boundary(*cases[i]))
+
+        threads = [threading.Thread(target=solve, args=(i,))
+                   for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for w, runs in zip(want, got):
+            assert runs == [w] * 10
+
+    def test_a_round_gathers_once(self, monkeypatch):
+        # one class-product gather per round, no homogeneous-form call,
+        # and no contraction over all p blocks (the value before a round's
+        # sweeps is slot 0's partial times block 0)
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def counted_contract(dense, blocks):
+            counts["contract", len(blocks)] += 1
+            return _contract(dense, blocks)
+
+        monkeypatch.setattr(trust_region, "_form_products", counted(
+            "gather", trust_region._form_products))
+        monkeypatch.setattr(trust_region, "_contract", counted_contract)
+        for name in ("apply_full", "apply_full_many"):
+            monkeypatch.setattr(SymTensor, name, counted(
+                name, getattr(SymTensor, name)))
+        cases = [(poly, delta, None) for poly, delta in battery_cases(
+            range(2))] + order_cases()
+        for poly, delta, config in cases:
+            counts.clear()
+            res = solve_boundary(poly, delta, config)
+            p = poly.p
+            assert counts["gather"] == res.outer_iters
+            assert counts["apply_full"] == counts["apply_full_many"] == 0
+            assert counts["contract", p] == 0
+            # the start test (every start here is off the sphere), and one
+            # gradient per recorded round
+            assert counts["contract", p - 1] == len(res.history) + 1
 
 
 class TestCheckSecondOrder:

@@ -29,7 +29,8 @@ from .errors import (ArityError, ConfigError, DenominatorError, DimError,
                      NumericalError)
 from .pam import (Given, PamConfig, PamRequest, PamResult, Uniform,
                   run_alone)
-from .tensor_core import HDiagonal, SymTensor, ZIdentity, _check_point
+from .tensor_core import (HDiagonal, SymTensor, ZIdentity, _check_count,
+                          _check_point)
 
 __all__ = [
     "FractionalProblem",
@@ -121,8 +122,7 @@ class DinkelbachConfig:
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tol must be positive and finite, "
                               f"got {self.tol}")
-        if self.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
+        _check_count("k_max", self.k_max)
 
 
 @dataclass(frozen=True)

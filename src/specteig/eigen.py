@@ -32,7 +32,8 @@ from .dinkelbach import (DinkelbachConfig, FractionalProblem,
                          dinkelbach_steps)
 from .errors import ConfigError, DenominatorError, NumericalError
 from .pam import PamStats, run_lockstep
-from .tensor_core import HDiagonal, SymTensor, ZIdentity, _check_point
+from .tensor_core import (HDiagonal, SymTensor, ZIdentity, _check_count,
+                          _check_point)
 
 logger = logging.getLogger(__name__)
 
@@ -77,6 +78,9 @@ class GeneralizedEigenProblem:
         if self.extremum not in EXTREMA:
             raise ConfigError(f"extremum must be one of {EXTREMA}, "
                               f"got {self.extremum!r}")
+        if not isinstance(self.a, SymTensor):
+            raise ConfigError(f"numerator must be a SymTensor, got "
+                              f"{type(self.a).__name__}")
         required = _KIND_DENOMINATOR[self.kind]
         if not isinstance(self.b, required):
             raise ConfigError(f"kind {self.kind} requires a "
@@ -113,7 +117,7 @@ def build_problem(a: SymTensor, kind: str, b: SymTensor | None = None,
     elif b is not None:
         raise ConfigError(f"kind {kind} fixes its denominator; do not pass "
                           f"one")
-    else:
+    elif isinstance(a, SymTensor):  # else the problem rejects a
         b = _KIND_DENOMINATOR[kind](a.order, a.dim)
     return GeneralizedEigenProblem(a=a, b=b, kind=kind, extremum=extremum)
 
@@ -244,10 +248,14 @@ def solve_multistart(problem: GeneralizedEigenProblem, trials: int,
     internally and reports the ratio of the original operators. The trials
     run in one lockstep pool per process (jobs > 1 splits them into jobs
     contiguous parts), and the pool warnings of the whole run are logged
-    once.
+    once. trials and jobs must be integers >= 1 and cluster_tol must be
+    positive; anything else raises ConfigError before a trial runs.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials)
+    _check_count("jobs", jobs)
+    # written so that NaN fails the test
+    if not cluster_tol > 0:
+        raise ConfigError(f"cluster_tol must be positive, got {cluster_tol}")
     # built here, so that a denominator that fails its vetting raises
     # before any trial runs, and pickled with the problem for jobs > 1
     problem.fractional

@@ -13,30 +13,31 @@ itself, does not guarantee concavity.
 
 Every subproblem runs in a lockstep pool (:func:`run_lockstep`): the single
 one of :func:`pam_solve`, those of one fractional solve, or those of all
-trials of a multistart run. The pool keeps the blocks of its T seated
-subproblems in one (T, d, n) array and their surrogates as the rows of one
-(T, n**d) stack. One tick runs one sweep of each (:class:`_BlockSweep`,
-whose loop the boundary solver of :mod:`specteig.trust_region` runs too):
-every slot's partials come from stacked contractions that share the suffix
-contractions across slots as fast CP-ALS does, every row's step from one
-batched closed form (:class:`_ProxStep`; a lone row takes its norm, guard
-and scale on Python floats and leaves the rules to the batched code), the
-multilinear value from the last partial dotted with its block, and every
-block's homogeneous value from one gather. Each row rounds exactly as it
-would in a pool of one, so no result depends on what else is seated. The
-buffers make up the pool's frame, built for its capacity, and the ticks of
-t seated subproblems run on a head of views of their first t rows, built
-once per row count. A pool that returns leaves its frame idle, heads and
-all, for the next pool of the same order, dimension and capacity, which
+trials of a multistart run. Its frame, a :class:`_BlockSweep` (the one
+sweep type of both solvers, which owns its arrays; the boundary solver of
+:mod:`specteig.trust_region` builds a one-row sweep whose steps skip the
+lead column), keeps the blocks of its T seated subproblems in one (T, d, n)
+array and their surrogates as the rows of one (T, n**d) stack. One tick
+runs one sweep of each: every slot's partials come from stacked
+contractions that share the suffix contractions across slots as fast CP-ALS
+does, every row's step from one batched closed form (:class:`_ProxStep`; a
+lone row takes its norm, guard and scale on Python floats and leaves the
+rules to the batched code), the multilinear value from the last partial
+dotted with its block, and every block's homogeneous value from one gather.
+Each row rounds exactly as it would in a pool of one, so no result depends
+on what else is seated. The frame is built for the pool's capacity, and the
+ticks of t seated subproblems run on a head of views of their first t rows,
+built once per row count. A pool that returns leaves its frame idle, heads
+and all, for the next pool of the same order, dimension and capacity, which
 rewrites every row it seats: repeated calls of one shape (a benchmark, a
 study script, a loop over dinkelbach_solve) skip building it, and a
 one-shot call builds it as before. The boundary solver of
 :mod:`specteig.trust_region` keeps the one-row sweep of each lift shape in
 the same idle store. The store keeps one entry per key, each of at most
-2 MiB and 4 MiB in all, and drops the oldest entries first to make room,
-so a large stack does not outlive its call. A pool turns off NumPy's
-divide and invalid warnings once for its run, for the sweeps, and gives
-its programs back their caller's error state.
+2 MiB and 4 MiB in all, and drops the oldest entries first to make room, so
+a large stack does not outlive its call. A pool turns off NumPy's divide
+and invalid warnings once for its run, for the sweeps, and gives its
+programs back their caller's error state.
 
 A program (a generator) asks for each subproblem with a
 :class:`PamRequest`: the operators A and B, the parameter theta and a
@@ -65,9 +66,9 @@ import numpy as np
 
 from .errors import (ArityError, ConfigError, DimError, DomainError,
                      NumericalError)
-from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, _class_table,
-                          _form_values, _frobenius, _SweepPlan,
-                          identity_tensor)
+from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, _check_count,
+                          _class_table, _form_values, _frobenius,
+                          _SweepPlan, identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -125,8 +126,7 @@ class PamConfig:
         if not 0 < self.eps < math.inf:
             raise ConfigError(f"eps must be positive and finite, "
                               f"got {self.eps}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        _check_count("max_iter", self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -347,25 +347,37 @@ class _Member:
 
 
 class _BlockSweep:
-    """The block steps of a PAM sweep over t rows, the slot loop of both
-    solvers, on views bound once: of whole blocks in the pool, and of the
-    tails of lifted blocks in the boundary solver, whose partials the
-    steps read from column lead on. gammas broadcasts against blocks, and
-    prev keeps the blocks from before the last sweep. A sweep whose caller
-    has already asked the plan for slot 0's partial, from the blocks as
-    they are, passes ready and skips that contraction."""
+    """The block steps of a PAM sweep over t rows of order-d tensors on
+    R^n, the slot loop of both solvers, with every array it runs on: the
+    (t, n**d) stack of surrogates, the (t, d, n) blocks, its plan, its
+    step and its buffers, bound once. The steps move the tails of the
+    blocks, from column lead on: the first lead columns are set to 1.0
+    here and never written again, as the boundary solver's lifted blocks
+    need. gammas broadcasts against the tails; its owner sets it. prev
+    keeps the tails from before the last sweep. A sweep whose caller has
+    already asked the plan for slot 0's partial, from the blocks as they
+    are, passes ready and skips that contraction. The h operands are the
+    last partial and the last block; nbytes counts the arrays the sweep
+    allocated."""
 
-    def __init__(self, plan: _SweepPlan, prox: _ProxStep, blocks: np.ndarray,
-                 gammas, lead: int = 0):
-        self.plan, self.prox = plan, prox
-        self.blocks, self.gammas = blocks, gammas
-        self.prev, self.damped = np.empty((2,) + blocks.shape)
-        self.slots = [(plan.partial_buffer(j)[:, lead:], self.damped[:, j],
-                       self.prev[:, j], blocks[:, j])
-                      for j in range(blocks.shape[1])]
+    def __init__(self, d: int, n: int, t: int, lead: int = 0):
+        self.stack = np.empty((t, n ** d))
+        self.blocks = np.empty((t, d, n))
+        self.blocks[:, :, :lead] = 1.0
+        self.tails = self.blocks[:, :, lead:]
+        self.plan = _SweepPlan(self.stack, self.blocks)
+        self.prox = _ProxStep(t, n - lead, 1.0)
+        self.gammas: float | np.ndarray = 0.0
+        self.prev, self.damped = np.empty((2,) + self.tails.shape)
+        self.slots = [(self.plan.partial_buffer(j)[:, lead:],
+                       self.damped[:, j], self.prev[:, j], self.tails[:, j])
+                      for j in range(d)]
+        self.last_partial = self.plan.partial_buffer(d - 1)
+        self.last_block = self.blocks[:, -1]
+        self.nbytes = self._allocated()
 
     def sweep(self, ready: bool = False) -> None:
-        np.copyto(self.prev, self.blocks)
+        np.copyto(self.prev, self.tails)
         np.multiply(self.gammas, self.prev, self.damped)
         partial, prox = self.plan.partial, self.prox
         for j, slot in enumerate(self.slots):
@@ -383,26 +395,27 @@ class _BlockSweep:
         head.slots = [tuple(v[:t] for v in slot) for slot in self.slots]
         return head
 
-
-def _nbytes(sweep: _BlockSweep, *extra: np.ndarray) -> int:
-    """Bytes of the arrays a sweep's own, its step's, its plan's and the
-    extra ones are or are views of, each counted once."""
-    views = [v for obj in (sweep, sweep.prox) for v in vars(obj).values()
-             if type(v) is np.ndarray] + sweep.plan.buffers + list(extra)
-    return sum({id(a): a.nbytes for a in (
-        v if v.base is None else v.base for v in views)}.values())
+    def _allocated(self, *extra: np.ndarray) -> int:
+        """Bytes of the arrays the sweep's own, its step's, its plan's and
+        the extra ones are or are views of, each counted once."""
+        views = [v for obj in (self, self.prox) for v in vars(obj).values()
+                 if type(v) is np.ndarray] + self.plan.buffers + list(extra)
+        return sum({id(a): a.nbytes for a in (
+            v if v.base is None else v.base for v in views)}.values())
 
 
 class _Frame(_BlockSweep):
     """The sweep of a pool of t slots for order-d operators on R^n, with
-    the stack, blocks, gammas and weights rows it is bound to, the buffers
-    of its ticks, and the heads that serve its first rows, each built once
-    and cached by row count. table holds the shape's identity, class
-    table and gather index. nbytes counts the arrays the frame allocated
-    and _HEAD_BYTES per block of each cached head.
+    the pool's gamma and weights rows, the buffers of its ticks, and the
+    heads that serve its first rows, each built once and cached by row
+    count. table holds the shape's identity, class table and gather index,
+    read-only arrays that a head shares whole and nbytes counts only where
+    the frame built them. nbytes counts the arrays the frame allocated and
+    _HEAD_BYTES per block of each cached head.
     """
 
     def __init__(self, d: int, n: int, t: int):
+        super().__init__(d, n, t)
         identity = identity_tensor(d, n).dense
         classes, flat, counts, _ = _class_table(d, n)
         # entry (i, k, j) picks component classes[i, k] of block j: the
@@ -413,27 +426,21 @@ class _Frame(_BlockSweep):
         gather_idx = classes[:, :, None] + np.arange(d)[None, None, :] * n
         self.table = (identity.reshape(-1), identity.shape, classes, flat,
                       counts, gather_idx)
-        self.stack = np.empty((t, n ** d))
         self.gamma_rows = np.empty((t, d))
+        self.gammas = self.gamma_rows[:, :, None]
         self.weights = np.empty((t, classes.shape[1]))
-        blocks = np.empty((t, d, n))
-        super().__init__(_SweepPlan(self.stack, blocks), _ProxStep(t, n, 1.0),
-                         blocks, self.gamma_rows[:, :, None])
-        # the operands of h_t, the last partial dotted with its block
-        self.last_partial = self.plan.partial_buffer(d - 1)
-        self.last_blocks = blocks[:, -1]
         # h_t, h_v and step norm of the last tick
         self.ht, self.hv, self.step = np.empty((3, t))
         self.diff = np.empty((t, d * n))
         self.diff3 = self.diff.reshape(t, d, n)
-        self.blocks_flat = blocks.reshape(t, d * n)
+        self.blocks_flat = self.blocks.reshape(t, d * n)
         self.vals = np.empty((t, d))
         self.vals3 = self.vals[:, :, None]
         self.gathered = np.empty((t,) + gather_idx.shape)
         self.prods = np.empty((t,) + gather_idx.shape[1:])
         self.prods_by_block = self.prods.transpose(0, 2, 1)
         self.weights3 = self.weights[:, :, None]
-        self.nbytes = _nbytes(self, gather_idx)
+        self.nbytes = self._allocated(gather_idx)
         self.heads: dict[int, _Frame] = {}
 
     def head_of(self, t: int) -> "_Frame":
@@ -503,12 +510,12 @@ def _keep_idle(key: tuple, entry) -> None:
 class _Pool:
     """State of one :func:`run_lockstep` call.
 
-    Seated subproblems occupy slots 0..T-1 of the pool arrays: stack row t
-    is the flattened surrogate of slot t, blocks[t] its (d, n) blocks, and
-    gammas and weights (the surrogate's canonical weights over the shape's
-    whole class table, zeros included) are per-slot rows too. The arrays
-    are those of the pool's frame, for its capacity, which the first
-    request seated takes: the idle one of its shape, or a new one.
+    Seated subproblems occupy slots 0..T-1 of the arrays of the pool's
+    frame: stack row t is the flattened surrogate of slot t, blocks[t] its
+    (d, n) blocks, and gamma_rows and weights (the surrogate's canonical
+    weights over the shape's whole class table, zeros included) are
+    per-slot rows too. The frame, for the pool's capacity, is taken by the
+    first request seated: the idle one of its shape, or a new one.
     """
 
     def __init__(self, programs: Sequence[Generator], stats: PamStats):
@@ -568,57 +575,48 @@ class _Pool:
             raise DimError(f"shape mismatch: ({d},{dim}) vs "
                            f"({b.order},{b.dim})")
         if not self.capacity:
-            self._adopt(d, dim)
-        elif (d, dim) != self.blocks.shape[1:]:
-            raise DimError(f"a pool of order-{self.blocks.shape[1]} "
-                           f"operators on R^{self.blocks.shape[2]} cannot "
+            # the idle frame of the shape and capacity, or a new one
+            self.capacity = min(len(self.programs),
+                                max(1, MAX_DENSE_ENTRIES // dim ** d))
+            self.key = (d, dim, self.capacity)
+            self.whole = self.frame = _take_idle(self.key) or _Frame(*self.key)
+        f = self.whole
+        if (d, dim) != f.blocks.shape[1:]:
+            raise DimError(f"a pool of order-{f.blocks.shape[1]} "
+                           f"operators on R^{f.blocks.shape[2]} cannot "
                            f"seat order {d} on R^{dim}")
+        identity, _, classes, flat, counts, _ = f.table
         init = config.init if request.start is None else request.start
         rng = request.rng if request.rng is not None \
             else np.random.default_rng(config.seed)
-        blocks = self.blocks[slot]
+        blocks = f.blocks[slot]
         _init_blocks(init, rng, blocks)
-        row = self.stack[slot]
+        row = f.stack[slot]
         if b is None:
             a_theta, fro = a.dense.reshape(-1), a.frobenius_norm()
         else:
             a_theta = np.subtract(a.dense.reshape(-1),
                                   request.theta * b.dense.reshape(-1),
                                   out=row)
-            fro = _frobenius(a_theta.take(self.flat), self.counts)
+            fro = _frobenius(a_theta.take(flat), counts)
         alpha = config.alpha if config.alpha is not None else fro
-        np.subtract(a_theta, alpha * self.identity, out=row)
-        weights = self.weights[slot]
-        np.multiply(self.counts, row.take(self.flat), out=weights)
+        np.subtract(a_theta, alpha * identity, out=row)
+        weights = f.weights[slot]
+        np.multiply(counts, row.take(flat), out=weights)
         member = _Member(p, config)
-        self.gammas[slot] = config.gammas
+        f.gamma_rows[slot] = config.gammas
         if slot == len(self.members):
             self.members.append(member)
         else:
             self.members[slot] = member
         member.value = float(np.minimum.reduce(
-            _form_values(blocks, self.classes, weights)))
+            _form_values(blocks, classes, weights)))
         stats = self.stats
         stats.subproblems += 1
         if alpha < fro - 1e-12:
             stats.low_alpha += 1
             if fro > stats.low_alpha_worst[1]:
                 stats.low_alpha_worst = (alpha, fro, d)
-
-    def _adopt(self, d: int, dim: int) -> None:
-        """Take the idle frame of the pool's shape and capacity, or build
-        one, and bind its arrays."""
-        cap = min(len(self.programs), max(1, MAX_DENSE_ENTRIES // dim ** d))
-        self.key = (d, dim, cap)
-        f = _take_idle(self.key)
-        if f is None:
-            f = _Frame(d, dim, cap)
-        self.capacity = cap
-        self.whole = self.frame = f
-        self.stack, self.blocks, self.gammas, self.weights = \
-            f.stack, f.blocks, f.gamma_rows, f.weights
-        (self.identity, self.shape, self.classes, self.flat, self.counts,
-         self.gather_idx) = f.table
 
     def _tick(self) -> None:
         """One sweep of every seated subproblem, then pam_solve's
@@ -630,7 +628,7 @@ class _Pool:
         if len(f.blocks) != t:
             f = self.frame = self.whole.head_of(t)
         f.sweep()
-        np.vecdot(f.last_partial, f.last_blocks, f.ht)
+        np.vecdot(f.last_partial, f.last_block, f.ht)
         np.subtract(f.blocks, f.prev, f.diff3)
         np.vecdot(f.diff, f.diff, f.step)
         np.sqrt(f.step, f.step)
@@ -666,19 +664,18 @@ class _Pool:
     def _block_values(self, f: _Frame) -> np.ndarray:
         """(t, d) homogeneous surrogate values of every block, from one
         gather over the shape's index classes for all seated surrogates."""
-        f.blocks_flat.take(self.gather_idx, axis=1, out=f.gathered,
-                           mode="clip")
+        f.blocks_flat.take(f.table[-1], axis=1, out=f.gathered, mode="clip")
         np.multiply.reduce(f.gathered, axis=1, out=f.prods)
         np.matmul(f.prods_by_block, f.weights3, out=f.vals3)
         return f.vals
 
     def _result(self, slot: int, vals: np.ndarray,
                 converged: bool) -> PamResult:
-        m = self.members[slot]
+        m, f = self.members[slot], self.whole
         # kkt_residual reads both later
-        blocks = self.blocks[slot].copy()
+        blocks = f.blocks[slot].copy()
         blocks.flags.writeable = False
-        dense = self.stack[slot].reshape(self.shape).copy()
+        dense = f.stack[slot].reshape(f.table[1]).copy()
         dense.flags.writeable = False
         if m.gap_sweeps:
             self.stats.gap_subproblems += 1
@@ -697,10 +694,10 @@ class _Pool:
             while members[slot] is None and self.queue:
                 self._advance(slot, self.queue.popleft(), None, None)
         live = [i for i, m in enumerate(members) if m is not None]
+        f = self.whole
         for new, old in enumerate(live):
             if new != old:
-                for arr in (self.stack, self.blocks, self.gammas,
-                            self.weights):
+                for arr in (f.stack, f.blocks, f.gamma_rows, f.weights):
                     arr[new] = arr[old]
                 members[new] = members[old]
         del members[len(live):]

@@ -69,11 +69,16 @@ __all__ = [
 MAX_DENSE_ENTRIES = 2 ** 24
 
 
+def _check_count(name: str, value, error: type = ConfigError) -> None:
+    """Raise error unless value is an integer >= 1: an order, a dimension,
+    an iteration limit or a count."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _check_shape(order: int, dim: int) -> None:
-    if not isinstance(order, numbers.Integral) or order < 1:
-        raise ArityError(f"order must be an integer >= 1, got {order!r}")
-    if not isinstance(dim, numbers.Integral) or dim < 1:
-        raise DimError(f"dim must be an integer >= 1, got {dim!r}")
+    _check_count("order", order, ArityError)
+    _check_count("dim", dim, DimError)
     if dim ** order > MAX_DENSE_ENTRIES:
         raise ConfigError(f"order {order} on R^{dim} has {dim}**{order} "
                           f"entries, above the dense limit "

@@ -7,16 +7,16 @@ contracting the tensor with (1, s) on every slot reproduces the polynomial
 exactly. The model's value, gradient and Hessian at s are the lift
 contracted with (1, s) on p, p - 1 and p - 2 slots. Minimizing the
 polynomial on the sphere of radius Delta becomes a homogeneous problem on
-the lifted blocks y = (1, s), solved by the PAM sweeps of the eigen
-solver: the partials come from :class:`~specteig.tensor_core._SweepPlan`
-and each step from :class:`~specteig.pam._ProxStep` applied to the tails,
-so every block keeps its unit leading coordinate and a tail on the
-Delta-sphere. The sweeps minimize the surrogate lift - alpha * S, where S
-has the form y_0 |y|^(p-1) (odd p) or |y|^p (even p), constant on that
-slice as the identity tensor is on the sphere. A multiplier estimated from
-the boundary stationarity condition certifies the step. Each lift shape
-has one such sweep with its buffers, kept idle between solves in the store
-of :mod:`specteig.pam`.
+the lifted blocks y = (1, s), solved by the block sweep of the eigen
+solver, :class:`~specteig.pam._BlockSweep`, built with one row and one
+lead column: its steps move only the tails, so every block keeps its unit
+leading coordinate and a tail on the Delta-sphere. The sweeps minimize
+the surrogate lift - alpha * S, where S has the form y_0 |y|^(p-1) (odd
+p) or |y|^p (even p), constant on that slice as the identity tensor is on
+the sphere. A multiplier estimated from the boundary stationarity
+condition certifies the step. Each lift shape has one such sweep, with
+its stack, blocks and buffers, kept idle between solves in the store of
+:mod:`specteig.pam`.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ import numpy as np
 
 from .errors import (ConfigError, DimError, DomainError, NumericalError,
                      ParseError)
-from .pam import (DEGENERATE_TOL, _BlockSweep, _keep_idle, _nbytes,
-                  _ProxStep, _take_idle)
-from .tensor_core import (SymTensor, _check_point, _check_shape,
-                          _check_vector, _class_table, _contract,
-                          _dense_from_classes, _form_products, _SweepPlan,
+from .pam import DEGENERATE_TOL, _BlockSweep, _keep_idle, _take_idle
+from .tensor_core import (SymTensor, _check_count, _check_point,
+                          _check_shape, _check_vector, _class_table,
+                          _contract, _dense_from_classes, _form_products,
                           identity_tensor)
 
 logger = logging.getLogger(__name__)
@@ -243,8 +242,8 @@ class BoundaryConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, "
                                   f"got {getattr(self, name)}")
-        if self.max_outer < 1 or self.inner_max_iter < 1:
-            raise ConfigError("iteration limits must be >= 1")
+        for name in ("max_outer", "inner_max_iter"):
+            _check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -272,32 +271,10 @@ def lagrangian_grad(poly: TaylorPoly, s: np.ndarray,
     return poly.gradient(s) + lam * np.asarray(s, dtype=float)
 
 
-class _BoundarySweep(_BlockSweep):
-    """The one-row PAM sweep of a lift of shape (p, dim), on the tails of
-    the lifted blocks (:class:`~specteig.pam._BlockSweep`, its partials
-    read from column 1 on), with the surrogate row stack and the (1, p,
-    dim) blocks it is bound to. A solve takes the idle one of its shape
-    from the store of :mod:`specteig.pam`, or builds one, rewrites the
-    stack, the lead column, gamma and the radius, and stores it back when
-    it returns. nbytes counts the arrays it allocated."""
-
-    def __init__(self, p: int, dim: int):
-        self.stack = np.empty((1, dim ** p))
-        self.lifted = np.empty((1, p, dim))
-        super().__init__(_SweepPlan(self.stack, self.lifted),
-                         _ProxStep(1, dim - 1, 1.0), self.lifted[:, :, 1:],
-                         0.0, lead=1)
-        # the operands of h: block 0 with slot 0's partial before a sweep,
-        # the last partial and block after one
-        self.first = self.lifted[0, 0]
-        self.c_last = self.plan.partial_buffer(-1)[0]
-        self.b_last = self.lifted[0, -1]
-        self.nbytes = _nbytes(self)
-
-
-def _boundary_sweeps(sweep: _BoundarySweep, config: BoundaryConfig) -> int:
-    """Run PAM sweeps from the lifted blocks as they are until the
-    surrogate value stalls; return the sweep count.
+def _boundary_sweeps(sweep: _BlockSweep, config: BoundaryConfig) -> int:
+    """Run PAM sweeps of the one-row lifted sweep from its blocks as they
+    are until the surrogate value stalls; return the sweep count. The
+    caller turns off NumPy's divide and invalid warnings for the sweeps.
 
     The value before the first sweep is slot 0's partial times block 0,
     the matrix-vector products of _contract on every block; that partial
@@ -306,18 +283,17 @@ def _boundary_sweeps(sweep: _BoundarySweep, config: BoundaryConfig) -> int:
     tail makes its block and the value non-finite, which raises
     NumericalError.
     """
-    h_prev = float((sweep.plan.partial(0) @ sweep.first)[0])
-    c_last, b_last = sweep.c_last, sweep.b_last
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, config.inner_max_iter + 1):
-            sweep.sweep(k == 1)
-            h = float(np.dot(c_last, b_last))
-            if not math.isfinite(h):
-                raise NumericalError("non-finite surrogate value in "
-                                     "boundary sweep")
-            if abs(h - h_prev) < config.inner_eps:
-                return k
-            h_prev = h
+    h_prev = float((sweep.plan.partial(0) @ sweep.blocks[0, 0])[0])
+    c_last, b_last = sweep.last_partial[0], sweep.last_block[0]
+    for k in range(1, config.inner_max_iter + 1):
+        sweep.sweep(k == 1)
+        h = float(np.dot(c_last, b_last))
+        if not math.isfinite(h):
+            raise NumericalError("non-finite surrogate value in boundary "
+                                 "sweep")
+        if abs(h - h_prev) < config.inner_eps:
+            return k
+        h_prev = h
     return config.inner_max_iter
 
 
@@ -333,18 +309,20 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     Alternates PAM sweep rounds on the surrogate poly.lifted - alpha * S
     with multiplier updates lambda = -(s . grad) / delta^2 until the
     boundary stationarity residual |grad + lambda s| falls below
-    config.tol. The sweep of the lift's shape, with the surrogate, the
-    plan and their buffers, is taken idle or built once per call and
-    serves every round. A round gathers the class products of its blocks
-    once: the block of least model value is picked from them, and that
-    block's products give its value as apply_full does and its lifted row
-    gives the gradient. S is constant on the lifted slice, so the sweeps
-    minimize the model itself; the multiplier only enters the stopping
-    test, so the outer value history is nonincreasing. A start off the
-    sphere whose first step direction is degenerate (the origin of a
-    model with zero gradient) would stay where it is, so the first round
-    starts instead from delta times the eigenvector of the smallest
-    eigenvalue of the model Hessian at the start.
+    config.tol. The one-row sweep of the lift's shape, with the
+    surrogate, the lifted blocks, the plan and their buffers, is taken
+    idle or built once per call and serves every round; the rounds run in
+    one NumPy error state that ignores division and invalid values. A
+    round gathers the class products of its blocks once: the block of
+    least model value is picked from them, and that block's products give
+    its value as apply_full does and its lifted row gives the gradient. S
+    is constant on the lifted slice, so the sweeps minimize the model
+    itself; the multiplier only enters the stopping test, so the outer
+    value history is nonincreasing. A start off the sphere whose first
+    step direction is degenerate (the origin of a model with zero
+    gradient) would stay where it is, so the first round starts instead
+    from delta times the eigenvector of the smallest eigenvalue of the
+    model Hessian at the start.
     """
     if config is None:
         config = BoundaryConfig()
@@ -359,17 +337,14 @@ def solve_boundary(poly: TaylorPoly, delta: float,
         s = np.zeros(n)
     lift = poly.lifted
     key = ("boundary", p, n + 1)
-    sweep = _take_idle(key)
-    if sweep is None:
-        sweep = _BoundarySweep(p, n + 1)
-    stack, blocks = sweep.stack, sweep.lifted
+    sweep = _take_idle(key) or _BlockSweep(p, n + 1, 1, lead=1)
+    stack, blocks = sweep.stack, sweep.blocks
     # lift - alpha * S, written in place
     np.multiply(_shift_tensor(p, n + 1).dense.reshape(-1), config.alpha,
                 out=stack[0])
     np.subtract(lift.dense.reshape(-1), stack[0], out=stack[0])
     sweep.gammas = config.gamma
     sweep.prox.set_radius(delta)
-    blocks[0, :, 0] = 1.0
 
     def on_boundary(vec: np.ndarray) -> bool:
         return abs(_norm(vec) - delta) <= 1e-10 * max(1.0, delta)
@@ -386,35 +361,37 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     outer = 0
     converged = False
 
-    while outer < config.max_outer:
-        # grad is the model gradient at s, kept from the last lambda update
-        if outer > 0 and on_boundary(s) and _norm(
-                grad + lam * s) < config.tol:
-            converged = True
-            break
-        # Each round restarts the sweeps from identical replicated blocks,
-        # so a round that stalls with blocks on different critical points
-        # gets pulled back together instead of stalling forever.
-        blocks[0, :, 1:] = s
-        inner_total += _boundary_sweeps(sweep, config)
-        outer += 1
-        products = _form_products(blocks[0], classes)
-        j = int(np.argmin(products @ weights))
-        new_val = float(np.dot(weights, products[j].copy()))
-        if history and new_val > history[-1] + 1e-9 * max(
-                1.0, abs(history[-1])):
-            # A round that raises the model value means the sweeps are
-            # hopping between basins; keep the better point and report the
-            # run as not converged rather than record a non-descent step.
-            logger.warning("round %d raised the model value from %.6g to "
-                           "%.6g; stopping without convergence",
-                           outer, history[-1], new_val)
-            break
-        row = blocks[0, j]
-        s = row[1:].copy()
-        grad = p * _contract(lift.dense, [row] * (p - 1))[1:]
-        lam = -float(np.dot(s, grad)) / delta ** 2
-        history.append(new_val)
+    # the sweeps divide by |w| and may meet NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while outer < config.max_outer:
+            # grad: the model gradient at s, from the last lambda update
+            if outer > 0 and on_boundary(s) and _norm(
+                    grad + lam * s) < config.tol:
+                converged = True
+                break
+            # Each round restarts the sweeps from identical copies of s, so
+            # a round that stalls with blocks on different critical points
+            # is pulled back together instead of stalling forever.
+            blocks[0, :, 1:] = s
+            inner_total += _boundary_sweeps(sweep, config)
+            outer += 1
+            products = _form_products(blocks[0], classes)
+            j = int(np.argmin(products @ weights))
+            new_val = float(np.dot(weights, products[j].copy()))
+            if history and new_val > history[-1] + 1e-9 * max(
+                    1.0, abs(history[-1])):
+                # A round that raises the model value means the sweeps hop
+                # between basins; keep the better point and report the run
+                # as not converged rather than record a non-descent step.
+                logger.warning("round %d raised the model value from %.6g "
+                               "to %.6g; stopping without convergence",
+                               outer, history[-1], new_val)
+                break
+            row = blocks[0, j]
+            s = row[1:].copy()
+            grad = p * _contract(lift.dense, [row] * (p - 1))[1:]
+            lam = -float(np.dot(s, grad)) / delta ** 2
+            history.append(new_val)
     gl_norm = _norm(grad + lam * s)
     _keep_idle(key, sweep)
     if not converged and on_boundary(s) and gl_norm < config.tol:

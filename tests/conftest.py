@@ -23,8 +23,8 @@ from specteig import (BoundaryConfig, BoundaryResult, DenominatorError,
                       PamConfig, SymTensor, Uniform,
                       ZIdentity, axpy, f_theta, load_tensor)
 from specteig.dinkelbach import MONOTONE_SLACK, _initial_point
-from specteig.pam import DEGENERATE_TOL, _BlockSweep, _init_blocks, _ProxStep
-from specteig.tensor_core import _contract, _SweepPlan
+from specteig.pam import DEGENERATE_TOL, _BlockSweep, _init_blocks
+from specteig.tensor_core import _contract
 from specteig.trust_region import _shift_tensor
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -336,11 +336,12 @@ def reference_solve_boundary(poly, delta: float,
         w = _contract(stack[0], [y] * (p - 1))[1:] - config.gamma * s
         if float(np.linalg.norm(w)) < DEGENERATE_TOL:
             s = delta * np.linalg.eigh(poly.hessian(s))[1][:, 0]
-    blocks = np.empty((1, p, n + 1))
-    plan = _SweepPlan(stack, blocks)
-    steps = _BlockSweep(plan, _ProxStep(1, n, delta), blocks[:, :, 1:],
-                        config.gamma, lead=1)
-    c_last, b_last = plan.partial_buffer(-1)[0], blocks[0, -1]
+    steps = _BlockSweep(p, n + 1, 1, lead=1)
+    steps.stack[:] = stack
+    steps.gammas = config.gamma
+    steps.prox.set_radius(delta)
+    blocks = steps.blocks
+    c_last, b_last = steps.plan.partial_buffer(-1)[0], blocks[0, -1]
     lam, history, inner, outer, converged = 0.0, [], 0, 0, False
     while outer < config.max_outer:
         if outer > 0 and on_boundary(s) and float(np.linalg.norm(

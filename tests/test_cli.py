@@ -138,6 +138,15 @@ class TestEigenCommand:
     def test_bad_init_range(self, matrix_file, capsys):
         assert main(eigen_args(matrix_file, "--init-range", "1:0")) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-4"])
+    def test_bad_cluster_tol_is_an_input_error(self, matrix_file, tol,
+                                               capsys):
+        assert main(eigen_args(matrix_file, f"--cluster-tol={tol}",
+                               "--format", "csv")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cluster_tol must be positive" in captured.err
+
     def test_history_sink(self, matrix_file, tmp_path, capsys):
         sink = tmp_path / "trace.csv"
         assert main(eigen_args(matrix_file, "--history", str(sink))) == 0
@@ -165,6 +174,16 @@ class TestExamplesCommand:
         code = main(["examples", "5.1", "--trials", "3", "--seed", "4"])
         assert code == 0
         assert (tmp_path / "examples_5.1.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_an_input_error(self, tmp_path, jobs, capsys):
+        # no report on stdout and no sidecar: nothing ran
+        assert main(["examples", "5.1", "--jobs", jobs, "--format",
+                     "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "jobs must be an integer >= 1" in captured.err
+        assert not (tmp_path / "examples_5.1.json").exists()
 
     def test_sidecar_needs_single_example(self, capsys):
         assert main(["examples", "all", "--sidecar", "x.json"]) == 1

@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from specteig import (ArityError, ConfigError, DenominatorError, DimError,
-                      DinkelbachConfig, DomainError, FractionalProblem,
+from specteig import (ArityError, BoundaryConfig, ConfigError,
+                      DenominatorError, DimError, DinkelbachConfig,
+                      DomainError, FractionalProblem,
                       Given, HDiagonal, PamConfig, SymTensor, Uniform,
                       ZIdentity,
                       dinkelbach_solve, identity_tensor)
@@ -123,6 +124,21 @@ class TestConfigValidation:
             DinkelbachConfig(inner=inner, tol=0.0)
         with pytest.raises(ConfigError):
             DinkelbachConfig(inner=inner, k_max=0)
+
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 3.0, "3", 0, -1])
+    @pytest.mark.parametrize("make,field", [
+        (lambda **kw: PamConfig(gammas=(1.0, 1.0), **kw), "max_iter"),
+        (BoundaryConfig, "max_outer"),
+        (BoundaryConfig, "inner_max_iter"),
+        (lambda **kw: DinkelbachConfig(inner=PamConfig(gammas=(1.0, 1.0)),
+                                       **kw), "k_max"),
+    ])
+    def test_iteration_limits_are_integers(self, make, field, value):
+        # a float limit is never met exactly by a sweep count, and a NaN
+        # one passes a comparison; both are rejected as the config is built
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            make(**{field: value})
+        assert getattr(make(**{field: 3}), field) == 3
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_tol(self, value):

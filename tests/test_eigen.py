@@ -5,6 +5,7 @@ Matrix instances give exact spectral oracles for the multistart pipeline.
 
 import json
 import logging
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
@@ -110,6 +111,17 @@ class TestBuildProblem:
         assert build_problem(A1, "z").kind == "Z"
         assert build_problem(A1, "h").kind == "H"
 
+    @pytest.mark.parametrize("kind", ["Z", "H", "D"])
+    def test_non_tensor_numerator_rejected(self, kind):
+        # the Z and H denominators used to be built from a.order first
+        b = identity_matrix_tensor(2) if kind == "D" else None
+        with pytest.raises(ConfigError, match="numerator must be a "
+                                              "SymTensor, got ndarray"):
+            build_problem(np.eye(2), kind, b=b)
+        denominator = build_problem(A1, kind, b=b).b
+        with pytest.raises(ConfigError, match="numerator"):
+            GeneralizedEigenProblem(np.eye(2), denominator, kind)
+
 
 class TestRayleighResidual:
     def test_matrix_values(self):
@@ -171,6 +183,20 @@ class TestMultistartMatrix:
         assert sum(q.trials_hit for q in report.pairs) == report.accepted
         assert report.accepted <= report.trials
 
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, 2.0, None])
+    def test_jobs_must_be_a_positive_integer(self, jobs):
+        # a count below 1 used to run no trials and return an empty report
+        with pytest.raises(ConfigError, match="jobs must be an integer"):
+            solve_multistart(build_problem(A1, "Z"), trials=4, base_seed=1,
+                             config=small_config(), jobs=jobs)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-4])
+    def test_cluster_tol_must_be_positive(self, tol):
+        # NaN compares False, so it used to split every cluster
+        with pytest.raises(ConfigError, match="cluster_tol"):
+            solve_multistart(build_problem(A1, "Z"), trials=4, base_seed=1,
+                             config=small_config(), cluster_tol=tol)
+
     def test_numerical_error_is_a_rejected_trial(self, monkeypatch):
         # the failure is injected inside the pool: trial 2's first blocks
         # carry a NaN, so its first sweep yields a non-finite surrogate
@@ -195,7 +221,7 @@ class TestMultistartMatrix:
         def poisoned_seat(pool, slot, p, request):
             seat(pool, slot, p, request)
             if p == 2:
-                pool.blocks[slot, 0, 0] = np.nan
+                pool.whole.blocks[slot, 0, 0] = np.nan
 
         monkeypatch.setattr(specteig.pam._Pool, "_seat", poisoned_seat)
         report = solve_multistart(p, trials=6, base_seed=9,

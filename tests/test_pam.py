@@ -285,13 +285,13 @@ class TestProxStepRows:
         # a pool's one-row tail is the head of its whole sweep: row 0 must
         # step as it does among four rows
         rng = np.random.default_rng(3)
-        stack = rng.standard_normal((4, 5 ** 3))
-        blocks = rng.standard_normal((4, 3, 5))
+        whole = pam._BlockSweep(3, 5, 4)
+        whole.stack[:] = rng.standard_normal((4, 5 ** 3))
+        blocks = whole.blocks
+        blocks[:] = rng.standard_normal((4, 3, 5))
         blocks /= np.linalg.norm(blocks, axis=2, keepdims=True)
         start = blocks.copy()
-        whole = pam._BlockSweep(tensor_core._SweepPlan(stack, blocks),
-                                _ProxStep(4, 5, 1.0), blocks,
-                                rng.uniform(0.5, 2.0, (4, 3, 1)))
+        whole.gammas = rng.uniform(0.5, 2.0, (4, 3, 1))
         assert whole.prox.row is None and whole.head(2).prox.row is None
         head = whole.head(1)
         assert head.prox.row is not None
@@ -519,8 +519,8 @@ class TestPoolMembers:
             vals = pool._block_values(pool.whole)
             for slot, a in enumerate(tensors):
                 rows, weights = whole_table(surrogate(a, 1.0))
-                assert np.array_equal(pool.weights[slot], weights)
-                blocks = pool.blocks[slot]
+                assert np.array_equal(pool.whole.weights[slot], weights)
+                blocks = pool.whole.blocks[slot]
                 assert np.array_equal(vals[slot],
                                       np.prod(blocks[:, rows], axis=2)
                                       @ weights)

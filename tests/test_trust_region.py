@@ -25,10 +25,10 @@ from specteig import (BoundaryConfig, ConfigError, DimError, DomainError,
 import specteig.pam as pam
 import specteig.trust_region as trust_region
 from specteig.errors import NumericalError, ParseError
-from specteig.pam import _BlockSweep, _ProxStep
-from specteig.tensor_core import SymTensor, _contract, _SweepPlan
-from specteig.trust_region import (_boundary_sweeps, _BoundarySweep,
-                                   _shift_tensor, _tangent_basis)
+from specteig.pam import _BlockSweep
+from specteig.tensor_core import SymTensor, _contract
+from specteig.trust_region import (_boundary_sweeps, _shift_tensor,
+                                   _tangent_basis)
 
 from conftest import (boundary_fields, fd_gradient, reference_evaluate,
                       reference_gradient, reference_solve_boundary,
@@ -40,12 +40,11 @@ def seated_sweep(stack, start, p, delta, gamma=8.0):
     seated as solve_boundary seats it: the stack, gamma, the radius, and
     every lifted block (1, start)."""
     n = len(start)
-    sweep = _BoundarySweep(p, n + 1)
+    sweep = _BlockSweep(p, n + 1, 1, lead=1)
     sweep.stack[:] = stack
     sweep.gammas = gamma
     sweep.prox.set_radius(delta)
-    sweep.lifted[0, :, 0] = 1.0
-    sweep.lifted[0, :, 1:] = start
+    sweep.blocks[0, :, 1:] = start
     return sweep
 
 
@@ -357,10 +356,11 @@ class TestBoundaryEngine:
         stack = (poly.lifted.dense
                  - _shift_tensor(p, n + 1).dense).reshape(1, -1)
         sweep = seated_sweep(stack, np.full(n, 0.1), p, delta)
-        blocks = sweep.lifted
+        blocks = sweep.blocks
         config = BoundaryConfig(inner_max_iter=1)
         for _ in range(30):
-            assert _boundary_sweeps(sweep, config) == 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert _boundary_sweeps(sweep, config) == 1
             assert np.all(blocks[0, :, 0] == 1.0)
             assert np.all(np.abs(np.linalg.norm(blocks[0, :, 1:], axis=1)
                                  - delta) <= 1e-12)
@@ -375,15 +375,16 @@ class TestBoundaryEngine:
                  - _shift_tensor(p, n + 1).dense).reshape(1, -1)
         config = BoundaryConfig(inner_max_iter=1)
         sweep = seated_sweep(stack, np.full(n, 0.3), p, delta, config.gamma)
-        blocks = sweep.lifted
-        stack2, blocks2 = np.repeat(stack, 2, axis=0), np.repeat(blocks, 2,
-                                                                axis=0)
-        plan = _SweepPlan(stack2, blocks2)
-        sweep2 = _BlockSweep(plan, _ProxStep(2, n, delta), blocks2[:, :, 1:],
-                             config.gamma, lead=1)
+        blocks = sweep.blocks
+        sweep2 = _BlockSweep(p, n + 1, 2, lead=1)
+        sweep2.stack[:] = stack
+        sweep2.blocks[:] = blocks
+        sweep2.gammas = config.gamma
+        sweep2.prox.set_radius(delta)
+        plan, blocks2 = sweep2.plan, sweep2.blocks
         for _ in range(30):
-            assert _boundary_sweeps(sweep, config) == 1
             with np.errstate(divide="ignore", invalid="ignore"):
+                assert _boundary_sweeps(sweep, config) == 1
                 sweep2.sweep()
             assert blocks2[0].tobytes() == blocks[0].tobytes()
             assert blocks2[1].tobytes() == blocks[0].tobytes()
@@ -398,7 +399,8 @@ class TestBoundaryEngine:
         poly = TaylorPoly(2, 3, {(3, 0): 1e150, (0, 3): 1e150})
         stack = poly.lifted.dense.reshape(1, -1)
         sweep = seated_sweep(stack, np.array([1e200, 0.0]), 3, 1e200)
-        with pytest.raises(NumericalError), np.errstate(over="ignore"):
+        with pytest.raises(NumericalError), np.errstate(
+                over="ignore", divide="ignore", invalid="ignore"):
             _boundary_sweeps(sweep, BoundaryConfig())
 
 
@@ -411,6 +413,25 @@ class TestLagrangianGrad:
 
 
 class TestSolveBoundary:
+    def test_one_errstate_per_solve(self, monkeypatch, caplog):
+        # the rounds of a solve share one error state, entered once around
+        # them and not once per round
+        caplog.set_level(logging.ERROR, logger="specteig")
+        entered = Counter()
+        errstate = np.errstate
+
+        def counted_errstate(**kwargs):
+            entered[tuple(sorted(kwargs))] += 1
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(trust_region.np, "errstate", counted_errstate)
+        cases = [(random_cubic(n, seed), 2.0) for n in (2, 5, 9)
+                 for seed in range(3)]
+        rounds = sum(solve_boundary(poly, delta).outer_iters
+                     for poly, delta in cases)
+        assert rounds > len(cases)
+        assert entered == {("divide", "invalid"): len(cases)}
+
     def test_value_is_the_model_at_the_step(self, caplog):
         # value is the last recorded round's, which is the model at s, on
         # converged solves and on ones that a round raising the value
@@ -558,15 +579,14 @@ def order_cases():
 
 
 def counted_sweeps(monkeypatch) -> list:
-    """Record every boundary sweep built, in order."""
+    """Record every sweep solve_boundary builds, in order."""
     built = []
-    init = _BoundarySweep.__init__
 
-    def recording_init(self, *args):
-        init(self, *args)
-        built.append(self)
+    def recording_sweep(*args, **kwargs):
+        built.append(_BlockSweep(*args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(_BoundarySweep, "__init__", recording_init)
+    monkeypatch.setattr(trust_region, "_BlockSweep", recording_sweep)
     return built
 
 
@@ -605,7 +625,7 @@ class TestRoundsMatchTheReference:
         want = [boundary_fields(reference_solve_boundary(*c)) for c in cases]
         assert [boundary_fields(solve_boundary(*c)) for c in cases] == want
         shapes = {(c[0].p, c[0].n) for c in cases}
-        assert sorted((b.lifted.shape[1], b.lifted.shape[2] - 1)
+        assert sorted((b.blocks.shape[1], b.blocks.shape[2] - 1)
                       for b in built) == sorted(shapes)
         # the same shapes at other radii, gammas and alphas, and two more
         # shapes, leave their sweeps idle with other contents

@@ -163,8 +163,10 @@ def _initial_point(problem: FractionalProblem, config: DinkelbachConfig,
     else:
         x0 = rng.uniform(init.lo, init.hi, size=problem.dim)
     nx = math.sqrt(np.dot(x0, x0))
-    if nx == 0.0:
-        raise ConfigError("initial point is numerically zero")
+    # a NaN or inf entry makes the norm NaN or inf, which fails the test
+    if not 0.0 < nx < math.inf:
+        raise ConfigError(f"initial point has norm {nx}; it needs a finite "
+                          f"nonzero norm")
     return x0 / nx
 
 

@@ -248,11 +248,12 @@ def solve_multistart(problem: GeneralizedEigenProblem, trials: int,
     internally and reports the ratio of the original operators. The trials
     run in one lockstep pool per process (jobs > 1 splits them into jobs
     contiguous parts), and the pool warnings of the whole run are logged
-    once. trials and jobs must be integers >= 1 and cluster_tol must be
-    positive; anything else raises ConfigError before a trial runs.
+    once. trials and jobs must be integers >= 1, base_seed one >= 0 and
+    cluster_tol positive; anything else raises ConfigError before a run.
     """
     _check_count("trials", trials)
     _check_count("jobs", jobs)
+    _check_count("base_seed", base_seed, least=0)
     # written so that NaN fails the test
     if not cluster_tol > 0:
         raise ConfigError(f"cluster_tol must be positive, got {cluster_tol}")

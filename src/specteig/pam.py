@@ -13,27 +13,28 @@ itself, does not guarantee concavity.
 
 Every subproblem runs in a lockstep pool (:func:`run_lockstep`): the single
 one of :func:`pam_solve`, those of one fractional solve, or those of all
-trials of a multistart run. Its frame, a :class:`_BlockSweep` (the one
-sweep type of both solvers, which owns its arrays; the boundary solver of
-:mod:`specteig.trust_region` builds a one-row sweep whose steps skip the
-lead column), keeps the blocks of its T seated subproblems in one (T, d, n)
-array and their surrogates as the rows of one (T, n**d) stack. One tick
-runs one sweep of each: every slot's partials come from stacked
-contractions that share the suffix contractions across slots as fast CP-ALS
-does, every row's step from one batched closed form (:class:`_ProxStep`; a
-lone row takes its norm, guard and scale on Python floats and leaves the
-rules to the batched code), the multilinear value from the last partial
-dotted with its block, and every block's homogeneous value from one gather.
-Each row rounds exactly as it would in a pool of one, so no result depends
-on what else is seated. The frame is built for the pool's capacity, and the
-ticks of t seated subproblems run on a head of views of their first t rows,
-built once per row count. A pool that returns leaves its frame idle, heads
-and all, for the next pool of the same order, dimension and capacity, which
-rewrites every row it seats: repeated calls of one shape (a benchmark, a
-study script, a loop over dinkelbach_solve) skip building it, and a
-one-shot call builds it as before. The boundary solver of
-:mod:`specteig.trust_region` keeps the one-row sweep of each lift shape in
-the same idle store. The store keeps one entry per key, each of at most
+trials of a multistart run. Its :class:`_BlockSweep`, the one sweep type
+of both solvers, owns every array the pool runs on: the blocks of its T
+seated subproblems in one (T, d, n) array, their surrogates as the rows of
+one (T, n**d) stack, and their gamma and weights rows. One tick runs one
+sweep of each: every slot's partials come from stacked contractions that
+share the suffix contractions across slots as fast CP-ALS does, every
+row's step from one batched closed form (:class:`_ProxStep`; a lone row
+takes its norm, guard and scale on Python floats and leaves the rules to
+the batched code), the multilinear value from the last partial dotted with
+its block, and every block's homogeneous value from one gather
+(:meth:`_BlockSweep.block_values`, which the boundary solver of
+:mod:`specteig.trust_region` reads too, on a one-row sweep whose steps skip
+the lead column). Each row rounds exactly as it would in a pool of one, so
+no result depends on what else is seated. The sweep is built for the
+pool's capacity, and the ticks of t seated subproblems run on a head of
+views of their first t rows, built once per row count. A pool that returns
+leaves its sweep idle, heads and all, for the next pool of the same order,
+dimension and capacity, which rewrites every row it seats: repeated calls
+of one shape (a benchmark, a study script, a loop over dinkelbach_solve)
+skip building it, and a one-shot call builds it as before. The boundary
+solver keeps the one-row sweep of each lift shape in the same idle store.
+The store keeps one entry per key, each of at most
 2 MiB and 4 MiB in all, and drops the oldest entries first to make room, so
 a large stack does not outlive its call. A pool turns off NumPy's divide
 and invalid warnings once for its run, for the sweeps, and gives its
@@ -78,6 +79,10 @@ DEGENERATE_TOL = 1e-14
 #: Warn when the best block value exceeds the multilinear value by more.
 DIAGONAL_GAP_SLACK = 1e-9
 
+#: Uniform draws per block before a start is given up: a draw whose norm is
+#: below DEGENERATE_TOL or overflows is redrawn; on [-1, 1]**n that is rare.
+_MAX_DRAWS = 100
+
 
 @dataclass(frozen=True)
 class Uniform:
@@ -85,6 +90,12 @@ class Uniform:
 
     lo: float = -1.0
     hi: float = 1.0
+
+    def __post_init__(self):
+        # written so that NaN fails the test
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ConfigError(f"init needs finite lo < hi, got "
+                              f"lo={self.lo}, hi={self.hi}")
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,7 @@ class PamConfig:
             raise ConfigError(f"eps must be positive and finite, "
                               f"got {self.eps}")
         _check_count("max_iter", self.max_iter)
+        _check_count("seed", self.seed, least=0)
 
 
 @dataclass(frozen=True)
@@ -308,11 +320,14 @@ def _init_blocks(init: np.ndarray | InitSpec,
     d, dim = out.shape
     if isinstance(init, Uniform):
         for j in range(d):
-            while True:
+            for _ in range(_MAX_DRAWS):
                 b = rng.uniform(init.lo, init.hi, size=dim)
                 nb = math.sqrt(np.dot(b, b))
-                if nb >= DEGENERATE_TOL:
+                if DEGENERATE_TOL <= nb < math.inf:
                     break
+            else:
+                raise ConfigError(f"{_MAX_DRAWS} draws from {init} gave no "
+                                  f"finite norm of at least {DEGENERATE_TOL}")
             np.multiply(1.0 / nb, b, out[j])
         return
     given = init.blocks if isinstance(init, Given) else (init,)
@@ -324,8 +339,10 @@ def _init_blocks(init: np.ndarray | InitSpec,
             raise ConfigError(f"init block {j} has shape {b.shape}, "
                               f"expected ({dim},)")
         nb = math.sqrt(np.dot(b, b))
-        if nb < DEGENERATE_TOL:
-            raise ConfigError(f"init block {j} is numerically zero")
+        # a NaN or inf entry makes the norm NaN or inf, which fails the test
+        if not DEGENERATE_TOL <= nb < math.inf:
+            raise ConfigError(f"init block {j} has norm {nb}; it needs a "
+                              f"finite norm of at least {DEGENERATE_TOL}")
         np.multiply(1.0 / nb, b, out if len(given) == 1 else out[j])
 
 
@@ -348,17 +365,20 @@ class _Member:
 
 class _BlockSweep:
     """The block steps of a PAM sweep over t rows of order-d tensors on
-    R^n, the slot loop of both solvers, with every array it runs on: the
-    (t, n**d) stack of surrogates, the (t, d, n) blocks, its plan, its
-    step and its buffers, bound once. The steps move the tails of the
-    blocks, from column lead on: the first lead columns are set to 1.0
-    here and never written again, as the boundary solver's lifted blocks
-    need. gammas broadcasts against the tails; its owner sets it. prev
-    keeps the tails from before the last sweep. A sweep whose caller has
-    already asked the plan for slot 0's partial, from the blocks as they
-    are, passes ready and skips that contraction. The h operands are the
-    last partial and the last block; nbytes counts the arrays the sweep
-    allocated."""
+    R^n, the slot loop of both solvers, with every array it runs on, bound
+    once: the (t, n**d) stack of surrogates, the (t, d, n) blocks, the
+    rows gamma_rows and weights (over the shape's whole class table, zeros
+    included) that their owner writes, its plan, its step, and the
+    buffers of block_values and of the pool's ticks. The steps move the
+    tails of the blocks, from column lead on: the first lead columns are
+    set to 1.0 here and never written again, as the boundary solver's
+    lifted blocks need. prev keeps the tails from before the last sweep.
+    A sweep whose caller has already asked the plan for slot 0's partial,
+    from the blocks as they are, passes ready and skips that contraction.
+    The h operands are the last partial and the last block. table holds
+    the shape's class table and gather index, which a head shares whole.
+    nbytes counts the arrays the sweep allocated and _HEAD_BYTES per block
+    of each cached head."""
 
     def __init__(self, d: int, n: int, t: int, lead: int = 0):
         self.stack = np.empty((t, n ** d))
@@ -367,69 +387,23 @@ class _BlockSweep:
         self.tails = self.blocks[:, :, lead:]
         self.plan = _SweepPlan(self.stack, self.blocks)
         self.prox = _ProxStep(t, n - lead, 1.0)
-        self.gammas: float | np.ndarray = 0.0
+        self.gamma_rows = np.empty((t, d))
+        self.gammas = self.gamma_rows[:, :, None]
         self.prev, self.damped = np.empty((2,) + self.tails.shape)
         self.slots = [(self.plan.partial_buffer(j)[:, lead:],
                        self.damped[:, j], self.prev[:, j], self.tails[:, j])
                       for j in range(d)]
         self.last_partial = self.plan.partial_buffer(d - 1)
         self.last_block = self.blocks[:, -1]
-        self.nbytes = self._allocated()
-
-    def sweep(self, ready: bool = False) -> None:
-        np.copyto(self.prev, self.tails)
-        np.multiply(self.gammas, self.prev, self.damped)
-        partial, prox = self.plan.partial, self.prox
-        for j, slot in enumerate(self.slots):
-            if j or not ready:
-                partial(j)
-            prox(*slot)
-
-    def head(self, t: int):
-        """A copy whose arrays are views of their first t rows."""
-        head = object.__new__(type(self))
-        head.__dict__ = {k: v[:t] if type(v) is np.ndarray else v
-                         for k, v in vars(self).items()}
-        head.plan = self.plan.head(t)
-        head.prox = self.prox.head(t)
-        head.slots = [tuple(v[:t] for v in slot) for slot in self.slots]
-        return head
-
-    def _allocated(self, *extra: np.ndarray) -> int:
-        """Bytes of the arrays the sweep's own, its step's, its plan's and
-        the extra ones are or are views of, each counted once."""
-        views = [v for obj in (self, self.prox) for v in vars(obj).values()
-                 if type(v) is np.ndarray] + self.plan.buffers + list(extra)
-        return sum({id(a): a.nbytes for a in (
-            v if v.base is None else v.base for v in views)}.values())
-
-
-class _Frame(_BlockSweep):
-    """The sweep of a pool of t slots for order-d operators on R^n, with
-    the pool's gamma and weights rows, the buffers of its ticks, and the
-    heads that serve its first rows, each built once and cached by row
-    count. table holds the shape's identity, class table and gather index,
-    read-only arrays that a head shares whole and nbytes counts only where
-    the frame built them. nbytes counts the arrays the frame allocated and
-    _HEAD_BYTES per block of each cached head.
-    """
-
-    def __init__(self, d: int, n: int, t: int):
-        super().__init__(d, n, t)
-        identity = identity_tensor(d, n).dense
         classes, flat, counts, _ = _class_table(d, n)
         # entry (i, k, j) picks component classes[i, k] of block j: the
-        # product over i runs over a leading axis, slot 0 first, as in
-        # SymTensor.apply_full_many, and leaves each slot's (classes, d)
-        # products in the column-major layout apply_full_many hands to its
-        # matrix-vector product
+        # product over i runs over a leading axis, slot 0 first, and leaves
+        # each row's (d, classes) products column-major, as apply_full_many
+        # forms them for its matrix-vector product
         gather_idx = classes[:, :, None] + np.arange(d)[None, None, :] * n
-        self.table = (identity.reshape(-1), identity.shape, classes, flat,
-                      counts, gather_idx)
-        self.gamma_rows = np.empty((t, d))
-        self.gammas = self.gamma_rows[:, :, None]
+        self.table = (classes, flat, counts, gather_idx)
         self.weights = np.empty((t, classes.shape[1]))
-        # h_t, h_v and step norm of the last tick
+        # h_t, h_v and step norm of the pool's last tick
         self.ht, self.hv, self.step = np.empty((3, t))
         self.diff = np.empty((t, d * n))
         self.diff3 = self.diff.reshape(t, d, n)
@@ -440,20 +414,48 @@ class _Frame(_BlockSweep):
         self.prods = np.empty((t,) + gather_idx.shape[1:])
         self.prods_by_block = self.prods.transpose(0, 2, 1)
         self.weights3 = self.weights[:, :, None]
-        self.nbytes = self._allocated(gather_idx)
-        self.heads: dict[int, _Frame] = {}
+        views = [v for obj in (self, self.prox) for v in vars(obj).values()
+                 if type(v) is np.ndarray] + self.plan.buffers + [gather_idx]
+        # the arrays these are or are views of, each counted once
+        self.nbytes = sum({id(a): a.nbytes for a in (
+            v if v.base is None else v.base for v in views)}.values())
+        self.heads: dict[int, _BlockSweep] = {}
 
-    def head_of(self, t: int) -> "_Frame":
-        """The frame's first t rows: itself at its capacity, else a head
-        built on first use and cached. The head drops the cache: holding
-        it would make a cycle that keeps a dropped frame's arrays alive
-        until the garbage collector runs."""
+    def sweep(self, ready: bool = False) -> None:
+        np.copyto(self.prev, self.tails)
+        np.multiply(self.gammas, self.prev, self.damped)
+        partial, prox = self.plan.partial, self.prox
+        for j, slot in enumerate(self.slots):
+            if j or not ready:
+                partial(j)
+            prox(*slot)
+
+    def block_values(self) -> np.ndarray:
+        """(t, d) homogeneous values of every block under its row's
+        weights, from one gather over the shape's index classes; prods
+        keeps each block's class products, (t, C, d)."""
+        self.blocks_flat.take(self.table[-1], axis=1, out=self.gathered,
+                              mode="clip")
+        np.multiply.reduce(self.gathered, axis=1, out=self.prods)
+        np.matmul(self.prods_by_block, self.weights3, out=self.vals3)
+        return self.vals
+
+    def head_of(self, t: int) -> "_BlockSweep":
+        """The sweep's first t rows: itself at its capacity, else a head,
+        a copy whose arrays are views of their first t rows, built on first
+        use and cached. The head drops the cache: holding it would make a
+        cycle that keeps a dropped sweep's arrays alive until the garbage
+        collector runs."""
         if t == len(self.blocks):
             return self
         head = self.heads.get(t)
         if head is None:
-            head = self.heads[t] = self.head(t)
-            del head.heads
+            head = self.heads[t] = object.__new__(_BlockSweep)
+            head.__dict__ = {k: v[:t] if type(v) is np.ndarray else v
+                             for k, v in vars(self).items() if k != "heads"}
+            head.plan = self.plan.head(t)
+            head.prox = self.prox.head(t)
+            head.slots = [tuple(v[:t] for v in slot) for slot in self.slots]
             self.nbytes += _HEAD_BYTES * self.blocks.shape[1]
         return head
 
@@ -462,22 +464,23 @@ class _Frame(_BlockSweep):
 #: (tracemalloc); it counts as this many bytes per block.
 _HEAD_BYTES = 3 << 10
 
-#: Largest entry kept idle. Building a frame takes 40-130 us and a head
-#: 25-35 us, a visible share of a call of a few ms. This keeps the
-#: four-row frames of order 4 on R^3 (55 KiB with its heads) and order 6 on
-#: R^4 (0.4 MiB), and the 100-row frame of study 5.1 (1.6 MiB; 5 ms to
-#: build against a 30 ms call). It drops the 100-row frame of study 5.2
-#: (10 MiB; 9 ms against 0.4 s) and any 2**24-entry stack.
+#: Largest entry kept idle. Building a pool's sweep takes 40-130 us and a
+#: head 25-35 us, a visible share of a call of a few ms. This keeps the
+#: four-row sweeps of order 4 on R^3 (55 KiB with its heads) and order 6 on
+#: R^4 (0.4 MiB), the 100-row sweep of study 5.1 (1.6 MiB; 5 ms to build
+#: against a 30 ms call) and the boundary sweep of cubics on R^30 (1.2
+#: MiB). It drops the 100-row sweep of study 5.2 (10 MiB; 9 ms against
+#: 0.4 s) and any 2**24-entry stack.
 _IDLE_BYTES = 2 << 20
 
 #: Most bytes the idle entries hold together: storing one drops the oldest
 #: entries until it fits. Two of the largest entries fit, and so do the
-#: boundary sweeps of all 11 shapes of the default battery (0.34 MB).
+#: boundary sweeps of all 11 shapes of the default battery (1.6 MB).
 _IDLE_BUDGET = 4 << 20
 
-#: The idle entries, oldest first, each with its nbytes: the frame of a
+#: The idle entries, oldest first, each with its nbytes: the sweep of a
 #: pool of each (d, n, capacity), and the sweep of a boundary solve of each
-#: lift shape ("boundary", p, n + 1), whose keys never equal a frame's. A
+#: lift shape ("boundary", p, n + 1), whose keys never equal a pool's. A
 #: user takes its entry by pop and stores its own when it returns, both
 #: under _IDLE_LOCK, so pools and solves that run at the same time, nested
 #: or in threads, never share one.
@@ -510,12 +513,10 @@ def _keep_idle(key: tuple, entry) -> None:
 class _Pool:
     """State of one :func:`run_lockstep` call.
 
-    Seated subproblems occupy slots 0..T-1 of the arrays of the pool's
-    frame: stack row t is the flattened surrogate of slot t, blocks[t] its
-    (d, n) blocks, and gamma_rows and weights (the surrogate's canonical
-    weights over the shape's whole class table, zeros included) are
-    per-slot rows too. The frame, for the pool's capacity, is taken by the
-    first request seated: the idle one of its shape, or a new one.
+    Seated subproblems occupy rows 0..T-1 of the pool's block sweep: of
+    its stack, blocks, gamma_rows and weights. The sweep, for the pool's
+    capacity, is taken by the first request seated: the idle one of its
+    shape, or a new one.
     """
 
     def __init__(self, programs: Sequence[Generator], stats: PamStats):
@@ -574,18 +575,20 @@ class _Pool:
         if b is not None and (b.order, b.dim) != (d, dim):
             raise DimError(f"shape mismatch: ({d},{dim}) vs "
                            f"({b.order},{b.dim})")
+        identity = identity_tensor(d, dim).dense.reshape(-1)
         if not self.capacity:
-            # the idle frame of the shape and capacity, or a new one
+            # the idle sweep of the shape and capacity, or a new one
             self.capacity = min(len(self.programs),
                                 max(1, MAX_DENSE_ENTRIES // dim ** d))
             self.key = (d, dim, self.capacity)
-            self.whole = self.frame = _take_idle(self.key) or _Frame(*self.key)
+            self.whole = self.seated = _take_idle(self.key) \
+                or _BlockSweep(*self.key)
         f = self.whole
         if (d, dim) != f.blocks.shape[1:]:
             raise DimError(f"a pool of order-{f.blocks.shape[1]} "
                            f"operators on R^{f.blocks.shape[2]} cannot "
                            f"seat order {d} on R^{dim}")
-        identity, _, classes, flat, counts, _ = f.table
+        classes, flat, counts, _ = f.table
         init = config.init if request.start is None else request.start
         rng = request.rng if request.rng is not None \
             else np.random.default_rng(config.seed)
@@ -624,15 +627,15 @@ class _Pool:
         their program, whose next request takes the slot."""
         members = self.members
         t = len(members)
-        f = self.frame
+        f = self.seated
         if len(f.blocks) != t:
-            f = self.frame = self.whole.head_of(t)
+            f = self.seated = self.whole.head_of(t)
         f.sweep()
         np.vecdot(f.last_partial, f.last_block, f.ht)
         np.subtract(f.blocks, f.prev, f.diff3)
         np.vecdot(f.diff, f.diff, f.step)
         np.sqrt(f.step, f.step)
-        vals = self._block_values(f)
+        vals = f.block_values()
         np.minimum.reduce(vals, axis=1, out=f.hv)
         self.stats.sweeps += t
         done = []
@@ -661,21 +664,14 @@ class _Pool:
         if done:
             self._refill()
 
-    def _block_values(self, f: _Frame) -> np.ndarray:
-        """(t, d) homogeneous surrogate values of every block, from one
-        gather over the shape's index classes for all seated surrogates."""
-        f.blocks_flat.take(f.table[-1], axis=1, out=f.gathered, mode="clip")
-        np.multiply.reduce(f.gathered, axis=1, out=f.prods)
-        np.matmul(f.prods_by_block, f.weights3, out=f.vals3)
-        return f.vals
-
     def _result(self, slot: int, vals: np.ndarray,
                 converged: bool) -> PamResult:
         m, f = self.members[slot], self.whole
         # kkt_residual reads both later
         blocks = f.blocks[slot].copy()
         blocks.flags.writeable = False
-        dense = f.stack[slot].reshape(f.table[1]).copy()
+        d, n = f.blocks.shape[1:]
+        dense = f.stack[slot].reshape((n,) * d).copy()
         dense.flags.writeable = False
         if m.gap_sweeps:
             self.stats.gap_subproblems += 1

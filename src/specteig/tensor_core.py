@@ -69,11 +69,12 @@ __all__ = [
 MAX_DENSE_ENTRIES = 2 ** 24
 
 
-def _check_count(name: str, value, error: type = ConfigError) -> None:
-    """Raise error unless value is an integer >= 1: an order, a dimension,
-    an iteration limit or a count."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise error(f"{name} must be an integer >= 1, got {value!r}")
+def _check_count(name: str, value, error: type = ConfigError,
+                 least: int = 1) -> None:
+    """Raise error unless value is an integer >= least: an order, a
+    dimension, an iteration limit or a count, or with least 0 a seed."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_shape(order: int, dim: int) -> None:
@@ -308,20 +309,15 @@ def _frobenius(values: np.ndarray, counts: np.ndarray) -> float:
     return float(np.sqrt(np.dot(counts[nonzero] * values, values)))
 
 
-def _form_products(xs: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """The (N, C) slot products of (m, C) index classes at each row of xs,
-    slot 0 first, from one take, in a column-major buffer like the pool's
-    (C order would take another gemv kernel in _form_values). A row copied
-    contiguous holds the products apply_full forms at that point."""
-    prods = np.empty((classes.shape[1], xs.shape[0])).T
-    np.multiply.reduce(xs.take(classes, axis=1), axis=1, out=prods)
-    return prods
-
-
 def _form_values(xs: np.ndarray, classes: np.ndarray,
                  weights: np.ndarray) -> np.ndarray:
-    """The form of (m, C) index classes with weights at each row of xs."""
-    return _form_products(xs, classes) @ weights
+    """The form of (m, C) index classes with weights at each row of xs:
+    the slot products of each class, slot 0 first, from one take, in a
+    column-major buffer like a block sweep's (C order would take another
+    gemv kernel), times the weights."""
+    prods = np.empty((classes.shape[1], xs.shape[0])).T
+    np.multiply.reduce(xs.take(classes, axis=1), axis=1, out=prods)
+    return prods @ weights
 
 
 class SymTensor:

@@ -13,9 +13,10 @@ lead column: its steps move only the tails, so every block keeps its unit
 leading coordinate and a tail on the Delta-sphere. The sweeps minimize
 the surrogate lift - alpha * S, where S has the form y_0 |y|^(p-1) (odd
 p) or |y|^p (even p), constant on that slice as the identity tensor is on
-the sphere. A multiplier estimated from the boundary stationarity
-condition certifies the step. Each lift shape has one such sweep, with
-its stack, blocks and buffers, kept idle between solves in the store of
+the sphere. A round picks the block of least model value from the sweep's
+block_values, the eigen pool's gather, and a multiplier estimated from the
+boundary stationarity condition certifies the step. Each lift shape has
+one such sweep, kept idle between solves in the store of
 :mod:`specteig.pam`.
 """
 
@@ -36,8 +37,7 @@ from .errors import (ConfigError, DimError, DomainError, NumericalError,
 from .pam import DEGENERATE_TOL, _BlockSweep, _keep_idle, _take_idle
 from .tensor_core import (SymTensor, _check_count, _check_point,
                           _check_shape, _check_vector, _class_table,
-                          _contract, _dense_from_classes, _form_products,
-                          identity_tensor)
+                          _contract, _dense_from_classes, identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -313,9 +313,10 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     surrogate, the lifted blocks, the plan and their buffers, is taken
     idle or built once per call and serves every round; the rounds run in
     one NumPy error state that ignores division and invalid values. A
-    round gathers the class products of its blocks once: the block of
-    least model value is picked from them, and that block's products give
-    its value as apply_full does and its lifted row gives the gradient. S
+    round takes the model value of every block from the sweep's one
+    gather, block_values under the lift's weights: the block of least
+    value is picked, its class products give its value as apply_full does
+    and its lifted row gives the gradient. S
     is constant on the lifted slice, so the sweeps minimize the model
     itself; the multiplier only enters the stopping test, so the outer
     value history is nonincreasing. A start off the sphere whose first
@@ -343,7 +344,8 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     np.multiply(_shift_tensor(p, n + 1).dense.reshape(-1), config.alpha,
                 out=stack[0])
     np.subtract(lift.dense.reshape(-1), stack[0], out=stack[0])
-    sweep.gammas = config.gamma
+    sweep.gamma_rows[:] = config.gamma
+    sweep.weights[0] = weights = lift._weights
     sweep.prox.set_radius(delta)
 
     def on_boundary(vec: np.ndarray) -> bool:
@@ -354,7 +356,6 @@ def solve_boundary(poly: TaylorPoly, delta: float,
         w = _contract(stack[0], [y] * (p - 1))[1:] - config.gamma * s
         if _norm(w) < DEGENERATE_TOL:
             s = delta * np.linalg.eigh(poly.hessian(s))[1][:, 0]
-    classes, weights = lift._classes, lift._weights
     lam = 0.0
     history: list[float] = []
     inner_total = 0
@@ -375,9 +376,8 @@ def solve_boundary(poly: TaylorPoly, delta: float,
             blocks[0, :, 1:] = s
             inner_total += _boundary_sweeps(sweep, config)
             outer += 1
-            products = _form_products(blocks[0], classes)
-            j = int(np.argmin(products @ weights))
-            new_val = float(np.dot(weights, products[j].copy()))
+            j = int(np.argmin(sweep.block_values()[0]))
+            new_val = float(np.dot(weights, sweep.prods[0, :, j].copy()))
             if history and new_val > history[-1] + 1e-9 * max(
                     1.0, abs(history[-1])):
                 # A round that raises the model value means the sweeps hop
@@ -450,6 +450,7 @@ def random_cubic(n: int, seed: int,
     a*g, Hessian b*sym(H), third term c*sym(T) for (a, b, c) = scales."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    _check_count("seed", seed, DomainError, 0)
     a, b, c = scales
     rng = np.random.default_rng(seed)
     g = a * rng.standard_normal(n)

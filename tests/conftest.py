@@ -338,7 +338,7 @@ def reference_solve_boundary(poly, delta: float,
             s = delta * np.linalg.eigh(poly.hessian(s))[1][:, 0]
     steps = _BlockSweep(p, n + 1, 1, lead=1)
     steps.stack[:] = stack
-    steps.gammas = config.gamma
+    steps.gamma_rows[:] = config.gamma
     steps.prox.set_radius(delta)
     blocks = steps.blocks
     c_last, b_last = steps.plan.partial_buffer(-1)[0], blocks[0, -1]

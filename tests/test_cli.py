@@ -185,11 +185,26 @@ class TestExamplesCommand:
         assert "jobs must be an integer >= 1" in captured.err
         assert not (tmp_path / "examples_5.1.json").exists()
 
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        # NumPy's seeding used to end the run in a ValueError traceback
+        assert main(["examples", "5.1", "--seed", "-1", "--format",
+                     "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: seed must be an integer >= 0" in captured.err
+        assert not (tmp_path / "examples_5.1.json").exists()
+
     def test_sidecar_needs_single_example(self, capsys):
         assert main(["examples", "all", "--sidecar", "x.json"]) == 1
 
 
 class TestTrustRegionCommand:
+    def test_negative_seed_is_an_input_error(self, capsys):
+        assert main(["trust-region", "--random", "4", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: seed must be an integer >= 0" in captured.err
+
     def test_random_instance_csv(self, capsys):
         code = main(["trust-region", "--random", "4", "--seed", "5",
                      "--format", "csv"])

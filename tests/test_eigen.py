@@ -190,6 +190,14 @@ class TestMultistartMatrix:
             solve_multistart(build_problem(A1, "Z"), trials=4, base_seed=1,
                              config=small_config(), jobs=jobs)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, math.nan, None])
+    def test_base_seed_must_be_a_nonnegative_integer(self, seed):
+        # it used to reach NumPy's seeding or XOR, which raised a bare
+        # ValueError or TypeError
+        with pytest.raises(ConfigError, match="base_seed must be an integer"):
+            solve_multistart(build_problem(A1, "Z"), trials=4, base_seed=seed,
+                             config=small_config())
+
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-4])
     def test_cluster_tol_must_be_positive(self, tol):
         # NaN compares False, so it used to split every cluster

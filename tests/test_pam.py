@@ -283,7 +283,8 @@ class TestProxStepRows:
 
     def test_head_of_one_row_takes_the_one_row_form(self):
         # a pool's one-row tail is the head of its whole sweep: row 0 must
-        # step as it does among four rows
+        # step as it does among four rows, and its block values must round
+        # as they do there
         rng = np.random.default_rng(3)
         whole = pam._BlockSweep(3, 5, 4)
         whole.stack[:] = rng.standard_normal((4, 5 ** 3))
@@ -291,17 +292,23 @@ class TestProxStepRows:
         blocks[:] = rng.standard_normal((4, 3, 5))
         blocks /= np.linalg.norm(blocks, axis=2, keepdims=True)
         start = blocks.copy()
-        whole.gammas = rng.uniform(0.5, 2.0, (4, 3, 1))
-        assert whole.prox.row is None and whole.head(2).prox.row is None
-        head = whole.head(1)
-        assert head.prox.row is not None
+        whole.gamma_rows[:] = rng.uniform(0.5, 2.0, (4, 3))
+        whole.weights[:] = rng.standard_normal(whole.weights.shape)
+        assert whole.prox.row is None and whole.head_of(2).prox.row is None
+        head = whole.head_of(1)
+        assert head.prox.row is not None and whole.head_of(1) is head
         for _ in range(5):
             whole.sweep()
         want = blocks[0].copy()
+        want_vals = whole.block_values()[0].copy()
         blocks[:] = start
         for _ in range(5):
             head.sweep()
         assert blocks[0].tobytes() == want.tobytes()
+        vals = head.block_values()
+        assert vals.shape == (1, 3)
+        assert np.shares_memory(vals, whole.vals)
+        assert vals[0].tobytes() == want_vals.tobytes()
 
     def test_rules_change_exactly_the_tied_and_degenerate_rows(self):
         # at radius 0.1 a row ties below |w| = DEGENERATE_TOL / (2 r) =
@@ -413,9 +420,61 @@ class TestPamSolve:
             pam_solve(A1, PamConfig(gammas=(1.0, 1.0),
                                     init=Given((e2, np.zeros(2)))))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_raises_config_error(self, bad):
+        # a Given block or a start vector, for pam_solve, a request and the
+        # fractional loop; such a start used to fail its first sweep with
+        # NumericalError
+        e2, x = np.array([0.0, 1.0]), np.array([bad, 1.0])
+        with pytest.raises(ConfigError, match="finite norm"):
+            pam_solve(A1, PamConfig(gammas=(1.0, 1.0), init=Given((e2, x))))
+        with pytest.raises(ConfigError, match="finite norm"):
+            pam.run_alone(pam._await(PamRequest(
+                A1, PamConfig(gammas=(1.0, 1.0)), start=x)))
+        with pytest.raises(ConfigError, match="finite nonzero norm"):
+            dinkelbach_solve(build_problem(A1, "Z").fractional,
+                             DinkelbachConfig(inner=PamConfig(
+                                 gammas=(1.0, 1.0), init=Given((x, x)))))
+
+    def test_a_range_without_usable_draws_raises(self):
+        # every draw from [0, 1e-300] is below DEGENERATE_TOL: the redraw
+        # loop is bounded, so the solve raises instead of spinning; in a
+        # process of its own, under a timeout
+        src = Path(pam.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from specteig import ConfigError, PamConfig, Uniform, "
+             "identity_tensor, pam_solve\n"
+             "try:\n"
+             "    pam_solve(identity_tensor(2, 2), PamConfig(gammas=(1.0, "
+             "1.0), init=Uniform(0.0, 1e-300)))\n"
+             "except ConfigError as exc:\n"
+             "    print(exc)\n"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert "100 draws" in proc.stdout
+
     def test_order_mismatch(self):
         with pytest.raises(ArityError):
             pam_solve(A1, PamConfig(gammas=(1.0,) * 4))
+
+    def test_an_odd_order_request_leaves_the_pool_usable(self):
+        # the identity shift needs even order: the first request fails
+        # before the pool builds its sweep, and the program's next request
+        # is seated as in a pool of its own (the pool used to be left
+        # sized but without a sweep, and raised AttributeError)
+        odd = SymTensor.from_entries(3, 2, {(1, 1, 1): 1.0})
+        config = PamConfig(gammas=(1.0, 1.0), seed=3)
+
+        def program():
+            with pytest.raises(ArityError, match="even order"):
+                yield PamRequest(odd, PamConfig(gammas=(1.0,) * 3))
+            return (yield PamRequest(A1, config))
+
+        (res,), _ = run_lockstep([program()], PamStats())
+        alone = pam_solve(A1, config)
+        assert (res.value, res.history) == (alone.value, alone.history)
 
     @pytest.mark.parametrize("operand", [np.eye(2), None, [[1.0, 0.0]],
                                          A1.dense])
@@ -516,14 +575,15 @@ class TestPoolMembers:
                               enumerate(tensors)], PamStats())
             for slot in range(len(tensors)):
                 pool._advance(slot, slot, None, None)
-            vals = pool._block_values(pool.whole)
+            vals = pool.whole.block_values()
             for slot, a in enumerate(tensors):
                 rows, weights = whole_table(surrogate(a, 1.0))
                 assert np.array_equal(pool.whole.weights[slot], weights)
                 blocks = pool.whole.blocks[slot]
-                assert np.array_equal(vals[slot],
-                                      np.prod(blocks[:, rows], axis=2)
-                                      @ weights)
+                products = np.prod(blocks[:, rows], axis=2)
+                # prods keeps each block's class products, (C, d)
+                assert np.array_equal(pool.whole.prods[slot], products.T)
+                assert np.array_equal(vals[slot], products @ weights)
 
     @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (6, 2)])
     def test_members_sharing_index_classes(self, m, n):
@@ -675,8 +735,15 @@ class TestSubproblemCosts:
             "_SweepPlan built", tensor_core._SweepPlan.__init__))
         monkeypatch.setattr(pam._Pool, "_seat", counted(
             "subproblems", pam._Pool._seat))
-        monkeypatch.setattr(pam._BlockSweep, "head", counted(
-            "heads built", pam._BlockSweep.head))
+        # every head of a pool's sweep builds the head of its plan
+        monkeypatch.setattr(tensor_core._SweepPlan, "head", counted(
+            "heads built", tensor_core._SweepPlan.head))
+        monkeypatch.setattr(pam._BlockSweep, "__init__", counted(
+            "sweeps built", pam._BlockSweep.__init__))
+        monkeypatch.setattr(pam._BlockSweep, "block_values", counted(
+            "block values", pam._BlockSweep.block_values))
+        monkeypatch.setattr(pam._Pool, "_tick", counted(
+            "ticks", pam._Pool._tick))
         # no idle frame yet, as in a fresh process
         monkeypatch.setattr(pam, "_IDLE", {})
         # study 5.1's settings, built before counting starts
@@ -687,8 +754,10 @@ class TestSubproblemCosts:
         report = solve_multistart(problem, 20, 1729, config)
         assert report.accepted == 20
         assert counts["subproblems"] >= 40
-        # one pool, so one set of sweep buffers
-        assert counts["_SweepPlan built"] == 1
+        # one pool, so one sweep and one set of its buffers, and one
+        # gather of block values per tick
+        assert counts["sweeps built"] == counts["_SweepPlan built"] == 1
+        assert counts["block values"] == counts["ticks"] >= 1
         for name in ("SymTensor._from_dense", "config replace",
                      "PamConfig built", "Given built"):
             assert counts[name] == 0, name
@@ -697,7 +766,7 @@ class TestSubproblemCosts:
         assert heads >= 1
         again = solve_multistart(problem, 20, 1729, config)
         assert report_to_json(again) == report_to_json(report)
-        assert counts["_SweepPlan built"] == 1
+        assert counts["sweeps built"] == counts["_SweepPlan built"] == 1
         assert counts["heads built"] == heads
 
 
@@ -918,21 +987,31 @@ class TestIdleFrames:
                 <= pam._IDLE_BUDGET
         assert 1 < len(pam._IDLE) < len(keys)
 
-    def test_nbytes_counts_the_arrays_and_the_heads(self):
-        frame = pam._Frame(4, 3, 4)
-        arrays = (frame.stack, frame.blocks, frame.gamma_rows, frame.weights,
-                  frame.table[-1], frame.ht, frame.diff, frame.vals,
-                  frame.gathered, frame.prods, frame.prox.w, frame.prox.nw,
-                  frame.prox.scale) + tuple(frame.plan.buffers)
+    @staticmethod
+    def _allocated(sweep) -> int:
+        arrays = (sweep.stack, sweep.blocks, sweep.gamma_rows, sweep.weights,
+                  sweep.table[-1], sweep.ht, sweep.diff, sweep.vals,
+                  sweep.gathered, sweep.prods, sweep.prox.w, sweep.prox.nw,
+                  sweep.prox.scale) + tuple(sweep.plan.buffers)
         # prev and damped, and ht, hv and step, share one array each
-        want = sum(a.nbytes for a in arrays) + 2 * frame.blocks.nbytes \
-            + 2 * frame.ht.nbytes
-        assert frame.nbytes == want
-        head = frame.head_of(2)
-        assert frame.head_of(2) is head and frame.head_of(4) is frame
-        assert frame.nbytes == want + 4 * pam._HEAD_BYTES
-        assert np.shares_memory(head.prox.w, frame.prox.w)
+        return sum(a.nbytes for a in arrays) + 2 * sweep.tails.nbytes \
+            + 2 * sweep.ht.nbytes
+
+    def test_nbytes_counts_the_arrays_and_the_heads(self):
+        sweep = pam._BlockSweep(4, 3, 4)
+        want = self._allocated(sweep)
+        assert sweep.nbytes == want
+        head = sweep.head_of(2)
+        assert sweep.head_of(2) is head and sweep.head_of(4) is sweep
+        assert sweep.nbytes == want + 4 * pam._HEAD_BYTES
+        assert np.shares_memory(head.prox.w, sweep.prox.w)
         assert not hasattr(head, "heads")
+        # a boundary sweep counts its gather buffers too; the one of the
+        # battery's largest lift shape, cubics on R^30, stays idle
+        for n in (3, 31):
+            sweep = pam._BlockSweep(3, n, 1, lead=1)
+            assert sweep.nbytes == self._allocated(sweep)
+        assert sweep.nbytes <= pam._IDLE_BYTES
 
 
 class TestResidualOnDemand:
@@ -1077,6 +1156,24 @@ class TestConfigValidation:
             PamConfig(gammas=(1.0,), eps=0.0)
         with pytest.raises(ConfigError):
             PamConfig(gammas=(1.0,), max_iter=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, math.nan, "1", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # NumPy's seeding used to raise a bare ValueError or TypeError at
+        # the first solve
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            PamConfig(gammas=(1.0,), seed=seed)
+
+    def test_seed_zero_and_numpy_integers_are_seeds(self):
+        for seed in (0, np.int64(7), 2 ** 70):
+            assert PamConfig(gammas=(1.0,), seed=seed).seed == seed
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0.0, 0.0), (1.0, -1.0), (math.nan, 1.0), (0.0, math.nan),
+        (-math.inf, 1.0), (0.0, math.inf)])
+    def test_uniform_needs_finite_ordered_bounds(self, lo, hi):
+        with pytest.raises(ConfigError, match="finite lo < hi"):
+            Uniform(lo, hi)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["gammas", "alpha", "eps"])

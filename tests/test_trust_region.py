@@ -42,7 +42,7 @@ def seated_sweep(stack, start, p, delta, gamma=8.0):
     n = len(start)
     sweep = _BlockSweep(p, n + 1, 1, lead=1)
     sweep.stack[:] = stack
-    sweep.gammas = gamma
+    sweep.gamma_rows[:] = gamma
     sweep.prox.set_radius(delta)
     sweep.blocks[0, :, 1:] = start
     return sweep
@@ -379,7 +379,7 @@ class TestBoundaryEngine:
         sweep2 = _BlockSweep(p, n + 1, 2, lead=1)
         sweep2.stack[:] = stack
         sweep2.blocks[:] = blocks
-        sweep2.gammas = config.gamma
+        sweep2.gamma_rows[:] = config.gamma
         sweep2.prox.set_radius(delta)
         plan, blocks2 = sweep2.plan, sweep2.blocks
         for _ in range(30):
@@ -726,8 +726,8 @@ class TestRoundsMatchTheReference:
             counts["contract", len(blocks)] += 1
             return _contract(dense, blocks)
 
-        monkeypatch.setattr(trust_region, "_form_products", counted(
-            "gather", trust_region._form_products))
+        monkeypatch.setattr(pam._BlockSweep, "block_values", counted(
+            "gather", pam._BlockSweep.block_values))
         monkeypatch.setattr(trust_region, "_contract", counted_contract)
         for name in ("apply_full", "apply_full_many"):
             monkeypatch.setattr(SymTensor, name, counted(
@@ -841,6 +841,9 @@ class TestRandomCubic:
     def test_validation(self):
         with pytest.raises(DomainError):
             random_cubic(0, 1)
+        for seed in (-1, 2.5, math.nan, None):
+            with pytest.raises(DomainError, match="seed must be an integer"):
+                random_cubic(4, seed)
 
 
 class TestSerialization:

@@ -162,8 +162,10 @@ def _initial_point(problem: FractionalProblem, config: DinkelbachConfig,
                               f"({problem.dim},)")
     else:
         x0 = rng.uniform(init.lo, init.hi, size=problem.dim)
-    nx = math.sqrt(np.dot(x0, x0))
-    # a NaN or inf entry makes the norm NaN or inf, which fails the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        nx = math.sqrt(np.dot(x0, x0))
+    # a NaN or inf entry, or a sum that overflows, makes the norm NaN or
+    # inf, which fails the test
     if not 0.0 < nx < math.inf:
         raise ConfigError(f"initial point has norm {nx}; it needs a finite "
                           f"nonzero norm")

@@ -92,9 +92,10 @@ class Uniform:
     hi: float = 1.0
 
     def __post_init__(self):
-        # written so that NaN fails the test
-        if not -math.inf < self.lo < self.hi < math.inf:
-            raise ConfigError(f"init needs finite lo < hi, got "
+        # written so that NaN fails the test; a draw needs hi - lo finite
+        if not (-math.inf < self.lo < self.hi < math.inf
+                and self.hi - self.lo < math.inf):
+            raise ConfigError(f"init needs finite lo < hi and hi - lo, got "
                               f"lo={self.lo}, hi={self.hi}")
 
 
@@ -593,7 +594,10 @@ class _Pool:
         rng = request.rng if request.rng is not None \
             else np.random.default_rng(config.seed)
         blocks = f.blocks[slot]
-        _init_blocks(init, rng, blocks)
+        # a start whose b . b overflows reads norm inf, which fails the
+        # norm test as a NaN entry does, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            _init_blocks(init, rng, blocks)
         row = f.stack[slot]
         if b is None:
             a_theta, fro = a.dense.reshape(-1), a.frobenius_norm()

@@ -10,10 +10,10 @@ flat position (the position index). Every tensor built from class values is
 one length-C vector laid out through that index by chunked takes; everything
 else is read from the array through the table. Every contraction that
 leaves slots free (multilinear forms, their partials, the slot-gradient)
-runs through one kernel on the array: repeated matrix-vector products over
-the trailing axis. The sweeps of the PAM pool run the same products stacked
-over a (T, n**m) array of such tensors, in the same order for every row, so
-a row rounds exactly as the kernel does on its own tensor. The homogeneous
+runs through one kernel on the array: repeated vector-matrix products over
+the leading slot, which BLAS streams. The PAM pool's sweeps run the same
+products stacked over a (T, n**m) array, in the same order for every row,
+so a row rounds exactly as the kernel does on its own tensor. The homogeneous
 form runs over the whole table, bound as it is by every tensor and the
 pool, with permutation counts as weights: C(n+m-1, m) terms, not n**m. Only
 the Frobenius norm and the canonical map skip classes whose value is zero.
@@ -102,11 +102,11 @@ def _check_point(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _contract(dense: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract the trailing len(blocks) slots of a dense symmetric array,
-    the last block on the last slot; returns the flattened remainder."""
+    """Contract the leading len(blocks) slots of a dense symmetric array,
+    the last block on the first slot; returns the flattened remainder."""
     out = dense.reshape(-1)
     for b in reversed(blocks):
-        out = out.reshape(-1, b.shape[0]) @ b
+        out = b @ out.reshape(b.shape[0], -1)
     return out if len(blocks) else out.copy()
 
 
@@ -118,8 +118,8 @@ class _SweepPlan:
     symmetric tensor, and blocks is (T, d, n); both are kept as views, so
     a plan serves every sweep over the same arrays. :meth:`partial` (j)
     returns the (T, n) array whose row t contracts tensor t with
-    blocks[t, i] on every slot i != j. Each row takes the matrix-vector
-    products of :func:`_contract` in its order, so it equals
+    blocks[t, i] on every slot i != j: (T, 1, n) @ (T, n, k) products,
+    each row those of :func:`_contract` in its order, so it equals
     ``_contract(stack[t], [blocks[t, i] for i != j])`` bit for bit. A sweep
     asks for slots 0, ..., d - 1 in order: slot 0 builds the suffixes over
     slots d-1, ..., 1 from the blocks as they are then, and slot j
@@ -135,7 +135,7 @@ class _SweepPlan:
         if stack.shape != (t, n ** d):
             raise DimError(f"expected a ({t}, {n ** d}) stack for blocks "
                            f"of shape {blocks.shape}, got {stack.shape}")
-        cols = [blocks[:, k, :, None] for k in range(d)]
+        rows = [blocks[:, k, None, :] for k in range(d)]
         outs = []
 
         def chain(src, slots):
@@ -143,8 +143,8 @@ class _SweepPlan:
             for k in slots:
                 out = np.empty((t, src.shape[1] // n))
                 outs.append(out)
-                steps.append((src.reshape(t, -1, n), cols[k],
-                              out.reshape(t, -1, 1)))
+                steps.append((rows[k], src.reshape(t, n, -1),
+                              out.reshape(t, 1, -1)))
                 src = out
             return steps, src
 
@@ -166,14 +166,14 @@ class _SweepPlan:
         """Run the first t rows of the stacked steps; one row runs them as
         np.dot on 2-D views, the same gemv as matmul but cheaper to call."""
         self._mul = np.dot if t == 1 else np.matmul
-        self._steps = [[(src[0], col[0, :, 0], dst[0, :, 0]) if t == 1
-                        else (src[:t], col[:t], dst[:t])
-                        for src, col, dst in s] for s in steps]
+        self._steps = [[(row[0, 0], src[0], dst[0, 0]) if t == 1
+                        else (row[:t], src[:t], dst[:t])
+                        for row, src, dst in s] for s in steps]
 
     def partial(self, j: int) -> np.ndarray:
         """Slot j's partials, in a buffer the next sweep overwrites."""
-        for src, col, dst in self._steps[j]:
-            self._mul(src, col, dst)
+        for row, src, dst in self._steps[j]:
+            self._mul(row, src, dst)
         for src in self._order_one:
             np.copyto(self._partials[0], src)
         return self._partials[j]

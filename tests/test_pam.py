@@ -455,6 +455,25 @@ class TestPamSolve:
             env=env, capture_output=True, text=True, timeout=60, check=True)
         assert "100 draws" in proc.stdout
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norms_raise_config_error_without_a_warning(self):
+        # every draw from [-1e300, 1e300] and every block holding 1e300
+        # have b . b = inf: the norm used to leak NumPy's overflow warning,
+        # which warnings-as-errors raised in place of ConfigError
+        with pytest.raises(ConfigError, match="100 draws"):
+            pam_solve(identity_tensor(2, 2), PamConfig(
+                gammas=(1.0, 1.0), init=Uniform(-1e300, 1e300)))
+        e2, huge = np.array([0.0, 1.0]), np.array([1e300, 1.0])
+        with pytest.raises(ConfigError, match="finite norm"):
+            pam_solve(A1, PamConfig(gammas=(1.0, 1.0),
+                                    init=Given((e2, huge))))
+        # the fractional loop's first point, given or drawn
+        for init in (Given((huge, huge)), Uniform(-1e300, 1e300)):
+            with pytest.raises(ConfigError, match="finite nonzero norm"):
+                dinkelbach_solve(build_problem(A1, "Z").fractional,
+                                 DinkelbachConfig(inner=PamConfig(
+                                     gammas=(1.0, 1.0), init=init)))
+
     def test_order_mismatch(self):
         with pytest.raises(ArityError):
             pam_solve(A1, PamConfig(gammas=(1.0,) * 4))
@@ -825,8 +844,8 @@ class TestErrorState:
         assert states == [want] * 2
 
     def test_one_errstate_per_run(self, monkeypatch):
-        # entered once for the run and once per subproblem handed on, not
-        # once per tick
+        # entered once for the run and once per subproblem handed on or
+        # started, not once per tick
         entered = Counter()
         errstate = np.errstate
 
@@ -841,8 +860,11 @@ class TestErrorState:
             PamStats())
         assert sweeps[0] == res.iterations > 3
         assert entered[("divide", "invalid")] == 1
-        # the first request, then the result handed back
-        assert sum(entered.values()) == 3
+        # the start's norms, which may overflow
+        assert entered[("invalid", "over")] == 1
+        # and the caller's state for the first request, then the result
+        # handed back
+        assert sum(entered.values()) == 4
 
 
 class TestIdleFrames:
@@ -1170,8 +1192,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("lo,hi", [
         (0.0, 0.0), (1.0, -1.0), (math.nan, 1.0), (0.0, math.nan),
-        (-math.inf, 1.0), (0.0, math.inf)])
+        (-math.inf, 1.0), (0.0, math.inf), (-1.7e308, 1.7e308)])
     def test_uniform_needs_finite_ordered_bounds(self, lo, hi):
+        # hi - lo = inf used to pass, and the first draw raised NumPy's
+        # OverflowError
         with pytest.raises(ConfigError, match="finite lo < hi"):
             Uniform(lo, hi)
 

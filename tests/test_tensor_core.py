@@ -504,6 +504,20 @@ class TestSweepPartials:
                     assert np.shares_memory(head.partial_buffer(j),
                                             whole.partial_buffer(j))
 
+    @pytest.mark.parametrize("m,n", [(6, 4), (4, 3)])
+    def test_four_row_pool_plans_and_their_heads(self, m, n):
+        # the pool's own shapes: four rows of order 6 on R^4 (study 5.2)
+        # and of order 4 on R^3 (studies 5.1 and 5.3), then the heads of
+        # 1-3 rows a pool sweeps below its capacity
+        rng = np.random.default_rng(660 + m)
+        tensors = [random_symtensor(m, n, rng) for _ in range(4)]
+        stack = np.stack([a.dense.reshape(-1) for a in tensors])
+        blocks = rng.standard_normal((4, m, n))
+        whole = _SweepPlan(stack, blocks)
+        self._sweep(whole, tensors, blocks, rng)
+        for t in (1, 2, 3):
+            self._sweep(whole.head(t), tensors[:t], blocks, rng)
+
     def test_partials_do_not_alias_the_tensor(self):
         a = SymTensor.from_entries(1, 3, [((2,), 5.0)])
         stack = a.dense.reshape(1, -1).copy()

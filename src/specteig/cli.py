@@ -27,7 +27,7 @@ from .errors import (ArityError, ConfigError, DenominatorError, DimError,
                      DomainError, DuplicateEntryError, NumericalError,
                      ParseError, SpecteigError)
 from .pam import PamConfig, Uniform, pam_solve
-from .tensor_core import SymTensor, load_tensor
+from .tensor_core import SymTensor, _contract, load_tensor
 from .trust_region import (BoundaryConfig, TaylorPoly, check_second_order,
                            load_poly, random_cubic, solve_boundary)
 
@@ -493,17 +493,11 @@ def _random_symtensor(m: int, n: int, rng: np.random.Generator) -> SymTensor:
 
 def _surrogate_hessian(a: SymTensor, alpha: float,
                        x: np.ndarray) -> np.ndarray:
-    """Exact Hessian of the shifted homogeneous form, assembled through
-    multilinear contractions only."""
+    """Exact Hessian of the shifted homogeneous form: the tensor's part
+    contracts m - 2 slots with x, in one kernel call."""
     m, n = a.order, a.dim
-    hess = np.zeros((n, n))
+    hess = m * (m - 1) * _contract(a.dense, [x] * (m - 2)).reshape(n, n)
     eye = np.eye(n)
-    for i in range(n):
-        for j in range(i, n):
-            blocks = [eye[i], eye[j]] + [x] * (m - 2)
-            val = m * (m - 1) * a.multilinear_apply(blocks)
-            hess[i, j] = val
-            hess[j, i] = val
     nsq = float(np.dot(x, x))
     if m >= 4:
         hess -= alpha * m * (m - 2) * nsq ** ((m - 4) // 2) * np.outer(x, x)

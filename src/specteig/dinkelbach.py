@@ -25,12 +25,11 @@ from typing import Generator
 
 import numpy as np
 
-from .errors import (ArityError, ConfigError, DenominatorError, DimError,
-                     NumericalError)
+from .errors import ArityError, DenominatorError, DimError, NumericalError
 from .pam import (Given, PamConfig, PamRequest, PamResult, Uniform,
-                  run_alone)
+                  _starts, run_alone)
 from .tensor_core import (HDiagonal, SymTensor, ZIdentity, _check_count,
-                          _check_point)
+                          _check_real, _check_type, _unit_point)
 
 __all__ = [
     "FractionalProblem",
@@ -76,10 +75,8 @@ class FractionalProblem:
 
     def __post_init__(self):
         a, b = self.numerator, self.denominator
-        for name, op in (("numerator", a), ("denominator", b)):
-            if not isinstance(op, SymTensor):
-                raise ConfigError(f"{name} must be a SymTensor, got "
-                                  f"{type(op).__name__}")
+        _check_type("numerator", a, SymTensor)
+        _check_type("denominator", b, SymTensor)
         if a.order != b.order:
             raise ArityError(f"numerator order {a.order} does not match "
                              f"denominator order {b.order}")
@@ -119,9 +116,8 @@ class DinkelbachConfig:
     k_max: int = 50
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ConfigError(f"tol must be positive and finite, "
-                              f"got {self.tol}")
+        _check_type("inner", self.inner, PamConfig)
+        _check_real("tol", self.tol, positive=True)
         _check_count("k_max", self.k_max)
 
 
@@ -143,32 +139,18 @@ def f_theta(problem: FractionalProblem, theta: float,
             x: np.ndarray) -> float:
     """Parametric objective f(x) - theta * g(x) at x normalized to the
     sphere. A non-finite x raises DomainError."""
-    x = _check_point(x, problem.dim)
-    nx = math.sqrt(np.dot(x, x))
-    if nx == 0.0:
-        raise DenominatorError("cannot normalize the zero vector")
-    x = x / nx
+    x = _unit_point(x, problem.dim)
     return (problem.numerator.apply_full(x)
             - theta * problem.denominator.apply_full(x))
 
 
 def _initial_point(problem: FractionalProblem, config: DinkelbachConfig,
                    rng: np.random.Generator) -> np.ndarray:
+    """The first start of inner.init by the pool's rule (_starts): the
+    first of the given blocks, or one draw, divided by its norm."""
     init = config.inner.init
-    if isinstance(init, Given):
-        x0 = np.asarray(init.blocks[0], dtype=float)
-        if x0.shape != (problem.dim,):
-            raise ConfigError(f"init block 0 has shape {x0.shape}, expected "
-                              f"({problem.dim},)")
-    else:
-        x0 = rng.uniform(init.lo, init.hi, size=problem.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        nx = math.sqrt(np.dot(x0, x0))
-    # a NaN or inf entry, or a sum that overflows, makes the norm NaN or
-    # inf, which fails the test
-    if not 0.0 < nx < math.inf:
-        raise ConfigError(f"initial point has norm {nx}; it needs a finite "
-                          f"nonzero norm")
+    d = len(config.inner.gammas) if isinstance(init, Given) else 1
+    x0, nx = _starts(init, rng, d, problem.dim)[0]
     return x0 / nx
 
 

@@ -33,7 +33,8 @@ from .dinkelbach import (DinkelbachConfig, FractionalProblem,
 from .errors import ConfigError, DenominatorError, NumericalError
 from .pam import PamStats, run_lockstep
 from .tensor_core import (HDiagonal, SymTensor, ZIdentity, _check_count,
-                          _check_point)
+                          _check_point, _check_real, _check_same_shape,
+                          _check_type, _unit_point)
 
 logger = logging.getLogger(__name__)
 
@@ -78,18 +79,13 @@ class GeneralizedEigenProblem:
         if self.extremum not in EXTREMA:
             raise ConfigError(f"extremum must be one of {EXTREMA}, "
                               f"got {self.extremum!r}")
-        if not isinstance(self.a, SymTensor):
-            raise ConfigError(f"numerator must be a SymTensor, got "
-                              f"{type(self.a).__name__}")
+        _check_type("numerator", self.a, SymTensor)
         required = _KIND_DENOMINATOR[self.kind]
         if not isinstance(self.b, required):
             raise ConfigError(f"kind {self.kind} requires a "
                               f"{required.__name__} denominator, got "
                               f"{type(self.b).__name__}")
-        if self.a.order != self.b.order or self.a.dim != self.b.dim:
-            raise ConfigError(
-                f"operator shapes disagree: ({self.a.order},{self.a.dim}) "
-                f"vs ({self.b.order},{self.b.dim})")
+        _check_same_shape(self.a, self.b, ConfigError)
 
     @cached_property
     def fractional(self) -> FractionalProblem:
@@ -125,11 +121,7 @@ def build_problem(a: SymTensor, kind: str, b: SymTensor | None = None,
 def rayleigh(problem: GeneralizedEigenProblem, x: np.ndarray) -> float:
     """Ratio A x^m / B x^m at x normalized to the unit sphere. A
     non-finite x raises DomainError."""
-    x = _check_point(x, problem.a.dim)
-    nx = math.sqrt(np.dot(x, x))
-    if nx == 0.0:
-        raise DenominatorError("cannot normalize the zero vector")
-    x = x / nx
+    x = _unit_point(x, problem.a.dim)
     g = problem.b.apply_full(x)
     if g == 0.0:
         raise DenominatorError("denominator form vanishes at x")
@@ -249,14 +241,14 @@ def solve_multistart(problem: GeneralizedEigenProblem, trials: int,
     run in one lockstep pool per process (jobs > 1 splits them into jobs
     contiguous parts), and the pool warnings of the whole run are logged
     once. trials and jobs must be integers >= 1, base_seed one >= 0 and
-    cluster_tol positive; anything else raises ConfigError before a run.
+    cluster_tol positive and finite; anything else raises ConfigError
+    before a run.
     """
+    _check_type("config", config, DinkelbachConfig)
     _check_count("trials", trials)
     _check_count("jobs", jobs)
     _check_count("base_seed", base_seed, least=0)
-    # written so that NaN fails the test
-    if not cluster_tol > 0:
-        raise ConfigError(f"cluster_tol must be positive, got {cluster_tol}")
+    _check_real("cluster_tol", cluster_tol, positive=True)
     # built here, so that a denominator that fails its vetting raises
     # before any trial runs, and pickled with the problem for jobs > 1
     problem.fractional

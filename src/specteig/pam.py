@@ -57,6 +57,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import numbers
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -68,6 +69,7 @@ import numpy as np
 from .errors import (ArityError, ConfigError, DimError, DomainError,
                      NumericalError)
 from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, _check_count,
+                          _check_real, _check_same_shape, _check_type,
                           _class_table, _form_values, _frobenius,
                           _SweepPlan, identity_tensor)
 
@@ -92,6 +94,8 @@ class Uniform:
     hi: float = 1.0
 
     def __post_init__(self):
+        _check_type("lo", self.lo, numbers.Real)
+        _check_type("hi", self.hi, numbers.Real)
         # written so that NaN fails the test; a draw needs hi - lo finite
         if not (-math.inf < self.lo < self.hi < math.inf
                 and self.hi - self.lo < math.inf):
@@ -126,18 +130,13 @@ class PamConfig:
     init: InitSpec = field(default_factory=Uniform)
 
     def __post_init__(self):
-        if len(self.gammas) < 1:
-            raise ConfigError("gammas must name at least one block")
-        # written so that NaN fails each test
-        if not all(0 <= g < math.inf for g in self.gammas):
-            raise ConfigError(f"gammas must be nonnegative and finite, "
-                              f"got {self.gammas}")
-        if self.alpha is not None and not 0 <= self.alpha < math.inf:
-            raise ConfigError(f"alpha must be nonnegative and finite, "
-                              f"got {self.alpha}")
-        if not 0 < self.eps < math.inf:
-            raise ConfigError(f"eps must be positive and finite, "
-                              f"got {self.eps}")
+        _check_type("gammas", self.gammas, tuple)
+        _check_count("the block count len(gammas)", len(self.gammas))
+        for gamma in self.gammas:
+            _check_real("each gamma", gamma)
+        if self.alpha is not None:
+            _check_real("alpha", self.alpha)
+        _check_real("eps", self.eps, positive=True)
         _check_count("max_iter", self.max_iter)
         _check_count("seed", self.seed, least=0)
 
@@ -311,40 +310,46 @@ class _ProxStep:
         out[degenerate] = prev[degenerate]
 
 
-def _init_blocks(init: np.ndarray | InitSpec,
-                 rng: np.random.Generator | None, out: np.ndarray) -> None:
-    """Write unit starting blocks into the (d, dim) array out, each vector
-    b scaled by 1.0 / |b| (b / |b| rounds differently), with |b| =
-    sqrt(b . b) as np.linalg.norm takes it: a start vector into every
-    block, or the d given vectors or uniform draws (from rng) of an
-    InitSpec."""
-    d, dim = out.shape
-    if isinstance(init, Uniform):
-        for j in range(d):
-            for _ in range(_MAX_DRAWS):
-                b = rng.uniform(init.lo, init.hi, size=dim)
+def _starts(init: np.ndarray | InitSpec, rng: np.random.Generator | None,
+            d: int, dim: int) -> list[tuple[np.ndarray, float]]:
+    """The vectors b of a start, one vector, the d given ones or d uniform
+    draws from rng, with their norms |b| = sqrt(b . b) as np.linalg.norm
+    takes it. Each norm must be finite and at least DEGENERATE_TOL: a draw
+    is redrawn, up to _MAX_DRAWS times, and a given vector is not. A NaN or
+    inf entry, or a b . b that overflows, reads norm NaN or inf without a
+    warning."""
+    drawn = isinstance(init, Uniform)
+    given = init.blocks if isinstance(init, Given) else (init,)
+    if isinstance(init, Given) and len(given) != d:
+        raise ConfigError(f"init has {len(given)} blocks, expected {d}")
+    starts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d if drawn else len(given)):
+            for _ in range(_MAX_DRAWS if drawn else 1):
+                b = rng.uniform(init.lo, init.hi, size=dim) if drawn \
+                    else np.asarray(given[j], dtype=float)
+                if b.shape != (dim,):
+                    raise ConfigError(f"init block {j} has shape "
+                                      f"{b.shape}, expected ({dim},)")
                 nb = math.sqrt(np.dot(b, b))
                 if DEGENERATE_TOL <= nb < math.inf:
                     break
             else:
-                raise ConfigError(f"{_MAX_DRAWS} draws from {init} gave no "
-                                  f"finite norm of at least {DEGENERATE_TOL}")
-            np.multiply(1.0 / nb, b, out[j])
-        return
-    given = init.blocks if isinstance(init, Given) else (init,)
-    if isinstance(init, Given) and len(given) != d:
-        raise ConfigError(f"init has {len(given)} blocks, expected {d}")
-    for j, b in enumerate(given):
-        b = np.asarray(b, dtype=float)
-        if b.shape != (dim,):
-            raise ConfigError(f"init block {j} has shape {b.shape}, "
-                              f"expected ({dim},)")
-        nb = math.sqrt(np.dot(b, b))
-        # a NaN or inf entry makes the norm NaN or inf, which fails the test
-        if not DEGENERATE_TOL <= nb < math.inf:
-            raise ConfigError(f"init block {j} has norm {nb}; it needs a "
-                              f"finite norm of at least {DEGENERATE_TOL}")
-        np.multiply(1.0 / nb, b, out if len(given) == 1 else out[j])
+                source = f"{_MAX_DRAWS} draws from {init}" if drawn \
+                    else f"init block {j} (norm {nb})"
+                raise ConfigError(f"{source} gave no finite norm of at "
+                                  f"least {DEGENERATE_TOL}")
+            starts.append((b, nb))
+    return starts
+
+
+def _init_blocks(init: np.ndarray | InitSpec,
+                 rng: np.random.Generator | None, out: np.ndarray) -> None:
+    """Write the starts of init into the (d, dim) array out, each b scaled
+    by 1.0 / |b| (b / |b| rounds differently); one vector fills each row."""
+    starts = _starts(init, rng, *out.shape)
+    for j, (b, nb) in enumerate(starts):
+        np.multiply(1.0 / nb, b, out if len(starts) == 1 else out[j])
 
 
 class _Member:
@@ -573,9 +578,8 @@ class _Pool:
             raise ArityError(f"operator order {a.order} does not "
                              f"match block count {d}")
         dim = a.dim
-        if b is not None and (b.order, b.dim) != (d, dim):
-            raise DimError(f"shape mismatch: ({d},{dim}) vs "
-                           f"({b.order},{b.dim})")
+        if b is not None:
+            _check_same_shape(a, b)
         identity = identity_tensor(d, dim).dense.reshape(-1)
         if not self.capacity:
             # the idle sweep of the shape and capacity, or a new one
@@ -594,10 +598,7 @@ class _Pool:
         rng = request.rng if request.rng is not None \
             else np.random.default_rng(config.seed)
         blocks = f.blocks[slot]
-        # a start whose b . b overflows reads norm inf, which fails the
-        # norm test as a NaN entry does, without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            _init_blocks(init, rng, blocks)
+        _init_blocks(init, rng, blocks)
         row = f.stack[slot]
         if b is None:
             a_theta, fro = a.dense.reshape(-1), a.frobenius_norm()
@@ -755,9 +756,7 @@ def pam_solve(a_theta: SymTensor, config: PamConfig,
     DIAGONAL_GAP_SLACK, are each reported in one warning. This is a
     one-member run of :func:`run_lockstep`.
     """
-    if not isinstance(a_theta, SymTensor):
-        raise ConfigError(f"a_theta must be a SymTensor, got "
-                          f"{type(a_theta).__name__}")
+    _check_type("a_theta", a_theta, SymTensor)
     return run_alone(_await(PamRequest(a_theta, config, rng)))
 
 
@@ -791,11 +790,9 @@ def kl_exponent(d: int, n: int) -> tuple[float, float]:
     rate = tau / (1 - 2 tau), the power-law decay exponent of the iterate
     error. Requires d >= 2 and n >= 2; tau < 1/2 always holds there.
     """
-    if not isinstance(d, int) or not isinstance(n, int):
-        raise DomainError("d and n must be integers")
-    if d < 2 or n < 2:
-        raise DomainError(f"need d >= 2 and n >= 2, got d={d}, n={n}")
+    _check_count("d", d, DomainError, 2)
+    _check_count("n", n, DomainError, 2)
+    # Python ints: (3d - 3)**(dn - 1) overflows an np.int64 at (6, 4)
+    d, n = int(d), int(n)
     tau = 1.0 / (d * (3 * d - 3) ** (d * n - 1))
-    if not tau < 0.5:
-        raise DomainError(f"exponent {tau} is not below 1/2 at d={d}, n={n}")
     return tau, tau / (1.0 - 2.0 * tau)

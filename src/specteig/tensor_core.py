@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
@@ -45,6 +45,7 @@ import numpy as np
 from .errors import (
     ArityError,
     ConfigError,
+    DenominatorError,
     DimError,
     DomainError,
     DuplicateEntryError,
@@ -73,8 +74,36 @@ def _check_count(name: str, value, error: type = ConfigError,
                  least: int = 1) -> None:
     """Raise error unless value is an integer >= least: an order, a
     dimension, an iteration limit or a count, or with least 0 a seed."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    # an int skips the ABC isinstance, about 0.6 us: pools check shapes
+    if type(value) is not int and not isinstance(value, numbers.Integral) \
+            or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_real(name: str, value, error: type = ConfigError,
+                positive: bool = False) -> None:
+    """Raise error unless value is a finite real, > 0 if positive else >= 0."""
+    if not (isinstance(value, numbers.Real) and value < math.inf
+            and (value > 0 if positive else value >= 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise error(f"{name} must be {sign} and finite, got {value!r}")
+
+
+def _check_type(name: str, value, cls: type) -> None:
+    """Raise ConfigError unless value is an instance of cls."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"{name} must be a {cls.__name__}, got "
+                          f"{type(value).__name__}")
+
+
+def _check_same_shape(a: "SymTensor", b: "SymTensor",
+                      error: type = DimError) -> None:
+    """Raise ConfigError unless both are tensors, error unless of one shape."""
+    _check_type("a", a, SymTensor)
+    _check_type("b", b, SymTensor)
+    if a.order != b.order or a.dim != b.dim:
+        raise error(f"shape mismatch: ({a.order},{a.dim}) vs "
+                    f"({b.order},{b.dim})")
 
 
 def _check_shape(order: int, dim: int) -> None:
@@ -99,6 +128,15 @@ def _check_point(x: np.ndarray, dim: int) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DomainError("expected a finite vector")
     return x
+
+
+def _unit_point(x: np.ndarray, dim: int) -> np.ndarray:
+    """_check_point over its norm; the zero vector raises DenominatorError."""
+    x = _check_point(x, dim)
+    nx = math.sqrt(np.dot(x, x))
+    if nx == 0.0:
+        raise DenominatorError("cannot normalize the zero vector")
+    return x / nx
 
 
 def _contract(dense: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -457,9 +495,7 @@ class SymTensor:
 
 def frobenius_inner(a: SymTensor, b: SymTensor) -> float:
     """Frobenius inner product of two symmetric tensors of the same shape."""
-    if a.order != b.order or a.dim != b.dim:
-        raise DimError(f"shape mismatch: ({a.order},{a.dim}) vs "
-                       f"({b.order},{b.dim})")
+    _check_same_shape(a, b)
     return float(np.vdot(a.dense, b.dense))
 
 
@@ -467,7 +503,20 @@ def _double_factorial(k: int) -> int:
     return math.prod(range(k, 0, -2)) if k > 0 else 1
 
 
-@lru_cache(maxsize=None)
+def _cached_by_shape(build):
+    """build(order, dim) cached per shape, the shape checked before the
+    cache, whose keys hold 2.0 equal to 2."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def checked(order: int, dim: int) -> SymTensor:
+        _check_shape(order, dim)
+        return cached(order, dim)
+    checked.cache_clear = cached.cache_clear
+    return checked
+
+
+@_cached_by_shape
 def identity_tensor(order: int, dim: int) -> SymTensor:
     """Symmetric tensor whose homogeneous form is the order-th power of the
     Euclidean norm.
@@ -480,7 +529,6 @@ def identity_tensor(order: int, dim: int) -> SymTensor:
     """
     if order % 2 != 0:
         raise ArityError(f"identity tensor needs even order, got {order}")
-    _check_shape(order, dim)
     denom = _double_factorial(order - 1)
     canon: dict[tuple[int, ...], float] = {}
     for comb in combinations_with_replacement(range(dim), order // 2):
@@ -491,7 +539,7 @@ def identity_tensor(order: int, dim: int) -> SymTensor:
     return SymTensor(order, dim, canon)
 
 
-@lru_cache(maxsize=None)
+@_cached_by_shape
 def diagonal_tensor(order: int, dim: int) -> SymTensor:
     """Symmetric tensor with ones on the diagonal and zeros elsewhere."""
     return SymTensor(order, dim, {(i,) * order: 1.0 for i in range(dim)})
@@ -538,9 +586,7 @@ class HDiagonal(SymTensor):
 
 def axpy(a: SymTensor, b: SymTensor, theta: float) -> SymTensor:
     """The symmetric tensor A - theta * B, formed on the dense arrays."""
-    if a.order != b.order or a.dim != b.dim:
-        raise DimError(f"shape mismatch: ({a.order},{a.dim}) vs "
-                       f"({b.order},{b.dim})")
+    _check_same_shape(a, b)
     return SymTensor._from_dense(a.dense - theta * b.dense)
 
 

@@ -36,8 +36,9 @@ from .errors import (ConfigError, DimError, DomainError, NumericalError,
                      ParseError)
 from .pam import DEGENERATE_TOL, _BlockSweep, _keep_idle, _take_idle
 from .tensor_core import (SymTensor, _check_count, _check_point,
-                          _check_shape, _check_vector, _class_table,
-                          _contract, _dense_from_classes, identity_tensor)
+                          _check_real, _check_shape, _check_type,
+                          _check_vector, _class_table, _contract,
+                          _dense_from_classes, identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -78,10 +79,8 @@ class TaylorPoly:
 
     def __init__(self, n: int, p: int,
                  terms: Mapping[tuple[int, ...], float]):
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
-        if p < 1:
-            raise DomainError(f"p must be >= 1, got {p}")
+        _check_count("n", n, DomainError)
+        _check_count("p", p, DomainError)
         self.n = int(n)
         self.p = int(p)
         clean: dict[tuple[int, ...], float] = {}
@@ -120,8 +119,7 @@ class TaylorPoly:
         if g.ndim != 1:
             raise DimError(f"g must be a vector, got shape {g.shape}")
         n = g.shape[0]
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
+        _check_count("n", n, DomainError)
         h, t = np.asarray(h, dtype=float), np.asarray(t, dtype=float)
         if h.shape != (n, n) or t.shape != (n, n, n):
             raise DimError(f"blocks must have shapes ({n},), ({n},{n}), "
@@ -233,17 +231,12 @@ class BoundaryConfig:
     s0: np.ndarray | None = None
 
     def __post_init__(self):
-        # written so that NaN fails each test
-        for name in ("gamma", "alpha"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be nonnegative and finite, "
-                                  f"got {getattr(self, name)}")
-        for name in ("tol", "inner_eps"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, "
-                                  f"got {getattr(self, name)}")
-        for name in ("max_outer", "inner_max_iter"):
-            _check_count(name, getattr(self, name))
+        _check_real("gamma", self.gamma)
+        _check_real("alpha", self.alpha)
+        _check_real("tol", self.tol, positive=True)
+        _check_real("inner_eps", self.inner_eps, positive=True)
+        _check_count("max_outer", self.max_outer)
+        _check_count("inner_max_iter", self.inner_max_iter)
 
 
 @dataclass(frozen=True)
@@ -315,25 +308,26 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     one NumPy error state that ignores division and invalid values. A
     round takes the model value of every block from the sweep's one
     gather, block_values under the lift's weights: the block of least
-    value is picked, its class products give its value as apply_full does
-    and its lifted row gives the gradient. S
-    is constant on the lifted slice, so the sweeps minimize the model
-    itself; the multiplier only enters the stopping test, so the outer
-    value history is nonincreasing. A start off the sphere whose first
-    step direction is degenerate (the origin of a model with zero
-    gradient) would stay where it is, so the first round starts instead
-    from delta times the eigenvector of the smallest eigenvalue of the
-    model Hessian at the start.
+    value is picked, and its class products give its value as apply_full
+    does. S is constant on the lifted slice, so the sweeps minimize the
+    model itself; the multiplier only enters the stopping test, taken at
+    the end of each round, so the outer value history is nonincreasing.
+    A start off the sphere whose first step direction is degenerate (the
+    origin of a model with zero gradient) would stay where it is, so the
+    first round starts instead from delta times the eigenvector of the
+    smallest eigenvalue of the model Hessian at the start.
     """
     if config is None:
         config = BoundaryConfig()
-    if not 0 < delta < math.inf:
-        raise DomainError(f"delta must be positive and finite, got {delta}")
+    _check_type("poly", poly, TaylorPoly)
+    _check_real("delta", delta, DomainError, positive=True)
     n, p = poly.n, poly.p
     if config.s0 is not None:
         s = np.asarray(config.s0, dtype=float).copy()
         if s.shape != (n,):
             raise ConfigError(f"s0 has shape {s.shape}, expected ({n},)")
+        if not np.isfinite(s).all():
+            raise ConfigError("s0 must be finite")
     else:
         s = np.zeros(n)
     lift = poly.lifted
@@ -352,8 +346,9 @@ def solve_boundary(poly: TaylorPoly, delta: float,
         return abs(_norm(vec) - delta) <= 1e-10 * max(1.0, delta)
 
     if not on_boundary(s):
-        y = np.concatenate(([1.0], s))
-        w = _contract(stack[0], [y] * (p - 1))[1:] - config.gamma * s
+        # the first step's direction, from slot 0's partial at blocks (1, s)
+        blocks[0, :, 1:] = s
+        w = sweep.plan.partial(0)[0, 1:] - config.gamma * s
         if _norm(w) < DEGENERATE_TOL:
             s = delta * np.linalg.eigh(poly.hessian(s))[1][:, 0]
     lam = 0.0
@@ -364,12 +359,7 @@ def solve_boundary(poly: TaylorPoly, delta: float,
 
     # the sweeps divide by |w| and may meet NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        while outer < config.max_outer:
-            # grad: the model gradient at s, from the last lambda update
-            if outer > 0 and on_boundary(s) and _norm(
-                    grad + lam * s) < config.tol:
-                converged = True
-                break
+        while outer < config.max_outer and not converged:
             # Each round restarts the sweeps from identical copies of s, so
             # a round that stalls with blocks on different critical points
             # is pulled back together instead of stalling forever.
@@ -387,15 +377,13 @@ def solve_boundary(poly: TaylorPoly, delta: float,
                                "to %.6g; stopping without convergence",
                                outer, history[-1], new_val)
                 break
-            row = blocks[0, j]
-            s = row[1:].copy()
-            grad = p * _contract(lift.dense, [row] * (p - 1))[1:]
+            s = blocks[0, j, 1:].copy()
+            grad = poly.gradient(s)
             lam = -float(np.dot(s, grad)) / delta ** 2
             history.append(new_val)
-    gl_norm = _norm(grad + lam * s)
+            gl_norm = _norm(grad + lam * s)
+            converged = on_boundary(s) and gl_norm < config.tol
     _keep_idle(key, sweep)
-    if not converged and on_boundary(s) and gl_norm < config.tol:
-        converged = True
     if not converged:
         logger.warning("boundary solve stopped at %d rounds with "
                        "stationarity residual %.3g", outer, gl_norm)
@@ -448,8 +436,7 @@ def random_cubic(n: int, seed: int,
                  ) -> TaylorPoly:
     """Seeded cubic model with standard normal blocks g, H, T: gradient
     a*g, Hessian b*sym(H), third term c*sym(T) for (a, b, c) = scales."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_count("n", n, DomainError)
     _check_count("seed", seed, DomainError, 0)
     a, b, c = scales
     rng = np.random.default_rng(seed)

@@ -10,10 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import specteig
-from specteig.cli import main
+from specteig.cli import _random_symtensor, _surrogate_hessian, main
 
 MATRIX_TNS = "order 2\ndim 2\n1 1 1.0\n2 2 -2.0\n"
 IDENTITY_TNS = "order 2\ndim 2\n1 1 1.0\n2 2 1.0\n"
@@ -65,6 +66,25 @@ class TestParserErrors:
         with pytest.raises(SystemExit) as exc:
             main(["trust-region", "--random", "3", "--lambda-sign", "1"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("text", ["1", "a:b", "1:0", "0:0", "1:2:3"])
+    def test_bad_init_range_is_an_input_error(self, matrix_file, text,
+                                              capsys):
+        assert main(eigen_args(matrix_file, f"--init-range={text}")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: expected LO:HI" in captured.err \
+            or "input error: need LO < HI" in captured.err
+
+    @pytest.mark.parametrize("text", ["1:2", "a:b:c", "1:2:0", "1:2:-1",
+                                      "2:1:1"])
+    def test_bad_delta_sweep_is_an_input_error(self, text, capsys):
+        assert main(["trust-region", "--random", "3",
+                     f"--delta-sweep={text}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: expected LO:HI:STEP" in captured.err \
+            or "input error: need LO <= HI and STEP > 0" in captured.err
 
 
 class TestEigenCommand:
@@ -298,6 +318,21 @@ class TestVerifyCommand:
     def test_missing_data_dir_fails(self, tmp_path, capsys):
         assert main(["verify", "--seed", "1729",
                      "--data", str(tmp_path / "absent")]) == 4
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (4, 2), (4, 3),
+                                      (6, 2)])
+    def test_surrogate_hessian_is_the_entrywise_one(self, m, n):
+        # one contraction over m - 2 slots gives, bit for bit, each entry
+        # m (m - 1) A[e_i, e_j, x, ..., x] contracted on its own
+        rng = np.random.default_rng(10 * m + n)
+        a = _random_symtensor(m, n, rng)
+        x = rng.standard_normal(n)
+        eye = np.eye(n)
+        tensor_part = np.array([[m * (m - 1) * a.multilinear_apply(
+            [eye[i], eye[j]] + [x] * (m - 2)) for j in range(n)]
+            for i in range(n)])
+        got = _surrogate_hessian(a, 0.0, x)
+        assert got.tobytes() == tensor_part.tobytes()
 
 
 def _module_env():

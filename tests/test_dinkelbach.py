@@ -3,6 +3,7 @@ fourth-order example.
 """
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from specteig import (ArityError, BoundaryConfig, ConfigError,
                       DenominatorError, DimError, DinkelbachConfig,
-                      DomainError, FractionalProblem,
+                      DomainError, FractionalProblem, NumericalError,
                       Given, HDiagonal, PamConfig, SymTensor, Uniform,
                       ZIdentity,
                       dinkelbach_solve, identity_tensor)
@@ -214,6 +215,58 @@ class TestSolve:
         assert res.converged
         assert res.theta == pytest.approx(1.0, abs=1e-6)
         assert res.outer_iters == 1
+
+
+class TestTraceChecks:
+    """The three checks on the returned trace, each reached through
+    f_theta replaced by a function that scripts the parametric values."""
+
+    def test_theta_increase_raises(self, example2, monkeypatch):
+        # the first warm start is certified, every later one is not and
+        # its retry is: a retry from a fresh draw may land on a local
+        # minimum above theta
+        calls = itertools.count(1)
+        monkeypatch.setattr(dinkelbach, "f_theta", lambda problem, theta, x:
+                            1.0 if next(calls) % 2 == 0 else -1.0)
+        config = DinkelbachConfig(inner=PamConfig(gammas=(1.0,) * 4),
+                                  k_max=10)
+        with pytest.raises(NumericalError, match="theta increased at "
+                                                 "iteration 4"):
+            dinkelbach_solve(FractionalProblem(example2, ZIdentity(4, 3)),
+                             config)
+
+    def test_decrease_that_passes_the_guard_raises(self, monkeypatch):
+        # the guard tests f1 < f0 - slack and the check f0 > f1 + slack;
+        # the two round differently at this pair
+        f0 = float(np.nextafter(np.nextafter(-1.0, 0.0), 0.0))
+        f1 = f0 - dinkelbach.MONOTONE_SLACK
+        assert not f1 < f0 - dinkelbach.MONOTONE_SLACK
+        assert f0 > f1 + dinkelbach.MONOTONE_SLACK
+        values = iter([f0, f1])
+        monkeypatch.setattr(dinkelbach, "f_theta",
+                            lambda problem, theta, x: next(values))
+        p = FractionalProblem(matrix_tensor([3.0, 1.0]), ZIdentity(2, 2))
+        config = DinkelbachConfig(inner=PamConfig(gammas=(1.0, 1.0)),
+                                  k_max=2)
+        with pytest.raises(NumericalError, match="parametric value "
+                                                 "decreased at iteration 2"):
+            dinkelbach_solve(p, config)
+
+    def test_value_above_tolerance_raises(self, monkeypatch):
+        # a float the certification test takes as below tol; no plain
+        # float is recorded above tol
+        class Certified(float):
+            def __lt__(self, other):
+                return True
+
+        monkeypatch.setattr(dinkelbach, "f_theta",
+                            lambda problem, theta, x: Certified(2.0))
+        p = FractionalProblem(matrix_tensor([3.0, 1.0]), ZIdentity(2, 2))
+        config = DinkelbachConfig(inner=PamConfig(gammas=(1.0, 1.0)),
+                                  k_max=1)
+        with pytest.raises(NumericalError, match="exceeded the stopping "
+                                                 "tolerance from above"):
+            dinkelbach_solve(p, config)
 
 
 class TestTraceCsv:

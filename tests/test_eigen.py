@@ -122,6 +122,19 @@ class TestBuildProblem:
         with pytest.raises(ConfigError, match="numerator"):
             GeneralizedEigenProblem(np.eye(2), denominator, kind)
 
+    def test_built_directly_with_a_bad_field(self):
+        # the fields build_problem normalizes (case) or fills in (the
+        # denominator) are checked again when the problem is built directly
+        with pytest.raises(ConfigError, match="kind must be one of"):
+            GeneralizedEigenProblem(A1, ZIdentity(2, 2), "z")
+        with pytest.raises(ConfigError, match="extremum must be one of"):
+            GeneralizedEigenProblem(A1, ZIdentity(2, 2), "Z", "MAX")
+        for b in (ZIdentity(2, 3), ZIdentity(4, 2)):
+            with pytest.raises(ConfigError, match="shape mismatch"):
+                GeneralizedEigenProblem(A1, b, "Z")
+        with pytest.raises(ConfigError, match="shape mismatch"):
+            GeneralizedEigenProblem(A1, identity_matrix_tensor(3), "D")
+
 
 class TestRayleighResidual:
     def test_matrix_values(self):
@@ -147,6 +160,17 @@ class TestRayleighResidual:
         p = build_problem(A1, "Z")
         with pytest.raises(DenominatorError):
             rayleigh(p, np.zeros(2))
+
+    def test_vanishing_denominator_rejected(self):
+        # B = x1^4 is positive at every sampled unit vector, so it passes
+        # the vetting, and vanishes at e2
+        b = SymTensor.from_entries(4, 2, {(1, 1, 1, 1): 1.0})
+        p = build_problem(SymTensor.from_entries(4, 2, {(2, 2, 2, 2): 1.0}),
+                          "D", b=b)
+        p.fractional
+        assert rayleigh(p, np.array([1.0, 0.0])) == 0.0
+        with pytest.raises(DenominatorError, match="vanishes"):
+            rayleigh(p, np.array([0.0, 3.0]))
 
     @pytest.mark.parametrize("call", [
         rayleigh, lambda p, x: residual(p, 1.5, x)])

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specteig import (ArityError, ConfigError, DinkelbachConfig,
+from specteig import (ArityError, ConfigError, DimError, DinkelbachConfig,
                       DomainError, FractionalProblem, Given, HDiagonal,
                       PamConfig, SymTensor, Uniform, ZIdentity, axpy,
                       build_problem, diagonal_tensor, dinkelbach_solve,
@@ -431,7 +431,7 @@ class TestPamSolve:
         with pytest.raises(ConfigError, match="finite norm"):
             pam.run_alone(pam._await(PamRequest(
                 A1, PamConfig(gammas=(1.0, 1.0)), start=x)))
-        with pytest.raises(ConfigError, match="finite nonzero norm"):
+        with pytest.raises(ConfigError, match="finite norm"):
             dinkelbach_solve(build_problem(A1, "Z").fractional,
                              DinkelbachConfig(inner=PamConfig(
                                  gammas=(1.0, 1.0), init=Given((x, x)))))
@@ -467,9 +467,11 @@ class TestPamSolve:
         with pytest.raises(ConfigError, match="finite norm"):
             pam_solve(A1, PamConfig(gammas=(1.0, 1.0),
                                     init=Given((e2, huge))))
-        # the fractional loop's first point, given or drawn
-        for init in (Given((huge, huge)), Uniform(-1e300, 1e300)):
-            with pytest.raises(ConfigError, match="finite nonzero norm"):
+        # the fractional loop's first point, given or drawn, by the same
+        # rule: a draw is redrawn
+        for init, match in ((Given((huge, huge)), "finite norm"),
+                            (Uniform(-1e300, 1e300), "100 draws")):
+            with pytest.raises(ConfigError, match=match):
                 dinkelbach_solve(build_problem(A1, "Z").fractional,
                                  DinkelbachConfig(inner=PamConfig(
                                      gammas=(1.0, 1.0), init=init)))
@@ -494,6 +496,28 @@ class TestPamSolve:
         (res,), _ = run_lockstep([program()], PamStats())
         alone = pam_solve(A1, config)
         assert (res.value, res.history) == (alone.value, alone.history)
+
+    def test_the_pool_seats_one_shape(self):
+        # a request whose B differs from A in shape, and one of another
+        # shape than the pool's, are each thrown into their program, and
+        # the program's next request is seated as in a pool of its own
+        config = PamConfig(gammas=(1.0, 1.0), seed=3)
+
+        def program():
+            with pytest.raises(DimError, match=r"shape mismatch: \(2,2\) "
+                                               r"vs \(2,3\)"):
+                yield PamRequest(A1, config, b=identity_tensor(2, 3))
+            first = yield PamRequest(A1, config)
+            with pytest.raises(DimError, match=r"a pool of order-2 "
+                                               r"operators on R\^2 cannot "
+                                               r"seat order 2 on R\^3"):
+                yield PamRequest(identity_tensor(2, 3), config)
+            return first, (yield PamRequest(A1, config))
+
+        ((first, second),), _ = run_lockstep([program()], PamStats())
+        alone = pam_solve(A1, config)
+        for res in (first, second):
+            assert (res.value, res.history) == (alone.value, alone.history)
 
     @pytest.mark.parametrize("operand", [np.eye(2), None, [[1.0, 0.0]],
                                          A1.dense])
@@ -1249,3 +1273,8 @@ class TestKlExponent:
                 kl_exponent(*bad)
         with pytest.raises(DomainError):
             kl_exponent(2.0, 2)
+
+    def test_numpy_integers_count_as_python_ints(self):
+        # (3d - 3)**(dn - 1) overflows an np.int64 at (6, 4)
+        assert kl_exponent(np.int64(6), np.int64(4)) == kl_exponent(6, 4)
+        assert kl_exponent(6, 4)[0] > 0.0

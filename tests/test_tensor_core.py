@@ -609,6 +609,24 @@ class TestMultilinear:
         with pytest.raises(ArityError):
             A1.multilinear_apply([np.array([1.0, 0.0])])
 
+    def test_partial_arity_and_slot_checked(self):
+        e1 = np.array([1.0, 0.0])
+        for blocks in ([], [e1, e1]):
+            with pytest.raises(ArityError, match="expected 1 blocks"):
+                A1.multilinear_partial(blocks, 0)
+        for slot in (-1, 2):
+            with pytest.raises(IndexError, match="free_slot"):
+                A1.multilinear_partial([e1], slot)
+
+    def test_entry_arity_and_range_checked(self):
+        assert A1.entry(2, 2) == -2.0
+        for indices in ((1,), (1, 1, 1)):
+            with pytest.raises(ArityError, match="expected 2 indices"):
+                A1.entry(*indices)
+        for indices in ((0, 1), (1, 3)):
+            with pytest.raises(IndexError, match="out of range 1..2"):
+                A1.entry(*indices)
+
 
 class TestFrobenius:
     def test_matrix_norm(self):
@@ -953,6 +971,21 @@ class TestLoadTensor:
         path = tmp_path / "bad.tns"
         path.write_text("order 2\ndim 2\n1 1\n")
         with pytest.raises(ParseError):
+            load_tensor(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("order two\ndim 2\n", r"bad.tns:1: bad order 'two'"),
+        ("order 2\ndim 2.5\n", r"bad.tns:2: bad dim '2.5'"),
+        ("order 2\nn 2\n", r"bad.tns:2: expected 'dim n'"),
+        ("order 2\ndim 2\n1 x 1.0\n", r"bad.tns:3: malformed entry"),
+        ("order 2\ndim 2\n1 1 one\n", r"bad.tns:3: malformed entry"),
+        ("# only a comment\n", r"bad.tns: missing order/dim header"),
+        ("order 2\n", r"bad.tns: missing order/dim header"),
+    ])
+    def test_header_and_entry_errors(self, tmp_path, text, message):
+        path = tmp_path / "bad.tns"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
             load_tensor(path)
 
     @pytest.mark.parametrize("line", ["1 3 1.0", "0 1 1.0",

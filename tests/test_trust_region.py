@@ -154,6 +154,17 @@ class TestTaylorPoly:
     def test_random_cubic_lift_is_exactly_symmetric(self, n):
         self._equals_its_transposes(random_cubic(n, 70 + n).lifted.dense)
 
+    def test_from_cubic_checks_block_shapes(self):
+        g, h, t = cubic_blocks(3, 2)
+        with pytest.raises(DimError, match="g must be a vector"):
+            TaylorPoly.from_cubic(0.0, h, h, t)
+        with pytest.raises(DomainError, match="n must be an integer >= 1"):
+            TaylorPoly.from_cubic(0.0, g[:0], h[:0, :0], t[:0, :0, :0])
+        for blocks in ((h[:2], t), (h, t[:2]), (h[:, :, None], t),
+                       (h, t[:, :, 0])):
+            with pytest.raises(DimError, match="blocks must have shapes"):
+                TaylorPoly.from_cubic(0.0, g, *blocks)
+
     @pytest.mark.parametrize("block", ["f0", "g", "H", "T"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_from_cubic_rejects_non_finite_blocks(self, block, bad):
@@ -713,7 +724,7 @@ class TestRoundsMatchTheReference:
     def test_a_round_gathers_once(self, monkeypatch):
         # one class-product gather per round, no homogeneous-form call,
         # and no contraction over all p blocks (the value before a round's
-        # sweeps is slot 0's partial times block 0)
+        # sweeps, and the start test, are slot 0's plan partial)
         counts = Counter()
 
         def counted(name, fn):
@@ -741,9 +752,8 @@ class TestRoundsMatchTheReference:
             assert counts["gather"] == res.outer_iters
             assert counts["apply_full"] == counts["apply_full_many"] == 0
             assert counts["contract", p] == 0
-            # the start test (every start here is off the sphere), and one
-            # gradient per recorded round
-            assert counts["contract", p - 1] == len(res.history) + 1
+            # one gradient per recorded round
+            assert counts["contract", p - 1] == len(res.history)
 
 
 class TestCheckSecondOrder:

@@ -209,7 +209,8 @@ def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig,
                 break
         else:
             break
-        if trace and big_f < trace[-1][2] - MONOTONE_SLACK:
+        # the exact negation of the trace check below
+        if trace and trace[-1][2] > big_f + MONOTONE_SLACK:
             break
         trace.append((k, theta, big_f))
         x = v

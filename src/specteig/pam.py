@@ -16,29 +16,31 @@ one of :func:`pam_solve`, those of one fractional solve, or those of all
 trials of a multistart run. Its :class:`_BlockSweep`, the one sweep type
 of both solvers, owns every array the pool runs on: the blocks of its T
 seated subproblems in one (T, d, n) array, their surrogates as the rows of
-one (T, n**d) stack, and their gamma and weights rows. One tick runs one
-sweep of each: every slot's partials come from stacked contractions that
-share the suffix contractions across slots as fast CP-ALS does, every
-row's step from one batched closed form (:class:`_ProxStep`; a lone row
-takes its norm, guard and scale on Python floats and leaves the rules to
-the batched code), the multilinear value from the last partial dotted with
-its block, and every block's homogeneous value from one gather
-(:meth:`_BlockSweep.block_values`, which the boundary solver of
-:mod:`specteig.trust_region` reads too, on a one-row sweep whose steps skip
-the lead column). Each row rounds exactly as it would in a pool of one, so
-no result depends on what else is seated. The sweep is built for the
-pool's capacity, and the ticks of t seated subproblems run on a head of
-views of their first t rows, built once per row count. A pool that returns
-leaves its sweep idle, heads and all, for the next pool of the same order,
-dimension and capacity, which rewrites every row it seats: repeated calls
-of one shape (a benchmark, a study script, a loop over dinkelbach_solve)
-skip building it, and a one-shot call builds it as before. The boundary
-solver keeps the one-row sweep of each lift shape in the same idle store.
-The store keeps one entry per key, each of at most
-2 MiB and 4 MiB in all, and drops the oldest entries first to make room, so
-a large stack does not outlive its call. A pool turns off NumPy's divide
-and invalid warnings once for its run, for the sweeps, and gives its
-programs back their caller's error state.
+one (T, n**d) stack, their gamma and weights rows, and the buffers of its
+three steps. One tick runs one sweep of each: every slot's partials come
+from stacked contractions that share the suffix contractions across slots
+as fast CP-ALS does (:meth:`_BlockSweep.partial`), every row's step from
+one batched closed form (:meth:`_BlockSweep.prox`; a lone row takes its
+norm, guard and scale on Python floats and leaves the rules to the batched
+code), the multilinear value from the last partial dotted with its block,
+and every block's homogeneous value from one gather
+(:meth:`_BlockSweep.block_values`). The boundary solver of
+:mod:`specteig.trust_region` runs the same three steps on a one-row sweep
+whose steps skip the lead column. Each row rounds exactly as it would in a
+pool of one, so no result depends on what else is seated. The sweep is
+built for the pool's capacity, and the ticks of t seated subproblems run
+on a head, the sweep rebound to views of their first t rows, built once
+per row count. A pool that returns leaves its sweep idle, heads and all,
+for the next pool of the same order, dimension and capacity, which
+rewrites every row it seats: repeated calls of one shape (a benchmark, a
+study script, a loop over dinkelbach_solve) skip building it, and a
+one-shot call builds it as before. The boundary solver keeps the one-row
+sweep of each lift shape in the same idle store. The store keeps one
+entry per key, each of at most 2 MiB and 4 MiB in all, and drops the
+oldest entries first to make room, so a large stack does not outlive its
+call. A pool turns off NumPy's divide and invalid warnings once for its
+run, for the sweeps, and gives its programs back their caller's error
+state.
 
 A program (a generator) asks for each subproblem with a
 :class:`PamRequest`: the operators A and B, the parameter theta and a
@@ -71,7 +73,7 @@ from .errors import (ArityError, ConfigError, DimError, DomainError,
 from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, _check_count,
                           _check_real, _check_same_shape, _check_type,
                           _class_table, _form_values, _frobenius,
-                          _SweepPlan, identity_tensor)
+                          identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -236,80 +238,6 @@ class PamStats:
                            self.max_gap)
 
 
-class _ProxStep:
-    """The proximal block step for t rows at once on the sphere of one
-    radius r, with its buffers; the block step of both solvers.
-
-    Row i minimizes <c[i], x> + (gamma_i/2)|x - prev[i]|^2 on the sphere,
-    c[i] the surrogate's partial at the block's slot. On the sphere the
-    objective is <w, x> plus a constant, w = c[i] - gamma_i * prev[i], so
-    the minimizer is -r * w / |w|. Two rules decide the rows where that
-    formula does not: a degenerate w (norm below DEGENERATE_TOL) keeps
-    prev, and when the candidates +-r * w / |w| differ in objective (by
-    2 r |w|) by less than DEGENERATE_TOL, the one nearer prev wins. Both
-    apply only below guard = 2 DEGENERATE_TOL max(1, 0.5 / r), so a step
-    in which no |w| is below it (a NaN |w| is not) skips them.
-
-    A one-row step runs its norm |w|, the guard test and the scale
-    -r / |w| on Python floats, which round as the ufuncs do, and leaves a
-    row the guard stops, or a NaN |w|, to the batched code and its rules.
-    """
-
-    def __init__(self, t: int, n: int, radius: float):
-        self.w = np.empty((t, n))
-        self.nw = np.empty((t, 1))
-        self.nw_rows = self.nw[:, 0]
-        self.scale = np.empty((t, 1))
-        self.set_radius(radius)
-        self.row = self.w[0] if t == 1 else None
-
-    def set_radius(self, radius: float) -> None:
-        """Step onto the sphere of this radius from now on."""
-        self.radius = float(radius)
-        self.guard = 2.0 * DEGENERATE_TOL * max(1.0, 0.5 / self.radius)
-
-    def head(self, t: int) -> "_ProxStep":
-        """The step of the first t rows, on views of these buffers."""
-        head = object.__new__(_ProxStep)
-        head.__dict__ = {k: v[:t] if type(v) is np.ndarray else v
-                         for k, v in vars(self).items()}
-        head.row = head.w[0] if t == 1 else None
-        return head
-
-    def __call__(self, c: np.ndarray, damped: np.ndarray, prev: np.ndarray,
-                 out: np.ndarray) -> None:
-        """Write every row's step into out, given the blocks before the
-        step in prev and the rows gamma_i * prev[i] in damped."""
-        w = self.w
-        np.subtract(c, damped, w)
-        row = self.row
-        if row is not None:
-            v = math.sqrt(np.dot(row, row))
-            if v >= self.guard:
-                np.multiply(-self.radius / v, w, out)
-                return
-        nw = self.nw
-        # np.vecdot sums each row's |w|^2 with np.dot's BLAS ddot
-        np.vecdot(w, w, self.nw_rows)
-        np.sqrt(nw, nw)
-        np.divide(-self.radius, nw, self.scale)
-        np.multiply(self.scale, w, out)
-        # a NaN row compares False, so it cannot hide a tied row beside it
-        for (v,) in nw.tolist():
-            if v < self.guard:
-                break
-        else:
-            return
-        nw = self.nw_rows
-        degenerate = nw < DEGENERATE_TOL
-        tie = 2.0 * self.radius * nw < DEGENERATE_TOL
-        u = -out
-        aligned = (u[:, None, :] @ prev[:, :, None]).reshape(-1) > 0.0
-        keep_u = tie & ~degenerate & aligned
-        out[keep_u] = u[keep_u]
-        out[degenerate] = prev[degenerate]
-
-
 def _starts(init: np.ndarray | InitSpec, rng: np.random.Generator | None,
             d: int, dim: int) -> list[tuple[np.ndarray, float]]:
     """The vectors b of a start, one vector, the d given ones or d uniform
@@ -326,8 +254,12 @@ def _starts(init: np.ndarray | InitSpec, rng: np.random.Generator | None,
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(d if drawn else len(given)):
             for _ in range(_MAX_DRAWS if drawn else 1):
-                b = rng.uniform(init.lo, init.hi, size=dim) if drawn \
-                    else np.asarray(given[j], dtype=float)
+                try:
+                    b = rng.uniform(init.lo, init.hi, size=dim) if drawn \
+                        else np.asarray(given[j], dtype=float)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"init block {j} is not a vector of "
+                                      f"reals: {exc}") from exc
                 if b.shape != (dim,):
                     raise ConfigError(f"init block {j} has shape "
                                       f"{b.shape}, expected ({dim},)")
@@ -374,33 +306,55 @@ class _BlockSweep:
     R^n, the slot loop of both solvers, with every array it runs on, bound
     once: the (t, n**d) stack of surrogates, the (t, d, n) blocks, the
     rows gamma_rows and weights (over the shape's whole class table, zeros
-    included) that their owner writes, its plan, its step, and the
-    buffers of block_values and of the pool's ticks. The steps move the
-    tails of the blocks, from column lead on: the first lead columns are
-    set to 1.0 here and never written again, as the boundary solver's
-    lifted blocks need. prev keeps the tails from before the last sweep.
-    A sweep whose caller has already asked the plan for slot 0's partial,
-    from the blocks as they are, passes ready and skips that contraction.
-    The h operands are the last partial and the last block. table holds
-    the shape's class table and gather index, which a head shares whole.
-    nbytes counts the arrays the sweep allocated and _HEAD_BYTES per block
-    of each cached head."""
+    included) that their owner writes, the buffers of :meth:`partial`,
+    :meth:`prox` and block_values, and those of the pool's ticks. The
+    steps move the tails of the blocks, from column lead on: the first
+    lead columns are set to 1.0 here and never written again, as the
+    boundary solver's lifted blocks need. prev keeps the tails from before
+    the last sweep. A sweep whose caller has already asked for slot 0's
+    partial, from the blocks as they are, passes ready and skips that
+    contraction. The h operands are the last partial and the last block.
+    table holds the shape's class table and gather index, which a head
+    shares whole. nbytes counts the arrays the sweep allocated and
+    _HEAD_BYTES per block of each cached head."""
 
     def __init__(self, d: int, n: int, t: int, lead: int = 0):
+        self.lead = lead
         self.stack = np.empty((t, n ** d))
         self.blocks = np.empty((t, d, n))
         self.blocks[:, :, :lead] = 1.0
         self.tails = self.blocks[:, :, lead:]
-        self.plan = _SweepPlan(self.stack, self.blocks)
-        self.prox = _ProxStep(t, n - lead, 1.0)
+        self.last_block = self.blocks[:, -1]
         self.gamma_rows = np.empty((t, d))
         self.gammas = self.gamma_rows[:, :, None]
         self.prev, self.damped = np.empty((2,) + self.tails.shape)
-        self.slots = [(self.plan.partial_buffer(j)[:, lead:],
-                       self.damped[:, j], self.prev[:, j], self.tails[:, j])
-                      for j in range(d)]
-        self.last_partial = self.plan.partial_buffer(d - 1)
-        self.last_block = self.blocks[:, -1]
+        self.w = np.empty((t, n - lead))
+        self.nw = np.empty((t, 1))
+        self.nw_rows = self.nw[:, 0]
+        self.scale = np.empty((t, 1))
+        self.set_radius(1.0)
+        rows = [self.blocks[:, k, None, :] for k in range(d)]
+        outs = []
+
+        def chain(src, slots):
+            steps = []
+            for k in slots:
+                out = np.empty((t, src.shape[1] // n))
+                outs.append(out)
+                steps.append((rows[k], src.reshape(t, n, -1),
+                               out.reshape(t, 1, -1)))
+                src = out
+            return steps, src
+
+        steps, partial0 = chain(self.stack, range(d - 1, 0, -1))
+        suffix = [self.stack, *outs]
+        self._chains = [steps]
+        # at order 1 the partial is the tensor itself, copied out
+        self._partials = [partial0 if d > 1 else np.empty((t, n))]
+        for j in range(1, d):
+            steps, out = chain(suffix[d - 1 - j], range(j - 1, -1, -1))
+            self._chains.append(steps)
+            self._partials.append(out)
         classes, flat, counts, _ = _class_table(d, n)
         # entry (i, k, j) picks component classes[i, k] of block j: the
         # product over i runs over a leading axis, slot 0 first, and leaves
@@ -420,17 +374,106 @@ class _BlockSweep:
         self.prods = np.empty((t,) + gather_idx.shape[1:])
         self.prods_by_block = self.prods.transpose(0, 2, 1)
         self.weights3 = self.weights[:, :, None]
-        views = [v for obj in (self, self.prox) for v in vars(obj).values()
-                 if type(v) is np.ndarray] + self.plan.buffers + [gather_idx]
+        self._bind(t)
+        views = [v for v in vars(self).values() if type(v) is np.ndarray] \
+            + outs + self._partials + [gather_idx]
         # the arrays these are or are views of, each counted once
         self.nbytes = sum({id(a): a.nbytes for a in (
             v if v.base is None else v.base for v in views)}.values())
         self.heads: dict[int, _BlockSweep] = {}
 
+    def _bind(self, t: int) -> None:
+        """Bind the products, partials and slots to the first t rows of
+        their arrays. One row runs its products as np.dot on 2-D views,
+        the same gemv as matmul but cheaper to call, and its step on row,
+        the one row of w."""
+        one = t == 1
+        self._mul = np.dot if one else np.matmul
+        self._steps = [[(r[0, 0], src[0], dst[0, 0]) if one
+                        else (r[:t], src[:t], dst[:t]) for r, src, dst in s]
+                       for s in self._chains]
+        self.partials = [p[:t] for p in self._partials]
+        self._copies = [(self.partials[0], self.stack)] \
+            if len(self.partials) == 1 else []
+        self.slots = [(p[:, self.lead:], self.damped[:, j], self.prev[:, j],
+                       self.tails[:, j]) for j, p in enumerate(self.partials)]
+        self.last_partial = self.partials[-1]
+        self.row = self.w[0] if one else None
+
+    def set_radius(self, radius: float) -> None:
+        """Step onto the sphere of this radius from now on."""
+        self.radius = float(radius)
+        self.guard = 2.0 * DEGENERATE_TOL * max(1.0, 0.5 / self.radius)
+
+    def partial(self, j: int) -> np.ndarray:
+        """Slot j's partials, in a buffer the next sweep overwrites: the
+        (t, n) array whose row i contracts stack row i with blocks[i, k] on
+        every slot k != j by (t, 1, n) @ (t, n, m) products, each row those
+        of :func:`~specteig.tensor_core._contract` in its order. A sweep
+        asks for slots 0, ..., d - 1 in order: slot 0 builds the suffixes
+        over slots d-1, ..., 1 from the blocks as they are then, and slot j
+        contracts its suffix with slots j-1, ..., 0 when it is reached, so
+        the caller may overwrite blocks[:, j] once its partial is out. That
+        is d(d+1)/2 - 1 stacked products for d slots."""
+        for row, src, dst in self._steps[j]:
+            self._mul(row, src, dst)
+        for dst, src in self._copies:
+            np.copyto(dst, src)
+        return self.partials[j]
+
+    def prox(self, c: np.ndarray, damped: np.ndarray, prev: np.ndarray,
+             out: np.ndarray) -> None:
+        """Write every row's proximal step on the sphere of the radius
+        into out, given the blocks before the step in prev and the rows
+        gamma_i * prev[i] in damped.
+
+        Row i minimizes <c[i], x> + (gamma_i/2)|x - prev[i]|^2 on the
+        sphere, c[i] the surrogate's partial at the block's slot. On the
+        sphere the objective is <w, x> plus a constant, w = c[i] - gamma_i
+        * prev[i], so the minimizer is -r * w / |w|. Two rules decide the
+        rows where that formula does not: a degenerate w (norm below
+        DEGENERATE_TOL) keeps prev, and when the candidates +-r * w / |w|
+        differ in objective (by 2 r |w|) by less than DEGENERATE_TOL, the
+        one nearer prev wins. Both apply only below guard = 2
+        DEGENERATE_TOL max(1, 0.5 / r), so a step in which no |w| is below
+        it (a NaN |w| is not) skips them. A one-row step runs its norm
+        |w|, the guard test and the scale -r / |w| on Python floats, which
+        round as the ufuncs do, and leaves a row the guard stops, or a NaN
+        |w|, to the batched code and its rules.
+        """
+        w = self.w
+        np.subtract(c, damped, w)
+        row = self.row
+        if row is not None:
+            v = math.sqrt(np.dot(row, row))
+            if v >= self.guard:
+                np.multiply(-self.radius / v, w, out)
+                return
+        nw = self.nw
+        # np.vecdot sums each row's |w|^2 with np.dot's BLAS ddot
+        np.vecdot(w, w, self.nw_rows)
+        np.sqrt(nw, nw)
+        np.divide(-self.radius, nw, self.scale)
+        np.multiply(self.scale, w, out)
+        # a NaN row compares False, so it cannot hide a tied row beside it
+        for (v,) in nw.tolist():
+            if v < self.guard:
+                break
+        else:
+            return
+        nw = self.nw_rows
+        degenerate = nw < DEGENERATE_TOL
+        tie = 2.0 * self.radius * nw < DEGENERATE_TOL
+        u = -out
+        aligned = (u[:, None, :] @ prev[:, :, None]).reshape(-1) > 0.0
+        keep_u = tie & ~degenerate & aligned
+        out[keep_u] = u[keep_u]
+        out[degenerate] = prev[degenerate]
+
     def sweep(self, ready: bool = False) -> None:
         np.copyto(self.prev, self.tails)
         np.multiply(self.gammas, self.prev, self.damped)
-        partial, prox = self.plan.partial, self.prox
+        partial, prox = self.partial, self.prox
         for j, slot in enumerate(self.slots):
             if j or not ready:
                 partial(j)
@@ -448,10 +491,10 @@ class _BlockSweep:
 
     def head_of(self, t: int) -> "_BlockSweep":
         """The sweep's first t rows: itself at its capacity, else a head,
-        a copy whose arrays are views of their first t rows, built on first
-        use and cached. The head drops the cache: holding it would make a
-        cycle that keeps a dropped sweep's arrays alive until the garbage
-        collector runs."""
+        a copy whose arrays are views of their first t rows, rebound to
+        them, built on first use and cached. The head drops the cache:
+        holding it would make a cycle that keeps a dropped sweep's arrays
+        alive until the garbage collector runs."""
         if t == len(self.blocks):
             return self
         head = self.heads.get(t)
@@ -459,9 +502,7 @@ class _BlockSweep:
             head = self.heads[t] = object.__new__(_BlockSweep)
             head.__dict__ = {k: v[:t] if type(v) is np.ndarray else v
                              for k, v in vars(self).items() if k != "heads"}
-            head.plan = self.plan.head(t)
-            head.prox = self.prox.head(t)
-            head.slots = [tuple(v[:t] for v in slot) for slot in self.slots]
+            head._bind(t)
             self.nbytes += _HEAD_BYTES * self.blocks.shape[1]
         return head
 
@@ -788,11 +829,17 @@ def kl_exponent(d: int, n: int) -> tuple[float, float]:
 
     Returns (tau, rate) with tau = 1 / (d * (3d - 3)^(dn - 1)) and
     rate = tau / (1 - 2 tau), the power-law decay exponent of the iterate
-    error. Requires d >= 2 and n >= 2; tau < 1/2 always holds there.
+    error. Requires d >= 2 and n >= 2; tau < 1/2 always holds there. A
+    denominator past the float range gives the exact quotient: a subnormal
+    tau, or 0.0 as at (20, 20).
     """
     _check_count("d", d, DomainError, 2)
     _check_count("n", n, DomainError, 2)
     # Python ints: (3d - 3)**(dn - 1) overflows an np.int64 at (6, 4)
     d, n = int(d), int(n)
-    tau = 1.0 / (d * (3 * d - 3) ** (d * n - 1))
+    big = d * (3 * d - 3) ** (d * n - 1)
+    try:
+        tau = 1.0 / big
+    except OverflowError:  # int / int divides exactly
+        tau = 1 / big
     return tau, tau / (1.0 - 2.0 * tau)

@@ -10,10 +10,11 @@ flat position (the position index). Every tensor built from class values is
 one length-C vector laid out through that index by chunked takes; everything
 else is read from the array through the table. Every contraction that
 leaves slots free (multilinear forms, their partials, the slot-gradient)
-runs through one kernel on the array: repeated vector-matrix products over
-the leading slot, which BLAS streams. The PAM pool's sweeps run the same
-products stacked over a (T, n**m) array, in the same order for every row,
-so a row rounds exactly as the kernel does on its own tensor. The homogeneous
+runs through one kernel on the array, :func:`_contract`: repeated
+vector-matrix products over the leading slot, which BLAS streams. The
+block sweep of :mod:`specteig.pam` runs the same products stacked over a
+(T, n**m) array, in the order of :func:`_contract` for every row, so a row
+rounds exactly as the kernel does on its own tensor. The homogeneous
 form runs over the whole table, bound as it is by every tensor and the
 pool, with permutation counts as weights: C(n+m-1, m) terms, not n**m. Only
 the Frobenius norm and the canonical map skip classes whose value is zero.
@@ -81,11 +82,13 @@ def _check_count(name: str, value, error: type = ConfigError,
 
 
 def _check_real(name: str, value, error: type = ConfigError,
-                positive: bool = False) -> None:
-    """Raise error unless value is a finite real, > 0 if positive else >= 0."""
-    if not (isinstance(value, numbers.Real) and value < math.inf
-            and (value > 0 if positive else value >= 0)):
-        sign = "positive" if positive else "nonnegative"
+                positive: bool = False, signed: bool = False) -> None:
+    """Raise error unless value is a finite real: of any sign if signed,
+    else > 0 if positive, else >= 0."""
+    if not (isinstance(value, numbers.Real) and -math.inf < value < math.inf
+            and (signed or (value > 0 if positive else value >= 0))):
+        sign = "real" if signed else "positive" if positive \
+            else "nonnegative"
         raise error(f"{name} must be {sign} and finite, got {value!r}")
 
 
@@ -146,88 +149,6 @@ def _contract(dense: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
     for b in reversed(blocks):
         out = b @ out.reshape(b.shape[0], -1)
     return out if len(blocks) else out.copy()
-
-
-class _SweepPlan:
-    """The contractions of one sweep over a stack of tensors, with their
-    buffers allocated once.
-
-    stack is (T, n**d), row t the flattened dense array of an order-d
-    symmetric tensor, and blocks is (T, d, n); both are kept as views, so
-    a plan serves every sweep over the same arrays. :meth:`partial` (j)
-    returns the (T, n) array whose row t contracts tensor t with
-    blocks[t, i] on every slot i != j: (T, 1, n) @ (T, n, k) products,
-    each row those of :func:`_contract` in its order, so it equals
-    ``_contract(stack[t], [blocks[t, i] for i != j])`` bit for bit. A sweep
-    asks for slots 0, ..., d - 1 in order: slot 0 builds the suffixes over
-    slots d-1, ..., 1 from the blocks as they are then, and slot j
-    contracts its suffix with slots j-1, ..., 0 when it is reached, so the
-    caller may overwrite blocks[:, j] once its partial is out. That is
-    d(d+1)/2 - 1 stacked products for d slots.
-    """
-
-    __slots__ = ("_steps", "_mul", "_partials", "_order_one", "buffers")
-
-    def __init__(self, stack: np.ndarray, blocks: np.ndarray):
-        t, d, n = blocks.shape
-        if stack.shape != (t, n ** d):
-            raise DimError(f"expected a ({t}, {n ** d}) stack for blocks "
-                           f"of shape {blocks.shape}, got {stack.shape}")
-        rows = [blocks[:, k, None, :] for k in range(d)]
-        outs = []
-
-        def chain(src, slots):
-            steps = []
-            for k in slots:
-                out = np.empty((t, src.shape[1] // n))
-                outs.append(out)
-                steps.append((rows[k], src.reshape(t, n, -1),
-                              out.reshape(t, 1, -1)))
-                src = out
-            return steps, src
-
-        suffix_steps, partial0 = chain(stack, range(d - 1, 0, -1))
-        suffix = [stack] + [out.reshape(t, -1) for *_, out in suffix_steps]
-        steps = [suffix_steps]
-        self._partials = [partial0 if d > 1 else np.empty((t, n))]
-        # at order 1 the partial is the tensor itself, copied out
-        self._order_one = [stack] if d == 1 else []
-        for j in range(1, d):
-            slot_steps, out = chain(suffix[d - 1 - j], range(j - 1, -1, -1))
-            steps.append(slot_steps)
-            self._partials.append(out)
-        # the arrays the plan allocated; a head allocates none
-        self.buffers = outs + self._partials[:1] if d == 1 else outs
-        self._bind(steps, t)
-
-    def _bind(self, steps: list, t: int) -> None:
-        """Run the first t rows of the stacked steps; one row runs them as
-        np.dot on 2-D views, the same gemv as matmul but cheaper to call."""
-        self._mul = np.dot if t == 1 else np.matmul
-        self._steps = [[(row[0, 0], src[0], dst[0, 0]) if t == 1
-                        else (row[:t], src[:t], dst[:t])
-                        for row, src, dst in s] for s in steps]
-
-    def partial(self, j: int) -> np.ndarray:
-        """Slot j's partials, in a buffer the next sweep overwrites."""
-        for row, src, dst in self._steps[j]:
-            self._mul(row, src, dst)
-        for src in self._order_one:
-            np.copyto(self._partials[0], src)
-        return self._partials[j]
-
-    def partial_buffer(self, j: int) -> np.ndarray:
-        """The buffer :meth:`partial` (j) fills, without filling it."""
-        return self._partials[j]
-
-    def head(self, t: int) -> "_SweepPlan":
-        """The plan of the first t of this plan's T > 1 tensors, on views
-        of its buffers; each row rounds as it does here."""
-        plan = object.__new__(_SweepPlan)
-        plan._bind(self._steps, t)
-        plan._partials = [p[:t] for p in self._partials]
-        plan._order_one = [src[:t] for src in self._order_one]
-        return plan
 
 
 def _multiplicities(classes: np.ndarray) -> np.ndarray:
@@ -587,6 +508,7 @@ class HDiagonal(SymTensor):
 def axpy(a: SymTensor, b: SymTensor, theta: float) -> SymTensor:
     """The symmetric tensor A - theta * B, formed on the dense arrays."""
     _check_same_shape(a, b)
+    _check_real("theta", theta, signed=True)
     return SymTensor._from_dense(a.dense - theta * b.dense)
 
 

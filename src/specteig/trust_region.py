@@ -276,7 +276,7 @@ def _boundary_sweeps(sweep: _BlockSweep, config: BoundaryConfig) -> int:
     tail makes its block and the value non-finite, which raises
     NumericalError.
     """
-    h_prev = float((sweep.plan.partial(0) @ sweep.blocks[0, 0])[0])
+    h_prev = float((sweep.partial(0) @ sweep.blocks[0, 0])[0])
     c_last, b_last = sweep.last_partial[0], sweep.last_block[0]
     for k in range(1, config.inner_max_iter + 1):
         sweep.sweep(k == 1)
@@ -303,8 +303,8 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     with multiplier updates lambda = -(s . grad) / delta^2 until the
     boundary stationarity residual |grad + lambda s| falls below
     config.tol. The one-row sweep of the lift's shape, with the
-    surrogate, the lifted blocks, the plan and their buffers, is taken
-    idle or built once per call and serves every round; the rounds run in
+    surrogate, the lifted blocks and their buffers, is taken idle or
+    built once per call and serves every round; the rounds run in
     one NumPy error state that ignores division and invalid values. A
     round takes the model value of every block from the sweep's one
     gather, block_values under the lift's weights: the block of least
@@ -340,7 +340,7 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     np.subtract(lift.dense.reshape(-1), stack[0], out=stack[0])
     sweep.gamma_rows[:] = config.gamma
     sweep.weights[0] = weights = lift._weights
-    sweep.prox.set_radius(delta)
+    sweep.set_radius(delta)
 
     def on_boundary(vec: np.ndarray) -> bool:
         return abs(_norm(vec) - delta) <= 1e-10 * max(1.0, delta)
@@ -348,7 +348,7 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     if not on_boundary(s):
         # the first step's direction, from slot 0's partial at blocks (1, s)
         blocks[0, :, 1:] = s
-        w = sweep.plan.partial(0)[0, 1:] - config.gamma * s
+        w = sweep.partial(0)[0, 1:] - config.gamma * s
         if _norm(w) < DEGENERATE_TOL:
             s = delta * np.linalg.eigh(poly.hessian(s))[1][:, 0]
     lam = 0.0

@@ -339,9 +339,9 @@ def reference_solve_boundary(poly, delta: float,
     steps = _BlockSweep(p, n + 1, 1, lead=1)
     steps.stack[:] = stack
     steps.gamma_rows[:] = config.gamma
-    steps.prox.set_radius(delta)
+    steps.set_radius(delta)
     blocks = steps.blocks
-    c_last, b_last = steps.plan.partial_buffer(-1)[0], blocks[0, -1]
+    c_last, b_last = steps.last_partial[0], blocks[0, -1]
     lam, history, inner, outer, converged = 0.0, [], 0, 0, False
     while outer < config.max_outer:
         if outer > 0 and on_boundary(s) and float(np.linalg.norm(

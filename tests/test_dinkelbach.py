@@ -235,14 +235,34 @@ class TestTraceChecks:
             dinkelbach_solve(FractionalProblem(example2, ZIdentity(4, 3)),
                              config)
 
-    def test_decrease_that_passes_the_guard_raises(self, monkeypatch):
-        # the guard tests f1 < f0 - slack and the check f0 > f1 + slack;
-        # the two round differently at this pair
+    def test_rounding_pair_stops_at_the_guard(self, monkeypatch):
+        # f1 < f0 - slack and f0 > f1 + slack round differently at this
+        # pair; the guard is the exact negation of the trace check, so the
+        # run stops before recording f1
         f0 = float(np.nextafter(np.nextafter(-1.0, 0.0), 0.0))
         f1 = f0 - dinkelbach.MONOTONE_SLACK
         assert not f1 < f0 - dinkelbach.MONOTONE_SLACK
         assert f0 > f1 + dinkelbach.MONOTONE_SLACK
         values = iter([f0, f1])
+        monkeypatch.setattr(dinkelbach, "f_theta",
+                            lambda problem, theta, x: next(values))
+        p = FractionalProblem(matrix_tensor([3.0, 1.0]), ZIdentity(2, 2))
+        config = DinkelbachConfig(inner=PamConfig(gammas=(1.0, 1.0)),
+                                  k_max=2)
+        res = dinkelbach_solve(p, config)
+        assert not res.converged
+        assert [f for _, _, f in res.trace] == [f0]
+
+    def test_decrease_that_passes_the_guard_raises(self, monkeypatch):
+        # a value whose first comparison, the guard's, reads "no decrease"
+        # and every later one, the trace check's, reads as it is
+        class PassesOnce(float):
+            answers = iter([False])
+
+            def __gt__(self, other):
+                return next(self.answers, float(self) > other)
+
+        values = iter([PassesOnce(-1.0), -2.0])
         monkeypatch.setattr(dinkelbach, "f_theta",
                             lambda problem, theta, x: next(values))
         p = FractionalProblem(matrix_tensor([3.0, 1.0]), ZIdentity(2, 2))

@@ -38,6 +38,10 @@ BAD_CALLS = {
     "solve_multistart cluster_tol inf":
         lambda: solve_multistart(PROBLEM, 2, 0, CONFIG, math.inf),
     "axpy int operand": lambda: axpy(A1, 3, 1.0),
+    "axpy str theta": lambda: axpy(A1, A1, "x"),
+    "axpy nan theta": lambda: axpy(A1, A1, math.nan),
+    "Given str blocks": lambda: pam_solve(A1, PamConfig(
+        gammas=(1.0, 1.0), init=Given(("a", "b")))),
     "frobenius_inner array operand": lambda: frobenius_inner(A1.dense, A1),
     "solve_boundary str poly": lambda: solve_boundary("x", 2.0),
     "solve_boundary str delta": lambda: solve_boundary(POLY, "2"),

@@ -4,6 +4,7 @@ with known closed-form optima.
 
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import logging
@@ -32,7 +33,7 @@ import specteig.eigen
 from specteig import pam, tensor_core
 from specteig.dinkelbach import dinkelbach_steps
 from specteig.pam import (DIAGONAL_GAP_SLACK, PamRequest, PamResult,
-                          PamStats, _ProxStep, run_lockstep,
+                          PamStats, _BlockSweep, run_lockstep,
                           write_history_csv)
 
 from conftest import (dense_multilinear, dense_partial, random_symtensor,
@@ -161,16 +162,29 @@ class TestMemberValues:
                         np.prod(xs[:, rows], axis=2) @ weights)
 
 
+@functools.lru_cache(maxsize=None)
+def _sweep_of(t, n):
+    return _BlockSweep(1, n, t)
+
+
+def prox_sweep(t, n, radius):
+    """A t-row sweep of order 1 on R^n whose prox steps onto the sphere of
+    the given radius, one per (t, n), reused."""
+    sweep = _sweep_of(t, n)
+    sweep.set_radius(radius)
+    return sweep
+
+
 def block_update(surrogate, blocks, slot, gamma, radius, prev):
-    """One proximal block step through a one-row `_ProxStep` on the sphere
-    of the given radius, with the partial from the kernel's free-slot
-    contraction."""
+    """One proximal block step through a one-row `_BlockSweep.prox` on the
+    sphere of the given radius, with the partial from the kernel's
+    free-slot contraction."""
     others = [blocks[i] for i in range(len(blocks)) if i != slot]
     c = surrogate.multilinear_partial(others, slot)[None]
     prev = np.asarray(prev, dtype=float)[None]
     out = np.empty_like(c)
     with np.errstate(divide="ignore", invalid="ignore"):
-        _ProxStep(*c.shape, radius)(c, gamma * prev, prev, out)
+        prox_sweep(*c.shape, radius).prox(c, gamma * prev, prev, out)
     return out[0]
 
 
@@ -237,19 +251,20 @@ class TestBlockUpdate:
 
 
 class TestProxStepRows:
-    """`_ProxStep` takes every row's |w| from np.vecdot and tests its tie
-    and degeneracy guard row by row in Python; a one-row step takes |w|,
-    the guard and the scale on Python floats and must round the same."""
+    """`_BlockSweep.prox` takes every row's |w| from np.vecdot and tests
+    its tie and degeneracy guard row by row in Python; a one-row step takes
+    |w|, the guard and the scale on Python floats and must round the
+    same."""
 
     @staticmethod
     def _alone_and_doubled(c, damped, prev, r):
-        """One row's step through a one-row `_ProxStep`, and row 0 of a
-        two-row one on the row duplicated."""
+        """One row's step through a one-row sweep, and row 0 of a two-row
+        one on the row duplicated."""
         n = len(c)
         alone, doubled = np.empty((1, n)), np.empty((2, n))
-        _ProxStep(1, n, r)(c[None], damped[None], prev[None], alone)
-        _ProxStep(2, n, r)(*(np.stack((x, x)) for x in (c, damped, prev)),
-                           doubled)
+        prox_sweep(1, n, r).prox(c[None], damped[None], prev[None], alone)
+        prox_sweep(2, n, r).prox(
+            *(np.stack((x, x)) for x in (c, damped, prev)), doubled)
         return alone[0], doubled[0]
 
     @pytest.mark.parametrize("t", [1, 3, 8])
@@ -262,13 +277,13 @@ class TestProxStepRows:
                 prev = rng.standard_normal((t, n))
                 damped = 2.0 * prev
                 out = np.empty((t, n))
-                prox = _ProxStep(t, n, 0.5)
-                prox(c, damped, prev, out)
+                sweep = prox_sweep(t, n, 0.5)
+                sweep.prox(c, damped, prev, out)
                 for i in range(t):
                     w = c[i] - damped[i]
                     norm = math.sqrt(float(np.dot(w, w)))
                     if t > 1:
-                        assert prox.nw[i, 0] == norm
+                        assert sweep.nw[i, 0] == norm
                     assert np.array_equal(out[i], (-0.5 / norm) * w)
                     for r in (0.1, 1.0, 10.0):
                         alone, doubled = self._alone_and_doubled(
@@ -294,9 +309,9 @@ class TestProxStepRows:
         start = blocks.copy()
         whole.gamma_rows[:] = rng.uniform(0.5, 2.0, (4, 3))
         whole.weights[:] = rng.standard_normal(whole.weights.shape)
-        assert whole.prox.row is None and whole.head_of(2).prox.row is None
+        assert whole.row is None and whole.head_of(2).row is None
         head = whole.head_of(1)
-        assert head.prox.row is not None and whole.head_of(1) is head
+        assert head.row is not None and whole.head_of(1) is head
         for _ in range(5):
             whole.sweep()
         want = blocks[0].copy()
@@ -338,7 +353,8 @@ class TestProxStepRows:
                 w = np.array([rows[k][0] for k in order])
                 prev = np.array([rows[k][1] for k in order])
                 out = np.empty_like(w)
-                _ProxStep(len(order), 3, r)(w, np.zeros_like(w), prev, out)
+                prox_sweep(len(order), 3, r).prox(w, np.zeros_like(w), prev,
+                                                  out)
                 for i, k in enumerate(order):
                     assert np.array_equal(out[i], want[k], equal_nan=True), k
             for k, (w, prev) in rows.items():
@@ -774,15 +790,13 @@ class TestSubproblemCosts:
             "PamConfig built", PamConfig.__post_init__))
         monkeypatch.setattr(Given, "__init__", counted(
             "Given built", Given.__init__))
-        monkeypatch.setattr(tensor_core._SweepPlan, "__init__", counted(
-            "_SweepPlan built", tensor_core._SweepPlan.__init__))
         monkeypatch.setattr(pam._Pool, "_seat", counted(
             "subproblems", pam._Pool._seat))
-        # every head of a pool's sweep builds the head of its plan
-        monkeypatch.setattr(tensor_core._SweepPlan, "head", counted(
-            "heads built", tensor_core._SweepPlan.head))
         monkeypatch.setattr(pam._BlockSweep, "__init__", counted(
             "sweeps built", pam._BlockSweep.__init__))
+        # a sweep binds its steps once when built and once per head
+        monkeypatch.setattr(pam._BlockSweep, "_bind", counted(
+            "binds", pam._BlockSweep._bind))
         monkeypatch.setattr(pam._BlockSweep, "block_values", counted(
             "block values", pam._BlockSweep.block_values))
         monkeypatch.setattr(pam._Pool, "_tick", counted(
@@ -797,20 +811,20 @@ class TestSubproblemCosts:
         report = solve_multistart(problem, 20, 1729, config)
         assert report.accepted == 20
         assert counts["subproblems"] >= 40
-        # one pool, so one sweep and one set of its buffers, and one
-        # gather of block values per tick
-        assert counts["sweeps built"] == counts["_SweepPlan built"] == 1
+        # one pool, so one sweep with its buffers, and one gather of block
+        # values per tick
+        assert counts["sweeps built"] == 1
         assert counts["block values"] == counts["ticks"] >= 1
         for name in ("SymTensor._from_dense", "config replace",
                      "PamConfig built", "Given built"):
             assert counts[name] == 0, name
         # the next call of the shape takes that frame and its heads
-        heads = counts["heads built"]
+        heads = counts["binds"] - 1
         assert heads >= 1
         again = solve_multistart(problem, 20, 1729, config)
         assert report_to_json(again) == report_to_json(report)
-        assert counts["sweeps built"] == counts["_SweepPlan built"] == 1
-        assert counts["heads built"] == heads
+        assert counts["sweeps built"] == 1
+        assert counts["binds"] == heads + 1
 
 
 def _eigen_order4_reports(data_dir) -> list:
@@ -1033,31 +1047,25 @@ class TestIdleFrames:
                 <= pam._IDLE_BUDGET
         assert 1 < len(pam._IDLE) < len(keys)
 
-    @staticmethod
-    def _allocated(sweep) -> int:
-        arrays = (sweep.stack, sweep.blocks, sweep.gamma_rows, sweep.weights,
-                  sweep.table[-1], sweep.ht, sweep.diff, sweep.vals,
-                  sweep.gathered, sweep.prods, sweep.prox.w, sweep.prox.nw,
-                  sweep.prox.scale) + tuple(sweep.plan.buffers)
-        # prev and damped, and ht, hv and step, share one array each
-        return sum(a.nbytes for a in arrays) + 2 * sweep.tails.nbytes \
-            + 2 * sweep.ht.nbytes
-
     def test_nbytes_counts_the_arrays_and_the_heads(self):
-        sweep = pam._BlockSweep(4, 3, 4)
-        want = self._allocated(sweep)
-        assert sweep.nbytes == want
-        head = sweep.head_of(2)
-        assert sweep.head_of(2) is head and sweep.head_of(4) is sweep
-        assert sweep.nbytes == want + 4 * pam._HEAD_BYTES
-        assert np.shares_memory(head.prox.w, sweep.prox.w)
-        assert not hasattr(head, "heads")
-        # a boundary sweep counts its gather buffers too; the one of the
-        # battery's largest lift shape, cubics on R^30, stays idle
-        for n in (3, 31):
-            sweep = pam._BlockSweep(3, n, 1, lead=1)
-            assert sweep.nbytes == self._allocated(sweep)
-        assert sweep.nbytes <= pam._IDLE_BYTES
+        # every array a sweep allocated, each once, plus _HEAD_BYTES per
+        # block of each cached head; a one-row sweep has no heads. The
+        # boundary sweep of the battery's largest lift shape, cubics on
+        # R^30, stays idle
+        for shape, lead, fresh, headed in [
+                ((4, 3, 4), 0, 19_616, 31_904),
+                ((6, 4, 4), 0, 376_224, 394_656),
+                ((3, 31, 1), 1, 1_217_960, 1_217_960),
+                ((2, 3, 3), 0, 2_424, 8_568)]:
+            sweep = pam._BlockSweep(*shape, lead=lead)
+            assert sweep.nbytes == fresh
+            head = sweep.head_of(1)
+            assert sweep.head_of(1) is head
+            assert sweep.head_of(shape[2]) is sweep
+            assert sweep.nbytes == headed <= pam._IDLE_BYTES
+            if shape[2] > 1:
+                assert np.shares_memory(head.w, sweep.w)
+                assert not hasattr(head, "heads")
 
 
 class TestResidualOnDemand:
@@ -1261,9 +1269,10 @@ class TestKlExponent:
     def test_formula_grid(self):
         for d in range(2, 9):
             for n in range(2, 9):
+                # bit for bit the float quotient
                 tau, rate = kl_exponent(d, n)
-                assert tau == pytest.approx(
-                    1.0 / (d * (3 * d - 3) ** (d * n - 1)), rel=1e-15)
+                assert tau == 1.0 / (d * (3 * d - 3) ** (d * n - 1))
+                assert rate == tau / (1.0 - 2.0 * tau)
                 assert 0.0 < tau < 0.5
                 assert rate > 0.0
 
@@ -1273,6 +1282,11 @@ class TestKlExponent:
                 kl_exponent(*bad)
         with pytest.raises(DomainError):
             kl_exponent(2.0, 2)
+
+    def test_past_the_float_range(self):
+        # the denominator overflows a float; tau underflows to 0.0
+        for d, n in ((20, 20), (100, 100)):
+            assert kl_exponent(d, n) == (0.0, 0.0)
 
     def test_numpy_integers_count_as_python_ints(self):
         # (3d - 3)**(dn - 1) overflows an np.int64 at (6, 4)

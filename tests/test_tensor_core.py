@@ -15,9 +15,9 @@ from specteig import (ArityError, ConfigError, DimError, DomainError,
                       ZIdentity, axpy, diagonal_tensor, frobenius_inner,
                       identity_tensor, load_tensor, random_cubic)
 from specteig.errors import NumericalError, ParseError
+from specteig.pam import _BlockSweep
 from specteig.tensor_core import (_LAYOUT_CHUNK, _class_table,
-                                  _dense_from_classes, _double_factorial,
-                                  _SweepPlan)
+                                  _dense_from_classes, _double_factorial)
 
 from conftest import (dense_multilinear, dense_partial, fd_gradient,
                       permutation_count, random_symtensor,
@@ -447,19 +447,28 @@ class TestClassTable:
 
 
 class TestSweepPartials:
-    """The stacked sweep contractions of `_SweepPlan` against the serial
-    kernel, row by row."""
+    """The stacked contractions of `pam._BlockSweep.partial` against the
+    serial kernel, row by row."""
 
     @staticmethod
-    def _sweep(plan, tensors, blocks, rng):
+    def _seated(tensors, blocks):
+        """A sweep whose rows hold the tensors and the (t, m, n) blocks."""
+        sweep = _BlockSweep(*blocks.shape[1:], len(blocks))
+        sweep.stack[:] = [a.dense.reshape(-1) for a in tensors]
+        sweep.blocks[:] = blocks
+        return sweep
+
+    @staticmethod
+    def _sweep(sweep, tensors, rng):
         # a sweep overwrites each slot once its partial is out; every row
         # of every partial must equal multilinear_partial of its own tensor
         # on its rows as they are then, bit for bit, since both run the
         # same contraction order
+        blocks = sweep.blocks
         t, m, n = len(tensors), blocks.shape[1], blocks.shape[2]
-        for sweep in range(2):
+        for _ in range(2):
             for j in range(m):
-                c = plan.partial(j)
+                c = sweep.partial(j)
                 assert c.shape == (t, n)
                 for row, a in enumerate(tensors):
                     others = [blocks[row, i] for i in range(m) if i != j]
@@ -473,9 +482,8 @@ class TestSweepPartials:
         for n in (1, 2, 3, 4):
             for t in (1, 3):
                 tensors = [random_symtensor(m, n, rng) for _ in range(t)]
-                stack = np.stack([a.dense.reshape(-1) for a in tensors])
                 blocks = rng.standard_normal((t, m, n))
-                self._sweep(_SweepPlan(stack, blocks), tensors, blocks, rng)
+                self._sweep(self._seated(tensors, blocks), tensors, rng)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 16, 23, 31])
     def test_one_row_plans_at_boundary_lift_sizes(self, n):
@@ -484,25 +492,22 @@ class TestSweepPartials:
         rng = np.random.default_rng(620 + n)
         lift = random_cubic(n - 1, n).lifted
         blocks = rng.standard_normal((1, 3, n))
-        plan = _SweepPlan(lift.dense.reshape(1, -1), blocks)
-        self._sweep(plan, [lift], blocks, rng)
+        self._sweep(self._seated([lift], blocks), [lift], rng)
 
     @pytest.mark.parametrize("m", range(1, 5))
     def test_head_views_of_a_three_row_plan(self, m):
         # a head of one row switches to the 2-D products, a longer one
-        # keeps the stacked ones; both run on views of the whole plan
+        # keeps the stacked ones; both run on views of the whole sweep
         rng = np.random.default_rng(640 + m)
         for n in (1, 3, 5):
             tensors = [random_symtensor(m, n, rng) for _ in range(3)]
-            stack = np.stack([a.dense.reshape(-1) for a in tensors])
-            blocks = rng.standard_normal((3, m, n))
-            whole = _SweepPlan(stack, blocks)
+            whole = self._seated(tensors, rng.standard_normal((3, m, n)))
             for t in (1, 2, 3):
-                head = whole.head(t)
-                self._sweep(head, tensors[:t], blocks, rng)
+                head = whole.head_of(t)
+                self._sweep(head, tensors[:t], rng)
                 for j in range(m):
-                    assert np.shares_memory(head.partial_buffer(j),
-                                            whole.partial_buffer(j))
+                    assert np.shares_memory(head.partials[j],
+                                            whole.partials[j])
 
     @pytest.mark.parametrize("m,n", [(6, 4), (4, 3)])
     def test_four_row_pool_plans_and_their_heads(self, m, n):
@@ -511,26 +516,17 @@ class TestSweepPartials:
         # 1-3 rows a pool sweeps below its capacity
         rng = np.random.default_rng(660 + m)
         tensors = [random_symtensor(m, n, rng) for _ in range(4)]
-        stack = np.stack([a.dense.reshape(-1) for a in tensors])
-        blocks = rng.standard_normal((4, m, n))
-        whole = _SweepPlan(stack, blocks)
-        self._sweep(whole, tensors, blocks, rng)
+        whole = self._seated(tensors, rng.standard_normal((4, m, n)))
+        self._sweep(whole, tensors, rng)
         for t in (1, 2, 3):
-            self._sweep(whole.head(t), tensors[:t], blocks, rng)
+            self._sweep(whole.head_of(t), tensors[:t], rng)
 
     def test_partials_do_not_alias_the_tensor(self):
         a = SymTensor.from_entries(1, 3, [((2,), 5.0)])
-        stack = a.dense.reshape(1, -1).copy()
-        c = _SweepPlan(stack, np.ones((1, 1, 3))).partial(0)
+        sweep = self._seated([a], np.ones((1, 1, 3)))
+        c = sweep.partial(0)
         c[:] = 0.0
-        assert stack[0, 1] == 5.0
-
-    def test_wrong_shape_rejected(self):
-        stack = A1.dense.reshape(1, -1)
-        for bad in (np.ones((1, 3, 2)), np.ones((1, 2, 3)), np.ones((2, 2, 2)),
-                    np.ones((1, 1, 2))):
-            with pytest.raises(DimError):
-                _SweepPlan(stack, bad)
+        assert sweep.stack[0, 1] == 5.0
 
 
 class TestApplyGradient:

@@ -43,7 +43,7 @@ def seated_sweep(stack, start, p, delta, gamma=8.0):
     sweep = _BlockSweep(p, n + 1, 1, lead=1)
     sweep.stack[:] = stack
     sweep.gamma_rows[:] = gamma
-    sweep.prox.set_radius(delta)
+    sweep.set_radius(delta)
     sweep.blocks[0, :, 1:] = start
     return sweep
 
@@ -391,8 +391,8 @@ class TestBoundaryEngine:
         sweep2.stack[:] = stack
         sweep2.blocks[:] = blocks
         sweep2.gamma_rows[:] = config.gamma
-        sweep2.prox.set_radius(delta)
-        plan, blocks2 = sweep2.plan, sweep2.blocks
+        sweep2.set_radius(delta)
+        blocks2 = sweep2.blocks
         for _ in range(30):
             with np.errstate(divide="ignore", invalid="ignore"):
                 assert _boundary_sweeps(sweep, config) == 1
@@ -402,7 +402,7 @@ class TestBoundaryEngine:
             # h as the boundary sweep takes it, from the last partial
             h = float(np.dot(_contract(stack[0], list(blocks[0, :-1])),
                              blocks[0, -1]))
-            h2 = np.vecdot(plan.partial_buffer(p - 1), blocks2[:, -1])
+            h2 = np.vecdot(sweep2.last_partial, blocks2[:, -1])
             assert h2.tolist() == [h, h]
 
     def test_non_finite_direction_raises(self):

@@ -73,7 +73,7 @@ from .errors import (ArityError, ConfigError, DimError, DomainError,
 from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, _check_count,
                           _check_real, _check_same_shape, _check_type,
                           _class_table, _form_values, _frobenius,
-                          identity_tensor)
+                          _real_array, identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -242,10 +242,11 @@ def _starts(init: np.ndarray | InitSpec, rng: np.random.Generator | None,
             d: int, dim: int) -> list[tuple[np.ndarray, float]]:
     """The vectors b of a start, one vector, the d given ones or d uniform
     draws from rng, with their norms |b| = sqrt(b . b) as np.linalg.norm
-    takes it. Each norm must be finite and at least DEGENERATE_TOL: a draw
-    is redrawn, up to _MAX_DRAWS times, and a given vector is not. A NaN or
-    inf entry, or a b . b that overflows, reads norm NaN or inf without a
-    warning."""
+    takes it. A given vector must be real: a complex one raises ConfigError
+    rather than losing its imaginary part. Each norm must be finite and at
+    least DEGENERATE_TOL: a draw is redrawn, up to _MAX_DRAWS times, and a
+    given vector is not. A NaN or inf entry, or a b . b that overflows,
+    reads norm NaN or inf without a warning."""
     drawn = isinstance(init, Uniform)
     given = init.blocks if isinstance(init, Given) else (init,)
     if isinstance(init, Given) and len(given) != d:
@@ -254,12 +255,8 @@ def _starts(init: np.ndarray | InitSpec, rng: np.random.Generator | None,
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(d if drawn else len(given)):
             for _ in range(_MAX_DRAWS if drawn else 1):
-                try:
-                    b = rng.uniform(init.lo, init.hi, size=dim) if drawn \
-                        else np.asarray(given[j], dtype=float)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"init block {j} is not a vector of "
-                                      f"reals: {exc}") from exc
+                b = rng.uniform(init.lo, init.hi, size=dim) if drawn \
+                    else _real_array(f"init block {j}", given[j], ConfigError)
                 if b.shape != (dim,):
                     raise ConfigError(f"init block {j} has shape "
                                       f"{b.shape}, expected ({dim},)")
@@ -401,9 +398,13 @@ class _BlockSweep:
         self.row = self.w[0] if one else None
 
     def set_radius(self, radius: float) -> None:
-        """Step onto the sphere of this radius from now on."""
-        self.radius = float(radius)
-        self.guard = 2.0 * DEGENERATE_TOL * max(1.0, 0.5 / self.radius)
+        """Step onto the sphere of this radius from now on, in every
+        cached head too."""
+        radius = float(radius)
+        guard = 2.0 * DEGENERATE_TOL * max(1.0, 0.5 / radius)
+        # __init__ sets the first radius before the cache exists
+        for sweep in (self, *getattr(self, "heads", {}).values()):
+            sweep.radius, sweep.guard = radius, guard
 
     def partial(self, j: int) -> np.ndarray:
         """Slot j's partials, in a buffer the next sweep overwrites: the
@@ -612,7 +613,8 @@ class _Pool:
     def _seat(self, slot: int, p: int, request: PamRequest) -> None:
         """Write the request's surrogate A - theta B - alpha E into stack
         row slot with the operations of two axpy calls, in their order, and
-        its start into blocks[slot]."""
+        its start into blocks[slot]. With a B, theta must be a finite real,
+        as axpy checks it."""
         a, b, config = request.a, request.b, request.config
         d = len(config.gammas)
         if a.order != d:
@@ -621,6 +623,7 @@ class _Pool:
         dim = a.dim
         if b is not None:
             _check_same_shape(a, b)
+            _check_real("theta", request.theta, signed=True)
         identity = identity_tensor(d, dim).dense.reshape(-1)
         if not self.capacity:
             # the idle sweep of the shape and capacity, or a new one

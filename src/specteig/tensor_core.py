@@ -7,11 +7,12 @@ are determined by their values on nondecreasing index tuples (canonical
 classes), and one cached table per shape lists those classes as an (m, C)
 array, with their flat positions, permutation counts and the class of each
 flat position (the position index). Every tensor built from class values is
-one length-C vector laid out through that index by chunked takes; everything
-else is read from the array through the table. Every contraction that
-leaves slots free (multilinear forms, their partials, the slot-gradient)
-runs through one kernel on the array, :func:`_contract`: repeated
-vector-matrix products over the leading slot, which BLAS streams. The
+one length-C vector laid out through that index by chunked takes, and takes
+its weights and Frobenius norm from that vector; a tensor that starts dense
+reads its class values from the array through the table. Every contraction
+that leaves slots free (multilinear forms, their partials, the
+slot-gradient) runs through one kernel on the array, :func:`_contract`:
+repeated vector-matrix products over the leading slot, which BLAS streams. The
 block sweep of :mod:`specteig.pam` runs the same products stacked over a
 (T, n**m) array, in the order of :func:`_contract` for every row, so a row
 rounds exactly as the kernel does on its own tensor. The homogeneous
@@ -85,11 +86,26 @@ def _check_real(name: str, value, error: type = ConfigError,
                 positive: bool = False, signed: bool = False) -> None:
     """Raise error unless value is a finite real: of any sign if signed,
     else > 0 if positive, else >= 0."""
-    if not (isinstance(value, numbers.Real) and -math.inf < value < math.inf
+    # a float skips the ABC isinstance, as in _check_count: pools seat theta
+    if not ((type(value) is float or isinstance(value, numbers.Real))
+            and -math.inf < value < math.inf
             and (signed or (value > 0 if positive else value >= 0))):
         sign = "real" if signed else "positive" if positive \
             else "nonnegative"
         raise error(f"{name} must be {sign} and finite, got {value!r}")
+
+
+def _real_array(name: str, value, error: type = DomainError) -> np.ndarray:
+    """value as a float array, as np.asarray(value, dtype=float) gives it:
+    a complex array raises error instead of losing its imaginary part, and
+    so does a value that cast rejects."""
+    value = np.asarray(value)
+    if value.dtype.kind == "c":
+        raise error(f"{name} must be real, got a complex array")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} is not an array of reals: {exc}") from exc
 
 
 def _check_type(name: str, value, cls: type) -> None:
@@ -190,16 +206,18 @@ def _class_table(order: int, dim: int) -> tuple[np.ndarray, ...]:
     return table
 
 
-#: Positions laid out per take by _dense_from_classes: a 512 KiB index copy.
+#: Positions laid out per take by _class_layout: a 512 KiB index copy.
 _LAYOUT_CHUNK = 2 ** 16
 
 
-def _dense_from_classes(order: int, dim: int, values: np.ndarray,
-                        columns: np.ndarray | None = None) -> np.ndarray:
-    """Dense array of class values: C in table order, or each at every
+def _class_layout(order: int, dim: int, values: np.ndarray,
+                  columns: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Dense array of class values, and the length-C vector of class values
+    it was laid out from: values are C in table order, or each at every
     permutation of its (order, k) index column (distinct classes, zero
-    elsewhere), in one length-C vector laid out through the position index,
-    one take per _LAYOUT_CHUNK positions."""
+    elsewhere). The vector is laid out through the position index, one take
+    per _LAYOUT_CHUNK positions."""
     index = _class_table(order, dim)[3]
     shape = (dim,) * order
     if columns is not None:
@@ -212,15 +230,16 @@ def _dense_from_classes(order: int, dim: int, values: np.ndarray,
     for start in range(0, index.size, _LAYOUT_CHUNK):
         end = start + _LAYOUT_CHUNK
         values.take(index[start:end], out=dense[start:end], mode="clip")
-    return dense.reshape(shape)
+    return dense.reshape(shape), values
 
 
-def _dense_from_entries(order: int, dim: int, indices: list, values: list,
-                        listed: bool) -> np.ndarray:
-    """Dense array of (index, value) entries, 1-based indices in any order
-    if listed, else 0-based sorted class keys, checked as arrays. If a check
-    fails, the entries are checked one by one, each index before its value,
-    and the first bad one raises."""
+def _classes_from_entries(order: int, dim: int, indices: list, values: list,
+                          listed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Class values and their (order, k) 0-based index columns, for
+    SymTensor._from_classes, of (index, value) entries: 1-based indices in
+    any order if listed, else 0-based sorted class keys, checked as arrays.
+    If a check fails, the entries are checked one by one, each index before
+    its value, and the first bad one raises."""
     _check_shape(order, dim)
     try:
         rows = np.array(indices)
@@ -233,7 +252,7 @@ def _dense_from_entries(order: int, dim: int, indices: list, values: list,
                 and (listed or (rows[:, 1:] >= rows[:, :-1]).all())):
             flat = np.sort(np.ravel_multi_index(tuple(rows.T), (dim,) * order))
             if (flat[1:] != flat[:-1]).all():  # no class twice
-                return _dense_from_classes(order, dim, vals, rows.T)
+                return vals, rows.T
     keys = {}
     for idx, val in zip(indices, values):
         try:
@@ -255,9 +274,8 @@ def _dense_from_entries(order: int, dim: int, indices: list, values: list,
         keys[key] = float(val)
         if not math.isfinite(keys[key]):
             raise NumericalError(f"non-finite entry at index {shown}")
-    return _dense_from_classes(
-        order, dim, np.array(list(keys.values())),
-        np.array(list(keys), dtype=np.intp).reshape(-1, order).T)
+    return (np.array(list(keys.values())),
+            np.array(list(keys), dtype=np.intp).reshape(-1, order).T)
 
 
 def _frobenius(values: np.ndarray, counts: np.ndarray) -> float:
@@ -293,8 +311,8 @@ class SymTensor:
         callers should use :meth:`from_entries` (1-based indices) or
         :func:`load_tensor` instead.
         """
-        self._set(_dense_from_entries(order, dim, list(canonical),
-                                      list(canonical.values()), False))
+        self._set(*_class_layout(order, dim, *_classes_from_entries(
+            order, dim, list(canonical), list(canonical.values()), False)))
 
     @classmethod
     def from_entries(cls, order: int, dim: int,
@@ -311,14 +329,24 @@ class SymTensor:
             entries = entries.items()
         pairs = [(idx, val) for idx, val in entries]
         indices, values = zip(*pairs) if pairs else ((), ())
-        return cls._from_dense(_dense_from_entries(order, dim, indices,
-                                                   values, True))
+        return cls._from_classes(order, dim, *_classes_from_entries(
+            order, dim, indices, values, True))
 
     @classmethod
     def _from_dense(cls, dense: np.ndarray) -> "SymTensor":
-        """Wrap a symmetric dense array."""
+        """Wrap a symmetric dense array; its class values are read from it."""
         self = cls.__new__(cls)
         self._set(dense)
+        return self
+
+    @classmethod
+    def _from_classes(cls, order: int, dim: int, values: np.ndarray,
+                      columns: np.ndarray | None = None) -> "SymTensor":
+        """Lay out finite class values as :func:`_class_layout` does; the
+        weights and the Frobenius norm are taken from the values, not read
+        back from the array, and equal those _from_dense reads."""
+        self = cls.__new__(cls)
+        self._set(*_class_layout(order, dim, values, columns))
         return self
 
     def _share(self, other: "SymTensor") -> None:
@@ -326,9 +354,13 @@ class SymTensor:
         for name in SymTensor.__slots__:
             setattr(self, name, getattr(other, name))
 
-    def _set(self, dense: np.ndarray) -> None:
+    def _set(self, dense: np.ndarray, values: np.ndarray | None = None
+             ) -> None:
+        """Bind a symmetric dense array and its class values in table
+        order, read from the array when not given."""
         self._classes, flat, counts = _class_table(dense.ndim, len(dense))[:3]
-        values = dense.take(flat)
+        if values is None:
+            values = dense.take(flat)
         self._weights = counts * values
         self._fro = _frobenius(values, counts)
         dense.flags.writeable = False
@@ -557,7 +589,7 @@ def load_tensor(path) -> SymTensor:
     if order is None or dim is None:
         raise ParseError(f"{path}: missing order/dim header")
     try:
-        return SymTensor._from_dense(_dense_from_entries(order, dim, indices,
-                                                         values, True))
+        return SymTensor._from_classes(order, dim, *_classes_from_entries(
+            order, dim, indices, values, True))
     except (ArityError, IndexError, DuplicateEntryError, DimError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -4,20 +4,23 @@ A degree-p Taylor polynomial on R^n is stored as its lift, a symmetric
 order-p tensor on R^(n+1) built at construction: each coefficient is
 weighted with the inverse multinomial count of its index class, so that
 contracting the tensor with (1, s) on every slot reproduces the polynomial
-exactly. The model's value, gradient and Hessian at s are the lift
-contracted with (1, s) on p, p - 1 and p - 2 slots. Minimizing the
-polynomial on the sphere of radius Delta becomes a homogeneous problem on
-the lifted blocks y = (1, s), solved by the block sweep of the eigen
-solver, :class:`~specteig.pam._BlockSweep`, built with one row and one
-lead column: its steps move only the tails, so every block keeps its unit
-leading coordinate and a tail on the Delta-sphere. The sweeps minimize
-the surrogate lift - alpha * S, where S has the form y_0 |y|^(p-1) (odd
-p) or |y|^p (even p), constant on that slice as the identity tensor is on
-the sphere. A round picks the block of least model value from the sweep's
+exactly. A cubic given by its blocks f0, g, H and T is lifted through a
+plan cached per n, the positions in H and T that each lifted class reads:
+its class values are written into one vector by a fixed handful of NumPy
+calls, whatever n, and the lift is laid out from that vector, which also
+gives its weights and norm. The model's value, gradient and Hessian at s
+are the lift contracted with (1, s) on p, p - 1 and p - 2 slots. Minimizing
+the polynomial on the sphere of radius Delta becomes a homogeneous problem
+on the lifted blocks y = (1, s), solved by the block sweep of the eigen
+solver, :class:`~specteig.pam._BlockSweep`, built with one row and one lead
+column: its steps move only the tails, so every block keeps its unit
+leading coordinate and a tail on the Delta-sphere. The sweeps minimize the
+surrogate lift - alpha * S, where S has the form y_0 |y|^(p-1) (odd p) or
+|y|^p (even p), constant on that slice as the identity tensor is on the
+sphere. A round picks the block of least model value from the sweep's
 block_values, the eigen pool's gather, and a multiplier estimated from the
-boundary stationarity condition certifies the step. Each lift shape has
-one such sweep, kept idle between solves in the store of
-:mod:`specteig.pam`.
+boundary stationarity condition certifies the step. Each lift shape has one
+such sweep, kept idle between solves in the store of :mod:`specteig.pam`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import itertools
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -38,7 +42,7 @@ from .pam import DEGENERATE_TOL, _BlockSweep, _keep_idle, _take_idle
 from .tensor_core import (SymTensor, _check_count, _check_point,
                           _check_real, _check_shape, _check_type,
                           _check_vector, _class_table, _contract,
-                          _dense_from_classes, identity_tensor)
+                          _real_array, identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -63,6 +67,39 @@ def _class_weights(p: int, counts: np.ndarray) -> np.ndarray:
     fact = np.array([math.factorial(k) for k in range(p + 1)],
                     dtype=np.int64 if p <= 18 else object)
     return (fact[counts].prod(axis=1) / fact[p]).astype(float)
+
+
+def _real_value(name: str, value) -> float:
+    """float(value), but a complex value raises DomainError instead of
+    losing its imaginary part, and so does a value float() rejects."""
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Complex) \
+            and not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be real, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} is not a real number: {value!r}") from exc
+
+
+@lru_cache(maxsize=None)
+def _cubic_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """What the lift of a cubic on R^n reads of its blocks, for n alone:
+    the flat positions in H of H[j, k] and H[k, j] at the (0, j, k)
+    classes, a (2, n(n+1)/2) array, and of T's six transposes at the tail
+    classes (i, j, k), 1 <= i <= j <= k, a (6, C_tail) array whose row p
+    holds T's position of each under the p-th permutation of its strides.
+    Read-only; about the lift's own bytes (240 KiB at n = 30)."""
+    classes = _class_table(3, n + 1)[0]
+    head = (n + 1) * (n + 2) // 2
+    j, k = classes[1:, n + 1:head] - 1
+    strides = np.array(list(itertools.permutations((n * n, n, 1))))
+    plan = (np.stack((j * n + k, k * n + j)),
+            strides @ (classes[:, head:] - 1))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
 class TaylorPoly:
@@ -91,7 +128,7 @@ class TaylorPoly:
                                f"expected {n}")
             if any(a < 0 for a in alpha) or sum(alpha) > p:
                 raise DomainError(f"exponent {alpha} outside degree {p}")
-            val = float(val)
+            val = _real_value(f"coefficient at {alpha}", val)
             if not math.isfinite(val):
                 raise DomainError(f"non-finite coefficient at {alpha}")
             if val != 0.0:
@@ -102,45 +139,51 @@ class TaylorPoly:
         counts = np.hstack((p - expo.sum(axis=1, keepdims=True), expo))
         classes = np.repeat(np.tile(np.arange(n + 1), counts.shape[0]),
                             counts.ravel()).reshape(-1, p)
-        self.lifted = SymTensor._from_dense(_dense_from_classes(
-            p, n + 1, coef * _class_weights(p, counts), classes.T))
+        self.lifted = SymTensor._from_classes(
+            p, n + 1, coef * _class_weights(p, counts), classes.T)
 
     @classmethod
     def from_cubic(cls, f0: float, g: np.ndarray, h: np.ndarray,
                    t: np.ndarray) -> "TaylorPoly":
         """Degree-3 model f0 + g.s + (1/2) s.H s + (1/6) T[s]^3.
 
-        Only the symmetric parts of H and T matter. The lift's class values
-        f0, g/3, (H + H^T)/2 / 6 and T's six transposes summed / 6 / 6 are
-        laid out by the shape's position index, so the lift equals its
-        transposes exactly.
+        Only the symmetric parts of H and T matter; complex blocks raise
+        DomainError. The lift's class values are written into one vector,
+        in table order: f0, g / 3, (H[j, k] + H[k, j]) * 0.5 / 6 at the
+        (0, j, k) classes and, at each tail class, T's six transposes
+        summed from 0.0 in permutation order, then / 6 / 6. The positions
+        each block is read at come from the per-n plan, built once per n.
+        The vector is laid out by the shape's position index and gives the
+        lift's weights and norm, so the lift equals its transposes exactly.
         """
-        g = np.asarray(g, dtype=float)
+        g = _real_array("g", g)
         if g.ndim != 1:
             raise DimError(f"g must be a vector, got shape {g.shape}")
         n = g.shape[0]
         _check_count("n", n, DomainError)
-        h, t = np.asarray(h, dtype=float), np.asarray(t, dtype=float)
+        h, t = _real_array("h", h), _real_array("t", t)
         if h.shape != (n, n) or t.shape != (n, n, n):
             raise DimError(f"blocks must have shapes ({n},), ({n},{n}), "
                            f"({n},{n},{n})")
         _check_shape(3, n + 1)
-        # classes (0, 0, 0), (0, 0, k), (0, j, k), then the tail (i, j, k),
-        # 1 <= i <= j <= k; w[p] are the strides of transpose p of T, so row
-        # p of w @ tail is where it holds each; rows add from 0.0, as sum()
-        head = (n + 1) * (n + 2) // 2
-        classes = _class_table(3, n + 1)[0]
-        j, k = classes[1:, n + 1:head] - 1
-        w = np.array(list(itertools.permutations((n * n, n, 1))))
-        t = np.add.reduce(t.ravel().take(w @ (classes[:, head:] - 1)),
-                          axis=0, initial=0.0)
-        v = np.concatenate(([float(f0)], g / 3.0,
-                            (0.5 * (h + h.T) / 6.0)[j, k], t / 6.0 / 6.0))
+        h_pos, t_pos = _cubic_plan(n)
+        head = n + 1 + h_pos.shape[1]
+        v = np.empty(head + t_pos.shape[1])
+        v[0] = _real_value("f0", f0)
+        np.divide(g, 3.0, out=v[1:n + 1])
+        # H's pair and T's six transposes are gathered whole, then reduced
+        # row by row; the / 6.0 both blocks end with is one divide
+        pair, tail, both = v[n + 1:head], v[head:], v[n + 1:]
+        np.add.reduce(h.ravel().take(h_pos), axis=0, out=pair)
+        np.multiply(pair, 0.5, out=pair)
+        np.add.reduce(t.ravel().take(t_pos), axis=0, initial=0.0, out=tail)
+        np.divide(tail, 6.0, out=tail)
+        np.divide(both, 6.0, out=both)
         if not np.isfinite(v).all():
             raise DomainError("non-finite entry in the cubic blocks")
         self = cls.__new__(cls)
         self.n, self.p = n, 3
-        self.lifted = SymTensor._from_dense(_dense_from_classes(3, n + 1, v))
+        self.lifted = SymTensor._from_classes(3, n + 1, v)
         return self
 
     @property

@@ -60,6 +60,18 @@ def to_dense(t) -> np.ndarray:
     return arr
 
 
+def same_as_wrapped(t: SymTensor) -> None:
+    """t built from class values equals, in every field and bit for bit,
+    the tensor that wraps a copy of its array and reads them back."""
+    want = SymTensor._from_dense(t.dense.copy())
+    assert (t.order, t.dim) == (want.order, want.dim)
+    assert t.dense.tobytes() == want.dense.tobytes()
+    assert t._weights.tobytes() == want._weights.tobytes()
+    assert repr(t._fro) == repr(want._fro)
+    assert t._classes is want._classes
+    assert not t.dense.flags.writeable
+
+
 def permutation_count(idx) -> float:
     """The number of distinct orderings of an index tuple, as a float."""
     return math.factorial(len(idx)) / math.prod(

@@ -14,8 +14,10 @@ from specteig import (BoundaryConfig, ConfigError, DimError,
                       frobenius_inner, identity_tensor, kl_exponent,
                       pam_solve, random_cubic, solve_boundary,
                       solve_multistart)
+from specteig.pam import PamRequest, _await, run_alone
 from specteig.tensor_core import (_check_real, _check_same_shape,
                                   _check_type)
+from specteig.trust_region import TaylorPoly
 
 A1 = SymTensor.from_entries(2, 2, {(1, 1): 1.0, (2, 2): -2.0})
 POLY = random_cubic(3, 0)
@@ -49,12 +51,55 @@ BAD_CALLS = {
     "BoundaryConfig s0 nan": lambda: solve_boundary(
         POLY, 2.0, BoundaryConfig(s0=[math.nan, 0.0, 0.0])),
     "kl_exponent float d": lambda: kl_exponent(2.0, 2),
+    "seat str theta": lambda: run_alone(_await(PamRequest(
+        A1, CONFIG.inner, b=A1, theta="x"))),
+    "seat nan theta": lambda: run_alone(_await(PamRequest(
+        A1, CONFIG.inner, b=A1, theta=math.nan))),
+    "Given complex block": lambda: pam_solve(A1, PamConfig(
+        gammas=(1.0, 1.0), init=Given((np.array([1j, 1.0]),) * 2))),
+    "from_cubic complex g": lambda: TaylorPoly.from_cubic(
+        0, [1j, 2], np.zeros((2, 2)), np.zeros((2, 2, 2))),
+    "from_cubic complex H": lambda: TaylorPoly.from_cubic(
+        0, [1, 2], np.eye(2) * 1j, np.zeros((2, 2, 2))),
+    "from_cubic complex T": lambda: TaylorPoly.from_cubic(
+        0, [1, 2], np.eye(2), np.zeros((2, 2, 2), dtype=complex)),
+    "TaylorPoly complex coefficient": lambda: TaylorPoly(2, 3, {(1, 0): 1j}),
+    "TaylorPoly str coefficient": lambda: TaylorPoly(2, 3, {(1, 0): "x"}),
 }
 
 
 @pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
 def test_bad_input_raises_a_package_error(call):
     with pytest.raises(SpecteigError):
+        call()
+
+
+@pytest.mark.parametrize("theta", ["x", math.nan, -math.inf])
+def test_a_bad_theta_reaches_the_program(theta):
+    # the seat checks theta as axpy does and throws its ConfigError into
+    # the program, which may catch it; a NaN used to fail only at sweep 1
+    def program():
+        try:
+            yield PamRequest(A1, CONFIG.inner, b=A1, theta=theta)
+        except ConfigError as exc:
+            return str(exc)
+
+    assert run_alone(program()) == (f"theta must be real and finite, got "
+                                    f"{theta!r}")
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: pam_solve(A1, PamConfig(gammas=(1.0, 1.0), init=Given(
+        (np.array([1.0, 0.5], dtype=complex), np.array([1.0, 0.0]))))),
+     ConfigError),
+    (lambda: TaylorPoly.from_cubic(np.complex128(1.0), [1.0], [[1.0]],
+                                   [[[1.0]]]), DomainError),
+    (lambda: TaylorPoly(1, 2, {(1,): np.complex128(2.0)}), DomainError),
+], ids=["Given", "from_cubic f0", "TaylorPoly coefficient"])
+def test_a_complex_value_is_not_cast_to_real(call, error):
+    # a complex number with a zero imaginary part is still refused: NumPy's
+    # cast would keep its real part with only a ComplexWarning
+    with pytest.raises(error, match="must be real"):
         call()
 
 
@@ -66,7 +111,8 @@ def test_a_non_finite_s0_is_a_config_error():
 
 
 class TestValidators:
-    @pytest.mark.parametrize("value", [0, 0.0, 1, 2.5, np.float64(3.0)])
+    @pytest.mark.parametrize("value", [0, 0.0, 1, 2.5, np.float64(3.0),
+                                       np.int64(2), np.float32(0.5)])
     def test_nonnegative_accepts(self, value):
         _check_real("x", value)
 

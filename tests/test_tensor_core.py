@@ -16,13 +16,13 @@ from specteig import (ArityError, ConfigError, DimError, DomainError,
                       identity_tensor, load_tensor, random_cubic)
 from specteig.errors import NumericalError, ParseError
 from specteig.pam import _BlockSweep
-from specteig.tensor_core import (_LAYOUT_CHUNK, _class_table,
-                                  _dense_from_classes, _double_factorial)
+from specteig.tensor_core import (_LAYOUT_CHUNK, _class_layout,
+                                  _class_table, _double_factorial)
 
 from conftest import (dense_multilinear, dense_partial, fd_gradient,
                       permutation_count, random_symtensor,
                       reference_apply_full, reference_apply_full_many,
-                      to_dense)
+                      same_as_wrapped, to_dense)
 
 A1 = SymTensor.from_entries(2, 2, [((1, 1), 1.0), ((2, 2), -2.0)])
 A2 = SymTensor.from_entries(2, 2, [((1, 1), 2.0), ((2, 2), 4.0)])
@@ -408,8 +408,9 @@ class TestClassTable:
             value = rng.standard_normal()
             for perm in itertools.permutations(idx):
                 dense[perm] = value
-        assert np.array_equal(
-            _dense_from_classes(m, n, dense.take(flat)), dense)
+        values = dense.take(flat)
+        got, laid = _class_layout(m, n, values)
+        assert np.array_equal(got, dense) and laid is values
         # the same values at a few of their classes, by any permutation
         some = rng.permutation(len(rank))[:max(1, len(rank) // 3)]
         cols = rng.permuted(classes[:, some], axis=0)
@@ -417,8 +418,9 @@ class TestClassTable:
         for idx in classes[:, some].T.tolist():
             for perm in itertools.permutations(idx):
                 sparse[perm] = dense[perm]
-        assert np.array_equal(
-            _dense_from_classes(m, n, dense.take(flat[some]), cols), sparse)
+        got, laid = _class_layout(m, n, dense.take(flat[some]), cols)
+        assert np.array_equal(got, sparse)
+        assert np.array_equal(laid, sparse.take(flat))
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_small_shapes(self, m):
@@ -926,7 +928,7 @@ class TestLayout:
         want = whole.take(index.astype(np.intp)).reshape((dim,) * order)
         tracemalloc.start()
         try:
-            dense = _dense_from_classes(order, dim, values, picked)
+            dense = _class_layout(order, dim, values, picked)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -947,6 +949,28 @@ class TestLayout:
             values[index[np.ravel_multi_index(idx, (90,) * 3)]] = val
         want = values.take(index.astype(np.intp)).reshape((90,) * 3)
         assert t.dense.tobytes() == want.tobytes()
+
+
+class TestFromClasses:
+    """A tensor built from class values takes its weights and norm from
+    them: every field equals that of the wrapped array."""
+
+    def test_map(self):
+        same_as_wrapped(SymTensor(3, 4, {(0, 1, 3): 1.5, (2, 2, 2): -0.25,
+                                         (0, 0, 0): 0.0, (1, 3, 3): 1e-9}))
+        same_as_wrapped(SymTensor(2, 3, {}))
+
+    def test_entries_and_file(self, tmp_path):
+        entries = {(3, 1, 2): 2.0, (4, 4, 4): -1.0, (2, 2, 1): 1e100}
+        same_as_wrapped(SymTensor.from_entries(3, 4, entries))
+        path = tmp_path / "t.tns"
+        path.write_text("order 3\ndim 4\n" + "".join(
+            f"{' '.join(map(str, idx))} {val!r}\n"
+            for idx, val in entries.items()))
+        loaded = load_tensor(path)
+        same_as_wrapped(loaded)
+        assert loaded.dense.tobytes() == SymTensor.from_entries(
+            3, 4, entries).dense.tobytes()
 
 
 class TestLoadTensor:

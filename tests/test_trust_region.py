@@ -5,6 +5,7 @@ multiplier and the step exactly; cubic instances are checked against dense
 sampling and second-order certificates.
 """
 
+import hashlib
 import itertools
 import json
 import logging
@@ -32,7 +33,8 @@ from specteig.trust_region import (_boundary_sweeps, _shift_tensor,
 
 from conftest import (boundary_fields, fd_gradient, reference_evaluate,
                       reference_gradient, reference_solve_boundary,
-                      reference_hessian, reference_homogenize)
+                      reference_hessian, reference_homogenize,
+                      same_as_wrapped)
 
 
 def seated_sweep(stack, start, p, delta, gamma=8.0):
@@ -343,6 +345,81 @@ class TestLiftedEvaluation:
         # construction, which raises before allocating it
         with pytest.raises(ConfigError):
             TaylorPoly(256, 3, {(1,) + (0,) * 255: 1.0})
+
+
+#: SHA-256 of lifted.dense.tobytes() then lifted._weights.tobytes(), its
+#: first 32 hex digits, for the 21 models of the boundary workload's
+#: set-up: (seed, n) of the battery at scales 80, and (42, 15), the radius
+#: sweep's model at scales (200, 8, 2). Recorded before from_cubic took
+#: its per-n plan; the lifts must not change by a bit.
+LIFT_DIGESTS = {
+    (1000, 2): "6f67d018ba0551f96b200e982375b4a6",
+    (1000, 3): "06a5b1d127ccba72831bc2419c1d4ff0",
+    (1000, 4): "ae6eaac629a63ba34751d6f647264a7c",
+    (1000, 5): "f7e358c1b8ceed3caf5a99c7b6a44610",
+    (1000, 6): "38df09a2eb0501ea3cc24b402920f6a8",
+    (1000, 7): "f1059dabc7c6fd1a24c2c9184b0abf98",
+    (1000, 8): "2ef5ea86e0de17e8d9604947b4448079",
+    (1000, 9): "c0e0b73c0ef6ecfb301abc10c6008220",
+    (1000, 10): "eae991349857ab23a892081f028339f5",
+    (1002, 2): "6876034661e2f891a089ed0f2126e4be",
+    (1002, 3): "0ad5df8ca3afe85dfd463527c63126e8",
+    (1002, 4): "00608aec991a94eed5f047034ed25ef4",
+    (1002, 5): "ba791ceaabe0036721547f2575297ef5",
+    (1002, 6): "df02026e96770c92c5850222638a8647",
+    (1002, 7): "44ae72f2049fdb9517d2f72ec826362d",
+    (1002, 8): "26cf8ca35101ee9d59649e49c3e2c264",
+    (1002, 9): "558c59b9e7eb55a045780581ca4f160d",
+    (1002, 10): "1ad6ee60e00a2f0039e050dc79d55a64",
+    (1000, 15): "25042c40544eef916efee8a57fcd9483",
+    (1000, 30): "a3d0cd0cca74260bba174ae9b757ab96",
+    (42, 15): "6e2a01b9e95898c619fdfbf1a515cdf6",
+}
+
+
+class TestCubicPlan:
+    """from_cubic's lift from the per-n plan, laid out from its class
+    values by SymTensor._from_classes."""
+
+    @pytest.mark.parametrize("key", LIFT_DIGESTS)
+    def test_set_up_lifts_are_pinned(self, key):
+        seed, n = key
+        scales = (200.0, 8.0, 2.0) if seed == 42 else (80.0, 80.0, 80.0)
+        lift = random_cubic(n, seed, scales).lifted
+        digest = hashlib.sha256(lift.dense.tobytes())
+        digest.update(lift._weights.tobytes())
+        assert digest.hexdigest()[:32] == LIFT_DIGESTS[key]
+
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_from_cubic_equals_the_wrapped_array(self, n):
+        # weights and norm from the class values equal those read back
+        # from the array
+        same_as_wrapped(random_cubic(n, 7).lifted)
+
+    def test_terms_equal_the_wrapped_array(self):
+        poly = TaylorPoly(3, 4, {(0, 0, 0): 1.5, (1, 2, 0): -0.25,
+                                 (0, 0, 4): 3.0, (2, 1, 1): 1e-3})
+        same_as_wrapped(poly.lifted)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_plan_is_read_only_and_cached(self, n):
+        h_pos, t_pos = trust_region._cubic_plan(n)
+        assert trust_region._cubic_plan(n)[0] is h_pos
+        assert h_pos.shape == (2, n * (n + 1) // 2)
+        assert t_pos.shape == (6, math.comb(n + 2, 3))
+        for arr in (h_pos, t_pos):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+        # the flat positions of H[j, k] and H[k, j], and those of T[i, j, k]
+        # under each permutation of T's strides, in the order of the sums
+        pairs = itertools.combinations_with_replacement(range(n), 2)
+        assert h_pos.T.tolist() == [[j * n + k, k * n + j] for j, k in pairs]
+        strides = list(itertools.permutations((n * n, n, 1)))
+        tails = itertools.combinations_with_replacement(range(n), 3)
+        assert t_pos.T.tolist() == [
+            [sum(w * i for w, i in zip(perm, idx)) for perm in strides]
+            for idx in tails]
 
 
 class TestBoundaryEngine:

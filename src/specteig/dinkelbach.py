@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Generator
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import ArityError, DenominatorError, DimError, NumericalError
 from .pam import (Given, PamConfig, PamRequest, PamResult, Uniform,
                   _starts, run_alone)
 from .tensor_core import (HDiagonal, SymTensor, ZIdentity, _check_count,
-                          _check_real, _check_type, _unit_point)
+                          _check_real, _check_type, _per_shape, _unit_point)
 
 __all__ = [
     "FractionalProblem",
@@ -48,7 +47,7 @@ MONOTONE_SLACK = 1e-9
 _POSITIVITY_SAMPLES, _POSITIVITY_SEED = 100, 12345
 
 
-@lru_cache(maxsize=16)
+@_per_shape
 def _positivity_samples(dim: int) -> np.ndarray:
     """The read-only (100, dim) unit vectors that vet a denominator on
     R^dim."""

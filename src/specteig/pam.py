@@ -31,16 +31,14 @@ pool of one, so no result depends on what else is seated. The sweep is
 built for the pool's capacity, and the ticks of t seated subproblems run
 on a head, the sweep rebound to views of their first t rows, built once
 per row count. A pool that returns leaves its sweep idle, heads and all,
-for the next pool of the same order, dimension and capacity, which
-rewrites every row it seats: repeated calls of one shape (a benchmark, a
-study script, a loop over dinkelbach_solve) skip building it, and a
-one-shot call builds it as before. The boundary solver keeps the one-row
-sweep of each lift shape in the same idle store. The store keeps one
-entry per key, each of at most 2 MiB and 4 MiB in all, and drops the
-oldest entries first to make room, so a large stack does not outlive its
-call. A pool turns off NumPy's divide and invalid warnings once for its
-run, for the sweeps, and gives its programs back their caller's error
-state.
+in the shape store of :mod:`specteig.tensor_core`, for the next pool of
+the same order, dimension and capacity, which rewrites every row it seats:
+repeated calls of one shape skip building it. The boundary solver keeps
+its one-row sweeps there too. The store holds every per-shape cache under
+one budget, 6 MiB and at most 2 MiB an entry, and drops the least recently
+used first, so a large stack does not outlive its call. A pool turns off
+NumPy's divide and invalid warnings once for its run, for the sweeps, and
+gives its programs back their caller's error state.
 
 A program (a generator) asks for each subproblem with a
 :class:`PamRequest`: the operators A and B, the parameter theta and a
@@ -60,7 +58,6 @@ import csv
 import logging
 import math
 import numbers
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -72,8 +69,8 @@ from .errors import (ArityError, ConfigError, DimError, DomainError,
                      NumericalError)
 from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, _check_count,
                           _check_real, _check_same_shape, _check_type,
-                          _class_table, _form_values, _frobenius,
-                          _real_array, identity_tensor)
+                          _class_table, _form_values, _frobenius, _keep,
+                          _real_array, _take, identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -512,51 +509,6 @@ class _BlockSweep:
 #: (tracemalloc); it counts as this many bytes per block.
 _HEAD_BYTES = 3 << 10
 
-#: Largest entry kept idle. Building a pool's sweep takes 40-130 us and a
-#: head 25-35 us, a visible share of a call of a few ms. This keeps the
-#: four-row sweeps of order 4 on R^3 (55 KiB with its heads) and order 6 on
-#: R^4 (0.4 MiB), the 100-row sweep of study 5.1 (1.6 MiB; 5 ms to build
-#: against a 30 ms call) and the boundary sweep of cubics on R^30 (1.2
-#: MiB). It drops the 100-row sweep of study 5.2 (10 MiB; 9 ms against
-#: 0.4 s) and any 2**24-entry stack.
-_IDLE_BYTES = 2 << 20
-
-#: Most bytes the idle entries hold together: storing one drops the oldest
-#: entries until it fits. Two of the largest entries fit, and so do the
-#: boundary sweeps of all 11 shapes of the default battery (1.6 MB).
-_IDLE_BUDGET = 4 << 20
-
-#: The idle entries, oldest first, each with its nbytes: the sweep of a
-#: pool of each (d, n, capacity), and the sweep of a boundary solve of each
-#: lift shape ("boundary", p, n + 1), whose keys never equal a pool's. A
-#: user takes its entry by pop and stores its own when it returns, both
-#: under _IDLE_LOCK, so pools and solves that run at the same time, nested
-#: or in threads, never share one.
-_IDLE: dict[tuple, object] = {}
-_IDLE_LOCK = threading.Lock()
-
-
-def _take_idle(key: tuple):
-    """The idle entry of key, taken out of the store, or None."""
-    with _IDLE_LOCK:
-        return _IDLE.pop(key, None)
-
-
-def _keep_idle(key: tuple, entry) -> None:
-    """Store entry as the newest idle entry of key, unless its nbytes is
-    above _IDLE_BYTES, and drop the oldest entries until the store holds at
-    most _IDLE_BUDGET bytes."""
-    if entry.nbytes > _IDLE_BYTES:
-        return
-    with _IDLE_LOCK:
-        _IDLE.pop(key, None)
-        total = entry.nbytes + sum(e.nbytes for e in _IDLE.values())
-        for old in list(_IDLE):
-            if total <= _IDLE_BUDGET:
-                break
-            total -= _IDLE.pop(old).nbytes
-        _IDLE[key] = entry
-
 
 class _Pool:
     """State of one :func:`run_lockstep` call.
@@ -588,7 +540,7 @@ class _Pool:
             while self.members:
                 self._tick()
         if self.capacity:
-            _keep_idle(self.key, self.whole)
+            _keep(self.key, self.whole)
         return self.outcomes, self.sweeps
 
     def _advance(self, slot: int, p: int, result: PamResult | None,
@@ -629,9 +581,9 @@ class _Pool:
             # the idle sweep of the shape and capacity, or a new one
             self.capacity = min(len(self.programs),
                                 max(1, MAX_DENSE_ENTRIES // dim ** d))
-            self.key = (d, dim, self.capacity)
-            self.whole = self.seated = _take_idle(self.key) \
-                or _BlockSweep(*self.key)
+            self.key = ("pool", d, dim, self.capacity)
+            self.whole = self.seated = _take(self.key) \
+                or _BlockSweep(*self.key[1:])
         f = self.whole
         if (d, dim) != f.blocks.shape[1:]:
             raise DimError(f"a pool of order-{f.blocks.shape[1]} "

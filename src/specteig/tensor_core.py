@@ -4,7 +4,7 @@ every operator: a numerator, a denominator and each shifted combination
 
 A symmetric tensor of order m on R^n is its dense n**m array. Its entries
 are determined by their values on nondecreasing index tuples (canonical
-classes), and one cached table per shape lists those classes as an (m, C)
+classes), and one stored table per shape lists those classes as an (m, C)
 array, with their flat positions, permutation counts and the class of each
 flat position (the position index). Every tensor built from class values is
 one length-C vector laid out through that index by chunked takes, and takes
@@ -21,13 +21,19 @@ pool, with permutation counts as weights: C(n+m-1, m) terms, not n**m. Only
 the Frobenius norm and the canonical map skip classes whose value is zero.
 
 The two structured denominators are tensors too: :class:`ZIdentity` and
-:class:`HDiagonal` hold the cached :func:`identity_tensor` and
+:class:`HDiagonal` hold the stored :func:`identity_tensor` and
 :func:`diagonal_tensor` arrays and override only their homogeneous form
 and slot-gradient, with closed forms.
 
-Dense storage bounds the size: a shape with more than
-:data:`MAX_DENSE_ENTRIES` entries raises :class:`ConfigError` before
-anything is allocated.
+State that depends on a shape alone (class tables, identity and diagonal
+tensors, cubic plans, shift tensors, idle sweeps) lives in one shape store
+by (kind, *shape): at most _STORE_BUDGET bytes, the least recently used
+dropped first, an entry above _STORE_ENTRY bytes built per call. A user
+takes a sweep out and keeps it when it returns, so users that run at once
+never share one. Dropping an entry drops only the store's reference: a
+tensor keeps its class table. Dense storage bounds the size: a shape with
+more than :data:`MAX_DENSE_ENTRIES` entries raises :class:`ConfigError`
+before anything is allocated.
 
 Indices are 1-based in files and public entry points, 0-based internally.
 All objects here are immutable after construction.
@@ -38,7 +44,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from functools import lru_cache, wraps
+import threading
+from functools import partial, wraps
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
@@ -135,7 +142,7 @@ def _check_shape(order: int, dim: int) -> None:
 
 
 def _check_vector(x: np.ndarray, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = _real_array("x", x)
     if x.shape != (dim,):
         raise DimError(f"expected a vector of length {dim}, got shape {x.shape}")
     return x
@@ -167,6 +174,65 @@ def _contract(dense: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out if len(blocks) else out.copy()
 
 
+#: Largest entry the shape store keeps, in bytes: the four-row sweeps of
+#: order 4 on R^3 and order 6 on R^4 (55 KiB and 0.4 MiB), study 5.1's
+#: 100-row sweep (1.6 MiB; 5 ms to build against a 30 ms call), and the
+#: boundary sweep and class table of cubics on R^30 (1.2 and 0.3 MiB), but
+#: not study 5.2's 100-row sweep (10 MiB; 9 ms against 0.4 s).
+_STORE_ENTRY = 2 << 20
+
+#: Most bytes the store holds. The boundary workload's entries take 2.6 MiB
+#: (11 lift shapes, each with its sweep, class table, plan and shift
+#: tensor), `specteig examples all`'s 1.4 MiB, eigen-h6's 0.5 MiB.
+_STORE_BUDGET = 6 << 20
+
+#: The shape store, least recently used first, each entry with its bytes.
+_STORE: dict[tuple, tuple[object, int]] = {}
+_STORE_LOCK = threading.Lock()
+
+
+def _take(key: tuple):
+    """The store's entry of key, taken out of it, or None."""
+    with _STORE_LOCK:
+        return _STORE.pop(key, (None,))[0]
+
+
+def _keep(key: tuple, entry) -> None:
+    """Store entry as the newest of key unless its bytes (its nbytes, its
+    arrays', or a tensor's dense array and weights) pass _STORE_ENTRY, and
+    drop the oldest entries until the store holds _STORE_BUDGET at most."""
+    size = entry.nbytes if hasattr(entry, "nbytes") else sum(
+        a.nbytes for a in (entry if isinstance(entry, tuple)
+                           else (entry.dense, entry._weights)))
+    if size > _STORE_ENTRY:
+        return
+    with _STORE_LOCK:
+        _STORE.pop(key, None)
+        _STORE[key] = entry, size
+        total = sum(nbytes for _, nbytes in _STORE.values())
+        while total > _STORE_BUDGET:
+            total -= _STORE.pop(next(iter(_STORE)))[1]
+
+
+def _per_shape(build, checked: bool = False):
+    """build(*shape) read through the store under (its name, *shape); on a
+    miss, built outside the lock (it may read other entries) and kept. A
+    checked (order, dim) is checked first: keys hold 2.0 equal to 2."""
+    @wraps(build)
+    def stored(*shape):
+        if checked:
+            _check_shape(*shape)
+        key = (build.__name__, *shape)
+        with _STORE_LOCK:
+            if key in _STORE:
+                _STORE[key] = _STORE.pop(key)
+                return _STORE[key][0]
+        entry = build(*shape)
+        _keep(key, entry)
+        return entry
+    return stored
+
+
 def _multiplicities(classes: np.ndarray) -> np.ndarray:
     """Permutation count of each sorted index column of an (m, C) table."""
     run = np.ones(classes.shape[1])
@@ -177,7 +243,7 @@ def _multiplicities(classes: np.ndarray) -> np.ndarray:
     return math.factorial(classes.shape[0]) / repeats
 
 
-@lru_cache(maxsize=None)
+@_per_shape
 def _class_table(order: int, dim: int) -> tuple[np.ndarray, ...]:
     """The shape's nondecreasing index tuples, in lexicographic order, as
     the columns of an (order, C) table; their flat positions; their
@@ -211,14 +277,14 @@ _LAYOUT_CHUNK = 2 ** 16
 
 
 def _class_layout(order: int, dim: int, values: np.ndarray,
-                  columns: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense array of class values, and the length-C vector of class values
-    it was laid out from: values are C in table order, or each at every
-    permutation of its (order, k) index column (distinct classes, zero
-    elsewhere). The vector is laid out through the position index, one take
-    per _LAYOUT_CHUNK positions."""
-    index = _class_table(order, dim)[3]
+                  columns: np.ndarray | None = None) -> tuple:
+    """Dense array of class values, the length-C vector of class values it
+    was laid out from, and the shape's class table: values are C in table
+    order, or each at every permutation of its (order, k) index column
+    (distinct classes, zero elsewhere). The vector is laid out through the
+    position index, one take per _LAYOUT_CHUNK positions."""
+    table = _class_table(order, dim)
+    index = table[3]
     shape = (dim,) * order
     if columns is not None:
         full = np.zeros(math.comb(dim + order - 1, order))
@@ -230,7 +296,7 @@ def _class_layout(order: int, dim: int, values: np.ndarray,
     for start in range(0, index.size, _LAYOUT_CHUNK):
         end = start + _LAYOUT_CHUNK
         values.take(index[start:end], out=dense[start:end], mode="clip")
-    return dense.reshape(shape), values
+    return dense.reshape(shape), values, table
 
 
 def _classes_from_entries(order: int, dim: int, indices: list, values: list,
@@ -354,11 +420,12 @@ class SymTensor:
         for name in SymTensor.__slots__:
             setattr(self, name, getattr(other, name))
 
-    def _set(self, dense: np.ndarray, values: np.ndarray | None = None
-             ) -> None:
-        """Bind a symmetric dense array and its class values in table
-        order, read from the array when not given."""
-        self._classes, flat, counts = _class_table(dense.ndim, len(dense))[:3]
+    def _set(self, dense: np.ndarray, values: np.ndarray | None = None,
+             table: tuple | None = None) -> None:
+        """Bind a symmetric dense array, its class values in table order and
+        its shape's class table, read or looked up when not given."""
+        self._classes, flat, counts = (
+            table or _class_table(dense.ndim, len(dense)))[:3]
         if values is None:
             values = dense.take(flat)
         self._weights = counts * values
@@ -393,7 +460,7 @@ class SymTensor:
 
     def apply_full_many(self, xs: np.ndarray) -> np.ndarray:
         """Homogeneous form at every row of an (N, n) array."""
-        xs = np.asarray(xs, dtype=float)
+        xs = _real_array("xs", xs)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise DimError(f"expected an (N, {self.dim}) array, got shape "
                            f"{xs.shape}")
@@ -456,20 +523,7 @@ def _double_factorial(k: int) -> int:
     return math.prod(range(k, 0, -2)) if k > 0 else 1
 
 
-def _cached_by_shape(build):
-    """build(order, dim) cached per shape, the shape checked before the
-    cache, whose keys hold 2.0 equal to 2."""
-    cached = lru_cache(maxsize=None)(build)
-
-    @wraps(build)
-    def checked(order: int, dim: int) -> SymTensor:
-        _check_shape(order, dim)
-        return cached(order, dim)
-    checked.cache_clear = cached.cache_clear
-    return checked
-
-
-@_cached_by_shape
+@partial(_per_shape, checked=True)
 def identity_tensor(order: int, dim: int) -> SymTensor:
     """Symmetric tensor whose homogeneous form is the order-th power of the
     Euclidean norm.
@@ -492,7 +546,7 @@ def identity_tensor(order: int, dim: int) -> SymTensor:
     return SymTensor(order, dim, canon)
 
 
-@_cached_by_shape
+@partial(_per_shape, checked=True)
 def diagonal_tensor(order: int, dim: int) -> SymTensor:
     """Symmetric tensor with ones on the diagonal and zeros elsewhere."""
     return SymTensor(order, dim, {(i,) * order: 1.0 for i in range(dim)})

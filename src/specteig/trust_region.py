@@ -20,7 +20,8 @@ surrogate lift - alpha * S, where S has the form y_0 |y|^(p-1) (odd p) or
 sphere. A round picks the block of least model value from the sweep's
 block_values, the eigen pool's gather, and a multiplier estimated from the
 boundary stationarity condition certifies the step. Each lift shape has one
-such sweep, kept idle between solves in the store of :mod:`specteig.pam`.
+such sweep, kept idle between solves in the shape store of
+:mod:`specteig.tensor_core`, beside the shape's cubic plan and shift tensor.
 """
 
 from __future__ import annotations
@@ -30,19 +31,19 @@ import json
 import logging
 import math
 import numbers
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from .errors import (ConfigError, DimError, DomainError, NumericalError,
                      ParseError)
-from .pam import DEGENERATE_TOL, _BlockSweep, _keep_idle, _take_idle
+from .pam import DEGENERATE_TOL, _BlockSweep
 from .tensor_core import (SymTensor, _check_count, _check_point,
                           _check_real, _check_shape, _check_type,
-                          _check_vector, _class_table, _contract,
-                          _real_array, identity_tensor)
+                          _check_vector, _class_table, _contract, _keep,
+                          _per_shape, _real_array, _take, identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -83,7 +84,7 @@ def _real_value(name: str, value) -> float:
         raise DomainError(f"{name} is not a real number: {value!r}") from exc
 
 
-@lru_cache(maxsize=None)
+@_per_shape
 def _cubic_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
     """What the lift of a cubic on R^n reads of its blocks, for n alone:
     the flat positions in H of H[j, k] and H[k, j] at the (0, j, k)
@@ -211,7 +212,7 @@ class TaylorPoly:
 
     def evaluate_many(self, mat: np.ndarray) -> np.ndarray:
         """Evaluate at every row of an (N, n) array."""
-        mat = np.asarray(mat, dtype=float)
+        mat = _real_array("mat", mat)
         if mat.ndim != 2 or mat.shape[1] != self.n:
             raise DimError(f"expected an (N, {self.n}) array, got shape "
                            f"{mat.shape}")
@@ -235,24 +236,26 @@ class TaylorPoly:
                 f"terms={np.count_nonzero(self.lifted._weights)})")
 
 
-@lru_cache(maxsize=None)
-def _shift_tensor(p: int, dim: int) -> SymTensor:
-    """Symmetric order-p tensor on R^dim with form y_0 |y|^(p-1) for odd p
-    and |y|^p for even p: on the slice y_0 = 1, |y_tail| = Delta its value
-    is the constant (1 + Delta^2)^((p - 1) / 2) or (1 + Delta^2)^(p / 2).
+@_per_shape
+def _shift_tensor(p: int, dim: int) -> np.ndarray:
+    """Read-only dense symmetric order-p array on R^dim of the form y_0
+    |y|^(p-1) for odd p and |y|^p for even p: on the slice y_0 = 1,
+    |y_tail| = Delta it is (1 + Delta^2)^((p-1)/2) or (1 + Delta^2)^(p/2).
 
     For odd p it is the symmetrization of e_0 times the identity tensor of
     order p - 1.
     """
     if p % 2 == 0:
-        return identity_tensor(p, dim)
+        return identity_tensor(p, dim).dense
     rest = identity_tensor(p - 1, dim).dense if p > 1 else np.ones(())
     dense = np.zeros((dim,) * p)
     for k in range(p):
         slot = [slice(None)] * p
         slot[k] = 0
         dense[tuple(slot)] += rest
-    return SymTensor._from_dense(dense / p)
+    dense /= p
+    dense.flags.writeable = False
+    return dense
 
 
 @dataclass(frozen=True)
@@ -365,20 +368,16 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     _check_type("poly", poly, TaylorPoly)
     _check_real("delta", delta, DomainError, positive=True)
     n, p = poly.n, poly.p
-    if config.s0 is not None:
-        s = np.asarray(config.s0, dtype=float).copy()
-        if s.shape != (n,):
-            raise ConfigError(f"s0 has shape {s.shape}, expected ({n},)")
-        if not np.isfinite(s).all():
-            raise ConfigError("s0 must be finite")
-    else:
-        s = np.zeros(n)
+    s = np.zeros(n) if config.s0 is None \
+        else _real_array("s0", config.s0, ConfigError).copy()
+    if s.shape != (n,) or not np.isfinite(s).all():
+        raise ConfigError(f"s0 must be finite of shape ({n},), got {s!r}")
     lift = poly.lifted
     key = ("boundary", p, n + 1)
-    sweep = _take_idle(key) or _BlockSweep(p, n + 1, 1, lead=1)
+    sweep = _take(key) or _BlockSweep(p, n + 1, 1, lead=1)
     stack, blocks = sweep.stack, sweep.blocks
     # lift - alpha * S, written in place
-    np.multiply(_shift_tensor(p, n + 1).dense.reshape(-1), config.alpha,
+    np.multiply(_shift_tensor(p, n + 1).reshape(-1), config.alpha,
                 out=stack[0])
     np.subtract(lift.dense.reshape(-1), stack[0], out=stack[0])
     sweep.gamma_rows[:] = config.gamma
@@ -426,7 +425,7 @@ def solve_boundary(poly: TaylorPoly, delta: float,
             history.append(new_val)
             gl_norm = _norm(grad + lam * s)
             converged = on_boundary(s) and gl_norm < config.tol
-    _keep_idle(key, sweep)
+    _keep(key, sweep)
     if not converged:
         logger.warning("boundary solve stopped at %d rounds with "
                        "stationarity residual %.3g", outer, gl_norm)
@@ -516,10 +515,9 @@ def load_poly(source) -> TaylorPoly:
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{label}: invalid JSON ({exc})") from exc
-    try:
-        n = int(data["n"])
-        p = int(data["p"])
-    except (KeyError, TypeError, ValueError):
+    try:  # an integer, as operator.index takes it: 2.7 is not truncated
+        n, p = operator.index(data["n"]), operator.index(data["p"])
+    except (KeyError, TypeError):
         raise ParseError(f"{label}: need integer fields n and p")
     has_terms = "terms" in data
     has_dense = any(k in data for k in ("g", "H", "T"))
@@ -530,7 +528,7 @@ def load_poly(source) -> TaylorPoly:
         coeffs: dict[tuple[int, ...], float] = {}
         for item in data["terms"]:
             try:
-                alpha = tuple(int(a) for a in item["alpha"])
+                alpha = tuple(map(operator.index, item["alpha"]))
                 coeff = float(item["coeff"])
             except (KeyError, TypeError, ValueError):
                 raise ParseError(f"{label}: malformed term {item!r}")
@@ -548,11 +546,8 @@ def load_poly(source) -> TaylorPoly:
         if missing:
             raise ParseError(f"{label}: missing dense blocks {missing}")
         try:
-            return TaylorPoly.from_cubic(
-                float(data.get("f0", 0.0)),
-                np.array(data["g"], dtype=float),
-                np.array(data["H"], dtype=float),
-                np.array(data["T"], dtype=float))
+            return TaylorPoly.from_cubic(data.get("f0", 0.0), data["g"],
+                                         data["H"], data["T"])
         except (DimError, DomainError, TypeError, ValueError) as exc:
             raise ParseError(f"{label}: {exc}") from exc
     raise ParseError(f"{label}: need either terms or dense g/H/T blocks")

@@ -337,7 +337,7 @@ def reference_solve_boundary(poly, delta: float,
     s = np.zeros(n) if config.s0 is None \
         else np.asarray(config.s0, dtype=float).copy()
     stack = (poly.lifted.dense - config.alpha
-             * _shift_tensor(p, n + 1).dense).reshape(1, -1)
+             * _shift_tensor(p, n + 1)).reshape(1, -1)
 
     def on_boundary(vec):
         return abs(float(np.linalg.norm(vec)) - delta) <= 1e-10 * max(

@@ -9,10 +9,10 @@ import pytest
 
 from specteig import (BoundaryConfig, ConfigError, DimError,
                       DinkelbachConfig, DomainError, Given, PamConfig,
-                      SpecteigError, SymTensor, Uniform, axpy,
+                      ParseError, SpecteigError, SymTensor, Uniform, axpy,
                       build_problem, diagonal_tensor, dinkelbach_solve,
                       frobenius_inner, identity_tensor, kl_exponent,
-                      pam_solve, random_cubic, solve_boundary,
+                      load_poly, pam_solve, random_cubic, solve_boundary,
                       solve_multistart)
 from specteig.pam import PamRequest, _await, run_alone
 from specteig.tensor_core import (_check_real, _check_same_shape,
@@ -65,6 +65,13 @@ BAD_CALLS = {
         0, [1, 2], np.eye(2), np.zeros((2, 2, 2), dtype=complex)),
     "TaylorPoly complex coefficient": lambda: TaylorPoly(2, 3, {(1, 0): 1j}),
     "TaylorPoly str coefficient": lambda: TaylorPoly(2, 3, {(1, 0): "x"}),
+    "load_poly float n": lambda: load_poly({"n": 2.7, "p": 3, "terms": []}),
+    "load_poly float p": lambda: load_poly({"n": 2, "p": 3.9, "terms": []}),
+    "load_poly float exponent": lambda: load_poly(
+        {"n": 2, "p": 3, "terms": [{"alpha": [1.5, 0], "coeff": 1.0}]}),
+    "load_poly float dense n": lambda: load_poly(
+        {"n": 2.0, "p": 3, "g": [0, 0], "H": np.zeros((2, 2)).tolist(),
+         "T": np.zeros((2, 2, 2)).tolist()}),
 }
 
 
@@ -95,12 +102,39 @@ def test_a_bad_theta_reaches_the_program(theta):
     (lambda: TaylorPoly.from_cubic(np.complex128(1.0), [1.0], [[1.0]],
                                    [[[1.0]]]), DomainError),
     (lambda: TaylorPoly(1, 2, {(1,): np.complex128(2.0)}), DomainError),
-], ids=["Given", "from_cubic f0", "TaylorPoly coefficient"])
+    (lambda: A1.apply_full([1 + 2j, 0]), DomainError),
+    (lambda: A1.apply_gradient(np.array([1.0, 0.0], dtype=complex)),
+     DomainError),
+    (lambda: A1.multilinear_partial([[1j, 0.0]], 0), DomainError),
+    (lambda: A1.apply_full_many([[1.0, 1j]]), DomainError),
+    (lambda: POLY.evaluate([1j, 0.0, 0.0]), DomainError),
+    (lambda: POLY.evaluate_many([[1j, 0.0, 0.0]]), DomainError),
+    (lambda: solve_boundary(POLY, 2.0, BoundaryConfig(s0=[1j, 0.0, 0.0])),
+     ConfigError),
+    (lambda: load_poly({"n": 1, "p": 3, "f0": 1j, "g": [0.0], "H": [[0.0]],
+                        "T": [[[0.0]]]}), ParseError),
+], ids=["Given", "from_cubic f0", "TaylorPoly coefficient", "apply_full",
+        "apply_gradient", "multilinear_partial", "apply_full_many",
+        "evaluate", "evaluate_many", "s0", "load_poly f0"])
 def test_a_complex_value_is_not_cast_to_real(call, error):
     # a complex number with a zero imaginary part is still refused: NumPy's
     # cast would keep its real part with only a ComplexWarning
     with pytest.raises(error, match="must be real"):
         call()
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 2.7, "p": 3, "terms": []}, {"n": 2, "p": 3.9, "terms": []},
+    {"n": "2", "p": 3, "terms": []},
+    {"n": 2, "p": 3, "terms": [{"alpha": [2.5, 0], "coeff": 1.0}]},
+    {"n": 2, "p": 3, "terms": [{"alpha": [1, 0.0], "coeff": 1.0}]}],
+    ids=["n", "p", "str n", "exponent", "zero exponent"])
+def test_load_poly_does_not_truncate(doc):
+    # int() used to read n = 2.7 as 2, p = 3.9 as 3 and an exponent 2.5 as
+    # 2, and built a model of another shape without a word
+    with pytest.raises(ParseError, match="need integer fields n and p|"
+                                         "malformed term"):
+        load_poly(doc)
 
 
 def test_a_non_finite_s0_is_a_config_error():

@@ -822,7 +822,7 @@ class TestSubproblemCosts:
         monkeypatch.setattr(pam._Pool, "_tick", counted(
             "ticks", pam._Pool._tick))
         # no idle frame yet, as in a fresh process
-        monkeypatch.setattr(pam, "_IDLE", {})
+        monkeypatch.setattr(tensor_core, "_STORE", {})
         # study 5.1's settings, built before counting starts
         config = DinkelbachConfig(inner=PamConfig(
             gammas=(1.0,) * 4, eps=1e-6, init=Uniform(-1.0, 1.0)), tol=1e-3)
@@ -925,11 +925,16 @@ class TestErrorState:
         assert sum(entered.values()) == 4
 
 
+def idle(key):
+    """The frame the shape store keeps idle under key."""
+    return tensor_core._STORE[key][0]
+
+
 class TestIdleFrames:
-    """A pool that returns leaves its frame idle for the next pool of its
-    shape and capacity, which rewrites every row it seats: answers do not
-    depend on what ran before, and pools that run at once never share a
-    frame."""
+    """A pool that returns leaves its frame idle in the shape store for the
+    next pool of its shape and capacity, which rewrites every row it seats:
+    answers do not depend on what ran before, and pools that run at once
+    never share a frame."""
 
     @staticmethod
     def _record_frames(monkeypatch) -> list:
@@ -981,8 +986,8 @@ class TestIdleFrames:
             return res
 
         run_lockstep([program(s) for s in range(4)], PamStats())
-        idle = pam._IDLE[(4, 3, 4)]
-        assert set(idle.gamma_rows.ravel()) == {3.0, 0.5, 2.0, 0.0}
+        frame = idle(("pool", 4, 3, 4))
+        assert set(frame.gamma_rows.ravel()) == {3.0, 0.5, 2.0, 0.0}
         assert _eigen_order4_reports(data_dir) == fresh
 
     def test_a_nested_pool_of_one_shape_gets_its_own_frame(self,
@@ -990,8 +995,8 @@ class TestIdleFrames:
         frames = self._record_frames(monkeypatch)
         config = PamConfig(gammas=(1.0, 1.0), eps=1e-10, seed=4)
         alone = pam_solve(A1, config)
-        idle = frames[-1]
-        assert pam._IDLE[(2, 2, 1)] is idle
+        kept = frames[-1]
+        assert idle(("pool", 2, 2, 1)) is kept
 
         def program():
             first = yield PamRequest(A1, config)
@@ -1001,15 +1006,15 @@ class TestIdleFrames:
 
         (results,), _ = run_lockstep([program()], PamStats())
         inner_frame, outer_frame = frames[-2:]
-        assert outer_frame is idle
-        assert inner_frame is not idle
-        assert not np.shares_memory(inner_frame.stack, idle.stack)
-        assert not np.shares_memory(inner_frame.blocks, idle.blocks)
+        assert outer_frame is kept
+        assert inner_frame is not kept
+        assert not np.shares_memory(inner_frame.stack, kept.stack)
+        assert not np.shares_memory(inner_frame.blocks, kept.blocks)
         for res in results:
             assert (res.value, res.history) == (alone.value, alone.history)
             assert np.array_equal(res.v, alone.v)
         # the pool that returned last left its frame
-        assert pam._IDLE[(2, 2, 1)] is outer_frame
+        assert idle(("pool", 2, 2, 1)) is outer_frame
 
     def test_threads_of_one_shape_keep_their_answers(self, example2):
         # more threads than cores, switching often: a frame two pools
@@ -1044,28 +1049,32 @@ class TestIdleFrames:
         frames = self._record_frames(monkeypatch)
         a = random_symtensor(4, 20, np.random.default_rng(8))
         pam_solve(a, PamConfig(gammas=(1.0,) * 4, max_iter=2))
-        assert frames[-1].nbytes > pam._IDLE_BYTES
-        assert (4, 20, 1) not in pam._IDLE
-        assert all(f is not frames[-1] for f in pam._IDLE.values())
+        assert frames[-1].nbytes > tensor_core._STORE_ENTRY
+        assert ("pool", 4, 20, 1) not in tensor_core._STORE
+        assert all(f is not frames[-1]
+                   for f, _ in tensor_core._STORE.values())
         pam_solve(A1, PamConfig(gammas=(1.0, 1.0), max_iter=2))
-        assert frames[-1].nbytes <= pam._IDLE_BYTES
-        assert pam._IDLE[(2, 2, 1)] is frames[-1]
+        assert frames[-1].nbytes <= tensor_core._STORE_ENTRY
+        assert idle(("pool", 2, 2, 1)) is frames[-1]
 
     def test_at_most_so_many_frames_stay_idle(self, monkeypatch):
-        # frames of 0.25 to 9 KiB against a 20 KiB budget: the oldest go
-        # first
-        monkeypatch.setattr(pam, "_IDLE", {})
-        monkeypatch.setattr(pam, "_IDLE_BUDGET", 20 << 10)
+        # frames of 0.25 to 9 KiB, beside their shapes' class tables and
+        # identity tensors, against a 40 KiB budget: the oldest go first
+        store = {}
+        monkeypatch.setattr(tensor_core, "_STORE", store)
+        monkeypatch.setattr(tensor_core, "_STORE_BUDGET", 40 << 10)
         keys = []
         for n in range(1, 13):
-            pam_solve(identity_tensor(2, n), PamConfig(gammas=(1.0, 1.0),
-                                                       max_iter=2))
-            keys.append((2, n, 1))
-            kept = list(pam._IDLE)
+            # the surrogate's shape is read before the pool runs
+            a = identity_tensor(2, n)
+            pam_solve(a, PamConfig(gammas=(1.0, 1.0), max_iter=2))
+            keys.append(("pool", 2, n, 1))
+            kept = [k for k in store if k[0] == "pool"]
             assert kept == keys[len(keys) - len(kept):]
-            assert sum(f.nbytes for f in pam._IDLE.values()) \
-                <= pam._IDLE_BUDGET
-        assert 1 < len(pam._IDLE) < len(keys)
+            assert store[keys[-1]][1] == idle(keys[-1]).nbytes
+            assert sum(nbytes for _, nbytes in store.values()) \
+                <= tensor_core._STORE_BUDGET
+        assert 1 < len(kept) < len(keys)
 
     def test_nbytes_counts_the_arrays_and_the_heads(self):
         # every array a sweep allocated, each once, plus _HEAD_BYTES per
@@ -1082,7 +1091,7 @@ class TestIdleFrames:
             head = sweep.head_of(1)
             assert sweep.head_of(1) is head
             assert sweep.head_of(shape[2]) is sweep
-            assert sweep.nbytes == headed <= pam._IDLE_BYTES
+            assert sweep.nbytes == headed <= tensor_core._STORE_ENTRY
             if shape[2] > 1:
                 assert np.shares_memory(head.w, sweep.w)
                 assert not hasattr(head, "heads")

@@ -3,6 +3,8 @@
 import itertools
 import math
 import numbers
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 from specteig import (ArityError, ConfigError, DimError, DomainError,
                       DuplicateEntryError, HDiagonal, SymTensor, TaylorPoly,
                       ZIdentity, axpy, diagonal_tensor, frobenius_inner,
-                      identity_tensor, load_tensor, random_cubic)
+                      identity_tensor, load_tensor, random_cubic,
+                      solve_boundary, tensor_core)
 from specteig.errors import NumericalError, ParseError
 from specteig.pam import _BlockSweep
 from specteig.tensor_core import (_LAYOUT_CHUNK, _class_layout,
@@ -409,7 +412,8 @@ class TestClassTable:
             for perm in itertools.permutations(idx):
                 dense[perm] = value
         values = dense.take(flat)
-        got, laid = _class_layout(m, n, values)
+        got, laid, table = _class_layout(m, n, values)
+        assert table is _class_table(m, n)
         assert np.array_equal(got, dense) and laid is values
         # the same values at a few of their classes, by any permutation
         some = rng.permutation(len(rank))[:max(1, len(rank) // 3)]
@@ -418,7 +422,7 @@ class TestClassTable:
         for idx in classes[:, some].T.tolist():
             for perm in itertools.permutations(idx):
                 sparse[perm] = dense[perm]
-        got, laid = _class_layout(m, n, dense.take(flat[some]), cols)
+        got, laid, _ = _class_layout(m, n, dense.take(flat[some]), cols)
         assert np.array_equal(got, sparse)
         assert np.array_equal(laid, sparse.take(flat))
 
@@ -912,8 +916,13 @@ class TestLayout:
     index; the array equals the one take of the whole index."""
 
     @pytest.mark.parametrize("columns", [False, True])
-    def test_peak_is_the_array_and_one_chunk(self, columns):
+    def test_peak_is_the_array_and_one_chunk(self, columns, monkeypatch):
         order, dim = 3, 100  # 1e6 positions, 16 chunks
+        # the shape's 11 MB table is above the store's cap and budget: a
+        # store that keeps it measures the layout alone, not a rebuilt table
+        monkeypatch.setattr(tensor_core, "_STORE", {})
+        monkeypatch.setattr(tensor_core, "_STORE_ENTRY", 64 << 20)
+        monkeypatch.setattr(tensor_core, "_STORE_BUDGET", 64 << 20)
         classes, _, _, index = _class_table(order, dim)
         rng = np.random.default_rng(3)
         values = rng.standard_normal(classes.shape[1])
@@ -1025,7 +1034,8 @@ class TestLoadTensor:
                                              rf"'{value}'"):
             load_tensor(path)
 
-    def test_bundled_files_match_permutation_fill(self, data_dir):
+    def test_bundled_files_match_permutation_fill(self, data_dir,
+                                                   monkeypatch):
         # each line's value at every permutation of its index, on a warm
         # class table and on a cold one
         def oracle(path):
@@ -1043,9 +1053,9 @@ class TestLoadTensor:
         assert len(files) == 4
         for cold in (False, True):
             if cold:
-                # tensors cached by shape bind the new tables too
-                for cache in (_class_table, identity_tensor, diagonal_tensor):
-                    cache.cache_clear()
+                # an empty shape store: the tensors it keeps bind the new
+                # tables too
+                monkeypatch.setattr(tensor_core, "_STORE", {})
             for path in files:
                 assert load_tensor(path).dense.tobytes() == \
                     oracle(path).tobytes()
@@ -1056,3 +1066,135 @@ class TestLoadTensor:
         a4, b4 = example4
         assert (a4.order, a4.dim) == (4, 3)
         assert (b4.order, b4.dim) == (4, 3)
+
+
+class TestShapeStore:
+    """Every per-shape cache is one store: a byte budget, a cap per entry,
+    the least recently used entry dropped first."""
+
+    @pytest.fixture
+    def store(self, monkeypatch):
+        fresh = {}
+        monkeypatch.setattr(tensor_core, "_STORE", fresh)
+        return fresh
+
+    @staticmethod
+    def _bytes(entry) -> int:
+        if isinstance(entry, tuple):
+            return sum(a.nbytes for a in entry)
+        if isinstance(entry, SymTensor):
+            return entry.dense.nbytes + entry._weights.nbytes
+        return entry.nbytes
+
+    def test_bytes_stay_within_budget_over_a_sweep_of_shapes(self, store):
+        for n in range(2, 41, 2):
+            poly = random_cubic(n, 0)
+            solve_boundary(poly, 2.0)
+            identity_tensor(4, 2 + n % 7)
+            diagonal_tensor(6, 2 + n % 5)
+            sizes = [size for _, size in store.values()]
+            assert sum(sizes) <= tensor_core._STORE_BUDGET
+            assert max(sizes) <= tensor_core._STORE_ENTRY
+            for entry, size in store.values():
+                assert size == self._bytes(entry)
+        # the budget dropped the oldest shapes, and kept the newest; the
+        # boundary sweep of cubics on R^40 is above the cap
+        assert ("_cubic_plan", 2) not in store
+        assert ("_cubic_plan", 40) in store
+        assert ("boundary", 3, 41) not in store
+
+    def test_a_repeated_shape_is_built_once(self, store, monkeypatch):
+        built = []
+        keep = tensor_core._keep
+
+        def counted(key, entry):
+            built.append(key)
+            keep(key, entry)
+
+        monkeypatch.setattr(tensor_core, "_keep", counted)
+        for _ in range(3):
+            table = _class_table(4, 3)
+            assert identity_tensor(4, 3).dense is \
+                identity_tensor(4, 3).dense
+            ZIdentity(4, 3), HDiagonal(4, 3)
+            for seed in range(3):
+                solve_boundary(random_cubic(5, seed), 1.0)
+        assert _class_table(4, 3) is table
+        assert sorted(built) == sorted(set(built)) == sorted([
+            ("_class_table", 4, 3), ("identity_tensor", 4, 3),
+            ("diagonal_tensor", 4, 3), ("_class_table", 3, 6),
+            ("_cubic_plan", 5), ("_class_table", 2, 6),
+            ("identity_tensor", 2, 6), ("_shift_tensor", 3, 6)])
+        # the boundary sweep is taken out and kept again, not rebuilt
+        sweep = store[("boundary", 3, 6)][0]
+        solve_boundary(random_cubic(5, 4), 1.5)
+        assert store[("boundary", 3, 6)][0] is sweep
+
+    def test_an_entry_above_the_cap_is_built_per_call(self, store,
+                                                      monkeypatch):
+        monkeypatch.setattr(tensor_core, "_STORE_ENTRY", 4 << 10)
+        first, second = _class_table(3, 12), _class_table(3, 12)
+        assert first is not second and not store
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_read_makes_an_entry_the_newest(self, store, monkeypatch):
+        sizes = [self._bytes(_class_table(2, n)) for n in (5, 6, 7)]
+        monkeypatch.setattr(tensor_core, "_STORE_BUDGET", sum(sizes))
+        _class_table(2, 5)
+        _class_table(2, 8)
+        assert list(store) == [("_class_table", 2, 5),
+                               ("_class_table", 2, 8)]
+
+    def test_a_dropped_entry_leaves_its_tensors_whole(self, store):
+        a = SymTensor.from_entries(3, 4, {(1, 2, 3): 1.5, (4, 4, 4): -2.0})
+        e = ZIdentity(4, 3)
+        classes, x = a._classes, np.array([0.3, -1.0, 2.0, 0.5])
+        store.clear()
+        b = SymTensor.from_entries(3, 4, {(1, 2, 3): 1.5, (4, 4, 4): -2.0})
+        assert a._classes is classes and b._classes is not classes
+        assert np.array_equal(a._classes, b._classes)
+        assert a.apply_full(x) == b.apply_full(x)
+        assert e.dense is not identity_tensor(4, 3).dense
+        assert e.multilinear_apply([x[:3]] * 4) == \
+            identity_tensor(4, 3).multilinear_apply([x[:3]] * 4)
+
+    def test_the_shape_is_checked_before_the_lookup(self, store):
+        identity_tensor(2, 2)
+        for build in (identity_tensor, diagonal_tensor):
+            with pytest.raises(DimError):
+                build(2, 2.0)
+
+    def test_threads_that_evict_each_other_keep_their_answers(self, store,
+                                                              monkeypatch):
+        # more threads than cores, switching often, on a budget that holds
+        # half the shapes: entries are dropped and rebuilt under the readers
+        monkeypatch.setattr(tensor_core, "_STORE_BUDGET", 120 << 10)
+        dims = (3, 5, 8, 11)
+        polys = {n: random_cubic(n, n) for n in dims}
+        want = {n: solve_boundary(polys[n], 1.5).value for n in dims}
+        got = [[] for _ in range(4)]
+
+        def work(i):
+            for k in range(6):
+                n = dims[(i + k) % len(dims)]
+                poly = random_cubic(n, n)
+                same = np.array_equal(poly.lifted.dense, polys[n].lifted.dense)
+                got[i].append((n, same, solve_boundary(poly, 1.5).value))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(len(runs) for runs in got) == [6] * 4
+        for runs in got:
+            for n, same, value in runs:
+                assert same and value == want[n], n
+        assert sum(size for _, size in store.values()) <= 120 << 10

@@ -24,6 +24,7 @@ from specteig import (BoundaryConfig, ConfigError, DimError, DomainError,
                       TaylorPoly, check_second_order, lagrangian_grad,
                       load_poly, poly_to_dict, random_cubic, solve_boundary)
 import specteig.pam as pam
+import specteig.tensor_core as tensor_core
 import specteig.trust_region as trust_region
 from specteig.errors import NumericalError, ParseError
 from specteig.pam import _BlockSweep
@@ -426,10 +427,12 @@ class TestBoundaryEngine:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_shift_tensor_form(self, p):
         dim = 4
-        shift = _shift_tensor(p, dim)
+        dense = _shift_tensor(p, dim)
+        assert not dense.flags.writeable
+        assert _shift_tensor(p, dim) is dense
+        shift = SymTensor._from_dense(dense)
         for perm in itertools.permutations(range(p)):
-            assert np.array_equal(shift.dense, np.transpose(shift.dense,
-                                                            perm))
+            assert np.array_equal(dense, np.transpose(dense, perm))
         rng = np.random.default_rng(p)
         for _ in range(10):
             y = rng.standard_normal(dim)
@@ -442,7 +445,7 @@ class TestBoundaryEngine:
     def test_every_sweep_keeps_blocks_on_the_slice(self, p, n, delta):
         poly, _, _ = _model(p, n, 1.0, False, 11)
         stack = (poly.lifted.dense
-                 - _shift_tensor(p, n + 1).dense).reshape(1, -1)
+                 - _shift_tensor(p, n + 1)).reshape(1, -1)
         sweep = seated_sweep(stack, np.full(n, 0.1), p, delta)
         blocks = sweep.blocks
         config = BoundaryConfig(inner_max_iter=1)
@@ -460,7 +463,7 @@ class TestBoundaryEngine:
         n, delta = 4, 1.5
         poly, _, _ = _model(p, n, 1.0, False, 7)
         stack = (poly.lifted.dense
-                 - _shift_tensor(p, n + 1).dense).reshape(1, -1)
+                 - _shift_tensor(p, n + 1)).reshape(1, -1)
         config = BoundaryConfig(inner_max_iter=1)
         sweep = seated_sweep(stack, np.full(n, 0.3), p, delta, config.gamma)
         blocks = sweep.blocks
@@ -706,7 +709,7 @@ class TestRoundsMatchTheReference:
             assert got == want, (poly, delta, config)
 
     def test_idle_sweeps_answer_as_new_ones(self, monkeypatch):
-        monkeypatch.setattr(pam, "_IDLE", {})
+        monkeypatch.setattr(tensor_core, "_STORE", {})
         built = counted_sweeps(monkeypatch)
         cases = [(poly, delta, None) for poly, delta in battery_cases(
             range(3))] + order_cases()

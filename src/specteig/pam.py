@@ -35,8 +35,8 @@ in the shape store of :mod:`specteig.tensor_core`, for the next pool of
 the same order, dimension and capacity, which rewrites every row it seats:
 repeated calls of one shape skip building it. The boundary solver keeps
 its one-row sweeps there too. The store holds every per-shape cache under
-one budget, 6 MiB and at most 2 MiB an entry, and drops the least recently
-used first, so a large stack does not outlive its call. A pool turns off
+one byte budget with a cap per entry, and drops the least recently used
+first, so a large stack does not outlive its call. A pool turns off
 NumPy's divide and invalid warnings once for its run, for the sweeps, and
 gives its programs back their caller's error state.
 

@@ -16,8 +16,8 @@ from .eigen import (EigenPair, GeneralizedEigenProblem, MultiStartReport,
 from .errors import (ArityError, ConfigError, DenominatorError, DimError,
                      DomainError, DuplicateEntryError, NumericalError,
                      ParseError, SpecteigError)
-from .pam import (Given, PamConfig, PamResult, Uniform, kl_exponent,
-                  pam_solve, write_history_csv)
+from .pam import (Given, PamConfig, PamResult, Uniform, kkt_residual,
+                  kl_exponent, pam_solve, write_history_csv)
 from .tensor_core import (MAX_DENSE_ENTRIES, HDiagonal, SymTensor, ZIdentity,
                           axpy, diagonal_tensor, frobenius_inner,
                           identity_tensor, load_tensor)

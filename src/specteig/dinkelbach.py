@@ -200,7 +200,6 @@ def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig,
             inner_total += res.iterations
             solves += 1
             u = res.v / math.sqrt(np.dot(res.v, res.v))
-            del res  # frees its surrogate before the next subproblem sweeps
             f_u = f_theta(problem, theta, u)
             if start is x or f_u < big_f:
                 v, big_f = u, f_u

@@ -31,14 +31,11 @@ pool of one, so no result depends on what else is seated. The sweep is
 built for the pool's capacity, and the ticks of t seated subproblems run
 on a head, the sweep rebound to views of their first t rows, built once
 per row count. A pool that returns leaves its sweep idle, heads and all,
-in the shape store of :mod:`specteig.tensor_core`, for the next pool of
-the same order, dimension and capacity, which rewrites every row it seats:
-repeated calls of one shape skip building it. The boundary solver keeps
-its one-row sweeps there too. The store holds every per-shape cache under
-one byte budget with a cap per entry, and drops the least recently used
-first, so a large stack does not outlive its call. A pool turns off
-NumPy's divide and invalid warnings once for its run, for the sweeps, and
-gives its programs back their caller's error state.
+in the byte-bounded shape store of :mod:`specteig.tensor_core`, as the
+boundary solver does its one-row sweeps, for the next pool of the same
+order, dimension and capacity, which rewrites every row it seats. A pool
+turns off NumPy's divide and invalid warnings once for its run, for the
+sweeps, and gives its programs back their caller's error state.
 
 A program (a generator) asks for each subproblem with a
 :class:`PamRequest`: the operators A and B, the parameter theta and a
@@ -46,10 +43,10 @@ start vector (or an init spec) beside its unchanged config. The pool
 writes the surrogate A - theta B - alpha E into the subproblem's stack row
 with the operations of two :func:`~specteig.tensor_core.axpy` calls and
 builds no tensor for it. A subproblem that stops hands its
-:class:`PamResult` to its program, whose next request takes the slot at
-once. The result keeps the surrogate as a dense array and builds its
-tensor and stationarity residual only when they are first read. Warnings
-are aggregated per run and logged once.
+:class:`PamResult`, what the solve found, to its program, whose next
+request takes the slot at once. Its stationarity residual is computed
+from the problem and the result on request, by :func:`kkt_residual`.
+Warnings are aggregated per run and logged once.
 """
 
 from __future__ import annotations
@@ -60,7 +57,6 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Generator, Sequence, Union
 
 import numpy as np
@@ -69,8 +65,9 @@ from .errors import (ArityError, ConfigError, DimError, DomainError,
                      NumericalError)
 from .tensor_core import (MAX_DENSE_ENTRIES, SymTensor, _check_count,
                           _check_real, _check_same_shape, _check_type,
-                          _class_table, _form_values, _frobenius, _keep,
-                          _real_array, _take, identity_tensor)
+                          _check_vector, _class_table, _contract,
+                          _form_values, _frobenius, _keep, _real_array,
+                          _take, identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -142,15 +139,10 @@ class PamConfig:
 
 @dataclass(frozen=True)
 class PamResult:
-    """Outcome of a PAM run.
-
-    v is the best block by homogeneous value, value its homogeneous
-    objective, and history the per-sweep rows (iter, h_t, h_v, step_norm).
-    The result keeps the dense array of the surrogate it minimized (left
-    out of repr and equality) and its blocks, both read-only. The surrogate
-    tensor and kkt_residual, the norm of the stacked stationarity residuals
-    at the final blocks, are built from them on first read and then kept.
-    """
+    """Outcome of a PAM run: v the best block by homogeneous value, value
+    its homogeneous objective, blocks the final blocks (read-only), history
+    the per-sweep rows (iter, h_t, h_v, step_norm). :func:`kkt_residual`
+    measures how far the blocks are from stationary."""
 
     v: np.ndarray
     value: float
@@ -158,15 +150,6 @@ class PamResult:
     iterations: int
     converged: bool
     history: tuple[tuple[int, float, float, float], ...]
-    dense: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def surrogate(self) -> SymTensor:
-        return SymTensor._from_dense(self.dense)
-
-    @cached_property
-    def kkt_residual(self) -> float:
-        return _kkt_residual(self.surrogate, self.blocks, self.history[-1][1])
 
 
 @dataclass(frozen=True)
@@ -282,8 +265,7 @@ class _Member:
     """A seated subproblem: its stopping rule and the per-sweep record that
     becomes its PamResult."""
 
-    __slots__ = ("program", "eps", "max_iter", "value", "history",
-                 "gap_sweeps", "max_gap")
+    __slots__ = ("program", "eps", "max_iter", "value", "history")
 
     def __init__(self, program: int, config: PamConfig):
         self.program = program
@@ -291,8 +273,6 @@ class _Member:
         self.max_iter = config.max_iter
         self.value = 0.0
         self.history: list[tuple[int, float, float, float]] = []
-        self.gap_sweeps = 0
-        self.max_gap = 0.0
 
 
 class _BlockSweep:
@@ -648,9 +628,6 @@ class _Pool:
                 done.append((slot, False, NumericalError(
                     f"non-finite surrogate value at sweep {k}")))
                 continue
-            if hv > ht + DIAGONAL_GAP_SLACK:
-                m.gap_sweeps += 1
-                m.max_gap = max(m.max_gap, hv - ht)
             m.history.append((k, ht, hv, step))
             converged = abs(hv - m.value) < m.eps
             m.value = hv
@@ -667,21 +644,19 @@ class _Pool:
 
     def _result(self, slot: int, vals: np.ndarray,
                 converged: bool) -> PamResult:
-        m, f = self.members[slot], self.whole
-        # kkt_residual reads both later
-        blocks = f.blocks[slot].copy()
+        m = self.members[slot]
+        blocks = self.whole.blocks[slot].copy()
         blocks.flags.writeable = False
-        d, n = f.blocks.shape[1:]
-        dense = f.stack[slot].reshape((n,) * d).copy()
-        dense.flags.writeable = False
-        if m.gap_sweeps:
+        gaps = [hv - ht for _, ht, hv, _ in m.history
+                if hv > ht + DIAGONAL_GAP_SLACK]
+        if gaps:
             self.stats.gap_subproblems += 1
-            self.stats.gap_sweeps += m.gap_sweeps
-            self.stats.max_gap = max(self.stats.max_gap, m.max_gap)
+            self.stats.gap_sweeps += len(gaps)
+            self.stats.max_gap = max(self.stats.max_gap, *gaps)
         return PamResult(v=blocks[int(vals.argmin())].copy(),
                          value=m.value, blocks=tuple(blocks),
                          iterations=len(m.history), converged=converged,
-                         history=tuple(m.history), dense=dense)
+                         history=tuple(m.history))
 
     def _refill(self) -> None:
         """Seat waiting programs in the free slots, then move the last
@@ -756,14 +731,30 @@ def pam_solve(a_theta: SymTensor, config: PamConfig,
     return run_alone(_await(PamRequest(a_theta, config, rng)))
 
 
-def _kkt_residual(surrogate: SymTensor, blocks: np.ndarray,
-                  h_t: float) -> float:
-    """Norm of the stacked first-order residuals c_j - h * x_j, which vanish
-    exactly at a stationary point (every block multiplier equals h)."""
-    total = 0.0
-    for j in range(len(blocks)):
-        others = [blocks[i] for i in range(len(blocks)) if i != j]
-        r = surrogate.multilinear_partial(others, j) - h_t * blocks[j]
+def kkt_residual(a_theta: SymTensor, config: PamConfig,
+                 result: PamResult) -> float:
+    """Norm of the stacked residuals c_j - h x_j of the result of
+    pam_solve(a_theta, config), zero exactly at a stationary point: c_j is
+    slot j's partial at the result's blocks of the surrogate a_theta -
+    alpha E, formed as the solve forms it, and h the last sweep's h_t. A
+    wrong type or an empty history raises ConfigError, a block count other
+    than the order ArityError, a block of another length DimError."""
+    _check_type("a_theta", a_theta, SymTensor)
+    _check_type("config", config, PamConfig)
+    _check_type("result", result, PamResult)
+    d, n = a_theta.order, a_theta.dim
+    if not len(config.gammas) == len(result.blocks) == d:
+        raise ArityError(f"order {d} needs {d} gammas and blocks, got "
+                         f"{len(config.gammas)} and {len(result.blocks)}")
+    blocks = [_check_vector(b, n) for b in result.blocks]
+    if not result.history:
+        raise ConfigError("the result has no sweep history")
+    alpha = config.alpha if config.alpha is not None \
+        else a_theta.frobenius_norm()
+    dense = a_theta.dense - alpha * identity_tensor(d, n).dense
+    h_t, total = result.history[-1][1], 0.0
+    for j in range(d):
+        r = _contract(dense, blocks[:j] + blocks[j + 1:]) - h_t * blocks[j]
         total += float(np.dot(r, r))
     return math.sqrt(total)
 

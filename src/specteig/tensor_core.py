@@ -234,13 +234,16 @@ def _per_shape(build, checked: bool = False):
 
 
 def _multiplicities(classes: np.ndarray) -> np.ndarray:
-    """Permutation count of each sorted index column of an (m, C) table."""
-    run = np.ones(classes.shape[1])
-    repeats = np.ones(classes.shape[1])
+    """Permutation count m! / prod_i k_i! of each sorted index column of an
+    (m, C) table, k_i its run lengths: counted exactly in int64 (no step
+    passes m n**m), returned as floats, which hold every count exactly and
+    multiply float values without a cast."""
+    run = np.ones(classes.shape[1], dtype=np.int64)
+    mult = np.ones(classes.shape[1], dtype=np.int64)
     for j in range(1, classes.shape[0]):
-        run = np.where(classes[j] == classes[j - 1], run + 1.0, 1.0)
-        repeats *= run
-    return math.factorial(classes.shape[0]) / repeats
+        run = np.where(classes[j] == classes[j - 1], run + 1, 1)
+        mult = mult * (j + 1) // run
+    return mult.astype(float)
 
 
 @_per_shape

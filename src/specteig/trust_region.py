@@ -43,7 +43,8 @@ from .pam import DEGENERATE_TOL, _BlockSweep
 from .tensor_core import (SymTensor, _check_count, _check_point,
                           _check_real, _check_shape, _check_type,
                           _check_vector, _class_table, _contract, _keep,
-                          _per_shape, _real_array, _take, identity_tensor)
+                          _multiplicities, _per_shape, _real_array, _take,
+                          identity_tensor)
 
 logger = logging.getLogger(__name__)
 
@@ -58,16 +59,6 @@ __all__ = [
     "load_poly",
     "poly_to_dict",
 ]
-
-
-def _class_weights(p: int, counts: np.ndarray) -> np.ndarray:
-    """Inverse multinomial count prod_i k_i! / p! of each row of index
-    counts k, as floats."""
-    # Weights divide exact integers: int64 holds 18! and float64 represents
-    # it exactly; larger factorials stay Python ints.
-    fact = np.array([math.factorial(k) for k in range(p + 1)],
-                    dtype=np.int64 if p <= 18 else object)
-    return (fact[counts].prod(axis=1) / fact[p]).astype(float)
 
 
 def _real_value(name: str, value) -> float:
@@ -139,9 +130,9 @@ class TaylorPoly:
         coef = np.array(list(clean.values()), dtype=float)
         counts = np.hstack((p - expo.sum(axis=1, keepdims=True), expo))
         classes = np.repeat(np.tile(np.arange(n + 1), counts.shape[0]),
-                            counts.ravel()).reshape(-1, p)
+                            counts.ravel()).reshape(-1, p).T
         self.lifted = SymTensor._from_classes(
-            p, n + 1, coef * _class_weights(p, counts), classes.T)
+            p, n + 1, coef * (1.0 / _multiplicities(classes)), classes)
 
     @classmethod
     def from_cubic(cls, f0: float, g: np.ndarray, h: np.ndarray,
@@ -201,7 +192,7 @@ class TaylorPoly:
         rows = np.arange(classes.shape[1])
         for slot in classes:
             counts[rows, slot] += 1
-        coef = lift.dense[tuple(classes)] / _class_weights(self.p, counts)
+        coef = lift.dense[tuple(classes)] / (1.0 / _multiplicities(classes))
         return dict(zip(map(tuple, counts[:, 1:].tolist()), coef.tolist()))
 
     def _lift_point(self, s: np.ndarray) -> np.ndarray:
@@ -546,8 +537,12 @@ def load_poly(source) -> TaylorPoly:
         if missing:
             raise ParseError(f"{label}: missing dense blocks {missing}")
         try:
-            return TaylorPoly.from_cubic(data.get("f0", 0.0), data["g"],
+            poly = TaylorPoly.from_cubic(data.get("f0", 0.0), data["g"],
                                          data["H"], data["T"])
         except (DimError, DomainError, TypeError, ValueError) as exc:
             raise ParseError(f"{label}: {exc}") from exc
+        if poly.n != n:
+            raise ParseError(f"{label}: n is {n}, but the dense blocks are "
+                             f"on R^{poly.n}")
+        return poly
     raise ParseError(f"{label}: need either terms or dense g/H/T blocks")

@@ -2,18 +2,19 @@
 that reach them from every module, and the one start rule of both
 solvers."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from specteig import (BoundaryConfig, ConfigError, DimError,
+from specteig import (ArityError, BoundaryConfig, ConfigError, DimError,
                       DinkelbachConfig, DomainError, Given, PamConfig,
-                      ParseError, SpecteigError, SymTensor, Uniform, axpy,
-                      build_problem, diagonal_tensor, dinkelbach_solve,
-                      frobenius_inner, identity_tensor, kl_exponent,
-                      load_poly, pam_solve, random_cubic, solve_boundary,
-                      solve_multistart)
+                      PamResult, ParseError, SpecteigError, SymTensor,
+                      Uniform, axpy, build_problem, diagonal_tensor,
+                      dinkelbach_solve, frobenius_inner, identity_tensor,
+                      kkt_residual, kl_exponent, load_poly, pam_solve,
+                      random_cubic, solve_boundary, solve_multistart)
 from specteig.pam import PamRequest, _await, run_alone
 from specteig.tensor_core import (_check_real, _check_same_shape,
                                   _check_type)
@@ -23,6 +24,9 @@ A1 = SymTensor.from_entries(2, 2, {(1, 1): 1.0, (2, 2): -2.0})
 POLY = random_cubic(3, 0)
 PROBLEM = build_problem(A1, "Z")
 CONFIG = DinkelbachConfig(inner=PamConfig(gammas=(1.0, 1.0)))
+X = np.array([0.6, 0.8])
+RESULT = PamResult(v=X, value=-1.0, blocks=(X, X), iterations=1,
+                   converged=True, history=((1, -1.0, -1.0, 0.0),))
 
 #: Calls that raised a bare built-in exception, or none, before the
 #: validators took them: each must raise a SpecteigError subclass.
@@ -72,6 +76,19 @@ BAD_CALLS = {
     "load_poly float dense n": lambda: load_poly(
         {"n": 2.0, "p": 3, "g": [0, 0], "H": np.zeros((2, 2)).tolist(),
          "T": np.zeros((2, 2, 2)).tolist()}),
+    "kkt_residual array operand":
+        lambda: kkt_residual(A1.dense, CONFIG.inner, RESULT),
+    "kkt_residual config None": lambda: kkt_residual(A1, None, RESULT),
+    "kkt_residual result blocks":
+        lambda: kkt_residual(A1, CONFIG.inner, RESULT.blocks),
+    "kkt_residual result without history": lambda: kkt_residual(
+        A1, CONFIG.inner, dataclasses.replace(RESULT, history=())),
+    "kkt_residual four gammas": lambda: kkt_residual(
+        A1, PamConfig(gammas=(1.0,) * 4), RESULT),
+    "kkt_residual three blocks": lambda: kkt_residual(
+        A1, CONFIG.inner, dataclasses.replace(RESULT, blocks=(X,) * 3)),
+    "kkt_residual short block": lambda: kkt_residual(
+        A1, CONFIG.inner, dataclasses.replace(RESULT, blocks=(X, X[:1]))),
 }
 
 
@@ -79,6 +96,21 @@ BAD_CALLS = {
 def test_bad_input_raises_a_package_error(call):
     with pytest.raises(SpecteigError):
         call()
+
+
+@pytest.mark.parametrize("name,error", [
+    ("kkt_residual array operand", ConfigError),
+    ("kkt_residual config None", ConfigError),
+    ("kkt_residual result blocks", ConfigError),
+    ("kkt_residual result without history", ConfigError),
+    ("kkt_residual four gammas", ArityError),
+    ("kkt_residual three blocks", ArityError),
+    ("kkt_residual short block", DimError)])
+def test_kkt_residual_names_the_fault(name, error):
+    # a block of the wrong length used to reach _contract's matmul and
+    # raise NumPy's bare ValueError
+    with pytest.raises(error):
+        BAD_CALLS[name]()
 
 
 @pytest.mark.parametrize("theta", ["x", math.nan, -math.inf])
@@ -135,6 +167,18 @@ def test_load_poly_does_not_truncate(doc):
     with pytest.raises(ParseError, match="need integer fields n and p|"
                                          "malformed term"):
         load_poly(doc)
+
+
+def test_load_poly_checks_the_dense_n():
+    # the dense form used to take n from g alone: n = 5 with blocks on R^2
+    # built a model on R^2 without a word
+    doc = {"n": 5, "p": 3, "g": [1.0, 0.0], "H": np.zeros((2, 2)).tolist(),
+           "T": np.zeros((2, 2, 2)).tolist()}
+    with pytest.raises(ParseError, match="n is 5, but the dense blocks "
+                                         "are on R\\^2"):
+        load_poly(doc)
+    doc["n"] = 2
+    assert load_poly(doc).n == 2
 
 
 def test_a_non_finite_s0_is_a_config_error():

@@ -13,9 +13,9 @@ import os
 import subprocess
 import sys
 import threading
-import weakref
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,12 +26,12 @@ from specteig import (ArityError, ConfigError, DimError, DinkelbachConfig,
                       DomainError, FractionalProblem, Given, HDiagonal,
                       PamConfig, SymTensor, Uniform, ZIdentity, axpy,
                       build_problem, diagonal_tensor, dinkelbach_solve,
-                      identity_tensor, kl_exponent, load_tensor, pam_solve,
-                      report_to_json, solve_multistart)
+                      identity_tensor, kkt_residual, kl_exponent,
+                      load_tensor, pam_solve, report_to_json,
+                      solve_multistart)
 import specteig.dinkelbach
 import specteig.eigen
 from specteig import pam, tensor_core
-from specteig.dinkelbach import dinkelbach_steps
 from specteig.pam import (DIAGONAL_GAP_SLACK, PamRequest, PamResult,
                           PamStats, _BlockSweep, run_lockstep,
                           write_history_csv)
@@ -396,7 +396,7 @@ class TestPamSolve:
         assert res.converged
         assert res.value == pytest.approx(eigval - SQRT5, abs=1e-9)
         assert np.linalg.norm(np.abs(res.v) - np.abs(eigvec)) <= 1e-5
-        assert res.kkt_residual <= 1e-4
+        assert kkt_residual(A1, config, res) <= 1e-4
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_matrix_minimum_from_many_starts(self, seed):
@@ -604,7 +604,8 @@ class TestSweepEquivalence:
             # rounding is relative to that size, not to the residual
             h_t = want.history[-1][1]
             scale = max(want.kkt_residual, abs(h_t) * math.sqrt(m))
-            assert abs(got.kkt_residual - want.kkt_residual) <= 1e-12 * scale
+            assert abs(kkt_residual(a, config, got) - want.kkt_residual) \
+                <= 1e-12 * scale
 
 
 class TestPoolMembers:
@@ -630,8 +631,9 @@ class TestPoolMembers:
             assert np.array_equal(got.v, plain.v)
             assert (got.iterations, got.converged) == \
                 (plain.iterations, plain.converged)
-            assert (got.value, got.history, got.kkt_residual) == \
-                (alone.value, alone.history, alone.kkt_residual)
+            assert (got.value, got.history) == (alone.value, alone.history)
+            assert kkt_residual(request.a, request.config, got) == \
+                kkt_residual(request.a, request.config, alone)
             assert swept == got.iterations
 
     @pytest.mark.parametrize("m", [2, 4, 6])
@@ -729,6 +731,21 @@ class TestSeatedFromParameters:
         r = random_symtensor(m, n, rng)
         return axpy(identity_tensor(m, n), r, -0.1 / r.frobenius_norm())
 
+    @staticmethod
+    def _with_rows(call):
+        """call()'s value, and the stack row each subproblem it finished
+        was seated in, by program, as the pool held it."""
+        rows = {}
+        result = pam._Pool._result
+
+        def result_and_row(pool, slot, *args):
+            rows[pool.members[slot].program] = \
+                pool.whole.stack[slot].tobytes()
+            return result(pool, slot, *args)
+
+        with mock.patch.object(pam._Pool, "_result", result_and_row):
+            return call(), rows
+
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["Z", "H", "D"]),
            m=st.sampled_from([2, 4, 6]), n=st.integers(1, 4),
@@ -755,13 +772,13 @@ class TestSeatedFromParameters:
         def program(request):
             return (yield request)
 
-        outcomes, sweeps = run_lockstep([program(r) for r in requests],
-                                        PamStats())
-        for got, swept, r in zip(outcomes, sweeps, requests):
+        (outcomes, sweeps), rows = self._with_rows(lambda: run_lockstep(
+            [program(r) for r in requests], PamStats()))
+        for p, (got, swept, r) in enumerate(zip(outcomes, sweeps, requests)):
             a_theta = axpy(r.a, r.b, r.theta)
-            want = pam_solve(a_theta, dataclasses.replace(
-                r.config, init=Given(tuple(r.start.copy()
-                                           for _ in range(m)))))
+            want, alone = self._with_rows(lambda: pam_solve(
+                a_theta, dataclasses.replace(r.config, init=Given(
+                    tuple(r.start.copy() for _ in range(m))))))
             assert np.array_equal(got.v, want.v)
             assert got.value == want.value
             assert len(got.blocks) == len(want.blocks) == m
@@ -773,9 +790,9 @@ class TestSeatedFromParameters:
             alpha = r.config.alpha if r.config.alpha is not None \
                 else a_theta.frobenius_norm()
             surrogate = axpy(a_theta, ZIdentity(m, n), alpha)
-            assert got.dense.tobytes() == want.dense.tobytes() \
-                == surrogate.dense.tobytes()
-            assert got.kkt_residual == want.kkt_residual
+            assert rows[p] == alone[0] == surrogate.dense.tobytes()
+            assert kkt_residual(a_theta, r.config, got) == \
+                kkt_residual(a_theta, r.config, want)
 
 
 class TestSubproblemCosts:
@@ -1098,20 +1115,21 @@ class TestIdleFrames:
 
 
 class TestResidualOnDemand:
-    """A PamResult keeps its dense surrogate, and builds the surrogate
-    tensor and computes kkt_residual from it on first read: the same float
-    the pool used to compute for every result."""
+    """kkt_residual computes the stationarity residual of a result from the
+    problem and the result: the same float the result's lazy property read
+    from the surrogate it kept, bit for bit."""
 
     @staticmethod
-    def _check(res, a_theta, alpha):
-        # the kept surrogate is A - alpha E as axpy forms it, bit for bit
+    def _check(res, a_theta, config, alpha):
+        # the old path: the surrogate as axpy forms it, and each slot's
+        # partial through multilinear_partial
         want = surrogate(a_theta, alpha)
-        assert np.array_equal(res.dense, want.dense)
-        assert np.array_equal(res.surrogate.dense, want.dense)
-        assert res.surrogate.canonical == want.canonical
-        want = pam._kkt_residual(res.surrogate, res.blocks,
-                                 res.history[-1][1])
-        assert res.kkt_residual == want
+        h_t, total = res.history[-1][1], 0.0
+        for j, x in enumerate(res.blocks):
+            others = list(res.blocks[:j] + res.blocks[j + 1:])
+            r = want.multilinear_partial(others, j) - h_t * x
+            total += float(np.dot(r, r))
+        assert kkt_residual(a_theta, config, res) == math.sqrt(total)
         # the residual is read from blocks no caller can change first
         assert not any(b.flags.writeable for b in res.blocks)
 
@@ -1119,9 +1137,10 @@ class TestResidualOnDemand:
     def test_pam_solve(self, m, n):
         a = random_symtensor(m, n, np.random.default_rng(m + n))
         for alpha in (None, 0.0, 2.0 * a.frobenius_norm()):
-            res = pam_solve(a, PamConfig(gammas=(1.0,) * m, alpha=alpha,
-                                         eps=1e-10, seed=3))
-            self._check(res, a, a.frobenius_norm() if alpha is None
+            config = PamConfig(gammas=(1.0,) * m, alpha=alpha, eps=1e-10,
+                               seed=3)
+            res = pam_solve(a, config)
+            self._check(res, a, config, a.frobenius_norm() if alpha is None
                         else alpha)
 
     def test_pool_members_shared_and_not(self):
@@ -1142,89 +1161,21 @@ class TestResidualOnDemand:
             outcomes, _ = run_lockstep(
                 [program(r) for r in requests], PamStats())
             for res, request in zip(outcomes, requests):
-                self._check(res, request.a, request.a.frobenius_norm())
+                self._check(res, request.a, request.config,
+                            request.a.frobenius_norm())
 
-    def test_second_read_is_cached(self, monkeypatch):
-        res = pam_solve(A1, PamConfig(gammas=(1.0, 1.0), seed=2))
-        calls = []
-        residual = pam._kkt_residual
+    def test_the_value_the_result_used_to_keep(self):
+        # what res.kkt_residual read for this solve before the result lost
+        # its surrogate
+        config = PamConfig(gammas=(1.0, 1.0), alpha=SQRT5, eps=1e-12,
+                           seed=5)
+        assert kkt_residual(A1, config, pam_solve(A1, config)) == \
+            8.262223341339407e-07
 
-        def counted(*args):
-            calls.append(args)
-            return residual(*args)
-
-        monkeypatch.setattr(pam, "_kkt_residual", counted)
-        first = res.kkt_residual
-        assert res.kkt_residual == first
-        assert len(calls) == 1
-
-    def test_solves_never_read_it(self, monkeypatch, example2):
-        def unread(*args):
-            raise AssertionError("kkt_residual was computed")
-
-        monkeypatch.setattr(pam, "_kkt_residual", unread)
-        inner = PamConfig(gammas=(1.0,) * 4, eps=1e-6, init=Uniform())
-        config = DinkelbachConfig(inner=inner, tol=1e-3)
-        problem = build_problem(example2, "Z")
-        report = solve_multistart(problem, 8, 1729, config)
-        assert report.accepted >= 1
-        res = dinkelbach_solve(FractionalProblem(example2, ZIdentity(4, 3)),
-                               config)
-        assert res.n_solves >= 1
-
-    def test_finished_surrogates_are_not_kept(self, monkeypatch, example2):
-        # at every sweep only the seated subproblems' surrogates are alive,
-        # as rows of the pool's stack: a finished one's dense copy goes with
-        # its result, which the loop drops before the next sweep
-        alive = []
-        result, tick = pam._Pool._result, pam._Pool._tick
-
-        def result_and_track(pool, *args):
-            res = result(pool, *args)
-            alive.append(weakref.ref(res.dense))
-            return res
-
-        def count_and_tick(pool):
-            assert sum(r() is not None for r in alive) == 0
-            tick(pool)
-
-        monkeypatch.setattr(pam._Pool, "_result", result_and_track)
-        monkeypatch.setattr(pam._Pool, "_tick", count_and_tick)
-        inner = PamConfig(gammas=(1.0,) * 4, eps=1e-6, init=Uniform())
-        config = DinkelbachConfig(inner=inner, tol=1e-3)
-        solve_multistart(build_problem(example2, "Z"), 8, 1729, config)
-        res = dinkelbach_solve(FractionalProblem(example2, ZIdentity(4, 3)),
-                               config)
-        assert res.n_solves >= 2 and len(alive) > res.n_solves
-
-    def test_steps_drop_results_before_the_next_request(self, example2):
-        # a subproblem and its retry: neither result, nor so its surrogate,
-        # outlives its use in the fractional loop
-        problem = FractionalProblem(example2, ZIdentity(4, 3))
-        xs = sorted((x / np.linalg.norm(x) for x in
-                     np.random.default_rng(5).standard_normal((200, 3))),
-                    key=example2.apply_full)
-        low, mid, high = xs[0], xs[100], xs[-1]
-        inner = PamConfig(gammas=(1.0,) * 4, init=Given((mid,) * 4))
-        steps = dinkelbach_steps(problem,
-                                 DinkelbachConfig(inner=inner, tol=1e-6))
-        next(steps)
-        refs, inits = [], []
-        for v in (high, low):
-            res = PamResult(v=v, value=0.0, blocks=(v,) * 4, iterations=1,
-                            converged=True, history=((1, 0.0, 0.0, 0.0),),
-                            dense=None)
-            refs.append(weakref.ref(res))
-            inits.append(type(steps.send(res).start))
-            del res
-        assert inits == [Uniform, np.ndarray]
-        assert [r() for r in refs] == [None, None]
-        steps.close()
-
-    def test_repr_leaves_out_the_surrogate(self):
-        res = pam_solve(A1, PamConfig(gammas=(1.0, 1.0), seed=2))
-        text = repr(res)
-        assert "surrogate" not in text and "SymTensor" not in text
+    def test_a_result_holds_what_the_solve_found(self):
+        # no surrogate, dense array or cached residual rides along
+        assert [f.name for f in dataclasses.fields(PamResult)] == \
+            ["v", "value", "blocks", "iterations", "converged", "history"]
 
 
 class TestConfigValidation:

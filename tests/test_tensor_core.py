@@ -6,6 +6,7 @@ import numbers
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from specteig import (ArityError, ConfigError, DimError, DomainError,
 from specteig.errors import NumericalError, ParseError
 from specteig.pam import _BlockSweep
 from specteig.tensor_core import (_LAYOUT_CHUNK, _class_layout,
-                                  _class_table, _double_factorial)
+                                  _class_table, _double_factorial,
+                                  _multiplicities)
 
 from conftest import (dense_multilinear, dense_partial, fd_gradient,
                       permutation_count, random_symtensor,
@@ -436,6 +438,23 @@ class TestClassTable:
     def test_order_three(self, n):
         # the largest boundary lift, and 41**3 positions in two chunks
         self._check(3, n, np.random.default_rng(n))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_counts_are_exact_integers(self, n):
+        # every order a dense tensor on R^n may have (on R^1, up to 40); the
+        # counts were rounded, 253.00000000000003 at order 23 on R^2 and
+        # 1.0000000000000002 at order 28 on R^1
+        for m in itertools.takewhile(
+                lambda m: n ** m <= tensor_core.MAX_DENSE_ENTRIES,
+                range(1, 41)):
+            classes = np.array(list(itertools.combinations_with_replacement(
+                range(n), m))).T
+            counts = _multiplicities(classes)
+            assert counts.tolist() == [
+                math.factorial(m) // math.prod(
+                    math.factorial(k) for k in Counter(c).values())
+                for c in classes.T.tolist()]
+            assert sum(counts.tolist()) == n ** m
 
     @pytest.mark.parametrize("m,n", [(1, 4), (3, 5), (4, 3), (6, 2)])
     def test_tensors_bind_the_table(self, m, n):

@@ -2,9 +2,10 @@
 """
 Float-exact record of the boundary solver's answers.
 
-Solves the boundary battery of scripts/run_boundary_battery.py at seeds
-0-19 (n = 2..10 at every seed, n = 15 and n = 30 at seed 0) and its n = 15
-radius sweep, and writes one JSON document with, per instance, every
+The record is the boundary battery of scripts/run_boundary_battery.py at
+seeds 0-19 (n = 2..10 at every seed, n = 15 and n = 30 at seed 0) and its
+n = 15 radius sweep, solved through that script's instance list and
+solve loop. It is one JSON document with, per instance, every
 BoundaryResult field and the value and flag of check_second_order. Every
 float is written as float.hex, so two records are equal only when every
 answer is bit-identical. tests/test_records.py recomputes the record and
@@ -24,32 +25,22 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from run_boundary_battery import (BATTERY_SCALES, LARGE_DIMS,  # noqa: E402
-                                  SWEEP_SCALES)
-
-from specteig import (BoundaryConfig, check_second_order,  # noqa: E402
-                      random_cubic, solve_boundary)
+from run_boundary_battery import instances, solve  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "tests" / "records" / "boundary.json"
-SEEDS = tuple(range(20))
-DIMS = tuple(range(2, 11))
-DELTA = 2.0
-SWEEP_N, SWEEP_SEED = 15, 42
-SWEEP_DELTAS = tuple(float(d) for d in range(1, 11))
 
 
 def _hex(x) -> str:
     return float(x).hex()
 
 
-def _entry(poly, delta: float) -> dict:
-    """Every field of the boundary step of poly at delta, and its
+def record() -> dict:
+    """Every field of each boundary step of the battery at seeds 0-19 and
+    of its radius sweep, in the battery script's order, and its
     second-order certificate, floats as float.hex."""
-    res = solve_boundary(poly, delta, BoundaryConfig())
-    min_eig, certified = check_second_order(poly, res.s, res.lambda_)
-    return {
-        "delta": _hex(delta),
+    return {part: [{
+        "seed": seed, "n": n, "delta": _hex(delta),
         "s": [_hex(v) for v in res.s],
         "lambda_": _hex(res.lambda_),
         "value": _hex(res.value),
@@ -60,20 +51,8 @@ def _entry(poly, delta: float) -> dict:
         "converged": res.converged,
         "proj_min_eig": _hex(min_eig),
         "proj_PD": bool(certified),
-    }
-
-
-def record() -> dict:
-    """The battery's instances in the script's order, then the sweep's."""
-    instances = ([(seed, n) for seed in SEEDS for n in DIMS]
-                 + [(SEEDS[0], n) for n in LARGE_DIMS])
-    battery = [{"seed": seed, "n": n,
-                **_entry(random_cubic(n, seed, BATTERY_SCALES), DELTA)}
-               for seed, n in instances]
-    poly = random_cubic(SWEEP_N, SWEEP_SEED, SWEEP_SCALES)
-    sweep = [{"seed": SWEEP_SEED, "n": SWEEP_N, **_entry(poly, delta)}
-             for delta in SWEEP_DELTAS]
-    return {"battery": battery, "sweep": sweep}
+    } for seed, n, delta, res, min_eig, certified, _ in solve(cases)]
+        for part, cases in instances(seeds=range(20)).items()}
 
 
 def dump(doc: dict) -> str:

@@ -32,13 +32,46 @@ from pathlib import Path
 
 import numpy as np
 
-from specteig import (BoundaryConfig, check_second_order, random_cubic,
-                      solve_boundary)
+from specteig import check_second_order, random_cubic, solve_boundary
 
+#: The default run; perfbench/workloads.py restates these, and a tier-1
+#: test holds the two equal.
+SEEDS = (1000, 1002)
+DIMS = tuple(range(2, 11))
+DELTA = 2.0
 BATTERY_SCALES = (80.0, 80.0, 80.0)
-SWEEP_SCALES = (200.0, 8.0, 2.0)
 #: Larger dimensions solved for the first battery seed only.
 LARGE_DIMS = (15, 30)
+SWEEP_N, SWEEP_SEED = 15, 42
+SWEEP_SCALES = (200.0, 8.0, 2.0)
+SWEEP_DELTAS = tuple(float(d) for d in range(1, 11))
+
+
+def instances(seeds=SEEDS, dims=DIMS, delta=DELTA, sweep_n=SWEEP_N,
+              sweep_seed=SWEEP_SEED, sweep_deltas=SWEEP_DELTAS) -> dict:
+    """Each part's (seed, n, model, delta) instances, in order, each
+    battery model built when it is reached: the battery's n in dims at
+    every seed, then LARGE_DIMS at the first seed, all at delta; the
+    sweep's one model at every radius."""
+    pairs = ([(seed, n) for seed in seeds for n in dims]
+             + [(seeds[0], n) for n in LARGE_DIMS])
+    sweep = random_cubic(sweep_n, sweep_seed, SWEEP_SCALES)
+    return {"battery": ((seed, n, random_cubic(n, seed, BATTERY_SCALES),
+                         delta) for seed, n in pairs),
+            "sweep": ((sweep_seed, sweep_n, sweep, delta)
+                      for delta in sweep_deltas)}
+
+
+def solve(cases):
+    """Solve and certify each (seed, n, model, delta) instance; yield its
+    seed, n and delta, the BoundaryResult, check_second_order's least
+    eigenvalue and flag, and the solve's wall time."""
+    for seed, n, poly, delta in cases:
+        t0 = time.perf_counter()
+        res = solve_boundary(poly, delta)
+        wall = time.perf_counter() - t0
+        min_eig, proj_pd = check_second_order(poly, res.s, res.lambda_)
+        yield seed, n, delta, res, min_eig, proj_pd, wall
 
 
 def _exact(x) -> str:
@@ -50,17 +83,19 @@ def _certified(row) -> bool:
     return bool(row["converged"] and row["proj_PD"])
 
 
-def run_battery(seeds, dims, delta, outpath: Path) -> bool:
+def _write(rows, outpath: Path) -> int:
+    """Write the rows as CSV; return how many are certified."""
+    with open(outpath, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return sum(_certified(r) for r in rows)
+
+
+def run_battery(cases, outpath: Path) -> bool:
     """Solve and certify every instance; True when all are certified."""
     rows = []
-    instances = ([(seed, n) for seed in seeds for n in dims]
-                 + [(seeds[0], n) for n in LARGE_DIMS])
-    for seed, n in instances:
-        poly = random_cubic(n, seed, BATTERY_SCALES)
-        t0 = time.perf_counter()
-        res = solve_boundary(poly, delta, BoundaryConfig())
-        wall = time.perf_counter() - t0
-        min_eig, proj_pd = check_second_order(poly, res.s, res.lambda_)
+    for seed, n, _, res, min_eig, proj_pd, wall in solve(cases):
         rows.append({
             "seed": seed, "n": n, "converged": int(res.converged),
             "lambda": _exact(res.lambda_),
@@ -76,23 +111,16 @@ def run_battery(seeds, dims, delta, outpath: Path) -> bool:
         print(f"seed={seed} n={n:2d} lambda={res.lambda_:12.4f} "
               f"value={res.value:14.4f} grad={res.grad_lagrangian_norm:.2e} "
               f"[{flag}]")
-    with open(outpath, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    good = sum(_certified(r) for r in rows)
+    good = _write(rows, outpath)
     print(f"battery: {good}/{len(rows)} converged and certified "
           f"-> {outpath}")
     return good == len(rows)
 
 
-def run_sweep(n, seed, deltas, outpath: Path) -> bool:
+def run_sweep(cases, outpath: Path) -> bool:
     """Solve and certify every radius; True when all are certified."""
-    poly = random_cubic(n, seed, SWEEP_SCALES)
     rows = []
-    for delta in deltas:
-        res = solve_boundary(poly, float(delta), BoundaryConfig())
-        min_eig, proj_pd = check_second_order(poly, res.s, res.lambda_)
+    for _, _, delta, res, min_eig, proj_pd, _ in solve(cases):
         rows.append({
             "delta": delta,
             "lambda": _exact(res.lambda_),
@@ -105,13 +133,9 @@ def run_sweep(n, seed, deltas, outpath: Path) -> bool:
         flag = "ok" if _certified(rows[-1]) else "CHECK"
         print(f"delta={delta:4.1f} lambda={res.lambda_:12.4f} "
               f"value={res.value:14.4f} [{flag}]")
-    with open(outpath, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    good = _write(rows, outpath)
     lams = np.array([float(r["lambda"]) for r in rows])
     trend = "nonincreasing" if np.all(np.diff(lams) <= 1e-9) else "MIXED"
-    good = sum(_certified(r) for r in rows)
     print(f"sweep: {good}/{len(rows)} converged and certified, multiplier "
           f"{lams[0]:.1f} -> {lams[-1]:.1f} ({trend}) -> {outpath}")
     return good == len(rows)
@@ -119,23 +143,23 @@ def run_sweep(n, seed, deltas, outpath: Path) -> bool:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1000, 1002])
-    ap.add_argument("--dims", type=int, nargs="+",
-                    default=list(range(2, 11)))
-    ap.add_argument("--delta", type=float, default=2.0)
-    ap.add_argument("--sweep-n", type=int, default=15)
-    ap.add_argument("--sweep-seed", type=int, default=42)
+    ap.add_argument("--seeds", type=int, nargs="+", default=SEEDS)
+    ap.add_argument("--dims", type=int, nargs="+", default=DIMS)
+    ap.add_argument("--delta", type=float, default=DELTA)
+    ap.add_argument("--sweep-n", type=int, default=SWEEP_N)
+    ap.add_argument("--sweep-seed", type=int, default=SWEEP_SEED)
     ap.add_argument("--sweep-deltas", type=float, nargs="+",
-                    default=[float(d) for d in range(1, 11)])
+                    default=SWEEP_DELTAS)
     ap.add_argument("--outdir", type=Path, default=Path("results"))
     args = ap.parse_args()
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    battery_ok = run_battery(args.seeds, args.dims, args.delta,
+    parts = instances(args.seeds, args.dims, args.delta, args.sweep_n,
+                      args.sweep_seed, args.sweep_deltas)
+    battery_ok = run_battery(parts["battery"],
                              args.outdir / "boundary_battery.csv")
     print()
-    sweep_ok = run_sweep(args.sweep_n, args.sweep_seed, args.sweep_deltas,
-                         args.outdir / "boundary_sweep.csv")
+    sweep_ok = run_sweep(parts["sweep"], args.outdir / "boundary_sweep.csv")
     return 0 if battery_ok and sweep_ok else 1
 
 

@@ -3,16 +3,18 @@
 Multi-start eigenpair studies on the bundled tensors.
 
 Runs the four standard studies end to end and writes one JSON document and
-one CSV table per study, plus a combined summary CSV:
+one CSV table per study, plus a combined summary CSV. Three are the
+bundled studies of `specteig examples` (its EXAMPLE_SPECS table), and one
+a variant of the first:
 
-  z-default      fourth-order tensor, unit-sphere pairs, automatic shift
-                 (operator Frobenius norm), 100 starts in U(-1, 1)
-  z-small-shift  same tensor with shift 0.1, which concentrates the starts
-                 onto the smallest eigenvalue
-  h-diagonal     sixth-order tensor, componentwise-power normalizer,
+  z-default      5.1: fourth-order tensor, unit-sphere pairs, automatic
+                 shift (operator Frobenius norm), 100 starts in U(-1, 1)
+  z-small-shift  5.1 with shift 0.1, which concentrates the starts onto
+                 the smallest eigenvalue
+  h-diagonal     5.2: sixth-order tensor, componentwise-power normalizer,
                  shift 3, step weights 3, 100 starts in U(0, 1)
-  d-pencil       fourth-order pencil against a dense positive definite
-                 right-hand tensor, shift 10, 80 starts in U(-1, 1)
+  d-pencil       5.3: fourth-order pencil against a dense positive
+                 definite right-hand tensor, shift 10, 80 starts in U(-1, 1)
 
 Produces (under --outdir, default results/):
   eigen_<study>.json   full report with parameters
@@ -27,58 +29,17 @@ import argparse
 import csv
 import json
 import time
-from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 
-from specteig import (DinkelbachConfig, PamConfig, Uniform, build_problem,
-                      format_table, load_tensor, report_to_csv,
-                      report_to_json, solve_multistart)
+from specteig import format_table, report_to_csv, report_to_json
+from specteig.cli import EXAMPLE_SPECS, _run_example
 
-# ---------------------------------------------------------------------------
-# Study table
-# ---------------------------------------------------------------------------
 STUDIES = {
-    "z-default": {
-        "tensor": "example2.tns", "kind": "Z", "trials": 100,
-        "gamma": 1.0, "alpha": None, "init": (-1.0, 1.0),
-    },
-    "z-small-shift": {
-        "tensor": "example2.tns", "kind": "Z", "trials": 100,
-        "gamma": 1.0, "alpha": 0.1, "init": (-1.0, 1.0),
-    },
-    "h-diagonal": {
-        "tensor": "example3.tns", "kind": "H", "trials": 100,
-        "gamma": 3.0, "alpha": 3.0, "init": (0.0, 1.0),
-    },
-    "d-pencil": {
-        "tensor": "example4_A.tns", "b": "example4_B.tns", "kind": "D",
-        "trials": 80, "gamma": 1.0, "alpha": 10.0, "init": (-1.0, 1.0),
-    },
+    "z-default": EXAMPLE_SPECS["5.1"],
+    "z-small-shift": {**EXAMPLE_SPECS["5.1"], "alpha": 0.1},
+    "h-diagonal": EXAMPLE_SPECS["5.2"],
+    "d-pencil": EXAMPLE_SPECS["5.3"],
 }
-
-TOL = 1e-3
-EPS = 1e-6
-
-
-def bundled(name: str):
-    ref = resources.files("specteig.data") / name
-    with resources.as_file(ref) as path:
-        return load_tensor(path)
-
-
-def run_study(name: str, params: dict, trials: int, seed: int, jobs: int):
-    a = bundled(params["tensor"])
-    b = bundled(params["b"]) if "b" in params else None
-    problem = build_problem(a, params["kind"], b=b)
-    inner = PamConfig(gammas=(params["gamma"],) * a.order,
-                      alpha=params["alpha"], eps=EPS,
-                      init=Uniform(*params["init"]))
-    config = DinkelbachConfig(inner=inner, tol=TOL)
-    t0 = time.perf_counter()
-    report = solve_multistart(problem, trials, seed, config, jobs=jobs)
-    wall = time.perf_counter() - t0
-    return problem, config, report, wall
 
 
 def main() -> int:
@@ -97,9 +58,11 @@ def main() -> int:
     summary_rows = []
     for name in names:
         params = STUDIES[name]
-        trials = args.trials if args.trials is not None else params["trials"]
-        problem, config, report, wall = run_study(
-            name, params, trials, args.seed, args.jobs)
+        if args.trials is not None:
+            params = {**params, "trials": args.trials}
+        t0 = time.perf_counter()
+        _, config, report = _run_example(params, args.seed, args.jobs)
+        wall = time.perf_counter() - t0
         print(f"== {name} ({params['kind']}-pairs, {report.trials} trials, "
               f"{wall:.1f} s) ==")
         print(format_table(report))

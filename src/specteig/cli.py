@@ -41,7 +41,8 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_BAD_DENOMINATOR = 3
 EXIT_VERIFY_FAILED = 4
 
-#: Per-example replication parameters: data files, kind, and solver knobs.
+#: The bundled studies: data files, kind, trial count and the solver
+#: values each sets; every other value is its config dataclass's default.
 EXAMPLE_SPECS = {
     "5.1": {"tensor": "example2.tns", "kind": "Z", "trials": 100,
             "gamma": 1.0, "alpha": None, "init": (-1.0, 1.0)},
@@ -50,6 +51,9 @@ EXAMPLE_SPECS = {
     "5.3": {"tensor": "example4_A.tns", "b": "example4_B.tns", "kind": "D",
             "trials": 80, "gamma": 1.0, "alpha": 10.0, "init": (-1.0, 1.0)},
 }
+
+#: The BoundaryConfig fields that trust-region takes as flags.
+_BOUNDARY_FLAGS = ("gamma", "alpha", "tol", "max_outer", "inner_eps")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,17 +107,10 @@ def _parse_sweep(text: str) -> list[float]:
     return out
 
 
-def _data_path(name: str, data_dir: str | None):
-    if data_dir is not None:
-        return os.path.join(data_dir, name)
-    return resources.files("specteig.data") / name
-
-
 def _load_bundled(name: str, data_dir: str | None) -> SymTensor:
-    ref = _data_path(name, data_dir)
     if data_dir is not None:
-        return load_tensor(ref)
-    with resources.as_file(ref) as path:
+        return load_tensor(os.path.join(data_dir, name))
+    with resources.as_file(resources.files("specteig.data") / name) as path:
         return load_tensor(path)
 
 
@@ -136,19 +133,21 @@ def _build_parser() -> _Parser:
     p_eig.add_argument("--extremum", choices=["min", "max"], default="min")
     p_eig.add_argument("--trials", type=int, default=100)
     p_eig.add_argument("--seed", type=int, default=None)
-    p_eig.add_argument("--tol", type=float, default=1e-3,
-                       help="outer stopping tolerance (default 1e-3)")
-    p_eig.add_argument("--eps", type=float, default=1e-6,
-                       help="block solver stall tolerance (default 1e-6)")
+    p_eig.add_argument("--tol", type=float, default=DinkelbachConfig.tol,
+                       help="outer stopping tolerance (default %(default)g)")
+    p_eig.add_argument("--eps", type=float, default=PamConfig.eps,
+                       help="block solver stall tolerance (default "
+                            "%(default)g)")
     p_eig.add_argument("--alpha", default="auto",
                        help="surrogate shift, or 'auto' for the operator "
                             "Frobenius norm (default auto)")
     p_eig.add_argument("--gamma", type=float, default=1.0,
                        help="proximal weight for every block (default 1)")
-    p_eig.add_argument("--init-range", default="-1:1", metavar="LO:HI",
-                       help="uniform init range (default -1:1)")
-    p_eig.add_argument("--max-inner", type=int, default=10000)
-    p_eig.add_argument("--k-max", type=int, default=50)
+    p_eig.add_argument("--init-range", metavar="LO:HI",
+                       default=f"{Uniform.lo:g}:{Uniform.hi:g}",
+                       help="uniform init range (default %(default)s)")
+    p_eig.add_argument("--max-inner", type=int, default=PamConfig.max_iter)
+    p_eig.add_argument("--k-max", type=int, default=DinkelbachConfig.k_max)
     p_eig.add_argument("--cluster-tol", type=float, default=1e-4)
     p_eig.add_argument("--jobs", type=int, default=1)
     p_eig.add_argument("--format", choices=["table", "csv", "json"],
@@ -179,11 +178,10 @@ def _build_parser() -> _Parser:
     p_tr.add_argument("--delta-sweep", metavar="LO:HI:STEP",
                       help="solve over a grid of radius values instead of "
                            "one")
-    p_tr.add_argument("--gamma", type=float, default=8.0)
-    p_tr.add_argument("--alpha", type=float, default=1.0)
-    p_tr.add_argument("--tol", type=float, default=1e-5)
-    p_tr.add_argument("--max-outer", type=int, default=500)
-    p_tr.add_argument("--inner-eps", type=float, default=1e-9)
+    for name in _BOUNDARY_FLAGS:
+        default = getattr(BoundaryConfig, name)
+        p_tr.add_argument("--" + name.replace("_", "-"), type=type(default),
+                          default=default, help="default %(default)g")
     p_tr.add_argument("--format", choices=["table", "csv", "json"],
                       default="table")
     p_tr.add_argument("--history", metavar="PATH",
@@ -194,16 +192,6 @@ def _build_parser() -> _Parser:
                        help="override the bundled data directory")
     p_ver.add_argument("--seed", type=int, default=None)
     return parser
-
-
-def _make_dinkelbach_config(order: int, tol: float, eps: float,
-                            alpha: float | None, gamma: float,
-                            init: tuple[float, float], max_inner: int,
-                            k_max: int, seed: int) -> DinkelbachConfig:
-    inner = PamConfig(gammas=(gamma,) * order, alpha=alpha, eps=eps,
-                      max_iter=max_inner, seed=seed,
-                      init=Uniform(init[0], init[1]))
-    return DinkelbachConfig(inner=inner, tol=tol, k_max=k_max)
 
 
 def _emit_eigen_report(problem, report, fmt: str, tol: float) -> int:
@@ -236,32 +224,38 @@ def _cmd_eigen(args) -> int:
         except ValueError:
             raise ParseError(f"--alpha must be 'auto' or a number, "
                              f"got {args.alpha!r}")
-    config = _make_dinkelbach_config(
-        a.order, args.tol, args.eps, alpha, args.gamma,
-        _parse_range(args.init_range), args.max_inner, args.k_max, seed)
+    inner = PamConfig(gammas=(args.gamma,) * a.order, alpha=alpha,
+                      eps=args.eps, max_iter=args.max_inner, seed=seed,
+                      init=Uniform(*_parse_range(args.init_range)))
+    config = DinkelbachConfig(inner=inner, tol=args.tol, k_max=args.k_max)
     report = solve_multistart(problem, args.trials, seed, config,
                               cluster_tol=args.cluster_tol, jobs=args.jobs)
     if args.history:
         # The sink receives the parametric trace of the trial seeded with
         # the base seed (trial 0).
-        res = dinkelbach_solve(problem.fractional, replace(
-            config, inner=replace(config.inner, seed=seed)))
+        res = dinkelbach_solve(problem.fractional, config)
         write_trace_csv(res.trace, args.history)
     return _emit_eigen_report(problem, report, args.format, args.tol)
 
 
-def _run_example(tag: str, trials_override: int | None, seed: int,
-                 jobs: int, data_dir: str | None = None):
-    spec = EXAMPLE_SPECS[tag]
+def _study_config(spec: dict, order: int, seed: int) -> DinkelbachConfig:
+    """The solve config of a study at a seed: its own gamma, alpha and
+    init range, and the config dataclasses' defaults for everything else."""
+    return DinkelbachConfig(inner=PamConfig(
+        gammas=(spec["gamma"],) * order, alpha=spec["alpha"], seed=seed,
+        init=Uniform(*spec["init"])))
+
+
+def _run_example(spec: dict, seed: int, jobs: int = 1,
+                 data_dir: str | None = None):
+    """Solve a study spec, an EXAMPLE_SPECS entry or a variant of one, at
+    its trial count from the bundled data (or data_dir)."""
     a = _load_bundled(spec["tensor"], data_dir)
     b = _load_bundled(spec["b"], data_dir) if "b" in spec else None
     problem = build_problem(a, spec["kind"], b=b)
-    trials = trials_override if trials_override is not None \
-        else spec["trials"]
-    config = _make_dinkelbach_config(
-        a.order, 1e-3, 1e-6, spec["alpha"], spec["gamma"], spec["init"],
-        10000, 50, seed)
-    report = solve_multistart(problem, trials, seed, config, jobs=jobs)
+    config = _study_config(spec, a.order, seed)
+    report = solve_multistart(problem, spec["trials"], seed, config,
+                              jobs=jobs)
     return problem, config, report
 
 
@@ -272,9 +266,10 @@ def _cmd_examples(args) -> int:
         raise ParseError("--sidecar needs a single example, not 'all'")
     worst = EXIT_OK
     for tag in tags:
-        problem, config, report = _run_example(tag, args.trials, seed,
-                                               args.jobs)
         spec = EXAMPLE_SPECS[tag]
+        if args.trials is not None:
+            spec = {**spec, "trials": args.trials}
+        problem, config, report = _run_example(spec, seed, args.jobs)
         if args.format == "table":
             print(f"== example {tag} (kind {spec['kind']}, "
                   f"{report.trials} trials) ==")
@@ -347,9 +342,7 @@ def _cmd_trust_region(args) -> int:
         poly = random_cubic(args.random, seed, scales)
     else:
         poly = load_poly(args.poly)
-    config = BoundaryConfig(gamma=args.gamma, alpha=args.alpha,
-                            tol=args.tol, max_outer=args.max_outer,
-                            inner_eps=args.inner_eps)
+    config = BoundaryConfig(**{k: getattr(args, k) for k in _BOUNDARY_FLAGS})
     deltas = _parse_sweep(args.delta_sweep) if args.delta_sweep \
         else [args.delta]
     rows = []
@@ -465,11 +458,8 @@ def _battery(seed: int, data_dir: str | None):
 
     known = (-1.0954, -0.5629, -0.0451)
     try:
-        a = _load_bundled("example2.tns", data_dir)
-        problem = build_problem(a, "Z")
-        config = _make_dinkelbach_config(a.order, 1e-3, 1e-6, None, 1.0,
-                                         (-1.0, 1.0), 10000, 50, seed)
-        report = solve_multistart(problem, 10, seed, config)
+        _, _, report = _run_example({**EXAMPLE_SPECS["5.1"], "trials": 10},
+                                    seed, data_dir=data_dir)
         ok = report.accepted >= 1 and len(report.pairs) >= 1
         bad = [p.lambda_ for p in report.pairs
                if min(abs(p.lambda_ - k) for k in known) > 1e-3]

@@ -24,7 +24,7 @@ from specteig import (ConfigError, DenominatorError, DinkelbachConfig,
                       SpecteigError, SymTensor, Uniform, ZIdentity, axpy,
                       build_problem, dinkelbach_solve, identity_tensor,
                       solve_multistart)
-from specteig.cli import EXAMPLE_SPECS, _make_dinkelbach_config, _run_example
+from specteig.cli import EXAMPLE_SPECS, _run_example, _study_config
 from specteig.dinkelbach import dinkelbach_steps
 from specteig.pam import PamStats, run_lockstep
 from specteig.eigen import (_occurrence_pct, format_table, rayleigh,
@@ -317,9 +317,7 @@ class TestFractionalBuiltOnce:
         # study 5.3's pencil and config, at four trials
         a, b = example4
         spec = EXAMPLE_SPECS["5.3"]
-        config = _make_dinkelbach_config(4, 1e-3, 1e-6, spec["alpha"],
-                                         spec["gamma"], spec["init"],
-                                         10000, 50, 1729)
+        config = _study_config(spec, 4, 1729)
         vetted = []
         apply_full_many = SymTensor.apply_full_many
 
@@ -400,7 +398,7 @@ class TestBundledStudies:
 
     @pytest.mark.parametrize("tag", sorted(PINS))
     def test_pinned(self, tag):
-        _, _, report = _run_example(tag, None, 1729, 1)
+        _, _, report = _run_example(EXAMPLE_SPECS[tag], 1729)
         accepted, clusters = self.PINS[tag]
         assert report.trials == EXAMPLE_SPECS[tag]["trials"]
         assert report.accepted == accepted

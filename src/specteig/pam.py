@@ -375,13 +375,10 @@ class _BlockSweep:
         self.row = self.w[0] if one else None
 
     def set_radius(self, radius: float) -> None:
-        """Step onto the sphere of this radius from now on, in every
-        cached head too."""
-        radius = float(radius)
-        guard = 2.0 * DEGENERATE_TOL * max(1.0, 0.5 / radius)
-        # __init__ sets the first radius before the cache exists
-        for sweep in (self, *getattr(self, "heads", {}).values()):
-            sweep.radius, sweep.guard = radius, guard
+        """Step onto the sphere of this radius from now on. A head copies
+        the radius when it is built, and keeps it."""
+        self.radius = float(radius)
+        self.guard = 2.0 * DEGENERATE_TOL * max(1.0, 0.5 / self.radius)
 
     def partial(self, j: int) -> np.ndarray:
         """Slot j's partials, in a buffer the next sweep overwrites: the

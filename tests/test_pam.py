@@ -325,26 +325,6 @@ class TestProxStepRows:
         assert np.shares_memory(vals, whole.vals)
         assert vals[0].tobytes() == want_vals.tobytes()
 
-    def test_set_radius_reaches_the_cached_heads(self):
-        # a head copies radius and guard when it is built: a head cached
-        # before the call must step onto the new sphere, as one built after
-        sweep = pam._BlockSweep(2, 3, 4)
-        before = sweep.head_of(1)
-        sweep.set_radius(2.0)
-        after = sweep.head_of(2)
-        for s in (sweep, before, after):
-            assert (s.radius, s.guard) == (2.0, 2.0 * pam.DEGENERATE_TOL)
-        sweep.set_radius(0.1)
-        for s in (sweep, before, after):
-            assert (s.radius, s.guard) == (0.1, 10.0 * pam.DEGENERATE_TOL)
-        # and the step of a cached one-row head lands on that sphere
-        rng = np.random.default_rng(5)
-        sweep.stack[:] = rng.standard_normal(sweep.stack.shape)
-        sweep.blocks[:] = 0.1 * np.array([1.0, 0.0, 0.0])
-        sweep.gamma_rows[:] = 1.0
-        before.sweep()
-        assert np.allclose(np.linalg.norm(before.blocks, axis=-1), 0.1)
-
     def test_rules_change_exactly_the_tied_and_degenerate_rows(self):
         # at radius 0.1 a row ties below |w| = DEGENERATE_TOL / (2 r) =
         # 5e-14 and is degenerate below 1e-14; the guard is 1e-13. One call

@@ -24,7 +24,8 @@ from typing import Generator
 
 import numpy as np
 
-from .errors import ArityError, DenominatorError, DimError, NumericalError
+from .errors import (ArityError, DenominatorError, DimError, DomainError,
+                     NumericalError)
 from .pam import (Given, PamConfig, PamRequest, PamResult, Uniform,
                   _starts, run_alone)
 from .tensor_core import (HDiagonal, SymTensor, ZIdentity, _check_count,
@@ -137,7 +138,8 @@ class DinkelbachResult:
 def f_theta(problem: FractionalProblem, theta: float,
             x: np.ndarray) -> float:
     """Parametric objective f(x) - theta * g(x) at x normalized to the
-    sphere. A non-finite x raises DomainError."""
+    sphere. A non-finite x or theta raises DomainError."""
+    _check_real("theta", theta, DomainError, signed=True)
     x = _unit_point(x, problem.dim)
     return (problem.numerator.apply_full(x)
             - theta * problem.denominator.apply_full(x))
@@ -241,6 +243,8 @@ def dinkelbach_solve(problem: FractionalProblem,
     """Run the parametric loop of :func:`dinkelbach_steps` from one start,
     in a lockstep pool of its own, and log its subproblems' warnings once.
     """
+    _check_type("problem", problem, FractionalProblem)
+    _check_type("config", config, DinkelbachConfig)
     return run_alone(dinkelbach_steps(problem, config))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dinkelbach import (DinkelbachConfig, FractionalProblem,
                          dinkelbach_steps)
-from .errors import ConfigError, DenominatorError, NumericalError
+from .errors import ConfigError, DenominatorError, DomainError, NumericalError
 from .pam import PamStats, run_lockstep
 from .tensor_core import (HDiagonal, SymTensor, ZIdentity, _check_count,
                           _check_point, _check_real, _check_same_shape,
@@ -130,8 +130,9 @@ def rayleigh(problem: GeneralizedEigenProblem, x: np.ndarray) -> float:
 
 def residual(problem: GeneralizedEigenProblem, lam: float,
              x: np.ndarray) -> float:
-    """Euclidean norm of A x^(m-1) - lambda * B x^(m-1). A non-finite x
-    raises DomainError."""
+    """Euclidean norm of A x^(m-1) - lambda * B x^(m-1). A non-finite x or
+    lambda raises DomainError."""
+    _check_real("lambda", lam, DomainError, signed=True)
     x = _check_point(x, problem.a.dim)
     r = problem.a.apply_gradient(x) - lam * problem.b.apply_gradient(x)
     return math.sqrt(np.dot(r, r))
@@ -244,6 +245,7 @@ def solve_multistart(problem: GeneralizedEigenProblem, trials: int,
     cluster_tol positive and finite; anything else raises ConfigError
     before a run.
     """
+    _check_type("problem", problem, GeneralizedEigenProblem)
     _check_type("config", config, DinkelbachConfig)
     _check_count("trials", trials)
     _check_count("jobs", jobs)

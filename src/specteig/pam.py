@@ -725,6 +725,7 @@ def pam_solve(a_theta: SymTensor, config: PamConfig,
     one-member run of :func:`run_lockstep`.
     """
     _check_type("a_theta", a_theta, SymTensor)
+    _check_type("config", config, PamConfig)
     return run_alone(_await(PamRequest(a_theta, config, rng)))
 
 

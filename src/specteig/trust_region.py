@@ -110,11 +110,16 @@ class TaylorPoly:
                  terms: Mapping[tuple[int, ...], float]):
         _check_count("n", n, DomainError)
         _check_count("p", p, DomainError)
+        _check_type("terms", terms, Mapping)
         self.n = int(n)
         self.p = int(p)
         clean: dict[tuple[int, ...], float] = {}
         for alpha, val in terms.items():
-            alpha = tuple(int(a) for a in alpha)
+            try:  # integers, as operator.index takes them: 1.5 is refused
+                alpha = tuple(map(operator.index, alpha))
+            except TypeError:
+                raise DomainError(f"exponent {alpha!r} is not a tuple of "
+                                  f"integers") from None
             if len(alpha) != n:
                 raise DimError(f"exponent {alpha} has {len(alpha)} entries, "
                                f"expected {n}")
@@ -297,7 +302,9 @@ class BoundaryResult:
 
 def lagrangian_grad(poly: TaylorPoly, s: np.ndarray,
                     lam: float) -> np.ndarray:
-    """Gradient of the model plus lam times s."""
+    """Gradient of the model plus lam times s; lam must be real and
+    finite."""
+    _check_real("lam", lam, DomainError, signed=True)
     return poly.gradient(s) + lam * np.asarray(s, dtype=float)
 
 
@@ -356,6 +363,7 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     """
     if config is None:
         config = BoundaryConfig()
+    _check_type("config", config, BoundaryConfig)
     _check_type("poly", poly, TaylorPoly)
     _check_real("delta", delta, DomainError, positive=True)
     n, p = poly.n, poly.p
@@ -471,7 +479,13 @@ def random_cubic(n: int, seed: int,
     a*g, Hessian b*sym(H), third term c*sym(T) for (a, b, c) = scales."""
     _check_count("n", n, DomainError)
     _check_count("seed", seed, DomainError, 0)
-    a, b, c = scales
+    try:
+        a, b, c = scales
+    except (TypeError, ValueError):
+        raise DomainError(f"scales must be three reals, got {scales!r}") \
+            from None
+    for scale in (a, b, c):
+        _check_real("each scale", scale, DomainError, signed=True)
     rng = np.random.default_rng(seed)
     g = a * rng.standard_normal(n)
     h = b * rng.standard_normal((n, n))

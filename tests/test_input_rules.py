@@ -12,9 +12,10 @@ from specteig import (ArityError, BoundaryConfig, ConfigError, DimError,
                       DinkelbachConfig, DomainError, Given, PamConfig,
                       PamResult, ParseError, SpecteigError, SymTensor,
                       Uniform, axpy, build_problem, diagonal_tensor,
-                      dinkelbach_solve, frobenius_inner, identity_tensor,
-                      kkt_residual, kl_exponent, load_poly, pam_solve,
-                      random_cubic, solve_boundary, solve_multistart)
+                      dinkelbach_solve, f_theta, frobenius_inner,
+                      identity_tensor, kkt_residual, kl_exponent,
+                      lagrangian_grad, load_poly, pam_solve, random_cubic,
+                      residual, solve_boundary, solve_multistart)
 from specteig.pam import PamRequest, _await, run_alone
 from specteig.tensor_core import (_check_real, _check_same_shape,
                                   _check_type)
@@ -89,6 +90,23 @@ BAD_CALLS = {
         A1, CONFIG.inner, dataclasses.replace(RESULT, blocks=(X,) * 3)),
     "kkt_residual short block": lambda: kkt_residual(
         A1, CONFIG.inner, dataclasses.replace(RESULT, blocks=(X, X[:1]))),
+    "TaylorPoly float exponent": lambda: TaylorPoly(2, 3, {(1.5, 0): 1.0}),
+    "TaylorPoly str exponent": lambda: TaylorPoly(2, 3, {("1", 0): 1.0}),
+    "TaylorPoly terms list": lambda: TaylorPoly(2, 3, [((1, 0), 1.0)]),
+    "random_cubic two scales": lambda: random_cubic(3, 0, (1.0, 2.0)),
+    "solve_multistart problem None":
+        lambda: solve_multistart(None, 2, 0, CONFIG),
+    "dinkelbach_solve problem None": lambda: dinkelbach_solve(None, CONFIG),
+    "dinkelbach_solve config None":
+        lambda: dinkelbach_solve(PROBLEM.fractional, None),
+    "pam_solve config None": lambda: pam_solve(A1, None),
+    "solve_boundary str config": lambda: solve_boundary(POLY, 1.0, "x"),
+    "residual complex lambda": lambda: residual(PROBLEM, 1j, X),
+    "lagrangian_grad str lambda":
+        lambda: lagrangian_grad(POLY, np.ones(3), "x"),
+    "lagrangian_grad nan lambda":
+        lambda: lagrangian_grad(POLY, np.ones(3), math.nan),
+    "f_theta nan theta": lambda: f_theta(PROBLEM.fractional, math.nan, X),
 }
 
 

@@ -3,8 +3,8 @@
 Line counts of the package source, split by kind.
 
 Prints the code, docstring, comment and blank lines of every module of
-src/specteig (or of the .py files given), one row per module and a total
-row. A line is a docstring line when it lies within a statement that is a
+src/specteig, then of every script of scripts/ (or of the .py files
+given), one table with a row per file and a total row for each. A line is a docstring line when it lies within a statement that is a
 string alone (a module, class or function docstring, or an attribute
 docstring), blank lines inside it included; a comment line holds only a
 comment; a blank line holds only whitespace; every other line is code,
@@ -53,22 +53,32 @@ def count(source: str) -> dict[str, int]:
     return counts
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("paths", nargs="*", type=Path,
-                        help="files to count (default: src/specteig/*.py)")
-    args = parser.parse_args()
-    paths = args.paths or sorted((ROOT / "src" / "specteig").glob("*.py"))
+def table(head: str, paths) -> None:
+    """Print one row per file and a total row."""
     total = dict.fromkeys(KINDS, 0)
-    print(f"{'module':<16}{'lines':>7}" + "".join(f"{k:>11}" for k in KINDS))
+    print(f"{head:<24}{'lines':>7}" + "".join(f"{k:>11}" for k in KINDS))
     for path in paths:
         counts = count(path.read_text(encoding="utf-8"))
         for kind in KINDS:
             total[kind] += counts[kind]
-        print(f"{path.name:<16}{sum(counts.values()):>7}"
+        print(f"{path.name:<24}{sum(counts.values()):>7}"
               + "".join(f"{counts[k]:>11}" for k in KINDS))
-    print(f"{'total':<16}{sum(total.values()):>7}"
+    print(f"{'total':<24}{sum(total.values()):>7}"
           + "".join(f"{total[k]:>11}" for k in KINDS))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("paths", nargs="*", type=Path,
+                        help="files to count (default: src/specteig/*.py, "
+                             "then scripts/*.py)")
+    args = parser.parse_args()
+    if args.paths:
+        table("file", args.paths)
+        return
+    table("module", sorted((ROOT / "src" / "specteig").glob("*.py")))
+    print()
+    table("script", sorted((ROOT / "scripts").glob("*.py")))
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ those calls shows here rather than only in a benchmark run. Each workload
 runs for one second, untraced, in its own process.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,7 +15,22 @@ from pathlib import Path
 
 import pytest
 
+from specteig import DinkelbachConfig, PamConfig
+from specteig.cli import EXAMPLE_SPECS
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _module(path: Path, monkeypatch):
+    """The module at path, loaded under its file name for this test only
+    (its dataclasses look it up while they are built), with no bytecode
+    written beside it."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("workload", ["eigen-h6", "eigen-order4", "boundary"])
@@ -29,3 +45,27 @@ def test_workload_runs_correctly(workload):
     result = json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0, proc.stdout
+
+
+def test_workloads_restate_the_studies_and_the_battery(monkeypatch):
+    # perfbench/workloads.py restates the bundled studies, the solver
+    # defaults they run at and the battery script's default run; a copy
+    # that drifts would bench other work than the CLI and scripts run
+    workloads = _module(ROOT / "perfbench" / "workloads.py", monkeypatch)
+    battery = _module(ROOT / "scripts" / "run_boundary_battery.py",
+                      monkeypatch)
+    assert {tag: (s.tensor, s.b, s.kind, s.gamma, s.alpha, s.init, s.trials)
+            for tag, s in workloads.STUDIES.items()} == {
+        tag: (spec["tensor"], spec.get("b"), spec["kind"], spec["gamma"],
+              spec["alpha"], spec["init"], spec["trials"])
+        for tag, spec in EXAMPLE_SPECS.items()}
+    assert (workloads.TOL, workloads.EPS) == (DinkelbachConfig.tol,
+                                              PamConfig.eps)
+    # each copy in perfbench, and the script's constant it restates
+    for copy, name in {"BATTERY_SEEDS": "SEEDS", "BATTERY_DIMS": "DIMS",
+                       "LARGE_DIMS": "LARGE_DIMS", "BATTERY_DELTA": "DELTA",
+                       "BATTERY_SCALES": "BATTERY_SCALES",
+                       "SWEEP_N": "SWEEP_N", "SWEEP_SEED": "SWEEP_SEED",
+                       "SWEEP_SCALES": "SWEEP_SCALES",
+                       "SWEEP_DELTAS": "SWEEP_DELTAS"}.items():
+        assert getattr(workloads, copy) == getattr(battery, name), copy

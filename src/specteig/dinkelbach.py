@@ -201,7 +201,7 @@ def dinkelbach_steps(problem: FractionalProblem, config: DinkelbachConfig,
             res = yield PamRequest(a, config.inner, rng, b, theta, start)
             inner_total += res.iterations
             solves += 1
-            u = res.v / math.sqrt(np.dot(res.v, res.v))
+            u = res.v / math.sqrt(res.v.dot(res.v))
             f_u = f_theta(problem, theta, u)
             if start is x or f_u < big_f:
                 v, big_f = u, f_u

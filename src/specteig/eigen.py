@@ -135,7 +135,7 @@ def residual(problem: GeneralizedEigenProblem, lam: float,
     _check_real("lambda", lam, DomainError, signed=True)
     x = _check_point(x, problem.a.dim)
     r = problem.a.apply_gradient(x) - lam * problem.b.apply_gradient(x)
-    return math.sqrt(np.dot(r, r))
+    return math.sqrt(r.dot(r))
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ Warnings are aggregated per run and logged once.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 import numbers
@@ -240,7 +241,7 @@ def _starts(init: np.ndarray | InitSpec, rng: np.random.Generator | None,
                 if b.shape != (dim,):
                     raise ConfigError(f"init block {j} has shape "
                                       f"{b.shape}, expected ({dim},)")
-                nb = math.sqrt(np.dot(b, b))
+                nb = math.sqrt(b.dot(b))
                 if DEGENERATE_TOL <= nb < math.inf:
                     break
             else:
@@ -357,20 +358,21 @@ class _BlockSweep:
         self.heads: dict[int, _BlockSweep] = {}
 
     def _bind(self, t: int) -> None:
-        """Bind the products, partials and slots to the first t rows of
-        their arrays. One row runs its products as np.dot on 2-D views,
-        the same gemv as matmul but cheaper to call, and its step on row,
-        the one row of w."""
+        """Bind the partials and each slot's plan, its products as bound
+        calls with their operands beside its step's operands, to the first t
+        rows of their arrays. One row runs its products as the row's own dot
+        on 2-D views, the same gemv as matmul but cheaper to call, and its
+        step on row, the one row of w; order 1 copies the tensor out."""
         one = t == 1
-        self._mul = np.dot if one else np.matmul
-        self._steps = [[(r[0, 0], src[0], dst[0, 0]) if one
-                        else (r[:t], src[:t], dst[:t]) for r, src, dst in s]
-                       for s in self._chains]
         self.partials = [p[:t] for p in self._partials]
-        self._copies = [(self.partials[0], self.stack)] \
-            if len(self.partials) == 1 else []
-        self.slots = [(p[:, self.lead:], self.damped[:, j], self.prev[:, j],
-                       self.tails[:, j]) for j, p in enumerate(self.partials)]
+        products = [[(r[0, 0].dot, src[0], dst[0, 0]) if one else
+                     (functools.partial(np.matmul, r[:t]), src[:t], dst[:t])
+                     for r, src, dst in s] for s in self._chains]
+        if len(self.partials) == 1:
+            products[0].append((self.partials[0].__setitem__, ..., self.stack))
+        slots = [(p[:, self.lead:], self.damped[:, j], self.prev[:, j],
+                  self.tails[:, j]) for j, p in enumerate(self.partials)]
+        self._plan = list(zip(products, slots))
         self.last_partial = self.partials[-1]
         self.row = self.w[0] if one else None
 
@@ -390,10 +392,8 @@ class _BlockSweep:
         contracts its suffix with slots j-1, ..., 0 when it is reached, so
         the caller may overwrite blocks[:, j] once its partial is out. That
         is d(d+1)/2 - 1 stacked products for d slots."""
-        for row, src, dst in self._steps[j]:
-            self._mul(row, src, dst)
-        for dst, src in self._copies:
-            np.copyto(dst, src)
+        for call, x, y in self._plan[j][0]:
+            call(x, y)
         return self.partials[j]
 
     def prox(self, c: np.ndarray, damped: np.ndarray, prev: np.ndarray,
@@ -420,7 +420,7 @@ class _BlockSweep:
         np.subtract(c, damped, w)
         row = self.row
         if row is not None:
-            v = math.sqrt(np.dot(row, row))
+            v = math.sqrt(row.dot(row))
             if v >= self.guard:
                 np.multiply(-self.radius / v, w, out)
                 return
@@ -446,12 +446,13 @@ class _BlockSweep:
         out[degenerate] = prev[degenerate]
 
     def sweep(self, ready: bool = False) -> None:
-        np.copyto(self.prev, self.tails)
+        self.prev[...] = self.tails
         np.multiply(self.gammas, self.prev, self.damped)
-        partial, prox = self.partial, self.prox
-        for j, slot in enumerate(self.slots):
+        prox = self.prox
+        for j, (steps, slot) in enumerate(self._plan):
             if j or not ready:
-                partial(j)
+                for call, x, y in steps:
+                    call(x, y)
             prox(*slot)
 
     def block_values(self) -> np.ndarray:
@@ -753,7 +754,7 @@ def kkt_residual(a_theta: SymTensor, config: PamConfig,
     h_t, total = result.history[-1][1], 0.0
     for j in range(d):
         r = _contract(dense, blocks[:j] + blocks[j + 1:]) - h_t * blocks[j]
-        total += float(np.dot(r, r))
+        total += float(r.dot(r))
     return math.sqrt(total)
 
 

@@ -159,7 +159,7 @@ def _check_point(x: np.ndarray, dim: int) -> np.ndarray:
 def _unit_point(x: np.ndarray, dim: int) -> np.ndarray:
     """_check_point over its norm; the zero vector raises DenominatorError."""
     x = _check_point(x, dim)
-    nx = math.sqrt(np.dot(x, x))
+    nx = math.sqrt(x.dot(x))
     if nx == 0.0:
         raise DenominatorError("cannot normalize the zero vector")
     return x / nx
@@ -170,7 +170,7 @@ def _contract(dense: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
     the last block on the first slot; returns the flattened remainder."""
     out = dense.reshape(-1)
     for b in reversed(blocks):
-        out = b @ out.reshape(b.shape[0], -1)
+        out = b.dot(out.reshape(b.shape[0], -1))
     return out if len(blocks) else out.copy()
 
 
@@ -352,7 +352,7 @@ def _frobenius(values: np.ndarray, counts: np.ndarray) -> float:
     (a zero term would regroup the sum): the Frobenius norm."""
     nonzero = values != 0.0
     values = values[nonzero]
-    return float(np.sqrt(np.dot(counts[nonzero] * values, values)))
+    return math.sqrt((counts[nonzero] * values).dot(values))
 
 
 def _form_values(xs: np.ndarray, classes: np.ndarray,
@@ -458,8 +458,8 @@ class SymTensor:
         """Homogeneous form: the tensor contracted with x on every slot,
         each class's product taken over the leading axis of the gather."""
         x = _check_vector(x, self.dim)
-        return float(np.dot(self._weights,
-                            np.multiply.reduce(x[self._classes], axis=0)))
+        return float(self._weights.dot(
+            np.multiply.reduce(x[self._classes], axis=0)))
 
     def apply_full_many(self, xs: np.ndarray) -> np.ndarray:
         """Homogeneous form at every row of an (N, n) array."""
@@ -567,11 +567,11 @@ class ZIdentity(SymTensor):
 
     def apply_full(self, x: np.ndarray) -> float:
         x = _check_vector(x, self.dim)
-        return float(np.dot(x, x) ** (self.order // 2))
+        return float(x.dot(x) ** (self.order // 2))
 
     def apply_gradient(self, x: np.ndarray) -> np.ndarray:
         x = _check_vector(x, self.dim)
-        nsq = float(np.dot(x, x))
+        nsq = float(x.dot(x))
         return nsq ** ((self.order - 2) // 2) * x if self.order > 2 else x.copy()
 
 

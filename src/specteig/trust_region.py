@@ -201,7 +201,9 @@ class TaylorPoly:
         return dict(zip(map(tuple, counts[:, 1:].tolist()), coef.tolist()))
 
     def _lift_point(self, s: np.ndarray) -> np.ndarray:
-        return np.concatenate(([1.0], _check_vector(s, self.n)))
+        y = np.empty(self.n + 1)
+        y[0], y[1:] = 1.0, _check_vector(s, self.n)
+        return y
 
     def evaluate(self, s: np.ndarray) -> float:
         return self.lifted.apply_full(self._lift_point(s))
@@ -324,7 +326,7 @@ def _boundary_sweeps(sweep: _BlockSweep, config: BoundaryConfig) -> int:
     c_last, b_last = sweep.last_partial[0], sweep.last_block[0]
     for k in range(1, config.inner_max_iter + 1):
         sweep.sweep(k == 1)
-        h = float(np.dot(c_last, b_last))
+        h = float(c_last.dot(b_last))
         if not math.isfinite(h):
             raise NumericalError("non-finite surrogate value in boundary "
                                  "sweep")
@@ -336,7 +338,7 @@ def _boundary_sweeps(sweep: _BlockSweep, config: BoundaryConfig) -> int:
 
 def _norm(v: np.ndarray) -> float:
     """|v| of a 1-D float vector, as np.linalg.norm takes it."""
-    return math.sqrt(np.dot(v, v))
+    return math.sqrt(v.dot(v))
 
 
 def solve_boundary(poly: TaylorPoly, delta: float,
@@ -407,8 +409,8 @@ def solve_boundary(poly: TaylorPoly, delta: float,
             blocks[0, :, 1:] = s
             inner_total += _boundary_sweeps(sweep, config)
             outer += 1
-            j = int(np.argmin(sweep.block_values()[0]))
-            new_val = float(np.dot(weights, sweep.prods[0, :, j].copy()))
+            j = int(sweep.block_values()[0].argmin())
+            new_val = float(weights.dot(sweep.prods[0, :, j].copy()))
             if history and new_val > history[-1] + 1e-9 * max(
                     1.0, abs(history[-1])):
                 # A round that raises the model value means the sweeps hop
@@ -420,7 +422,7 @@ def solve_boundary(poly: TaylorPoly, delta: float,
                 break
             s = blocks[0, j, 1:].copy()
             grad = poly.gradient(s)
-            lam = -float(np.dot(s, grad)) / delta ** 2
+            lam = -float(s.dot(grad)) / delta ** 2
             history.append(new_val)
             gl_norm = _norm(grad + lam * s)
             converged = on_boundary(s) and gl_norm < config.tol
@@ -448,28 +450,30 @@ def check_second_order(poly: TaylorPoly, s: np.ndarray,
         raise DomainError("second-order check needs a finite lam")
     if s.size == 1:
         return math.inf, True
-    mat = poly.hessian(s) + lam * np.eye(s.size)
+    eye = np.eye(s.size)
+    mat = poly.hessian(s) + lam * eye
     if logger.isEnabledFor(logging.INFO):
         full = np.linalg.eigvalsh(mat)
         logger.info("unprojected Lagrangian Hessian has %d negative "
                     "eigenvalues (smallest %.6g)",
                     int((full < -1e-10).sum()), float(full[0]))
-    basis = _tangent_basis(s)
+    basis = _tangent_basis(s, eye)
     min_eig = float(np.linalg.eigvalsh(basis.T @ mat @ basis)[0])
     return min_eig, min_eig > 1e-10
 
 
-def _tangent_basis(s: np.ndarray) -> np.ndarray:
+def _tangent_basis(s: np.ndarray, eye=None) -> np.ndarray:
     """Orthonormal basis of the complement of s != 0: the last n - 1
     columns of the Householder reflector of u = s / |s| (Golub & Van Loan,
-    5.1), s scaled by its largest entry first so that no norm overflows."""
+    5.1), s scaled by its largest entry first so that no norm overflows.
+    eye, when given, is the caller's np.eye(s.size)."""
     if not s.any():
         raise DomainError("s = 0 has no tangent space")
     u = s / np.abs(s).max()
-    u /= np.linalg.norm(u)
-    eye = np.eye(s.size)
+    u /= math.sqrt(u.dot(u))
+    eye = np.eye(s.size) if eye is None else eye
     v = u + math.copysign(1.0, u[0]) * eye[0]
-    return eye[:, 1:] - np.outer(v, u[1:] / (1.0 + abs(u[0])))
+    return eye[:, 1:] - np.multiply.outer(v, u[1:] / (1.0 + abs(u[0])))
 
 
 def random_cubic(n: int, seed: int,

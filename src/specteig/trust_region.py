@@ -262,8 +262,8 @@ class BoundaryConfig:
 
     gamma is the proximal weight of every block step, alpha the weight of
     the shift tensor S, tol the stationarity tolerance, inner_eps and
-    inner_max_iter stop each round of sweeps, and s0 (default the origin)
-    starts the first round.
+    inner_max_iter stop each round of sweeps, and s0, a real finite vector
+    (default the origin), starts the first round.
     """
 
     gamma: float = 8.0
@@ -281,6 +281,10 @@ class BoundaryConfig:
         _check_real("inner_eps", self.inner_eps, positive=True)
         _check_count("max_outer", self.max_outer)
         _check_count("inner_max_iter", self.inner_max_iter)
+        if self.s0 is not None:
+            s0 = _real_array("s0", self.s0, ConfigError)
+            if s0.ndim != 1 or not np.isfinite(s0).all():
+                raise ConfigError(f"s0 must be finite and 1-D, got {s0!r}")
 
 
 @dataclass(frozen=True)
@@ -370,9 +374,9 @@ def solve_boundary(poly: TaylorPoly, delta: float,
     _check_real("delta", delta, DomainError, positive=True)
     n, p = poly.n, poly.p
     s = np.zeros(n) if config.s0 is None \
-        else _real_array("s0", config.s0, ConfigError).copy()
-    if s.shape != (n,) or not np.isfinite(s).all():
-        raise ConfigError(f"s0 must be finite of shape ({n},), got {s!r}")
+        else np.array(config.s0, dtype=float)
+    if s.shape != (n,):
+        raise ConfigError(f"s0 must have shape ({n},), got {s!r}")
     lift = poly.lifted
     key = ("boundary", p, n + 1)
     sweep = _take(key) or _BlockSweep(p, n + 1, 1, lead=1)

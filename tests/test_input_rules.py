@@ -55,6 +55,12 @@ BAD_CALLS = {
     "random_cubic float n": lambda: random_cubic(2.5, 0),
     "BoundaryConfig s0 nan": lambda: solve_boundary(
         POLY, 2.0, BoundaryConfig(s0=[math.nan, 0.0, 0.0])),
+    # BoundaryConfig checks s0 when it is built, not first in the solve
+    "BoundaryConfig built with complex s0": lambda: BoundaryConfig(
+        s0=[1j, 0.0]),
+    "BoundaryConfig built with nan s0": lambda: BoundaryConfig(
+        s0=[math.nan]),
+    "BoundaryConfig built with 2-D s0": lambda: BoundaryConfig(s0=[[1.0]]),
     "kl_exponent float d": lambda: kl_exponent(2.0, 2),
     "seat str theta": lambda: run_alone(_await(PamRequest(
         A1, CONFIG.inner, b=A1, theta="x"))),

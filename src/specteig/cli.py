@@ -10,6 +10,7 @@ appear only in human tables and in the trust-region CSV time_s column.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -148,7 +149,9 @@ def _build_parser() -> _Parser:
                        help="uniform init range (default %(default)s)")
     p_eig.add_argument("--max-inner", type=int, default=PamConfig.max_iter)
     p_eig.add_argument("--k-max", type=int, default=DinkelbachConfig.k_max)
-    p_eig.add_argument("--cluster-tol", type=float, default=1e-4)
+    p_eig.add_argument("--cluster-tol", type=float, default=inspect.signature(
+        solve_multistart).parameters["cluster_tol"].default,
+                       help="cluster chaining gap (default %(default)s)")
     p_eig.add_argument("--jobs", type=int, default=1)
     p_eig.add_argument("--format", choices=["table", "csv", "json"],
                        default="table")
@@ -172,8 +175,10 @@ def _build_parser() -> _Parser:
     p_tr.add_argument("--random", type=int, metavar="N",
                       help="use a seeded random cubic on R^N instead")
     p_tr.add_argument("--seed", type=int, default=None)
-    p_tr.add_argument("--scales", default="80,80,80", metavar="A,B,C",
-                      help="random cubic block scales (default 80,80,80)")
+    scales = inspect.signature(random_cubic).parameters["scales"].default
+    p_tr.add_argument("--scales", default=",".join(f"{x:g}" for x in scales),
+                      metavar="A,B,C",
+                      help="random cubic block scales (default %(default)s)")
     p_tr.add_argument("--delta", type=float, default=2.0)
     p_tr.add_argument("--delta-sweep", metavar="LO:HI:STEP",
                       help="solve over a grid of radius values instead of "

@@ -7,6 +7,7 @@ runs for one second, untraced, in its own process.
 """
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from specteig import DinkelbachConfig, PamConfig
+from specteig import (DinkelbachConfig, PamConfig, random_cubic,
+                      solve_multistart)
 from specteig.cli import EXAMPLE_SPECS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +47,13 @@ def test_workload_runs_correctly(workload):
     result = json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0, proc.stdout
+    # the run's result fingerprint against perfbench/baseline.json. The
+    # boundary baseline was frozen before rounding moves it has not been
+    # re-recorded for (ROADMAP item 1), so that workload reads DIFFERENT
+    # until it is; a re-record makes this line fail and must update it
+    verdict = "DIFFERENT" if workload == "boundary" else "same"
+    assert f"fingerprint vs perfbench/baseline.json: {verdict}\n" \
+        in proc.stdout, proc.stdout
 
 
 def test_workloads_restate_the_studies_and_the_battery(monkeypatch):
@@ -69,3 +78,11 @@ def test_workloads_restate_the_studies_and_the_battery(monkeypatch):
                        "SWEEP_SCALES": "SWEEP_SCALES",
                        "SWEEP_DELTAS": "SWEEP_DELTAS"}.items():
         assert getattr(workloads, copy) == getattr(battery, name), copy
+    # the function defaults that perfbench restates; the CLI and the
+    # battery script read them from the same signatures
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert workloads.CLUSTER_TOL == default(solve_multistart, "cluster_tol")
+    assert workloads.BATTERY_SCALES == battery.BATTERY_SCALES == default(
+        random_cubic, "scales")

@@ -12,8 +12,10 @@ benchmark code.
 
 Writes one JSON document (--out) with, per workload and end-to-end metric,
 each side's runs, median and quartiles, the pairs the change won, and a
-verdict; the per-layer metrics of the traced runs; and the result
-fingerprint of every run, with whether the change's equal the base's.
+verdict; the per-layer metrics of the traced runs; the result fingerprint
+of every run, with whether the change's equal the base's; and each side's
+environment line (Python, NumPy and BLAS builds, core counts and
+OPENBLAS_NUM_THREADS), since a change's timings hold for one build.
 
 Verdicts follow the benchmark's rules. "gain": the change won at least nine
 tenths of the pairs (ties count for neither) and its median differs from
@@ -95,6 +97,8 @@ def _run(root: Path, workload: str, seconds: float, trace: int) -> dict:
             out["fingerprint"] = json.loads(line[len("fingerprint: "):])
         elif line.startswith("fingerprint vs perfbench/baseline.json: "):
             out["vs_baseline"] = line.rsplit(" ", 1)[-1]
+        elif line.startswith("environment: "):
+            out["environment"] = json.loads(line[len("environment: "):])
     return out
 
 
@@ -188,6 +192,8 @@ def main(argv=None) -> int:
                     f == fingerprints["base"][0]
                     for f in fingerprints["base"] + fingerprints["change"]),
                 "fingerprint": fingerprints["change"][0],
+                "environment": {side: traced[side].get("environment")
+                                for side in sides},
             }
             args.out.write_text(json.dumps(doc, indent=1, sort_keys=True)
                                 + "\n")

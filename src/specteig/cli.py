@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .dinkelbach import DinkelbachConfig, dinkelbach_solve, write_trace_csv
+from .dinkelbach import DinkelbachConfig, write_trace_csv
 from .eigen import (build_problem, format_table, report_to_csv,
                     report_to_json, residual, solve_multistart)
 from .errors import (ArityError, ConfigError, DenominatorError, DimError,
@@ -236,10 +236,8 @@ def _cmd_eigen(args) -> int:
     report = solve_multistart(problem, args.trials, seed, config,
                               cluster_tol=args.cluster_tol, jobs=args.jobs)
     if args.history:
-        # The sink receives the parametric trace of the trial seeded with
-        # the base seed (trial 0).
-        res = dinkelbach_solve(problem.fractional, config)
-        write_trace_csv(res.trace, args.history)
+        # the parametric trace of the trial seeded with the base seed
+        write_trace_csv(report.trace, args.history)
     return _emit_eigen_report(problem, report, args.format, args.tol)
 
 

@@ -22,7 +22,7 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Generator
 
@@ -161,7 +161,9 @@ class MultiStartReport:
     """Clustered multistart outcome; pairs are sorted by eigenvalue.
 
     total_cpu_s is the process CPU time of the pools that ran the trials,
-    summed over processes.
+    summed over processes. trace is the parametric trace (k, theta,
+    F(theta)) of trial 0, empty if its solve raised; the writers leave it
+    out.
     """
 
     pairs: tuple[EigenPair, ...]
@@ -170,6 +172,8 @@ class MultiStartReport:
     cluster_tol: float
     accepted: int
     total_cpu_s: float
+    trace: tuple[tuple[int, float, float], ...] = field(
+        default=(), compare=False, repr=False)
 
 
 @dataclass
@@ -181,6 +185,7 @@ class _Trial:
     inner_iters: int
     outer_iters: int
     cpu_s: float
+    trace: tuple[tuple[int, float, float], ...] = ()
 
 
 def _trial(problem: GeneralizedEigenProblem, config: DinkelbachConfig,
@@ -199,7 +204,7 @@ def _trial(problem: GeneralizedEigenProblem, config: DinkelbachConfig,
     accepted = bool(res.converged and resid <= config.tol)
     return _Trial(lambda_=lam, x=res.x, residual=resid, accepted=accepted,
                   inner_iters=res.inner_iters, outer_iters=res.outer_iters,
-                  cpu_s=0.0)
+                  cpu_s=0.0, trace=res.trace)
 
 
 def _run_chunk(problem: GeneralizedEigenProblem, config: DinkelbachConfig,
@@ -299,7 +304,8 @@ def solve_multistart(problem: GeneralizedEigenProblem, trials: int,
     total_cpu = float(sum(cpu for _, cpu, _ in runs))
     return MultiStartReport(pairs=tuple(pairs), trials=trials,
                             seed=base_seed, cluster_tol=cluster_tol,
-                            accepted=len(accepted), total_cpu_s=total_cpu)
+                            accepted=len(accepted), total_cpu_s=total_cpu,
+                            trace=outcomes[0].trace)
 
 
 def _occurrence_pct(hits: int, accepted: int) -> float:

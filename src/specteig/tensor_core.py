@@ -46,7 +46,7 @@ import numbers
 import operator
 import threading
 from functools import partial, wraps
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -307,12 +307,14 @@ def _classes_from_entries(order: int, dim: int, indices: list, values: list,
     """Class values and their (order, k) 0-based index columns, for
     SymTensor._from_classes, of (index, value) entries: 1-based indices in
     any order if listed, else 0-based sorted class keys, checked as arrays.
+    A (k, order) index array and a float value array are used as they are.
     If a check fails, the entries are checked one by one, each index before
     its value, and the first bad one raises."""
     _check_shape(order, dim)
     try:
-        rows = np.array(indices)
-        vals = np.fromiter(map(float, values), float, len(values))
+        rows = np.asarray(indices)
+        vals = values if isinstance(values, np.ndarray) else np.fromiter(
+            map(float, values), float, len(values))
     except (TypeError, ValueError):  # ragged indices, values float() rejects
         rows = np.empty(0)
     if rows.dtype.kind == "i" and rows.shape == (len(indices), order):
@@ -601,52 +603,87 @@ def axpy(a: SymTensor, b: SymTensor, theta: float) -> SymTensor:
     return SymTensor._from_dense(a.dense - theta * b.dense)
 
 
+#: The index tokens "0" to "255", each read to the int that int() reads
+#: from it: a lookup costs a third of int(), and file parsing is most of a
+#: study's set-up. A file with another token reads every index by int().
+_INDEX_TOKENS = {str(i): i for i in range(256)}
+
+
+def _raise_bad_line(path, lines: list[str]) -> None:
+    """Walk the lines one by one, numbered from 1, and raise ParseError
+    at the first bad one: a header, an entry's field count, an index or a
+    value that does not convert, a value that is not finite, and at the
+    end a missing header."""
+    header: list[int] = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        parts, at = line.split(), f"{path}:{lineno}:"
+        if not parts:
+            continue
+        if len(header) < 2:
+            word, n = (("order", "m"), ("dim", "n"))[len(header)]
+            if len(parts) != 2 or parts[0] != word:
+                raise ParseError(f"{at} expected '{word} {n}'")
+            try:
+                header.append(int(parts[1]))
+            except ValueError:
+                raise ParseError(f"{at} bad {word} {parts[1]!r}")
+            continue
+        if len(parts) != header[0] + 1:
+            raise ParseError(f"{at} expected {header[0]} indices and a "
+                             f"value, got {len(parts)} fields")
+        try:
+            list(map(int, parts[:-1]))
+            value = float(parts[-1])
+        except ValueError:
+            raise ParseError(f"{at} malformed entry {line!r}")
+        if not math.isfinite(value):
+            raise ParseError(f"{at} non-finite value {parts[-1]!r}")
+    if len(header) < 2:
+        raise ParseError(f"{path}: missing order/dim header")
+
+
 def load_tensor(path) -> SymTensor:
     """Read a symmetric tensor from the plain text format.
 
     Line 1: ``order m``; line 2: ``dim n``; every further non-blank line is
     ``i1 ... im value`` with 1-based indices. ``#`` starts a comment.
+    Lines are numbered as iterating the file numbers them.
+
+    The file is read at once and its lines split into fields in one pass,
+    which checks the header and each entry's field count; then the index
+    tokens are read in one call (through _INDEX_TOKENS, else by int()),
+    and the values by float() in another. If any of that fails,
+    :func:`_raise_bad_line` walks the lines again and the first bad one
+    raises.
     """
-    order: int | None = None
-    dim: int | None = None
-    indices, values = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if order is None:
-                if len(parts) != 2 or parts[0] != "order":
-                    raise ParseError(f"{path}:{lineno}: expected 'order m'")
-                try:
-                    order = int(parts[1])
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad order {parts[1]!r}")
-                continue
-            if dim is None:
-                if len(parts) != 2 or parts[0] != "dim":
-                    raise ParseError(f"{path}:{lineno}: expected 'dim n'")
-                try:
-                    dim = int(parts[1])
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad dim {parts[1]!r}")
-                continue
-            if len(parts) != order + 1:
-                raise ParseError(f"{path}:{lineno}: expected {order} indices "
-                                 f"and a value, got {len(parts)} fields")
-            try:
-                indices.append(list(map(int, parts[:-1])))
-                values.append(float(parts[-1]))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: malformed entry {line!r}")
-            if not math.isfinite(values[-1]):
-                raise ParseError(f"{path}:{lineno}: non-finite value "
-                                 f"{parts[-1]!r}")
-    if order is None or dim is None:
-        raise ParseError(f"{path}: missing order/dim header")
+        lines = fh.read().split("\n")
+    try:
+        (word, order), (dim_word, dim), *entries = [
+            p for p in [raw.split("#", 1)[0].split() for raw in lines] if p]
+        order, dim = int(order), int(dim)
+        if word != "order" or dim_word != "dim" \
+                or set(map(len, entries)) - {order + 1}:
+            raise ValueError
+        # an order below 1 has no index tokens: _check_shape rejects it
+        m = max(order, 0)
+        tokens = list(chain.from_iterable(entries))
+        values = np.fromiter(map(float, tokens[m::m + 1]), float,
+                             len(entries))
+        del tokens[m::m + 1]
+        try:
+            rows = np.fromiter(map(_INDEX_TOKENS.__getitem__, tokens),
+                               np.intp, len(tokens))
+        except KeyError:  # an index beyond intp makes an object array,
+            rows = np.array(list(map(int, tokens)))  # out of range
+        if not np.isfinite(values).all():
+            raise ValueError
+    except ValueError:
+        _raise_bad_line(path, lines)
+        raise
     try:
         return SymTensor._from_classes(order, dim, *_classes_from_entries(
-            order, dim, indices, values, True))
+            order, dim, rows.reshape(len(entries), m), values, True))
     except (ArityError, IndexError, DuplicateEntryError, DimError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -174,6 +174,38 @@ class TestEigenCommand:
         assert lines[0] == "k,theta,F_theta"
         assert len(lines) >= 2
 
+    def test_history_is_trial_zero_of_the_run(self, data_dir, tmp_path,
+                                              monkeypatch, capsys):
+        # the sink gets trial 0's trace from the multistart, which runs one
+        # fractional program per trial and no extra solve for the sink
+        from specteig import dinkelbach, eigen
+        args = [str(data_dir / "example3.tns"), "--kind", "h", "--gamma",
+                "3", "--alpha", "3", "--init-range", "0:1", "--trials", "4",
+                "--seed", "5", "--format", "csv"]
+        assert main(["eigen", *args]) == 0
+        plain = capsys.readouterr().out
+        steps, programs = dinkelbach.dinkelbach_steps, []
+
+        def counted(*a, **k):
+            programs.append(a)
+            return steps(*a, **k)
+
+        for module in (dinkelbach, eigen):
+            monkeypatch.setattr(module, "dinkelbach_steps", counted)
+        sink = tmp_path / "trace.csv"
+        assert main(["eigen", *args, "--history", str(sink)]) == 0
+        assert len(programs) == 4
+        assert capsys.readouterr().out == plain
+        monkeypatch.undo()
+        a = specteig.load_tensor(data_dir / "example3.tns")
+        config = specteig.DinkelbachConfig(inner=specteig.PamConfig(
+            gammas=(3.0,) * 6, alpha=3.0, seed=5,
+            init=specteig.Uniform(0.0, 1.0)))
+        alone = tmp_path / "alone.csv"
+        specteig.write_trace_csv(specteig.dinkelbach_solve(
+            specteig.build_problem(a, "h").fractional, config).trace, alone)
+        assert sink.read_bytes() == alone.read_bytes()
+
 
 class TestExamplesCommand:
     def test_small_replication_with_sidecar(self, tmp_path, capsys):

@@ -1087,6 +1087,111 @@ class TestLoadTensor:
         assert (b4.order, b4.dim) == (4, 3)
 
 
+_FILLERS = ("", "   ", "\t", "# a comment", "  # indented comment")
+
+
+@st.composite
+def tensor_files(draw):
+    """A tensor file as its lines: comment and blank lines anywhere, every
+    class at most once in any index order and line order, fields split by
+    spaces or tabs, some lines with a trailing comment; its entries; the
+    line numbers of its entry lines; and a line ending."""
+    order, dim = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    classes = list(itertools.combinations_with_replacement(
+        range(1, dim + 1), order))
+    chosen = draw(st.lists(st.sampled_from(classes), unique=True,
+                           max_size=len(classes)))
+    fillers = st.lists(st.sampled_from(_FILLERS), max_size=2)
+    lines = [*draw(fillers), "order %d" % order, *draw(fillers),
+             "dim %d" % dim, *draw(fillers)]
+    entries, rows = [], []
+    for cls in chosen:
+        idx = draw(st.permutations(cls))
+        val = draw(st.floats(-1e100, 1e100))
+        gap = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        tail = draw(st.sampled_from(["", "  ", " # trailing", "#x 1 2"]))
+        entries.append((tuple(idx), val))
+        rows.append(len(lines))
+        lines.append(gap.join([*map(str, idx), repr(val)]) + tail)
+        lines.extend(draw(fillers))
+    return order, dim, lines, entries, rows, draw(st.sampled_from(
+        ["\n", "\r\n"]))
+
+
+class TestTokenStream:
+    """load_tensor splits every line into fields in one pass and converts
+    all tokens at once; a bad line is found by walking the lines again.
+    Lines count as iterating the file counts them: blank and comment lines
+    too, split at newlines after CRLF reads as LF."""
+
+    @staticmethod
+    def _write(path, lines, end="\n"):
+        path.write_bytes(end.join(lines).encode() + end.encode())
+        return path
+
+    @settings(max_examples=60, deadline=None)
+    @given(tensor_files())
+    def test_a_file_loads_as_its_entries(self, tmp_path_factory, case):
+        order, dim, lines, entries, rows, end = case
+        path = self._write(tmp_path_factory.mktemp("tns") / "t.tns",
+                           lines, end)
+        assert load_tensor(path).dense.tobytes() == SymTensor.from_entries(
+            order, dim, entries).dense.tobytes()
+        if len(rows) < 2:
+            return
+        # the value of the first entry line starts the next one: the token
+        # stream is the same, the two lines' field counts are not
+        first, second = rows[0], rows[1]
+        fields = lines[first].split("#")[0].split()
+        moved = list(lines)
+        moved[first] = " ".join(fields[:-1])
+        moved[second] = fields[-1] + " " + moved[second]
+        moved.insert(first, "")
+        with pytest.raises(ParseError) as exc:
+            load_tensor(self._write(path, moved, end))
+        assert str(exc.value) == (
+            f"{path}:{first + 2}: expected {order} indices and a value, "
+            f"got {order} fields")
+
+    @pytest.mark.parametrize("body, message", [
+        # one field too many, then one too few: the token count is right
+        (["1 1 2 1", "2 2"], "6: expected 2 indices and a value, got 4 "
+                             "fields"),
+        (["1.0 2 3.5"], "6: malformed entry '1.0 2 3.5'"),
+        (["1 x 1.0 # after", "", "2 2 nan"], "6: malformed entry '1 x 1.0'"),
+        (["1 1 1.0", "1 2", "", "2 2 nan"],
+         "7: expected 2 indices and a value, got 2 fields"),
+        (["1 2 0.5", "2 2 nan", "2 x 1.0"], "7: non-finite value 'nan'"),
+        # \x1e and \x85 end a line for str.splitlines, not in a file
+        (["1 1 1.0\x1e2 2 x"], "6: expected 2 indices and a value, got 6 "
+                               "fields"),
+        (["1 1 1.0\x852 2 2.0", "2 2 x"],
+         "6: expected 2 indices and a value, got 6 fields"),
+    ])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_the_first_bad_line_names_itself(self, tmp_path, body, message,
+                                             end):
+        lines = ["# a tensor", "order 2", "", "dim 2  # n", "   ", *body]
+        path = self._write(tmp_path / "bad.tns", lines, end)
+        with pytest.raises(ParseError) as exc:
+            load_tensor(path)
+        assert str(exc.value) == f"{path}:{message}"
+
+    def test_index_tokens_int_reads(self, tmp_path):
+        # tokens "0" to "255" are looked up; any other token is read by
+        # int(), an index beyond intp too
+        path = self._write(tmp_path / "t.tns", [
+            "order 2", "dim 300", "+1 0300 1.5", "٢ 299 -2.0"])
+        assert load_tensor(path).dense.tobytes() == SymTensor.from_entries(
+            2, 300, [((1, 300), 1.5), ((2, 299), -2.0)]).dense.tobytes()
+        big = "100000000000000000000"
+        path = self._write(tmp_path / "bad.tns", [
+            "order 2", "dim 2", f"1 {big} 1.0"])
+        with pytest.raises(ParseError) as exc:
+            load_tensor(path)
+        assert str(exc.value) == f"{path}: index (1, {big}) out of range 1..2"
+
+
 class TestShapeStore:
     """Every per-shape cache is one store: a byte budget, a cap per entry,
     the least recently used entry dropped first."""

@@ -351,10 +351,18 @@ def _classes_from_entries(order: int, dim: int, indices: list, values: list,
 
 def _frobenius(values: np.ndarray, counts: np.ndarray) -> float:
     """sqrt(sum counts * values**2) over the nonzero class values alone
-    (a zero term would regroup the sum): the Frobenius norm."""
+    (a zero term would regroup the sum): the Frobenius norm, taken again
+    over values scaled by the largest only where the plain sum overflows."""
     nonzero = values != 0.0
-    values = values[nonzero]
-    return math.sqrt((counts[nonzero] * values).dot(values))
+    values, counts = values[nonzero], counts[nonzero]
+    big = float(np.abs(values).max(initial=0.0))
+    # 2**24 squares below 1e300 sum below 1.8e308; inf and nan stay plain
+    if not 1e150 <= big < math.inf:
+        return math.sqrt((counts * values).dot(values))
+    with np.errstate(over="ignore"):
+        norm = math.sqrt((counts * values).dot(values))
+    return norm if norm < math.inf else \
+        big * math.sqrt((counts * (values / big)).dot(values / big))
 
 
 def _form_values(xs: np.ndarray, classes: np.ndarray,

@@ -5,16 +5,18 @@ once through a subprocess.
 """
 
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import specteig
-from specteig.cli import _random_symtensor, _surrogate_hessian, main
+from specteig import cli
+from specteig.cli import main
 
 MATRIX_TNS = "order 2\ndim 2\n1 1 1.0\n2 2 -2.0\n"
 IDENTITY_TNS = "order 2\ndim 2\n1 1 1.0\n2 2 1.0\n"
@@ -328,43 +330,81 @@ class TestTrustRegionCommand:
                      "--tol", "1e-300", "--max-outer", "5"]) == 2
 
 
-class TestVerifyCommand:
-    def test_battery_passes(self, capsys):
-        # seeds 5, 6 and 10 draw shifted forms that are not concave at
-        # the plain Frobenius norm
-        for seed in (1729, 5, 6, 10):
-            assert main(["verify", "--seed", str(seed)]) == 0, seed
-            out = capsys.readouterr().out
-            assert out.count("PASS") == 5
-            assert "OK: 0 of 5 items failing" in out
+def _record_with(monkeypatch, tmp_path, move):
+    """Point verify at a copy of the package data in which move has edited
+    the first pair of study 5.1's record."""
+    data = shutil.copytree(Path(specteig.__file__).parent / "data",
+                           tmp_path / "package-data")
+    path = data / "examples_5.1.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    move(doc["report"]["pairs"][0])
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    monkeypatch.setattr(cli, "_DATA", data)
 
-    def test_tampered_data_fails(self, tmp_path, capsys):
-        (tmp_path / "example2.tns").write_text(
-            "order 4\ndim 3\n1 1 1 1 1.0\n")
-        assert main(["verify", "--seed", "1729",
-                     "--data", str(tmp_path)]) == 4
+
+class TestVerifyCommand:
+    def test_studies_match_their_records(self, capsys):
+        assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert "FAIL dinkelbach-monotone" in out
-        assert "FAILED: 1 of 5 items failing" in out
+        for tag in ("5.1", "5.2", "5.3"):
+            assert f"PASS example {tag}: bit-identical" in out
+        assert "OK: 0 of 3 studies failing" in out
+
+    def test_env_seed_is_ignored(self, monkeypatch, capsys):
+        # the records are at seed 1729, whatever the environment asks for
+        monkeypatch.setenv("SPECTEIG_SEED", "5")
+        assert main(["verify"]) == 0
+        assert capsys.readouterr().out.count("bit-identical") == 3
+
+    def test_seed_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "5"])
+        assert exc.value.code == 1
+
+    def test_tampered_data_fails(self, data_dir, tmp_path, capsys):
+        data = shutil.copytree(data_dir, tmp_path / "data")
+        (data / "example2.tns").write_text("order 4\ndim 3\n1 1 1 1 1.0\n")
+        assert main(["verify", "--data", str(data)]) == 4
+        out = capsys.readouterr().out
+        assert "FAIL example 5.1: " in out
+        assert "PASS example 5.2: bit-identical" in out
+        assert "PASS example 5.3: bit-identical" in out
+        assert "FAILED: 1 of 3 studies failing" in out
 
     def test_missing_data_dir_fails(self, tmp_path, capsys):
-        assert main(["verify", "--seed", "1729",
-                     "--data", str(tmp_path / "absent")]) == 4
+        assert main(["verify", "--data", str(tmp_path / "absent")]) == 4
+        out = capsys.readouterr().out
+        assert out.count("FileNotFoundError") == 3
 
-    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (4, 2), (4, 3),
-                                      (6, 2)])
-    def test_surrogate_hessian_is_the_entrywise_one(self, m, n):
-        # one contraction over m - 2 slots gives, bit for bit, each entry
-        # m (m - 1) A[e_i, e_j, x, ..., x] contracted on its own
-        rng = np.random.default_rng(10 * m + n)
-        a = _random_symtensor(m, n, rng)
-        x = rng.standard_normal(n)
-        eye = np.eye(n)
-        tensor_part = np.array([[m * (m - 1) * a.multilinear_apply(
-            [eye[i], eye[j]] + [x] * (m - 2)) for j in range(n)]
-            for i in range(n)])
-        got = _surrogate_hessian(a, 0.0, x)
-        assert got.tobytes() == tensor_part.tobytes()
+    def test_one_ulp_passes_with_its_gap(self, monkeypatch, tmp_path,
+                                         capsys):
+        def move(pair):
+            pair["lambda"] = math.nextafter(pair["lambda"], math.inf)
+
+        _record_with(monkeypatch, tmp_path, move)
+        assert main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS example 5.1: within 1e-09, largest relative gap " \
+               "2.0e-16 at $.report.pairs[0].lambda" in out
+        assert out.count("bit-identical") == 2
+
+    @pytest.mark.parametrize("field, edit, detail", [
+        ("lambda", lambda v: v * (1.0 + 1e-8),
+         "relative gap 1.0e-08 at $.report.pairs[0].lambda, beyond 1e-09"),
+        ("trials_hit", lambda v: v + 1,
+         "$.report.pairs[0].trials_hit differs from the record")],
+        ids=["lambda", "trials_hit"])
+    def test_a_moved_value_fails_and_is_named(self, monkeypatch, tmp_path,
+                                              capsys, field, edit, detail):
+        def move(pair):
+            pair[field] = edit(pair[field])
+
+        _record_with(monkeypatch, tmp_path, move)
+        assert main(["verify"]) == 4
+        out = capsys.readouterr().out
+        assert f"FAIL example 5.1: {detail}\n" in out
+        assert "FAILED: 1 of 3 studies failing" in out
 
 
 def _module_env():

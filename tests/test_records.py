@@ -1,13 +1,16 @@
 """Answers as a committed record: the bundled studies and the boundary
 battery recomputed and compared, byte for byte and float.hex for
-float.hex, with the files under tests/records. A change that moves an
-answer on purpose rewrites them: the studies with ``specteig examples
-5.x --seed 1729 --format json --sidecar tests/records/examples_5.x.json``,
-the battery with ``scripts/record_answers.py``."""
+float.hex. The study records ship with the package, in specteig/data,
+where ``specteig verify`` compares with them too; the boundary record is
+tests/records/boundary.json. A change that moves an answer on purpose
+rewrites them: the studies with ``specteig examples 5.x --seed 1729
+--format json --sidecar src/specteig/data/examples_5.x.json``, the
+battery with ``scripts/record_answers.py``."""
 
 import importlib.util
 import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from specteig.cli import main
 
 TESTS = Path(__file__).resolve().parent
 RECORDS = TESTS / "records"
+STUDY_RECORDS = resources.files("specteig.data")
 SCRIPT = TESTS.parent / "scripts" / "record_answers.py"
 
 
@@ -41,7 +45,7 @@ def test_studies_reproduce_their_records(tag, tmp_path, capsys):
                  "--sidecar", str(sidecar)]) == 0
     capsys.readouterr()
     assert sidecar.read_bytes() == \
-        (RECORDS / f"examples_{tag}.json").read_bytes()
+        (STUDY_RECORDS / f"examples_{tag}.json").read_bytes()
 
 
 def test_boundary_answers_reproduce_their_record(recorder, boundary):

@@ -21,7 +21,7 @@ from specteig import (ArityError, ConfigError, DimError, DomainError,
 from specteig.errors import NumericalError, ParseError
 from specteig.pam import _BlockSweep
 from specteig.tensor_core import (_LAYOUT_CHUNK, _class_layout,
-                                  _class_table, _double_factorial,
+                                  _class_table, _contract, _double_factorial,
                                   _multiplicities)
 
 from conftest import (dense_multilinear, dense_partial, fd_gradient,
@@ -626,6 +626,21 @@ class TestMultilinear:
         assert np.allclose(a.multilinear_partial(blocks, 1),
                            dense_partial(arr, blocks), rtol=1e-10)
 
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (4, 2), (4, 3),
+                                      (6, 2)])
+    def test_contract_over_all_but_two_slots_is_entrywise(self, m, n):
+        # one contraction over m - 2 slots gives, bit for bit, each entry
+        # A[e_i, e_j, x, ..., x] contracted on its own
+        rng = np.random.default_rng(10 * m + n)
+        a = random_symtensor(m, n, rng)
+        x = rng.standard_normal(n)
+        eye = np.eye(n)
+        entrywise = np.array([[a.multilinear_apply(
+            [eye[i], eye[j]] + [x] * (m - 2)) for j in range(n)]
+            for i in range(n)])
+        got = _contract(a.dense, [x] * (m - 2)).reshape(n, n)
+        assert got.tobytes() == entrywise.tobytes()
+
     def test_block_count_checked(self):
         with pytest.raises(ArityError):
             A1.multilinear_apply([np.array([1.0, 0.0])])
@@ -666,6 +681,13 @@ class TestFrobenius:
         b = random_symtensor(3, 3, rng)
         assert frobenius_inner(a, b) == pytest.approx(
             float((to_dense(a) * to_dense(b)).sum()), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_entries_beyond_the_square_root_of_max_float(self):
+        # the squares overflow, the norm does not
+        t = SymTensor.from_entries(2, 2, {(1, 1): 1e200, (2, 2): -1e200})
+        want = math.sqrt(2.0) * 1e200
+        assert abs(t.frobenius_norm() - want) <= math.ulp(want)
 
 
 class TestZIdentity:
